@@ -99,12 +99,18 @@ class ParseFailure:
 
 @dataclass
 class JarArchive:
-    """Decoded JAR: class entries parsed, everything else kept opaque."""
+    """Decoded JAR: class entries parsed, everything else kept opaque.
+
+    Classes only header-checked (see ``parse_jar``'s ``wanted``) are in
+    ``unparsed``, never in ``classes``: listed there with no methods, every
+    method of theirs would read as absent.
+    """
 
     classes: list[tuple[str, ClassFile]]          # (entry path, parsed class)
     other_entries: list[str]                      # paths of non-class entries
     failures: list[ParseFailure]
     metadata_present: bool
+    unparsed: list[tuple[str, str]] = field(default_factory=list)  # (entry path, dotted name)
 
     def class_files(self) -> list[ClassFile]:
         return [cf for _, cf in self.classes]

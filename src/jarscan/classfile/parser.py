@@ -1,4 +1,27 @@
-"""Binary decoding of JVM class files and JAR containers."""
+"""Binary decoding of JVM class files and JAR containers.
+
+A class file is checked at one of two depths:
+
+* ``parse_class`` decodes everything: the constant pool, fields, methods,
+  descriptors and every Code attribute (instructions, exception tables,
+  branch targets).
+* ``parse_class_header`` decodes only the class's own name. It checks the
+  magic number, the 45..65 major-version range, every constant-pool tag
+  and length, and that this_class names a Class entry whose name is a
+  Utf8 entry; it walks fields, methods and attributes by length, so
+  truncation anywhere is caught. It checks no other pool reference, no
+  descriptor and nothing inside a Code attribute. Its checks are a subset
+  of ``parse_class``'s: bytes ``parse_class`` accepts, it accepts with the
+  same name; bytes it rejects, ``parse_class`` rejects too.
+
+``parse_jar`` given a predicate on class names fully parses only the
+classes the predicate accepts and header-checks the rest. A scan asks for
+the classes its knowledge base names, so a class no KB record names whose
+only defect is one the header does not check (a bad descriptor, Code
+attribute or other pool reference) counts as a class, not as a parse
+failure. A defect that could hide which class it is (an unreadable name,
+a bad pool, truncation, an unsupported version) is a failure either way.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +29,7 @@ import io
 import logging
 import struct
 import zipfile
+from typing import Callable
 
 from ..errors import (
     BadConstantPoolRef,
@@ -30,6 +54,7 @@ from .constant_pool import (
     TAG_METHODREF,
     TAG_MODULE,
     TAG_NAME_AND_TYPE,
+    TAG_NAMES,
     TAG_PACKAGE,
     TAG_STRING,
     TAG_UTF8,
@@ -56,67 +81,92 @@ MAGIC = 0xCAFEBABE
 MIN_MAJOR = 45
 MAX_MAJOR = 65
 
+_U2 = struct.Struct(">H").unpack_from
+_U4 = struct.Struct(">I").unpack_from
+# this_class and interfaces_count, skipping access_flags and super_class.
+_THIS_AND_INTERFACES = struct.Struct(">2xH2xH").unpack_from
+
+# Layout of the bytes after the tag of each fixed-size constant-pool
+# entry; the CpEntry payload is the one field, or the tuple of fields.
+_CP_PAYLOAD = {
+    TAG_INTEGER: struct.Struct(">i"),
+    TAG_FLOAT: struct.Struct(">f"),
+    TAG_LONG: struct.Struct(">q"),
+    TAG_DOUBLE: struct.Struct(">d"),
+    **dict.fromkeys((TAG_CLASS, TAG_STRING, TAG_METHOD_TYPE, TAG_MODULE, TAG_PACKAGE),
+                    struct.Struct(">H")),
+    **dict.fromkeys((TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF,
+                     TAG_NAME_AND_TYPE, TAG_DYNAMIC, TAG_INVOKE_DYNAMIC),
+                    struct.Struct(">HH")),
+    TAG_METHOD_HANDLE: struct.Struct(">BH"),
+}
+# Size in bytes, tag included, of each fixed-size entry, indexed by tag;
+# 0 for Utf8 (sized by its length field) and unknown tags.
+_CP_ENTRY_SIZE = bytes(1 + _CP_PAYLOAD[tag].size if tag in _CP_PAYLOAD else 0
+                       for tag in range(256))
+
 
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _advance(self, n: int) -> int:
+        """Start offset of the next n bytes, which must all be present."""
+        pos = self.pos
+        if pos + n > len(self.data):
             raise TruncatedInput(
-                f"needed {n} bytes at offset {self.pos}, have {len(self.data) - self.pos}"
+                f"needed {n} bytes at offset {pos}, have {len(self.data) - pos}"
             )
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u1(self) -> int:
-        return self._take(1)[0]
+        self.pos = pos + n
+        return pos
 
     def u2(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
+        return _U2(self.data, self._advance(2))[0]
 
     def u4(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def s4(self) -> int:
-        return struct.unpack(">i", self._take(4))[0]
+        return _U4(self.data, self._advance(4))[0]
 
     def raw(self, n: int) -> bytes:
-        return self._take(n)
+        pos = self._advance(n)
+        return self.data[pos:pos + n]
+
+
+def _decode_utf8(raw: bytes) -> str:
+    # Modified UTF-8; surrogate escapes keep odd bytes round-trippable.
+    return raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogateescape")
 
 
 def _parse_constant_pool(r: _Reader) -> ConstantPool:
     count = r.u2()
+    data, pos, n = r.data, r.pos, len(r.data)
     entries: dict[int, CpEntry] = {}
     index = 1
     while index < count:
-        tag = r.u1()
+        if pos >= n:
+            raise TruncatedInput(f"constant pool ends before entry {index}")
+        tag = data[pos]
         if tag == TAG_UTF8:
-            length = r.u2()
-            raw = r.raw(length)
-            # Modified UTF-8; surrogate escapes keep odd bytes round-trippable.
-            value = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogateescape")
-            entries[index] = CpEntry(tag, value)
-        elif tag == TAG_INTEGER:
-            entries[index] = CpEntry(tag, struct.unpack(">i", r.raw(4))[0])
-        elif tag == TAG_FLOAT:
-            entries[index] = CpEntry(tag, struct.unpack(">f", r.raw(4))[0])
-        elif tag == TAG_LONG:
-            entries[index] = CpEntry(tag, struct.unpack(">q", r.raw(8))[0])
-        elif tag == TAG_DOUBLE:
-            entries[index] = CpEntry(tag, struct.unpack(">d", r.raw(8))[0])
-        elif tag in (TAG_CLASS, TAG_STRING, TAG_METHOD_TYPE, TAG_MODULE, TAG_PACKAGE):
-            entries[index] = CpEntry(tag, r.u2())
-        elif tag in (TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF,
-                     TAG_NAME_AND_TYPE, TAG_DYNAMIC, TAG_INVOKE_DYNAMIC):
-            entries[index] = CpEntry(tag, (r.u2(), r.u2()))
-        elif tag == TAG_METHOD_HANDLE:
-            entries[index] = CpEntry(tag, (r.u1(), r.u2()))
+            if pos + 3 > n:
+                raise TruncatedInput(f"constant pool ends inside entry {index}")
+            end = pos + 3 + ((data[pos + 1] << 8) | data[pos + 2])
+            if end > n:
+                raise TruncatedInput(f"constant pool ends inside entry {index}")
+            value = _decode_utf8(data[pos + 3:end])
         else:
-            raise ClassParseError(f"unknown constant pool tag {tag} at index {index}")
+            payload = _CP_PAYLOAD.get(tag)
+            if payload is None:
+                raise ClassParseError(f"unknown constant pool tag {tag} at index {index}")
+            end = pos + 1 + payload.size
+            if end > n:
+                raise TruncatedInput(f"constant pool ends inside entry {index}")
+            value = payload.unpack_from(data, pos + 1)
+            if len(value) == 1:
+                value = value[0]
+        entries[index] = CpEntry(tag, value)
+        pos = end
         index += 2 if tag in WIDE_TAGS else 1
+    r.pos = pos
     return ConstantPool(entries)
 
 
@@ -359,14 +409,109 @@ def parse_class(data: bytes) -> ClassFile:
     )
 
 
-def parse_jar(data: bytes) -> JarArchive:
-    """Decode a JAR; per-entry class failures are collected, never fatal."""
+def _cp_offset(data: bytes, offsets: list[int], index: int, tag: int) -> int:
+    """Offset of pool entry ``index``, which must carry ``tag``."""
+    offset = offsets[index] if index < len(offsets) else -1
+    if offset < 0:
+        raise BadConstantPoolRef(f"constant pool index {index} out of range")
+    if data[offset] != tag:
+        raise BadConstantPoolRef(
+            f"constant pool index {index}: expected {TAG_NAMES[tag]}, "
+            f"found {TAG_NAMES.get(data[offset], data[offset])}"
+        )
+    return offset
+
+
+def _skip_attributes(data: bytes, pos: int) -> int:
+    """Offset just past the attribute table (u2 count, then u2 name, u4
+    length and payload per attribute) that starts at ``pos``."""
+    n = len(data)
+    if pos + 2 > n:
+        raise TruncatedInput(f"class file ends before the attribute table at {pos}")
+    count = _U2(data, pos)[0]
+    pos += 2
+    for _ in range(count):
+        if pos + 6 > n:
+            raise TruncatedInput(f"class file ends inside an attribute at {pos}")
+        pos += 6 + _U4(data, pos + 2)[0]
+    if pos > n:
+        raise TruncatedInput("attribute runs past the end of the class file")
+    return pos
+
+
+def parse_class_header(data: bytes) -> str:
+    """Check a class file's layout without decoding it; return its dotted
+    this_class name.
+
+    The checks are listed in the module docstring; each is one
+    ``parse_class`` makes on the same bytes. Raises ClassParseError
+    subclasses on bad input.
+    """
+    n = len(data)
+    if n < 4 or _U4(data, 0)[0] != MAGIC:
+        raise BadMagic("class file does not start with 0xCAFEBABE")
+    if n < 10:
+        raise TruncatedInput(f"class file ends inside its header ({n} bytes)")
+    major, count = struct.unpack_from(">HH", data, 6)
+    if not MIN_MAJOR <= major <= MAX_MAJOR:
+        raise UnsupportedVersion(
+            f"class file major version {major} outside supported {MIN_MAJOR}..{MAX_MAJOR}"
+        )
+
+    # offsets[i] is where pool entry i's tag byte sits; -1 marks no entry.
+    offsets = [-1] * max(count, 1)
+    pos = 10
+    index = 1
+    while index < count:
+        if pos >= n:
+            raise TruncatedInput(f"constant pool ends before entry {index}")
+        tag = data[pos]
+        offsets[index] = pos
+        if tag == TAG_UTF8:
+            if pos + 3 > n:
+                raise TruncatedInput(f"constant pool ends inside entry {index}")
+            pos += 3 + ((data[pos + 1] << 8) | data[pos + 2])
+            index += 1
+        else:
+            size = _CP_ENTRY_SIZE[tag]
+            if not size:
+                raise ClassParseError(f"unknown constant pool tag {tag} at index {index}")
+            pos += size
+            index += 2 if tag in WIDE_TAGS else 1
+
+    if pos + 8 > n:
+        raise TruncatedInput("class file ends inside its class header")
+    this_idx, interface_count = _THIS_AND_INTERFACES(data, pos)
+    class_at = _cp_offset(data, offsets, this_idx, TAG_CLASS)
+    name_at = _cp_offset(data, offsets, _U2(data, class_at + 1)[0], TAG_UTF8)
+    pos += 8 + 2 * interface_count
+    for _table in ("fields", "methods"):
+        if pos + 2 > n:
+            raise TruncatedInput("class file ends before a member table")
+        member_count = _U2(data, pos)[0]
+        pos += 2
+        for _ in range(member_count):
+            pos = _skip_attributes(data, pos + 6)   # after access, name, descriptor
+    _skip_attributes(data, pos)
+
+    length = _U2(data, name_at + 1)[0]
+    return _decode_utf8(data[name_at + 3:name_at + 3 + length]).replace("/", ".")
+
+
+def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None) -> JarArchive:
+    """Decode a JAR; per-entry class failures are collected, never fatal.
+
+    Without ``wanted`` every class is fully parsed. With it, a class is
+    header-checked first and fully parsed only if ``wanted`` accepts its
+    dotted name; the others go to ``unparsed`` and their bytes are dropped.
+    """
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
     except zipfile.BadZipFile as exc:
         raise MalformedArchive(str(exc)) from exc
 
     classes: list[tuple[str, ClassFile]] = []
+    unparsed: list[tuple[str, str]] = []
     others: list[str] = []
     failures: list[ParseFailure] = []
     metadata = False
@@ -388,10 +533,17 @@ def parse_jar(data: bytes) -> JarArchive:
         if not path.endswith(".class"):
             others.append(path)
             continue
+        raw = zf.read(path)
         try:
-            classes.append((path, parse_class(zf.read(path))))
+            if wanted is not None:
+                fqn = parse_class_header(raw)
+                if not wanted(fqn):
+                    unparsed.append((path, fqn))
+                    continue
+            classes.append((path, parse_class(raw)))
         except ClassParseError as exc:
             log.warning("failed to parse %s: %s", path, exc)
             failures.append(ParseFailure(path, str(exc)))
     return JarArchive(classes=classes, other_entries=others,
-                      failures=failures, metadata_present=metadata)
+                      failures=failures, metadata_present=metadata,
+                      unparsed=unparsed)

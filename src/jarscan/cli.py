@@ -5,7 +5,8 @@ modification harness). Exit codes are a stable contract:
 
   kb-build: 0 at least one entry built, 1 none buildable, 2 unreadable input
   scan:     0 completed with zero findings, 3 completed with findings,
-            1 operational failure, 2 usage/unreadable input
+            1 operational failure (including every given JAR erroring),
+            2 usage/unreadable input
   modify:   0 written, 1 relocation collision or bad input, 2 usage
 
 Threshold flags override the shipped defaults; every flag mirrors an
@@ -80,9 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=_env_default("THETA_CT", DEFAULT_THETA_CT))
     sc.add_argument("--format", choices=("json", "table"), default="table")
     sc.add_argument("--out", help="write the report here instead of stdout")
-    sc.add_argument("--jobs", type=int,
-                    default=_env_default("JOBS", 1, int),
-                    help="parallel JAR scans")
 
     mo = sub.add_parser("modify", help="produce type 1-4 modified JAR variants")
     mo.add_argument("--kind", type=int, required=True, choices=(1, 2, 3, 4))
@@ -131,7 +129,7 @@ def cmd_scan(args) -> int:
         return 1
     config = ScanConfig(theta_pt=args.theta_pt, theta_cc=args.theta_cc,
                         theta_ct=args.theta_ct, modes=modes)
-    report = scan(jars, kb, config, jobs=max(1, args.jobs))
+    report = scan(jars, kb, config)
 
     if args.format == "json":
         text = json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
@@ -143,8 +141,8 @@ def cmd_scan(args) -> int:
         sys.stdout.write(text)
     findings = sum(1 for j in report.jars for f in j.findings
                    if f.verdict == VULNERABLE)
-    errors = sum(1 for j in report.jars if j.error)
-    if errors and not report.jars:
+    # A scan of zero JARs completed; one where every JAR errored did not.
+    if report.jars and all(j.error for j in report.jars):
         return 1
     return 3 if findings else 0
 

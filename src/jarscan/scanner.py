@@ -20,7 +20,6 @@ import logging
 import shlex
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -379,7 +378,7 @@ def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
                    config: ScanConfig) -> JarResult:
     start = time.perf_counter()
     try:
-        archive = parse_jar(data)
+        archive = parse_jar(data, kb.asks_about_class)
     except MalformedArchive as exc:
         return JarResult(path=path, error=str(exc))
     view = JarView(archive)
@@ -405,7 +404,7 @@ def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
 
     result = JarResult(
         path=path,
-        classes=len(archive.classes),
+        classes=len(archive.classes) + len(archive.unparsed),
         parse_failures=len(archive.failures),
         findings=[findings[c] for c in sorted(findings)],
     )
@@ -421,20 +420,12 @@ def scan_jar(path: str, kb: KnowledgeBase, config: ScanConfig) -> JarResult:
     return scan_jar_bytes(path, data, kb, config)
 
 
-def scan(jar_paths: list, kb: KnowledgeBase, config: ScanConfig | None = None,
-         jobs: int = 1) -> ScanReport:
-    """Scan JARs against the KB; per-JAR failures become error entries.
-
-    Jobs > 1 scans archives concurrently; the report keeps input order, so
-    output does not depend on scheduling.
-    """
+def scan(jar_paths: list, kb: KnowledgeBase,
+         config: ScanConfig | None = None) -> ScanReport:
+    """Scan JARs against the KB, in input order; per-JAR failures become
+    error entries."""
     config = config or ScanConfig()
-    if jobs > 1 and len(jar_paths) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: scan_jar(p, kb, config), jar_paths))
-    else:
-        results = [scan_jar(p, kb, config) for p in jar_paths]
-    return ScanReport(config=config, jars=results)
+    return ScanReport(config=config, jars=[scan_jar(p, kb, config) for p in jar_paths])
 
 
 # ------------------------------------------------------------------ reports

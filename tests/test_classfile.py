@@ -23,7 +23,9 @@ from jarscan.classfile import (
     strip_packages,
     write_jar,
 )
+from jarscan.classfile.parser import parse_class_header
 from jarscan.errors import (
+    BadConstantPoolRef,
     BadMagic,
     ClassParseError,
     MalformedArchive,
@@ -110,6 +112,8 @@ def test_parse_class_unsupported_version(major):
     data[6:8] = struct.pack(">H", major)
     with pytest.raises(UnsupportedVersion):
         parse_class(bytes(data))
+    with pytest.raises(UnsupportedVersion):
+        parse_class_header(bytes(data))
 
 
 def test_parse_class_version_bounds_accepted():
@@ -117,6 +121,112 @@ def test_parse_class_version_bounds_accepted():
         data = bytearray(emit_class(ClassModel("t.T")))
         data[6:8] = struct.pack(">H", major)
         assert parse_class(bytes(data)).major_version == major
+        assert parse_class_header(bytes(data)) == "t.T"
+
+
+# ------------------------------------------------------------- header pass
+
+def _header_agrees(data: bytes) -> bool:
+    """The header pass's checks are a subset of parse_class's: whatever
+    parse_class accepts, the header accepts with the same name, and
+    whatever the header rejects, parse_class rejects. Only
+    ClassParseError subclasses may escape either. Returns whether the
+    header accepted."""
+    try:
+        name = parse_class_header(data)
+    except ClassParseError:
+        name = None
+    try:
+        full = parse_class(data).this_class
+    except ClassParseError:
+        full = None
+    if full is not None:
+        assert name == full
+    return name is not None
+
+
+def _random_class(seed: int) -> bytes:
+    rng = random.Random(seed)
+    methods = [default_constructor()]
+    for k in range(rng.randint(1, 3)):
+        params = rng.randint(1, 3)
+        methods.append(MethodModel(f"m{k}", "(" + "I" * params + ")I", 0x09,
+                                   code=random_int_method(rng, params=params)))
+    fields = [FieldModel(f"f{k}", rng.choice(["I", "J", "Ljava/lang/String;"]))
+              for k in range(rng.randint(0, 3))]
+    return emit_class(ClassModel(f"rnd.p{seed % 7}.H{seed}", fields=fields,
+                                 methods=methods))
+
+
+def _with_class_attribute(data: bytes) -> bytes:
+    """Replace the emitter's empty class-attribute table with one opaque
+    attribute, as javac's SourceFile would be."""
+    assert data.endswith(b"\x00\x00")
+    return data[:-2] + struct.pack(">HHI", 1, 1, 4) + b"\x00\x01\x02\x03"
+
+
+def test_header_sound_on_every_truncation_prefix(corpus):
+    blobs = [b for cve in corpus.cve_ids
+             for side in (corpus.pre_classes, corpus.post_classes)
+             for _n, b in side[cve]]
+    blobs.append(_handcrafted_switch_class())
+    blobs.append(_with_class_attribute(_handcrafted_switch_class()))
+    for data in blobs:
+        assert _header_agrees(data)
+        for cut in range(len(data)):
+            assert not _header_agrees(data[:cut])
+
+
+def _pool_layout(data: bytes) -> tuple[list[int], int]:
+    """Offsets of the constant-pool tag bytes of a well-formed class, and
+    the offset just past the pool."""
+    count = struct.unpack_from(">H", data, 8)[0]
+    tags, pos, index = [], 10, 1
+    while index < count:
+        tags.append(pos)
+        tag = data[pos]
+        if tag == 1:
+            pos += 3 + struct.unpack_from(">H", data, pos + 1)[0]
+        else:
+            pos += {5: 9, 6: 9, 7: 3, 8: 3, 15: 4, 16: 3, 19: 3, 20: 3}.get(tag, 5)
+        index += 2 if tag in (5, 6) else 1
+    return tags, pos
+
+
+@pytest.mark.parametrize("bad_tag", [0, 2, 13, 14, 21, 255])
+def test_header_rejects_bad_pool_tags(bad_tag):
+    data = emit_class(_listing1_class())
+    for offset in _pool_layout(data)[0]:
+        mutated = bytearray(data)
+        mutated[offset] = bad_tag
+        assert not _header_agrees(bytes(mutated))
+
+
+def test_header_rejects_this_class_not_a_class_entry():
+    data = bytearray(emit_class(ClassModel("t.T")))
+    tags, pool_end = _pool_layout(bytes(data))
+    this_at = pool_end + 2                          # after access_flags
+    utf8_index = next(i for i, off in enumerate(tags, 1) if data[off] == 1)
+    for bad_index in (0, utf8_index, 0xFFFF):
+        data[this_at:this_at + 2] = struct.pack(">H", bad_index)
+        with pytest.raises(BadConstantPoolRef):
+            parse_class_header(bytes(data))
+        assert not _header_agrees(bytes(data))
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_header_sound_on_generated_classes(seed):
+    assert _header_agrees(_random_class(seed))
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_header_sound_on_mutated_classes(seed, edits):
+    data = bytearray(_random_class(seed))
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    _header_agrees(bytes(data))
 
 
 # --------------------------------------------------------------- round trips

@@ -136,13 +136,26 @@ def test_scan_unreadable_kb_exit_2(tmp_path):
     assert rc == 2
 
 
-def test_scan_jobs_flag(tmp_path, corpus, kb_file, capsys):
-    paths = _write_jars(corpus, tmp_path, "pre_jars")
-    rc = main(["scan", "--kb", str(kb_file), "--jobs", "4",
-               "--format", "json", *paths])
-    assert rc == 3
+def test_scan_every_jar_failed_exit_1(tmp_path, kb_file, capsys):
+    bad = tmp_path / "bad.jar"
+    bad.write_bytes(b"not a zip at all")
+    rc = main(["scan", "--kb", str(kb_file), "--format", "json",
+               str(bad), str(tmp_path / "missing.jar")])
+    assert rc == 1
     report = json.loads(capsys.readouterr().out)
-    assert [j["path"] for j in report["jars"]] == paths
+    assert all(j["error"] for j in report["jars"])
+
+
+def test_scan_some_jars_failed_keeps_verdict_exit_code(tmp_path, corpus, kb_file):
+    paths = _write_jars(corpus, tmp_path, "pre_jars")[:1]
+    rc = main(["scan", "--kb", str(kb_file), str(tmp_path / "missing.jar"), *paths])
+    assert rc == 3
+
+
+def test_scan_no_jars_exit_0(kb_file, capsys):
+    rc = main(["scan", "--kb", str(kb_file), "--format", "json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["jars"] == []
 
 
 # -------------------------------------------------------------------- modify

@@ -11,6 +11,7 @@ from jarscan.classfile import (
     default_constructor,
     emit_class,
     parse_class,
+    parse_jar,
     strip_packages,
     write_jar,
 )
@@ -377,8 +378,81 @@ def test_scan_report_deterministic(corpus, corpus_kb, tmp_path):
         p.write_bytes(corpus.pre_jars[cve])
         paths.append(str(p))
     r1 = report_to_json(scan(paths, corpus_kb, ScanConfig()))
-    r2 = report_to_json(scan(paths, corpus_kb, ScanConfig(), jobs=3))
+    r2 = report_to_json(scan(paths, corpus_kb, ScanConfig()))
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+# ------------------------------------------------- lazy parse vs eager parse
+
+def _report_bytes(paths, kb) -> str:
+    return json.dumps(report_to_json(scan(paths, kb, ScanConfig())),
+                      indent=2, sort_keys=True)
+
+
+def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch):
+    """Classes no KB record names are only header-checked; with every
+    class fully parsed instead, the report is byte-identical."""
+    jars = {}
+    for cve in corpus.cve_ids:
+        jars[f"{cve}-pre"] = corpus.pre_jars[cve]
+        jars[f"{cve}-post"] = corpus.post_jars[cve]
+    for side in ("pre_jars", "post_jars"):
+        inputs = [getattr(corpus, side)[c] for c in corpus.cve_ids]
+        for kind in (2, 3, 4):
+            jars[f"{side}-kind{kind}"] = modify(inputs, kind)
+    paths = []
+    for name, data in jars.items():
+        p = tmp_path / f"{name}.jar"
+        p.write_bytes(data)
+        paths.append(str(p))
+    partial_kb = KnowledgeBase(records={c: corpus_kb.records[c]
+                                        for c in corpus.cve_ids[:5]})
+    assert parse_jar(jars["pre_jars-kind2"], partial_kb.asks_about_class).unparsed
+
+    lazy = [_report_bytes(paths, kb) for kb in (corpus_kb, partial_kb)]
+    monkeypatch.setattr(KnowledgeBase, "asks_about_class", lambda self, fqn: True)
+    eager = [_report_bytes(paths, kb) for kb in (corpus_kb, partial_kb)]
+    assert lazy == eager
+
+
+def _with_broken_descriptor(model: ClassModel) -> bytes:
+    """Emit the class, then corrupt its marker method's descriptor: the
+    header pass still accepts the bytes, parse_class does not."""
+    data = emit_class(model)
+    assert data.count(b"(Lzz/Mark;)V") == 1
+    return data.replace(b"(Lzz/Mark;)V", b"(Lzz/Mark;)Q")
+
+
+def test_malformed_class_counts_by_candidacy():
+    """A malformed class the KB names is a parse failure and its records
+    see no declaring class; a malformed class no record names is only
+    header-checked, so it counts as a class."""
+    mark = MethodModel("mark", "(Lzz/Mark;)V", 0x09, code=["return"])
+
+    def klass(name, ret):
+        return ClassModel(name, methods=[
+            default_constructor(), mark,
+            MethodModel("run", "(I)I", 0x09, code=["iload_0", ret, "ireturn"])])
+
+    records = build_entry(
+        "CVE-TEST",
+        [parse_class(emit_class(klass(n, "iconst_1"))) for n in ("mal.A", "mal.B")],
+        [parse_class(emit_class(klass(n, "iconst_2"))) for n in ("mal.A", "mal.B")])
+    kb = KnowledgeBase(records={"CVE-TEST": records})
+    jar = write_jar([
+        (class_entry_path("mal.A"), _with_broken_descriptor(klass("mal.A", "iconst_1"))),
+        (class_entry_path("mal.B"), emit_class(klass("mal.B", "iconst_1"))),
+        (class_entry_path("other.Util"), _with_broken_descriptor(klass("other.Util", "iconst_1"))),
+    ])
+    assert kb.asks_about_class("mal.A") and not kb.asks_about_class("other.Util")
+    assert len(parse_jar(jar).failures) == 2           # eager: both fail
+
+    res = scan_jar_bytes("mal.jar", jar, kb, ScanConfig(modes=("default",)))
+    assert (res.classes, res.parse_failures) == (2, 1)
+    [finding] = res.findings
+    reasons = {v.fqn: v.reason for v in finding.constructs}
+    assert reasons["mal.A: int run(int)"] == "declaring class not in archive"
+    assert reasons["mal.B: int run(int)"] is None      # matched on triplets
 
 
 def test_scan_isolates_bad_archives(tmp_path, corpus_kb):
