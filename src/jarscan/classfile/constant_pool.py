@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from ..errors import BadConstantPoolRef
@@ -47,6 +48,29 @@ TAG_NAMES = {
 # Long and Double occupy two pool slots.
 WIDE_TAGS = frozenset({TAG_LONG, TAG_DOUBLE})
 
+_UTF8_REF = frozenset({TAG_UTF8})
+_MEMBER_TAGS = frozenset({TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF})
+_MEMBER_REF = (frozenset({TAG_CLASS}), frozenset({TAG_NAME_AND_TYPE}))
+_BOOTSTRAP_REF = (None, frozenset({TAG_NAME_AND_TYPE}))
+
+# For each tag that refers to other entries: the tags each of its payload
+# slots may point at, or None for a slot that is a plain number. Every
+# reference leads strictly down this table, so resolving cannot cycle.
+_REFERENCES = {
+    TAG_CLASS: (_UTF8_REF,),
+    TAG_STRING: (_UTF8_REF,),
+    TAG_METHOD_TYPE: (_UTF8_REF,),
+    TAG_MODULE: (_UTF8_REF,),
+    TAG_PACKAGE: (_UTF8_REF,),
+    TAG_NAME_AND_TYPE: (_UTF8_REF, _UTF8_REF),
+    TAG_FIELDREF: _MEMBER_REF,
+    TAG_METHODREF: _MEMBER_REF,
+    TAG_INTERFACE_METHODREF: _MEMBER_REF,
+    TAG_METHOD_HANDLE: (None, _MEMBER_TAGS),
+    TAG_DYNAMIC: _BOOTSTRAP_REF,
+    TAG_INVOKE_DYNAMIC: _BOOTSTRAP_REF,
+}
+
 
 @dataclass(frozen=True)
 class CpEntry:
@@ -71,6 +95,7 @@ class ConstantPool:
 
     def __init__(self, entries: dict[int, CpEntry]):
         self._entries = entries
+        self._resolved: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -88,6 +113,34 @@ class ConstantPool:
                 f"found {TAG_NAMES.get(ent.tag, ent.tag)}"
             )
         return ent
+
+    def resolve(self, index: int, allowed: frozenset | None = None) -> tuple:
+        """The entry with every pool reference replaced, recursively, by
+        the entry it names: (tag, payload), equal across two pools exactly
+        when the constants are the same, wherever they sit.
+
+        Float and Double payloads are their bit patterns, so -0.0 and 0.0
+        stay apart and a NaN equals itself. Raises BadConstantPoolRef for
+        an index out of range or a reference to an entry of the wrong kind.
+        """
+        ent = self.entry(index)
+        if allowed is not None and ent.tag not in allowed:
+            raise BadConstantPoolRef(
+                f"constant pool index {index}: unexpected "
+                f"{TAG_NAMES.get(ent.tag, ent.tag)} reference")
+        got = self._resolved.get(index)
+        if got is None:
+            slots = _REFERENCES.get(ent.tag)
+            if slots is None:
+                value = ent.value
+                if ent.tag in (TAG_FLOAT, TAG_DOUBLE):
+                    value = struct.pack(">d", value)
+            else:
+                refs = ent.value if isinstance(ent.value, tuple) else (ent.value,)
+                value = tuple(ref if kinds is None else self.resolve(ref, kinds)
+                              for ref, kinds in zip(refs, slots))
+            got = self._resolved[index] = (ent.tag, value)
+        return got
 
     def utf8(self, index: int) -> str:
         return self.entry(index, TAG_UTF8).value  # type: ignore[return-value]

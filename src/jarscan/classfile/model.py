@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constant_pool import ConstantPool
+from .opcodes import FORMAT_OF
 
 ACC_STATIC = 0x0008
 ACC_INTERFACE = 0x0200
@@ -71,6 +72,31 @@ class MethodInfo:
     @property
     def is_synthetic(self) -> bool:
         return bool(self.access_flags & (ACC_SYNTHETIC | ACC_BRIDGE))
+
+
+# Operand formats whose first operand is a constant-pool index.
+_POOL_FORMATS = frozenset({"cp8", "cp16", "iface", "indy", "multi"})
+
+
+def resolved_code(method: MethodInfo, pool: ConstantPool) -> tuple | None:
+    """A method's code with pool indices replaced by what they name.
+
+    The key holds the descriptor, ``is_static``, the exception table and,
+    per instruction, (offset, mnemonic, operands) with each pool operand
+    resolved by ``ConstantPool.resolve``: every input lifting reads, and
+    nothing else (not ``max_stack`` or ``max_locals``). Two methods with
+    equal keys lift to the same IR even when their pools are laid out
+    differently. None for a method without code. Raises
+    BadConstantPoolRef when a pool operand does not resolve.
+    """
+    code = method.code
+    if code is None:
+        return None
+    return (method.descriptor, method.is_static, code.exception_table,
+            tuple((ins.offset, ins.mnemonic,
+                   (pool.resolve(ins.operands[0]),) + ins.operands[1:]
+                   if FORMAT_OF[ins.mnemonic] in _POOL_FORMATS else ins.operands)
+                  for ins in code.instructions))
 
 
 @dataclass(frozen=True)

@@ -533,7 +533,7 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None) -> JarAr
         if not path.endswith(".class"):
             others.append(path)
             continue
-        raw = zf.read(path)
+        raw = zf.read(info)
         try:
             if wanted is not None:
                 fqn = parse_class_header(raw)

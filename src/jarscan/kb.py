@@ -15,10 +15,11 @@ from pathlib import Path
 
 from .classfile.constructs import ConstructId, strip_packages
 from .classfile.descriptors import method_signature, render_type
-from .classfile.model import ClassFile, MethodInfo
+from .classfile.model import ClassFile, MethodInfo, resolved_code
 from .classfile.parser import parse_class
 from .cpg import FixSignature, deserialize_triplets, serialize_triplets
-from .errors import ClassParseError, CorruptFile, EmptyDiff, KbFormatError, LiftError, VersionMismatch
+from .errors import (BadConstantPoolRef, ClassParseError, CorruptFile, EmptyDiff,
+                     KbFormatError, LiftError, VersionMismatch)
 
 log = logging.getLogger(__name__)
 
@@ -60,16 +61,10 @@ class KnowledgeBase:
         self._reindex()
 
     def _reindex(self):
-        self.fqn_index: dict[str, set] = {}
-        self.unqualified_index: dict[str, set] = {}
         self._class_candidates: dict[str, set] = {}
         self._unq_class_candidates: dict[str, set] = {}
         for cve, records in self.records.items():
             for rec in records:
-                self.fqn_index.setdefault(rec.construct.fqn, set()).add(cve)
-                if rec.construct.kind == "method":
-                    self.unqualified_index.setdefault(
-                        rec.construct.unqualified, set()).add((cve, rec.construct.fqn))
                 cls = rec.declaring_class
                 self._class_candidates.setdefault(cls, set()).add(cve)
                 self._unq_class_candidates.setdefault(
@@ -99,13 +94,20 @@ class KnowledgeBase:
 
 def query_fqn(kb: KnowledgeBase, fqn: str) -> set:
     """CVE ids whose fix touched the construct with this exact FQN."""
-    return set(kb.fqn_index.get(fqn, ()))
+    cls = fqn.split(":", 1)[0]
+    return {cve for cve in kb.candidate_cves_for_class(cls)
+            if any(rec.construct.fqn == fqn for rec in kb.records[cve])}
 
 
 def query_unqualified(kb: KnowledgeBase, unqualified_sig: str) -> set:
     """(cve_id, fqn) pairs of method records matching the unqualified
     signature; ambiguity is expected and resolved later by class context."""
-    return set(kb.unqualified_index.get(unqualified_sig, ()))
+    unq_cls = unqualified_sig.split(":", 1)[0]
+    return {(cve, rec.construct.fqn)
+            for cve in kb.candidate_cves_for_unqualified_class(unq_cls)
+            for rec in kb.records[cve]
+            if rec.construct.kind == "method"
+            and rec.construct.unqualified == unqualified_sig}
 
 
 # ------------------------------------------------------------------ building
@@ -139,9 +141,31 @@ def _method_triplets_or_none(cf: ClassFile, method: MethodInfo):
         return None
 
 
+def _same_code(pre_cf: ClassFile, pre_m: MethodInfo,
+               post_cf: ClassFile, post_m: MethodInfo) -> bool | None:
+    """Whether two methods have equal pool-resolved code; None when a
+    pool reference on either side does not resolve."""
+    try:
+        return (resolved_code(pre_m, pre_cf.constant_pool)
+                == resolved_code(post_m, post_cf.constant_pool))
+    except BadConstantPoolRef:
+        return None
+
+
 def build_entry(cve_id: str, pre_classes: list[ClassFile],
                 post_classes: list[ClassFile]) -> list[ConstructRecord]:
     """Diff pre/post-fix classes into construct records.
+
+    A method present on both sides is first compared by its pool-resolved
+    code (``resolved_code``: descriptor, ``is_static``, exception table,
+    and every instruction's offset, mnemonic and operands with pool
+    indices replaced by the constants they name). Equal methods are
+    neither lifted nor recorded, so only the methods a fix changed pay
+    for the pipeline. The others are lifted and recorded as ``changed``
+    when their triplets differ; when either side cannot be lifted, the
+    same comparison decides alone. A pool reference that does not
+    resolve falls back to lifting and, failing that, to comparing the
+    decoded code as is.
 
     Raises EmptyDiff when nothing differs after normalization.
     """
@@ -178,6 +202,9 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
                     construct=cid, change="added", signature=None,
                     class_context=class_member_context(post_cf, exclude_method=key)))
                 continue
+            same = _same_code(pre_cf, pre_m, post_cf, post_m)
+            if same:
+                continue
             t_pre = _method_triplets_or_none(pre_cf, pre_m)
             t_post = _method_triplets_or_none(post_cf, post_m)
             if t_pre is not None and t_post is not None:
@@ -188,9 +215,11 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
                     signature=_diff_signature(t_pre, t_post),
                     class_context=class_member_context(post_cf, exclude_method=key)))
             else:
-                # Unliftable on at least one side: fall back to comparing
-                # decoded code; presence/absence rules still apply at scan.
-                if pre_m.code == post_m.code:
+                # Unliftable on at least one side: the code differs, so the
+                # method is recorded without a signature and presence/absence
+                # rules apply at scan. Only an unresolvable pool reference
+                # leaves the decoded code itself to compare.
+                if same is None and pre_m.code == post_m.code:
                     continue
                 records.append(ConstructRecord(
                     construct=cid, change="changed", signature=None,

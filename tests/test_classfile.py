@@ -95,6 +95,18 @@ def test_parse_jar_skips_nested_jars():
     assert archive.classes == []
 
 
+def test_parse_jar_duplicate_entry_reads_the_first_copy():
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf, pytest.warns(UserWarning, match="Duplicate"):
+        for name in ("p.First", "p.Second"):
+            zf.writestr("p/C.class", emit_class(ClassModel(name)))
+    jar = buf.getvalue()
+    for archive in (parse_jar(jar), parse_jar(jar, wanted=lambda fqn: True)):
+        assert [(path, cf.this_class) for path, cf in archive.classes] == \
+            [("p/C.class", "p.First")]
+        assert archive.failures == [] and archive.unparsed == []
+
+
 def test_parse_class_bad_magic():
     with pytest.raises(BadMagic):
         parse_class(b"\xde\xad\xbe\xef" + b"\x00" * 20)

@@ -2,6 +2,8 @@
 
 import pytest
 
+import jarscan.cpg
+import jarscan.kb
 from jarscan.classfile import (
     ClassModel,
     FieldModel,
@@ -12,7 +14,8 @@ from jarscan.classfile import (
     strip_packages,
 )
 from jarscan.cpg import Triplet
-from jarscan.errors import CorruptFile, EmptyDiff, KbFormatError, VersionMismatch
+from jarscan.classfile.model import resolved_code
+from jarscan.errors import CorruptFile, EmptyDiff, KbFormatError, LiftError, VersionMismatch
 from jarscan.kb import (
     KnowledgeBase,
     build_entry,
@@ -117,6 +120,106 @@ def test_clinit_only_change_is_captured():
     assert [r.construct.fqn for r in records] == ["a.S: void <clinit>()"]
     assert records[0].change == "changed"
     assert records[0].signature is not None
+
+
+# ------------------------------------------------- unchanged-code shortcut
+
+def _relaid_fix():
+    """A fix that changes ``fix`` and adds ``first`` ahead of ``keep``, so
+    every constant ``keep`` uses moves to another pool index."""
+    keep = MethodModel("keep", "()I", 0x09, code=[
+        ("ldc_string", "k"), ("invokestatic", "a.R", "h", "(Ljava/lang/String;)I"),
+        ("getstatic", "a.R", "n", "I"), "iadd", "ireturn"])
+    first = MethodModel("first", "()V", 0x09, code=[
+        ("ldc_string", "z"), ("putstatic", "a.R", "s", "Ljava/lang/String;"),
+        ("ldc_float", 2.5), "pop", "return"])
+    pre = _cls("a.R", [keep, MethodModel("fix", "(I)I", 0x09, code=[
+        "iload_0", "ireturn"])], fields=[("n", "I"), ("s", "Ljava/lang/String;")])
+    post = _cls("a.R", [first, keep, MethodModel("fix", "(I)I", 0x09, code=[
+        "iload_0", "ineg", "ireturn"])], fields=[("n", "I"), ("s", "Ljava/lang/String;")])
+    return pre, post
+
+
+def _method(cf, name):
+    return next(m for m in cf.methods if m.name == name)
+
+
+def _shortcut_off(monkeypatch):
+    """Every pair takes the lift path, as if no pool reference resolved."""
+    monkeypatch.setattr(jarscan.kb, "_same_code", lambda *args: None)
+
+
+def test_relaid_pool_moves_indices_but_not_resolved_code():
+    pre, post = _relaid_fix()
+    pre_m, post_m = _method(pre, "keep"), _method(post, "keep")
+    assert pre_m.code != post_m.code
+    assert (resolved_code(pre_m, pre.constant_pool)
+            == resolved_code(post_m, post.constant_pool))
+
+
+def test_only_changed_methods_are_lifted(monkeypatch):
+    lifted = []
+    real = jarscan.cpg.method_triplets
+
+    def counting(cf, method):
+        lifted.append(method.name)
+        return real(cf, method)
+
+    monkeypatch.setattr(jarscan.cpg, "method_triplets", counting)
+    pre, post = _relaid_fix()
+    records = build_entry("CVE-R", [pre], [post])
+    assert lifted == ["fix", "fix"]
+    assert [(r.construct.fqn, r.change) for r in records] == [
+        ("a.R: int fix(int)", "changed"), ("a.R: void first()", "added")]
+
+
+def _saved(tmp_path, name, records):
+    path = tmp_path / name
+    save(KnowledgeBase(records=records), path)
+    return path.read_bytes()
+
+
+def test_shortcut_leaves_kb_bytes_unchanged(tmp_path, monkeypatch, corpus):
+    def build_all():
+        fixes = {cve: ([parse_class(b) for _n, b in corpus.pre_classes[cve]],
+                       [parse_class(b) for _n, b in corpus.post_classes[cve]])
+                 for cve in corpus.cve_ids}
+        fixes["CVE-R"] = tuple([cf] for cf in _relaid_fix())
+        return {cve: build_entry(cve, pre, post) for cve, (pre, post) in fixes.items()}
+
+    with_shortcut = _saved(tmp_path, "on.kb", build_all())
+    _shortcut_off(monkeypatch)
+    assert _saved(tmp_path, "off.kb", build_all()) == with_shortcut
+
+
+def test_float_zero_signs_are_different_code():
+    make = lambda value: _cls("a.F", [MethodModel("z", "()F", 0x09, code=[
+        ("ldc_float", value), "freturn"])])
+    pre, post = make(0.0), make(-0.0)
+    assert (resolved_code(_method(pre, "z"), pre.constant_pool)
+            != resolved_code(_method(post, "z"), post.constant_pool))
+    (record,) = build_entry("CVE-F", [pre], [post])
+    assert record.change == "changed" and record.signature is not None
+
+
+def test_unliftable_unchanged_method_is_not_recorded(monkeypatch):
+    def unliftable(cf, method):
+        raise LiftError("forced")
+
+    monkeypatch.setattr(jarscan.cpg, "method_triplets", unliftable)
+    pre, post = _relaid_fix()
+    records = build_entry("CVE-U", [pre], [post])
+    assert [(r.construct.fqn, r.change, r.signature) for r in records] == [
+        ("a.R: int fix(int)", "changed", None), ("a.R: void first()", "added", None)]
+    # A constant that changes in place is a change, though no index moved.
+    make = lambda text: _cls("a.T", [MethodModel("t", "()Ljava/lang/String;", 0x09,
+                                                code=[("ldc_string", text), "areturn"])])
+    (record,) = build_entry("CVE-T", [make("old")], [make("new")])
+    assert (record.construct.fqn, record.change) == ("a.T: java.lang.String t()", "changed")
+    # Comparing pool indices instead recorded the re-laid methods as changed.
+    _shortcut_off(monkeypatch)
+    spurious = {r.construct.fqn for r in build_entry("CVE-U", [pre], [post])}
+    assert "a.R: int keep()" in spurious
 
 
 # ---------------------------------------------------------------- persistence
@@ -239,6 +342,14 @@ def test_query_unqualified_ambiguity_two_packages():
     })
     hits = query_unqualified(kb, "C: int m()")
     assert hits == {("CVE-1", "p1.C: int m()"), ("CVE-2", "p2.C: int m()")}
+
+
+def test_query_unqualified_ignores_class_records():
+    extra = _cls("a.New", [MethodModel("x", "()V", 0x09, code=["return"])])
+    kb = KnowledgeBase(records={
+        "CVE-CLS": build_entry("CVE-CLS", [PRE], [POST, extra]),
+    })
+    assert query_unqualified(kb, "New") == set()
 
 
 def test_query_unqualified_no_hit():
