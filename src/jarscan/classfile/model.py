@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import CodeNotDecoded
 from .constant_pool import ConstantPool
 from .opcodes import FORMAT_OF
 
@@ -51,6 +52,27 @@ class CodeAttribute:
         return {ins.offset for ins in self.instructions}
 
 
+class _Undecoded:
+    """The Code attribute of a method ``parse_class`` did not decode.
+
+    It is not None, so such a method never reads as having no code, and
+    reading any field of it raises CodeNotDecoded.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name.startswith("__"):      # copy and pickle probe for these
+            raise AttributeError(name)
+        raise CodeNotDecoded(f"method body was not decoded (reading {name})")
+
+    def __repr__(self) -> str:
+        return "UNDECODED"
+
+
+UNDECODED = _Undecoded()
+
+
 @dataclass(frozen=True)
 class FieldInfo:
     name: str
@@ -63,7 +85,7 @@ class MethodInfo:
     name: str
     descriptor: str
     access_flags: int
-    code: CodeAttribute | None = None
+    code: CodeAttribute | _Undecoded | None = None    # None: no Code attribute
 
     @property
     def is_static(self) -> bool:

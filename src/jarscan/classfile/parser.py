@@ -14,13 +14,22 @@ A class file is checked at one of two depths:
   of ``parse_class``'s: bytes ``parse_class`` accepts, it accepts with the
   same name; bytes it rejects, ``parse_class`` rejects too.
 
+``parse_class`` given a predicate on methods decodes the Code attribute
+only of the methods it accepts; every other body reads as ``UNDECODED``,
+which raises CodeNotDecoded when read, never as "no code". Everything
+else, every method's descriptor included, is checked as before.
+
 ``parse_jar`` given a predicate on class names fully parses only the
-classes the predicate accepts and header-checks the rest. A scan asks for
-the classes its knowledge base names, so a class no KB record names whose
+classes the predicate accepts and header-checks the rest; a second
+predicate, on methods, is passed on to ``parse_class``. A scan asks for
+the classes its knowledge base names and for the bodies of the methods
+its ``changed`` method records name. So a class no KB record names whose
 only defect is one the header does not check (a bad descriptor, Code
 attribute or other pool reference) counts as a class, not as a parse
-failure. A defect that could hide which class it is (an unreadable name,
-a bad pool, truncation, an unsupported version) is a failure either way.
+failure, and so does a class the KB names whose only defect is inside
+the Code attribute of a method no ``changed`` record names. A defect that
+could hide which class it is (an unreadable name, a bad pool, truncation,
+an unsupported version) is a failure either way.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from .constant_pool import (
 )
 from .descriptors import parse_method_descriptor, validate_field_descriptor
 from .model import (
+    UNDECODED,
     ClassFile,
     CodeAttribute,
     ExceptionHandler,
@@ -351,22 +361,19 @@ def _parse_code_attribute(data: bytes, pool: ConstantPool) -> CodeAttribute:
     return attr
 
 
-def _parse_member(r: _Reader, pool: ConstantPool, want_code: bool):
-    access = r.u2()
-    name = pool.utf8(r.u2())
-    desc = pool.utf8(r.u2())
-    code = None
-    for _ in range(r.u2()):
-        attr_name = pool.utf8(r.u2())
-        length = r.u4()
-        payload = r.raw(length)
-        if want_code and attr_name == "Code":
-            code = _parse_code_attribute(payload, pool)
-    return access, name, desc, code
+def _member_attributes(r: _Reader, pool: ConstantPool) -> list[tuple[str, bytes]]:
+    """(name, payload) of each attribute of one field or method."""
+    return [(pool.utf8(r.u2()), r.raw(r.u4())) for _ in range(r.u2())]
 
 
-def parse_class(data: bytes) -> ClassFile:
-    """Decode one class file; raises ClassParseError subclasses on bad input."""
+def parse_class(data: bytes,
+                wanted_body: Callable[[str, str, str], bool] | None = None) -> ClassFile:
+    """Decode one class file; raises ClassParseError subclasses on bad input.
+
+    With ``wanted_body``, a method's Code attribute is decoded only if
+    ``wanted_body(class name, method name, descriptor)`` accepts it; the
+    others read as ``UNDECODED``. Without it every body is decoded.
+    """
     r = _Reader(data)
     if len(data) < 4 or r.u4() != MAGIC:
         raise BadMagic("class file does not start with 0xCAFEBABE")
@@ -385,13 +392,20 @@ def parse_class(data: bytes) -> ClassFile:
                        for _ in range(r.u2()))
     fields = []
     for _ in range(r.u2()):
-        acc, name, desc, _ = _parse_member(r, pool, want_code=False)
+        acc, name, desc = r.u2(), pool.utf8(r.u2()), pool.utf8(r.u2())
+        _member_attributes(r, pool)
         validate_field_descriptor(desc)
         fields.append(FieldInfo(name, desc, acc))
     methods = []
     for _ in range(r.u2()):
-        acc, name, desc, code = _parse_member(r, pool, want_code=True)
+        acc, name, desc = r.u2(), pool.utf8(r.u2()), pool.utf8(r.u2())
+        attributes = _member_attributes(r, pool)
         parse_method_descriptor(desc)
+        decode = wanted_body is None or wanted_body(this_class, name, desc)
+        code = None
+        for attr_name, payload in attributes:
+            if attr_name == "Code":
+                code = _parse_code_attribute(payload, pool) if decode else UNDECODED
         methods.append(MethodInfo(name, desc, acc, code))
     # Class-level attributes skipped by length.
     for _ in range(r.u2()):
@@ -498,12 +512,15 @@ def parse_class_header(data: bytes) -> str:
     return _decode_utf8(data[name_at + 3:name_at + 3 + length]).replace("/", ".")
 
 
-def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None) -> JarArchive:
+def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
+              wanted_body: Callable[[str, str, str], bool] | None = None) -> JarArchive:
     """Decode a JAR; per-entry class failures are collected, never fatal.
 
     Without ``wanted`` every class is fully parsed. With it, a class is
     header-checked first and fully parsed only if ``wanted`` accepts its
     dotted name; the others go to ``unparsed`` and their bytes are dropped.
+    ``wanted_body`` is passed on to ``parse_class`` for the classes fully
+    parsed.
     """
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
@@ -540,7 +557,7 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None) -> JarAr
                 if not wanted(fqn):
                     unparsed.append((path, fqn))
                     continue
-            classes.append((path, parse_class(raw)))
+            classes.append((path, parse_class(raw, wanted_body)))
         except ClassParseError as exc:
             log.warning("failed to parse %s: %s", path, exc)
             failures.append(ParseFailure(path, str(exc)))

@@ -300,13 +300,21 @@ def diff(t_vul: frozenset, t_fix: frozenset) -> FixSignature:
                         nt=frozenset(t_vul - t_fix))
 
 
-def unqualify(triplets: Iterable[Triplet]) -> frozenset:
-    """Strip package prefixes inside every label; re-deduplicates."""
-    return frozenset(
-        Triplet(strip_packages(t.source), strip_packages(t.edge),
-                strip_packages(t.target))
-        for t in triplets
-    )
+def unqualify(triplets: Iterable[Triplet], memo: dict | None = None) -> frozenset:
+    """Strip package prefixes inside every label; re-deduplicates.
+
+    ``memo`` maps labels to their stripped form; it is filled as labels
+    are met, so a label shared with earlier calls is not stripped again.
+    """
+    memo = {} if memo is None else memo
+    stripped = memo.__getitem__
+    out = []
+    for t in triplets:
+        for label in t:
+            if label not in memo:
+                memo[label] = strip_packages(label)
+        out.append(Triplet._make(map(stripped, t)))
+    return frozenset(out)
 
 
 def serialize_triplets(triplets: Iterable[Triplet]) -> str:

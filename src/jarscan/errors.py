@@ -29,6 +29,10 @@ class BadConstantPoolRef(ClassParseError):
     """A constant-pool index is out of range or has an unexpected tag."""
 
 
+class CodeNotDecoded(JarscanError):
+    """A method body ``parse_class`` was told to skip was read."""
+
+
 class UnsupportedFeature(JarscanError):
     """The class emitter was asked for something outside its subset."""
 

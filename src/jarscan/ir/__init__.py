@@ -2,7 +2,6 @@
 
 from .cfg import ENTRY, EXIT, Cfg, Edge, build_cfg
 from .dataflow import DepGraph, control_dependent_blocks, dependencies, postdominators, reaching_data_edges
-from .interp import InterpError, run_ir, wrap32
 from .lift import lift
 from .model import (
     ArrayGet,
@@ -41,12 +40,12 @@ from .model import (
 )
 
 __all__ = [
-    "ENTRY", "EXIT", "Cfg", "DepGraph", "Edge", "InterpError", "MethodIr",
+    "ENTRY", "EXIT", "Cfg", "DepGraph", "Edge", "MethodIr",
     "ArrayGet", "ArrayPut", "Assign", "Bin", "Block", "Branch", "Cast",
     "Caught", "CmpExpr", "Concat", "Const", "Copy", "DynInvoke", "FieldGet",
     "FieldPut", "Goto", "HandlerInfo", "InstOf", "Invoke", "Lit", "Monitor",
     "NewArr", "NewObj", "Nop", "Return", "Switch", "Throw", "Un",
     "build_cfg", "control_dependent_blocks", "dependencies", "dump", "lift",
-    "postdominators", "reaching_data_edges", "render_stmt", "run_ir",
-    "stmt_def", "stmt_uses", "wrap32",
+    "postdominators", "reaching_data_edges", "render_stmt",
+    "stmt_def", "stmt_uses",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,12 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 _HEADER = "jarscan-kb"
+
+# Each run that method_signature could have rendered as a method name: a
+# space before, "(" after. A name with no space, "(" or "." is found this
+# way in the record's FQN and in its unqualified form.
+_SIGNATURE_NAMES = re.compile(r"(?<= )[^ (]+(?=\()")
+_ODD_NAME_CHARS = frozenset(" (.")
 
 
 @dataclass(frozen=True)
@@ -63,12 +70,21 @@ class KnowledgeBase:
     def _reindex(self):
         self._class_candidates: dict[str, set] = {}
         self._unq_class_candidates: dict[str, set] = {}
+        self._changed_fqns: set[str] = set()
+        self._changed_unqualified: set[str] = set()
+        self._changed_names: set[str] = set()
         for cve, records in self.records.items():
             for rec in records:
                 cls = rec.declaring_class
                 self._class_candidates.setdefault(cls, set()).add(cve)
                 self._unq_class_candidates.setdefault(
                     strip_packages(cls), set()).add(cve)
+                if rec.construct.kind == "method" and rec.change == "changed":
+                    fqn, unq = rec.construct.fqn, rec.construct.unqualified
+                    self._changed_fqns.add(fqn)
+                    self._changed_unqualified.add(unq)
+                    self._changed_names.update(_SIGNATURE_NAMES.findall(fqn))
+                    self._changed_names.update(_SIGNATURE_NAMES.findall(unq))
 
     def cve_ids(self) -> list[str]:
         return sorted(self.records)
@@ -85,6 +101,16 @@ class KnowledgeBase:
         lives in it by FQN or by unqualified name."""
         return (class_fqn in self._class_candidates
                 or strip_packages(class_fqn) in self._unq_class_candidates)
+
+    def asks_about_method(self, class_fqn: str, name: str, descriptor: str) -> bool:
+        """Whether a scan in any mode can lift this method's body: a
+        ``changed`` method record names it by FQN or by unqualified
+        signature. Most methods are answered by their name alone."""
+        if name not in self._changed_names and _ODD_NAME_CHARS.isdisjoint(name):
+            return False
+        fqn = method_signature(class_fqn, name, descriptor)
+        return (fqn in self._changed_fqns
+                or strip_packages(fqn) in self._changed_unqualified)
 
     def __eq__(self, other):
         return (isinstance(other, KnowledgeBase)
@@ -367,4 +393,7 @@ def build_from_manifest(manifest_path) -> tuple[KnowledgeBase, BuildStats]:
         except EmptyDiff as exc:
             log.warning("%s", exc)
             stats.empty_diff.append(entry.cve_id)
+        except ClassParseError as exc:
+            log.warning("%s: %s", entry.cve_id, exc)
+            stats.errors.append((entry.cve_id, f"malformed class: {exc}"))
     return KnowledgeBase(records=records), stats

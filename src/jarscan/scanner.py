@@ -28,7 +28,7 @@ from .classfile.descriptors import method_signature
 from .classfile.model import ClassFile, MethodInfo
 from .classfile.parser import parse_jar
 from .cpg import FixSignature, method_triplets, unqualify
-from .errors import JarscanError, LiftError, MalformedArchive
+from .errors import ClassParseError, JarscanError, LiftError, MalformedArchive
 from .kb import KnowledgeBase, class_member_context
 
 log = logging.getLogger(__name__)
@@ -145,7 +145,8 @@ _LIFT_FAILED = object()
 
 
 class JarView:
-    """Indexed view of one parsed archive, with a triplet cache."""
+    """Indexed view of one parsed archive, with a triplet cache and the
+    package-stripped form of each triplet label repack mode has met."""
 
     def __init__(self, archive):
         self.archive = archive
@@ -159,9 +160,12 @@ class JarView:
                 fqn = method_signature(cf.this_class, m.name, m.descriptor)
                 self.methods.setdefault(fqn, (cf, m))
         self._triplets: dict[str, object] = {}
+        self.stripped_labels: dict[str, str] = {}
 
     def method_triplet_set(self, fqn: str):
-        """Triplets of the method with this FQN, or None on lift failure."""
+        """Triplets of the method with this FQN, or None when it has no
+        code or its code cannot be lifted (a LiftError, or a pool
+        reference of the wrong kind)."""
         cached = self._triplets.get(fqn)
         if cached is None:
             cf, m = self.methods[fqn]
@@ -170,7 +174,7 @@ class JarView:
             else:
                 try:
                     cached = method_triplets(cf, m)
-                except LiftError as exc:
+                except (LiftError, ClassParseError) as exc:
                     log.warning("skipping %s: %s", fqn, exc)
                     cached = _LIFT_FAILED
             self._triplets[fqn] = cached
@@ -180,11 +184,16 @@ class JarView:
 # ------------------------------------------------------------- triplet match
 
 def match_triplets(t_m, sig: FixSignature, config: ScanConfig,
-                   mode: str = "default") -> tuple[str, MatchCounts]:
-    """Classify one matched method body against a fix signature."""
+                   mode: str = "default",
+                   memo: dict | None = None) -> tuple[str, MatchCounts]:
+    """Classify one matched method body against a fix signature.
+
+    ``memo`` is the label memo repack mode passes to ``unqualify``.
+    """
     if mode == "repack":
-        ct, pt, nt = unqualify(sig.ct), unqualify(sig.pt), unqualify(sig.nt)
-        tm = unqualify(t_m)
+        ct, pt, nt = (unqualify(sig.ct, memo), unqualify(sig.pt, memo),
+                      unqualify(sig.nt, memo))
+        tm = unqualify(t_m, memo)
     else:
         ct, pt, nt, tm = sig.ct, sig.pt, sig.nt, frozenset(t_m)
     counts = MatchCounts(nt_hit=len(nt & tm), pt_hit=len(pt & tm),
@@ -347,7 +356,8 @@ def _classify_record_in_class(record, view: JarView, cf: ClassFile,
     t_m = view.method_triplet_set(match)
     if t_m is None:
         return (SKIPPED, None, "method body could not be lifted", match)
-    v, counts = match_triplets(t_m, record.signature, config, mode="repack")
+    v, counts = match_triplets(t_m, record.signature, config, mode="repack",
+                               memo=view.stripped_labels)
     return (v, counts, None, match)
 
 
@@ -378,7 +388,7 @@ def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
                    config: ScanConfig) -> JarResult:
     start = time.perf_counter()
     try:
-        archive = parse_jar(data, kb.asks_about_class)
+        archive = parse_jar(data, kb.asks_about_class, kb.asks_about_method)
     except MalformedArchive as exc:
         return JarResult(path=path, error=str(exc))
     view = JarView(archive)

@@ -6,7 +6,7 @@ the int computation kind with Java 32-bit wrap-around.
 
 from __future__ import annotations
 
-from .model import (
+from jarscan.ir.model import (
     Assign,
     Bin,
     Branch,

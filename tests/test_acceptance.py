@@ -29,7 +29,6 @@ from jarscan.ir import (
     lift,
     postdominators,
     reaching_data_edges,
-    run_ir,
 )
 from jarscan.kb import KnowledgeBase, build_entry, load, save
 from jarscan.modharness import modify
@@ -45,6 +44,7 @@ from jarscan.scanner import (
     scan_jar_bytes,
 )
 from corpus import build_corpus
+from ir_interp import run_ir
 from oracle_interp import run_bytecode
 from oracles import (
     brute_control_deps,

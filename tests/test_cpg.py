@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
+from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class, strip_packages
 from jarscan.cpg import (
     Cpg,
     Triplet,
@@ -191,6 +191,27 @@ def test_unqualify_commutes_with_union(pairs):
     items = sorted(ts)
     a, b = frozenset(items[:half]), frozenset(items[half:])
     assert unqualify(a | b) == unqualify(a) | unqualify(b)
+
+
+_LABELS = st.one_of(
+    st.sampled_from(["CFG", "DATA", "AST:0", "p0", "%", "goto", "lit:int:1",
+                     "new a.b.X", "new r.a.b.X", "callee:q.r.S#n",
+                     "invoke_static a.C#f(int):x.Y(%)"]),
+    st.text(alphabet="ab.:$# ()_", max_size=12))
+
+
+@given(st.lists(st.sets(st.tuples(_LABELS, _LABELS, _LABELS), max_size=6),
+                max_size=5))
+def test_memoized_unqualify_equals_plain(calls):
+    """One memo shared across calls gives what unqualify gives without
+    it, and what stripping every label gives, for labels with and without
+    dots."""
+    memo = {}
+    for triples in calls:
+        ts = frozenset(Triplet(*t) for t in triples)
+        expected = frozenset(Triplet(*map(strip_packages, t)) for t in ts)
+        assert unqualify(ts, memo) == unqualify(ts) == expected
+    assert all(memo[label] == strip_packages(label) for label in memo)
 
 
 def test_relocation_invariance_of_unqualified_triplets():

@@ -6,8 +6,9 @@ import pytest
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
 from jarscan.errors import InconsistentStackDepthAtJoin, StackUnderflow, UnsupportedInstruction
-from jarscan.ir import ENTRY, EXIT, build_cfg, dump, lift, run_ir
+from jarscan.ir import ENTRY, EXIT, build_cfg, dump, lift
 from jarscan.ir.model import Assign, Bin, Branch, Const, Return
+from ir_interp import run_ir
 from oracle_interp import run_bytecode, w32
 from randgen import assemble_method, random_int_method
 
@@ -199,5 +200,5 @@ def test_interpreters_agree_on_random_methods():
 
 def test_wrap32_matches_reference():
     for x in (0, 1, -1, 2**31 - 1, -2**31, 2**31, 2**33 + 17):
-        from jarscan.ir import wrap32
+        from ir_interp import wrap32
         assert wrap32(x) == w32(x)

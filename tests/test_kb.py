@@ -368,6 +368,21 @@ def test_index_coherence(corpus_kb):
                 strip_packages(rec.declaring_class))
 
 
+def test_asks_about_method_only_for_changed_method_records():
+    records = build_entry("CVE-X", [PRE], [POST])
+    kb = KnowledgeBase(records={"CVE-X": records})
+    assert kb.asks_about_method("a.C", "check", "(I)I")
+    assert kb.asks_about_method("shaded.a.C", "check", "(I)I")     # unqualified
+    assert not kb.asks_about_method("a.C", "check", "(J)I")
+    assert not kb.asks_about_method("a.C", "fresh", "(I)Z")        # added
+    assert not kb.asks_about_method("a.C", "legacy", "()V")        # removed
+    assert not kb.asks_about_method("a.C", "<init>", "()V")
+    # Unchecked method names with ".", " " or "(" render signatures whose
+    # unqualified form can match a record under another name.
+    assert kb.asks_about_method("b.C", "x.check", "(I)I")
+    assert not kb.asks_about_method("b.C", "x.other", "(I)I")
+
+
 def test_manifest_build(tmp_path, corpus):
     manifest = materialize_manifest(corpus, tmp_path)
     entries = parse_manifest(manifest)
@@ -377,6 +392,21 @@ def test_manifest_build(tmp_path, corpus):
     assert not stats.empty_diff and not stats.errors
     for cve in corpus.cve_ids:
         assert kb.records[cve]
+
+
+def test_manifest_build_reports_mistyped_pool_reference(tmp_path, corpus,
+                                                       mistyped_beta_pre):
+    """A fix class whose changed method names a pool entry of the wrong
+    kind lands in the build errors; the other entries are still built."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    name, data = mistyped_beta_pre
+    (tmp_path / "CVE-9000-0002" / "pre" / (name.replace(".", "/") + ".class")
+     ).write_bytes(data)
+    kb, stats = build_from_manifest(manifest)
+    [(cve, message)] = stats.errors
+    assert cve == "CVE-9000-0002" and "found Utf8" in message
+    assert sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
+    assert sorted(kb.records) == sorted(stats.built) and not stats.empty_diff
 
 
 def test_manifest_rejects_duplicates(tmp_path):

@@ -16,9 +16,10 @@ from jarscan.classfile import (
     write_jar,
 )
 from jarscan.errors import RelocationCollision
-from jarscan.ir import dump, lift, run_ir
+from jarscan.ir import dump, lift
 from jarscan.modharness import compiler_variant, modify
 from jarscan.normalize import normalize
+from ir_interp import run_ir
 from randgen import random_int_method
 
 

@@ -3,9 +3,10 @@
 import random
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
-from jarscan.ir import dump, lift, run_ir
+from jarscan.ir import dump, lift
 from jarscan.ir.model import Assign, Block, Concat, DynInvoke, MethodIr, Return
 from jarscan.normalize import normalize
+from ir_interp import run_ir
 from oracle_interp import run_bytecode
 from randgen import assemble_method, random_int_method
 

@@ -15,7 +15,11 @@ from jarscan.classfile import (
     strip_packages,
     write_jar,
 )
+from jarscan.classfile import parser as parser_mod
+from jarscan.classfile.descriptors import method_signature
+from jarscan.classfile.model import UNDECODED
 from jarscan.cpg import FixSignature, Triplet
+from jarscan.errors import CodeNotDecoded
 from jarscan.kb import ConstructRecord, KnowledgeBase, build_entry, class_member_context
 from jarscan.classfile.constructs import ConstructId
 from jarscan.modharness import modify
@@ -25,6 +29,7 @@ from jarscan.scanner import (
     SKIPPED,
     VULNERABLE,
     ConstructVerdict,
+    JarView,
     ScanConfig,
     aggregate,
     match_class_context,
@@ -390,8 +395,10 @@ def _report_bytes(paths, kb) -> str:
 
 
 def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch):
-    """Classes no KB record names are only header-checked; with every
-    class fully parsed instead, the report is byte-identical."""
+    """Classes no KB record names are only header-checked, and only the
+    bodies of methods a changed record names are decoded; with every
+    class and every method body fully parsed instead, the report is
+    byte-identical."""
     jars = {}
     for cve in corpus.cve_ids:
         jars[f"{cve}-pre"] = corpus.pre_jars[cve]
@@ -408,9 +415,15 @@ def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch
     partial_kb = KnowledgeBase(records={c: corpus_kb.records[c]
                                         for c in corpus.cve_ids[:5]})
     assert parse_jar(jars["pre_jars-kind2"], partial_kb.asks_about_class).unparsed
+    lazy_archive = parse_jar(jars["pre_jars-kind2"], corpus_kb.asks_about_class,
+                             corpus_kb.asks_about_method)
+    assert any(m.code is UNDECODED for cf in lazy_archive.class_files()
+               for m in cf.methods)
 
     lazy = [_report_bytes(paths, kb) for kb in (corpus_kb, partial_kb)]
     monkeypatch.setattr(KnowledgeBase, "asks_about_class", lambda self, fqn: True)
+    monkeypatch.setattr(KnowledgeBase, "asks_about_method",
+                        lambda self, cls, name, desc: True)
     eager = [_report_bytes(paths, kb) for kb in (corpus_kb, partial_kb)]
     assert lazy == eager
 
@@ -453,6 +466,120 @@ def test_malformed_class_counts_by_candidacy():
     reasons = {v.fqn: v.reason for v in finding.constructs}
     assert reasons["mal.A: int run(int)"] == "declaring class not in archive"
     assert reasons["mal.B: int run(int)"] is None      # matched on triplets
+
+
+@pytest.mark.parametrize("modes", [("default",), ("repack",), ("default", "repack")])
+def test_scan_decodes_only_bodies_changed_records_name(corpus, corpus_kb,
+                                                       monkeypatch, modes):
+    """Each scan decodes exactly the Code attributes of the methods that
+    changed method records name, by FQN or unqualified signature."""
+    changed = [rec.construct for records in corpus_kb.records.values()
+               for rec in records
+               if rec.construct.kind == "method" and rec.change == "changed"]
+
+    def named(cls, m):
+        sig = method_signature(cls, m.name, m.descriptor)
+        return any(sig == c.fqn or strip_packages(sig) == c.unqualified
+                   for c in changed)
+
+    jars = [corpus.pre_jars[c] for c in corpus.cve_ids]
+    jars += [corpus.post_jars[c] for c in corpus.cve_ids]
+    jars.append(modify([corpus.pre_jars[c] for c in corpus.cve_ids], 4, prefix="r."))
+    expected = [sum(1 for cf in parse_jar(jar).class_files() for m in cf.methods
+                    if m.code is not None and named(cf.this_class, m))
+                for jar in jars]
+    assert expected[-1] == sum(expected[:len(corpus.cve_ids)]) > 0
+
+    decoded = []
+    real = parser_mod.decode_instructions
+    monkeypatch.setattr(parser_mod, "decode_instructions",
+                        lambda code: decoded.append(code) or real(code))
+    got = []
+    for jar in jars:
+        decoded.clear()
+        scan_jar_bytes("j.jar", jar, corpus_kb, ScanConfig(modes=modes))
+        got.append(len(decoded))
+    assert got == expected
+
+
+def _with_broken_code(data: bytes, marker: int) -> bytes:
+    """Replace the one ``sipush marker`` in the class with a goto into its
+    own operand bytes: the header pass still accepts the class, decoding
+    that Code attribute does not."""
+    old = bytes([0x11]) + marker.to_bytes(2, "big")
+    assert data.count(old) == 1
+    return data.replace(old, bytes([0xA7, 0x00, 0x01]))
+
+
+def test_broken_body_counts_by_whether_a_record_names_it():
+    """In a class the KB names, a broken Code attribute of a method no
+    changed record names is not decoded, so the class counts under
+    classes; a broken Code attribute of the named method is still a parse
+    failure."""
+    def klass(name, k):
+        return ClassModel(name, methods=[
+            default_constructor(),
+            MethodModel("helper", "(I)I", 0x09,
+                        code=["iload_0", ("push_int", 4660), "iadd", "ireturn"]),
+            MethodModel("run", "(I)I", 0x09,
+                        code=["iload_0", ("push_int", k), "iadd", "ireturn"])])
+
+    records = build_entry(
+        "CVE-TEST",
+        [parse_class(emit_class(klass(n, 4661))) for n in ("bb.A", "bb.B")],
+        [parse_class(emit_class(klass(n, 4662))) for n in ("bb.A", "bb.B")])
+    assert {r.construct.fqn for r in records} == {"bb.A: int run(int)",
+                                                  "bb.B: int run(int)"}
+    kb = KnowledgeBase(records={"CVE-TEST": records})
+    jar = write_jar([
+        (class_entry_path("bb.A"), _with_broken_code(emit_class(klass("bb.A", 4661)), 4660)),
+        (class_entry_path("bb.B"), _with_broken_code(emit_class(klass("bb.B", 4661)), 4661)),
+    ])
+    assert len(parse_jar(jar).failures) == 2           # eager: both fail
+
+    res = scan_jar_bytes("bb.jar", jar, kb, ScanConfig(modes=("default",)))
+    assert (res.classes, res.parse_failures) == (1, 1)
+    [finding] = res.findings
+    by_fqn = {v.fqn: v for v in finding.constructs}
+    assert by_fqn["bb.A: int run(int)"].verdict == VULNERABLE
+    assert by_fqn["bb.A: int run(int)"].counts is not None
+    assert by_fqn["bb.B: int run(int)"].reason == "declaring class not in archive"
+
+
+def test_undecoded_body_raises_when_read(corpus):
+    jar = corpus.pre_jars["CVE-9000-0002"]
+    archive = parse_jar(jar, lambda fqn: True, lambda cls, name, desc: False)
+    [cf] = archive.class_files()
+    token = next(m for m in cf.methods if m.name == "token")
+    assert token.code is UNDECODED and token.code is not None
+    with pytest.raises(CodeNotDecoded):
+        token.code.instructions
+    with pytest.raises(CodeNotDecoded):
+        JarView(archive).method_triplet_set("beta.net.Http: int token(int)")
+
+
+def test_mistyped_pool_reference_skips_the_method(corpus, corpus_kb, tmp_path,
+                                                  mistyped_beta_pre, caplog):
+    """A lifted method whose putstatic names a Utf8 entry gives a skipped
+    verdict with a warning, not an exception; the other JAR is still
+    scanned and flagged."""
+    name, data = mistyped_beta_pre
+    bad = tmp_path / "beta-mistyped.jar"
+    bad.write_bytes(write_jar([(class_entry_path(name), data)]))
+    good = tmp_path / "alpha-pre.jar"
+    good.write_bytes(corpus.pre_jars["CVE-9000-0001"])
+    report = scan([str(bad), str(good)], corpus_kb, ScanConfig())
+
+    bad_res, good_res = report.jars
+    assert bad_res.error is None and bad_res.parse_failures == 0
+    [finding] = bad_res.findings
+    token = [v for v in finding.constructs if v.fqn == "beta.net.Http: int token(int)"]
+    assert {(v.mode, v.verdict, v.reason) for v in token} == {
+        ("default", SKIPPED, "method body could not be lifted"),
+        ("repack", SKIPPED, "method body could not be lifted")}
+    assert "skipping beta.net.Http: int token(int)" in caplog.text
+    assert {f.cve_id for f in good_res.findings
+            if f.verdict == VULNERABLE} == {"CVE-9000-0001"}
 
 
 def test_scan_isolates_bad_archives(tmp_path, corpus_kb):
