@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from ..errors import CodeNotDecoded
@@ -103,22 +104,41 @@ _POOL_FORMATS = frozenset({"cp8", "cp16", "iface", "indy", "multi"})
 def resolved_code(method: MethodInfo, pool: ConstantPool) -> tuple | None:
     """A method's code with pool indices replaced by what they name.
 
-    The key holds the descriptor, ``is_static``, the exception table and,
-    per instruction, (offset, mnemonic, operands) with each pool operand
-    resolved by ``ConstantPool.resolve``: every input lifting reads, and
-    nothing else (not ``max_stack`` or ``max_locals``). Two methods with
-    equal keys lift to the same IR even when their pools are laid out
-    differently. None for a method without code. Raises
-    BadConstantPoolRef when a pool operand does not resolve.
+    The key holds the descriptor, ``is_static``, the exception table as
+    (start, end, handler, catch type) tuples and, per instruction,
+    (offset, mnemonic, operands) with each pool operand resolved by
+    ``ConstantPool.resolve``: every input lifting reads, and nothing else
+    (not ``max_stack`` or ``max_locals``). Two methods with equal keys
+    lift to the same IR even when their pools are laid out differently.
+    None for a method without code. Raises BadConstantPoolRef when a pool
+    operand does not resolve.
     """
     code = method.code
     if code is None:
         return None
-    return (method.descriptor, method.is_static, code.exception_table,
+    return (method.descriptor, method.is_static,
+            tuple((h.start, h.end, h.handler, h.catch_type)
+                  for h in code.exception_table),
             tuple((ins.offset, ins.mnemonic,
                    (pool.resolve(ins.operands[0]),) + ins.operands[1:]
                    if FORMAT_OF[ins.mnemonic] in _POOL_FORMATS else ins.operands)
                   for ins in code.instructions))
+
+
+def code_digest(method: MethodInfo, pool: ConstantPool) -> str | None:
+    """A 16-byte blake2b, as hex, of ``resolved_code``.
+
+    The key is built only of str, int, bytes, bool, None and tuples, so
+    its ``ascii()`` is a canonical serialization: the same in every
+    process, under every hash seed and every Unicode database, and
+    independent of the declaring class's name. Equal digests stand for
+    equal keys, hence equal lifted IR. None for a method without code;
+    raises BadConstantPoolRef as ``resolved_code`` does.
+    """
+    key = resolved_code(method, pool)
+    if key is None:
+        return None
+    return hashlib.blake2b(ascii(key).encode("ascii"), digest_size=16).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ import io
 import logging
 import struct
 import zipfile
+import zlib
 from typing import Callable
 
 from ..errors import (
@@ -512,9 +513,20 @@ def parse_class_header(data: bytes) -> str:
     return _decode_utf8(data[name_at + 3:name_at + 3 + length]).replace("/", ".")
 
 
+# What ZipFile.read raises for one bad entry: a failed CRC or bad header
+# (BadZipFile), data that does not inflate (zlib.error), sizes that run
+# past the archive (EOFError), and an encrypted entry or an unsupported
+# compression method (RuntimeError, NotImplementedError).
+_UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError)
+
+
 def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
               wanted_body: Callable[[str, str, str], bool] | None = None) -> JarArchive:
     """Decode a JAR; per-entry class failures are collected, never fatal.
+
+    A class entry zipfile cannot read (a failed CRC, data that does not
+    inflate, sizes past the end, encryption, an unsupported compression
+    method) is such a failure too ("unreadable entry: ...").
 
     Without ``wanted`` every class is fully parsed. With it, a class is
     header-checked first and fully parsed only if ``wanted`` accepts its
@@ -550,7 +562,12 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
         if not path.endswith(".class"):
             others.append(path)
             continue
-        raw = zf.read(info)
+        try:
+            raw = zf.read(info)
+        except _UNREADABLE_ENTRY as exc:
+            log.warning("cannot read %s: %s", path, exc)
+            failures.append(ParseFailure(path, f"unreadable entry: {exc}"))
+            continue
         try:
             if wanted is not None:
                 fqn = parse_class_header(raw)

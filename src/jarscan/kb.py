@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .classfile.constructs import ConstructId, strip_packages
 from .classfile.descriptors import method_signature, render_type
-from .classfile.model import ClassFile, MethodInfo, resolved_code
+from .classfile.model import ClassFile, MethodInfo, code_digest, resolved_code
 from .classfile.parser import parse_class
 from .cpg import FixSignature, deserialize_triplets, serialize_triplets
 from .errors import (BadConstantPoolRef, ClassParseError, CorruptFile, EmptyDiff,
@@ -45,13 +45,15 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class ConstructRecord:
     """One construct touched by a fix: its identity, how it changed,
-    the triplet signature (changed methods only) and the declaring
-    class's post-fix member context."""
+    the triplet signature (changed methods only), the declaring class's
+    post-fix member context and, for a signed changed method, the
+    ``code_digest`` of its pre- and post-fix bodies."""
 
     construct: ConstructId
     change: str                       # added | removed | changed
     signature: FixSignature | None
     class_context: frozenset = frozenset()
+    code: tuple[str, str] | None = None   # (pre, post) code digests
 
     @property
     def declaring_class(self) -> str:
@@ -73,6 +75,7 @@ class KnowledgeBase:
         self._changed_fqns: set[str] = set()
         self._changed_unqualified: set[str] = set()
         self._changed_names: set[str] = set()
+        self._code_sides: dict[str, tuple[FixSignature, str]] = {}
         for cve, records in self.records.items():
             for rec in records:
                 cls = rec.declaring_class
@@ -85,6 +88,12 @@ class KnowledgeBase:
                     self._changed_unqualified.add(unq)
                     self._changed_names.update(_SIGNATURE_NAMES.findall(fqn))
                     self._changed_names.update(_SIGNATURE_NAMES.findall(unq))
+                if rec.code is not None and rec.signature is not None:
+                    # Equal code lifts to equal triplets, so whichever
+                    # record a digest is first seen under will do.
+                    pre, post = rec.code
+                    self._code_sides.setdefault(pre, (rec.signature, "pre"))
+                    self._code_sides.setdefault(post, (rec.signature, "post"))
 
     def cve_ids(self) -> list[str]:
         return sorted(self.records)
@@ -111,6 +120,21 @@ class KnowledgeBase:
         fqn = method_signature(class_fqn, name, descriptor)
         return (fqn in self._changed_fqns
                 or strip_packages(fqn) in self._changed_unqualified)
+
+    @property
+    def has_code_digests(self) -> bool:
+        return bool(self._code_sides)
+
+    def triplets_for_code(self, digest: str) -> frozenset | None:
+        """The triplet set of a method body whose ``code_digest`` is a
+        signed record's pre- or post-fix digest, or None. ``diff`` split
+        that record's T_pre into CT and NT and its T_post into CT and PT,
+        so a pre-fix body has CT | NT and a post-fix body CT | PT."""
+        hit = self._code_sides.get(digest)
+        if hit is None:
+            return None
+        sig, side = hit
+        return sig.ct | (sig.nt if side == "pre" else sig.pt)
 
     def __eq__(self, other):
         return (isinstance(other, KnowledgeBase)
@@ -167,6 +191,17 @@ def _method_triplets_or_none(cf: ClassFile, method: MethodInfo):
         return None
 
 
+def _code_digests(pre_cf: ClassFile, pre_m: MethodInfo,
+                  post_cf: ClassFile, post_m: MethodInfo) -> tuple | None:
+    """The (pre, post) code digests of a method pair; None when a pool
+    reference on either side does not resolve."""
+    try:
+        return (code_digest(pre_m, pre_cf.constant_pool),
+                code_digest(post_m, post_cf.constant_pool))
+    except BadConstantPoolRef:
+        return None
+
+
 def _same_code(pre_cf: ClassFile, pre_m: MethodInfo,
                post_cf: ClassFile, post_m: MethodInfo) -> bool | None:
     """Whether two methods have equal pool-resolved code; None when a
@@ -191,7 +226,9 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
     when their triplets differ; when either side cannot be lifted, the
     same comparison decides alone. A pool reference that does not
     resolve falls back to lifting and, failing that, to comparing the
-    decoded code as is.
+    decoded code as is. A signed ``changed`` record also carries both
+    sides' ``code_digest``, unless a pool reference does not resolve, so
+    a scan can recognise either body without lifting it.
 
     Raises EmptyDiff when nothing differs after normalization.
     """
@@ -239,7 +276,8 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
                 records.append(ConstructRecord(
                     construct=cid, change="changed",
                     signature=_diff_signature(t_pre, t_post),
-                    class_context=class_member_context(post_cf, exclude_method=key)))
+                    class_context=class_member_context(post_cf, exclude_method=key),
+                    code=_code_digests(pre_cf, pre_m, post_cf, post_m)))
             else:
                 # Unliftable on at least one side: the code differs, so the
                 # method is recorded without a signature and presence/absence
@@ -278,6 +316,8 @@ def _record_to_json(rec: ConstructRecord) -> dict:
             "pt": serialize_triplets(rec.signature.pt),
             "nt": serialize_triplets(rec.signature.nt),
         }
+    if rec.code is not None:
+        out["code"] = list(rec.code)
     return out
 
 
@@ -290,8 +330,10 @@ def _record_from_json(obj: dict) -> ConstructRecord:
                            nt=deserialize_triplets(s["nt"]))
     fqn = obj["fqn"]
     cid = ConstructId(obj["kind"], fqn, strip_packages(fqn))
+    code = obj.get("code")
     return ConstructRecord(construct=cid, change=obj["change"], signature=sig,
-                           class_context=frozenset(obj.get("context", ())))
+                           class_context=frozenset(obj.get("context", ())),
+                           code=None if code is None else tuple(code))
 
 
 def save(kb: KnowledgeBase, path) -> None:

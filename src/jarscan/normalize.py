@@ -407,7 +407,12 @@ def _use_count(work: _Work) -> dict[str, int]:
 def _rewrite_concat(work: _Work):
     """Recognize the two canonical string-concatenation shapes and rewrite
     both to an abstract concat expression: builder append chains and
-    invokedynamic concat factories."""
+    invokedynamic concat factories.
+
+    Use counts are taken once and again only after a builder chain is
+    rewritten: a factory rewrite uses exactly the registers it replaces.
+    """
+    uses = _use_count(work)
     for stmts in work.blocks:
         # Indirect concat factory.
         for i, s in enumerate(stmts):
@@ -421,7 +426,6 @@ def _rewrite_concat(work: _Work):
         progress = True
         while progress:
             progress = False
-            uses = _use_count(work)
             def_at = {}
             for idx, stmt in enumerate(stmts):
                 d = stmt_def(stmt)
@@ -478,6 +482,7 @@ def _rewrite_concat(work: _Work):
                         del stmts[idx]
                     stmts.insert(i - removed_before,
                                  Assign(result, Concat(tuple(args))))
+                    uses = _use_count(work)
                     progress = True
                     break
 

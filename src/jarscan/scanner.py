@@ -25,10 +25,11 @@ from pathlib import Path
 
 from .classfile.constructs import strip_packages
 from .classfile.descriptors import method_signature
-from .classfile.model import ClassFile, MethodInfo
+from .classfile.model import ClassFile, MethodInfo, code_digest
 from .classfile.parser import parse_jar
 from .cpg import FixSignature, method_triplets, unqualify
-from .errors import ClassParseError, JarscanError, LiftError, MalformedArchive
+from .errors import (BadConstantPoolRef, ClassParseError, JarscanError, LiftError,
+                     MalformedArchive)
 from .kb import KnowledgeBase, class_member_context
 
 log = logging.getLogger(__name__)
@@ -146,10 +147,15 @@ _LIFT_FAILED = object()
 
 class JarView:
     """Indexed view of one parsed archive, with a triplet cache and the
-    package-stripped form of each triplet label repack mode has met."""
+    package-stripped form of each triplet label repack mode has met.
 
-    def __init__(self, archive):
+    With a KB that records code digests, a method body that is a recorded
+    pre- or post-fix body takes its triplets from the KB, unlifted.
+    """
+
+    def __init__(self, archive, kb: KnowledgeBase | None = None):
         self.archive = archive
+        self._kb = kb if kb is not None and kb.has_code_digests else None
         self.class_by_fqn: dict[str, ClassFile] = {}
         self.methods: dict[str, tuple[ClassFile, MethodInfo]] = {}
         self.by_unq_class: dict[str, list[ClassFile]] = {}
@@ -172,6 +178,8 @@ class JarView:
             if m.code is None:
                 cached = _LIFT_FAILED
             else:
+                cached = self._known_triplets(cf, m)
+            if cached is None:
                 try:
                     cached = method_triplets(cf, m)
                 except (LiftError, ClassParseError) as exc:
@@ -179,6 +187,17 @@ class JarView:
                     cached = _LIFT_FAILED
             self._triplets[fqn] = cached
         return None if cached is _LIFT_FAILED else cached
+
+    def _known_triplets(self, cf: ClassFile, m: MethodInfo):
+        """The KB's triplets for a body whose pool-resolved code is a
+        recorded pre- or post-fix body; None on a miss, or when a pool
+        reference does not resolve (lifting then reports it)."""
+        if self._kb is None:
+            return None
+        try:
+            return self._kb.triplets_for_code(code_digest(m, cf.constant_pool))
+        except BadConstantPoolRef:
+            return None
 
 
 # ------------------------------------------------------------- triplet match
@@ -391,7 +410,7 @@ def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
         archive = parse_jar(data, kb.asks_about_class, kb.asks_about_method)
     except MalformedArchive as exc:
         return JarResult(path=path, error=str(exc))
-    view = JarView(archive)
+    view = JarView(archive, kb)
     findings: dict[str, CveFinding] = {}
 
     for mode in config.modes:

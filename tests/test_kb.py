@@ -13,9 +13,11 @@ from jarscan.classfile import (
     parse_class,
     strip_packages,
 )
-from jarscan.cpg import Triplet
-from jarscan.classfile.model import resolved_code
-from jarscan.errors import CorruptFile, EmptyDiff, KbFormatError, LiftError, VersionMismatch
+from jarscan.cpg import Triplet, method_triplets
+from jarscan.classfile.descriptors import method_signature
+from jarscan.classfile.model import code_digest, resolved_code
+from jarscan.errors import (BadConstantPoolRef, CorruptFile, EmptyDiff, KbFormatError,
+                            LiftError, VersionMismatch)
 from jarscan.kb import (
     KnowledgeBase,
     build_entry,
@@ -222,7 +224,97 @@ def test_unliftable_unchanged_method_is_not_recorded(monkeypatch):
     assert "a.R: int keep()" in spurious
 
 
+def test_code_digest_follows_resolved_code():
+    pre, post = _relaid_fix()
+    assert (code_digest(_method(pre, "keep"), pre.constant_pool)
+            == code_digest(_method(post, "keep"), post.constant_pool))
+    make = lambda value: _cls("a.F", [MethodModel("z", "()F", 0x09, code=[
+        ("ldc_float", value), "freturn"])])
+    zero, minus_zero = make(0.0), make(-0.0)
+    assert (code_digest(_method(zero, "z"), zero.constant_pool)
+            != code_digest(_method(minus_zero, "z"), minus_zero.constant_pool))
+
+
+def test_code_digest_is_pinned():
+    # A digest is compared with digests other processes wrote into KB
+    # files, so its definition must not drift: not with the hash seed, not
+    # with the declaring class's name.
+    for name in ("a.F", "b.c.Renamed"):
+        cf = _cls(name, [MethodModel("z", "(Ljava/lang/String;)I", 0x09, code=[
+            "aload_0", ("invokevirtual", "java.lang.String", "length", "()I"),
+            ("ldc_float", 2.5), "pop", ("ldc_string", "na\u00efve \u2603"), "pop",
+            "ireturn"])])
+        assert code_digest(_method(cf, "z"), cf.constant_pool) == \
+            "528f0c537b2b978da98c24a253612097"
+
+
+def test_signed_records_carry_each_side_digest(corpus, corpus_kb):
+    """For a signed changed record, the pre-fix body has the record's pre
+    digest and lifts to CT | NT, the post-fix body the post digest and
+    CT | PT; triplets_for_code gives those same sets."""
+    checked = 0
+    for cve in corpus.cve_ids:
+        sides = {side: {cf.this_class: cf for cf in
+                        (parse_class(b) for _n, b in classes[cve])}
+                 for side, classes in (("pre", corpus.pre_classes),
+                                       ("post", corpus.post_classes))}
+        for rec in corpus_kb.records[cve]:
+            if rec.signature is None:
+                assert rec.code is None
+                continue
+            sig = rec.signature
+            for side, digest, expected in (("pre", rec.code[0], sig.ct | sig.nt),
+                                           ("post", rec.code[1], sig.ct | sig.pt)):
+                cf = sides[side][rec.declaring_class]
+                [m] = [m for m in cf.methods if method_signature(
+                    cf.this_class, m.name, m.descriptor) == rec.construct.fqn]
+                assert code_digest(m, cf.constant_pool) == digest
+                assert method_triplets(cf, m) == expected
+                assert corpus_kb.triplets_for_code(digest) == expected
+                checked += 1
+    assert checked > 0
+    assert corpus_kb.triplets_for_code("0" * 32) is None
+
+
+def test_unresolvable_pool_reference_means_no_digest(corpus, out_of_range_beta_pre):
+    [post] = [parse_class(b) for _n, b in corpus.post_classes["CVE-9000-0002"]]
+    pre = parse_class(out_of_range_beta_pre[1])
+    with pytest.raises(BadConstantPoolRef):
+        code_digest(_method(pre, "token"), pre.constant_pool)
+    assert jarscan.kb._code_digests(pre, _method(pre, "token"),
+                                    post, _method(post, "token")) is None
+
+
+def test_code_digest_covers_catch_types():
+    make = lambda catch: _cls("a.H", [MethodModel(
+        "h", "(I)I", 0x09,
+        code=["TRY:", "iload_0", "iconst_1", "idiv", "END:", "ireturn",
+              "H:", "pop", "iconst_m1", "ireturn"],
+        handlers=[("TRY", "END", "H", catch)])])
+    digests = {code_digest(_method(cf, "h"), cf.constant_pool)
+               for cf in (make("java.lang.ArithmeticException"),
+                          make("java.lang.Exception"), make(None))}
+    assert len(digests) == 3
+
+
 # ---------------------------------------------------------------- persistence
+
+def test_code_digests_survive_save_and_load(tmp_path, corpus_kb,
+                                            corpus_kb_without_code):
+    p = tmp_path / "kb.txt"
+    save(corpus_kb, p)
+    assert '"code":["' in p.read_text()
+    loaded = load(p)
+    codes = lambda kb: {(cve, r.construct.fqn, r.change): r.code
+                        for cve, records in kb.records.items() for r in records}
+    assert any(codes(corpus_kb).values()) and loaded.has_code_digests
+    assert codes(loaded) == codes(corpus_kb)
+    # Without the optional field the KB loads, with the same records
+    # otherwise and no digest to look up.
+    assert not corpus_kb_without_code.has_code_digests
+    assert set(codes(corpus_kb_without_code).values()) == {None}
+    assert codes(corpus_kb_without_code).keys() == codes(corpus_kb).keys()
+
 
 def test_empty_kb_roundtrip(tmp_path):
     kb = KnowledgeBase(records={})

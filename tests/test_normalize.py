@@ -172,3 +172,38 @@ def test_partial_builder_chain_left_alone():
     n = normalize(ir)
     assert not any(isinstance(s, Assign) and isinstance(s.expr, Concat)
                    for s in n.statements)
+
+
+def test_builder_chains_in_two_blocks_feeding_each_other():
+    # The first chain's toString result is appended into a second chain in
+    # another block; the expected dump is the one normalize gave when it
+    # recounted uses on every pass.
+    sb = "java.lang.StringBuilder"
+    append = ("invokevirtual", sb, "append",
+              "(Ljava/lang/String;)Ljava/lang/StringBuilder;")
+    chain_start = [("new", sb), "dup", ("invokespecial", sb, "<init>", "()V")]
+    to_string = ("invokevirtual", sb, "toString", "()Ljava/lang/String;")
+    code = [
+        *chain_start, ("ldc_string", "a="), append, ("aload", 0), append,
+        to_string, ("astore", 2),
+        ("iload", 1), ("ifeq", "L"),
+        *chain_start, ("aload", 2), append, ("ldc_string", "!"), append,
+        to_string, "areturn",
+        "L:", ("aload", 2), "areturn",
+    ]
+    ir = lift_code(code, desc="(Ljava/lang/String;I)Ljava/lang/String;")
+    assert dump(normalize(ir)) == "\n".join([
+        "params(p0:ref, p1:int) static",
+        "B0:",
+        '  0: v0 := const "a="',
+        "  1: v1 := concat(v0, p0)",
+        "  2: v2 := copy v1",
+        "  3: if_eq_int(p1, int:0) -> B2 else B1",
+        "B1:",
+        '  4: v3 := const "!"',
+        "  5: v4 := concat(v2, v3)",
+        "  6: return_ref v4",
+        "B2:",
+        "  7: return_ref v2",
+        "",
+    ])

@@ -1,6 +1,10 @@
 """Scanner decision rules, aggregation, modes and invariance properties."""
 
+import io
 import json
+import struct
+import zipfile
+import zlib
 
 import pytest
 
@@ -15,6 +19,7 @@ from jarscan.classfile import (
     strip_packages,
     write_jar,
 )
+from jarscan import scanner as scanner_mod
 from jarscan.classfile import parser as parser_mod
 from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.model import UNDECODED
@@ -428,6 +433,57 @@ def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch
     assert lazy == eager
 
 
+# ------------------------------------------------------- exact-code path
+
+def _variant_jars(corpus) -> dict:
+    """The corpus pre/post JARs, and modify kinds 1-4 of them."""
+    jars = {}
+    for i, cve in enumerate(corpus.cve_ids):
+        for side in ("pre", "post"):
+            jar = getattr(corpus, f"{side}_jars")[cve]
+            jars[f"{cve}-{side}"] = jar
+            jars[f"{cve}-{side}-kind1"] = modify([jar], 1, seed=300 + i)
+    for side in ("pre_jars", "post_jars"):
+        inputs = [getattr(corpus, side)[c] for c in corpus.cve_ids]
+        for kind in (2, 3, 4):
+            jars[f"{side}-kind{kind}"] = modify(inputs, kind)
+    return jars
+
+
+def test_code_digests_leave_reports_unchanged(corpus, corpus_kb,
+                                              corpus_kb_without_code, tmp_path):
+    """Taking triplets from the KB for recorded bodies gives the report
+    that lifting every method gives."""
+    assert corpus_kb.has_code_digests
+    assert not corpus_kb_without_code.has_code_digests
+    paths = []
+    for name, data in _variant_jars(corpus).items():
+        p = tmp_path / f"{name}.jar"
+        p.write_bytes(data)
+        paths.append(str(p))
+    assert _report_bytes(paths, corpus_kb) == _report_bytes(paths, corpus_kb_without_code)
+
+
+def test_recorded_bodies_are_not_lifted(corpus, corpus_kb, monkeypatch):
+    """The corpus pre- and post-fix JARs hold only recorded bodies, so a
+    scan lifts nothing; recompiled and relocated bodies are lifted."""
+    lifted = []
+    real = scanner_mod.method_triplets
+    monkeypatch.setattr(scanner_mod, "method_triplets",
+                        lambda cf, m: lifted.append(m) or real(cf, m))
+
+    def lifts(jar):
+        lifted.clear()
+        scan_jar_bytes("j.jar", jar, corpus_kb, ScanConfig())
+        return len(lifted)
+
+    jars = _variant_jars(corpus)
+    for cve in corpus.cve_ids:
+        assert lifts(jars[f"{cve}-pre"]) == lifts(jars[f"{cve}-post"]) == 0, cve
+    assert lifts(jars["pre_jars-kind4"]) > 0
+    assert lifts(jars["CVE-9000-0002-pre-kind1"]) > 0
+
+
 def _with_broken_descriptor(model: ClassModel) -> bytes:
     """Emit the class, then corrupt its marker method's descriptor: the
     header pass still accepts the bytes, parse_class does not."""
@@ -580,6 +636,87 @@ def test_mistyped_pool_reference_skips_the_method(corpus, corpus_kb, tmp_path,
     assert "skipping beta.net.Http: int token(int)" in caplog.text
     assert {f.cve_id for f in good_res.findings
             if f.verdict == VULNERABLE} == {"CVE-9000-0001"}
+
+
+def _damaged_entry(jar: bytes, path: str, damage: str) -> bytes:
+    """Re-pack the JAR, then damage ``path``'s entry.
+
+    crc: stored, one byte flipped mid-data, so its CRC fails; inflate:
+    deflated, a reserved block type in its first byte; sizes: its sizes
+    in the central directory run past the end of the archive; encrypted:
+    its encryption flag set; method: compression method 99 (AES), which
+    zipfile does not implement.
+    """
+    compression = zipfile.ZIP_DEFLATED if damage == "inflate" else zipfile.ZIP_STORED
+    src = zipfile.ZipFile(io.BytesIO(jar))
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as out:
+        for info in src.infolist():
+            raw = src.read(info)
+            info.compress_type = compression
+            out.writestr(info, raw)
+    data = bytearray(buf.getvalue())
+    info = zipfile.ZipFile(io.BytesIO(data)).getinfo(path)
+    local = info.header_offset
+    name_len, extra_len = struct.unpack_from("<HH", data, local + 26)
+    start = local + 30 + name_len + extra_len
+    name = path.encode()
+    central = data.find(b"PK\x01\x02")
+    while data[central + 46:central + 46 + len(name)] != name:
+        central = data.find(b"PK\x01\x02", central + 46)
+    if damage == "crc":
+        data[start + info.compress_size // 2] ^= 0xFF
+    elif damage == "inflate":
+        data[start] |= 0x06
+    elif damage == "sizes":
+        struct.pack_into("<II", data, central + 20,
+                         info.compress_size + 100_000, info.file_size + 100_000)
+    elif damage == "encrypted":
+        data[local + 6] |= 1
+        data[central + 8] |= 1
+    else:
+        struct.pack_into("<H", data, local + 8, 99)
+        struct.pack_into("<H", data, central + 10, 99)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("damage, error", [
+    ("crc", zipfile.BadZipFile), ("inflate", zlib.error), ("sizes", EOFError),
+    ("encrypted", RuntimeError), ("method", NotImplementedError)])
+def test_unreadable_entry_is_a_parse_failure(corpus, corpus_kb, tmp_path,
+                                             damage, error):
+    """A class entry zipfile cannot read counts under parse_failures; the
+    scan goes on, and the next JAR is still flagged."""
+    entry = "alpha/core/Parser.class"
+    jar = _damaged_entry(corpus.pre_jars["CVE-9000-0001"], entry, damage)
+    with pytest.raises(error):
+        zipfile.ZipFile(io.BytesIO(jar)).read(entry)
+    [failure] = parse_jar(jar).failures
+    assert failure.path == entry and failure.error.startswith("unreadable entry: ")
+
+    bad = tmp_path / "alpha-corrupt.jar"
+    bad.write_bytes(jar)
+    good = tmp_path / "beta-pre.jar"
+    good.write_bytes(corpus.pre_jars["CVE-9000-0002"])
+    bad_res, good_res = scan([str(bad), str(good)], corpus_kb, ScanConfig()).jars
+    assert bad_res.error is None and bad_res.parse_failures == 1
+    assert {f.cve_id for f in good_res.findings
+            if f.verdict == VULNERABLE} == {"CVE-9000-0002"}
+
+
+def test_unresolvable_pool_reference_skips_the_method(corpus, corpus_kb,
+                                                      out_of_range_beta_pre):
+    """A named method whose code names a pool entry past the end of the
+    pool has no code digest; it falls through to lifting, which skips it."""
+    name, data = out_of_range_beta_pre
+    jar = write_jar([(class_entry_path(name), data)])
+    res = scan_jar_bytes("beta.jar", jar, corpus_kb, ScanConfig())
+    assert res.error is None and res.parse_failures == 0
+    [finding] = res.findings
+    token = [v for v in finding.constructs if v.fqn == "beta.net.Http: int token(int)"]
+    assert {(v.mode, v.verdict, v.reason) for v in token} == {
+        ("default", SKIPPED, "method body could not be lifted"),
+        ("repack", SKIPPED, "method body could not be lifted")}
 
 
 def test_scan_isolates_bad_archives(tmp_path, corpus_kb):
