@@ -16,22 +16,32 @@ High-level entry points:
     modify                       type 1-4 modification harness
 """
 
-from .classfile import list_constructs, parse_class, parse_jar, strip_packages
-from .cpg import FixSignature, Triplet, diff, extract_triplets, method_triplets, unqualify
-from .ir import build_cfg, dependencies, lift
-from .kb import KnowledgeBase, build_entry, build_from_manifest, load, query_fqn, query_unqualified, save
-from .modharness import modify
-from .normalize import normalize
-from .scanner import ScanConfig, ScanReport, match_triplets, report_to_json, retrieve_dependencies, scan
+from ._lazy import defer_submodule, lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FixSignature", "KnowledgeBase", "ScanConfig", "ScanReport", "Triplet",
-    "build_cfg", "build_entry", "build_from_manifest", "dependencies",
-    "diff", "extract_triplets", "lift", "list_constructs", "load",
-    "match_triplets", "method_triplets", "modify", "normalize",
-    "parse_class", "parse_jar", "query_fqn", "query_unqualified",
-    "report_to_json", "retrieve_dependencies", "save", "scan",
-    "strip_packages", "unqualify", "__version__",
-]
+# Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    **dict.fromkeys(("list_constructs", "parse_class", "parse_jar", "strip_packages"),
+                    "classfile"),
+    **dict.fromkeys(("FixSignature", "Triplet", "diff", "unqualify"), "triplets"),
+    **dict.fromkeys(("extract_triplets", "method_triplets"), "cpg"),
+    **dict.fromkeys(("build_cfg", "dependencies", "lift"), "ir"),
+    **dict.fromkeys(("KnowledgeBase", "build_entry", "build_from_manifest", "load",
+                     "query_fqn", "query_unqualified", "save"), "kb"),
+    "modify": "modharness",
+    "normalize": "normalize",
+    **dict.fromkeys(("ScanConfig", "ScanReport", "match_triplets", "report_to_json",
+                     "retrieve_dependencies", "scan"), "scanner"),
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+# The IR pipeline runs only for method bodies the knowledge base holds no
+# digest of, so a scan can finish without it. Its modules are in
+# sys.modules from the start, for tools that wrap their functions right
+# after ``import jarscan.cli`` (bench/tracer.py), but run on first use.
+for _name in ("cpg", "normalize", "ir.cfg", "ir.dataflow", "ir.lift"):
+    defer_submodule(f"{__name__}.{_name}")

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .descriptors import method_signature
-from .model import ClassFile
+
+if TYPE_CHECKING:    # model imports strip_packages from here
+    from .model import ClassFile
 
 # A package prefix: one or more dot-terminated identifier segments that are
 # not preceded by another identifier char or a dot (i.e. token starts only).

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
-from ..errors import CodeNotDecoded
-from .constant_pool import ConstantPool
+from ..errors import ClassParseError, CodeNotDecoded
+from .constant_pool import (TAG_CLASS, TAG_FIELDREF, TAG_INTERFACE_METHODREF,
+                            TAG_INVOKE_DYNAMIC, TAG_METHODREF, ConstantPool)
+from .constructs import strip_packages
+from .descriptors import parse_method_descriptor, render_type
 from .opcodes import FORMAT_OF
 
 ACC_STATIC = 0x0008
@@ -97,8 +101,9 @@ class MethodInfo:
         return bool(self.access_flags & (ACC_SYNTHETIC | ACC_BRIDGE))
 
 
-# Operand formats whose first operand is a constant-pool index.
-_POOL_FORMATS = frozenset({"cp8", "cp16", "iface", "indy", "multi"})
+# Mnemonics whose first operand is a constant-pool index.
+_POOL_MNEMONICS = frozenset(m for m, fmt in FORMAT_OF.items()
+                            if fmt in ("cp8", "cp16", "iface", "indy", "multi"))
 
 
 def resolved_code(method: MethodInfo, pool: ConstantPool) -> tuple | None:
@@ -121,24 +126,147 @@ def resolved_code(method: MethodInfo, pool: ConstantPool) -> tuple | None:
                   for h in code.exception_table),
             tuple((ins.offset, ins.mnemonic,
                    (pool.resolve(ins.operands[0]),) + ins.operands[1:]
-                   if FORMAT_OF[ins.mnemonic] in _POOL_FORMATS else ins.operands)
+                   if ins.mnemonic in _POOL_MNEMONICS else ins.operands)
                   for ins in code.instructions))
 
 
-def code_digest(method: MethodInfo, pool: ConstantPool) -> str | None:
-    """A 16-byte blake2b, as hex, of ``resolved_code``.
+def key_digest(key: tuple) -> str:
+    """A 16-byte blake2b, as hex, of a code key's ``ascii()``.
 
-    The key is built only of str, int, bytes, bool, None and tuples, so
-    its ``ascii()`` is a canonical serialization: the same in every
-    process, under every hash seed and every Unicode database, and
-    independent of the declaring class's name. Equal digests stand for
-    equal keys, hence equal lifted IR. None for a method without code;
-    raises BadConstantPoolRef as ``resolved_code`` does.
+    The keys (``resolved_code``, ``stripped_code``) are built only of str,
+    int, bytes, bool, None and tuples, so ``ascii()`` is a canonical
+    serialization: the same in every process, under every hash seed and
+    every Unicode database. Equal digests stand for equal keys.
     """
-    key = resolved_code(method, pool)
-    if key is None:
-        return None
     return hashlib.blake2b(ascii(key).encode("ascii"), digest_size=16).hexdigest()
+
+
+def code_digest(method: MethodInfo, pool: ConstantPool) -> str | None:
+    """The ``key_digest`` of ``resolved_code``: equal digests lift to
+    equal IR, independent of the declaring class's name. None for a
+    method without code; raises BadConstantPoolRef as ``resolved_code``
+    does."""
+    key = resolved_code(method, pool)
+    return None if key is None else key_digest(key)
+
+
+# Classes the IR pipeline recognises by name: normalize rewrites their
+# append chains into one concat. A stripped key keeps them qualified.
+STRING_BUILDERS = ("java.lang.StringBuilder", "java.lang.StringBuffer")
+
+# Internal class names a stripped key can stand for: slash-separated
+# identifier segments, so no name can run into a label's separators.
+_PLAIN_NAME = re.compile(r"[\w$]+(?:/[\w$]+)*")
+
+_MEMBER_TAGS = frozenset({TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF})
+
+# Class operands lifting shows as a type ("a.b.C[]"), where an array class
+# is otherwise shown as its descriptor with dots ("[La.b.C;").
+_RENDERED_CLASS_OPS = frozenset({"anewarray", "multianewarray"})
+
+
+class _NoStrippedKey(Exception):
+    """A class name or descriptor a stripped key cannot stand for."""
+
+
+class _Stripper:
+    """Builds one stripped key. Each class name becomes the package-stripped
+    text its CPG label carries, paired with the order in which the name
+    first occurred, so equal keys map names one to one."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.texts: dict[str, object] = {}     # label text -> its key part
+        self.descriptors: dict[str, tuple] = {}
+
+    def name(self, internal: str, text: str):
+        if not _PLAIN_NAME.fullmatch(internal):
+            raise _NoStrippedKey(internal)
+        got = self.texts.get(text)     # a plain name's text names it alone
+        if got is None:
+            if internal.replace("/", ".") in STRING_BUILDERS:
+                got = text
+            else:
+                got = strip_packages(text), self.ids.setdefault(internal, len(self.ids))
+            self.texts[text] = got
+        return got
+
+    def field_type(self, token: str):
+        """One field-descriptor token, shown as ``render_type`` shows it;
+        a primitive one stays as it is."""
+        elem = token.lstrip("[")
+        if not elem.startswith("L"):
+            return token
+        return self.name(elem[1:-1], render_type(token))
+
+    def descriptor(self, desc: str) -> tuple:
+        got = self.descriptors.get(desc)
+        if got is None:
+            try:
+                params, ret = parse_method_descriptor(desc)
+            except ClassParseError:
+                raise _NoStrippedKey(desc) from None
+            got = self.descriptors[desc] = (tuple(map(self.field_type, params)),
+                                            self.field_type(ret))
+        return got
+
+    def class_ref(self, internal: str, rendered: bool):
+        """A Class constant: a class name or an array descriptor; an array
+        of primitives, or a malformed one, stays as it is."""
+        elem = internal.lstrip("[")
+        if elem == internal:
+            return self.name(internal, internal.replace("/", "."))
+        if not (elem.startswith("L") and elem.endswith(";")):
+            return internal
+        text = render_type(internal) if rendered else internal.replace("/", ".")
+        return self.name(elem[1:-1], text)
+
+    def operand(self, entry: tuple, rendered: bool):
+        """One ``ConstantPool.resolve`` operand. Lifting reads a class, a
+        member's owner, name and descriptor, or an invokedynamic's name and
+        descriptor; other constants stay as they are."""
+        tag, value = entry
+        if tag == TAG_CLASS:
+            return tag, self.class_ref(value[0][1], rendered)
+        if tag in _MEMBER_TAGS:
+            (_, ((_, owner),)), (_, ((_, name), (_, desc))) = value
+            typ = self.field_type(desc) if tag == TAG_FIELDREF else self.descriptor(desc)
+            return tag, self.class_ref(owner, False), name, typ
+        if tag == TAG_INVOKE_DYNAMIC:
+            bootstrap, (_, ((_, name), (_, desc))) = value
+            return tag, bootstrap, name, self.descriptor(desc)
+        return entry
+
+
+def stripped_code(key: tuple) -> tuple | None:
+    """A ``resolved_code`` key made invariant under package relocation.
+
+    Every class name, whether a Class constant, a member's owner, a catch
+    type or inside a descriptor, becomes the text its CPG label carries
+    (dotted, or as ``render_type`` renders it) run through
+    ``strip_packages``, plus the order of the name's first occurrence.
+    ``STRING_BUILDERS`` stay qualified. String constants, numbers and
+    member names stay verbatim. So the key strips no more than
+    ``unqualify`` strips from labels: two bodies with equal stripped keys
+    differ by a one-to-one renaming of classes that ``strip_packages``
+    cannot see, and lift to triplet sets with equal ``unqualify``. None
+    when a class name is not plain identifier segments or a method
+    descriptor does not parse.
+    """
+    desc, is_static, handlers, instructions = key
+    stripper = _Stripper()
+    try:
+        return (stripper.descriptor(desc), is_static,
+                tuple((start, end, handler,
+                       None if catch is None
+                       else stripper.class_ref(catch.replace(".", "/"), False))
+                      for start, end, handler, catch in handlers),
+                tuple((offset, mnemonic,
+                       (stripper.operand(ops[0], mnemonic in _RENDERED_CLASS_OPS),)
+                       + ops[1:] if mnemonic in _POOL_MNEMONICS else ops)
+                      for offset, mnemonic, ops in instructions))
+    except _NoStrippedKey:
+        return None
 
 
 @dataclass(frozen=True)

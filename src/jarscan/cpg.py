@@ -1,4 +1,4 @@
-"""Code property graphs and their edge-triplet encoding.
+"""Code property graphs and the edge triplets read off them.
 
 A CPG has one node per normalized IR statement plus one child node per
 operand; edges carry the four kind labels (AST child edges also carry the
@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
-from .classfile.constructs import strip_packages
 from .classfile.descriptors import parse_method_descriptor, render_type
 from .ir.cfg import ENTRY, EXIT, Cfg
 from .ir.dataflow import DepGraph
@@ -49,26 +47,16 @@ from .ir.model import (
     Throw,
     Un,
 )
-
-SEP = "\x1f"
-
-
-class Triplet(NamedTuple):
-    source: str
-    edge: str
-    target: str
-
-
-TripletSet = frozenset  # of Triplet
-
-
-@dataclass(frozen=True)
-class FixSignature:
-    """Context, positive and negative triplets of one method fix."""
-
-    ct: frozenset
-    pt: frozenset
-    nt: frozenset
+from .triplets import (  # noqa: F401  (re-exported: the triplet encoding's API)
+    SEP,
+    FixSignature,
+    Triplet,
+    TripletSet,
+    deserialize_triplets,
+    diff,
+    serialize_triplets,
+    unqualify,
+)
 
 
 # ------------------------------------------------------------------ labels
@@ -289,43 +277,3 @@ def method_triplets(cf, method) -> frozenset:
                         cf.constant_pool))
     cfg = build_cfg(ir)
     return extract_triplets(build_cpg(ir, cfg, dependencies(ir, cfg)))
-
-
-# ----------------------------------------------------------- set operations
-
-def diff(t_vul: frozenset, t_fix: frozenset) -> FixSignature:
-    """Split pre/post triplet sets into context/positive/negative parts."""
-    return FixSignature(ct=frozenset(t_vul & t_fix),
-                        pt=frozenset(t_fix - t_vul),
-                        nt=frozenset(t_vul - t_fix))
-
-
-def unqualify(triplets: Iterable[Triplet], memo: dict | None = None) -> frozenset:
-    """Strip package prefixes inside every label; re-deduplicates.
-
-    ``memo`` maps labels to their stripped form; it is filled as labels
-    are met, so a label shared with earlier calls is not stripped again.
-    """
-    memo = {} if memo is None else memo
-    stripped = memo.__getitem__
-    out = []
-    for t in triplets:
-        for label in t:
-            if label not in memo:
-                memo[label] = strip_packages(label)
-        out.append(Triplet._make(map(stripped, t)))
-    return frozenset(out)
-
-
-def serialize_triplets(triplets: Iterable[Triplet]) -> str:
-    """Canonical form: sorted unit-separator-delimited lines."""
-    return "\n".join(SEP.join(t) for t in sorted(triplets))
-
-
-def deserialize_triplets(text: str) -> frozenset:
-    out = []
-    for line in text.splitlines():
-        if line:
-            src, edge, dst = line.split(SEP)
-            out.append(Triplet(src, edge, dst))
-    return frozenset(out)

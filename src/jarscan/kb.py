@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .classfile.constructs import ConstructId, strip_packages
 from .classfile.descriptors import method_signature, render_type
-from .classfile.model import ClassFile, MethodInfo, code_digest, resolved_code
+from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
 from .classfile.parser import parse_class
-from .cpg import FixSignature, deserialize_triplets, serialize_triplets
+from .triplets import FixSignature, deserialize_triplets, serialize_triplets, unqualify
 from .errors import (BadConstantPoolRef, ClassParseError, CorruptFile, EmptyDiff,
                      KbFormatError, LiftError, VersionMismatch)
 
@@ -47,13 +47,15 @@ class ConstructRecord:
     """One construct touched by a fix: its identity, how it changed,
     the triplet signature (changed methods only), the declaring class's
     post-fix member context and, for a signed changed method, the
-    ``code_digest`` of its pre- and post-fix bodies."""
+    ``code_digest`` of its pre- and post-fix bodies and the digests of
+    their ``stripped_code``."""
 
     construct: ConstructId
     change: str                       # added | removed | changed
     signature: FixSignature | None
     class_context: frozenset = frozenset()
-    code: tuple[str, str] | None = None   # (pre, post) code digests
+    code: tuple[str, str] | None = None       # (pre, post) code digests
+    stripped: tuple[str, str] | None = None   # (pre, post) stripped digests
 
     @property
     def declaring_class(self) -> str:
@@ -76,6 +78,9 @@ class KnowledgeBase:
         self._changed_unqualified: set[str] = set()
         self._changed_names: set[str] = set()
         self._code_sides: dict[str, tuple[FixSignature, str]] = {}
+        self._stripped_sides: dict[str, tuple[FixSignature, str]] = {}
+        self._unqualified: dict[FixSignature, FixSignature] = {}
+        self._stripped_labels: dict[str, str] = {}
         for cve, records in self.records.items():
             for rec in records:
                 cls = rec.declaring_class
@@ -88,12 +93,17 @@ class KnowledgeBase:
                     self._changed_unqualified.add(unq)
                     self._changed_names.update(_SIGNATURE_NAMES.findall(fqn))
                     self._changed_names.update(_SIGNATURE_NAMES.findall(unq))
-                if rec.code is not None and rec.signature is not None:
-                    # Equal code lifts to equal triplets, so whichever
-                    # record a digest is first seen under will do.
-                    pre, post = rec.code
-                    self._code_sides.setdefault(pre, (rec.signature, "pre"))
-                    self._code_sides.setdefault(post, (rec.signature, "post"))
+                if rec.signature is None:
+                    continue
+                # Equal code lifts to equal triplets, and equal stripped
+                # code to equal unqualified triplets, so whichever record
+                # a digest is first seen under will do.
+                for sides, digests in ((self._code_sides, rec.code),
+                                       (self._stripped_sides, rec.stripped)):
+                    if digests is not None:
+                        pre, post = digests
+                        sides.setdefault(pre, (rec.signature, "pre"))
+                        sides.setdefault(post, (rec.signature, "post"))
 
     def cve_ids(self) -> list[str]:
         return sorted(self.records)
@@ -125,15 +135,41 @@ class KnowledgeBase:
     def has_code_digests(self) -> bool:
         return bool(self._code_sides)
 
-    def triplets_for_code(self, digest: str) -> frozenset | None:
+    @property
+    def has_stripped_digests(self) -> bool:
+        return bool(self._stripped_sides)
+
+    def triplets_for_code(self, digest: str, unqualified: bool = False) -> frozenset | None:
         """The triplet set of a method body whose ``code_digest`` is a
         signed record's pre- or post-fix digest, or None. ``diff`` split
         that record's T_pre into CT and NT and its T_post into CT and PT,
-        so a pre-fix body has CT | NT and a post-fix body CT | PT."""
-        hit = self._code_sides.get(digest)
+        so a pre-fix body has CT | NT and a post-fix body CT | PT. With
+        ``unqualified``, the set as ``unqualify`` gives it."""
+        return self._side(self._code_sides.get(digest), unqualified)
+
+    def triplets_for_stripped_code(self, digest: str) -> frozenset | None:
+        """The unqualified triplet set of a method body whose stripped
+        digest (the ``key_digest`` of its ``stripped_code``) is a signed
+        record's pre- or post-fix one, or None."""
+        return self._side(self._stripped_sides.get(digest), True)
+
+    def unqualified_signature(self, sig: FixSignature) -> FixSignature:
+        """``unqualify`` of each part of a recorded signature, built on
+        first use and kept; labels shared by records are stripped once."""
+        got = self._unqualified.get(sig)
+        if got is None:
+            labels = self._stripped_labels
+            got = self._unqualified[sig] = FixSignature(
+                ct=unqualify(sig.ct, labels), pt=unqualify(sig.pt, labels),
+                nt=unqualify(sig.nt, labels))
+        return got
+
+    def _side(self, hit, unqualified: bool) -> frozenset | None:
         if hit is None:
             return None
         sig, side = hit
+        if unqualified:
+            sig = self.unqualified_signature(sig)
         return sig.ct | (sig.nt if side == "pre" else sig.pt)
 
     def __eq__(self, other):
@@ -191,26 +227,32 @@ def _method_triplets_or_none(cf: ClassFile, method: MethodInfo):
         return None
 
 
-def _code_digests(pre_cf: ClassFile, pre_m: MethodInfo,
-                  post_cf: ClassFile, post_m: MethodInfo) -> tuple | None:
-    """The (pre, post) code digests of a method pair; None when a pool
-    reference on either side does not resolve."""
+def _resolved_pair(pre_cf: ClassFile, pre_m: MethodInfo,
+                   post_cf: ClassFile, post_m: MethodInfo) -> tuple | None:
+    """The ``resolved_code`` of a method pair; None when a pool reference
+    on either side does not resolve."""
     try:
-        return (code_digest(pre_m, pre_cf.constant_pool),
-                code_digest(post_m, post_cf.constant_pool))
+        return (resolved_code(pre_m, pre_cf.constant_pool),
+                resolved_code(post_m, post_cf.constant_pool))
     except BadConstantPoolRef:
         return None
 
 
-def _same_code(pre_cf: ClassFile, pre_m: MethodInfo,
-               post_cf: ClassFile, post_m: MethodInfo) -> bool | None:
-    """Whether two methods have equal pool-resolved code; None when a
-    pool reference on either side does not resolve."""
-    try:
-        return (resolved_code(pre_m, pre_cf.constant_pool)
-                == resolved_code(post_m, post_cf.constant_pool))
-    except BadConstantPoolRef:
-        return None
+def _same_code(keys: tuple | None) -> bool | None:
+    """Whether a resolved pair's two sides are equal; None when the pair
+    did not resolve."""
+    return None if keys is None else keys[0] == keys[1]
+
+
+def _code_digests(keys: tuple | None) -> tuple:
+    """The (pre, post) code digests of a resolved pair and the (pre, post)
+    digests of its ``stripped_code``: (None, None) when the pair did not
+    resolve, and no stripped digests when either side has no stripped key."""
+    if keys is None:
+        return None, None
+    stripped = tuple(map(stripped_code, keys))
+    return (tuple(map(key_digest, keys)),
+            None if None in stripped else tuple(map(key_digest, stripped)))
 
 
 def build_entry(cve_id: str, pre_classes: list[ClassFile],
@@ -227,8 +269,9 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
     same comparison decides alone. A pool reference that does not
     resolve falls back to lifting and, failing that, to comparing the
     decoded code as is. A signed ``changed`` record also carries both
-    sides' ``code_digest``, unless a pool reference does not resolve, so
-    a scan can recognise either body without lifting it.
+    sides' ``code_digest`` and stripped digest, from the keys the
+    comparison built, unless a pool reference does not resolve, so a scan
+    can recognise either body, or a relocated copy of it, without lifting.
 
     Raises EmptyDiff when nothing differs after normalization.
     """
@@ -265,7 +308,8 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
                     construct=cid, change="added", signature=None,
                     class_context=class_member_context(post_cf, exclude_method=key)))
                 continue
-            same = _same_code(pre_cf, pre_m, post_cf, post_m)
+            keys = _resolved_pair(pre_cf, pre_m, post_cf, post_m)
+            same = _same_code(keys)
             if same:
                 continue
             t_pre = _method_triplets_or_none(pre_cf, pre_m)
@@ -273,11 +317,12 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
             if t_pre is not None and t_post is not None:
                 if t_pre == t_post:
                     continue
+                code, stripped = _code_digests(keys)
                 records.append(ConstructRecord(
                     construct=cid, change="changed",
                     signature=_diff_signature(t_pre, t_post),
                     class_context=class_member_context(post_cf, exclude_method=key),
-                    code=_code_digests(pre_cf, pre_m, post_cf, post_m)))
+                    code=code, stripped=stripped))
             else:
                 # Unliftable on at least one side: the code differs, so the
                 # method is recorded without a signature and presence/absence
@@ -318,6 +363,8 @@ def _record_to_json(rec: ConstructRecord) -> dict:
         }
     if rec.code is not None:
         out["code"] = list(rec.code)
+    if rec.stripped is not None:
+        out["stripped"] = list(rec.stripped)
     return out
 
 
@@ -330,10 +377,11 @@ def _record_from_json(obj: dict) -> ConstructRecord:
                            nt=deserialize_triplets(s["nt"]))
     fqn = obj["fqn"]
     cid = ConstructId(obj["kind"], fqn, strip_packages(fqn))
-    code = obj.get("code")
+    code, stripped = obj.get("code"), obj.get("stripped")
     return ConstructRecord(construct=cid, change=obj["change"], signature=sig,
                            class_context=frozenset(obj.get("context", ())),
-                           code=None if code is None else tuple(code))
+                           code=None if code is None else tuple(code),
+                           stripped=None if stripped is None else tuple(stripped))
 
 
 def save(kb: KnowledgeBase, path) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from .classfile.model import STRING_BUILDERS
 from .ir.model import (
     Assign,
     Bin,
@@ -51,7 +52,6 @@ from .ir.model import (
     stmt_uses,
 )
 
-_STRING_BUILDERS = ("java.lang.StringBuilder", "java.lang.StringBuffer")
 _TERMINATOR_TYPES = TERMINATORS
 
 
@@ -433,7 +433,7 @@ def _rewrite_concat(work: _Work):
                     def_at[d] = idx
             for i, s in enumerate(stmts):
                 if not (isinstance(s, Invoke) and s.kind == "virtual"
-                        and s.owner in _STRING_BUILDERS and s.name == "toString"
+                        and s.owner in STRING_BUILDERS and s.name == "toString"
                         and s.result is not None and s.args):
                     continue
                 chain = {i}
@@ -446,7 +446,7 @@ def _rewrite_concat(work: _Work):
                         break
                     prev = stmts[j]
                     if (isinstance(prev, Invoke) and prev.kind == "virtual"
-                            and prev.owner in _STRING_BUILDERS
+                            and prev.owner in STRING_BUILDERS
                             and prev.name == "append"
                             and prev.result == receiver
                             and uses.get(receiver, 0) == 1
@@ -456,13 +456,13 @@ def _rewrite_concat(work: _Work):
                         receiver = prev.args[0]
                         continue
                     if (isinstance(prev, Assign) and isinstance(prev.expr, NewObj)
-                            and prev.expr.cls in _STRING_BUILDERS
+                            and prev.expr.cls in STRING_BUILDERS
                             and uses.get(receiver, 0) == 2):
                         init_idx = next(
                             (k for k, st in enumerate(stmts)
                              if isinstance(st, Invoke) and st.kind == "special"
                              and st.name == "<init>"
-                             and st.owner in _STRING_BUILDERS
+                             and st.owner in STRING_BUILDERS
                              and st.args and st.args[0] == receiver),
                             None)
                         if init_idx is None or init_idx in chain:

@@ -19,18 +19,17 @@ from __future__ import annotations
 import logging
 import shlex
 import subprocess
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classfile.constructs import strip_packages
 from .classfile.descriptors import method_signature
-from .classfile.model import ClassFile, MethodInfo, code_digest
+from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
 from .classfile.parser import parse_jar
-from .cpg import FixSignature, method_triplets, unqualify
 from .errors import (BadConstantPoolRef, ClassParseError, JarscanError, LiftError,
                      MalformedArchive)
 from .kb import KnowledgeBase, class_member_context
+from .triplets import FixSignature, unqualify
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +91,6 @@ class JarResult:
     classes: int = 0
     parse_failures: int = 0
     findings: list = field(default_factory=list)
-    elapsed_ms: float = 0.0           # excluded from the JSON report
 
 
 @dataclass
@@ -146,16 +144,16 @@ _LIFT_FAILED = object()
 
 
 class JarView:
-    """Indexed view of one parsed archive, with a triplet cache and the
-    package-stripped form of each triplet label repack mode has met.
+    """Indexed view of one parsed archive, with triplet caches.
 
     With a KB that records code digests, a method body that is a recorded
-    pre- or post-fix body takes its triplets from the KB, unlifted.
+    pre- or post-fix body takes its triplets from the KB, unlifted; in
+    repack mode, so does a body that is one up to package relocation.
     """
 
     def __init__(self, archive, kb: KnowledgeBase | None = None):
         self.archive = archive
-        self._kb = kb if kb is not None and kb.has_code_digests else None
+        self.kb = kb
         self.class_by_fqn: dict[str, ClassFile] = {}
         self.methods: dict[str, tuple[ClassFile, MethodInfo]] = {}
         self.by_unq_class: dict[str, list[ClassFile]] = {}
@@ -166,7 +164,8 @@ class JarView:
                 fqn = method_signature(cf.this_class, m.name, m.descriptor)
                 self.methods.setdefault(fqn, (cf, m))
         self._triplets: dict[str, object] = {}
-        self.stripped_labels: dict[str, str] = {}
+        self._unqualified: dict[str, object] = {}
+        self._code: dict[str, tuple | None] = {}
 
     def method_triplet_set(self, fqn: str):
         """Triplets of the method with this FQN, or None when it has no
@@ -174,45 +173,84 @@ class JarView:
         reference of the wrong kind)."""
         cached = self._triplets.get(fqn)
         if cached is None:
-            cf, m = self.methods[fqn]
-            if m.code is None:
-                cached = _LIFT_FAILED
-            else:
-                cached = self._known_triplets(cf, m)
+            cached = self._recorded(fqn, unqualified=False)
             if cached is None:
-                try:
-                    cached = method_triplets(cf, m)
-                except (LiftError, ClassParseError) as exc:
-                    log.warning("skipping %s: %s", fqn, exc)
-                    cached = _LIFT_FAILED
+                cached = self._lift(fqn)
             self._triplets[fqn] = cached
         return None if cached is _LIFT_FAILED else cached
 
-    def _known_triplets(self, cf: ClassFile, m: MethodInfo):
-        """The KB's triplets for a body whose pool-resolved code is a
-        recorded pre- or post-fix body; None on a miss, or when a pool
-        reference does not resolve (lifting then reports it)."""
-        if self._kb is None:
-            return None
+    def unqualified_triplet_set(self, fqn: str):
+        """``unqualify`` of ``method_triplet_set``, taken from the KB for a
+        recorded body or a relocated copy of one; None as there."""
+        cached = self._unqualified.get(fqn)
+        if cached is None:
+            cached = self._recorded(fqn, unqualified=True)
+            if cached is None:
+                lifted = self.method_triplet_set(fqn)
+                cached = _LIFT_FAILED if lifted is None else unqualify(lifted)
+            self._unqualified[fqn] = cached
+        return None if cached is _LIFT_FAILED else cached
+
+    def _lift(self, fqn: str):
+        """The triplets of one body through the full pipeline, or
+        _LIFT_FAILED for a method without code or one that does not lift."""
+        from .cpg import method_triplets
+        cf, m = self.methods[fqn]
+        if m.code is None:
+            return _LIFT_FAILED
         try:
-            return self._kb.triplets_for_code(code_digest(m, cf.constant_pool))
-        except BadConstantPoolRef:
+            return method_triplets(cf, m)
+        except (LiftError, ClassParseError) as exc:
+            log.warning("skipping %s: %s", fqn, exc)
+            return _LIFT_FAILED
+
+    def _recorded(self, fqn: str, unqualified: bool):
+        """The KB's triplets for a body whose pool-resolved code is a
+        recorded pre- or post-fix body's, or, unqualified, whose stripped
+        code is; None on a miss."""
+        code = self._resolved(fqn)
+        if code is None:
             return None
+        key, digest = code
+        hit = self.kb.triplets_for_code(digest, unqualified)
+        if hit is None and unqualified and self.kb.has_stripped_digests:
+            stripped = stripped_code(key)
+            if stripped is not None:
+                hit = self.kb.triplets_for_stripped_code(key_digest(stripped))
+        return hit
+
+    def _resolved(self, fqn: str):
+        """(``resolved_code``, its digest) of a method body, kept for the
+        other mode; None without a KB that records code digests, for a
+        method without code, or when a pool reference does not resolve
+        (lifting then reports it)."""
+        if fqn not in self._code:
+            code = None
+            if self.kb is not None and self.kb.has_code_digests:
+                cf, m = self.methods[fqn]
+                try:
+                    key = resolved_code(m, cf.constant_pool)
+                except BadConstantPoolRef:
+                    key = None
+                if key is not None:
+                    code = key, key_digest(key)
+            self._code[fqn] = code
+        return self._code[fqn]
 
 
 # ------------------------------------------------------------- triplet match
 
 def match_triplets(t_m, sig: FixSignature, config: ScanConfig,
                    mode: str = "default",
-                   memo: dict | None = None) -> tuple[str, MatchCounts]:
+                   unqualified: bool = False) -> tuple[str, MatchCounts]:
     """Classify one matched method body against a fix signature.
 
-    ``memo`` is the label memo repack mode passes to ``unqualify``.
+    Repack mode compares both sides unqualified; ``unqualified`` says
+    the caller passes them so already.
     """
-    if mode == "repack":
-        ct, pt, nt = (unqualify(sig.ct, memo), unqualify(sig.pt, memo),
-                      unqualify(sig.nt, memo))
-        tm = unqualify(t_m, memo)
+    if mode == "repack" and not unqualified:
+        ct, pt, nt = unqualify(sig.ct), unqualify(sig.pt), unqualify(sig.nt)
+        tm = unqualify(t_m)
     else:
         ct, pt, nt, tm = sig.ct, sig.pt, sig.nt, frozenset(t_m)
     counts = MatchCounts(nt_hit=len(nt & tm), pt_hit=len(pt & tm),
@@ -372,11 +410,11 @@ def _classify_record_in_class(record, view: JarView, cf: ClassFile,
                 cf.this_class)
     if record.signature is None:
         return (SKIPPED, None, "no signature recorded for changed method", match)
-    t_m = view.method_triplet_set(match)
+    t_m = view.unqualified_triplet_set(match)
     if t_m is None:
         return (SKIPPED, None, "method body could not be lifted", match)
-    v, counts = match_triplets(t_m, record.signature, config, mode="repack",
-                               memo=view.stripped_labels)
+    v, counts = match_triplets(t_m, view.kb.unqualified_signature(record.signature),
+                               config, mode="repack", unqualified=True)
     return (v, counts, None, match)
 
 
@@ -405,7 +443,6 @@ def _candidate_cves(kb: KnowledgeBase, view: JarView, mode: str) -> list[str]:
 
 def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
                    config: ScanConfig) -> JarResult:
-    start = time.perf_counter()
     try:
         archive = parse_jar(data, kb.asks_about_class, kb.asks_about_method)
     except MalformedArchive as exc:
@@ -431,14 +468,12 @@ def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
                 finding.verdict = VULNERABLE
                 finding.modes_fired.append(mode)
 
-    result = JarResult(
+    return JarResult(
         path=path,
         classes=len(archive.classes) + len(archive.unparsed),
         parse_failures=len(archive.failures),
         findings=[findings[c] for c in sorted(findings)],
     )
-    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return result
 
 
 def scan_jar(path: str, kb: KnowledgeBase, config: ScanConfig) -> JarResult:

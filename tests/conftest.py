@@ -29,21 +29,36 @@ def corpus_kb(corpus):
     return KnowledgeBase(records=records)
 
 
-@pytest.fixture(scope="session")
-def corpus_kb_without_code(corpus_kb, tmp_path_factory):
-    """The corpus KB saved, with every record's ``code`` removed from the
-    file and the checksum recomputed, then loaded back."""
-    path = tmp_path_factory.mktemp("kb") / "kb.txt"
-    save(corpus_kb, path)
+def _saved_without(kb, path, fields):
+    """``kb`` saved with ``fields`` removed from every record in the file
+    and the checksum recomputed, then loaded back."""
+    save(kb, path)
     header, body, _checksum = path.read_text(encoding="utf-8").splitlines()
     data = json.loads(body)
     for objs in data.values():
         for obj in objs:
-            obj.pop("code", None)
+            for name in fields:
+                obj.pop(name, None)
     payload = f"{header}\n{json.dumps(data, sort_keys=True, separators=(',', ':'))}\n"
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     path.write_text(payload + f"sha256={digest}\n", encoding="utf-8")
     return load(path)
+
+
+@pytest.fixture(scope="session")
+def corpus_kb_without_code(corpus_kb, tmp_path_factory):
+    """The corpus KB as a file without the optional code and stripped
+    digests, loaded back."""
+    return _saved_without(corpus_kb, tmp_path_factory.mktemp("kb") / "kb.txt",
+                          ("code", "stripped"))
+
+
+@pytest.fixture(scope="session")
+def corpus_kb_without_stripped(corpus_kb, tmp_path_factory):
+    """The corpus KB as a file without the optional stripped digests,
+    loaded back."""
+    return _saved_without(corpus_kb, tmp_path_factory.mktemp("kb") / "kb.txt",
+                          ("stripped",))
 
 
 def _beta_pre_putstatic_at(corpus, index: int):

@@ -1,11 +1,15 @@
 """CLI exit codes, report formats and schema validation."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import jarscan
 from jarscan.cli import main
 from corpus import materialize_manifest
 
@@ -192,3 +196,32 @@ def test_modify_collision_exit_1(tmp_path, capsys):
                "-o", str(tmp_path / "out.jar"), str(jar)])
     assert rc == 1
     assert "already exists" in capsys.readouterr().err
+
+
+# Modules a scan whose bodies all hit the KB never runs.
+_NOT_NEEDED = ("jarscan.ir.model", "jarscan.ir.lift", "jarscan.ir.cfg",
+               "jarscan.ir.dataflow", "jarscan.normalize", "jarscan.cpg",
+               "jarscan.modharness", "jarscan.classfile.emitter")
+
+_IMPORT_PROBE = """
+import sys, types
+import jarscan.cli
+# A module registered for first use is in sys.modules, but is a plain
+# ModuleType only once its code has run.
+print([n for n in sys.argv[1:] if type(sys.modules.get(n)) is types.ModuleType])
+lift = sys.modules["jarscan.ir.lift"]
+print(callable(lift.lift), type(lift) is types.ModuleType)
+"""
+
+
+def test_cli_import_leaves_the_ir_pipeline_unloaded():
+    """``import jarscan.cli`` runs no IR, normalize, CPG, modification
+    harness or emitter code; the pipeline modules are still in
+    sys.modules, to be wrapped, and load on first attribute access."""
+    src = str(Path(jarscan.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *_NOT_NEEDED],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.splitlines() == ["[]", "True True"]
+

@@ -13,9 +13,9 @@ from jarscan.classfile import (
     parse_class,
     strip_packages,
 )
-from jarscan.cpg import Triplet, method_triplets
+from jarscan.cpg import Triplet, method_triplets, unqualify
 from jarscan.classfile.descriptors import method_signature
-from jarscan.classfile.model import code_digest, resolved_code
+from jarscan.classfile.model import code_digest, key_digest, resolved_code, stripped_code
 from jarscan.errors import (BadConstantPoolRef, CorruptFile, EmptyDiff, KbFormatError,
                             LiftError, VersionMismatch)
 from jarscan.kb import (
@@ -251,7 +251,8 @@ def test_code_digest_is_pinned():
 def test_signed_records_carry_each_side_digest(corpus, corpus_kb):
     """For a signed changed record, the pre-fix body has the record's pre
     digest and lifts to CT | NT, the post-fix body the post digest and
-    CT | PT; triplets_for_code gives those same sets."""
+    CT | PT; triplets_for_code gives those same sets. The stripped digests
+    are those of each side's stripped key, and give the unqualified sets."""
     checked = 0
     for cve in corpus.cve_ids:
         sides = {side: {cf.this_class: cf for cf in
@@ -260,20 +261,48 @@ def test_signed_records_carry_each_side_digest(corpus, corpus_kb):
                                        ("post", corpus.post_classes))}
         for rec in corpus_kb.records[cve]:
             if rec.signature is None:
-                assert rec.code is None
+                assert rec.code is None and rec.stripped is None
                 continue
             sig = rec.signature
-            for side, digest, expected in (("pre", rec.code[0], sig.ct | sig.nt),
-                                           ("post", rec.code[1], sig.ct | sig.pt)):
+            for i, side, expected in ((0, "pre", sig.ct | sig.nt),
+                                      (1, "post", sig.ct | sig.pt)):
                 cf = sides[side][rec.declaring_class]
                 [m] = [m for m in cf.methods if method_signature(
                     cf.this_class, m.name, m.descriptor) == rec.construct.fqn]
-                assert code_digest(m, cf.constant_pool) == digest
+                key = resolved_code(m, cf.constant_pool)
+                assert key_digest(key) == code_digest(m, cf.constant_pool) == rec.code[i]
+                assert key_digest(stripped_code(key)) == rec.stripped[i]
                 assert method_triplets(cf, m) == expected
-                assert corpus_kb.triplets_for_code(digest) == expected
+                assert corpus_kb.triplets_for_code(rec.code[i]) == expected
+                assert (corpus_kb.triplets_for_code(rec.code[i], unqualified=True)
+                        == corpus_kb.triplets_for_stripped_code(rec.stripped[i])
+                        == unqualify(expected))
                 checked += 1
     assert checked > 0
     assert corpus_kb.triplets_for_code("0" * 32) is None
+    assert corpus_kb.triplets_for_stripped_code("0" * 32) is None
+
+
+def test_unqualified_signature_is_built_once(corpus_kb):
+    sig = next(r.signature for records in corpus_kb.records.values()
+               for r in records if r.signature is not None)
+    unq = corpus_kb.unqualified_signature(sig)
+    assert (unq.ct, unq.pt, unq.nt) == (unqualify(sig.ct), unqualify(sig.pt),
+                                        unqualify(sig.nt))
+    assert corpus_kb.unqualified_signature(sig) is unq
+
+
+def test_each_method_pair_is_resolved_once(monkeypatch):
+    """kb-build compares, and digests, each pair present on both sides
+    from one resolution per side."""
+    resolved = []
+    real = jarscan.kb.resolved_code
+    monkeypatch.setattr(jarscan.kb, "resolved_code",
+                        lambda m, pool: resolved.append(m.name) or real(m, pool))
+    pre, post = _relaid_fix()
+    (fix, _added) = build_entry("CVE-R", [pre], [post])
+    assert fix.code is not None and fix.stripped is not None
+    assert sorted(resolved) == sorted(2 * ["<init>", "fix", "keep"])
 
 
 def test_unresolvable_pool_reference_means_no_digest(corpus, out_of_range_beta_pre):
@@ -281,8 +310,9 @@ def test_unresolvable_pool_reference_means_no_digest(corpus, out_of_range_beta_p
     pre = parse_class(out_of_range_beta_pre[1])
     with pytest.raises(BadConstantPoolRef):
         code_digest(_method(pre, "token"), pre.constant_pool)
-    assert jarscan.kb._code_digests(pre, _method(pre, "token"),
-                                    post, _method(post, "token")) is None
+    keys = jarscan.kb._resolved_pair(pre, _method(pre, "token"),
+                                     post, _method(post, "token"))
+    assert keys is None and jarscan.kb._code_digests(keys) == (None, None)
 
 
 def test_code_digest_covers_catch_types():
@@ -314,6 +344,23 @@ def test_code_digests_survive_save_and_load(tmp_path, corpus_kb,
     assert not corpus_kb_without_code.has_code_digests
     assert set(codes(corpus_kb_without_code).values()) == {None}
     assert codes(corpus_kb_without_code).keys() == codes(corpus_kb).keys()
+
+
+def test_stripped_digests_survive_save_and_load(tmp_path, corpus_kb,
+                                               corpus_kb_without_stripped):
+    p = tmp_path / "kb.txt"
+    save(corpus_kb, p)
+    assert '"stripped":["' in p.read_text()
+    loaded = load(p)
+    stripped = lambda kb: {(cve, r.construct.fqn, r.change): r.stripped
+                           for cve, records in kb.records.items() for r in records}
+    assert loaded == corpus_kb and loaded.has_stripped_digests
+    assert any(stripped(corpus_kb).values())
+    assert stripped(loaded) == stripped(corpus_kb)
+    # Without the optional field the KB loads, with the code digests kept.
+    assert not corpus_kb_without_stripped.has_stripped_digests
+    assert corpus_kb_without_stripped.has_code_digests
+    assert set(stripped(corpus_kb_without_stripped).values()) == {None}
 
 
 def test_empty_kb_roundtrip(tmp_path):

@@ -19,6 +19,7 @@ from jarscan.classfile import (
     strip_packages,
     write_jar,
 )
+import jarscan.cpg
 from jarscan import scanner as scanner_mod
 from jarscan.classfile import parser as parser_mod
 from jarscan.classfile.descriptors import method_signature
@@ -450,37 +451,47 @@ def _variant_jars(corpus) -> dict:
     return jars
 
 
-def test_code_digests_leave_reports_unchanged(corpus, corpus_kb,
-                                              corpus_kb_without_code, tmp_path):
-    """Taking triplets from the KB for recorded bodies gives the report
-    that lifting every method gives."""
-    assert corpus_kb.has_code_digests
+def test_code_digests_leave_reports_unchanged(corpus, corpus_kb, corpus_kb_without_code,
+                                              corpus_kb_without_stripped, tmp_path):
+    """Taking triplets from the KB for recorded bodies, exact or up to
+    relocation, gives the report that lifting every method gives, in
+    default and repack mode."""
+    assert corpus_kb.has_code_digests and corpus_kb.has_stripped_digests
     assert not corpus_kb_without_code.has_code_digests
+    assert not corpus_kb_without_stripped.has_stripped_digests
     paths = []
     for name, data in _variant_jars(corpus).items():
         p = tmp_path / f"{name}.jar"
         p.write_bytes(data)
         paths.append(str(p))
-    assert _report_bytes(paths, corpus_kb) == _report_bytes(paths, corpus_kb_without_code)
+    report = _report_bytes(paths, corpus_kb)
+    assert '"mode": "repack"' in report
+    assert report == _report_bytes(paths, corpus_kb_without_stripped)
+    assert report == _report_bytes(paths, corpus_kb_without_code)
 
 
-def test_recorded_bodies_are_not_lifted(corpus, corpus_kb, monkeypatch):
+def test_recorded_bodies_are_not_lifted(corpus, corpus_kb, corpus_kb_without_stripped,
+                                       monkeypatch):
     """The corpus pre- and post-fix JARs hold only recorded bodies, so a
-    scan lifts nothing; recompiled and relocated bodies are lifted."""
+    scan lifts nothing. Relocated bodies are recorded ones up to package
+    prefixes: repack mode takes them from the KB's stripped digests, and
+    lifts them only without. Recompiled bodies are lifted."""
     lifted = []
-    real = scanner_mod.method_triplets
-    monkeypatch.setattr(scanner_mod, "method_triplets",
+    real = jarscan.cpg.method_triplets
+    monkeypatch.setattr(jarscan.cpg, "method_triplets",
                         lambda cf, m: lifted.append(m) or real(cf, m))
 
-    def lifts(jar):
+    def lifts(jar, kb=corpus_kb):
         lifted.clear()
-        scan_jar_bytes("j.jar", jar, corpus_kb, ScanConfig())
+        scan_jar_bytes("j.jar", jar, kb, ScanConfig())
         return len(lifted)
 
     jars = _variant_jars(corpus)
     for cve in corpus.cve_ids:
         assert lifts(jars[f"{cve}-pre"]) == lifts(jars[f"{cve}-post"]) == 0, cve
-    assert lifts(jars["pre_jars-kind4"]) > 0
+    for side in ("pre_jars", "post_jars"):
+        assert lifts(jars[f"{side}-kind4"]) == 0, side
+        assert lifts(jars[f"{side}-kind4"], corpus_kb_without_stripped) > 0, side
     assert lifts(jars["CVE-9000-0002-pre-kind1"]) > 0
 
 
