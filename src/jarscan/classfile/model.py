@@ -193,10 +193,13 @@ class _Stripper:
 
     def field_type(self, token: str):
         """One field-descriptor token, shown as ``render_type`` shows it;
-        a primitive one stays as it is."""
+        a primitive one stays as it is. The parser checks no descriptor a
+        Fieldref names, so an unterminated object type is checked here."""
         elem = token.lstrip("[")
         if not elem.startswith("L"):
             return token
+        if not elem.endswith(";"):
+            raise _NoStrippedKey(token)
         return self.name(elem[1:-1], render_type(token))
 
     def descriptor(self, desc: str) -> tuple:

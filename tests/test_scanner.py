@@ -730,6 +730,40 @@ def test_unresolvable_pool_reference_skips_the_method(corpus, corpus_kb,
         ("repack", SKIPPED, "method body could not be lifted")}
 
 
+@pytest.mark.parametrize("bad_desc", ["Lr/sh/Cfg", "Lr/sh/Cfg;junk", "[Lr/sh/Cfg"])
+def test_malformed_fieldref_descriptor_skips_a_relocated_body(tmp_path, bad_desc):
+    """The parser checks the descriptors of a class's own members, not those
+    of the fields its code names. A relocated body whose getstatic names a
+    malformed object descriptor has no stripped key: repack mode lifts it,
+    which skips it, and the other JAR of the scan is still flagged."""
+    def klass(name, desc, ret):
+        return ClassModel(name, methods=[
+            default_constructor(),
+            MethodModel("run", "(I)I", 0x09, code=[
+                ("getstatic", name, "ref", desc), "pop",
+                "iload_0", ret, "ireturn"])])
+
+    records = build_entry("CVE-TEST", [parse_class(emit_class(klass("sh.Cfg", "Lsh/Cfg;", "iconst_1")))],
+                          [parse_class(emit_class(klass("sh.Cfg", "Lsh/Cfg;", "iconst_2")))])
+    kb = KnowledgeBase(records={"CVE-TEST": records})
+    assert kb.has_stripped_digests
+    bad = tmp_path / "bad.jar"
+    bad.write_bytes(write_jar([(class_entry_path("r.sh.Cfg"),
+                                emit_class(klass("r.sh.Cfg", bad_desc, "iconst_1")))]))
+    good = tmp_path / "good.jar"
+    good.write_bytes(write_jar([(class_entry_path("q.sh.Cfg"),
+                                 emit_class(klass("q.sh.Cfg", "Lq/sh/Cfg;", "iconst_1")))]))
+    bad_res, good_res = scan([str(bad), str(good)], kb,
+                             ScanConfig(modes=("repack",))).jars
+    assert bad_res.error is None and bad_res.parse_failures == 0
+    [finding] = bad_res.findings
+    assert {(v.verdict, v.reason) for v in finding.constructs
+            if v.fqn == "sh.Cfg: int run(int)"} == {
+        (SKIPPED, "method body could not be lifted")}
+    assert {f.cve_id for f in good_res.findings
+            if f.verdict == VULNERABLE} == {"CVE-TEST"}
+
+
 def test_scan_isolates_bad_archives(tmp_path, corpus_kb):
     good = tmp_path / "good.jar"
     good.write_bytes(write_jar([]))

@@ -126,7 +126,11 @@ def test_name_outside_identifier_segments_has_no_stripped_key():
     dotted_in_descriptor = _body([
         ("new", "a.b.C"), "pop", "aconst_null",
         ("invokestatic", "u.V", "check", "(La.b/C;)V"), "aconst_null", "areturn"])
-    for cf, m in (_new("a.b#c.D"), dotted_in_descriptor):
+    # The parser checks no Fieldref's descriptor: an unterminated or
+    # trailing-junk object type has no key rather than raising.
+    unterminated = [_body([("getstatic", "a.b.C", "F", desc), "areturn"])
+                    for desc in ("La/b/C", "[La/b/C", "La/b/C;junk")]
+    for cf, m in (_new("a.b#c.D"), dotted_in_descriptor, *unterminated):
         assert stripped_code(resolved_code(m, cf.constant_pool)) is None
 
 
