@@ -46,6 +46,7 @@ from .ir.model import (
     Switch,
     Throw,
     Un,
+    operands,
 )
 from .triplets import (  # noqa: F401  (re-exported: the triplet encoding's API)
     SEP,
@@ -162,55 +163,22 @@ def stmt_label(stmt, params: set) -> str:
 
 
 def _child_tokens(stmt, params: set) -> list[str]:
-    """Labels of AST child nodes: callee/field tokens first, then operands."""
-    op = lambda x: f"lit:{_lit_label(x.value, x.jtype)}" if isinstance(x, Lit) \
-        else f"reg:{_reg_label(x, params)}"
+    """Labels of AST child nodes: callee/field/type/constant tokens first,
+    then one per operand."""
+    node = stmt.expr if isinstance(stmt, Assign) else stmt
     children: list[str] = []
-    if isinstance(stmt, Invoke):
-        children.append(f"callee:{stmt.owner}#{stmt.name}")
-        children.extend(op(a) for a in stmt.args)
-    elif isinstance(stmt, DynInvoke):
-        children.append(f"callee:dynamic#{stmt.name}")
-        children.extend(op(a) for a in stmt.args)
-    elif isinstance(stmt, FieldPut):
-        children.append(f"field:{stmt.owner}#{stmt.name}:{stmt.ftype}")
-        if stmt.obj is not None:
-            children.append(op(stmt.obj))
-        children.append(op(stmt.value))
-    elif isinstance(stmt, Assign):
-        e = stmt.expr
-        if isinstance(e, FieldGet):
-            children.append(f"field:{e.owner}#{e.name}:{e.ftype}")
-            if e.obj is not None:
-                children.append(op(e.obj))
-        elif isinstance(e, (Bin, CmpExpr)):
-            children.extend([op(e.a), op(e.b)])
-        elif isinstance(e, Un):
-            children.append(op(e.a))
-        elif isinstance(e, Copy):
-            children.append(op(e.src))
-        elif isinstance(e, Const):
-            children.append(f"lit:{_lit_label(e.value, e.jtype)}")
-        elif isinstance(e, ArrayGet):
-            children.extend([op(e.arr), op(e.idx)])
-        elif isinstance(e, NewArr):
-            children.extend(op(d) for d in e.dims)
-        elif isinstance(e, (Cast, InstOf)):
-            children.append(f"type:{e.cls}")
-            children.append(op(e.a))
-        elif isinstance(e, Concat):
-            children.extend(op(a) for a in e.args)
-        elif isinstance(e, NewObj):
-            children.append(f"type:{e.cls}")
-    elif isinstance(stmt, ArrayPut):
-        children.extend([op(stmt.arr), op(stmt.idx), op(stmt.value)])
-    elif isinstance(stmt, Branch):
-        children.extend(op(a) for a in stmt.args)
-    elif isinstance(stmt, Switch):
-        children.append(op(stmt.key))
-    elif isinstance(stmt, (Return, Throw, Monitor)):
-        if getattr(stmt, "value", None) is not None:
-            children.append(op(stmt.value))
+    if isinstance(node, Invoke):
+        children.append(f"callee:{node.owner}#{node.name}")
+    elif isinstance(node, DynInvoke):
+        children.append(f"callee:dynamic#{node.name}")
+    elif isinstance(node, (FieldGet, FieldPut)):
+        children.append(f"field:{node.owner}#{node.name}:{node.ftype}")
+    elif isinstance(node, (Cast, InstOf, NewObj)):
+        children.append(f"type:{node.cls}")
+    elif isinstance(node, Const):
+        children.append(f"lit:{_lit_label(node.value, node.jtype)}")
+    children.extend(f"lit:{_lit_label(x.value, x.jtype)}" if isinstance(x, Lit)
+                    else f"reg:{_reg_label(x, params)}" for x in operands(stmt))
     return children
 
 

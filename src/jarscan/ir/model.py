@@ -23,6 +23,20 @@ class Lit:
 Operand = "str | Lit"  # registers are bare strings
 
 
+class Node:
+    """Base of IR expressions and statements.
+
+    Each node class declares, once, which of its fields hold operands:
+    OPERANDS names them in order. An operand field holds a register, a
+    Lit, None when absent, or a tuple of registers and Lits; Assign's
+    holds its expression, whose operands are the statement's. DEFINES
+    names the field holding the register the statement defines, if any.
+    """
+
+    OPERANDS = ()
+    DEFINES = None
+
+
 def render_operand(op) -> str:
     if isinstance(op, Lit):
         if op.jtype == "ref" and op.value is None:
@@ -36,18 +50,24 @@ def render_operand(op) -> str:
 # ---------------------------------------------------------------- expressions
 
 @dataclass(frozen=True)
-class Const:
+class Const(Node):
+    OPERANDS = ()
+
     value: object
     jtype: str
 
 
 @dataclass(frozen=True)
-class Copy:
+class Copy(Node):
+    OPERANDS = ("src",)
+
     src: str
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(Node):
+    OPERANDS = ("a", "b")
+
     op: str          # add, sub, mul, div, rem, shl, shr, ushr, and, or, xor
     jtype: str
     a: object        # Operand
@@ -55,20 +75,26 @@ class Bin:
 
 
 @dataclass(frozen=True)
-class Un:
+class Un(Node):
+    OPERANDS = ("a",)
+
     op: str          # neg_int, i2l, l2i, arraylength, ...
     a: object
 
 
 @dataclass(frozen=True)
-class CmpExpr:
+class CmpExpr(Node):
+    OPERANDS = ("a", "b")
+
     op: str          # lcmp, fcmpl, fcmpg, dcmpl, dcmpg
     a: object
     b: object
 
 
 @dataclass(frozen=True)
-class FieldGet:
+class FieldGet(Node):
+    OPERANDS = ("obj",)
+
     owner: str
     name: str
     ftype: str       # rendered type
@@ -76,43 +102,57 @@ class FieldGet:
 
 
 @dataclass(frozen=True)
-class ArrayGet:
+class ArrayGet(Node):
+    OPERANDS = ("arr", "idx")
+
     jtype: str
     arr: str
     idx: object
 
 
 @dataclass(frozen=True)
-class NewObj:
+class NewObj(Node):
+    OPERANDS = ()
+
     cls: str
 
 
 @dataclass(frozen=True)
-class NewArr:
+class NewArr(Node):
+    OPERANDS = ("dims",)
+
     elem: str
     dims: tuple
 
 
 @dataclass(frozen=True)
-class Cast:
+class Cast(Node):
+    OPERANDS = ("a",)
+
     cls: str
     a: str
 
 
 @dataclass(frozen=True)
-class InstOf:
+class InstOf(Node):
+    OPERANDS = ("a",)
+
     cls: str
     a: str
 
 
 @dataclass(frozen=True)
-class Caught:
+class Caught(Node):
+    OPERANDS = ()
+
     catch_type: str | None
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(Node):
     """Abstract string concatenation; produced only by normalization."""
+
+    OPERANDS = ("args",)
 
     args: tuple
 
@@ -120,13 +160,19 @@ class Concat:
 # ----------------------------------------------------------------- statements
 
 @dataclass(frozen=True)
-class Assign:
+class Assign(Node):
+    OPERANDS = ("expr",)
+    DEFINES = "target"
+
     target: str
     expr: object
 
 
 @dataclass(frozen=True)
-class Invoke:
+class Invoke(Node):
+    OPERANDS = ("args",)
+    DEFINES = "result"
+
     result: str | None
     kind: str        # virtual, special, static, interface
     owner: str
@@ -136,7 +182,10 @@ class Invoke:
 
 
 @dataclass(frozen=True)
-class DynInvoke:
+class DynInvoke(Node):
+    OPERANDS = ("args",)
+    DEFINES = "result"
+
     result: str | None
     name: str
     desc: str
@@ -144,7 +193,9 @@ class DynInvoke:
 
 
 @dataclass(frozen=True)
-class FieldPut:
+class FieldPut(Node):
+    OPERANDS = ("obj", "value")
+
     owner: str
     name: str
     ftype: str
@@ -153,7 +204,9 @@ class FieldPut:
 
 
 @dataclass(frozen=True)
-class ArrayPut:
+class ArrayPut(Node):
+    OPERANDS = ("arr", "idx", "value")
+
     jtype: str
     arr: str
     idx: object
@@ -161,7 +214,9 @@ class ArrayPut:
 
 
 @dataclass(frozen=True)
-class Branch:
+class Branch(Node):
+    OPERANDS = ("args",)
+
     op: str          # eq, ne, lt, ge, gt, le
     jtype: str       # int or ref
     args: tuple      # (a, b); zero/null comparisons carry a Lit
@@ -170,37 +225,47 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class Goto:
+class Goto(Node):
+    OPERANDS = ()
+
     target: int
 
 
 @dataclass(frozen=True)
-class Switch:
+class Switch(Node):
+    OPERANDS = ("key",)
+
     key: str
     cases: tuple     # ((match value, block id), ...) sorted by value
     default: int
 
 
 @dataclass(frozen=True)
-class Return:
+class Return(Node):
+    OPERANDS = ("value",)
+
     value: str | None = None
     jtype: str | None = None
 
 
 @dataclass(frozen=True)
-class Throw:
+class Throw(Node):
+    OPERANDS = ("value",)
+
     value: str
 
 
 @dataclass(frozen=True)
-class Monitor:
+class Monitor(Node):
+    OPERANDS = ("value",)
+
     kind: str        # enter | exit
     value: str
 
 
 @dataclass(frozen=True)
-class Nop:
-    pass
+class Nop(Node):
+    OPERANDS = ()
 
 
 TERMINATORS = (Branch, Goto, Switch, Return, Throw)
@@ -250,68 +315,29 @@ class MethodIr:
 
 # -------------------------------------------------------------- uses and defs
 
-def _operand_uses(op) -> list:
-    return [op] if isinstance(op, str) else []
+def operands(node) -> list:
+    """The node's operands, registers and Lits, in declaration order; an
+    Assign's are its expression's."""
+    out = []
+    for name in node.OPERANDS:
+        value = getattr(node, name)
+        if isinstance(value, tuple):
+            out += value
+        elif isinstance(value, Node):
+            out += operands(value)
+        elif value is not None:
+            out.append(value)
+    return out
 
 
 def stmt_def(stmt) -> str | None:
     """Register defined by the statement, if any."""
-    if isinstance(stmt, Assign):
-        return stmt.target
-    if isinstance(stmt, (Invoke, DynInvoke)):
-        return stmt.result
-    return None
+    return None if stmt.DEFINES is None else getattr(stmt, stmt.DEFINES)
 
 
 def stmt_uses(stmt) -> list:
     """Registers read by the statement, in a stable order."""
-    if isinstance(stmt, Assign):
-        e = stmt.expr
-        if isinstance(e, Const):
-            return []
-        if isinstance(e, Copy):
-            return [e.src]
-        if isinstance(e, Bin):
-            return _operand_uses(e.a) + _operand_uses(e.b)
-        if isinstance(e, Un):
-            return _operand_uses(e.a)
-        if isinstance(e, CmpExpr):
-            return _operand_uses(e.a) + _operand_uses(e.b)
-        if isinstance(e, FieldGet):
-            return _operand_uses(e.obj) if e.obj else []
-        if isinstance(e, ArrayGet):
-            return [e.arr] + _operand_uses(e.idx)
-        if isinstance(e, NewObj):
-            return []
-        if isinstance(e, NewArr):
-            return [d for d in e.dims if isinstance(d, str)]
-        if isinstance(e, (Cast, InstOf)):
-            return [e.a]
-        if isinstance(e, Caught):
-            return []
-        if isinstance(e, Concat):
-            return [a for a in e.args if isinstance(a, str)]
-        raise TypeError(f"unknown expression {e!r}")
-    if isinstance(stmt, (Invoke, DynInvoke)):
-        return [a for a in stmt.args if isinstance(a, str)]
-    if isinstance(stmt, FieldPut):
-        out = _operand_uses(stmt.obj) if stmt.obj else []
-        return out + _operand_uses(stmt.value)
-    if isinstance(stmt, ArrayPut):
-        return [stmt.arr] + _operand_uses(stmt.idx) + _operand_uses(stmt.value)
-    if isinstance(stmt, Branch):
-        return [a for a in stmt.args if isinstance(a, str)]
-    if isinstance(stmt, Switch):
-        return [stmt.key]
-    if isinstance(stmt, Return):
-        return [stmt.value] if stmt.value else []
-    if isinstance(stmt, Throw):
-        return [stmt.value]
-    if isinstance(stmt, Monitor):
-        return [stmt.value]
-    if isinstance(stmt, (Goto, Nop)):
-        return []
-    raise TypeError(f"unknown statement {stmt!r}")
+    return [op for op in operands(stmt) if isinstance(op, str)]
 
 
 # ------------------------------------------------------------------- dumping

@@ -27,21 +27,18 @@ import dataclasses
 from .classfile.model import STRING_BUILDERS
 from .ir.model import (
     Assign,
-    Bin,
     Block,
     Branch,
-    CmpExpr,
     Concat,
     Const,
-    Copy,
     DynInvoke,
-    FieldGet,
     Goto,
     HandlerInfo,
     Invoke,
     MethodIr,
     NEGATED_OP,
     NewObj,
+    Node,
     Nop,
     Return,
     Switch,
@@ -150,52 +147,24 @@ class _Work:
 
 # ------------------------------------------------------------ register pass
 
-def _map_registers(stmt, f):
-    """Rebuild a statement with f applied to every register occurrence."""
-    def op(x):
-        return f(x) if isinstance(x, str) else x
-
-    if isinstance(stmt, Assign):
-        e = stmt.expr
-        if isinstance(e, Copy):
-            e = Copy(f(e.src))
-        elif isinstance(e, Bin):
-            e = dataclasses.replace(e, a=op(e.a), b=op(e.b))
-        elif isinstance(e, CmpExpr):
-            e = dataclasses.replace(e, a=op(e.a), b=op(e.b))
-        elif isinstance(e, Concat):
-            e = Concat(tuple(op(a) for a in e.args))
-        elif hasattr(e, "a") and isinstance(getattr(e, "a"), str):
-            e = dataclasses.replace(e, a=f(e.a))
-        if isinstance(e, FieldGet) and e.obj is not None:
-            e = dataclasses.replace(e, obj=f(e.obj))
-        if hasattr(e, "arr"):
-            e = dataclasses.replace(e, arr=f(e.arr), idx=op(e.idx))
-        if hasattr(e, "dims"):
-            e = dataclasses.replace(e, dims=tuple(op(d) for d in e.dims))
-        return Assign(f(stmt.target), e)
-    if isinstance(stmt, (Invoke, DynInvoke)):
-        return dataclasses.replace(
-            stmt,
-            result=f(stmt.result) if stmt.result else None,
-            args=tuple(op(a) for a in stmt.args))
-    if hasattr(stmt, "value") and hasattr(stmt, "obj"):  # FieldPut
-        return dataclasses.replace(
-            stmt, obj=f(stmt.obj) if stmt.obj else None, value=op(stmt.value))
-    if hasattr(stmt, "arr"):  # ArrayPut
-        return dataclasses.replace(stmt, arr=f(stmt.arr), idx=op(stmt.idx),
-                                   value=op(stmt.value))
-    if isinstance(stmt, Branch):
-        return dataclasses.replace(stmt, args=tuple(op(a) for a in stmt.args))
-    if isinstance(stmt, Switch):
-        return dataclasses.replace(stmt, key=f(stmt.key))
-    if isinstance(stmt, Return) and stmt.value is not None:
-        return dataclasses.replace(stmt, value=f(stmt.value))
-    if isinstance(stmt, Throw):
-        return dataclasses.replace(stmt, value=f(stmt.value))
-    if hasattr(stmt, "kind") and hasattr(stmt, "value"):  # Monitor
-        return dataclasses.replace(stmt, value=f(stmt.value))
-    return stmt
+def _map_registers(node, f):
+    """Rebuild a statement or expression with f applied to every register
+    it reads or defines, as its class declares them."""
+    registers = (*node.OPERANDS, node.DEFINES)
+    if registers == (None,):
+        return node
+    values = []
+    for name in node.__match_args__:          # the fields, in order
+        value = getattr(node, name)
+        if name in registers:
+            if isinstance(value, str):
+                value = f(value)
+            elif isinstance(value, tuple):
+                value = tuple([f(x) if isinstance(x, str) else x for x in value])
+            elif isinstance(value, Node):
+                value = _map_registers(value, f)
+        values.append(value)
+    return type(node)(*values)
 
 
 def _renumber_registers(work: _Work):

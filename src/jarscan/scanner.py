@@ -2,6 +2,28 @@
 classify each as vulnerable or fixed, per CVE, in default and
 re-packaging-detection modes.
 
+Both modes apply one table of construct rules (``_rules``) and differ only
+in how they find a record's declaring class and method in the JAR:
+
+  * default mode by exact FQN, comparing triplets as they are;
+  * repack mode by unqualified name: each class of the record's
+    unqualified class name whose class context passes θCC, and its method
+    of the record's unqualified signature, comparing triplets unqualified.
+    Of several such classes the first vulnerable verdict is reported, else
+    the first fixed one, else the first.
+
+The rules, by the record's change:
+
+  * removed: the construct present is vulnerable, absent fixed;
+  * added: the construct present is fixed; a method missing from its
+    present declaring class is vulnerable; with the declaring class
+    absent, a method is fixed, and a class-level construct vulnerable in
+    default mode but fixed in repack mode;
+  * changed: a method missing from its present declaring class is
+    vulnerable; the body's triplets are matched against the fix
+    signature; an absent class, a record without signature, a body that
+    cannot be lifted and a class-level change are skipped.
+
 Decision rules for a matched method with triplet set Tm and fix signature
 (CT, PT, NT):
 
@@ -241,18 +263,15 @@ class JarView:
 # ------------------------------------------------------------- triplet match
 
 def match_triplets(t_m, sig: FixSignature, config: ScanConfig,
-                   mode: str = "default",
-                   unqualified: bool = False) -> tuple[str, MatchCounts]:
+                   mode: str = "default") -> tuple[str, MatchCounts]:
     """Classify one matched method body against a fix signature.
 
-    Repack mode compares both sides unqualified; ``unqualified`` says
-    the caller passes them so already.
+    Callers pass both sides as they are to be compared; repack mode's
+    pass the body's triplets and the signature unqualified (``unqualify``,
+    ``KnowledgeBase.unqualified_signature``). ``mode`` only decides
+    whether the θCT gate on unchanged context applies.
     """
-    if mode == "repack" and not unqualified:
-        ct, pt, nt = unqualify(sig.ct), unqualify(sig.pt), unqualify(sig.nt)
-        tm = unqualify(t_m)
-    else:
-        ct, pt, nt, tm = sig.ct, sig.pt, sig.nt, frozenset(t_m)
+    ct, pt, nt, tm = sig.ct, sig.pt, sig.nt, frozenset(t_m)
     counts = MatchCounts(nt_hit=len(nt & tm), pt_hit=len(pt & tm),
                          ct_hit=len(ct & tm), nt_size=len(nt),
                          pt_size=len(pt), ct_size=len(ct))
@@ -280,142 +299,113 @@ def match_class_context(kb_context: frozenset, scanned_class: ClassFile) -> floa
 
 def classify_construct(record, view: JarView, cve_id: str,
                        config: ScanConfig) -> ConstructVerdict:
-    """Default mode: rules keyed on the record's change kind.
-
-    removed: present in the JAR means the fix is not applied.
-    added: a method missing while its declaring class is present means the
-    fix is not applied; a missing declaring class counts as fixed.
-    changed: the method body is lifted, normalized and triplet-matched.
-    """
+    """Default mode: the record's declaring class and method by exact FQN."""
     fqn = record.construct.fqn
-    kind = record.construct.kind
-
-    def verdict(v, counts=None, reason=None):
-        return ConstructVerdict(fqn=fqn, kind=kind, change=record.change,
-                                cve_id=cve_id, verdict=v, mode="default",
-                                counts=counts, reason=reason)
-
-    if kind in ("class", "interface"):
-        present = fqn in view.class_by_fqn
-        if record.change == "removed":
-            return verdict(VULNERABLE if present else FIXED,
-                           reason="removed construct present" if present
-                           else "removed construct absent")
-        if record.change == "added":
-            return verdict(FIXED if present else VULNERABLE,
-                           reason="added construct present" if present
-                           else "added construct absent")
-        return verdict(SKIPPED, reason="class-level change carries no signature")
-
-    declaring = record.declaring_class
-    class_present = declaring in view.class_by_fqn
-    method_present = fqn in view.methods
-
-    if record.change == "removed":
-        return verdict(VULNERABLE if method_present else FIXED,
-                       reason="removed construct present" if method_present
-                       else "removed construct absent")
-    if record.change == "added":
-        if method_present:
-            return verdict(FIXED, reason="added method present")
-        if class_present:
-            return verdict(VULNERABLE,
-                           reason="added method absent while declaring class present")
-        return verdict(FIXED, reason="declaring class absent")
-
-    # changed
-    if not class_present:
-        return verdict(SKIPPED, reason="declaring class not in archive")
-    if not method_present:
-        return verdict(VULNERABLE, reason="changed method missing from declaring class")
-    if record.signature is None:
-        return verdict(SKIPPED, reason="no signature recorded for changed method")
-    t_m = view.method_triplet_set(fqn)
-    if t_m is None:
-        return verdict(SKIPPED, reason="method body could not be lifted")
-    v, counts = match_triplets(t_m, record.signature, config, mode="default")
-    return verdict(v, counts=counts)
+    method = fqn if fqn in view.methods else None
+    verdict, counts, reason = _rules(record, "default", view, config,
+                                     record.declaring_class in view.class_by_fqn, method)
+    return _construct_verdict(record, cve_id, "default", verdict, counts, reason)
 
 
 def classify_construct_repack(record, view: JarView, cve_id: str,
                               config: ScanConfig) -> ConstructVerdict:
-    """Repack mode: locate the declaring class by unqualified name, gate on
-    class context, then apply the same rules on unqualified names."""
-    fqn = record.construct.fqn
-    kind = record.construct.kind
-
-    def verdict(v, counts=None, reason=None, scanned_fqn=None):
-        return ConstructVerdict(fqn=fqn, kind=kind, change=record.change,
-                                cve_id=cve_id, verdict=v, mode="repack",
-                                counts=counts, reason=reason,
-                                scanned_fqn=scanned_fqn)
-
-    unq_class = strip_packages(record.declaring_class)
-    candidates = view.by_unq_class.get(unq_class, [])
+    """Repack mode: each class of the record's unqualified class name whose
+    class context passes θCC, and its method of the record's unqualified
+    signature. Of several such classes the first vulnerable verdict is
+    reported, else the first fixed one, else the first."""
+    candidates = view.by_unq_class.get(strip_packages(record.declaring_class), [])
     if not candidates:
-        if record.change == "removed":
-            return verdict(FIXED, reason="removed construct absent")
-        if record.change == "added":
-            return verdict(FIXED, reason="declaring class absent")
-        return verdict(SKIPPED, reason="no class with matching unqualified name")
+        return _construct_verdict(record, cve_id, "repack",
+                                  *_rules(record, "repack", view, config, False, None))
     confirmed = [cf for cf in candidates
                  if match_class_context(record.class_context, cf) > config.theta_cc]
     if not confirmed:
-        return verdict(SKIPPED, reason="class context below threshold")
+        return _construct_verdict(record, cve_id, "repack", SKIPPED, None,
+                                  "class context below threshold")
+    results = []
+    for cf in confirmed:
+        method = None
+        if record.construct.kind == "method":
+            method = _method_by_unqualified(cf, record.construct.unqualified)
+        results.append((*_rules(record, "repack", view, config, True, method),
+                        cf.this_class if method is None else method))
+    chosen = next((r for r in results if r[0] == VULNERABLE),
+                  next((r for r in results if r[0] == FIXED), results[0]))
+    return _construct_verdict(record, cve_id, "repack", *chosen)
 
-    results = [_classify_record_in_class(record, view, cf, config)
-               for cf in confirmed]
-    for v, counts, reason, scanned in results:
-        if v == VULNERABLE:
-            return verdict(v, counts, reason, scanned)
-    for v, counts, reason, scanned in results:
-        if v == FIXED:
-            return verdict(v, counts, reason, scanned)
-    v, counts, reason, scanned = results[0]
-    return verdict(v, counts, reason, scanned)
 
-
-def _classify_record_in_class(record, view: JarView, cf: ClassFile,
-                              config: ScanConfig):
-    """Evaluate one record against one context-confirmed scanned class."""
-    kind = record.construct.kind
-    if kind in ("class", "interface"):
-        if record.change == "removed":
-            return (VULNERABLE, None, "removed class present (unqualified match)",
-                    cf.this_class)
-        if record.change == "added":
-            return (FIXED, None, "added class present (unqualified match)",
-                    cf.this_class)
-        return (SKIPPED, None, "class-level change carries no signature", cf.this_class)
-
-    target_unq = record.construct.unqualified
-    match = None
+def _method_by_unqualified(cf: ClassFile, unqualified: str) -> str | None:
+    """FQN of the class's first method whose unqualified signature is this."""
     for m in cf.methods:
-        scanned_fqn = method_signature(cf.this_class, m.name, m.descriptor)
-        if strip_packages(scanned_fqn) == target_unq:
-            match = scanned_fqn
-            break
-    if record.change == "removed":
-        if match is not None:
-            return (VULNERABLE, None, "removed construct present", match)
-        return (FIXED, None, "removed construct absent", cf.this_class)
-    if record.change == "added":
-        if match is not None:
-            return (FIXED, None, "added method present", match)
-        return (VULNERABLE, None,
-                "added method absent while declaring class present", cf.this_class)
+        fqn = method_signature(cf.this_class, m.name, m.descriptor)
+        if strip_packages(fqn) == unqualified:
+            return fqn
+    return None
+
+
+def _construct_verdict(record, cve_id: str, mode: str, verdict: str, counts, reason,
+                       scanned_fqn=None) -> ConstructVerdict:
+    return ConstructVerdict(fqn=record.construct.fqn, kind=record.construct.kind,
+                            change=record.change, cve_id=cve_id, verdict=verdict,
+                            mode=mode, counts=counts, reason=reason,
+                            scanned_fqn=scanned_fqn)
+
+
+def _rules(record, mode: str, view: JarView, config: ScanConfig,
+           class_found: bool, method: str | None) -> tuple:
+    """The added/removed/changed rules for one record, against the class
+    (``class_found``) and method (``method``, its FQN in the JAR, or None)
+    that the mode's resolver found. Returns (verdict, counts, reason).
+
+    Default mode compares the method's triplets with the record's
+    signature as they are, repack mode both unqualified.
+    """
+    change = record.change
+    repack = mode == "repack"
+    if record.construct.kind in ("class", "interface"):
+        if change == "removed":
+            if not class_found:
+                return FIXED, None, "removed construct absent"
+            return VULNERABLE, None, ("removed class present (unqualified match)"
+                                      if repack else "removed construct present")
+        if change == "added":
+            if class_found:
+                return FIXED, None, ("added class present (unqualified match)"
+                                     if repack else "added construct present")
+            if repack:
+                return FIXED, None, "declaring class absent"
+            return VULNERABLE, None, "added construct absent"
+        if repack and not class_found:
+            return SKIPPED, None, "no class with matching unqualified name"
+        return SKIPPED, None, "class-level change carries no signature"
+
+    if change == "removed":
+        if method is not None:
+            return VULNERABLE, None, "removed construct present"
+        return FIXED, None, "removed construct absent"
+    if change == "added":
+        if method is not None:
+            return FIXED, None, "added method present"
+        if class_found:
+            return VULNERABLE, None, "added method absent while declaring class present"
+        return FIXED, None, "declaring class absent"
     # changed
-    if match is None:
-        return (VULNERABLE, None, "changed method missing from declaring class",
-                cf.this_class)
+    if not class_found:
+        return SKIPPED, None, ("no class with matching unqualified name" if repack
+                               else "declaring class not in archive")
+    if method is None:
+        return VULNERABLE, None, "changed method missing from declaring class"
     if record.signature is None:
-        return (SKIPPED, None, "no signature recorded for changed method", match)
-    t_m = view.unqualified_triplet_set(match)
+        return SKIPPED, None, "no signature recorded for changed method"
+    if repack:
+        t_m = view.unqualified_triplet_set(method)
+    else:
+        t_m = view.method_triplet_set(method)
     if t_m is None:
-        return (SKIPPED, None, "method body could not be lifted", match)
-    v, counts = match_triplets(t_m, view.kb.unqualified_signature(record.signature),
-                               config, mode="repack", unqualified=True)
-    return (v, counts, None, match)
+        return SKIPPED, None, "method body could not be lifted"
+    sig = view.kb.unqualified_signature(record.signature) if repack else record.signature
+    verdict, counts = match_triplets(t_m, sig, config, mode)
+    return verdict, counts, None
 
 
 def aggregate(verdicts: list) -> str:

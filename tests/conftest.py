@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from corpus import build_corpus  # noqa: E402
 
 from jarscan.kb import KnowledgeBase, build_entry, load, save  # noqa: E402
+from jarscan.modharness import modify  # noqa: E402
 from jarscan.classfile import parse_class  # noqa: E402
 from jarscan.classfile.constant_pool import TAG_UTF8  # noqa: E402
 
@@ -27,6 +28,22 @@ def corpus_kb(corpus):
         post = [parse_class(b) for _n, b in corpus.post_classes[cve]]
         records[cve] = build_entry(cve, pre, post)
     return KnowledgeBase(records=records)
+
+
+@pytest.fixture(scope="session")
+def variant_jars(corpus):
+    """The corpus pre/post JARs, and modify kinds 1-4 of them, by name."""
+    jars = {}
+    for i, cve in enumerate(corpus.cve_ids):
+        for side in ("pre", "post"):
+            jar = getattr(corpus, f"{side}_jars")[cve]
+            jars[f"{cve}-{side}"] = jar
+            jars[f"{cve}-{side}-kind1"] = modify([jar], 1, seed=300 + i)
+    for side in ("pre_jars", "post_jars"):
+        inputs = [getattr(corpus, side)[c] for c in corpus.cve_ids]
+        for kind in (2, 3, 4):
+            jars[f"{side}-kind{kind}"] = modify(inputs, kind)
+    return jars
 
 
 def _saved_without(kb, path, fields):

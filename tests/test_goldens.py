@@ -1,0 +1,61 @@
+"""Pinned digests of what jarscan writes on the synthetic corpus.
+
+A refactor must leave all three unchanged: the KB file that kb-build
+writes, the normalized IR of every liftable method, and the JSON scan
+report in both modes. A change that moves one on purpose re-pins it and
+says why.
+"""
+
+import hashlib
+import json
+
+from corpus import materialize_manifest
+
+from jarscan.classfile import parse_class
+from jarscan.errors import LiftError
+from jarscan.ir import dump, lift
+from jarscan.kb import build_from_manifest, load, save
+from jarscan.normalize import normalize
+from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_bytes
+
+KB_SHA256 = "ea3cbe3d79add56e09c1a104e4e2dbd4687439f136dea454ae1d89325f542706"
+DUMP_SHA256 = "9d27f472ee0b867168c5dfd3e766ca2d47805b5fef5b592cf0cb84a10bc0a76a"
+REPORT_SHA256 = "c13f09a3bda29f47524c74c5ea1581aaa1159eb9b8bebe91c19590c7f22fbe0e"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _normalized_dumps(corpus) -> str:
+    """Every liftable method of every corpus class, pre and post, as the
+    ``dump`` of its normalized IR under its class, name and descriptor."""
+    out = []
+    for cve in corpus.cve_ids:
+        for side in (corpus.pre_classes, corpus.post_classes):
+            for _name, data in side[cve]:
+                cf = parse_class(data)
+                for m in cf.methods:
+                    if m.code is None:
+                        continue
+                    try:
+                        ir = lift(m.code, m.descriptor, m.is_static, cf.constant_pool)
+                    except LiftError:
+                        continue
+                    out.append(f"{cf.this_class}.{m.name}{m.descriptor}\n"
+                               f"{dump(normalize(ir))}")
+    return "".join(out)
+
+
+def test_pinned_goldens(corpus, variant_jars, tmp_path):
+    kb_path = tmp_path / "kb.txt"
+    built, _stats = build_from_manifest(materialize_manifest(corpus, tmp_path))
+    save(built, kb_path)
+    kb, config = load(kb_path), ScanConfig()
+    report = ScanReport(config, [scan_jar_bytes(name, data, kb, config)
+                                 for name, data in sorted(variant_jars.items())])
+    text = json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
+    assert '"mode": "repack"' in text
+    assert (_sha256(kb_path.read_bytes()),
+            _sha256(_normalized_dumps(corpus).encode()),
+            _sha256(text.encode())) == (KB_SHA256, DUMP_SHA256, REPORT_SHA256)

@@ -1,16 +1,23 @@
 """Lifting, CFG construction and the semantic oracle."""
 
+import dataclasses
 import random
 
 import pytest
 
-from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
-from jarscan.errors import InconsistentStackDepthAtJoin, StackUnderflow, UnsupportedInstruction
-from jarscan.ir import ENTRY, EXIT, build_cfg, dump, lift
-from jarscan.ir.model import Assign, Bin, Branch, Const, Return
+from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class, parse_jar
+from jarscan.errors import (InconsistentStackDepthAtJoin, LiftError, StackUnderflow,
+                            UnsupportedInstruction)
+from jarscan.ir import ENTRY, EXIT, build_cfg, dump, lift, model
+from jarscan.ir.model import (ArrayGet, ArrayPut, Assign, Bin, Block, Branch, Cast, Caught,
+                              CmpExpr, Concat, Const, Copy, DynInvoke, FieldGet, FieldPut,
+                              Goto, HandlerInfo, InstOf, Invoke, Lit, MethodIr, Monitor,
+                              NewArr, NewObj, Nop, Return, Switch, Throw, Un, stmt_def,
+                              stmt_uses)
+from jarscan.normalize import _map_registers, normalize
 from ir_interp import run_ir
 from oracle_interp import run_bytecode, w32
-from randgen import assemble_method, random_int_method
+from randgen import assemble_method, random_int_method, random_ref_jar
 
 
 def lift_method(code, desc="(I)I", handlers=None, static=True,
@@ -202,3 +209,82 @@ def test_wrap32_matches_reference():
     for x in (0, 1, -1, 2**31 - 1, -2**31, 2**31, 2**33 + 17):
         from ir_interp import wrap32
         assert wrap32(x) == w32(x)
+
+
+# ------------------------------------------------------------ operand protocol
+
+_EXEMPT = (Lit, Block, HandlerInfo, MethodIr)
+_NODES = [c for c in vars(model).values()
+          if isinstance(c, type) and dataclasses.is_dataclass(c) and c not in _EXEMPT]
+
+# One of each node, with registers, Lits and absent operands.
+_EXAMPLES = [
+    Assign("t0", Const(3, "int")), Assign("t1", Copy("p0")),
+    Assign("t2", Bin("add", "int", "t0", Lit(1, "int"))), Assign("t3", Un("neg_int", "t2")),
+    Assign("t4", CmpExpr("lcmp", "p0", "p1")),
+    Assign("t5", FieldGet("a.B", "f", "int", "p0")), Assign("t6", FieldGet("a.B", "s", "int", None)),
+    Assign("t7", ArrayGet("int", "p0", "t0")), Assign("t8", NewObj("a.B")),
+    Assign("t9", NewArr("int[][]", ("t0", Lit(2, "int")))), Assign("t10", Cast("a.B", "p0")),
+    Assign("t11", InstOf("a.B", "p0")), Assign("t12", Caught(None)),
+    Assign("t13", Concat(("p0", Lit("x", "string"), "t1"))),
+    Invoke("t14", "virtual", "a.B", "m", "(I)I", ("p0", "t0")),
+    Invoke(None, "static", "a.B", "n", "()V", ()),
+    DynInvoke("t15", "makeConcatWithConstants", "(I)Ljava/lang/String;", ("t0",)),
+    FieldPut("a.B", "f", "int", "p0", "t0"), FieldPut("a.B", "s", "int", None, Lit(0, "int")),
+    ArrayPut("int", "p0", Lit(0, "int"), "t0"),
+    Branch("eq", "ref", ("p0", Lit(None, "ref")), 2, 1), Goto(3),
+    Switch("t0", ((1, 2), (5, 3)), 1), Return("t0", "int"), Return(),
+    Throw("p0"), Monitor("enter", "p0"), Nop(),
+]
+
+
+def test_every_node_declares_its_operands():
+    """Each expression and statement class names its operand fields, in
+    field order, and the statements that define a register name it."""
+    assert len(_NODES) == 25
+    assert {type(n) for n in _EXAMPLES} | {type(n.expr) for n in _EXAMPLES
+                                          if isinstance(n, Assign)} == set(_NODES)
+    for cls in _NODES:
+        assert "OPERANDS" in vars(cls), cls
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert [f for f in fields if f in cls.OPERANDS] == list(cls.OPERANDS), cls
+        assert cls.DEFINES in (None, *fields), cls
+    assert {c for c in _NODES if c.DEFINES} == {Assign, Invoke, DynInvoke}
+
+
+def _lifted_and_normalized(corpus) -> list:
+    """The statements of every liftable method of the corpus and of seeded
+    random classes, as lifted and after normalization."""
+    classes = [parse_class(data) for cve in corpus.cve_ids
+               for side in (corpus.pre_classes, corpus.post_classes)
+               for _name, data in side[cve]]
+    rng = random.Random(11)
+    for _ in range(6):
+        classes.extend(parse_jar(random_ref_jar(rng)).class_files())
+        classes.append(assemble_method(random_int_method(rng))[0])
+    out = []
+    for cf in classes:
+        for m in cf.methods:
+            if m.code is None:
+                continue
+            try:
+                ir = lift(m.code, m.descriptor, m.is_static, cf.constant_pool)
+            except LiftError:
+                continue
+            out += ir.statements + normalize(ir).statements
+    return out
+
+
+def test_register_renaming_follows_uses_and_defs(corpus):
+    """Renaming every register renames exactly the registers stmt_uses
+    and stmt_def report, in the same order; the identity rebuilds the
+    statement unchanged."""
+    statements = _EXAMPLES + _lifted_and_normalized(corpus)
+    assert len(statements) > 2000
+    prime = lambda r: r + "'"
+    for s in statements:
+        assert _map_registers(s, lambda r: r) == s
+        renamed = _map_registers(s, prime)
+        assert stmt_uses(renamed) == [prime(r) for r in stmt_uses(s)], s
+        d = stmt_def(s)
+        assert stmt_def(renamed) == (None if d is None else prime(d)), s

@@ -24,7 +24,7 @@ from jarscan import scanner as scanner_mod
 from jarscan.classfile import parser as parser_mod
 from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.model import UNDECODED
-from jarscan.cpg import FixSignature, Triplet
+from jarscan.cpg import FixSignature, Triplet, unqualify
 from jarscan.errors import CodeNotDecoded
 from jarscan.kb import ConstructRecord, KnowledgeBase, build_entry, class_member_context
 from jarscan.classfile.constructs import ConstructId
@@ -119,15 +119,17 @@ def test_repack_empty_ct_fails_closed():
 
 
 def test_repack_unqualifies_both_sides():
+    """Repack callers pass both sides unqualified, so a relocated body
+    matches the recorded one."""
     sig = FixSignature(
-        ct=frozenset({Triplet("new a.b.X", "CFG", "goto")}),
+        ct=unqualify(frozenset({Triplet("new a.b.X", "CFG", "goto")})),
         pt=frozenset(),
-        nt=frozenset({Triplet("invoke_virtual a.b.X#evil():int(%)", "CFG", "goto")}),
+        nt=unqualify(frozenset({Triplet("invoke_virtual a.b.X#evil():int(%)", "CFG", "goto")})),
     )
-    tm = frozenset({
+    tm = unqualify(frozenset({
         Triplet("new r.a.b.X", "CFG", "goto"),
         Triplet("invoke_virtual r.a.b.X#evil():int(%)", "CFG", "goto"),
-    })
+    }))
     v, counts = match_triplets(tm, sig, ScanConfig(), mode="repack")
     assert v == VULNERABLE
     assert counts.ct_hit == 1 and counts.nt_hit == 1
@@ -304,6 +306,212 @@ def test_changed_record_with_class_absent_is_skipped():
     assert verdicts["a.Other: int gone(int)"] == SKIPPED
 
 
+# ------------------------------------------------------- rule table, both modes
+
+_SIBLING = MethodModel("helper", "()V", 0x09, code=["return"])
+_TARGET = MethodModel("check", "(I)I", 0x09, code=["iload_0", "ireturn"])
+_UNLIFTABLE = MethodModel("check", "(I)I", 0x09, code=["pop", "iload_0", "ireturn"],
+                          max_stack=2, max_locals=2)
+_STATES = ("class absent", "class without method", "method present", "lift fails",
+           "no signature", "context below θCC", "two candidates")
+
+
+def _rule_class(name, *methods):
+    return ClassModel(name, methods=[default_constructor(), _SIBLING, *methods])
+
+
+def _rule_jar(state: str, cls: str) -> bytes:
+    """A JAR for one state of the record's class ``cls``, next to a
+    bystander class that makes the CVE a candidate in both modes."""
+    models = {
+        "class absent": [],
+        "class without method": [_rule_class(cls)],
+        "lift fails": [_rule_class(cls, _UNLIFTABLE)],
+        "two candidates": [_rule_class("q." + cls), _rule_class(cls, _TARGET)],
+    }.get(state, [_rule_class(cls, _TARGET)])
+    return _jar_with(ClassModel("z.Bystander", methods=[default_constructor()]), *models)
+
+
+# (mode, kind, change, state) -> (verdict, reason, scanned_fqn, counts), as
+# scan_jar_bytes reports them, with counts as (nt_hit, pt_hit, ct_hit,
+# nt_size, pt_size, ct_size). Default mode scans a.C, repack mode r.a.C.
+_RULE_TABLE = {
+    ("default", "class", "added", "class absent"):
+        (VULNERABLE, "added construct absent", None, None),
+    ("default", "class", "added", "class without method"):
+        (FIXED, "added construct present", None, None),
+    ("default", "class", "added", "lift fails"):
+        (FIXED, "added construct present", None, None),
+    ("default", "class", "added", "method present"):
+        (FIXED, "added construct present", None, None),
+    ("default", "class", "added", "no signature"):
+        (FIXED, "added construct present", None, None),
+    ("default", "class", "changed", "class absent"):
+        (SKIPPED, "class-level change carries no signature", None, None),
+    ("default", "class", "changed", "class without method"):
+        (SKIPPED, "class-level change carries no signature", None, None),
+    ("default", "class", "changed", "lift fails"):
+        (SKIPPED, "class-level change carries no signature", None, None),
+    ("default", "class", "changed", "method present"):
+        (SKIPPED, "class-level change carries no signature", None, None),
+    ("default", "class", "changed", "no signature"):
+        (SKIPPED, "class-level change carries no signature", None, None),
+    ("default", "class", "removed", "class absent"):
+        (FIXED, "removed construct absent", None, None),
+    ("default", "class", "removed", "class without method"):
+        (VULNERABLE, "removed construct present", None, None),
+    ("default", "class", "removed", "lift fails"):
+        (VULNERABLE, "removed construct present", None, None),
+    ("default", "class", "removed", "method present"):
+        (VULNERABLE, "removed construct present", None, None),
+    ("default", "class", "removed", "no signature"):
+        (VULNERABLE, "removed construct present", None, None),
+    ("default", "method", "added", "class absent"):
+        (FIXED, "declaring class absent", None, None),
+    ("default", "method", "added", "class without method"):
+        (VULNERABLE, "added method absent while declaring class present", None, None),
+    ("default", "method", "added", "lift fails"):
+        (FIXED, "added method present", None, None),
+    ("default", "method", "added", "method present"):
+        (FIXED, "added method present", None, None),
+    ("default", "method", "added", "no signature"):
+        (FIXED, "added method present", None, None),
+    ("default", "method", "changed", "class absent"):
+        (SKIPPED, "declaring class not in archive", None, None),
+    ("default", "method", "changed", "class without method"):
+        (VULNERABLE, "changed method missing from declaring class", None, None),
+    ("default", "method", "changed", "lift fails"):
+        (SKIPPED, "method body could not be lifted", None, None),
+    ("default", "method", "changed", "method present"):
+        (VULNERABLE, None, None, (0, 0, 1, 1, 1, 1)),
+    ("default", "method", "changed", "no signature"):
+        (SKIPPED, "no signature recorded for changed method", None, None),
+    ("default", "method", "removed", "class absent"):
+        (FIXED, "removed construct absent", None, None),
+    ("default", "method", "removed", "class without method"):
+        (FIXED, "removed construct absent", None, None),
+    ("default", "method", "removed", "lift fails"):
+        (VULNERABLE, "removed construct present", None, None),
+    ("default", "method", "removed", "method present"):
+        (VULNERABLE, "removed construct present", None, None),
+    ("default", "method", "removed", "no signature"):
+        (VULNERABLE, "removed construct present", None, None),
+    ("repack", "class", "added", "class absent"):
+        (FIXED, "declaring class absent", None, None),
+    ("repack", "class", "added", "class without method"):
+        (FIXED, "added class present (unqualified match)", "r.a.C", None),
+    ("repack", "class", "added", "context below θCC"):
+        (SKIPPED, "class context below threshold", None, None),
+    ("repack", "class", "added", "lift fails"):
+        (FIXED, "added class present (unqualified match)", "r.a.C", None),
+    ("repack", "class", "added", "method present"):
+        (FIXED, "added class present (unqualified match)", "r.a.C", None),
+    ("repack", "class", "added", "no signature"):
+        (FIXED, "added class present (unqualified match)", "r.a.C", None),
+    ("repack", "class", "added", "two candidates"):
+        (FIXED, "added class present (unqualified match)", "q.r.a.C", None),
+    ("repack", "class", "changed", "class absent"):
+        (SKIPPED, "no class with matching unqualified name", None, None),
+    ("repack", "class", "changed", "class without method"):
+        (SKIPPED, "class-level change carries no signature", "r.a.C", None),
+    ("repack", "class", "changed", "context below θCC"):
+        (SKIPPED, "class context below threshold", None, None),
+    ("repack", "class", "changed", "lift fails"):
+        (SKIPPED, "class-level change carries no signature", "r.a.C", None),
+    ("repack", "class", "changed", "method present"):
+        (SKIPPED, "class-level change carries no signature", "r.a.C", None),
+    ("repack", "class", "changed", "no signature"):
+        (SKIPPED, "class-level change carries no signature", "r.a.C", None),
+    ("repack", "class", "changed", "two candidates"):
+        (SKIPPED, "class-level change carries no signature", "q.r.a.C", None),
+    ("repack", "class", "removed", "class absent"):
+        (FIXED, "removed construct absent", None, None),
+    ("repack", "class", "removed", "class without method"):
+        (VULNERABLE, "removed class present (unqualified match)", "r.a.C", None),
+    ("repack", "class", "removed", "context below θCC"):
+        (SKIPPED, "class context below threshold", None, None),
+    ("repack", "class", "removed", "lift fails"):
+        (VULNERABLE, "removed class present (unqualified match)", "r.a.C", None),
+    ("repack", "class", "removed", "method present"):
+        (VULNERABLE, "removed class present (unqualified match)", "r.a.C", None),
+    ("repack", "class", "removed", "no signature"):
+        (VULNERABLE, "removed class present (unqualified match)", "r.a.C", None),
+    ("repack", "class", "removed", "two candidates"):
+        (VULNERABLE, "removed class present (unqualified match)", "q.r.a.C", None),
+    ("repack", "method", "added", "class absent"):
+        (FIXED, "declaring class absent", None, None),
+    ("repack", "method", "added", "class without method"):
+        (VULNERABLE, "added method absent while declaring class present", "r.a.C", None),
+    ("repack", "method", "added", "context below θCC"):
+        (SKIPPED, "class context below threshold", None, None),
+    ("repack", "method", "added", "lift fails"):
+        (FIXED, "added method present", "r.a.C: int check(int)", None),
+    ("repack", "method", "added", "method present"):
+        (FIXED, "added method present", "r.a.C: int check(int)", None),
+    ("repack", "method", "added", "no signature"):
+        (FIXED, "added method present", "r.a.C: int check(int)", None),
+    ("repack", "method", "added", "two candidates"):
+        (VULNERABLE, "added method absent while declaring class present", "q.r.a.C", None),
+    ("repack", "method", "changed", "class absent"):
+        (SKIPPED, "no class with matching unqualified name", None, None),
+    ("repack", "method", "changed", "class without method"):
+        (VULNERABLE, "changed method missing from declaring class", "r.a.C", None),
+    ("repack", "method", "changed", "context below θCC"):
+        (SKIPPED, "class context below threshold", None, None),
+    ("repack", "method", "changed", "lift fails"):
+        (SKIPPED, "method body could not be lifted", "r.a.C: int check(int)", None),
+    ("repack", "method", "changed", "method present"):
+        (VULNERABLE, None, "r.a.C: int check(int)", (0, 0, 1, 1, 1, 1)),
+    ("repack", "method", "changed", "no signature"):
+        (SKIPPED, "no signature recorded for changed method", "r.a.C: int check(int)", None),
+    ("repack", "method", "changed", "two candidates"):
+        (VULNERABLE, "changed method missing from declaring class", "q.r.a.C", None),
+    ("repack", "method", "removed", "class absent"):
+        (FIXED, "removed construct absent", None, None),
+    ("repack", "method", "removed", "class without method"):
+        (FIXED, "removed construct absent", "r.a.C", None),
+    ("repack", "method", "removed", "context below θCC"):
+        (SKIPPED, "class context below threshold", None, None),
+    ("repack", "method", "removed", "lift fails"):
+        (VULNERABLE, "removed construct present", "r.a.C: int check(int)", None),
+    ("repack", "method", "removed", "method present"):
+        (VULNERABLE, "removed construct present", "r.a.C: int check(int)", None),
+    ("repack", "method", "removed", "no signature"):
+        (VULNERABLE, "removed construct present", "r.a.C: int check(int)", None),
+    ("repack", "method", "removed", "two candidates"):
+        (VULNERABLE, "removed construct present", "r.a.C: int check(int)", None),
+}
+
+
+_CELLS = [(mode, kind, change, state)
+          for mode in ("default", "repack") for kind in ("class", "method")
+          for change in ("added", "removed", "changed") for state in _STATES
+          if mode == "repack" or state not in ("context below θCC", "two candidates")]
+
+
+@pytest.mark.parametrize("mode, kind, change, state", _CELLS)
+def test_rule_table(mode, kind, change, state):
+    """Every (kind, change, JAR state) cell of the construct rules, in both
+    modes: verdict, reason, the scanned construct and the match counts."""
+    fqn = "a.C" if kind == "class" else "a.C: int check(int)"
+    signature = None
+    if change == "changed" and state != "no signature":
+        cf = parse_class(emit_class(_rule_class("a.C", _TARGET)))
+        [check] = [m for m in cf.methods if m.name == "check"]
+        signature = FixSignature(ct=jarscan.cpg.method_triplets(cf, check),
+                                 pt=T("p"), nt=T("n"))
+    context = ["C: void gone()"] if state == "context below θCC" else ["C: void helper()"]
+    kb = KnowledgeBase(records={"CVE-R": [
+        _record("method", "z.Bystander: void <init>()", "removed"),
+        _record(kind, fqn, change, context, signature)]})
+    jar = _rule_jar(state, "a.C" if mode == "default" else "r.a.C")
+    (finding,) = _scan_one(jar, kb, modes=(mode,)).findings
+    [v] = [v for v in finding.constructs if v.fqn == fqn]
+    got = (v.verdict, v.reason, v.scanned_fqn,
+           None if v.counts is None else tuple(vars(v.counts).values()))
+    assert got == _RULE_TABLE[mode, kind, change, state]
+
+
 # ------------------------------------------------------------------- end to end
 
 def test_scan_corpus_pre_and_post(corpus, corpus_kb):
@@ -436,22 +644,7 @@ def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch
 
 # ------------------------------------------------------- exact-code path
 
-def _variant_jars(corpus) -> dict:
-    """The corpus pre/post JARs, and modify kinds 1-4 of them."""
-    jars = {}
-    for i, cve in enumerate(corpus.cve_ids):
-        for side in ("pre", "post"):
-            jar = getattr(corpus, f"{side}_jars")[cve]
-            jars[f"{cve}-{side}"] = jar
-            jars[f"{cve}-{side}-kind1"] = modify([jar], 1, seed=300 + i)
-    for side in ("pre_jars", "post_jars"):
-        inputs = [getattr(corpus, side)[c] for c in corpus.cve_ids]
-        for kind in (2, 3, 4):
-            jars[f"{side}-kind{kind}"] = modify(inputs, kind)
-    return jars
-
-
-def test_code_digests_leave_reports_unchanged(corpus, corpus_kb, corpus_kb_without_code,
+def test_code_digests_leave_reports_unchanged(variant_jars, corpus_kb, corpus_kb_without_code,
                                               corpus_kb_without_stripped, tmp_path):
     """Taking triplets from the KB for recorded bodies, exact or up to
     relocation, gives the report that lifting every method gives, in
@@ -460,7 +653,7 @@ def test_code_digests_leave_reports_unchanged(corpus, corpus_kb, corpus_kb_witho
     assert not corpus_kb_without_code.has_code_digests
     assert not corpus_kb_without_stripped.has_stripped_digests
     paths = []
-    for name, data in _variant_jars(corpus).items():
+    for name, data in variant_jars.items():
         p = tmp_path / f"{name}.jar"
         p.write_bytes(data)
         paths.append(str(p))
@@ -470,8 +663,8 @@ def test_code_digests_leave_reports_unchanged(corpus, corpus_kb, corpus_kb_witho
     assert report == _report_bytes(paths, corpus_kb_without_code)
 
 
-def test_recorded_bodies_are_not_lifted(corpus, corpus_kb, corpus_kb_without_stripped,
-                                       monkeypatch):
+def test_recorded_bodies_are_not_lifted(corpus, variant_jars, corpus_kb,
+                                       corpus_kb_without_stripped, monkeypatch):
     """The corpus pre- and post-fix JARs hold only recorded bodies, so a
     scan lifts nothing. Relocated bodies are recorded ones up to package
     prefixes: repack mode takes them from the KB's stripped digests, and
@@ -486,7 +679,7 @@ def test_recorded_bodies_are_not_lifted(corpus, corpus_kb, corpus_kb_without_str
         scan_jar_bytes("j.jar", jar, kb, ScanConfig())
         return len(lifted)
 
-    jars = _variant_jars(corpus)
+    jars = variant_jars
     for cve in corpus.cve_ids:
         assert lifts(jars[f"{cve}-pre"]) == lifts(jars[f"{cve}-post"]) == 0, cve
     for side in ("pre_jars", "post_jars"):
