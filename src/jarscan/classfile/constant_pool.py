@@ -1,4 +1,5 @@
-"""Constant-pool representation with tag-checked accessors."""
+"""Constant-pool representation with tag-checked accessors, decoding each
+entry from the class-file bytes the first time it is read."""
 
 from __future__ import annotations
 
@@ -90,29 +91,77 @@ class CpEntry:
     value: object
 
 
-class ConstantPool:
-    """Indexed table of CpEntry, 1-based like the class-file format."""
+# Layout of the bytes after the tag of each fixed-size entry; the CpEntry
+# payload is the one field, or the tuple of fields.
+CP_PAYLOAD = {
+    TAG_INTEGER: struct.Struct(">i"),
+    TAG_FLOAT: struct.Struct(">f"),
+    TAG_LONG: struct.Struct(">q"),
+    TAG_DOUBLE: struct.Struct(">d"),
+    **dict.fromkeys((TAG_CLASS, TAG_STRING, TAG_METHOD_TYPE, TAG_MODULE, TAG_PACKAGE),
+                    struct.Struct(">H")),
+    **dict.fromkeys((TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF,
+                     TAG_NAME_AND_TYPE, TAG_DYNAMIC, TAG_INVOKE_DYNAMIC),
+                    struct.Struct(">HH")),
+    TAG_METHOD_HANDLE: struct.Struct(">BH"),
+}
 
-    def __init__(self, entries: dict[int, CpEntry]):
-        self._entries = entries
+
+def decode_utf8(raw: bytes) -> str:
+    # Modified UTF-8; surrogate escapes keep odd bytes round-trippable.
+    return raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogateescape")
+
+
+class ConstantPool:
+    """Indexed table of CpEntry, 1-based like the class-file format.
+
+    It holds the class file's bytes and the offset of each entry's tag
+    byte (-1 where no entry starts: index 0 and the slot after a Long or
+    Double), as the parser's walk found them; that walk checked every tag
+    and length. An entry is decoded the first time it is read.
+    """
+
+    def __init__(self, data: bytes, offsets: list[int]):
+        self._data = data
+        self._offsets = offsets
+        self._decoded: dict[int, tuple] = {}
         self._resolved: dict[int, tuple] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(offset >= 0 for offset in self._offsets)
 
     def __contains__(self, index: int) -> bool:
-        return index in self._entries
+        return 0 <= index < len(self._offsets) and self._offsets[index] >= 0
 
-    def entry(self, index: int, expected_tag: int | None = None) -> CpEntry:
-        ent = self._entries.get(index)
-        if ent is None:
-            raise BadConstantPoolRef(f"constant pool index {index} out of range")
-        if expected_tag is not None and ent.tag != expected_tag:
+    def _read(self, index: int, expected_tag: int | None = None) -> tuple:
+        """(tag, payload) of entry ``index``, decoded on first read; raises
+        BadConstantPoolRef when there is no such entry or, given
+        ``expected_tag``, it carries another tag."""
+        got = self._decoded.get(index)
+        if got is None:
+            offsets = self._offsets
+            pos = offsets[index] if 0 <= index < len(offsets) else -1
+            if pos < 0:
+                raise BadConstantPoolRef(f"constant pool index {index} out of range")
+            data = self._data
+            tag = data[pos]
+            if tag == TAG_UTF8:
+                end = pos + 3 + ((data[pos + 1] << 8) | data[pos + 2])
+                value = decode_utf8(data[pos + 3:end])
+            else:
+                value = CP_PAYLOAD[tag].unpack_from(data, pos + 1)
+                if len(value) == 1:
+                    value = value[0]
+            got = self._decoded[index] = (tag, value)
+        if expected_tag is not None and got[0] != expected_tag:
             raise BadConstantPoolRef(
                 f"constant pool index {index}: expected {TAG_NAMES.get(expected_tag)}, "
-                f"found {TAG_NAMES.get(ent.tag, ent.tag)}"
+                f"found {TAG_NAMES.get(got[0], got[0])}"
             )
-        return ent
+        return got
+
+    def entry(self, index: int, expected_tag: int | None = None) -> CpEntry:
+        return CpEntry(*self._read(index, expected_tag))
 
     def resolve(self, index: int, allowed: frozenset | None = None) -> tuple:
         """The entry with every pool reference replaced, recursively, by
@@ -123,52 +172,50 @@ class ConstantPool:
         stay apart and a NaN equals itself. Raises BadConstantPoolRef for
         an index out of range or a reference to an entry of the wrong kind.
         """
-        ent = self.entry(index)
-        if allowed is not None and ent.tag not in allowed:
+        tag, value = self._read(index)
+        if allowed is not None and tag not in allowed:
             raise BadConstantPoolRef(
                 f"constant pool index {index}: unexpected "
-                f"{TAG_NAMES.get(ent.tag, ent.tag)} reference")
+                f"{TAG_NAMES.get(tag, tag)} reference")
         got = self._resolved.get(index)
         if got is None:
-            slots = _REFERENCES.get(ent.tag)
+            slots = _REFERENCES.get(tag)
             if slots is None:
-                value = ent.value
-                if ent.tag in (TAG_FLOAT, TAG_DOUBLE):
+                if tag in (TAG_FLOAT, TAG_DOUBLE):
                     value = struct.pack(">d", value)
             else:
-                refs = ent.value if isinstance(ent.value, tuple) else (ent.value,)
+                refs = value if isinstance(value, tuple) else (value,)
                 value = tuple(ref if kinds is None else self.resolve(ref, kinds)
                               for ref, kinds in zip(refs, slots))
-            got = self._resolved[index] = (ent.tag, value)
+            got = self._resolved[index] = (tag, value)
         return got
 
     def utf8(self, index: int) -> str:
-        return self.entry(index, TAG_UTF8).value  # type: ignore[return-value]
+        return self._read(index, TAG_UTF8)[1]
 
     def class_name(self, index: int) -> str:
         """Internal binary name of a Class entry ("a/b/C" or array descriptor)."""
-        name_index = self.entry(index, TAG_CLASS).value
-        return self.utf8(name_index)
+        return self.utf8(self._read(index, TAG_CLASS)[1])
 
     def name_and_type(self, index: int) -> tuple[str, str]:
-        name_idx, desc_idx = self.entry(index, TAG_NAME_AND_TYPE).value
+        name_idx, desc_idx = self._read(index, TAG_NAME_AND_TYPE)[1]
         return self.utf8(name_idx), self.utf8(desc_idx)
 
     def member_ref(self, index: int) -> tuple[str, str, str]:
         """(owner internal name, member name, descriptor) for any *ref entry."""
-        ent = self.entry(index)
-        if ent.tag not in (TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF):
+        tag, value = self._read(index)
+        if tag not in (TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF):
             raise BadConstantPoolRef(
                 f"constant pool index {index}: expected a member ref, "
-                f"found {TAG_NAMES.get(ent.tag, ent.tag)}"
+                f"found {TAG_NAMES.get(tag, tag)}"
             )
-        class_idx, nat_idx = ent.value
+        class_idx, nat_idx = value
         name, desc = self.name_and_type(nat_idx)
         return self.class_name(class_idx), name, desc
 
     def invoke_dynamic(self, index: int) -> tuple[int, str, str]:
         """(bootstrap index, name, descriptor) of an InvokeDynamic entry."""
-        bsm_idx, nat_idx = self.entry(index, TAG_INVOKE_DYNAMIC).value
+        bsm_idx, nat_idx = self._read(index, TAG_INVOKE_DYNAMIC)[1]
         name, desc = self.name_and_type(nat_idx)
         return bsm_idx, name, desc
 
@@ -178,17 +225,17 @@ class ConstantPool:
         kind is one of int/long/float/double/string/class; MethodType,
         MethodHandle and Dynamic entries come back as ("other", tag).
         """
-        ent = self.entry(index)
-        if ent.tag == TAG_INTEGER:
-            return "int", ent.value
-        if ent.tag == TAG_LONG:
-            return "long", ent.value
-        if ent.tag == TAG_FLOAT:
-            return "float", ent.value
-        if ent.tag == TAG_DOUBLE:
-            return "double", ent.value
-        if ent.tag == TAG_STRING:
-            return "string", self.utf8(ent.value)
-        if ent.tag == TAG_CLASS:
-            return "class", self.utf8(ent.value)
-        return "other", ent.tag
+        tag, value = self._read(index)
+        if tag == TAG_INTEGER:
+            return "int", value
+        if tag == TAG_LONG:
+            return "long", value
+        if tag == TAG_FLOAT:
+            return "float", value
+        if tag == TAG_DOUBLE:
+            return "double", value
+        if tag == TAG_STRING:
+            return "string", self.utf8(value)
+        if tag == TAG_CLASS:
+            return "class", self.utf8(value)
+        return "other", tag

@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import ClassParseError, CodeNotDecoded
 from .constant_pool import (TAG_CLASS, TAG_FIELDREF, TAG_INTERFACE_METHODREF,
                             TAG_INVOKE_DYNAMIC, TAG_METHODREF, ConstantPool)
 from .constructs import strip_packages
-from .descriptors import parse_method_descriptor, render_type
+from .descriptors import method_signature, parse_method_descriptor, render_type
 from .opcodes import FORMAT_OF
 
 ACC_STATIC = 0x0008
@@ -286,6 +287,19 @@ class ClassFile:
     @property
     def is_interface(self) -> bool:
         return bool(self.access_flags & ACC_INTERFACE)
+
+    # Rendered on first use and kept; not fields, so they take no part in
+    # equality or hashing.
+    @cached_property
+    def method_fqns(self) -> tuple[str, ...]:
+        """Each method's ``method_signature``, in method order."""
+        return tuple(method_signature(self.this_class, m.name, m.descriptor)
+                     for m in self.methods)
+
+    @cached_property
+    def unqualified_method_fqns(self) -> tuple[str, ...]:
+        """Each method's ``method_fqns`` entry with packages stripped."""
+        return tuple(map(strip_packages, self.method_fqns))
 
 
 @dataclass

@@ -1,23 +1,31 @@
 """Binary decoding of JVM class files and JAR containers.
 
-A class file is checked at one of two depths:
+Each class file's constant pool is walked once (``_walk_pool``). The walk
+checks the magic number, the 45..69 major-version range and every
+constant-pool tag and length, and records where each entry starts; the
+``ConstantPool`` it returns decodes an entry from there the first time the
+entry is read, and checks a reference's tag and range then. On that walk
+a class is checked at one of two depths:
 
-* ``parse_class`` decodes everything: the constant pool, fields, methods,
-  descriptors and every Code attribute (instructions, exception tables,
-  branch targets).
-* ``parse_class_header`` decodes only the class's own name. It checks the
-  magic number, the 45..65 major-version range, every constant-pool tag
-  and length, and that this_class names a Class entry whose name is a
-  Utf8 entry; it walks fields, methods and attributes by length, so
-  truncation anywhere is caught. It checks no other pool reference, no
-  descriptor and nothing inside a Code attribute. Its checks are a subset
-  of ``parse_class``'s: bytes ``parse_class`` accepts, it accepts with the
-  same name; bytes it rejects, ``parse_class`` rejects too.
+* ``parse_class_header`` decodes only the class's own name: this_class
+  must name a Class entry whose name is a Utf8 entry. It walks fields,
+  methods and attributes by length, so truncation anywhere is caught. It
+  checks no other pool reference, no descriptor and nothing inside a Code
+  attribute. Its checks are a subset of ``parse_class``'s: bytes
+  ``parse_class`` accepts, it accepts with the same name; bytes it
+  rejects, ``parse_class`` rejects too.
+* ``parse_class`` reads the rest in file order, each table at its offset,
+  and checks each read as it goes: the class, super-class and interface
+  names; each field's and method's name and descriptor (Utf8 entries that
+  must parse as descriptors); each field and method attribute's name (a
+  Utf8 entry); and every Code attribute (instructions, exception tables,
+  branch targets). Class-level attributes are skipped by length. Given
+  the header's walk it does not walk the pool again.
 
 ``parse_class`` given a predicate on methods decodes the Code attribute
 only of the methods it accepts; every other body reads as ``UNDECODED``,
 which raises CodeNotDecoded when read, never as "no code". Everything
-else, every method's descriptor included, is checked as before.
+else, every method's descriptor included, is checked as without it.
 
 ``parse_jar`` given a predicate on class names fully parses only the
 classes the predicate accepts and header-checks the rest; a second
@@ -42,36 +50,13 @@ import zlib
 from typing import Callable
 
 from ..errors import (
-    BadConstantPoolRef,
     BadMagic,
     ClassParseError,
     MalformedArchive,
     TruncatedInput,
     UnsupportedVersion,
 )
-from .constant_pool import (
-    TAG_CLASS,
-    TAG_DOUBLE,
-    TAG_DYNAMIC,
-    TAG_FIELDREF,
-    TAG_FLOAT,
-    TAG_INTEGER,
-    TAG_INTERFACE_METHODREF,
-    TAG_INVOKE_DYNAMIC,
-    TAG_LONG,
-    TAG_METHOD_HANDLE,
-    TAG_METHOD_TYPE,
-    TAG_METHODREF,
-    TAG_MODULE,
-    TAG_NAME_AND_TYPE,
-    TAG_NAMES,
-    TAG_PACKAGE,
-    TAG_STRING,
-    TAG_UTF8,
-    WIDE_TAGS,
-    ConstantPool,
-    CpEntry,
-)
+from .constant_pool import CP_PAYLOAD, TAG_UTF8, WIDE_TAGS, ConstantPool
 from .descriptors import parse_method_descriptor, validate_field_descriptor
 from .model import (
     UNDECODED,
@@ -90,98 +75,81 @@ log = logging.getLogger(__name__)
 
 MAGIC = 0xCAFEBABE
 MIN_MAJOR = 45
-MAX_MAJOR = 65
+MAX_MAJOR = 69
 
 _U2 = struct.Struct(">H").unpack_from
 _U4 = struct.Struct(">I").unpack_from
+_LENGTH = struct.Struct(">I")             # an attribute's length
+_CODE_HEADER = struct.Struct(">HHI")      # max_stack, max_locals, code_length
+_HANDLER = struct.Struct(">4H")           # start, end, handler, catch_type
 # this_class and interfaces_count, skipping access_flags and super_class.
 _THIS_AND_INTERFACES = struct.Struct(">2xH2xH").unpack_from
 
-# Layout of the bytes after the tag of each fixed-size constant-pool
-# entry; the CpEntry payload is the one field, or the tuple of fields.
-_CP_PAYLOAD = {
-    TAG_INTEGER: struct.Struct(">i"),
-    TAG_FLOAT: struct.Struct(">f"),
-    TAG_LONG: struct.Struct(">q"),
-    TAG_DOUBLE: struct.Struct(">d"),
-    **dict.fromkeys((TAG_CLASS, TAG_STRING, TAG_METHOD_TYPE, TAG_MODULE, TAG_PACKAGE),
-                    struct.Struct(">H")),
-    **dict.fromkeys((TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF,
-                     TAG_NAME_AND_TYPE, TAG_DYNAMIC, TAG_INVOKE_DYNAMIC),
-                    struct.Struct(">HH")),
-    TAG_METHOD_HANDLE: struct.Struct(">BH"),
-}
 # Size in bytes, tag included, of each fixed-size entry, indexed by tag;
 # 0 for Utf8 (sized by its length field) and unknown tags.
-_CP_ENTRY_SIZE = bytes(1 + _CP_PAYLOAD[tag].size if tag in _CP_PAYLOAD else 0
+_CP_ENTRY_SIZE = bytes(1 + CP_PAYLOAD[tag].size if tag in CP_PAYLOAD else 0
                        for tag in range(256))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _advance(self, n: int) -> int:
-        """Start offset of the next n bytes, which must all be present."""
-        pos = self.pos
-        if pos + n > len(self.data):
-            raise TruncatedInput(
-                f"needed {n} bytes at offset {pos}, have {len(self.data) - pos}"
-            )
-        self.pos = pos + n
-        return pos
-
-    def u2(self) -> int:
-        return _U2(self.data, self._advance(2))[0]
-
-    def u4(self) -> int:
-        return _U4(self.data, self._advance(4))[0]
-
-    def raw(self, n: int) -> bytes:
-        pos = self._advance(n)
-        return self.data[pos:pos + n]
+def _read(fmt: struct.Struct, data: bytes, pos: int) -> tuple:
+    """The fields of ``fmt`` at ``pos``, which must all lie inside ``data``."""
+    if pos + fmt.size > len(data):
+        raise TruncatedInput(
+            f"needed {fmt.size} bytes at offset {pos}, have {len(data) - pos}")
+    return fmt.unpack_from(data, pos)
 
 
-def _decode_utf8(raw: bytes) -> str:
-    # Modified UTF-8; surrogate escapes keep odd bytes round-trippable.
-    return raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogateescape")
+def _u2(data: bytes, pos: int) -> int:
+    """``_read`` of one u2, inlined: this is the parser's most frequent read."""
+    if pos + 2 > len(data):
+        raise TruncatedInput(f"needed 2 bytes at offset {pos}, have {len(data) - pos}")
+    return (data[pos] << 8) | data[pos + 1]
 
 
-def _parse_constant_pool(r: _Reader) -> ConstantPool:
-    count = r.u2()
-    data, pos, n = r.data, r.pos, len(r.data)
-    entries: dict[int, CpEntry] = {}
+def _table(data: bytes, pos: int) -> tuple[range, int]:
+    """The entries of the table whose u2 count is at ``pos``, and the
+    offset of its first entry."""
+    return range(_u2(data, pos)), pos + 2
+
+
+def _walk_pool(data: bytes) -> tuple[int, ConstantPool, int]:
+    """The one walk of a class file's constant pool: check the magic
+    number, the major version and every entry's tag and length. Returns
+    the major version, the pool and the offset just past it."""
+    n = len(data)
+    if n < 4 or _U4(data, 0)[0] != MAGIC:
+        raise BadMagic("class file does not start with 0xCAFEBABE")
+    major = _u2(data, 6)
+    if not MIN_MAJOR <= major <= MAX_MAJOR:
+        raise UnsupportedVersion(
+            f"class file major version {major} outside supported {MIN_MAJOR}..{MAX_MAJOR}"
+        )
+    count = _u2(data, 8)
+    # offsets[i] is where pool entry i's tag byte sits; -1 marks no entry.
+    offsets = [-1] * max(count, 1)
+    pos = 10
     index = 1
-    while index < count:
-        if pos >= n:
-            raise TruncatedInput(f"constant pool ends before entry {index}")
-        tag = data[pos]
-        if tag == TAG_UTF8:
-            if pos + 3 > n:
-                raise TruncatedInput(f"constant pool ends inside entry {index}")
-            end = pos + 3 + ((data[pos + 1] << 8) | data[pos + 2])
-            if end > n:
-                raise TruncatedInput(f"constant pool ends inside entry {index}")
-            value = _decode_utf8(data[pos + 3:end])
-        else:
-            payload = _CP_PAYLOAD.get(tag)
-            if payload is None:
-                raise ClassParseError(f"unknown constant pool tag {tag} at index {index}")
-            end = pos + 1 + payload.size
-            if end > n:
-                raise TruncatedInput(f"constant pool ends inside entry {index}")
-            value = payload.unpack_from(data, pos + 1)
-            if len(value) == 1:
-                value = value[0]
-        entries[index] = CpEntry(tag, value)
-        pos = end
-        index += 2 if tag in WIDE_TAGS else 1
-    r.pos = pos
-    return ConstantPool(entries)
+    try:            # reading past the end raises IndexError
+        while index < count:
+            tag = data[pos]
+            offsets[index] = pos
+            if tag == TAG_UTF8:
+                pos += 3 + ((data[pos + 1] << 8) | data[pos + 2])
+                index += 1
+            else:
+                size = _CP_ENTRY_SIZE[tag]
+                if not size:
+                    raise ClassParseError(f"unknown constant pool tag {tag} at index {index}")
+                pos += size
+                index += 2 if tag in WIDE_TAGS else 1
+    except IndexError:
+        raise TruncatedInput(f"constant pool ends inside entry {index}") from None
+    if pos > n:
+        raise TruncatedInput(f"constant pool entry {count - 1} runs past the end")
+    return major, ConstantPool(data, offsets), pos
 
 
-def decode_instructions(code: bytes, base_reader: _Reader | None = None) -> tuple[Instruction, ...]:
+def decode_instructions(code: bytes) -> tuple[Instruction, ...]:
     """Decode a Code array into instructions with absolute branch targets."""
     out: list[Instruction] = []
     pos = 0
@@ -342,76 +310,84 @@ def _validate_targets(instructions: tuple[Instruction, ...],
 
 
 def _parse_code_attribute(data: bytes, pool: ConstantPool) -> CodeAttribute:
-    r = _Reader(data)
-    max_stack = r.u2()
-    max_locals = r.u2()
-    code_len = r.u4()
-    code = r.raw(code_len)
-    instructions = decode_instructions(code)
+    """Decode the payload of one Code attribute."""
+    max_stack, max_locals, code_len = _read(_CODE_HEADER, data, 0)
+    pos = 8 + code_len
+    if pos > len(data):
+        raise TruncatedInput(f"code array of {code_len} bytes runs past its attribute")
+    instructions = decode_instructions(data[8:pos])
     table = []
-    for _ in range(r.u2()):
-        start, end, handler, catch_idx = r.u2(), r.u2(), r.u2(), r.u2()
+    entries, pos = _table(data, pos)
+    for _ in entries:
+        start, end, handler, catch_idx = _read(_HANDLER, data, pos)
+        pos += 8
         catch = pool.class_name(catch_idx).replace("/", ".") if catch_idx else None
         table.append(ExceptionHandler(start, end, handler, catch))
     # Code sub-attributes (LineNumberTable, StackMapTable, ...) are skipped.
-    for _ in range(r.u2()):
-        r.u2()
-        r.raw(r.u4())
+    _skip_attributes(data, pos)
     attr = CodeAttribute(max_stack, max_locals, instructions, tuple(table))
     _validate_targets(instructions, attr.exception_table)
     return attr
 
 
-def _member_attributes(r: _Reader, pool: ConstantPool) -> list[tuple[str, bytes]]:
-    """(name, payload) of each attribute of one field or method."""
-    return [(pool.utf8(r.u2()), r.raw(r.u4())) for _ in range(r.u2())]
+def _member_attributes(data: bytes, pos: int,
+                       pool: ConstantPool) -> tuple[int, list[tuple[str, int, int]]]:
+    """Walk the attribute table of one field or method at ``pos``; each
+    name must be a Utf8 entry. Returns the offset just past the table and
+    each attribute's (name, payload start, payload end)."""
+    entries, pos = _table(data, pos)
+    attributes = []
+    for _ in entries:
+        name = pool.utf8(_u2(data, pos))
+        start = pos + 6
+        pos = start + _read(_LENGTH, data, pos + 2)[0]
+        if pos > len(data):
+            raise TruncatedInput(f"attribute {name} runs past the end of the class file")
+        attributes.append((name, start, pos))
+    return pos, attributes
 
 
 def parse_class(data: bytes,
-                wanted_body: Callable[[str, str, str], bool] | None = None) -> ClassFile:
+                wanted_body: Callable[[str, str, str], bool] | None = None,
+                walk: tuple | None = None) -> ClassFile:
     """Decode one class file; raises ClassParseError subclasses on bad input.
 
     With ``wanted_body``, a method's Code attribute is decoded only if
     ``wanted_body(class name, method name, descriptor)`` accepts it; the
     others read as ``UNDECODED``. Without it every body is decoded.
+    ``walk`` is the pool walk ``parse_class_header`` returned for these
+    bytes; without it the pool is walked here.
     """
-    r = _Reader(data)
-    if len(data) < 4 or r.u4() != MAGIC:
-        raise BadMagic("class file does not start with 0xCAFEBABE")
-    r.u2()  # minor
-    major = r.u2()
-    if not MIN_MAJOR <= major <= MAX_MAJOR:
-        raise UnsupportedVersion(
-            f"class file major version {major} outside supported {MIN_MAJOR}..{MAX_MAJOR}"
-        )
-    pool = _parse_constant_pool(r)
-    access = r.u2()
-    this_class = pool.class_name(r.u2()).replace("/", ".")
-    super_idx = r.u2()
+    major, pool, pos = walk or _walk_pool(data)
+    access = _u2(data, pos)
+    this_class = pool.class_name(_u2(data, pos + 2)).replace("/", ".")
+    super_idx = _u2(data, pos + 4)
     super_class = pool.class_name(super_idx).replace("/", ".") if super_idx else None
-    interfaces = tuple(pool.class_name(r.u2()).replace("/", ".")
-                       for _ in range(r.u2()))
+    interfaces = tuple(pool.class_name(_u2(data, pos + 8 + 2 * i)).replace("/", ".")
+                       for i in range(_u2(data, pos + 6)))
+    entries, pos = _table(data, pos + 8 + 2 * len(interfaces))
     fields = []
-    for _ in range(r.u2()):
-        acc, name, desc = r.u2(), pool.utf8(r.u2()), pool.utf8(r.u2())
-        _member_attributes(r, pool)
+    for _ in entries:
+        acc, name = _u2(data, pos), pool.utf8(_u2(data, pos + 2))
+        desc = pool.utf8(_u2(data, pos + 4))
+        pos, _attributes = _member_attributes(data, pos + 6, pool)
         validate_field_descriptor(desc)
         fields.append(FieldInfo(name, desc, acc))
+    entries, pos = _table(data, pos)
     methods = []
-    for _ in range(r.u2()):
-        acc, name, desc = r.u2(), pool.utf8(r.u2()), pool.utf8(r.u2())
-        attributes = _member_attributes(r, pool)
+    for _ in entries:
+        acc, name = _u2(data, pos), pool.utf8(_u2(data, pos + 2))
+        desc = pool.utf8(_u2(data, pos + 4))
+        pos, attributes = _member_attributes(data, pos + 6, pool)
         parse_method_descriptor(desc)
         decode = wanted_body is None or wanted_body(this_class, name, desc)
         code = None
-        for attr_name, payload in attributes:
+        for attr_name, start, end in attributes:
             if attr_name == "Code":
-                code = _parse_code_attribute(payload, pool) if decode else UNDECODED
+                code = _parse_code_attribute(data[start:end], pool) if decode else UNDECODED
         methods.append(MethodInfo(name, desc, acc, code))
     # Class-level attributes skipped by length.
-    for _ in range(r.u2()):
-        r.u2()
-        r.raw(r.u4())
+    _skip_attributes(data, pos)
     return ClassFile(
         major_version=major,
         access_flags=access,
@@ -422,19 +398,6 @@ def parse_class(data: bytes,
         methods=tuple(methods),
         constant_pool=pool,
     )
-
-
-def _cp_offset(data: bytes, offsets: list[int], index: int, tag: int) -> int:
-    """Offset of pool entry ``index``, which must carry ``tag``."""
-    offset = offsets[index] if index < len(offsets) else -1
-    if offset < 0:
-        raise BadConstantPoolRef(f"constant pool index {index} out of range")
-    if data[offset] != tag:
-        raise BadConstantPoolRef(
-            f"constant pool index {index}: expected {TAG_NAMES[tag]}, "
-            f"found {TAG_NAMES.get(data[offset], data[offset])}"
-        )
-    return offset
 
 
 def _skip_attributes(data: bytes, pos: int) -> int:
@@ -454,53 +417,22 @@ def _skip_attributes(data: bytes, pos: int) -> int:
     return pos
 
 
-def parse_class_header(data: bytes) -> str:
+def parse_class_header(data: bytes) -> tuple[str, tuple]:
     """Check a class file's layout without decoding it; return its dotted
-    this_class name.
+    this_class name and the pool walk, for ``parse_class``.
 
     The checks are listed in the module docstring; each is one
     ``parse_class`` makes on the same bytes. Raises ClassParseError
     subclasses on bad input.
     """
+    _major, pool, pos = walk = _walk_pool(data)
     n = len(data)
-    if n < 4 or _U4(data, 0)[0] != MAGIC:
-        raise BadMagic("class file does not start with 0xCAFEBABE")
-    if n < 10:
-        raise TruncatedInput(f"class file ends inside its header ({n} bytes)")
-    major, count = struct.unpack_from(">HH", data, 6)
-    if not MIN_MAJOR <= major <= MAX_MAJOR:
-        raise UnsupportedVersion(
-            f"class file major version {major} outside supported {MIN_MAJOR}..{MAX_MAJOR}"
-        )
-
-    # offsets[i] is where pool entry i's tag byte sits; -1 marks no entry.
-    offsets = [-1] * max(count, 1)
-    pos = 10
-    index = 1
-    while index < count:
-        if pos >= n:
-            raise TruncatedInput(f"constant pool ends before entry {index}")
-        tag = data[pos]
-        offsets[index] = pos
-        if tag == TAG_UTF8:
-            if pos + 3 > n:
-                raise TruncatedInput(f"constant pool ends inside entry {index}")
-            pos += 3 + ((data[pos + 1] << 8) | data[pos + 2])
-            index += 1
-        else:
-            size = _CP_ENTRY_SIZE[tag]
-            if not size:
-                raise ClassParseError(f"unknown constant pool tag {tag} at index {index}")
-            pos += size
-            index += 2 if tag in WIDE_TAGS else 1
-
     if pos + 8 > n:
         raise TruncatedInput("class file ends inside its class header")
     this_idx, interface_count = _THIS_AND_INTERFACES(data, pos)
-    class_at = _cp_offset(data, offsets, this_idx, TAG_CLASS)
-    name_at = _cp_offset(data, offsets, _U2(data, class_at + 1)[0], TAG_UTF8)
+    name = pool.class_name(this_idx)
     pos += 8 + 2 * interface_count
-    for _table in ("fields", "methods"):
+    for _table_name in ("fields", "methods"):
         if pos + 2 > n:
             raise TruncatedInput("class file ends before a member table")
         member_count = _U2(data, pos)[0]
@@ -508,9 +440,7 @@ def parse_class_header(data: bytes) -> str:
         for _ in range(member_count):
             pos = _skip_attributes(data, pos + 6)   # after access, name, descriptor
     _skip_attributes(data, pos)
-
-    length = _U2(data, name_at + 1)[0]
-    return _decode_utf8(data[name_at + 3:name_at + 3 + length]).replace("/", ".")
+    return name.replace("/", "."), walk
 
 
 # What ZipFile.read raises for one bad entry: a failed CRC or bad header
@@ -530,9 +460,9 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
 
     Without ``wanted`` every class is fully parsed. With it, a class is
     header-checked first and fully parsed only if ``wanted`` accepts its
-    dotted name; the others go to ``unparsed`` and their bytes are dropped.
-    ``wanted_body`` is passed on to ``parse_class`` for the classes fully
-    parsed.
+    dotted name, with the header's pool walk; the others go to
+    ``unparsed`` and their bytes are dropped. ``wanted_body`` is passed on
+    to ``parse_class`` for the classes fully parsed.
     """
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
@@ -569,12 +499,13 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
             failures.append(ParseFailure(path, f"unreadable entry: {exc}"))
             continue
         try:
+            walk = None
             if wanted is not None:
-                fqn = parse_class_header(raw)
+                fqn, walk = parse_class_header(raw)
                 if not wanted(fqn):
                     unparsed.append((path, fqn))
                     continue
-            classes.append((path, parse_class(raw, wanted_body)))
+            classes.append((path, parse_class(raw, wanted_body, walk)))
         except ClassParseError as exc:
             log.warning("failed to parse %s: %s", path, exc)
             failures.append(ParseFailure(path, str(exc)))

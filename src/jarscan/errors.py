@@ -22,7 +22,7 @@ class TruncatedInput(ClassParseError):
 
 
 class UnsupportedVersion(ClassParseError):
-    """Class file major version outside the supported 45..65 range."""
+    """Class file major version outside the supported 45..69 range."""
 
 
 class BadConstantPoolRef(ClassParseError):

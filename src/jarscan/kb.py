@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -205,10 +206,10 @@ def class_member_context(cf: ClassFile, exclude_method: tuple | None = None) -> 
     matched construct itself is not its own sibling).
     """
     items = set()
-    for m in cf.methods:
+    for m, unq in zip(cf.methods, cf.unqualified_method_fqns):
         if exclude_method and (m.name, m.descriptor) == exclude_method:
             continue
-        items.add(strip_packages(method_signature(cf.this_class, m.name, m.descriptor)))
+        items.add(unq)
     unq_cls = strip_packages(cf.this_class)
     for f in cf.fields:
         items.add(f"{unq_cls}#{f.name}:{strip_packages(render_type(f.descriptor))}")
@@ -451,12 +452,17 @@ def parse_manifest(path) -> list[ManifestEntry]:
 
 
 def _classes_in_dir(directory: Path) -> list[ClassFile]:
+    """Every ``*.class`` file under ``directory``, parsed, in ``sorted(Path)``
+    order (by path parts). Symlinked directories are not followed. Raises
+    ClassParseError, naming the file, for one that does not parse."""
+    paths = [os.path.join(root, name) for root, _dirs, names in os.walk(directory)
+             for name in names if name.endswith(".class")]
     out = []
-    for p in sorted(directory.rglob("*.class")):
+    for path in sorted(paths, key=lambda p: p.split(os.sep)):
         try:
-            out.append(parse_class(p.read_bytes()))
+            out.append(parse_class(Path(path).read_bytes()))
         except ClassParseError as exc:
-            log.warning("skipping %s: %s", p, exc)
+            raise ClassParseError(f"{path}: {exc}") from exc
     return out
 
 
@@ -472,12 +478,12 @@ def build_from_manifest(manifest_path) -> tuple[KnowledgeBase, BuildStats]:
     stats = BuildStats()
     records: dict[str, list] = {}
     for entry in parse_manifest(manifest_path):
-        pre = _classes_in_dir(entry.pre_dir)
-        post = _classes_in_dir(entry.post_dir)
-        if not pre or not post:
-            stats.errors.append((entry.cve_id, "pre or post directory has no classes"))
-            continue
         try:
+            pre = _classes_in_dir(entry.pre_dir)
+            post = _classes_in_dir(entry.post_dir)
+            if not pre or not post:
+                stats.errors.append((entry.cve_id, "pre or post directory has no classes"))
+                continue
             records[entry.cve_id] = build_entry(entry.cve_id, pre, post)
             stats.built.append(entry.cve_id)
         except EmptyDiff as exc:

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classfile.constructs import strip_packages
-from .classfile.descriptors import method_signature
 from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
 from .classfile.parser import parse_jar
 from .errors import (BadConstantPoolRef, ClassParseError, JarscanError, LiftError,
@@ -182,8 +181,7 @@ class JarView:
         for _path, cf in archive.classes:
             self.class_by_fqn.setdefault(cf.this_class, cf)
             self.by_unq_class.setdefault(strip_packages(cf.this_class), []).append(cf)
-            for m in cf.methods:
-                fqn = method_signature(cf.this_class, m.name, m.descriptor)
+            for m, fqn in zip(cf.methods, cf.method_fqns):
                 self.methods.setdefault(fqn, (cf, m))
         self._triplets: dict[str, object] = {}
         self._unqualified: dict[str, object] = {}
@@ -336,9 +334,8 @@ def classify_construct_repack(record, view: JarView, cve_id: str,
 
 def _method_by_unqualified(cf: ClassFile, unqualified: str) -> str | None:
     """FQN of the class's first method whose unqualified signature is this."""
-    for m in cf.methods:
-        fqn = method_signature(cf.this_class, m.name, m.descriptor)
-        if strip_packages(fqn) == unqualified:
+    for fqn, unq in zip(cf.method_fqns, cf.unqualified_method_fqns):
+        if unq == unqualified:
             return fqn
     return None
 

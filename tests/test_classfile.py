@@ -1,7 +1,9 @@
 """Class-file parsing, emission round-trips, and construct extraction."""
 
 import io
+import os
 import random
+import shutil
 import struct
 import zipfile
 from pathlib import Path
@@ -23,6 +25,7 @@ from jarscan.classfile import (
     strip_packages,
     write_jar,
 )
+from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.parser import parse_class_header
 from jarscan.errors import (
     BadConstantPoolRef,
@@ -33,7 +36,8 @@ from jarscan.errors import (
     UnsupportedFeature,
     UnsupportedVersion,
 )
-from randgen import random_int_method
+import eager_parser
+from randgen import random_int_method, random_ref_method
 
 DATA = Path(__file__).parent / "data"
 
@@ -118,7 +122,7 @@ def test_parse_class_truncated():
         parse_class(data[: len(data) // 2])
 
 
-@pytest.mark.parametrize("major", [44, 66, 99])
+@pytest.mark.parametrize("major", [44, 70, 99])
 def test_parse_class_unsupported_version(major):
     data = bytearray(emit_class(ClassModel("t.T")))
     data[6:8] = struct.pack(">H", major)
@@ -129,11 +133,11 @@ def test_parse_class_unsupported_version(major):
 
 
 def test_parse_class_version_bounds_accepted():
-    for major in (45, 65):
+    for major in (45, 69):
         data = bytearray(emit_class(ClassModel("t.T")))
         data[6:8] = struct.pack(">H", major)
         assert parse_class(bytes(data)).major_version == major
-        assert parse_class_header(bytes(data)) == "t.T"
+        assert parse_class_header(bytes(data))[0] == "t.T"
 
 
 # ------------------------------------------------------------- header pass
@@ -145,7 +149,7 @@ def _header_agrees(data: bytes) -> bool:
     ClassParseError subclasses may escape either. Returns whether the
     header accepted."""
     try:
-        name = parse_class_header(data)
+        name = parse_class_header(data)[0]
     except ClassParseError:
         name = None
     try:
@@ -239,6 +243,113 @@ def test_header_sound_on_mutated_classes(seed, edits):
     for pos, byte in edits:
         data[pos % len(data)] = byte
     _header_agrees(bytes(data))
+
+
+# ------------------------------------------------- the eager parser, as oracle
+
+def _outcome(read, *args):
+    """What ``read(*args)`` returns, or the ClassParseError subclass it
+    raises; any other exception escapes."""
+    try:
+        return read(*args)
+    except ClassParseError as exc:
+        return type(exc)
+
+
+def _same_as_eager(data: bytes) -> bool:
+    """parse_class and the eager parser it replaced (tests/eager_parser.py)
+    raise the same ClassParseError subclass, or return equal classes whose
+    pools give the same ``entry``, ``resolve`` and ``in`` for every index
+    from 0 to count + 1: index 0, the index just past the pool and the
+    second slot of a Long or Double included. Returns whether it parsed."""
+    want, got = _outcome(eager_parser.parse_class, data), _outcome(parse_class, data)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return False
+    assert got == want
+    new, old = got.constant_pool, want.constant_pool
+    assert len(new) == len(old)
+    for index in range(struct.unpack_from(">H", data, 8)[0] + 2):
+        assert (index in new) == (index in old)
+        entries = _outcome(new.entry, index), _outcome(old.entry, index)
+        # by repr where unequal, since a NaN constant is not equal to itself
+        assert entries[0] == entries[1] or repr(entries[0]) == repr(entries[1])
+        assert _outcome(new.resolve, index) == _outcome(old.resolve, index)
+    return True
+
+
+def _random_ref_class(seed: int) -> bytes:
+    """A class of randgen methods that name classes, members, strings and
+    catch types, so its pool holds every kind the emitter writes."""
+    rng = random.Random(seed)
+    return emit_class(ClassModel(f"rnd.R{seed}", methods=[default_constructor()] + [
+        random_ref_method(rng, f"f{i}") for i in range(rng.randint(1, 3))]))
+
+
+def _corpus_blobs(corpus) -> list[bytes]:
+    return [b for cve in corpus.cve_ids
+            for side in (corpus.pre_classes, corpus.post_classes)
+            for _n, b in side[cve]]
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_parser_matches_eager_on_generated_classes(seed):
+    assert _same_as_eager(_random_class(seed))
+    assert _same_as_eager(_random_ref_class(seed))
+
+
+def test_parser_matches_eager_on_every_truncation_prefix(corpus):
+    blobs = _corpus_blobs(corpus) + [_with_class_attribute(_handcrafted_switch_class())]
+    for data in blobs:
+        assert _same_as_eager(data)
+        for cut in range(len(data)):
+            assert not _same_as_eager(data[:cut])
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_parser_matches_eager_on_mutated_classes(corpus, seed, edits):
+    blobs = _corpus_blobs(corpus)
+    for data in (_random_ref_class(seed), blobs[seed % len(blobs)]):
+        data = bytearray(data)
+        for pos, byte in edits:
+            data[pos % len(data)] = byte
+        _same_as_eager(bytes(data))
+
+
+def _jdk_jmod(module: str) -> Path | None:
+    """``jmods/<module>.jmod`` of the JDK that JAVA_HOME or the java on
+    PATH names, or None."""
+    homes = [os.environ.get("JAVA_HOME")]
+    if shutil.which("java"):
+        homes.append(str(Path(os.path.realpath(shutil.which("java"))).parent.parent))
+    for home in filter(None, homes):
+        jmod = Path(home) / "jmods" / f"{module}.jmod"
+        if jmod.is_file():
+            return jmod
+    return None
+
+
+def test_parser_matches_eager_on_jdk_classes():
+    jmod = _jdk_jmod("java.xml")
+    if jmod is None:
+        pytest.skip("no JDK with jmods/java.xml.jmod")
+    with zipfile.ZipFile(jmod) as zf:     # a jmod is a zip behind a 4-byte header
+        names = [n for n in zf.namelist() if n.endswith(".class")]
+        assert len(names) > 2000
+        for name in names:
+            assert _same_as_eager(zf.read(name)), name
+
+
+def test_method_signatures_rendered_once_per_class(corpus):
+    data = _corpus_blobs(corpus)[0]
+    cf, fresh = parse_class(data), parse_class(data)
+    assert cf.method_fqns == tuple(method_signature(cf.this_class, m.name, m.descriptor)
+                                   for m in cf.methods)
+    assert cf.method_fqns is cf.method_fqns
+    assert cf.unqualified_method_fqns == tuple(map(strip_packages, cf.method_fqns))
+    assert cf == fresh and hash(cf) == hash(fresh)      # the cache is no field
 
 
 # --------------------------------------------------------------- round trips

@@ -1,5 +1,7 @@
 """Knowledge-base building, persistence and queries."""
 
+import struct
+
 import pytest
 
 import jarscan.cpg
@@ -20,6 +22,7 @@ from jarscan.errors import (BadConstantPoolRef, CorruptFile, EmptyDiff, KbFormat
                             LiftError, VersionMismatch)
 from jarscan.kb import (
     KnowledgeBase,
+    _classes_in_dir,
     build_entry,
     build_from_manifest,
     load,
@@ -546,6 +549,42 @@ def test_manifest_build_reports_mistyped_pool_reference(tmp_path, corpus,
     assert cve == "CVE-9000-0002" and "found Utf8" in message
     assert sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
     assert sorted(kb.records) == sorted(stats.built) and not stats.empty_diff
+
+
+def test_manifest_build_reports_an_unparsable_fix_class(tmp_path, corpus):
+    """A fix class that does not parse makes its CVE a build error with no
+    records; the copy on the other side is not recorded as added or
+    removed."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    cve, other = corpus.cve_ids[:2]
+    name, data = corpus.pre_classes[other][0]       # not part of cve's fix
+    copies = {side: tmp_path / cve / side / "extra" / (name.replace(".", "/") + ".class")
+              for side in ("pre", "post")}
+    for side, copy in copies.items():
+        copy.parent.mkdir(parents=True)
+        copy.write_bytes(data[:6] + struct.pack(">H", 70 if side == "post" else 49)
+                         + data[8:])
+    kb, stats = build_from_manifest(manifest)
+    [(bad, message)] = stats.errors
+    assert bad == cve
+    assert message.startswith(f"malformed class: {copies['post'].resolve()}: ")
+    assert "major version 70" in message
+    assert cve not in kb.records and cve not in stats.built
+    assert sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
+
+
+def test_fix_directory_walk(tmp_path):
+    """Fix classes are read in ``sorted(Path)`` order, which compares path
+    parts ("a/b" before "a-c/x"); a directory named ``*.class`` is walked,
+    not read, and a symlinked directory is not followed."""
+    names = {"a.class": "p.A", "a/b.class": "p.B", "a-c/x.class": "p.X",
+             "d.class/e.class": "p.E"}
+    for rel, name in names.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(emit_class(ClassModel(name)))
+    (tmp_path / "link").symlink_to(tmp_path / "a", target_is_directory=True)
+    assert [cf.this_class for cf in _classes_in_dir(tmp_path)] == ["p.B", "p.X", "p.A", "p.E"]
 
 
 def test_manifest_rejects_duplicates(tmp_path):

@@ -37,6 +37,7 @@ from jarscan.scanner import (
     ConstructVerdict,
     JarView,
     ScanConfig,
+    ScanReport,
     aggregate,
     match_class_context,
     match_triplets,
@@ -522,6 +523,32 @@ def test_scan_corpus_pre_and_post(corpus, corpus_kb):
         assert flagged == {cve}
         post = scan_jar_bytes("post.jar", corpus.post_jars[cve], corpus_kb, config)
         assert {f.cve_id for f in post.findings if f.verdict == VULNERABLE} == set()
+
+
+def _restamped(jar: bytes, major: int) -> bytes:
+    """The JAR with every class file's major version set to ``major``."""
+    with zipfile.ZipFile(io.BytesIO(jar)) as zf:
+        entries = [(info.filename, zf.read(info)) for info in zf.infolist()]
+    return write_jar([(name, data[:6] + struct.pack(">H", major) + data[8:]
+                       if name.endswith(".class") else data)
+                      for name, data in entries], manifest=False)
+
+
+def test_newest_class_versions_scan_alike(corpus, corpus_kb):
+    """Java SE 22-25 (major 66-69) added no constant-pool tag and changed
+    nothing in Code, so corpus classes re-stamped as 66 and as 69 get the
+    verdicts they get at 61 (Java SE 17)."""
+    jars = [(f"{cve}-{side}.jar", getattr(corpus, f"{side}_jars")[cve])
+            for cve in corpus.cve_ids for side in ("pre", "post")]
+    config = ScanConfig()
+    reports = {major: report_to_json(ScanReport(config, [
+        scan_jar_bytes(path, _restamped(jar, major), corpus_kb, config)
+        for path, jar in jars])) for major in (61, 66, 69)}
+    assert reports[66] == reports[61] == reports[69]
+    jar_reports = reports[61]["jars"]
+    assert all(j["parse_failures"] == 0 and j["classes"] > 0 for j in jar_reports)
+    assert sum(f["verdict"] == VULNERABLE for j in jar_reports for f in j["findings"]) \
+        >= len(corpus.cve_ids)
 
 
 def test_pre_fix_full_detection_per_construct(corpus, corpus_kb):
