@@ -38,6 +38,19 @@ failure, and so does a class the KB names whose only defect is inside
 the Code attribute of a method no ``changed`` record names. A defect that
 could hide which class it is (an unreadable name, a bad pool, truncation,
 an unsupported version) is a failure either way.
+
+``parse_jar`` opens the archive with ``zipfile`` but reads each class
+entry straight from the archive's bytes (``_read_entry``): it slices the
+entry's data out of a memoryview, inflates it and checks its CRC-32. It
+takes those bytes only where ``zipfile.ZipFile.read`` would return the
+same: the entry is stored or deflated and neither encrypted nor patched;
+its local header lies inside the archive, at a non-negative offset, with
+the right signature and the central directory's name (UTF-8 when flag
+0x800 is set, else cp437); its data lies inside the archive, and before
+the next entry where zipfile records that; it inflates to exactly the
+stated size; and the CRC matches. Any other entry goes to
+``ZipFile.read``, which returns it or raises what it raises today, so an
+entry is read, or fails, as zipfile decides.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ import logging
 import struct
 import zipfile
 import zlib
+from lzma import LZMAError
 from typing import Callable
 
 from ..errors import (
@@ -89,6 +103,8 @@ _THIS_AND_INTERFACES = struct.Struct(">2xH2xH").unpack_from
 # 0 for Utf8 (sized by its length field) and unknown tags.
 _CP_ENTRY_SIZE = bytes(1 + CP_PAYLOAD[tag].size if tag in CP_PAYLOAD else 0
                        for tag in range(256))
+# Pool slots each entry takes, indexed by tag: 2 for Long and Double.
+_CP_INDEX_STEP = bytes(2 if tag in WIDE_TAGS else 1 for tag in range(256))
 
 
 def _read(fmt: struct.Struct, data: bytes, pos: int) -> tuple:
@@ -127,6 +143,7 @@ def _walk_pool(data: bytes) -> tuple[int, ConstantPool, int]:
     count = _u2(data, 8)
     # offsets[i] is where pool entry i's tag byte sits; -1 marks no entry.
     offsets = [-1] * max(count, 1)
+    entry_size, index_step = _CP_ENTRY_SIZE, _CP_INDEX_STEP
     pos = 10
     index = 1
     try:            # reading past the end raises IndexError
@@ -137,11 +154,11 @@ def _walk_pool(data: bytes) -> tuple[int, ConstantPool, int]:
                 pos += 3 + ((data[pos + 1] << 8) | data[pos + 2])
                 index += 1
             else:
-                size = _CP_ENTRY_SIZE[tag]
+                size = entry_size[tag]
                 if not size:
                     raise ClassParseError(f"unknown constant pool tag {tag} at index {index}")
                 pos += size
-                index += 2 if tag in WIDE_TAGS else 1
+                index += index_step[tag]
     except IndexError:
         raise TruncatedInput(f"constant pool ends inside entry {index}") from None
     if pos > n:
@@ -432,31 +449,106 @@ def parse_class_header(data: bytes) -> tuple[str, tuple]:
     this_idx, interface_count = _THIS_AND_INTERFACES(data, pos)
     name = pool.class_name(this_idx)
     pos += 8 + 2 * interface_count
-    for _table_name in ("fields", "methods"):
-        if pos + 2 > n:
-            raise TruncatedInput("class file ends before a member table")
-        member_count = _U2(data, pos)[0]
+    # Fields, methods, then the class's attributes, in one loop. A read
+    # past the end raises IndexError or struct.error; a length that runs
+    # past the end is followed by a read, except for the last one, which
+    # the check below catches.
+    u4 = _U4
+    try:
+        for _table in (0, 1):
+            members = (data[pos] << 8) | data[pos + 1]
+            pos += 2
+            for _ in range(members):
+                attributes = (data[pos + 6] << 8) | data[pos + 7]
+                pos += 8            # access, name, descriptor, attribute count
+                for _ in range(attributes):
+                    pos += 6 + u4(data, pos + 2)[0]
+        attributes = (data[pos] << 8) | data[pos + 1]
         pos += 2
-        for _ in range(member_count):
-            pos = _skip_attributes(data, pos + 6)   # after access, name, descriptor
-    _skip_attributes(data, pos)
+        for _ in range(attributes):
+            pos += 6 + u4(data, pos + 2)[0]
+    except (IndexError, struct.error):
+        raise TruncatedInput(f"class file ends inside its member tables at {pos}") from None
+    if pos > n:
+        raise TruncatedInput("attribute runs past the end of the class file")
     return name.replace("/", "."), walk
 
 
 # What ZipFile.read raises for one bad entry: a failed CRC or bad header
-# (BadZipFile), data that does not inflate (zlib.error), sizes that run
-# past the archive (EOFError), and an encrypted entry or an unsupported
-# compression method (RuntimeError, NotImplementedError).
-_UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError)
+# (BadZipFile), deflate, bzip2 or LZMA data that does not decompress
+# (zlib.error, OSError, LZMAError), sizes that run past the archive
+# (EOFError), an encrypted entry or an unsupported compression method
+# (RuntimeError, NotImplementedError), and a local header offset before
+# the start of the archive or a local name that is not UTF-8 (ValueError).
+_UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, OSError, LZMAError, EOFError,
+                     RuntimeError, ValueError)
+# What ZipFile() raises for an archive it cannot open: no or a bad central
+# directory (BadZipFile), an entry that needs a newer zip version
+# (NotImplementedError) or a central name that is not UTF-8 (ValueError).
+_UNREADABLE_ARCHIVE = (zipfile.BadZipFile, NotImplementedError, ValueError)
+
+# A local file header: signature, flags, name length and extra length.
+_LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
+# Flags zipfile refuses to read plainly: encrypted (0x1), compressed
+# patch data (0x20), strong encryption (0x40).
+_ENCRYPTED_OR_PATCHED = 0x61
+_UTF8_NAME = 0x800
+
+
+def _read_entry(zf: zipfile.ZipFile, view: memoryview, info: zipfile.ZipInfo) -> bytes:
+    """The bytes of ``info``'s entry, read straight from ``view``, the
+    archive's bytes, where that gives the bytes ``zf.read(info)`` would;
+    otherwise ``zf.read(info)``, which raises what it raises for a bad
+    entry."""
+    offset = info.header_offset
+    method = info.compress_type
+    if ((method != zipfile.ZIP_DEFLATED and method != zipfile.ZIP_STORED)
+            or info.flag_bits & _ENCRYPTED_OR_PATCHED
+            or offset < 0 or offset + _LOCAL_HEADER.size > len(view)):
+        return zf.read(info)
+    signature, flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(view, offset)
+    start = offset + _LOCAL_HEADER.size + name_len
+    end = start + extra_len + info.compress_size
+    # Where zipfile records one, the start of the next entry: data past it
+    # overlaps that entry, which zipfile refuses.
+    limit = getattr(info, "_end_offset", None)
+    if (signature != b"PK\x03\x04" or end > len(view)
+            or (limit is not None and end > limit)):
+        return zf.read(info)
+    try:
+        name = str(view[offset + _LOCAL_HEADER.size:start],
+                   "utf-8" if flags & _UTF8_NAME else "cp437")
+    except UnicodeDecodeError:
+        return zf.read(info)
+    if name != info.orig_filename:
+        return zf.read(info)
+    packed = view[start + extra_len:end]
+    size = info.file_size
+    if method == zipfile.ZIP_STORED:
+        raw = bytes(packed) if len(packed) == size else None
+    else:
+        # Inflating at most one byte past the stated size bounds the
+        # output of an entry that inflates to more. Like zipfile, this
+        # takes the output of a stream cut short of its end.
+        try:
+            raw = zlib.decompressobj(-15).decompress(packed, size + 1)
+        except zlib.error:
+            raw = None
+        if raw is not None and len(raw) != size:
+            raw = None
+    if raw is None or zlib.crc32(raw) != info.CRC:
+        return zf.read(info)
+    return raw
 
 
 def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
               wanted_body: Callable[[str, str, str], bool] | None = None) -> JarArchive:
     """Decode a JAR; per-entry class failures are collected, never fatal.
 
-    A class entry zipfile cannot read (a failed CRC, data that does not
-    inflate, sizes past the end, encryption, an unsupported compression
-    method) is such a failure too ("unreadable entry: ...").
+    An archive zipfile cannot open raises MalformedArchive. A class entry
+    zipfile cannot read (a failed CRC, data that does not inflate, sizes
+    or offsets outside the archive, encryption, an unsupported compression
+    method) is a per-entry failure too ("unreadable entry: ...").
 
     Without ``wanted`` every class is fully parsed. With it, a class is
     header-checked first and fully parsed only if ``wanted`` accepts its
@@ -466,8 +558,9 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
     """
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
-    except zipfile.BadZipFile as exc:
+    except _UNREADABLE_ARCHIVE as exc:
         raise MalformedArchive(str(exc)) from exc
+    view = memoryview(data)
 
     classes: list[tuple[str, ClassFile]] = []
     unparsed: list[tuple[str, str]] = []
@@ -493,7 +586,7 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
             others.append(path)
             continue
         try:
-            raw = zf.read(info)
+            raw = _read_entry(zf, view, info)
         except _UNREADABLE_ENTRY as exc:
             log.warning("cannot read %s: %s", path, exc)
             failures.append(ParseFailure(path, f"unreadable entry: {exc}"))

@@ -454,7 +454,8 @@ def parse_manifest(path) -> list[ManifestEntry]:
 def _classes_in_dir(directory: Path) -> list[ClassFile]:
     """Every ``*.class`` file under ``directory``, parsed, in ``sorted(Path)``
     order (by path parts). Symlinked directories are not followed. Raises
-    ClassParseError, naming the file, for one that does not parse."""
+    ClassParseError, naming the file, for one that does not parse, and
+    OSError for one that cannot be read."""
     paths = [os.path.join(root, name) for root, _dirs, names in os.walk(directory)
              for name in names if name.endswith(".class")]
     out = []
@@ -492,4 +493,8 @@ def build_from_manifest(manifest_path) -> tuple[KnowledgeBase, BuildStats]:
         except ClassParseError as exc:
             log.warning("%s: %s", entry.cve_id, exc)
             stats.errors.append((entry.cve_id, f"malformed class: {exc}"))
+        except OSError as exc:
+            log.warning("%s: %s", entry.cve_id, exc)
+            stats.errors.append(
+                (entry.cve_id, f"unreadable class: {exc.filename}: {exc.strerror}"))
     return KnowledgeBase(records=records), stats

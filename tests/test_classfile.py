@@ -37,6 +37,7 @@ from jarscan.errors import (
     UnsupportedVersion,
 )
 import eager_parser
+from jar_damage import reads_like_zipfile
 from randgen import random_int_method, random_ref_method
 
 DATA = Path(__file__).parent / "data"
@@ -143,22 +144,19 @@ def test_parse_class_version_bounds_accepted():
 # ------------------------------------------------------------- header pass
 
 def _header_agrees(data: bytes) -> bool:
-    """The header pass's checks are a subset of parse_class's: whatever
-    parse_class accepts, the header accepts with the same name, and
-    whatever the header rejects, parse_class rejects. Only
-    ClassParseError subclasses may escape either. Returns whether the
-    header accepted."""
-    try:
-        name = parse_class_header(data)[0]
-    except ClassParseError:
-        name = None
-    try:
-        full = parse_class(data).this_class
-    except ClassParseError:
-        full = None
-    if full is not None:
+    """The header pass accepts what the header pass it replaced
+    (tests/eager_parser.py) accepts, with the same name, and rejects the
+    rest with the same ClassParseError subclass. Its checks are a subset
+    of parse_class's: whatever parse_class accepts, the header accepts
+    with the same name, and whatever the header rejects, parse_class
+    rejects. Only ClassParseError subclasses may escape any of them.
+    Returns whether the header accepted."""
+    name = _outcome(lambda d: parse_class_header(d)[0], data)
+    assert name == _outcome(eager_parser.parse_class_header, data)
+    full = _outcome(lambda d: parse_class(d).this_class, data)
+    if isinstance(full, str):
         assert name == full
-    return name is not None
+    return isinstance(name, str)
 
 
 def _random_class(seed: int) -> bytes:
@@ -233,16 +231,23 @@ def test_header_rejects_this_class_not_a_class_entry():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_header_sound_on_generated_classes(seed):
     assert _header_agrees(_random_class(seed))
+    assert _header_agrees(_random_ref_class(seed))
 
 
 @given(st.integers(min_value=0, max_value=10_000),
        st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
                 min_size=1, max_size=4))
 def test_header_sound_on_mutated_classes(seed, edits):
-    data = bytearray(_random_class(seed))
+    """Edits anywhere, and edits past the constant pool only, where the
+    member and attribute tables are."""
+    data = _with_class_attribute(_random_class(seed))
+    pool_end = _pool_layout(data)[1]
+    anywhere, tables = bytearray(data), bytearray(data)
     for pos, byte in edits:
-        data[pos % len(data)] = byte
-    _header_agrees(bytes(data))
+        anywhere[pos % len(data)] = byte
+        tables[pool_end + pos % (len(data) - pool_end)] = byte
+    _header_agrees(bytes(anywhere))
+    _header_agrees(bytes(tables))
 
 
 # ------------------------------------------------- the eager parser, as oracle
@@ -339,7 +344,145 @@ def test_parser_matches_eager_on_jdk_classes():
         names = [n for n in zf.namelist() if n.endswith(".class")]
         assert len(names) > 2000
         for name in names:
-            assert _same_as_eager(zf.read(name)), name
+            data = zf.read(name)
+            assert _same_as_eager(data), name
+            assert parse_class_header(data)[0] == eager_parser.parse_class_header(data), name
+
+
+# ------------------------------------------- the entry reader, against zipfile
+
+class _Unseekable(io.RawIOBase):
+    """A write-only stream zipfile cannot seek back in, so it writes each
+    entry's sizes and CRC in a data descriptor after its data."""
+
+    def __init__(self, buf: io.BytesIO):
+        self.buf = buf
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        return self.buf.write(b)
+
+
+def _repacked(jar: bytes, compression: int = zipfile.ZIP_DEFLATED,
+              seekable: bool = True) -> bytes:
+    """The JAR's entries written again with ``compression``."""
+    src = zipfile.ZipFile(io.BytesIO(jar))
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf if seekable else _Unseekable(buf), "w", compression) as dst:
+        for info in src.infolist():
+            dst.writestr(info.filename, src.read(info))
+    return buf.getvalue()
+
+
+def _classes(jar: bytes) -> list:
+    archive = parse_jar(jar)
+    assert not archive.failures
+    return archive.classes
+
+
+def test_entry_reader_reads_plain_jars_itself(corpus):
+    for jar in [*corpus.pre_jars.values(), *corpus.post_jars.values()]:
+        assert reads_like_zipfile(jar) == 0
+
+
+@pytest.mark.parametrize("compression", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
+def test_entry_reader_leaves_bzip2_and_lzma_to_zipfile(corpus, compression):
+    jar = corpus.pre_jars["CVE-9000-0001"]
+    packed = _repacked(jar, compression)
+    assert reads_like_zipfile(packed) == len(zipfile.ZipFile(io.BytesIO(packed)).infolist())
+    assert _classes(packed) == _classes(jar)
+
+
+def test_entry_reader_reads_data_descriptor_entries(corpus):
+    jar = corpus.pre_jars["CVE-9000-0001"]
+    packed = _repacked(jar, seekable=False)
+    assert all(info.flag_bits & 0x08 for info in zipfile.ZipFile(io.BytesIO(packed)).infolist())
+    assert reads_like_zipfile(packed) == 0
+    assert _classes(packed) == _classes(jar)
+
+
+def test_entry_reader_reads_non_ascii_names():
+    """zipfile flags a non-ASCII name it writes as UTF-8; a name without
+    the flag reads as cp437."""
+    data = emit_class(ClassModel("p.U"))
+    utf8 = write_jar([("p/Ünïcödé.class", data)])
+    cp437 = write_jar([("p/X.class", data)]).replace(b"p/X.class", b"p/\x81.class")
+    for jar, path, flagged in ((utf8, "p/Ünïcödé.class", True), (cp437, "p/ü.class", False)):
+        [info] = [i for i in zipfile.ZipFile(io.BytesIO(jar)).infolist() if i.filename == path]
+        assert bool(info.flag_bits & 0x800) == flagged
+        assert reads_like_zipfile(jar) == 0
+        assert [(p, cf.this_class) for p, cf in _classes(jar)] == [(path, "p.U")]
+
+
+def test_entry_reader_leaves_a_renamed_local_header_to_zipfile(corpus):
+    jar = bytearray(corpus.pre_jars["CVE-9000-0001"])
+    entry = "alpha/core/Parser.class"
+    local = zipfile.ZipFile(io.BytesIO(bytes(jar))).getinfo(entry).header_offset
+    jar[local + 30] = ord("A")          # the first byte of the local name
+    with pytest.raises(zipfile.BadZipFile, match="differ"):
+        zipfile.ZipFile(io.BytesIO(bytes(jar))).read(entry)
+    assert reads_like_zipfile(bytes(jar)) == 1
+    [failure] = parse_jar(bytes(jar)).failures
+    assert failure.path == entry and failure.error.startswith("unreadable entry: ")
+
+
+def test_entry_reader_reads_an_archive_behind_a_prefix(corpus):
+    """Bytes before the archive, as in a jmod or a self-extracting JAR,
+    shift every offset; zipfile corrects them and so does the reader."""
+    jar = corpus.pre_jars["CVE-9000-0001"]
+    prefixed = b"#!/bin/sh\nexec java -jar \"$0\" \"$@\"\n" + jar
+    assert reads_like_zipfile(prefixed) == 0
+    assert _classes(prefixed) == _classes(jar)
+
+
+def _first_central_record_twice(jar: bytes) -> bytes:
+    """The JAR with its first central-directory record written again at
+    the end of the central directory, so two entries share one local
+    header and its data."""
+    data = bytearray(jar)
+    end = data.rfind(b"PK\x05\x06")
+    count, size, offset = struct.unpack_from("<HII", data, end + 10)
+    lengths = struct.unpack_from("<3H", data, offset + 28)  # name, extra, comment
+    record = data[offset:offset + 46 + sum(lengths)]
+    tail = bytearray(data[end:])
+    struct.pack_into("<HHI", tail, 8, count + 1, count + 1, size + len(record))
+    return bytes(data[:end] + record + tail)
+
+
+def test_entry_reader_on_entries_that_share_data(corpus):
+    """Entries whose data overlap, as in a zip bomb, read as zipfile reads
+    them: newer zipfile versions refuse the second, older ones read both."""
+    shared = _first_central_record_twice(corpus.pre_jars["CVE-9000-0001"])
+    infos = zipfile.ZipFile(io.BytesIO(shared)).infolist()
+    assert infos[0].header_offset == infos[-1].header_offset
+    reads_like_zipfile(shared)
+
+
+@given(st.sampled_from([zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]),
+       st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_entry_reader_on_edited_jars(corpus, compression, edits):
+    """On byte edits of a corpus JAR the reader gives what ZipFile.read
+    gives, and parse_jar raises nothing but MalformedArchive."""
+    data = bytearray(_repacked(corpus.pre_jars["CVE-9000-0003"], compression))
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    data = bytes(data)
+    try:
+        parse_jar(data)
+    except MalformedArchive:
+        return
+    reads_like_zipfile(data)
+
+
+def test_entry_reader_on_every_jdk_entry():
+    jmod = _jdk_jmod("java.base")
+    if jmod is None:
+        pytest.skip("no JDK with jmods/java.base.jmod")
+    data = jmod.read_bytes()         # a zip behind a 4-byte header
+    assert reads_like_zipfile(data) == 0
 
 
 def test_method_signatures_rendered_once_per_class(corpus):

@@ -573,6 +573,23 @@ def test_manifest_build_reports_an_unparsable_fix_class(tmp_path, corpus):
     assert sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
 
 
+def test_manifest_build_reports_an_unreadable_fix_class(tmp_path, corpus):
+    """A fix class file that cannot be read (here a dangling symlink) makes
+    its CVE a build error; the other entries are still built."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    cve = "CVE-9000-0006"
+    dangling = tmp_path / cve / "post" / "Dangling.class"
+    dangling.symlink_to(tmp_path / "missing.class")
+    kb, stats = build_from_manifest(manifest)
+    [(bad, message)] = stats.errors
+    assert bad == cve
+    path = dangling.parent.resolve() / dangling.name
+    assert message == f"unreadable class: {path}: No such file or directory"
+    assert cve not in kb.records and cve not in stats.built
+    assert sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
+    assert sorted(kb.records) == sorted(stats.built) and not stats.empty_diff
+
+
 def test_fix_directory_walk(tmp_path):
     """Fix classes are read in ``sorted(Path)`` order, which compares path
     parts ("a/b" before "a-c/x"); a directory named ``*.class`` is walked,

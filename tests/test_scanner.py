@@ -4,7 +4,6 @@ import io
 import json
 import struct
 import zipfile
-import zlib
 
 import pytest
 
@@ -29,6 +28,8 @@ from jarscan.errors import CodeNotDecoded
 from jarscan.kb import ConstructRecord, KnowledgeBase, build_entry, class_member_context
 from jarscan.classfile.constructs import ConstructId
 from jarscan.modharness import modify
+from jar_damage import (ENTRY_DAMAGES, damaged_central_directory, damaged_entry,
+                        reads_like_zipfile)
 from jarscan.scanner import (
     FIXED,
     NOT_FLAGGED,
@@ -869,70 +870,62 @@ def test_mistyped_pool_reference_skips_the_method(corpus, corpus_kb, tmp_path,
             if f.verdict == VULNERABLE} == {"CVE-9000-0001"}
 
 
-def _damaged_entry(jar: bytes, path: str, damage: str) -> bytes:
-    """Re-pack the JAR, then damage ``path``'s entry.
-
-    crc: stored, one byte flipped mid-data, so its CRC fails; inflate:
-    deflated, a reserved block type in its first byte; sizes: its sizes
-    in the central directory run past the end of the archive; encrypted:
-    its encryption flag set; method: compression method 99 (AES), which
-    zipfile does not implement.
-    """
-    compression = zipfile.ZIP_DEFLATED if damage == "inflate" else zipfile.ZIP_STORED
-    src = zipfile.ZipFile(io.BytesIO(jar))
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as out:
-        for info in src.infolist():
-            raw = src.read(info)
-            info.compress_type = compression
-            out.writestr(info, raw)
-    data = bytearray(buf.getvalue())
-    info = zipfile.ZipFile(io.BytesIO(data)).getinfo(path)
-    local = info.header_offset
-    name_len, extra_len = struct.unpack_from("<HH", data, local + 26)
-    start = local + 30 + name_len + extra_len
-    name = path.encode()
-    central = data.find(b"PK\x01\x02")
-    while data[central + 46:central + 46 + len(name)] != name:
-        central = data.find(b"PK\x01\x02", central + 46)
-    if damage == "crc":
-        data[start + info.compress_size // 2] ^= 0xFF
-    elif damage == "inflate":
-        data[start] |= 0x06
-    elif damage == "sizes":
-        struct.pack_into("<II", data, central + 20,
-                         info.compress_size + 100_000, info.file_size + 100_000)
-    elif damage == "encrypted":
-        data[local + 6] |= 1
-        data[central + 8] |= 1
-    else:
-        struct.pack_into("<H", data, local + 8, 99)
-        struct.pack_into("<H", data, central + 10, 99)
-    return bytes(data)
+def _scan_next_to_a_good_jar(tmp_path, corpus, kb, jar: bytes):
+    """Scan ``jar`` and then the corpus CVE-9000-0002 pre JAR; check that
+    the second is flagged, and return the first one's result."""
+    bad, good = tmp_path / "alpha-corrupt.jar", tmp_path / "beta-pre.jar"
+    bad.write_bytes(jar)
+    good.write_bytes(corpus.pre_jars["CVE-9000-0002"])
+    bad_res, good_res = scan([str(bad), str(good)], kb, ScanConfig()).jars
+    assert {f.cve_id for f in good_res.findings
+            if f.verdict == VULNERABLE} == {"CVE-9000-0002"}
+    return bad_res
 
 
-@pytest.mark.parametrize("damage, error", [
-    ("crc", zipfile.BadZipFile), ("inflate", zlib.error), ("sizes", EOFError),
-    ("encrypted", RuntimeError), ("method", NotImplementedError)])
+@pytest.mark.parametrize("damage, error", sorted(ENTRY_DAMAGES.items()))
 def test_unreadable_entry_is_a_parse_failure(corpus, corpus_kb, tmp_path,
                                              damage, error):
     """A class entry zipfile cannot read counts under parse_failures; the
     scan goes on, and the next JAR is still flagged."""
     entry = "alpha/core/Parser.class"
-    jar = _damaged_entry(corpus.pre_jars["CVE-9000-0001"], entry, damage)
+    jar = damaged_entry(corpus.pre_jars["CVE-9000-0001"], entry, damage)
     with pytest.raises(error):
         zipfile.ZipFile(io.BytesIO(jar)).read(entry)
+    assert reads_like_zipfile(jar) == 1
     [failure] = parse_jar(jar).failures
     assert failure.path == entry and failure.error.startswith("unreadable entry: ")
+    res = _scan_next_to_a_good_jar(tmp_path, corpus, corpus_kb, jar)
+    assert res.error is None and res.parse_failures == 1
 
-    bad = tmp_path / "alpha-corrupt.jar"
-    bad.write_bytes(jar)
-    good = tmp_path / "beta-pre.jar"
-    good.write_bytes(corpus.pre_jars["CVE-9000-0002"])
-    bad_res, good_res = scan([str(bad), str(good)], corpus_kb, ScanConfig()).jars
-    assert bad_res.error is None and bad_res.parse_failures == 1
-    assert {f.cve_id for f in good_res.findings
-            if f.verdict == VULNERABLE} == {"CVE-9000-0002"}
+
+def test_unsupported_zip_version_is_a_jar_error(corpus, corpus_kb, tmp_path):
+    """A central directory that asks for a newer zip version than zipfile
+    reads makes the archive unreadable: the JAR gets an error, and the
+    next JAR is still flagged."""
+    jar = damaged_central_directory(corpus.pre_jars["CVE-9000-0001"], "version")
+    with pytest.raises(NotImplementedError):
+        zipfile.ZipFile(io.BytesIO(jar))
+    res = _scan_next_to_a_good_jar(tmp_path, corpus, corpus_kb, jar)
+    assert res.error == "zip file version 7.2" and not res.findings
+
+
+def test_local_header_before_the_archive_is_a_parse_failure(corpus, corpus_kb, tmp_path):
+    """A central directory whose offsets put local headers before the start
+    of the archive makes those entries unreadable (a negative seek in
+    zipfile), not the scan: each class is an unreadable-entry parse
+    failure, and the next JAR is still flagged."""
+    jar = damaged_central_directory(corpus.pre_jars["CVE-9000-0001"], "offset")
+    zf = zipfile.ZipFile(io.BytesIO(jar))
+    classes = [i for i in zf.infolist() if i.filename.endswith(".class")]
+    assert any(i.header_offset < 0 for i in classes)
+    with pytest.raises(ValueError, match="negative seek"):
+        zf.read(min(classes, key=lambda i: i.header_offset))
+    assert reads_like_zipfile(jar) == len(zf.infolist())
+    archive = parse_jar(jar)
+    assert not archive.classes and len(archive.failures) == len(classes)
+    assert all(f.error.startswith("unreadable entry: ") for f in archive.failures)
+    res = _scan_next_to_a_good_jar(tmp_path, corpus, corpus_kb, jar)
+    assert res.error is None and res.parse_failures == len(classes)
 
 
 def test_unresolvable_pool_reference_skips_the_method(corpus, corpus_kb,
