@@ -60,8 +60,12 @@ import logging
 import struct
 import zipfile
 import zlib
-from lzma import LZMAError
 from typing import Callable
+
+try:
+    from lzma import LZMAError
+except ImportError:     # a Python built without _lzma: zipfile raises RuntimeError
+    LZMAError = RuntimeError
 
 from ..errors import (
     BadMagic,
@@ -103,8 +107,6 @@ _THIS_AND_INTERFACES = struct.Struct(">2xH2xH").unpack_from
 # 0 for Utf8 (sized by its length field) and unknown tags.
 _CP_ENTRY_SIZE = bytes(1 + CP_PAYLOAD[tag].size if tag in CP_PAYLOAD else 0
                        for tag in range(256))
-# Pool slots each entry takes, indexed by tag: 2 for Long and Double.
-_CP_INDEX_STEP = bytes(2 if tag in WIDE_TAGS else 1 for tag in range(256))
 
 
 def _read(fmt: struct.Struct, data: bytes, pos: int) -> tuple:
@@ -143,7 +145,6 @@ def _walk_pool(data: bytes) -> tuple[int, ConstantPool, int]:
     count = _u2(data, 8)
     # offsets[i] is where pool entry i's tag byte sits; -1 marks no entry.
     offsets = [-1] * max(count, 1)
-    entry_size, index_step = _CP_ENTRY_SIZE, _CP_INDEX_STEP
     pos = 10
     index = 1
     try:            # reading past the end raises IndexError
@@ -154,11 +155,11 @@ def _walk_pool(data: bytes) -> tuple[int, ConstantPool, int]:
                 pos += 3 + ((data[pos + 1] << 8) | data[pos + 2])
                 index += 1
             else:
-                size = entry_size[tag]
+                size = _CP_ENTRY_SIZE[tag]
                 if not size:
                     raise ClassParseError(f"unknown constant pool tag {tag} at index {index}")
                 pos += size
-                index += index_step[tag]
+                index += 2 if tag in WIDE_TAGS else 1
     except IndexError:
         raise TruncatedInput(f"constant pool ends inside entry {index}") from None
     if pos > n:
@@ -529,10 +530,12 @@ def _read_entry(zf: zipfile.ZipFile, view: memoryview, info: zipfile.ZipInfo) ->
     else:
         # Inflating at most one byte past the stated size bounds the
         # output of an entry that inflates to more. Like zipfile, this
-        # takes the output of a stream cut short of its end.
+        # takes the output of a stream cut short of its end. A ZIP64 size
+        # can exceed what the bound takes (OverflowError); zipfile decides
+        # such an entry.
         try:
             raw = zlib.decompressobj(-15).decompress(packed, size + 1)
-        except zlib.error:
+        except (zlib.error, OverflowError):
             raw = None
         if raw is not None and len(raw) != size:
             raw = None

@@ -19,6 +19,9 @@ ENTRY_DAMAGES = {"crc": zipfile.BadZipFile, "inflate": zlib.error, "sizes": EOFE
                  "encrypted": RuntimeError, "method": NotImplementedError,
                  "short": zipfile.BadZipFile, "short-inflated": zipfile.BadZipFile}
 
+# An extra-field id no zip tool defines.
+_PLACEHOLDER_EXTRA = 0x9999
+
 
 def damaged_entry(jar: bytes, path: str, damage: str) -> bytes:
     """Re-pack the JAR, then damage ``path``'s entry.
@@ -30,8 +33,13 @@ def damaged_entry(jar: bytes, path: str, damage: str) -> bytes:
     zipfile does not implement; short and short-inflated: stored or
     deflated, its size in the central directory one byte short, so
     zipfile cuts its data there and the CRC fails.
+
+    zip64-size is no damage zipfile refuses: deflated, its size in the
+    central directory is 0xFFFFFFFF with a ZIP64 extra field stating
+    2**64 - 1, more than a Py_ssize_t holds; zipfile reads the entry to
+    the end of its deflate stream.
     """
-    compression = (zipfile.ZIP_DEFLATED if damage in ("inflate", "short-inflated")
+    compression = (zipfile.ZIP_DEFLATED if damage in ("inflate", "short-inflated", "zip64-size")
                    else zipfile.ZIP_STORED)
     src = zipfile.ZipFile(io.BytesIO(jar))
     buf = io.BytesIO()
@@ -39,6 +47,9 @@ def damaged_entry(jar: bytes, path: str, damage: str) -> bytes:
         for info in src.infolist():
             raw = src.read(info)
             info.compress_type = compression
+            if damage == "zip64-size" and info.filename == path:
+                # Room for the ZIP64 field, under an id zipfile copies as it is.
+                info.extra += struct.pack("<HHQ", _PLACEHOLDER_EXTRA, 8, 0)
             out.writestr(info, raw)
     data = bytearray(buf.getvalue())
     info = zipfile.ZipFile(io.BytesIO(data)).getinfo(path)
@@ -58,6 +69,10 @@ def damaged_entry(jar: bytes, path: str, damage: str) -> bytes:
                          info.compress_size + 100_000, info.file_size + 100_000)
     elif damage.startswith("short"):
         struct.pack_into("<I", data, central + 24, info.file_size - 1)
+    elif damage == "zip64-size":
+        struct.pack_into("<I", data, central + 24, 0xFFFFFFFF)
+        extra = data.find(struct.pack("<HH", _PLACEHOLDER_EXTRA, 8), central)
+        struct.pack_into("<HHQ", data, extra, 1, 8, 2**64 - 1)
     elif damage == "encrypted":
         data[local + 6] |= 1
         data[central + 8] |= 1

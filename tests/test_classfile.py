@@ -5,6 +5,8 @@ import os
 import random
 import shutil
 import struct
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -393,6 +395,17 @@ def test_entry_reader_leaves_bzip2_and_lzma_to_zipfile(corpus, compression):
     packed = _repacked(jar, compression)
     assert reads_like_zipfile(packed) == len(zipfile.ZipFile(io.BytesIO(packed)).infolist())
     assert _classes(packed) == _classes(jar)
+
+
+def test_scanner_imports_without_lzma():
+    """A Python built without the lzma module still runs the scanner:
+    zipfile then raises RuntimeError for an LZMA entry, which is already
+    an unreadable entry."""
+    code = ("import sys; sys.modules['lzma'] = None; import jarscan.cli; "
+            "from jarscan.classfile.parser import _UNREADABLE_ENTRY; "
+            "assert RuntimeError in _UNREADABLE_ENTRY")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def test_entry_reader_reads_data_descriptor_entries(corpus):

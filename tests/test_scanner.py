@@ -898,6 +898,23 @@ def test_unreadable_entry_is_a_parse_failure(corpus, corpus_kb, tmp_path,
     assert res.error is None and res.parse_failures == 1
 
 
+def test_zip64_size_past_ssize_t_reads_as_zipfile(corpus, corpus_kb, tmp_path):
+    """A deflated entry whose ZIP64 extra field states a size of 2**64 - 1
+    is left to zipfile, which reads it to the end of its stream; the class
+    parses as before, and the next JAR is still flagged."""
+    entry, jar = "alpha/core/Parser.class", corpus.pre_jars["CVE-9000-0001"]
+    damaged = damaged_entry(jar, entry, "zip64-size")
+    zf = zipfile.ZipFile(io.BytesIO(damaged))
+    assert zf.getinfo(entry).file_size == 2**64 - 1
+    assert zf.read(entry) == zipfile.ZipFile(io.BytesIO(jar)).read(entry)
+    assert reads_like_zipfile(damaged) == 1
+    archive = parse_jar(damaged)
+    assert not archive.failures
+    assert [p for p, _ in archive.classes] == [p for p, _ in parse_jar(jar).classes]
+    res = _scan_next_to_a_good_jar(tmp_path, corpus, corpus_kb, damaged)
+    assert res.error is None and res.parse_failures == 0
+
+
 def test_unsupported_zip_version_is_a_jar_error(corpus, corpus_kb, tmp_path):
     """A central directory that asks for a newer zip version than zipfile
     reads makes the archive unreadable: the JAR gets an error, and the
