@@ -3,8 +3,14 @@ assembler, and a small builder model sufficient for synthetic test classes.
 
 The emitter covers the constant kinds Utf8, Class, NameAndType, Fieldref,
 Methodref, String, Integer, Long, Float and Double; anything else raises
-UnsupportedFeature. parse_class(emit_class(m)) decodes back to exactly the
-instruction list the assembler resolved (see resolve_method_code).
+UnsupportedFeature. The assembler first rewrites each item into a real
+instruction in decoded form: a pseudo-op (``push_int``, ``ldc_int`` and
+the other ``ldc_*``) becomes the shortest real mnemonic, and a symbolic
+operand becomes a pool index. ``encode_instruction`` then writes each
+instruction from the operand layouts of ``opcodes.py``, the tables the
+decoder reads, so parse_class(emit_class(m)) decodes back to exactly the
+instruction list the assembler resolved (``emit_class_resolved`` returns
+it).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, field
 
 from ..errors import UnsupportedFeature
 from .constant_pool import (
+    CP_PAYLOAD,
     TAG_CLASS,
     TAG_DOUBLE,
     TAG_FIELDREF,
@@ -30,7 +37,21 @@ from .constant_pool import (
 )
 from .descriptors import category, param_slots, parse_method_descriptor
 from .model import ACC_STATIC, CodeAttribute, ExceptionHandler, Instruction
-from .opcodes import MNEMONIC_TO_OPCODE, NEWARRAY_CODES, WIDE
+from .opcodes import (
+    FORMAT_OF,
+    LAYOUT,
+    LOCALS,
+    LOOKUPSWITCH,
+    MNEMONIC_TO_OPCODE,
+    NEWARRAY_CODES,
+    RELATIVE_FORMATS,
+    TABLESWITCH,
+    TERMINAL,
+    WIDE,
+    WIDE_LAYOUT,
+    branch_targets,
+    map_targets,
+)
 
 ACC_PUBLIC = 0x0001
 ACC_SUPER = 0x0020
@@ -128,249 +149,137 @@ class PoolBuilder:
         return self._next
 
     def encode(self) -> bytes:
-        out = io.BytesIO()
+        out = []
         for tag, payload in self._entries:
-            out.write(struct.pack(">B", tag))
             if tag == TAG_UTF8:
                 raw = payload[0].encode("utf-8", "surrogateescape").replace(b"\x00", b"\xc0\x80")
-                out.write(struct.pack(">H", len(raw)))
-                out.write(raw)
-            elif tag == TAG_INTEGER:
-                out.write(struct.pack(">i", payload[0]))
-            elif tag == TAG_LONG:
-                out.write(struct.pack(">q", payload[0]))
-            elif tag == TAG_FLOAT:
-                out.write(struct.pack(">f", payload[0]))
-            elif tag == TAG_DOUBLE:
-                out.write(struct.pack(">d", payload[0]))
-            elif tag in (TAG_CLASS, TAG_STRING):
-                out.write(struct.pack(">H", payload[0]))
-            else:  # NameAndType, Fieldref, Methodref
-                out.write(struct.pack(">HH", payload[0], payload[1]))
-        return out.getvalue()
+                out.append(struct.pack(">BH", tag, len(raw)) + raw)
+            else:
+                out.append(bytes((tag,)) + CP_PAYLOAD[tag].pack(*payload))
+        return b"".join(out)
 
 
-_FIELD_OPS = frozenset({"getstatic", "putstatic", "getfield", "putfield"})
-_INVOKE_OPS = frozenset({"invokevirtual", "invokespecial", "invokestatic"})
-_CLASS_OPS = frozenset({"new", "anewarray", "checkcast", "instanceof"})
-_PSEUDO_LDC = frozenset({"ldc_int", "ldc_float", "ldc_string", "ldc_class",
-                         "ldc_long", "ldc_double"})
-_UNSUPPORTED = frozenset({"invokeinterface", "invokedynamic", "multianewarray"})
+FIELD_OPS = frozenset({"getstatic", "putstatic", "getfield", "putfield"})
+INVOKE_OPS = frozenset({"invokevirtual", "invokespecial", "invokestatic"})
+CLASS_OPS = frozenset({"new", "anewarray", "checkcast", "instanceof"})
+# Instructions whose constant-pool operands PoolBuilder cannot write.
+UNSUPPORTED_OPS = frozenset({"invokeinterface", "invokedynamic", "multianewarray"})
+# Constant-loading pseudo-ops and the PoolBuilder method that interns each.
+_PSEUDO_LDC = {
+    "ldc_int": PoolBuilder.integer, "ldc_float": PoolBuilder.float,
+    "ldc_string": PoolBuilder.string, "ldc_class": PoolBuilder.class_ref,
+    "ldc_long": PoolBuilder.long, "ldc_double": PoolBuilder.double,
+}
 
 
 def _is_label(item) -> bool:
     return isinstance(item, str) and item.endswith(":")
 
 
-@dataclass
-class _Pending:
-    mnemonic: str
-    operands: tuple          # symbolic (labels unresolved)
-    offset: int = 0
-    size: int = 0
-    cp_index: int | None = None
-    wide: bool = False
+def _real(item, pool: PoolBuilder) -> tuple[str, tuple]:
+    """One assembler item as a real mnemonic and its decoded-form operands:
+    pseudo-ops chosen and symbolic operands interned in ``pool``. Branch
+    targets stay labels."""
+    if isinstance(item, str):
+        item = (item,)
+    m, *ops = item
+    if m in UNSUPPORTED_OPS:
+        raise UnsupportedFeature(f"emitter does not support {m}")
+    if m == "push_int":
+        v = ops[0]
+        if -1 <= v <= 5:
+            return ("iconst_m1" if v == -1 else f"iconst_{v}"), ()
+        if -128 <= v <= 127:
+            return "bipush", (v,)
+        if -32768 <= v <= 32767:
+            return "sipush", (v,)
+        raise UnsupportedFeature("push_int beyond 16 bits; use ldc_int")
+    if m in _PSEUDO_LDC:
+        index = _PSEUDO_LDC[m](pool, ops[0])
+        if m in ("ldc_long", "ldc_double"):
+            return "ldc2_w", (index,)
+        return ("ldc" if index <= 255 else "ldc_w"), (index,)
+    if m in FIELD_OPS:
+        return m, (pool.field_ref(*ops),)
+    if m in INVOKE_OPS:
+        return m, (pool.method_ref(*ops),)
+    if m in CLASS_OPS:
+        return m, (pool.class_ref(ops[0]),)
+    if m == "newarray" and isinstance(ops[0], str):
+        return m, (NEWARRAY_CODES[ops[0]],)
+    if m not in FORMAT_OF:
+        raise UnsupportedFeature(f"unknown mnemonic {m!r}")
+    return m, tuple(ops)
 
 
-def _plan(code: list, pool: PoolBuilder) -> tuple[list[_Pending], dict[str, int]]:
-    """Pass 1: intern constants, size every instruction, place labels."""
-    pending: list[_Pending] = []
-    label_to_slot: dict[str, int] = {}
+def encode_instruction(ins: Instruction) -> bytes:
+    """The bytes of one decoded-form instruction at its offset, which
+    ``decode_instructions`` reads back as ``ins``. A local slot or
+    increment too large for the short form takes the wide prefix."""
+    m, ops, at = ins.mnemonic, ins.operands, ins.offset
+    op, fmt = MNEMONIC_TO_OPCODE[m], FORMAT_OF[m]
+    if fmt in ("table", "lookup"):
+        head = bytes((op,)) + bytes(-(at + 1) % 4)
+        if fmt == "table":
+            default, low, high, targets = ops
+            return (head + TABLESWITCH.pack(default - at, low, high)
+                    + struct.pack(f">{len(targets)}i", *(t - at for t in targets)))
+        default, pairs = ops
+        return (head + LOOKUPSWITCH.pack(default - at, len(pairs))
+                + b"".join(struct.pack(">ii", match, t - at) for match, t in pairs))
+    if fmt in RELATIVE_FORMATS:
+        ops = (ops[0] - at,)
+    try:
+        return bytes((op,)) + LAYOUT[fmt].pack(*ops)
+    except struct.error:
+        if fmt in WIDE_LAYOUT:
+            return bytes((WIDE, op)) + WIDE_LAYOUT[fmt].pack(*ops)
+        if fmt == "br16":
+            raise UnsupportedFeature("branch distance beyond 16 bits") from None
+        raise
+
+
+def _assemble_code(code: list, pool: PoolBuilder) -> tuple[bytes, tuple, dict[str, int]]:
+    """Intern the items' constants, place each instruction and label (an
+    instruction's size is the length of its encoding at its offset), then
+    encode with labels resolved. Returns the code bytes, the decoded-form
+    instructions and each label's offset."""
+    real: list[tuple[str, tuple]] = []
+    label_index: dict[str, int] = {}
     for item in code:
         if _is_label(item):
-            label_to_slot[item[:-1]] = len(pending)
-            continue
-        if isinstance(item, str):
-            item = (item,)
-        mnem, *ops = item
-        if mnem in _UNSUPPORTED:
-            raise UnsupportedFeature(f"emitter does not support {mnem}")
-        p = _Pending(mnem, tuple(ops))
-        if mnem in _PSEUDO_LDC:
-            value = ops[0]
-            if mnem == "ldc_int":
-                p.cp_index = pool.integer(value)
-            elif mnem == "ldc_float":
-                p.cp_index = pool.float(value)
-            elif mnem == "ldc_string":
-                p.cp_index = pool.string(value)
-            elif mnem == "ldc_class":
-                p.cp_index = pool.class_ref(value)
-            elif mnem == "ldc_long":
-                p.cp_index = pool.long(value)
-            else:
-                p.cp_index = pool.double(value)
-        elif mnem in _FIELD_OPS:
-            p.cp_index = pool.field_ref(*ops)
-        elif mnem in _INVOKE_OPS:
-            p.cp_index = pool.method_ref(*ops)
-        elif mnem in _CLASS_OPS:
-            p.cp_index = pool.class_ref(ops[0])
-        elif mnem not in MNEMONIC_TO_OPCODE and mnem != "push_int":
-            raise UnsupportedFeature(f"unknown mnemonic {mnem!r}")
-        pending.append(p)
-
-    offset = 0
-    for p in pending:
-        p.offset = offset
-        p.size = _sized(p, offset)
-        offset += p.size
-    labels = {name: pending[slot].offset if slot < len(pending) else offset
-              for name, slot in label_to_slot.items()}
-    return pending, labels
-
-
-def _sized(p: _Pending, offset: int) -> int:
-    m = p.mnemonic
-    if m == "push_int":
-        v = p.operands[0]
-        if -1 <= v <= 5:
-            return 1
-        if -128 <= v <= 127:
-            return 2
-        if -32768 <= v <= 32767:
-            return 3
-        raise UnsupportedFeature("push_int beyond 16 bits; use ldc_int")
-    if m in ("ldc_long", "ldc_double"):
-        return 3
-    if m in _PSEUDO_LDC:
-        return 2 if p.cp_index <= 255 else 3
-    if m in _FIELD_OPS or m in _INVOKE_OPS or m in _CLASS_OPS:
-        return 3
-    if m == "tableswitch":
-        _default, low, high, _targets = p.operands
-        pad = (4 - ((offset + 1) % 4)) % 4
-        return 1 + pad + 12 + 4 * (high - low + 1)
-    if m == "lookupswitch":
-        _default, pairs = p.operands
-        pad = (4 - ((offset + 1) % 4)) % 4
-        return 1 + pad + 8 + 8 * len(pairs)
-    if m in ("iload", "lload", "fload", "dload", "aload",
-             "istore", "lstore", "fstore", "dstore", "astore", "ret"):
-        slot = p.operands[0]
-        if slot > 255:
-            p.wide = True
-            return 4
-        return 2
-    if m == "iinc":
-        slot, delta = p.operands
-        if slot > 255 or not -128 <= delta <= 127:
-            p.wide = True
-            return 6
-        return 3
-    if m in ("bipush", "newarray"):
-        return 2
-    if m == "sipush":
-        return 3
-    if m in ("goto_w", "jsr_w"):
-        return 5
-    if m == "goto" or m == "jsr" or m.startswith("if"):
-        return 3
-    return 1
-
-
-def _encode(pending: list[_Pending], labels: dict[str, int]) -> tuple[bytes, list[Instruction]]:
-    """Pass 2: emit bytes and the decoded-form instruction list."""
-    out = io.BytesIO()
-    resolved: list[Instruction] = []
+            label_index[item[:-1]] = len(real)
+        else:
+            real.append(_real(item, pool))
+    offsets = [0]
+    for m, ops in real:
+        at = offsets[-1]
+        here = Instruction(at, m, map_targets(m, ops, lambda _label: at))
+        offsets.append(at + len(encode_instruction(here)))
+    labels = {name: offsets[i] for name, i in label_index.items()}
 
     def target(name) -> int:
         if name not in labels:
             raise UnsupportedFeature(f"undefined label {name!r}")
         return labels[name]
 
-    for p in pending:
-        m, ops, offset = p.mnemonic, p.operands, p.offset
-        if m == "push_int":
-            v = ops[0]
-            if -1 <= v <= 5:
-                real = "iconst_m1" if v == -1 else f"iconst_{v}"
-                out.write(bytes([MNEMONIC_TO_OPCODE[real]]))
-                resolved.append(Instruction(offset, real))
-            elif -128 <= v <= 127:
-                out.write(struct.pack(">Bb", MNEMONIC_TO_OPCODE["bipush"], v))
-                resolved.append(Instruction(offset, "bipush", (v,)))
-            else:
-                out.write(struct.pack(">Bh", MNEMONIC_TO_OPCODE["sipush"], v))
-                resolved.append(Instruction(offset, "sipush", (v,)))
-        elif m in ("ldc_long", "ldc_double"):
-            out.write(struct.pack(">BH", MNEMONIC_TO_OPCODE["ldc2_w"], p.cp_index))
-            resolved.append(Instruction(offset, "ldc2_w", (p.cp_index,)))
-        elif m in _PSEUDO_LDC:
-            if p.cp_index <= 255:
-                out.write(struct.pack(">BB", MNEMONIC_TO_OPCODE["ldc"], p.cp_index))
-                resolved.append(Instruction(offset, "ldc", (p.cp_index,)))
-            else:
-                out.write(struct.pack(">BH", MNEMONIC_TO_OPCODE["ldc_w"], p.cp_index))
-                resolved.append(Instruction(offset, "ldc_w", (p.cp_index,)))
-        elif m in _FIELD_OPS or m in _INVOKE_OPS or m in _CLASS_OPS:
-            out.write(struct.pack(">BH", MNEMONIC_TO_OPCODE[m], p.cp_index))
-            resolved.append(Instruction(offset, m, (p.cp_index,)))
-        elif m == "newarray":
-            code = NEWARRAY_CODES[ops[0]] if isinstance(ops[0], str) else ops[0]
-            out.write(struct.pack(">BB", MNEMONIC_TO_OPCODE[m], code))
-            resolved.append(Instruction(offset, m, (code,)))
-        elif m == "tableswitch":
-            default, low, high, targets = ops
-            pad = (4 - ((offset + 1) % 4)) % 4
-            out.write(bytes([MNEMONIC_TO_OPCODE[m]]) + b"\x00" * pad)
-            abs_default = target(default)
-            abs_targets = tuple(target(t) for t in targets)
-            out.write(struct.pack(">iii", abs_default - offset, low, high))
-            for t in abs_targets:
-                out.write(struct.pack(">i", t - offset))
-            resolved.append(Instruction(offset, m, (abs_default, low, high, abs_targets)))
-        elif m == "lookupswitch":
-            default, pairs = ops
-            pad = (4 - ((offset + 1) % 4)) % 4
-            out.write(bytes([MNEMONIC_TO_OPCODE[m]]) + b"\x00" * pad)
-            abs_default = target(default)
-            abs_pairs = tuple((match, target(lbl)) for match, lbl in pairs)
-            out.write(struct.pack(">ii", abs_default - offset, len(abs_pairs)))
-            for match, t in abs_pairs:
-                out.write(struct.pack(">ii", match, t - offset))
-            resolved.append(Instruction(offset, m, (abs_default, abs_pairs)))
-        elif m in ("goto_w", "jsr_w"):
-            t = target(ops[0])
-            out.write(struct.pack(">Bi", MNEMONIC_TO_OPCODE[m], t - offset))
-            resolved.append(Instruction(offset, m, (t,)))
-        elif m == "goto" or m == "jsr" or m.startswith("if"):
-            t = target(ops[0])
-            rel = t - offset
-            if not -32768 <= rel <= 32767:
-                raise UnsupportedFeature("branch distance beyond 16 bits")
-            out.write(struct.pack(">Bh", MNEMONIC_TO_OPCODE[m], rel))
-            resolved.append(Instruction(offset, m, (t,)))
-        elif m in ("iload", "lload", "fload", "dload", "aload",
-                   "istore", "lstore", "fstore", "dstore", "astore", "ret"):
-            slot = ops[0]
-            if p.wide:
-                out.write(struct.pack(">BBH", WIDE, MNEMONIC_TO_OPCODE[m], slot))
-            else:
-                out.write(struct.pack(">BB", MNEMONIC_TO_OPCODE[m], slot))
-            resolved.append(Instruction(offset, m, (slot,)))
-        elif m == "iinc":
-            slot, delta = ops
-            if p.wide:
-                out.write(struct.pack(">BBHh", WIDE, MNEMONIC_TO_OPCODE[m], slot, delta))
-            else:
-                out.write(struct.pack(">BBb", MNEMONIC_TO_OPCODE[m], slot, delta))
-            resolved.append(Instruction(offset, m, (slot, delta)))
-        elif m == "bipush":
-            out.write(struct.pack(">Bb", MNEMONIC_TO_OPCODE[m], ops[0]))
-            resolved.append(Instruction(offset, m, (ops[0],)))
-        elif m == "sipush":
-            out.write(struct.pack(">Bh", MNEMONIC_TO_OPCODE[m], ops[0]))
-            resolved.append(Instruction(offset, m, (ops[0],)))
-        else:
-            out.write(bytes([MNEMONIC_TO_OPCODE[m]]))
-            resolved.append(Instruction(offset, m))
-    return out.getvalue(), resolved
+    out: list[bytes] = []
+    resolved: list[Instruction] = []
+    for at, (m, ops) in zip(offsets, real):
+        resolved.append(Instruction(at, m, map_targets(m, ops, target)))
+        out.append(encode_instruction(resolved[-1]))
+    return b"".join(out), tuple(resolved), labels
 
 
-# Stack-slot effect of the fixed-delta mnemonics (computed ones handled in code).
-_FIXED_DELTA = {
+# Operand-stack effect in slots of each mnemonic with a fixed one; field
+# access and invocations are computed from their descriptors.
+_STACK_DELTA = {
     "nop": 0, "aconst_null": 1,
+    **dict.fromkeys(("iconst_m1", "iconst_0", "iconst_1", "iconst_2", "iconst_3",
+                     "iconst_4", "iconst_5", "fconst_0", "fconst_1", "fconst_2"), 1),
+    **dict.fromkeys(("lconst_0", "lconst_1", "dconst_0", "dconst_1"), 2),
+    **{m: -access.category if access.store else access.category
+       for m, access in LOCALS.items()},
     "iaload": -1, "faload": -1, "aaload": -1, "baload": -1, "caload": -1,
     "saload": -1, "laload": 0, "daload": 0,
     "iastore": -3, "fastore": -3, "aastore": -3, "bastore": -3, "castore": -3,
@@ -389,8 +298,14 @@ _FIXED_DELTA = {
     "f2i": 0, "f2l": 1, "f2d": 1, "d2i": -1, "d2l": 0, "d2f": -1,
     "i2b": 0, "i2c": 0, "i2s": 0,
     "lcmp": -3, "fcmpl": -1, "fcmpg": -1, "dcmpl": -3, "dcmpg": -3,
+    **dict.fromkeys(("ifeq", "ifne", "iflt", "ifge", "ifgt", "ifle",
+                     "ifnull", "ifnonnull"), -1),
+    **dict.fromkeys(("if_icmpeq", "if_icmpne", "if_icmplt", "if_icmpge",
+                     "if_icmpgt", "if_icmple", "if_acmpeq", "if_acmpne"), -2),
     "goto": 0, "goto_w": 0, "jsr": 1, "jsr_w": 1, "ret": 0,
     "tableswitch": -1, "lookupswitch": -1,
+    "ireturn": -1, "freturn": -1, "areturn": -1, "lreturn": -2, "dreturn": -2,
+    "return": 0, "athrow": 0,
     "new": 1, "newarray": 0, "anewarray": 0, "arraylength": 0,
     "checkcast": 0, "instanceof": 0,
     "monitorenter": -1, "monitorexit": -1,
@@ -398,9 +313,6 @@ _FIXED_DELTA = {
     "ldc_int": 1, "ldc_float": 1, "ldc_string": 1, "ldc_class": 1,
     "ldc_long": 2, "ldc_double": 2,
 }
-_TERMINAL = frozenset({"ireturn", "lreturn", "freturn", "dreturn", "areturn",
-                       "return", "athrow", "goto", "goto_w", "ret",
-                       "tableswitch", "lookupswitch"})
 
 
 def _invoke_delta(mnemonic: str, desc: str) -> int:
@@ -413,81 +325,32 @@ def _invoke_delta(mnemonic: str, desc: str) -> int:
     return delta
 
 
-def _stack_delta(item) -> int:
-    if isinstance(item, str):
-        item = (item,)
+def _stack_delta(item: tuple) -> int:
     m = item[0]
-    if m in _FIXED_DELTA:
-        return _FIXED_DELTA[m]
-    if m.startswith("iconst") or m.startswith("fconst"):
-        return 1
-    if m.startswith("lconst") or m.startswith("dconst"):
-        return 2
-    base = m.split("_")[0]
-    if base in ("iload", "fload", "aload"):
-        return 1
-    if base in ("lload", "dload"):
-        return 2
-    if base in ("istore", "fstore", "astore"):
-        return -1
-    if base in ("lstore", "dstore"):
-        return -2
-    if m in ("ireturn", "freturn", "areturn"):
-        return -1
-    if m in ("lreturn", "dreturn"):
-        return -2
-    if m in ("return", "athrow"):
-        return 0
-    if m.startswith("if_icmp") or m.startswith("if_acmp"):
-        return -2
-    if m.startswith("if"):
-        return -1
+    if m in _STACK_DELTA:
+        return _STACK_DELTA[m]
     if m == "getstatic":
-        return category(item[1][2])
+        return category(item[3])
     if m == "putstatic":
-        return -category(item[1][2])
+        return -category(item[3])
     if m == "getfield":
-        return -1 + category(item[1][2])
+        return -1 + category(item[3])
     if m == "putfield":
-        return -1 - category(item[1][2])
-    if m in _INVOKE_OPS:
-        return _invoke_delta(m, item[1][2])
+        return -1 - category(item[3])
+    if m in INVOKE_OPS:
+        return _invoke_delta(m, item[3])
     raise UnsupportedFeature(f"no stack delta for {m!r}")
-
-
-def _branch_labels(item) -> list[str]:
-    if isinstance(item, str):
-        return []
-    m = item[0]
-    if m == "tableswitch":
-        return [item[1]] + list(item[4])
-    if m == "lookupswitch":
-        return [item[1]] + [lbl for _, lbl in item[2]]
-    if m in ("goto", "goto_w", "jsr", "jsr_w") or m.startswith("if"):
-        return [item[1]]
-    return []
-
-
-def _field_op_tuple(item):
-    """Normalize field/invoke asm items to include their symbolic operand."""
-    if isinstance(item, str):
-        return (item,)
-    m = item[0]
-    if m in _FIELD_OPS or m in _INVOKE_OPS:
-        return (m, tuple(item[1:]))
-    return item
 
 
 def compute_stack_and_locals(method: MethodModel) -> tuple[int, int]:
     """Simulate slot depths over the symbolic assembly to size the frame."""
-    code = [it for it in method.code]
     index_of_label: dict[str, int] = {}
-    instrs: list = []
-    for item in code:
+    instrs: list[tuple] = []
+    for item in method.code:
         if _is_label(item):
             index_of_label[item[:-1]] = len(instrs)
         else:
-            instrs.append(_field_op_tuple(item))
+            instrs.append((item,) if isinstance(item, str) else item)
 
     depth_at: dict[int, int] = {0: 0}
     work = [0]
@@ -502,17 +365,16 @@ def compute_stack_and_locals(method: MethodModel) -> tuple[int, int]:
         depth = depth_at[i]
         while i < len(instrs):
             item = instrs[i]
-            m = item[0]
             depth += _stack_delta(item)
             if depth < 0:
                 raise UnsupportedFeature(f"stack underflow while sizing at item {i}")
             max_depth = max(max_depth, depth)
-            for lbl in _branch_labels(item):
+            for lbl in branch_targets(item[0], item[1:]):
                 j = index_of_label[lbl]
                 if j not in depth_at:
                     depth_at[j] = depth
                     work.append(j)
-            if m in _TERMINAL or m.endswith("return") or m == "athrow":
+            if item[0] in TERMINAL:
                 break
             i += 1
             if i in depth_at:
@@ -521,23 +383,17 @@ def compute_stack_and_locals(method: MethodModel) -> tuple[int, int]:
 
     params, _ = parse_method_descriptor(method.descriptor)
     locals_needed = param_slots(params) + (0 if method.access & ACC_STATIC else 1)
-    for item in instrs:
-        m = item[0]
-        base = m.split("_")[0]
-        if base in ("iload", "fload", "aload", "istore", "fstore", "astore"):
-            slot = item[1] if len(item) > 1 else int(m.rsplit("_", 1)[1])
-            locals_needed = max(locals_needed, slot + 1)
-        elif base in ("lload", "dload", "lstore", "dstore"):
-            slot = item[1] if len(item) > 1 else int(m.rsplit("_", 1)[1])
-            locals_needed = max(locals_needed, slot + 2)
+    for m, *ops in instrs:
+        access = LOCALS.get(m)
+        if access is not None:
+            locals_needed = max(locals_needed, access.slot_of(ops) + access.category)
         elif m == "iinc":
-            locals_needed = max(locals_needed, item[1] + 1)
+            locals_needed = max(locals_needed, ops[0] + 1)
     return max_depth, locals_needed
 
 
 def _assemble(method: MethodModel, pool: PoolBuilder) -> tuple[bytes, CodeAttribute]:
-    pending, labels = _plan(method.code, pool)
-    code_bytes, resolved = _encode(pending, labels)
+    code_bytes, resolved, labels = _assemble_code(method.code, pool)
     if method.max_stack is not None and method.max_locals is not None:
         max_stack, max_locals = method.max_stack, method.max_locals
     else:
@@ -550,7 +406,7 @@ def _assemble(method: MethodModel, pool: PoolBuilder) -> tuple[bytes, CodeAttrib
     for start, end, handler, catch in method.handlers:
         handlers.append(ExceptionHandler(labels[start], labels[end],
                                          labels[handler], catch))
-    attr = CodeAttribute(max_stack, max_locals, tuple(resolved), tuple(handlers))
+    attr = CodeAttribute(max_stack, max_locals, resolved, tuple(handlers))
 
     body = io.BytesIO()
     body.write(struct.pack(">HHI", max_stack, max_locals, len(code_bytes)))

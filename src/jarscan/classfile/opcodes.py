@@ -1,6 +1,6 @@
-"""JVM opcode table: mnemonics and operand formats.
+"""JVM opcode table: the one place that knows each instruction's shape.
 
-Operand format codes drive both the decoder and the assembler:
+``OPCODES`` maps each opcode to its mnemonic and operand format code:
 
   ""       no operands
   "i8"     signed byte immediate
@@ -17,7 +17,29 @@ Operand format codes drive both the decoder and the assembler:
   "iface"  invokeinterface: cp16 + count byte + zero byte
   "indy"   invokedynamic: cp16 + two zero bytes
   "multi"  multianewarray: cp16 + dimension count byte
+
+``LAYOUT`` holds the ``struct.Struct`` of the operand bytes that follow
+the opcode for every fixed-size format, and ``WIDE_LAYOUT`` those of the
+two formats the wide prefix widens. Unpacking a layout gives an
+instruction's decoded operands, packing them gives its bytes; a branch
+operand is the offset relative to the instruction, which decoding makes
+absolute. The two switch formats are variable-sized: ``TABLESWITCH`` and
+``LOOKUPSWITCH`` are their headers after the padding, and their targets
+are read and written in code. ``parser.decode_instructions`` and the
+emitter's encoder both read these tables.
+
+``JUMPS`` (one branch target) and ``SWITCHES`` are derived from the
+formats, ``TERMINAL`` lists the instructions control never falls through,
+and ``branch_targets`` and ``map_targets`` read and rewrite the target
+operands of one instruction, in decoded form (offsets) or assembler form
+(labels) alike.
+``LOCALS`` gives each local-variable load or store its base mnemonic,
+implicit slot, value category and direction, so no consumer parses a
+mnemonic's spelling.
 """
+
+import struct
+from typing import Callable, NamedTuple
 
 OPCODES: dict[int, tuple[str, str]] = {
     0x00: ("nop", ""),
@@ -236,4 +258,83 @@ NEWARRAY_TYPES = {
 }
 NEWARRAY_CODES = {v: k for k, v in NEWARRAY_TYPES.items()}
 
-BRANCH_FORMATS = frozenset({"br16", "br32"})
+# Operand bytes after the opcode, per fixed-size format.
+LAYOUT: dict[str, struct.Struct] = {
+    "": struct.Struct(""),
+    "i8": struct.Struct(">b"),
+    "i16": struct.Struct(">h"),
+    "u8": struct.Struct(">B"),
+    "cp8": struct.Struct(">B"),
+    "cp16": struct.Struct(">H"),
+    "local": struct.Struct(">B"),
+    "iinc": struct.Struct(">Bb"),
+    "br16": struct.Struct(">h"),
+    "br32": struct.Struct(">i"),
+    "iface": struct.Struct(">HBx"),
+    "indy": struct.Struct(">H2x"),
+    "multi": struct.Struct(">HB"),
+}
+# Operand bytes after the wide prefix and the opcode.
+WIDE_LAYOUT: dict[str, struct.Struct] = {
+    "local": struct.Struct(">H"),
+    "iinc": struct.Struct(">Hh"),
+}
+# The switch formats after their padding: this header, then high - low + 1
+# targets (tableswitch) or npairs (match, target) pairs (lookupswitch).
+TABLESWITCH = struct.Struct(">iii")      # default, low, high
+LOOKUPSWITCH = struct.Struct(">ii")      # default, npairs
+# Formats whose one operand is a branch offset, relative in the bytes.
+RELATIVE_FORMATS = frozenset({"br16", "br32"})
+
+# Mnemonics with one branch-target operand: the if, goto and jsr families.
+JUMPS = frozenset(m for m, fmt in FORMAT_OF.items() if fmt in RELATIVE_FORMATS)
+SWITCHES = frozenset(m for m, fmt in FORMAT_OF.items() if fmt in ("table", "lookup"))
+# Mnemonics after which control never falls through to the next instruction.
+TERMINAL = SWITCHES | {"goto", "goto_w", "athrow", "ret", "return",
+                       "ireturn", "lreturn", "freturn", "dreturn", "areturn"}
+
+
+def branch_targets(mnemonic: str, operands: tuple) -> tuple:
+    """The branch targets among one instruction's operands, default first:
+    absolute offsets in decoded form, labels in assembler form."""
+    if mnemonic in JUMPS:
+        return operands[:1]
+    if mnemonic == "tableswitch":
+        return (operands[0], *operands[3])
+    if mnemonic == "lookupswitch":
+        return (operands[0], *(target for _match, target in operands[1]))
+    return ()
+
+
+def map_targets(mnemonic: str, operands: tuple, f: Callable) -> tuple:
+    """``operands`` with each branch target t replaced by f(t), in operand order."""
+    if mnemonic in JUMPS:
+        return (f(operands[0]),)
+    if mnemonic == "tableswitch":
+        default, low, high, targets = operands
+        return (f(default), low, high, tuple(map(f, targets)))
+    if mnemonic == "lookupswitch":
+        default, pairs = operands
+        return (f(default), tuple((match, f(target)) for match, target in pairs))
+    return operands
+
+
+class LocalAccess(NamedTuple):
+    """What a local-variable load or store mnemonic does."""
+
+    base: str           # the mnemonic with an explicit slot operand, e.g. "iload"
+    slot: int | None    # the slot a short form implies; None when it is an operand
+    category: int       # 1, or 2 for long and double
+    store: bool
+
+    def slot_of(self, operands) -> int:
+        """The slot read or written, given the instruction's operands."""
+        return operands[0] if self.slot is None else self.slot
+
+
+LOCALS: dict[str, LocalAccess] = {
+    f"{kind}{verb}{suffix}": LocalAccess(kind + verb, slot, category, verb == "store")
+    for kind, category in (("i", 1), ("l", 2), ("f", 1), ("d", 2), ("a", 1))
+    for verb in ("load", "store")
+    for suffix, slot in (("", None), ("_0", 0), ("_1", 1), ("_2", 2), ("_3", 3))
+}

@@ -87,7 +87,16 @@ from .model import (
     MethodInfo,
     ParseFailure,
 )
-from .opcodes import OPCODES, WIDE
+from .opcodes import (
+    LAYOUT,
+    LOOKUPSWITCH,
+    OPCODES,
+    RELATIVE_FORMATS,
+    TABLESWITCH,
+    WIDE,
+    WIDE_LAYOUT,
+    branch_targets,
+)
 
 log = logging.getLogger(__name__)
 
@@ -167,154 +176,89 @@ def _walk_pool(data: bytes) -> tuple[int, ConstantPool, int]:
     return major, ConstantPool(data, offsets), pos
 
 
+# Per opcode: mnemonic, operand layout (None for a switch) and whether the
+# operand is a relative branch; None for an undefined opcode.
+_DECODE = tuple((OPCODES[op][0], LAYOUT.get(OPCODES[op][1]), OPCODES[op][1] in RELATIVE_FORMATS)
+                if op in OPCODES else None for op in range(256))
+_WIDE_DECODE = {op: (mnemonic, WIDE_LAYOUT[fmt], False)
+                for op, (mnemonic, fmt) in OPCODES.items() if fmt in WIDE_LAYOUT}
+
+
+def _cut(start: int) -> TruncatedInput:
+    return TruncatedInput(f"code array ends inside instruction at {start}")
+
+
 def decode_instructions(code: bytes) -> tuple[Instruction, ...]:
     """Decode a Code array into instructions with absolute branch targets."""
     out: list[Instruction] = []
     pos = 0
     n = len(code)
-
-    def need(k: int):
-        if pos + k > n:
-            raise TruncatedInput(f"code array ends inside instruction at {start}")
-
     while pos < n:
         start = pos
         op = code[pos]
-        pos += 1
-        wide = False
         if op == WIDE:
-            need(1)
-            wide = True
-            op = code[pos]
+            if pos + 1 == n:
+                raise _cut(start)
+            op = code[pos + 1]
+            pos += 2
+            shape = _WIDE_DECODE.get(op)
+            if shape is None and op in OPCODES:
+                raise ClassParseError(f"wide prefix before {OPCODES[op][0]} at offset {start}")
+        else:
             pos += 1
-        info = OPCODES.get(op)
-        if info is None:
+            shape = _DECODE[op]
+        if shape is None:
             raise ClassParseError(f"unknown opcode 0x{op:02x} at offset {start}")
-        mnemonic, fmt = info
-        if wide and fmt not in ("local", "iinc"):
-            raise ClassParseError(f"wide prefix before {mnemonic} at offset {start}")
-
-        if fmt == "":
-            operands: tuple = ()
-        elif fmt == "i8":
-            need(1)
-            operands = (struct.unpack_from(">b", code, pos)[0],)
-            pos += 1
-        elif fmt == "i16":
-            need(2)
-            operands = (struct.unpack_from(">h", code, pos)[0],)
-            pos += 2
-        elif fmt == "u8":
-            need(1)
-            operands = (code[pos],)
-            pos += 1
-        elif fmt == "cp8":
-            need(1)
-            operands = (code[pos],)
-            pos += 1
-        elif fmt == "cp16":
-            need(2)
-            operands = (struct.unpack_from(">H", code, pos)[0],)
-            pos += 2
-        elif fmt == "local":
-            if wide:
-                need(2)
-                operands = (struct.unpack_from(">H", code, pos)[0],)
-                pos += 2
-            else:
-                need(1)
-                operands = (code[pos],)
-                pos += 1
-        elif fmt == "iinc":
-            if wide:
-                need(4)
-                slot, delta = struct.unpack_from(">Hh", code, pos)
-                pos += 4
-            else:
-                need(2)
-                slot, delta = struct.unpack_from(">Bb", code, pos)
-                pos += 2
-            operands = (slot, delta)
-        elif fmt == "br16":
-            need(2)
-            rel = struct.unpack_from(">h", code, pos)[0]
-            pos += 2
-            operands = (start + rel,)
-        elif fmt == "br32":
-            need(4)
-            rel = struct.unpack_from(">i", code, pos)[0]
-            pos += 4
-            operands = (start + rel,)
-        elif fmt == "iface":
-            need(4)
-            idx, count = struct.unpack_from(">HB", code, pos)
-            pos += 4
-            operands = (idx, count)
-        elif fmt == "indy":
-            need(4)
-            idx = struct.unpack_from(">H", code, pos)[0]
-            pos += 4
-            operands = (idx,)
-        elif fmt == "multi":
-            need(3)
-            idx, dims = struct.unpack_from(">HB", code, pos)
-            pos += 3
-            operands = (idx, dims)
-        elif fmt == "table":
-            pad = (4 - (pos % 4)) % 4
-            need(pad + 12)
-            pos += pad
-            default, low, high = struct.unpack_from(">iii", code, pos)
-            pos += 12
-            if low > high:
-                raise ClassParseError(f"tableswitch low > high at offset {start}")
-            count = high - low + 1
-            need(count * 4)
-            targets = struct.unpack_from(f">{count}i", code, pos)
-            pos += count * 4
-            operands = (start + default, low, high,
-                        tuple(start + t for t in targets))
-        elif fmt == "lookup":
-            pad = (4 - (pos % 4)) % 4
-            need(pad + 8)
-            pos += pad
-            default, npairs = struct.unpack_from(">ii", code, pos)
-            pos += 8
-            if npairs < 0:
-                raise ClassParseError(f"lookupswitch npairs < 0 at offset {start}")
-            need(npairs * 8)
-            pairs = []
-            for _ in range(npairs):
-                match, offset = struct.unpack_from(">ii", code, pos)
-                pos += 8
-                pairs.append((match, start + offset))
-            operands = (start + default, tuple(pairs))
-        else:  # pragma: no cover - table is exhaustive
-            raise ClassParseError(f"unhandled operand format {fmt}")
-
+        mnemonic, layout, relative = shape
+        if layout is None:
+            operands, pos = _decode_switch(code, start, pos, mnemonic)
+        else:
+            end = pos + layout.size
+            if end > n:
+                raise _cut(start)
+            operands = layout.unpack_from(code, pos)
+            if relative:
+                operands = (start + operands[0],)
+            pos = end
         out.append(Instruction(start, mnemonic, operands))
     return tuple(out)
 
 
-def branch_targets(ins: Instruction) -> tuple[int, ...]:
-    """All absolute branch targets of one instruction (empty if none)."""
-    m = ins.mnemonic
-    if m == "tableswitch":
-        default, _low, _high, targets = ins.operands
-        return (default, *targets)
-    if m == "lookupswitch":
-        default, pairs = ins.operands
-        return (default, *(t for _, t in pairs))
-    if m in ("goto", "goto_w", "jsr", "jsr_w") or m.startswith("if"):
-        return (ins.operands[0],)
-    return ()
+def _decode_switch(code: bytes, start: int, pos: int, mnemonic: str) -> tuple[tuple, int]:
+    """The operands of the switch at ``start`` whose padding begins at
+    ``pos``, and the offset just past it."""
+    pos += -pos % 4
+    if mnemonic == "tableswitch":
+        if pos + TABLESWITCH.size > len(code):
+            raise _cut(start)
+        default, low, high = TABLESWITCH.unpack_from(code, pos)
+        if low > high:
+            raise ClassParseError(f"tableswitch low > high at offset {start}")
+        count = high - low + 1
+        pos += TABLESWITCH.size
+    else:
+        if pos + LOOKUPSWITCH.size > len(code):
+            raise _cut(start)
+        default, npairs = LOOKUPSWITCH.unpack_from(code, pos)
+        if npairs < 0:
+            raise ClassParseError(f"lookupswitch npairs < 0 at offset {start}")
+        count = 2 * npairs
+        pos += LOOKUPSWITCH.size
+    end = pos + 4 * count
+    if end > len(code):
+        raise _cut(start)
+    words = struct.unpack_from(f">{count}i", code, pos)
+    if mnemonic == "tableswitch":
+        return (start + default, low, high, tuple(start + t for t in words)), end
+    pairs = tuple(zip(words[0::2], [start + t for t in words[1::2]]))
+    return (start + default, pairs), end
 
 
 def _validate_targets(instructions: tuple[Instruction, ...],
                       table: tuple[ExceptionHandler, ...]) -> None:
     offsets = {ins.offset for ins in instructions}
     for ins in instructions:
-        for t in branch_targets(ins):
+        for t in branch_targets(ins.mnemonic, ins.operands):
             if t not in offsets:
                 raise ClassParseError(
                     f"branch target {t} of {ins.mnemonic}@{ins.offset} "

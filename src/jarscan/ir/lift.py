@@ -18,8 +18,13 @@ from ..classfile.descriptors import (
     render_type,
 )
 from ..classfile.model import CodeAttribute, Instruction
-from ..classfile.opcodes import NEWARRAY_TYPES
-from ..classfile.parser import branch_targets
+from ..classfile.opcodes import (
+    JUMPS,
+    LOCALS,
+    NEWARRAY_TYPES,
+    TERMINAL,
+    branch_targets,
+)
 from ..errors import InconsistentStackDepthAtJoin, LiftError, StackUnderflow, UnsupportedInstruction
 from .model import (
     ArrayGet,
@@ -54,11 +59,8 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-_TERMINATOR_MNEMONICS = frozenset({
-    "goto", "goto_w", "tableswitch", "lookupswitch", "athrow",
-    "ireturn", "lreturn", "freturn", "dreturn", "areturn", "return",
-    "jsr", "jsr_w", "ret",
-})
+# Mnemonics whose next instruction starts a block.
+_ENDS_BLOCK = TERMINAL | JUMPS
 
 _CONSTS = {
     "aconst_null": (None, "ref"), "iconst_m1": (-1, "int"),
@@ -91,16 +93,12 @@ def _leaders(code: CodeAttribute) -> list[int]:
     offsets = [ins.offset for ins in code.instructions]
     offset_set = set(offsets)
     leaders = {offsets[0]} if offsets else set()
-    prev_terminates = False
-    prev_conditional = False
+    prev_ends_block = False
     for ins in code.instructions:
-        if prev_terminates or prev_conditional:
+        if prev_ends_block:
             leaders.add(ins.offset)
-        for t in branch_targets(ins):
-            leaders.add(t)
-        m = ins.mnemonic
-        prev_terminates = m in _TERMINATOR_MNEMONICS
-        prev_conditional = m.startswith("if")
+        leaders.update(branch_targets(ins.mnemonic, ins.operands))
+        prev_ends_block = ins.mnemonic in _ENDS_BLOCK
     for h in code.exception_table:
         leaders.add(h.handler)
         if h.start in offset_set:
@@ -134,22 +132,9 @@ def _partition(code: CodeAttribute) -> list[_RawBlock]:
 def _static_successors(raw: _RawBlock, offset_to_block: dict[int, int],
                        nblocks: int) -> list[int]:
     last = raw.instructions[-1]
-    m = last.mnemonic
-    succs: list[int] = []
-    if m.startswith("if"):
-        succs.append(offset_to_block[last.operands[0]])
-        if raw.index + 1 < nblocks:
-            succs.append(raw.index + 1)
-    elif m in ("goto", "goto_w"):
-        succs.append(offset_to_block[last.operands[0]])
-    elif m in ("tableswitch", "lookupswitch"):
-        succs.extend(offset_to_block[t] for t in branch_targets(last))
-    elif m in ("athrow", "ireturn", "lreturn", "freturn", "dreturn",
-               "areturn", "return"):
-        pass
-    else:
-        if raw.index + 1 < nblocks:
-            succs.append(raw.index + 1)
+    succs = [offset_to_block[t] for t in branch_targets(last.mnemonic, last.operands)]
+    if last.mnemonic not in TERMINAL and raw.index + 1 < nblocks:
+        succs.append(raw.index + 1)
     return succs
 
 
@@ -393,28 +378,15 @@ class _Lifter:
                     value = value.replace("/", ".")
                 cat = 2 if kind in ("long", "double") else 1
                 assign_fresh(Const(value, kind), cat)
-            elif m.split("_")[0] in ("iload", "fload", "aload"):
-                suffix = m.partition("_")[2]
-                slot = int(suffix) if suffix else ins.operands[0]
-                push(self.local(slot), 1)
-            elif m.split("_")[0] in ("lload", "dload"):
-                suffix = m.partition("_")[2]
-                slot = int(suffix) if suffix else ins.operands[0]
-                push(self.local(slot), 2)
-            elif m.split("_")[0] in ("istore", "fstore", "astore"):
-                suffix = m.partition("_")[2]
-                slot = int(suffix) if suffix else ins.operands[0]
-                v = pop(1)
-                reg = self.local(slot)
-                spill(reg)
-                out.append(Assign(reg, Copy(v)))
-            elif m.split("_")[0] in ("lstore", "dstore"):
-                suffix = m.partition("_")[2]
-                slot = int(suffix) if suffix else ins.operands[0]
-                v = pop(2)
-                reg = self.local(slot)
-                spill(reg)
-                out.append(Assign(reg, Copy(v)))
+            elif m in LOCALS:
+                access = LOCALS[m]
+                reg = self.local(access.slot_of(ins.operands))
+                if access.store:
+                    v = pop(access.category)
+                    spill(reg)
+                    out.append(Assign(reg, Copy(v)))
+                else:
+                    push(reg, access.category)
             elif m.endswith("aload") and m[:2] in _ALOAD_TYPES:
                 jt = _ALOAD_TYPES[m[:2]]
                 idx_r = pop(1)

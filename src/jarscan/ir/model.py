@@ -295,12 +295,6 @@ class MethodIr:
     blocks: list             # [Block]
     handlers: tuple = ()     # (HandlerInfo, ...)
 
-    def block_of(self, stmt_index: int) -> int:
-        for b in self.blocks:
-            if b.start <= stmt_index < b.end:
-                return b.bid
-        raise IndexError(stmt_index)
-
     def terminator(self, block: Block):
         """Last statement if it transfers control, else None (fallthrough)."""
         if block.end > block.start:

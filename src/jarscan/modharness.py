@@ -22,17 +22,24 @@ import zipfile
 
 from .classfile.constant_pool import ConstantPool
 from .classfile.descriptors import parse_method_descriptor, param_slots
-from .classfile.emitter import ClassModel, FieldModel, MethodModel, emit_class
+from .classfile.emitter import (
+    CLASS_OPS,
+    FIELD_OPS,
+    INVOKE_OPS,
+    UNSUPPORTED_OPS,
+    ClassModel,
+    FieldModel,
+    MethodModel,
+    emit_class,
+    write_jar,
+)
 from .classfile.model import ClassFile, MethodInfo
-from .classfile.opcodes import NEWARRAY_TYPES
-from .classfile.parser import branch_targets, parse_class
+from .classfile.opcodes import LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
+from .classfile.parser import parse_class
 from .errors import RelocationCollision, UnsupportedFeature
 
 log = logging.getLogger(__name__)
 
-_FIELD_OPS = {"getstatic", "putstatic", "getfield", "putfield"}
-_INVOKE_OPS = {"invokevirtual", "invokespecial", "invokestatic"}
-_CLASS_OPS = {"new", "anewarray", "checkcast", "instanceof"}
 _LDC_KIND_TO_PSEUDO = {
     "int": "ldc_int", "float": "ldc_float", "string": "ldc_string",
     "class": "ldc_class", "long": "ldc_long", "double": "ldc_double",
@@ -46,30 +53,36 @@ _NEGATE = {
     "if_acmpeq": "if_acmpne", "if_acmpne": "if_acmpeq",
     "ifnull": "ifnonnull", "ifnonnull": "ifnull",
 }
-_LOAD_STORE_CAT1 = {"iload", "fload", "aload", "istore", "fstore", "astore"}
-_LOAD_STORE_CAT2 = {"lload", "dload", "lstore", "dstore"}
+_DESC_CLASS = re.compile(r"L([^;]+);")
 
 
 # ------------------------------------------------- class file -> builder model
 
-def _code_to_asm(method: MethodInfo, pool: ConstantPool,
-                 rename: dict[str, str] | None = None) -> tuple[list, list]:
+class _Rename:
+    """Maps dotted class names, and the class names inside descriptors,
+    through ``mapping``; a name it does not hold stays as it is."""
+
+    def __init__(self, mapping: dict[str, str] | None):
+        self.mapping = mapping or {}
+
+    def __call__(self, dotted: str | None) -> str | None:
+        return self.mapping.get(dotted, dotted)
+
+    def desc(self, desc: str) -> str:
+        return _DESC_CLASS.sub(
+            lambda m: "L%s;" % self(m.group(1).replace("/", ".")).replace(".", "/"), desc)
+
+
+def _label(offset: int) -> str:
+    return f"L{offset}"
+
+
+def _code_to_asm(method: MethodInfo, pool: ConstantPool, rn: _Rename) -> tuple[list, list]:
     """Decode a Code attribute back into assembler items with labels."""
-    rename = rename or {}
-
-    def rn(dotted: str) -> str:
-        return rename.get(dotted, dotted)
-
-    def rn_desc(desc: str) -> str:
-        return re.sub(
-            r"L([^;]+);",
-            lambda m: "L%s;" % rn(m.group(1).replace("/", ".")).replace(".", "/"),
-            desc)
-
     code = method.code
     label_offsets = set()
     for ins in code.instructions:
-        label_offsets.update(branch_targets(ins))
+        label_offsets.update(branch_targets(ins.mnemonic, ins.operands))
     for h in code.exception_table:
         label_offsets.update((h.start, h.end, h.handler))
 
@@ -77,7 +90,7 @@ def _code_to_asm(method: MethodInfo, pool: ConstantPool,
     end = code.instructions[-1].offset + 1 if code.instructions else 0
     for ins in code.instructions:
         if ins.offset in label_offsets:
-            items.append(f"L{ins.offset}:")
+            items.append(_label(ins.offset) + ":")
         m = ins.mnemonic
         if m in ("ldc", "ldc_w", "ldc2_w"):
             kind, value = pool.loadable(ins.operands[0])
@@ -86,38 +99,29 @@ def _code_to_asm(method: MethodInfo, pool: ConstantPool,
             if kind == "class":
                 value = rn(value.replace("/", "."))
             items.append((_LDC_KIND_TO_PSEUDO[kind], value))
-        elif m in _FIELD_OPS or m in _INVOKE_OPS:
+        elif m in FIELD_OPS or m in INVOKE_OPS:
             owner, name, desc = pool.member_ref(ins.operands[0])
-            items.append((m, rn(owner.replace("/", ".")), name, rn_desc(desc)))
-        elif m in _CLASS_OPS:
+            items.append((m, rn(owner.replace("/", ".")), name, rn.desc(desc)))
+        elif m in CLASS_OPS:
             name = pool.class_name(ins.operands[0])
             if name.startswith("["):
                 raise UnsupportedFeature("array class operands not supported")
             items.append((m, rn(name.replace("/", "."))))
         elif m == "newarray":
             items.append((m, NEWARRAY_TYPES[ins.operands[0]]))
-        elif m in ("invokeinterface", "invokedynamic", "multianewarray"):
+        elif m in UNSUPPORTED_OPS:
             raise UnsupportedFeature(f"cannot re-emit {m}")
-        elif m == "tableswitch":
-            default, low, high, targets = ins.operands
-            items.append((m, f"L{default}", low, high, [f"L{t}" for t in targets]))
-        elif m == "lookupswitch":
-            default, pairs = ins.operands
-            items.append((m, f"L{default}", [(v, f"L{t}") for v, t in pairs]))
-        elif m in ("goto", "goto_w", "jsr", "jsr_w") or m.startswith("if"):
-            items.append((m, f"L{ins.operands[0]}"))
         elif ins.operands:
-            items.append((m, *ins.operands))
+            items.append((m, *map_targets(m, ins.operands, _label)))
         else:
             items.append(m)
 
     handlers = []
     trailing_labels = {h.end for h in code.exception_table if h.end >= end}
     for off in sorted(trailing_labels):
-        items.append(f"L{off}:")
+        items.append(_label(off) + ":")
     for h in code.exception_table:
-        handlers.append((f"L{h.start}", f"L{h.end}", f"L{h.handler}",
-                         rn(h.catch_type) if h.catch_type else None))
+        handlers.append((_label(h.start), _label(h.end), _label(h.handler), rn(h.catch_type)))
     return items, handlers
 
 
@@ -126,26 +130,14 @@ def model_from_classfile(cf: ClassFile, rename: dict[str, str] | None = None) ->
 
     rename maps dotted FQNs; descriptors are rewritten accordingly.
     """
-    rename = rename or {}
-
-    def rn(dotted: str | None):
-        return rename.get(dotted, dotted) if dotted else dotted
-
-    def rn_desc(desc: str) -> str:
-        return re.sub(
-            r"L([^;]+);",
-            lambda m: "L%s;" % (rename.get(m.group(1).replace("/", "."),
-                                           m.group(1).replace("/", "."))
-                                ).replace(".", "/"),
-            desc)
-
+    rn = _Rename(rename)
     methods = []
     for m in cf.methods:
         if m.code is None:
-            methods.append(MethodModel(m.name, rn_desc(m.descriptor), m.access_flags))
+            methods.append(MethodModel(m.name, rn.desc(m.descriptor), m.access_flags))
             continue
-        items, handlers = _code_to_asm(m, cf.constant_pool, rename)
-        methods.append(MethodModel(m.name, rn_desc(m.descriptor), m.access_flags,
+        items, handlers = _code_to_asm(m, cf.constant_pool, rn)
+        methods.append(MethodModel(m.name, rn.desc(m.descriptor), m.access_flags,
                                    code=items, handlers=handlers))
     return ClassModel(
         name=rn(cf.this_class),
@@ -153,7 +145,7 @@ def model_from_classfile(cf: ClassFile, rename: dict[str, str] | None = None) ->
         interfaces=[rn(i) for i in cf.interfaces],
         access=cf.access_flags,
         major=cf.major_version,
-        fields=[FieldModel(f.name, rn_desc(f.descriptor), f.access_flags)
+        fields=[FieldModel(f.name, rn.desc(f.descriptor), f.access_flags)
                 for f in cf.fields],
         methods=methods,
     )
@@ -161,49 +153,39 @@ def model_from_classfile(cf: ClassFile, rename: dict[str, str] | None = None) ->
 
 # ------------------------------------------------------------ type 1 variant
 
+def _local_access(item):
+    """The item's mnemonic, operands and LOCALS entry (None if it has none)."""
+    m, ops = (item, ()) if isinstance(item, str) else (item[0], item[1:])
+    return m, ops, LOCALS.get(m)
+
+
 def _permutable_slots(items: list, method: MethodModel, is_static: bool) -> list[int]:
     params, _ = parse_method_descriptor(method.descriptor)
     fixed = param_slots(params) + (0 if is_static else 1)
     cat1: set[int] = set()
     cat2: set[int] = set()
     for it in items:
-        if isinstance(it, tuple):
-            base = it[0].split("_")[0]
-            if it[0] in _LOAD_STORE_CAT1 or it[0] == "iinc":
-                cat1.add(it[1])
-            elif it[0] in _LOAD_STORE_CAT2:
-                cat2.update((it[1], it[1] + 1))
-            elif base in _LOAD_STORE_CAT1 and it[0] != base:
-                cat1.add(int(it[0].rsplit("_", 1)[1]))
-            elif base in _LOAD_STORE_CAT2 and it[0] != base:
-                s = int(it[0].rsplit("_", 1)[1])
-                cat2.update((s, s + 1))
-        elif isinstance(it, str) and not it.endswith(":"):
-            base = it.split("_")[0]
-            if base in _LOAD_STORE_CAT1 and "_" in it:
-                cat1.add(int(it.rsplit("_", 1)[1]))
-            elif base in _LOAD_STORE_CAT2 and "_" in it:
-                s = int(it.rsplit("_", 1)[1])
-                cat2.update((s, s + 1))
+        m, ops, access = _local_access(it)
+        if access is not None:
+            slot = access.slot_of(ops)
+            if access.category == 1:
+                cat1.add(slot)
+            else:
+                cat2.update((slot, slot + 1))
+        elif m == "iinc":
+            cat1.add(ops[0])
     return sorted(s for s in cat1 if s >= fixed and s not in cat2)
 
 
 def _apply_slot_permutation(items: list, perm: dict[int, int]) -> list:
     out = []
     for it in items:
-        if isinstance(it, str) and not it.endswith(":"):
-            base = it.split("_")[0]
-            if base in _LOAD_STORE_CAT1 and "_" in it:
-                slot = int(it.rsplit("_", 1)[1])
-                out.append((base, perm.get(slot, slot)))
-                continue
-        if isinstance(it, tuple):
-            if it[0] in _LOAD_STORE_CAT1:
-                out.append((it[0], perm.get(it[1], it[1])))
-                continue
-            if it[0] == "iinc":
-                out.append((it[0], perm.get(it[1], it[1]), it[2]))
-                continue
+        m, ops, access = _local_access(it)
+        if access is not None and access.category == 1:
+            slot = access.slot_of(ops)
+            it = (access.base, perm.get(slot, slot))
+        elif m == "iinc":
+            it = (m, perm.get(ops[0], ops[0]), ops[1])
         out.append(it)
     return out
 
@@ -260,16 +242,6 @@ def _read_entries(jar_bytes: bytes) -> list[tuple[str, bytes]]:
                 for i in zf.infolist() if not i.filename.endswith("/")]
 
 
-def _write_jar(entries: list[tuple[str, bytes]], date_time) -> bytes:
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
-        for path, data in entries:
-            info = zipfile.ZipInfo(path, date_time=date_time)
-            info.external_attr = 0o644 << 16
-            zf.writestr(info, data)
-    return buf.getvalue()
-
-
 def _is_metadata(path: str) -> bool:
     return (path.startswith("META-INF/") or path == "pom.xml"
             or path.endswith("/pom.xml") or path.endswith("pom.properties"))
@@ -311,13 +283,14 @@ def modify(jars: list[bytes], kind: int, *, prefix: str = "r.",
                 out.append((path, compiler_variant(data, rng)))
             else:
                 out.append((path, data))
-        return _write_jar(out, (2020, 1, 1, 0, 0, 0))
+        return write_jar(out, manifest=False)
 
     if kind == 2:
-        return _write_jar(_merge(jars, keep_metadata=True), (2020, 1, 1, 0, 0, 0))
+        return write_jar(_merge(jars, keep_metadata=True), manifest=False)
 
     if kind == 3:
-        return _write_jar(_merge(jars, keep_metadata=False), (1980, 1, 1, 0, 0, 0))
+        return write_jar(_merge(jars, keep_metadata=False), manifest=False,
+                         date_time=(1980, 1, 1, 0, 0, 0))
 
     if kind == 4:
         if not prefix.endswith("."):
@@ -342,6 +315,6 @@ def modify(jars: list[bytes], kind: int, *, prefix: str = "r.",
             if new_path in existing:
                 raise RelocationCollision(f"{new_path} already exists in the bundle")
             out.append((new_path, emit_class(new_model)))
-        return _write_jar(out, (2020, 1, 1, 0, 0, 0))
+        return write_jar(out, manifest=False)
 
     raise ValueError(f"unknown modification kind {kind}")

@@ -119,14 +119,6 @@ class ScanReport:
     config: ScanConfig
     jars: list
 
-    def vulnerable_cves(self) -> set:
-        out = set()
-        for jar in self.jars:
-            for finding in jar.findings:
-                if finding.verdict == VULNERABLE:
-                    out.add((jar.path, finding.cve_id))
-        return out
-
 
 # ------------------------------------------------------------ dependency input
 

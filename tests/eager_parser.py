@@ -8,8 +8,18 @@ entries on first read and reads tables at offsets; on any input the two
 must raise the same ClassParseError subclass or return equal classes whose
 pools answer ``entry``, ``resolve`` and ``in`` alike.
 
-The version bounds, ``decode_instructions`` and ``_validate_targets`` are
-the package's own: they are not what the two parsers differ in.
+The version bounds and ``_validate_targets`` are the package's own: they
+are not what the two parsers differ in.
+
+``decode_instructions`` is the oracle for the package's decoder, which
+reads each instruction's operands through the layout tables of
+``jarscan.classfile.opcodes``. This copy is the decoder as it was before
+those tables: one ``if`` branch per operand format, each with its own
+struct format string. The emitter encodes through the same tables the
+package's decoder reads, so a layout error that is symmetric in the two
+would round-trip unseen; against this copy it shows. On any code array
+the two must raise the same ClassParseError subclass or return equal
+instruction tuples.
 
 ``parse_class_header`` is the oracle for the package's header pass: the
 member and attribute walk as it was before that walk was inlined into one
@@ -50,14 +60,15 @@ from jarscan.classfile.model import (
     CodeAttribute,
     ExceptionHandler,
     FieldInfo,
+    Instruction,
     MethodInfo,
 )
+from jarscan.classfile.opcodes import OPCODES, WIDE
 from jarscan.classfile.parser import (
     MAGIC,
     MAX_MAJOR,
     MIN_MAJOR,
     _validate_targets,
-    decode_instructions,
 )
 from jarscan.errors import (
     BadConstantPoolRef,
@@ -195,6 +206,135 @@ def _parse_constant_pool(r: _Reader) -> EagerConstantPool:
         index += 2 if tag in WIDE_TAGS else 1
     r.pos = pos
     return EagerConstantPool(entries)
+
+
+def decode_instructions(code: bytes) -> tuple[Instruction, ...]:
+    """Decode a Code array into instructions with absolute branch targets."""
+    out: list[Instruction] = []
+    pos = 0
+    n = len(code)
+
+    def need(k: int):
+        if pos + k > n:
+            raise TruncatedInput(f"code array ends inside instruction at {start}")
+
+    while pos < n:
+        start = pos
+        op = code[pos]
+        pos += 1
+        wide = False
+        if op == WIDE:
+            need(1)
+            wide = True
+            op = code[pos]
+            pos += 1
+        info = OPCODES.get(op)
+        if info is None:
+            raise ClassParseError(f"unknown opcode 0x{op:02x} at offset {start}")
+        mnemonic, fmt = info
+        if wide and fmt not in ("local", "iinc"):
+            raise ClassParseError(f"wide prefix before {mnemonic} at offset {start}")
+
+        if fmt == "":
+            operands: tuple = ()
+        elif fmt == "i8":
+            need(1)
+            operands = (struct.unpack_from(">b", code, pos)[0],)
+            pos += 1
+        elif fmt == "i16":
+            need(2)
+            operands = (struct.unpack_from(">h", code, pos)[0],)
+            pos += 2
+        elif fmt == "u8":
+            need(1)
+            operands = (code[pos],)
+            pos += 1
+        elif fmt == "cp8":
+            need(1)
+            operands = (code[pos],)
+            pos += 1
+        elif fmt == "cp16":
+            need(2)
+            operands = (struct.unpack_from(">H", code, pos)[0],)
+            pos += 2
+        elif fmt == "local":
+            if wide:
+                need(2)
+                operands = (struct.unpack_from(">H", code, pos)[0],)
+                pos += 2
+            else:
+                need(1)
+                operands = (code[pos],)
+                pos += 1
+        elif fmt == "iinc":
+            if wide:
+                need(4)
+                slot, delta = struct.unpack_from(">Hh", code, pos)
+                pos += 4
+            else:
+                need(2)
+                slot, delta = struct.unpack_from(">Bb", code, pos)
+                pos += 2
+            operands = (slot, delta)
+        elif fmt == "br16":
+            need(2)
+            rel = struct.unpack_from(">h", code, pos)[0]
+            pos += 2
+            operands = (start + rel,)
+        elif fmt == "br32":
+            need(4)
+            rel = struct.unpack_from(">i", code, pos)[0]
+            pos += 4
+            operands = (start + rel,)
+        elif fmt == "iface":
+            need(4)
+            idx, count = struct.unpack_from(">HB", code, pos)
+            pos += 4
+            operands = (idx, count)
+        elif fmt == "indy":
+            need(4)
+            idx = struct.unpack_from(">H", code, pos)[0]
+            pos += 4
+            operands = (idx,)
+        elif fmt == "multi":
+            need(3)
+            idx, dims = struct.unpack_from(">HB", code, pos)
+            pos += 3
+            operands = (idx, dims)
+        elif fmt == "table":
+            pad = (4 - (pos % 4)) % 4
+            need(pad + 12)
+            pos += pad
+            default, low, high = struct.unpack_from(">iii", code, pos)
+            pos += 12
+            if low > high:
+                raise ClassParseError(f"tableswitch low > high at offset {start}")
+            count = high - low + 1
+            need(count * 4)
+            targets = struct.unpack_from(f">{count}i", code, pos)
+            pos += count * 4
+            operands = (start + default, low, high,
+                        tuple(start + t for t in targets))
+        elif fmt == "lookup":
+            pad = (4 - (pos % 4)) % 4
+            need(pad + 8)
+            pos += pad
+            default, npairs = struct.unpack_from(">ii", code, pos)
+            pos += 8
+            if npairs < 0:
+                raise ClassParseError(f"lookupswitch npairs < 0 at offset {start}")
+            need(npairs * 8)
+            pairs = []
+            for _ in range(npairs):
+                match, offset = struct.unpack_from(">ii", code, pos)
+                pos += 8
+                pairs.append((match, start + offset))
+            operands = (start + default, tuple(pairs))
+        else:  # pragma: no cover - table is exhaustive
+            raise ClassParseError(f"unhandled operand format {fmt}")
+
+        out.append(Instruction(start, mnemonic, operands))
+    return tuple(out)
 
 
 def _parse_code_attribute(data: bytes, pool: EagerConstantPool) -> CodeAttribute:

@@ -27,8 +27,12 @@ from jarscan.classfile import (
     strip_packages,
     write_jar,
 )
+from jarscan.classfile import parser as parser_mod
 from jarscan.classfile.descriptors import method_signature
-from jarscan.classfile.parser import parse_class_header
+from jarscan.classfile.emitter import encode_instruction
+from jarscan.classfile.model import Instruction
+from jarscan.classfile.opcodes import FORMAT_OF, LOCALS, OPCODES, WIDE
+from jarscan.classfile.parser import decode_instructions, parse_class_header
 from jarscan.errors import (
     BadConstantPoolRef,
     BadMagic,
@@ -351,6 +355,31 @@ def test_parser_matches_eager_on_jdk_classes():
             assert parse_class_header(data)[0] == eager_parser.parse_class_header(data), name
 
 
+def test_decoder_matches_reference_on_damaged_jdk_code(monkeypatch):
+    """On java.xml code arrays with random byte edits, and cut at random
+    points, ``decode_instructions`` and the reference decoder in
+    tests/eager_parser.py raise the same ClassParseError subclass or
+    return equal instruction tuples."""
+    jmod = _jdk_jmod("java.xml")
+    if jmod is None:
+        pytest.skip("no JDK with jmods/java.xml.jmod")
+    codes = []
+    decode = parser_mod.decode_instructions
+    monkeypatch.setattr(parser_mod, "decode_instructions",
+                        lambda code: codes.append(code) or decode(code))
+    with zipfile.ZipFile(jmod) as zf:
+        for name in sorted(n for n in zf.namelist() if n.endswith(".class")):
+            parse_class(zf.read(name))
+    assert len(codes) > 10_000
+    rng = random.Random(0)
+    for code in rng.sample(codes, 3000):
+        edited = bytearray(code)
+        for _ in range(rng.randint(1, 4)):
+            edited[rng.randrange(len(edited))] = rng.randrange(256)
+        for data in (bytes(edited), code[:rng.randrange(len(code))]):
+            assert _outcome(decode, data) == _outcome(eager_parser.decode_instructions, data)
+
+
 # ------------------------------------------- the entry reader, against zipfile
 
 class _Unseekable(io.RawIOBase):
@@ -530,6 +559,62 @@ def test_int_method_roundtrip():
     assert code == resolved[0]
 
 
+def _sample_operands(fmt: str, at: int) -> list[tuple]:
+    """Decoded-form operands of one format for an instruction at offset
+    ``at``: the limits of each field, and values that need the wide prefix."""
+    return {
+        "": [()],
+        "i8": [(-128,), (127,)],
+        "i16": [(-32768,), (32767,)],
+        "u8": [(0,), (255,)],
+        "cp8": [(1,), (255,)],
+        "cp16": [(1,), (65535,)],
+        "local": [(0,), (255,), (256,), (65535,)],
+        "iinc": [(0, -128), (255, 127), (256, 0), (3, 128), (3, -129), (65535, -32768)],
+        "br16": [(at - 32768,), (at + 32767,)],
+        "br32": [(at - 2**31,), (at + 2**31 - 1,)],
+        "table": [(at + 9, -1, 1, (at, at + 4, at + 100)), (at - 2, 5, 5, (at + 1,))],
+        "lookup": [(at + 9, ()), (at - 3, ((-7, at + 1), (2**31 - 1, at + 40)))],
+        "iface": [(1, 1), (65535, 255)],
+        "indy": [(1,), (65535,)],
+        "multi": [(1, 1), (65535, 255)],
+    }[fmt]
+
+
+def test_every_opcode_roundtrips_through_both_decoders():
+    """Each OPCODES entry, encoded at offsets 0-3 (so each switch padding
+    occurs) after that many nops, decodes back to the same instruction
+    through the package's decoder and the reference one. A local slot
+    past 255, or an increment past a byte, takes the wide prefix."""
+    wide = 0
+    for op, (mnemonic, fmt) in OPCODES.items():
+        for at in range(4):
+            for operands in _sample_operands(fmt, at):
+                ins = Instruction(at, mnemonic, operands)
+                code = bytes(at) + encode_instruction(ins)
+                assert code[at + (code[at] == WIDE)] == op
+                wide += code[at] == WIDE
+                assert decode_instructions(code)[at] == ins
+                assert eager_parser.decode_instructions(code)[at] == ins
+    assert wide == 4 * (11 * 2 + 4)        # 11 local-slot mnemonics, and iinc
+    with pytest.raises(UnsupportedFeature, match="beyond 16 bits"):
+        encode_instruction(Instruction(0, "goto", (32768,)))
+    with pytest.raises(struct.error):
+        encode_instruction(Instruction(0, "iload", (65536,)))
+
+
+def test_local_access_table():
+    """LOCALS names every short and explicit-slot load and store, with the
+    slot the short forms imply."""
+    assert sorted(LOCALS) == sorted(m for m in FORMAT_OF if m[1:] in ("load", "store") or
+                                    m[1:-2] in ("load", "store"))
+    assert LOCALS["iload_1"] == ("iload", 1, 1, False)
+    assert LOCALS["lstore"] == ("lstore", None, 2, True)
+    assert LOCALS["dload_3"].slot_of(()) == 3 and LOCALS["astore"].slot_of((300,)) == 300
+    for access in LOCALS.values():
+        assert FORMAT_OF[access.base] == "local"
+
+
 def test_unsupported_constant_kind_raises():
     model = ClassModel("a.E", methods=[
         MethodModel("f", "()V", 0x09, code=[("invokedynamic", "x"), "return"])])
@@ -569,9 +654,9 @@ def test_offset_integrity_on_random_models():
         cf = parse_class(emit_class(model))
         attr = cf.methods[0].code
         offsets = attr.offsets()
-        from jarscan.classfile.parser import branch_targets
+        from jarscan.classfile.opcodes import branch_targets
         for ins in attr.instructions:
-            for t in branch_targets(ins):
+            for t in branch_targets(ins.mnemonic, ins.operands):
                 assert t in offsets
 
 
@@ -644,9 +729,9 @@ def test_switch_decoding_matches_checked_in_dump():
     cf = parse_class(_handcrafted_switch_class())
     code = cf.methods[0].code
     offsets = code.offsets()
-    from jarscan.classfile.parser import branch_targets
+    from jarscan.classfile.opcodes import branch_targets
     for ins in code.instructions:
-        for t in branch_targets(ins):
+        for t in branch_targets(ins.mnemonic, ins.operands):
             assert t in offsets
     golden = (DATA / "golden_switch.dump").read_text()
     assert _dump_instructions(code) == golden

@@ -1,9 +1,10 @@
 """Pinned digests of what jarscan writes on the synthetic corpus.
 
-A refactor must leave all three unchanged: the KB file that kb-build
-writes, the normalized IR of every liftable method, and the JSON scan
-report in both modes. A change that moves one on purpose re-pins it and
-says why.
+A refactor must leave all four unchanged: the KB file that kb-build
+writes, the normalized IR of every liftable method, the JSON scan report
+in both modes, and the bytes of every JAR the emitter and ``modify``
+write for the ``variant_jars`` fixture. A change that moves one on
+purpose re-pins it and says why.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_byt
 KB_SHA256 = "ea3cbe3d79add56e09c1a104e4e2dbd4687439f136dea454ae1d89325f542706"
 DUMP_SHA256 = "9d27f472ee0b867168c5dfd3e766ca2d47805b5fef5b592cf0cb84a10bc0a76a"
 REPORT_SHA256 = "c13f09a3bda29f47524c74c5ea1581aaa1159eb9b8bebe91c19590c7f22fbe0e"
+VARIANT_JARS_SHA256 = "3a30c62829a07dd501578c7677aabd33019dfe212d6a5b746e1bde378283e01d"
 
 
 def _sha256(data: bytes) -> str:
@@ -59,3 +61,12 @@ def test_pinned_goldens(corpus, variant_jars, tmp_path):
     assert (_sha256(kb_path.read_bytes()),
             _sha256(_normalized_dumps(corpus).encode()),
             _sha256(text.encode())) == (KB_SHA256, DUMP_SHA256, REPORT_SHA256)
+
+
+def test_pinned_emitted_jars(variant_jars):
+    """The exact bytes of the corpus pre/post JARs and of ``modify`` kinds
+    1-4 of them: the emitted constant pools, code and ZIP layout, which
+    the digests above see only through what they parse."""
+    listing = "".join(f"{name} {_sha256(data)}\n" for name, data in sorted(variant_jars.items()))
+    assert len(variant_jars) == 46
+    assert _sha256(listing.encode()) == VARIANT_JARS_SHA256

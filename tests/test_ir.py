@@ -95,9 +95,22 @@ def test_lift_dead_code_dropped():
         ("goto", "END"),
         ("push_int", 42), "ireturn",   # unreachable
         "END:", "iload_0", "ireturn"])
-    consts = [s for s in ir.statements
-              if isinstance(s, Assign) and s.expr == Const(42, "int")]
-    assert consts == []
+    after_throw, _ = lift_method([
+        "aload_0", "athrow",
+        ("push_int", 42), "ireturn"], desc="(Ljava/lang/Throwable;)I")   # unreachable
+    for lifted in (ir, after_throw):
+        consts = [s for s in lifted.statements
+                  if isinstance(s, Assign) and s.expr == Const(42, "int")]
+        assert consts == []
+
+
+def test_lift_category_2_locals():
+    ir, cf = lift_method([
+        ("dload", 0), ("dstore", 2), "lconst_1", ("lstore", 4),
+        "dload_2", "dreturn"], desc="(D)D")
+    code = cf.methods[0].code
+    assert (code.max_stack, code.max_locals) == (2, 6)
+    assert ir.statements[-1] == Return("l2", "double")
 
 
 def test_lift_deterministic():

@@ -143,6 +143,22 @@ def test_type1_semantic_equivalence_on_random_inputs():
             assert run_ir(ir_pre, args) == run_ir(ir_post, args)
 
 
+def test_type1_permutes_every_access_to_a_slot():
+    """Short and explicit loads and stores and iinc of a permuted slot all
+    move with it."""
+    model = ClassModel("m.Slots", methods=[MethodModel("f", "(I)I", 0x09, code=[
+        ("push_int", 3), "istore_1", ("push_int", 10), ("istore", 2), ("iinc", 1, 5),
+        "iload_1", ("iload", 2), "isub", "ireturn"])])
+    stored = set()
+    for seed in range(8):
+        cf = parse_class(compiler_variant(emit_class(model), random.Random(seed)))
+        code = cf.methods[0].code
+        stored.add(next(i.operands for i in code.instructions if i.mnemonic == "istore"))
+        ir = lift(code, "(I)I", True, cf.constant_pool)
+        assert run_ir(ir, [0]) == (3 + 5) - 10
+    assert stored == {(1,), (2,)}
+
+
 def test_modify_deterministic_given_seed():
     jar, _ = _int_lib_jar()
     assert modify([jar], 1, seed=5) == modify([jar], 1, seed=5)
