@@ -27,17 +27,28 @@ only of the methods it accepts; every other body reads as ``UNDECODED``,
 which raises CodeNotDecoded when read, never as "no code". Everything
 else, every method's descriptor included, is checked as without it.
 
-``parse_jar`` given a predicate on class names fully parses only the
-classes the predicate accepts and header-checks the rest; a second
-predicate, on methods, is passed on to ``parse_class``. A scan asks for
-the classes its knowledge base names and for the bodies of the methods
-its ``changed`` method records name. So a class no KB record names whose
-only defect is one the header does not check (a bad descriptor, Code
-attribute or other pool reference) counts as a class, not as a parse
-failure, and so does a class the KB names whose only defect is inside
-the Code attribute of a method no ``changed`` record names. A defect that
-could hide which class it is (an unreadable name, a bad pool, truncation,
-an unsupported version) is a failure either way.
+``parse_jar`` given a set of stems opens a class entry only if its stem,
+the simple name of the class a class loader finds at the entry's path,
+is in the set; the others are listed as unopened and never read. Of the
+entries it opens, given a predicate on class names, it fully parses only
+the classes the predicate accepts and header-checks the rest; a second
+predicate, on methods, is passed on to ``parse_class``. An opened class
+whose simple name is not its stem is listed as misnamed. A scan gives
+the simple names the classes its knowledge base names can have, asks
+for those classes, and asks for the bodies of the methods its
+``changed`` method records name. So:
+
+* an entry under a stem no KB record's class can have counts as a
+  class whatever its bytes; a class the KB names stored under such a
+  stem is missed, as a class loader looking it up by name misses it;
+* an opened class no KB record names whose only defect is one the
+  header does not check (a bad descriptor, Code attribute or other pool
+  reference) counts as a class, not as a parse failure, and so does a
+  class the KB names whose only defect is inside the Code attribute of a
+  method no ``changed`` record names;
+* a defect that could hide which class an opened entry is (an unreadable
+  name, a bad pool, truncation, an unsupported version) is a failure
+  either way.
 
 ``parse_jar`` opens the archive with ``zipfile`` but reads each class
 entry straight from the archive's bytes (``_read_entry``): it slices the
@@ -60,7 +71,7 @@ import logging
 import struct
 import zipfile
 import zlib
-from typing import Callable
+from typing import Callable, Container
 
 try:
     from lzma import LZMAError
@@ -489,7 +500,8 @@ def _read_entry(zf: zipfile.ZipFile, view: memoryview, info: zipfile.ZipInfo) ->
 
 
 def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
-              wanted_body: Callable[[str, str, str], bool] | None = None) -> JarArchive:
+              wanted_body: Callable[[str, str, str], bool] | None = None,
+              stems: Container[str] | None = None) -> JarArchive:
     """Decode a JAR; per-entry class failures are collected, never fatal.
 
     An archive zipfile cannot open raises MalformedArchive. A class entry
@@ -497,11 +509,16 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
     or offsets outside the archive, encryption, an unsupported compression
     method) is a per-entry failure too ("unreadable entry: ...").
 
-    Without ``wanted`` every class is fully parsed. With it, a class is
-    header-checked first and fully parsed only if ``wanted`` accepts its
-    dotted name, with the header's pool walk; the others go to
-    ``unparsed`` and their bytes are dropped. ``wanted_body`` is passed on
-    to ``parse_class`` for the classes fully parsed.
+    With ``stems``, a class entry is opened only if its stem (the text
+    after the last "/" or "." of its path without ".class": the simple
+    name of the class a class loader finds there) is in ``stems``; the
+    others go to ``unopened``, unread. Without ``wanted`` every opened
+    class is fully parsed. With it, a class is header-checked first and
+    fully parsed only if ``wanted`` accepts its dotted name, with the
+    header's pool walk; the others go to ``unparsed`` and their bytes are
+    dropped. ``wanted_body`` is passed on to ``parse_class`` for the
+    classes fully parsed. A class whose simple name is not its entry's
+    stem is logged and listed in ``misnamed`` as well.
     """
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
@@ -511,6 +528,8 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
 
     classes: list[tuple[str, ClassFile]] = []
     unparsed: list[tuple[str, str]] = []
+    unopened: list[str] = []
+    misnamed: list[tuple[str, str]] = []
     others: list[str] = []
     failures: list[ParseFailure] = []
     metadata = False
@@ -532,6 +551,10 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
         if not path.endswith(".class"):
             others.append(path)
             continue
+        stem = path[max(path.rfind("/"), path.rfind(".", 0, -6)) + 1:-6]
+        if stems is not None and stem not in stems:
+            unopened.append(path)
+            continue
         try:
             raw = _read_entry(zf, view, info)
         except _UNREADABLE_ENTRY as exc:
@@ -539,16 +562,23 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
             failures.append(ParseFailure(path, f"unreadable entry: {exc}"))
             continue
         try:
-            walk = None
-            if wanted is not None:
+            if wanted is None:
+                cf = parse_class(raw, wanted_body)
+                fqn = cf.this_class
+            else:
                 fqn, walk = parse_class_header(raw)
-                if not wanted(fqn):
-                    unparsed.append((path, fqn))
-                    continue
-            classes.append((path, parse_class(raw, wanted_body, walk)))
+                cf = parse_class(raw, wanted_body, walk) if wanted(fqn) else None
         except ClassParseError as exc:
             log.warning("failed to parse %s: %s", path, exc)
             failures.append(ParseFailure(path, str(exc)))
+            continue
+        if fqn[fqn.rfind(".") + 1:] != stem:
+            log.warning("%s holds class %s", path, fqn)
+            misnamed.append((path, fqn))
+        if cf is None:
+            unparsed.append((path, fqn))
+        else:
+            classes.append((path, cf))
     return JarArchive(classes=classes, other_entries=others,
                       failures=failures, metadata_present=metadata,
-                      unparsed=unparsed)
+                      unparsed=unparsed, unopened=unopened, misnamed=misnamed)

@@ -33,6 +33,9 @@ _HEADER = "jarscan-kb"
 # way in the record's FQN and in its unqualified form.
 _SIGNATURE_NAMES = re.compile(r"(?<= )[^ (]+(?=\()")
 _ODD_NAME_CHARS = frozenset(" (.")
+# Where strip_packages can have cut a package out of a simple name: after
+# a character outside [\w$.], before an ASCII letter, "_" or "$".
+_PACKAGE_CUTS = re.compile(r"(?<![\w$.])(?=[A-Za-z_$])")
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,7 @@ class KnowledgeBase:
     def _reindex(self):
         self._class_candidates: dict[str, set] = {}
         self._unq_class_candidates: dict[str, set] = {}
+        self.simple_class_names: set[str] = set()
         self._changed_fqns: set[str] = set()
         self._changed_unqualified: set[str] = set()
         self._changed_names: set[str] = set()
@@ -86,8 +90,15 @@ class KnowledgeBase:
             for rec in records:
                 cls = rec.declaring_class
                 self._class_candidates.setdefault(cls, set()).add(cve)
-                self._unq_class_candidates.setdefault(
-                    strip_packages(cls), set()).add(cve)
+                unq_cls = strip_packages(cls)
+                self._unq_class_candidates.setdefault(unq_cls, set()).add(cve)
+                # A class whose name strips to unq_cls has as its simple
+                # name the simple name of unq_cls, or the tail of it after
+                # a place where strip_packages cut out a package.
+                simple = unq_cls[unq_cls.rfind(".") + 1:]
+                self.simple_class_names.add(simple)
+                self.simple_class_names.update(
+                    simple[m.start():] for m in _PACKAGE_CUTS.finditer(simple))
                 if rec.construct.kind == "method" and rec.change == "changed":
                     fqn, unq = rec.construct.fqn, rec.construct.unqualified
                     self._changed_fqns.add(fqn)

@@ -423,7 +423,8 @@ def _candidate_cves(kb: KnowledgeBase, view: JarView, mode: str) -> list[str]:
 def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
                    config: ScanConfig) -> JarResult:
     try:
-        archive = parse_jar(data, kb.asks_about_class, kb.asks_about_method)
+        archive = parse_jar(data, kb.asks_about_class, kb.asks_about_method,
+                            kb.simple_class_names)
     except MalformedArchive as exc:
         return JarResult(path=path, error=str(exc))
     view = JarView(archive, kb)
@@ -449,7 +450,7 @@ def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
 
     return JarResult(
         path=path,
-        classes=len(archive.classes) + len(archive.unparsed),
+        classes=len(archive.classes) + len(archive.unparsed) + len(archive.unopened),
         parse_failures=len(archive.failures),
         findings=[findings[c] for c in sorted(findings)],
     )

@@ -28,6 +28,7 @@ from jarscan.classfile import (
     write_jar,
 )
 from jarscan.classfile import parser as parser_mod
+from jarscan.classfile.constructs import ConstructId
 from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.emitter import encode_instruction
 from jarscan.classfile.model import Instruction
@@ -42,6 +43,8 @@ from jarscan.errors import (
     UnsupportedFeature,
     UnsupportedVersion,
 )
+from jarscan.kb import ConstructRecord, KnowledgeBase
+from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_bytes
 import eager_parser
 from jar_damage import reads_like_zipfile
 from randgen import random_int_method, random_ref_method
@@ -116,6 +119,38 @@ def test_parse_jar_duplicate_entry_reads_the_first_copy():
         assert [(path, cf.this_class) for path, cf in archive.classes] == \
             [("p/C.class", "p.First")]
         assert archive.failures == [] and archive.unparsed == []
+
+
+# A Spring Boot prefix, a multi-release prefix, an inner class and the
+# default package: each entry is opened by its stem alone.
+_STEM_ENTRIES = [("BOOT-INF/classes/p/A.class", "p.A"),
+                 ("META-INF/versions/9/p/B.class", "p.B"),
+                 ("p/Outer$1.class", "p.Outer$1"),
+                 ("Top.class", "Top")]
+
+
+def test_parse_jar_opens_class_entries_by_stem():
+    jar = write_jar([(path, emit_class(ClassModel(name)))
+                     for path, name in [*_STEM_ENTRIES, ("p/Other.class", "p.Other")]])
+    archive = parse_jar(jar, lambda fqn: True, stems={"A", "B", "Outer$1", "Top"})
+    assert [(path, cf.this_class) for path, cf in archive.classes] == _STEM_ENTRIES
+    assert archive.unopened == ["p/Other.class"]
+    assert archive.misnamed == [] and archive.failures == [] and archive.unparsed == []
+
+
+def test_parse_jar_records_a_misnamed_class(caplog):
+    """A class stored under a stem that is not its simple name is logged
+    and listed in ``misnamed``, and otherwise read as any other; its own
+    simple name does not open it."""
+    jar = write_jar([("p/Foo.class", emit_class(ClassModel("p.Bar")))])
+    full = parse_jar(jar)
+    header_only = parse_jar(jar, lambda fqn: False, stems={"Foo"})
+    assert [cf.this_class for cf in full.class_files()] == ["p.Bar"]
+    assert header_only.unparsed == [("p/Foo.class", "p.Bar")]
+    for archive in (full, header_only):
+        assert archive.misnamed == [("p/Foo.class", "p.Bar")]
+    assert "p/Foo.class holds class p.Bar" in caplog.text
+    assert parse_jar(jar, lambda fqn: True, stems={"Bar"}).unopened == ["p/Foo.class"]
 
 
 def test_parse_class_bad_magic():
@@ -525,6 +560,38 @@ def test_entry_reader_on_every_jdk_entry():
         pytest.skip("no JDK with jmods/java.base.jmod")
     data = jmod.read_bytes()         # a zip behind a 4-byte header
     assert reads_like_zipfile(data) == 0
+
+
+def test_jdk_classes_are_stored_under_their_own_names(corpus, corpus_kb):
+    """Every class entry of java.base has its class's simple name as its
+    stem, so opening entries by stem loses none; and a scan with the KB's
+    stems gives the report a scan that opens every entry gives."""
+    jmod = _jdk_jmod("java.base")
+    if jmod is None:
+        pytest.skip("no JDK with jmods/java.base.jmod")
+    data = jmod.read_bytes()         # a zip behind a 4-byte header
+    archive = parse_jar(data, lambda fqn: False)
+    assert len(archive.unparsed) > 6000 and not archive.failures
+    assert archive.misnamed == []
+
+    kb = KnowledgeBase(records={**corpus_kb.records, "CVE-JDK": [
+        ConstructRecord(ConstructId("class", name, strip_packages(name)), "removed", None)
+        # sun.misc.Unsafe is not in java.base; repack mode finds
+        # jdk.internal.misc.Unsafe by its unqualified name.
+        for name in ("java.lang.String", "java.util.HashMap",
+                     "java.util.HashMap$Node", "sun.misc.Unsafe", "org.example.Absent")]})
+    config = ScanConfig()
+
+    def report():
+        result = scan_jar_bytes("java.base.jmod", data, kb, config)
+        return report_to_json(ScanReport(config, [result]))
+
+    assert parse_jar(data, kb.asks_about_class, stems=kb.simple_class_names).unopened
+    prefiltered = report()
+    kb.simple_class_names = None         # open every entry
+    assert prefiltered == report()
+    [finding] = [f for f in prefiltered["jars"][0]["findings"] if f["cve"] == "CVE-JDK"]
+    assert finding["verdict"] == "vulnerable"
 
 
 def test_method_signatures_rendered_once_per_class(corpus):

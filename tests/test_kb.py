@@ -1,5 +1,6 @@
 """Knowledge-base building, persistence and queries."""
 
+import itertools
 import struct
 
 import pytest
@@ -20,7 +21,9 @@ from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.model import code_digest, key_digest, resolved_code, stripped_code
 from jarscan.errors import (BadConstantPoolRef, CorruptFile, EmptyDiff, KbFormatError,
                             LiftError, VersionMismatch)
+from jarscan.classfile.constructs import ConstructId
 from jarscan.kb import (
+    ConstructRecord,
     KnowledgeBase,
     _classes_in_dir,
     build_entry,
@@ -523,6 +526,28 @@ def test_asks_about_method_only_for_changed_method_records():
     # unqualified form can match a record under another name.
     assert kb.asks_about_method("b.C", "x.check", "(I)I")
     assert not kb.asks_about_method("b.C", "x.other", "(I)I")
+
+
+def test_simple_class_names_hold_every_class_the_kb_asks_about():
+    """Over every name of up to five characters from an alphabet with a
+    non-ASCII letter and a character outside Java identifiers, a class
+    asks_about_class accepts has a simple name in simple_class_names,
+    where strip_packages leaves a package in ("é.F") or cuts one out of
+    the middle of a name ("-a.F" strips to "-F")."""
+    by_stripped = {}
+    for name in ("".join(chars) for n in range(1, 6)
+                 for chars in itertools.product("aFé.-$", repeat=n)):
+        by_stripped.setdefault(strip_packages(name), []).append(name)
+    checked = 0
+    for group in by_stripped.values():
+        for cls in group:
+            kb = KnowledgeBase(records={"CVE-X": [ConstructRecord(
+                ConstructId("class", cls, strip_packages(cls)), "removed", None)]})
+            for fqn in group:
+                assert kb.asks_about_class(fqn)
+                assert fqn.rpartition(".")[2] in kb.simple_class_names, (cls, fqn)
+                checked += fqn.rpartition(".")[2] != cls.rpartition(".")[2]
+    assert checked > 100            # pairs whose simple names differ
 
 
 def test_manifest_build(tmp_path, corpus):

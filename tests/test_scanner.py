@@ -637,10 +637,11 @@ def _report_bytes(paths, kb) -> str:
 
 
 def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch):
-    """Classes no KB record names are only header-checked, and only the
-    bodies of methods a changed record names are decoded; with every
-    class and every method body fully parsed instead, the report is
-    byte-identical."""
+    """Class entries whose stem no KB record's class can have are not
+    opened, other classes no KB record names are only header-checked, and
+    only the bodies of methods a changed record names are decoded; with
+    every entry opened and every class and method body fully parsed
+    instead, the report is byte-identical."""
     jars = {}
     for cve in corpus.cve_ids:
         jars[f"{cve}-pre"] = corpus.pre_jars[cve]
@@ -657,6 +658,8 @@ def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch
     partial_kb = KnowledgeBase(records={c: corpus_kb.records[c]
                                         for c in corpus.cve_ids[:5]})
     assert parse_jar(jars["pre_jars-kind2"], partial_kb.asks_about_class).unparsed
+    assert parse_jar(jars["pre_jars-kind2"], partial_kb.asks_about_class,
+                     stems=partial_kb.simple_class_names).unopened
     lazy_archive = parse_jar(jars["pre_jars-kind2"], corpus_kb.asks_about_class,
                              corpus_kb.asks_about_method)
     assert any(m.code is UNDECODED for cf in lazy_archive.class_files()
@@ -666,6 +669,8 @@ def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch
     monkeypatch.setattr(KnowledgeBase, "asks_about_class", lambda self, fqn: True)
     monkeypatch.setattr(KnowledgeBase, "asks_about_method",
                         lambda self, cls, name, desc: True)
+    for kb in (corpus_kb, partial_kb):
+        monkeypatch.setattr(kb, "simple_class_names", None)     # open every entry
     eager = [_report_bytes(paths, kb) for kb in (corpus_kb, partial_kb)]
     assert lazy == eager
 
@@ -726,8 +731,8 @@ def _with_broken_descriptor(model: ClassModel) -> bytes:
 
 def test_malformed_class_counts_by_candidacy():
     """A malformed class the KB names is a parse failure and its records
-    see no declaring class; a malformed class no record names is only
-    header-checked, so it counts as a class."""
+    see no declaring class; a malformed class no record names, under a
+    stem no record's class has, is not opened, so it counts as a class."""
     mark = MethodModel("mark", "(Lzz/Mark;)V", 0x09, code=["return"])
 
     def klass(name, ret):
@@ -746,6 +751,7 @@ def test_malformed_class_counts_by_candidacy():
         (class_entry_path("other.Util"), _with_broken_descriptor(klass("other.Util", "iconst_1"))),
     ])
     assert kb.asks_about_class("mal.A") and not kb.asks_about_class("other.Util")
+    assert "Util" not in kb.simple_class_names
     assert len(parse_jar(jar).failures) == 2           # eager: both fail
 
     res = scan_jar_bytes("mal.jar", jar, kb, ScanConfig(modes=("default",)))
@@ -754,6 +760,45 @@ def test_malformed_class_counts_by_candidacy():
     reasons = {v.fqn: v.reason for v in finding.constructs}
     assert reasons["mal.A: int run(int)"] == "declaring class not in archive"
     assert reasons["mal.B: int run(int)"] is None      # matched on triplets
+
+
+@pytest.mark.parametrize("kb_name, jar_name, mode", [
+    ("été.Foo", "été.Foo", "default"),  # strip_packages keeps a non-ASCII package
+    ("x-Foo", "x-a.Foo", "repack"),      # strip_packages("x-a.Foo") == "x-Foo"
+])
+def test_class_under_an_odd_name_is_opened_and_flagged(kb_name, jar_name, mode):
+    """A class the KB asks about is opened whatever its name: its stem is
+    one of the KB's simple class names even where strip_packages leaves a
+    package in, or cuts one out of, the record's class name."""
+    def klass(name, k):
+        return ClassModel(name, methods=[
+            default_constructor(),
+            MethodModel("run", "(I)I", 0x09, code=["iload_0", ("push_int", k), "iadd",
+                                                   "ireturn"])])
+
+    records = build_entry("CVE-ODD", [parse_class(emit_class(klass(kb_name, 4661)))],
+                          [parse_class(emit_class(klass(kb_name, 4662)))])
+    kb = KnowledgeBase(records={"CVE-ODD": records})
+    assert kb.asks_about_class(jar_name)
+    jar = write_jar([(class_entry_path(jar_name), emit_class(klass(jar_name, 4661)))])
+    assert not parse_jar(jar, stems=kb.simple_class_names).unopened
+    res = scan_jar_bytes("odd.jar", jar, kb, ScanConfig())
+    assert (res.classes, res.parse_failures) == (1, 0)
+    [finding] = res.findings
+    assert finding.verdict == VULNERABLE and mode in finding.modes_fired
+
+
+def test_damaged_class_counts_by_whether_a_record_names_its_stem():
+    """A damaged class entry whose stem no KB record's class has is not
+    opened, so it counts under classes; one whose stem some record's
+    class has is opened, and is a parse failure."""
+    kb = KnowledgeBase(records={"CVE-TEST": [
+        ConstructRecord(ConstructId("class", "dmg.Named", "Named"), "removed", None)]})
+    junk = b"\xca\xfe\xba\xbe junk"
+    jar = write_jar([("dmg/Named.class", junk), ("dmg/Unnamed.class", junk)])
+    assert len(parse_jar(jar).failures) == 2           # every entry opened: both fail
+    res = scan_jar_bytes("dmg.jar", jar, kb, ScanConfig())
+    assert (res.classes, res.parse_failures) == (1, 1)
 
 
 @pytest.mark.parametrize("modes", [("default",), ("repack",), ("default", "repack")])
@@ -930,10 +975,15 @@ def test_local_header_before_the_archive_is_a_parse_failure(corpus, corpus_kb, t
     """A central directory whose offsets put local headers before the start
     of the archive makes those entries unreadable (a negative seek in
     zipfile), not the scan: each class is an unreadable-entry parse
-    failure, and the next JAR is still flagged."""
+    failure, and the next JAR is still flagged. In the scan, every class
+    is a failure only because the corpus KB names every corpus class, so
+    every entry is opened; an entry whose stem no record's class has is
+    not read, and counts under classes."""
     jar = damaged_central_directory(corpus.pre_jars["CVE-9000-0001"], "offset")
     zf = zipfile.ZipFile(io.BytesIO(jar))
     classes = [i for i in zf.infolist() if i.filename.endswith(".class")]
+    assert all(i.filename.rpartition("/")[2][:-6] in corpus_kb.simple_class_names
+               for i in classes)
     assert any(i.header_offset < 0 for i in classes)
     with pytest.raises(ValueError, match="negative seek"):
         zf.read(min(classes, key=lambda i: i.header_offset))
