@@ -62,16 +62,23 @@ the next entry where zipfile records that; it inflates to exactly the
 stated size; and the CRC matches. Any other entry goes to
 ``ZipFile.read``, which returns it or raises what it raises today, so an
 entry is read, or fails, as zipfile decides.
+
+Given the open archive file, ``parse_jar`` takes a read-only map of it in
+place of its bytes, and zipfile reads the file itself, so only the
+central directory and the entries opened are read. Every memoryview of
+the bytes is released before ``parse_jar`` returns or raises, so the
+caller can close the map then; what it returns holds copies.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import mmap
 import struct
 import zipfile
 import zlib
-from typing import Callable, Container
+from typing import BinaryIO, Callable, Container
 
 try:
     from lzma import LZMAError
@@ -440,8 +447,9 @@ _UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, OSError, LZMAError, EOFErro
                      RuntimeError, ValueError)
 # What ZipFile() raises for an archive it cannot open: no or a bad central
 # directory (BadZipFile), an entry that needs a newer zip version
-# (NotImplementedError) or a central name that is not UTF-8 (ValueError).
-_UNREADABLE_ARCHIVE = (zipfile.BadZipFile, NotImplementedError, ValueError)
+# (NotImplementedError), a central name that is not UTF-8 (ValueError) or,
+# reading the archive's file, an I/O error (OSError).
+_UNREADABLE_ARCHIVE = (zipfile.BadZipFile, NotImplementedError, ValueError, OSError)
 
 # A local file header: signature, flags, name length and extra length.
 _LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
@@ -478,31 +486,38 @@ def _read_entry(zf: zipfile.ZipFile, view: memoryview, info: zipfile.ZipInfo) ->
         return zf.read(info)
     if name != info.orig_filename:
         return zf.read(info)
-    packed = view[start + extra_len:end]
     size = info.file_size
-    if method == zipfile.ZIP_STORED:
-        raw = bytes(packed) if len(packed) == size else None
-    else:
-        # Inflating at most one byte past the stated size bounds the
-        # output of an entry that inflates to more. Like zipfile, this
-        # takes the output of a stream cut short of its end. A ZIP64 size
-        # can exceed what the bound takes (OverflowError); zipfile decides
-        # such an entry.
-        try:
-            raw = zlib.decompressobj(-15).decompress(packed, size + 1)
-        except (zlib.error, OverflowError):
-            raw = None
-        if raw is not None and len(raw) != size:
-            raw = None
+    # Released on the way out, also by an exception: ``view`` may be a map
+    # its caller closes.
+    with view[start + extra_len:end] as packed:
+        if method == zipfile.ZIP_STORED:
+            raw = bytes(packed) if len(packed) == size else None
+        else:
+            # Inflating at most one byte past the stated size bounds the
+            # output of an entry that inflates to more. Like zipfile, this
+            # takes the output of a stream cut short of its end. A ZIP64
+            # size can exceed what the bound takes (OverflowError);
+            # zipfile decides such an entry.
+            try:
+                raw = zlib.decompressobj(-15).decompress(packed, size + 1)
+            except (zlib.error, OverflowError):
+                raw = None
+            if raw is not None and len(raw) != size:
+                raw = None
     if raw is None or zlib.crc32(raw) != info.CRC:
         return zf.read(info)
     return raw
 
 
-def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
+def parse_jar(data: bytes | mmap.mmap, wanted: Callable[[str], bool] | None = None,
               wanted_body: Callable[[str, str, str], bool] | None = None,
-              stems: Container[str] | None = None) -> JarArchive:
+              stems: Container[str] | None = None,
+              file: BinaryIO | None = None) -> JarArchive:
     """Decode a JAR; per-entry class failures are collected, never fatal.
+
+    ``data`` is the archive's bytes or, given ``file``, the open archive,
+    a read-only map of that file; zipfile then reads ``file`` instead of
+    the map.
 
     An archive zipfile cannot open raises MalformedArchive. A class entry
     zipfile cannot read (a failed CRC, data that does not inflate, sizes
@@ -521,11 +536,17 @@ def parse_jar(data: bytes, wanted: Callable[[str], bool] | None = None,
     stem is logged and listed in ``misnamed`` as well.
     """
     try:
-        zf = zipfile.ZipFile(io.BytesIO(data))
+        zf = zipfile.ZipFile(io.BytesIO(data) if file is None else file)
     except _UNREADABLE_ARCHIVE as exc:
         raise MalformedArchive(str(exc)) from exc
-    view = memoryview(data)
+    with memoryview(data) as view:
+        return _read_jar(zf, view, wanted, wanted_body, stems)
 
+
+def _read_jar(zf: zipfile.ZipFile, view: memoryview,
+              wanted: Callable[[str], bool] | None,
+              wanted_body: Callable[[str, str, str], bool] | None,
+              stems: Container[str] | None) -> JarArchive:
     classes: list[tuple[str, ClassFile]] = []
     unparsed: list[tuple[str, str]] = []
     unopened: list[str] = []

@@ -39,10 +39,14 @@ are greater than or equal to fixed ones (skipped verdicts do not vote).
 from __future__ import annotations
 
 import logging
+import mmap
+import os
 import shlex
+import stat
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 from .classfile.constructs import strip_packages
 from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
@@ -420,11 +424,13 @@ def _candidate_cves(kb: KnowledgeBase, view: JarView, mode: str) -> list[str]:
     return sorted(out)
 
 
-def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
-                   config: ScanConfig) -> JarResult:
+def scan_jar_bytes(path: str, data: bytes | mmap.mmap, kb: KnowledgeBase,
+                   config: ScanConfig, file: BinaryIO | None = None) -> JarResult:
+    """Scan the JAR whose bytes are ``data``, or, given ``file``, the
+    open JAR that ``data`` maps (see ``parse_jar``)."""
     try:
         archive = parse_jar(data, kb.asks_about_class, kb.asks_about_method,
-                            kb.simple_class_names)
+                            kb.simple_class_names, file)
     except MalformedArchive as exc:
         return JarResult(path=path, error=str(exc))
     view = JarView(archive, kb)
@@ -457,11 +463,40 @@ def scan_jar_bytes(path: str, data: bytes, kb: KnowledgeBase,
 
 
 def scan_jar(path: str, kb: KnowledgeBase, config: ScanConfig) -> JarResult:
+    """Scan the JAR at ``path``; a path that cannot be opened or read is
+    an error entry.
+
+    A JAR is mapped read-only, so only the pages that zipfile and the
+    entry reader touch become resident: the central directory and the
+    entries opened. The map is closed before this returns or raises. A
+    file that cannot be mapped, an empty one or one that is not a regular
+    file (a FIFO, a device), is read whole.
+    """
     try:
-        data = Path(path).read_bytes()
+        file = open(path, "rb")
     except OSError as exc:
         return JarResult(path=path, error=str(exc))
+    with file:
+        jar = _map(file)
+        if jar is not None:
+            with jar:
+                return scan_jar_bytes(path, jar, kb, config, file)
+        try:
+            data = file.read()
+        except OSError as exc:
+            return JarResult(path=path, error=str(exc))
     return scan_jar_bytes(path, data, kb, config)
+
+
+def _map(file: BinaryIO) -> mmap.mmap | None:
+    """A read-only map of ``file``, or None if it is not a regular file
+    or cannot be mapped (mmap refuses an empty file)."""
+    if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        return None
+    try:
+        return mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+    except (ValueError, OSError):
+        return None
 
 
 def scan(jar_paths: list, kb: KnowledgeBase,

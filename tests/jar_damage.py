@@ -1,6 +1,7 @@
-"""Damaged copies of a JAR, and the check that parse_jar reads each entry
-of an archive as ``zipfile.ZipFile.read`` does.
+"""Re-packed and damaged copies of a JAR, and the check that parse_jar
+reads each entry of an archive as ``zipfile.ZipFile.read`` does.
 
+``repacked`` writes a JAR's entries again with another compression;
 ``damaged_entry`` re-packs a JAR and damages one entry so that
 ``zipfile.ZipFile.read`` raises for it; ``damaged_central_directory``
 damages the central directory so that the archive fails to open, or
@@ -8,6 +9,7 @@ every entry's local header offset points before the start of the archive.
 """
 
 import io
+import mmap
 import struct
 import zipfile
 import zlib
@@ -21,6 +23,32 @@ ENTRY_DAMAGES = {"crc": zipfile.BadZipFile, "inflate": zlib.error, "sizes": EOFE
 
 # An extra-field id no zip tool defines.
 _PLACEHOLDER_EXTRA = 0x9999
+
+
+class _Unseekable(io.RawIOBase):
+    """A write-only stream zipfile cannot seek back in, so it writes each
+    entry's sizes and CRC in a data descriptor after its data."""
+
+    def __init__(self, buf: io.BytesIO):
+        self.buf = buf
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        return self.buf.write(b)
+
+
+def repacked(jar: bytes, compression: int = zipfile.ZIP_DEFLATED,
+             seekable: bool = True) -> bytes:
+    """The JAR's entries written again with ``compression``; not
+    ``seekable``, each with a data descriptor."""
+    src = zipfile.ZipFile(io.BytesIO(jar))
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf if seekable else _Unseekable(buf), "w", compression) as dst:
+        for info in src.infolist():
+            dst.writestr(info.filename, src.read(info))
+    return buf.getvalue()
 
 
 def damaged_entry(jar: bytes, path: str, damage: str) -> bytes:
@@ -120,14 +148,27 @@ class _CountingZip:
         return self.zf.read(info)
 
 
-def reads_like_zipfile(data: bytes) -> int:
+def reads_like_zipfile(data: bytes, path=None) -> int:
     """Assert that every entry of the archive ``data`` reads through
     parse_jar's entry reader as through ZipFile.read: the same bytes, or
     the same exception. Returns how many entries the reader left to
-    ZipFile.read."""
-    zf = zipfile.ZipFile(io.BytesIO(data))
-    fallback, view = _CountingZip(zf), memoryview(data)
-    for info in zf.infolist():
-        assert _outcome(_read_entry, fallback, view, info) == _outcome(zf.read, info), \
-            info.filename
+    ZipFile.read.
+
+    Given ``path``, a file holding ``data``, the archive is read as
+    scan_jar reads a JAR: the reader slices a read-only map of the file,
+    and zipfile reads the open file."""
+    if path is None:
+        return _reads_like_zipfile(zipfile.ZipFile(io.BytesIO(data)), data)
+    with open(path, "rb") as file, \
+            mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+        assert mapped[:] == data
+        return _reads_like_zipfile(zipfile.ZipFile(file), mapped)
+
+
+def _reads_like_zipfile(zf: zipfile.ZipFile, data) -> int:
+    fallback = _CountingZip(zf)
+    with memoryview(data) as view:
+        for info in zf.infolist():
+            assert _outcome(_read_entry, fallback, view, info) == _outcome(zf.read, info), \
+                info.filename
     return fallback.reads

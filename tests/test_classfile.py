@@ -46,7 +46,7 @@ from jarscan.errors import (
 from jarscan.kb import ConstructRecord, KnowledgeBase
 from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_bytes
 import eager_parser
-from jar_damage import reads_like_zipfile
+from jar_damage import reads_like_zipfile, repacked
 from randgen import random_int_method, random_ref_method
 
 DATA = Path(__file__).parent / "data"
@@ -417,31 +417,6 @@ def test_decoder_matches_reference_on_damaged_jdk_code(monkeypatch):
 
 # ------------------------------------------- the entry reader, against zipfile
 
-class _Unseekable(io.RawIOBase):
-    """A write-only stream zipfile cannot seek back in, so it writes each
-    entry's sizes and CRC in a data descriptor after its data."""
-
-    def __init__(self, buf: io.BytesIO):
-        self.buf = buf
-
-    def writable(self):
-        return True
-
-    def write(self, b):
-        return self.buf.write(b)
-
-
-def _repacked(jar: bytes, compression: int = zipfile.ZIP_DEFLATED,
-              seekable: bool = True) -> bytes:
-    """The JAR's entries written again with ``compression``."""
-    src = zipfile.ZipFile(io.BytesIO(jar))
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf if seekable else _Unseekable(buf), "w", compression) as dst:
-        for info in src.infolist():
-            dst.writestr(info.filename, src.read(info))
-    return buf.getvalue()
-
-
 def _classes(jar: bytes) -> list:
     archive = parse_jar(jar)
     assert not archive.failures
@@ -456,7 +431,7 @@ def test_entry_reader_reads_plain_jars_itself(corpus):
 @pytest.mark.parametrize("compression", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
 def test_entry_reader_leaves_bzip2_and_lzma_to_zipfile(corpus, compression):
     jar = corpus.pre_jars["CVE-9000-0001"]
-    packed = _repacked(jar, compression)
+    packed = repacked(jar, compression)
     assert reads_like_zipfile(packed) == len(zipfile.ZipFile(io.BytesIO(packed)).infolist())
     assert _classes(packed) == _classes(jar)
 
@@ -474,7 +449,7 @@ def test_scanner_imports_without_lzma():
 
 def test_entry_reader_reads_data_descriptor_entries(corpus):
     jar = corpus.pre_jars["CVE-9000-0001"]
-    packed = _repacked(jar, seekable=False)
+    packed = repacked(jar, seekable=False)
     assert all(info.flag_bits & 0x08 for info in zipfile.ZipFile(io.BytesIO(packed)).infolist())
     assert reads_like_zipfile(packed) == 0
     assert _classes(packed) == _classes(jar)
@@ -543,7 +518,7 @@ def test_entry_reader_on_entries_that_share_data(corpus):
 def test_entry_reader_on_edited_jars(corpus, compression, edits):
     """On byte edits of a corpus JAR the reader gives what ZipFile.read
     gives, and parse_jar raises nothing but MalformedArchive."""
-    data = bytearray(_repacked(corpus.pre_jars["CVE-9000-0003"], compression))
+    data = bytearray(repacked(corpus.pre_jars["CVE-9000-0003"], compression))
     for pos, byte in edits:
         data[pos % len(data)] = byte
     data = bytes(data)

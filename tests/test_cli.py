@@ -1,5 +1,6 @@
 """CLI exit codes, report formats and schema validation."""
 
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import jsonschema
 import pytest
 
 import jarscan
-from jarscan.cli import main
+from jarscan.cli import _write_json, main
+from jarscan.kb import load
+from jarscan.scanner import ScanConfig, render_table, report_to_json, scan
 from corpus import materialize_manifest
 
 SCHEMA = json.loads(
@@ -102,6 +105,32 @@ def test_scan_dir_input_and_out_file(tmp_path, corpus, kb_file):
                "--format", "json", "--out", str(out)])
     assert rc == 0
     jsonschema.validate(json.loads(out.read_text()), SCHEMA)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_scan_report_bytes_on_stdout_and_in_out_file(tmp_path, corpus, kb_file, capsys, fmt):
+    """The JSON report is written as it is encoded, yet its bytes are one
+    ``json.dumps(..., indent=2, sort_keys=True)`` of the report and a
+    newline, on stdout and in ``--out`` alike; so are the table's."""
+    paths = _write_jars(corpus, tmp_path, "pre_jars")
+    report = scan(paths, load(kb_file), ScanConfig())
+    text = (json.dumps(report_to_json(report), indent=2, sort_keys=True)
+            if fmt == "json" else render_table(report))
+    assert main(["scan", "--kb", str(kb_file), "--format", fmt, *paths]) == 3
+    assert capsys.readouterr().out == text + "\n"
+    out = tmp_path / "report"
+    assert main(["scan", "--kb", str(kb_file), "--format", fmt, "--out", str(out), *paths]) == 3
+    assert out.read_bytes() == (text + "\n").encode()
+
+
+def test_json_written_in_batches_is_one_dumps():
+    """A report of many batches of encoder chunks reads as one dumps."""
+    obj = {"jars": [{"path": f"j{i}.jar", "error": None, "findings": [i, 0.5, "é"]}
+                    for i in range(2000)]}
+    assert sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)) > 3 * 4096
+    out = io.StringIO()
+    _write_json(out, obj)
+    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_scan_threshold_flags_echoed_in_report(tmp_path, corpus, kb_file, capsys):
