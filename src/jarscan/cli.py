@@ -4,6 +4,7 @@ Subcommands: kb-build (stage 1), scan (stage 2), modify (fixture
 modification harness). Exit codes are a stable contract:
 
   kb-build: 0 at least one entry built, 1 none buildable, 2 unreadable input
+            or unwritable output (the file already there is kept)
   scan:     0 completed with zero findings, 3 completed with findings,
             1 operational failure (including every given JAR erroring),
             2 usage/unreadable input
@@ -21,7 +22,6 @@ import itertools
 import json
 import logging
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -108,7 +108,11 @@ def cmd_kb_build(args) -> int:
           f"{len(stats.errors)} errors)", file=sys.stderr)
     if not stats.built:
         return 1
-    save_kb(kb, args.out)
+    try:
+        save_kb(kb, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -133,10 +137,14 @@ def cmd_scan(args) -> int:
     if bad or not modes:
         print(f"error: unknown mode(s) {bad}", file=sys.stderr)
         return 2
+    failures = (OSError,)
+    if args.command is not None:
+        import subprocess
+        failures += (subprocess.CalledProcessError,)
     try:
         jars = retrieve_dependencies(directory=args.dir, list_file=args.list_file,
                                      command=args.command, paths=args.jars)
-    except (OSError, subprocess.CalledProcessError) as exc:
+    except failures as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     config = ScanConfig(theta_pt=args.theta_pt, theta_cc=args.theta_cc,

@@ -7,11 +7,13 @@ fully qualified or unqualified construct names during scans.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -396,45 +398,207 @@ def _record_from_json(obj: dict) -> ConstructRecord:
                            stripped=None if stripped is None else tuple(stripped))
 
 
+def _file_chunks(kb: KnowledgeBase):
+    """The KB file before its checksum line, one CVE at a time: together
+    the header line and ``json.dumps(body, sort_keys=True,
+    separators=(",", ":"), ensure_ascii=True)`` with a newline."""
+    yield f"{_HEADER} {kb.format_version}\n{{"
+    for i, cve in enumerate(sorted(kb.records)):
+        records = sorted(kb.records[cve], key=lambda r: (r.construct.fqn, r.change))
+        yield ("," if i else "") + json.dumps(cve) + ":" + json.dumps(
+            [_record_to_json(r) for r in records],
+            sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    yield "}\n"
+
+
+def _write_kb(kb: KnowledgeBase, out) -> None:
+    digest = hashlib.sha256()
+    for chunk in _file_chunks(kb):
+        data = chunk.encode("utf-8")
+        digest.update(data)
+        out.write(data)
+    out.write(f"sha256={digest.hexdigest()}\n".encode("ascii"))
+
+
+def _open_sibling(target: str, mode: int) -> tuple[str, int]:
+    """Create a new file next to ``target`` (permissions ``mode`` less the
+    umask); return its path and descriptor."""
+    head, tail = os.path.split(target)
+    for n in range(100):
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}-{n}.tmp")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"{target}: no free temporary name beside it")
+
+
 def save(kb: KnowledgeBase, path) -> None:
-    """Write the versioned, checksummed, byte-deterministic KB file."""
-    body = json.dumps(
-        {cve: [_record_to_json(r) for r in sorted(
-            records, key=lambda r: (r.construct.fqn, r.change))]
-         for cve, records in kb.records.items()},
-        sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-    payload = f"{_HEADER} {kb.format_version}\n{body}\n"
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    Path(path).write_text(payload + f"sha256={digest}\n", encoding="utf-8")
+    """Write the versioned, checksummed, byte-deterministic KB file.
+
+    The file is written one CVE at a time, in sorted order, and hashed
+    as it is written, so no KB-sized string or bytes is built. A regular
+    or absent target (through any symlinks) is replaced only once the new
+    file is complete: it is written beside the target and renamed over
+    it, keeping an existing file's permission bits, so a failed write
+    leaves the old KB in place. Any other target, such as a FIFO or a
+    terminal, is written in place."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "wb") as out:
+            _write_kb(kb, out)
+        return
+    target = os.path.realpath(path)
+    if st is not None:
+        # Refuse, as writing in place would, a file that may not be written.
+        open(target, "ab").close()
+    mode = 0o666 if st is None else stat.S_IMODE(st.st_mode)
+    tmp, fd = _open_sibling(target, mode)
+    try:
+        with open(fd, "wb") as out:
+            _write_kb(kb, out)
+        if st is not None:
+            os.chmod(tmp, mode)   # exactly, not less the umask
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+# The line breaks of str.splitlines in UTF-8, less "\r" (see _universal_newlines).
+_LINE_BREAKS = (b"\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
+_FIRST_LINE_BREAK = re.compile(b"|".join(re.escape(b) for b in _LINE_BREAKS))
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _universal_newlines(data: bytes) -> bytes:
+    """``data`` with "\\r\\n" and "\\r" read as "\\n", as a text-mode read does."""
+    if b"\r" not in data:
+        return data
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def _first_line_end(data: bytes) -> int:
+    """Where ``data.decode().splitlines(keepends=True)[0]`` ends in ``data``."""
+    first = _FIRST_LINE_BREAK.search(data)
+    return first.end() if first else len(data)
+
+
+def _last_line_start(data: bytes) -> int:
+    """Where ``data.decode().splitlines(keepends=True)[-1]`` starts in
+    ``data`` (0 when it has one line)."""
+    stop = len(data)
+    for brk in _LINE_BREAKS:
+        if data.endswith(brk):
+            stop -= len(brk)
+            break
+    # Breaks cannot overlap, so each one need only be sought after the
+    # last break found so far; "\n" comes first and ends the KB's body.
+    start = 0
+    for brk in _LINE_BREAKS:
+        at = data.rfind(brk, start, stop)
+        if at >= 0:
+            start = at + len(brk)
+    return start
+
+
+def _body_items(body: str):
+    """The members of the JSON object ``body``, in order, one at a time:
+    ``json.loads(body).items()`` as one of its values at a time. Raises
+    ValueError where json.loads would, and for a body that is not an
+    object."""
+    decode = json.JSONDecoder().raw_decode
+    at = _JSON_SPACE.match(body).end()
+    if body[at:at + 1] != "{":
+        raise ValueError("not a JSON object")
+    at = _JSON_SPACE.match(body, at + 1).end()
+    if body[at:at + 1] == "}":
+        at += 1
+    else:
+        while True:
+            if body[at:at + 1] != '"':
+                raise ValueError(f"expecting a CVE id at {at}")
+            cve, at = decode(body, at)
+            at = _JSON_SPACE.match(body, at).end()
+            if body[at:at + 1] != ":":
+                raise ValueError(f"expecting ':' at {at}")
+            value, at = decode(body, _JSON_SPACE.match(body, at + 1).end())
+            yield cve, value
+            at = _JSON_SPACE.match(body, at).end()
+            if body[at:at + 1] == "}":
+                at += 1
+                break
+            if body[at:at + 1] != ",":
+                raise ValueError(f"expecting ',' or '}}' at {at}")
+            at = _JSON_SPACE.match(body, at + 1).end()
+    if _JSON_SPACE.match(body, at).end() != len(body):
+        raise ValueError(f"extra data at {at}")
 
 
 def load(path) -> KnowledgeBase:
-    """Read a KB file; raises VersionMismatch or CorruptFile."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines(keepends=True)
-    if len(lines) < 3 or not lines[0].startswith(_HEADER + " "):
+    """Read a KB file; raises VersionMismatch, CorruptFile or, for any
+    other file it cannot use, KbFormatError.
+
+    The file is read once, its checksum taken over those bytes and its
+    body decoded once, then parsed one CVE at a time, each CVE's records
+    built before the next is parsed. It accepts what reading the file as
+    text and parsing the body whole with ``json.loads`` would: lines as
+    ``str.splitlines`` splits them, "\\r\\n" and "\\r" read as "\\n",
+    and of a CVE id given twice the last value."""
+    data = _universal_newlines(Path(path).read_bytes())
+    body_start, body_end = _first_line_end(data), _last_line_start(data)
+    try:
+        header = data[:body_start].decode("utf-8")
+        checksum_line = data[body_end:].decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise KbFormatError(f"{path}: not UTF-8 text") from exc
+    if body_end <= body_start or not header.startswith(_HEADER + " "):
         raise KbFormatError(f"{path}: not a knowledge-base file")
     try:
-        version = int(lines[0].split()[1])
+        version = int(header.split()[1])
     except (IndexError, ValueError) as exc:
         raise KbFormatError(f"{path}: unreadable version header") from exc
     if version != FORMAT_VERSION:
         raise VersionMismatch(
             f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    checksum_line = lines[-1].strip()
-    payload = "".join(lines[:-1])
     if not checksum_line.startswith("sha256="):
         raise CorruptFile(f"{path}: missing checksum")
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if checksum_line != f"sha256={digest}":
-        raise CorruptFile(f"{path}: checksum mismatch")
+    with memoryview(data) as view:
+        digest = hashlib.sha256(view[:body_end]).hexdigest()
+        if checksum_line != f"sha256={digest}":
+            raise CorruptFile(f"{path}: checksum mismatch")
+        try:
+            body = str(view[body_start:body_end], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise KbFormatError(f"{path}: not UTF-8 text") from exc
+    del data
+    records: dict[str, list | None] = {}
+    failed: dict[str, Exception] = {}
     try:
-        data = json.loads("".join(lines[1:-1]))
-    except json.JSONDecodeError as exc:
-        raise KbFormatError(f"{path}: body is not valid JSON") from exc
-    records = {cve: [_record_from_json(o) for o in objs]
-               for cve, objs in data.items()}
-    return KnowledgeBase(format_version=version, records=records)
+        for cve, objs in _body_items(body):
+            # As in json.loads, a CVE id given twice keeps its first place
+            # and its last value, so only the last value's records count.
+            try:
+                records[cve] = [_record_from_json(o) for o in objs]
+                failed.pop(cve, None)
+            except (KeyError, AttributeError, TypeError, ValueError) as exc:
+                records[cve], failed[cve] = None, exc
+    except ValueError as exc:
+        raise KbFormatError(f"{path}: unreadable body: {exc}") from exc
+    if failed:
+        cve, exc = next(iter(failed.items()))
+        raise KbFormatError(f"{path}: malformed record for {cve}: {exc!r}") from exc
+    del body
+    try:
+        return KnowledgeBase(format_version=version, records=records)
+    except (TypeError, ValueError) as exc:
+        # Indexing takes each record apart: one it cannot is malformed.
+        raise KbFormatError(f"{path}: malformed record: {exc!r}") from exc
 
 
 # ------------------------------------------------------------------ manifest

@@ -41,9 +41,7 @@ from __future__ import annotations
 import logging
 import mmap
 import os
-import shlex
 import stat
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
@@ -139,6 +137,8 @@ def retrieve_dependencies(directory=None, list_file=None, command=None,
             if line and not line.startswith("#"):
                 found.append(line)
     if command is not None:
+        import shlex
+        import subprocess
         proc = subprocess.run(shlex.split(command), capture_output=True,
                               text=True, check=True)
         found.extend(l.strip() for l in proc.stdout.splitlines() if l.strip())

@@ -1,5 +1,6 @@
 """CLI exit codes, report formats and schema validation."""
 
+import hashlib
 import io
 import json
 import os
@@ -65,6 +66,16 @@ def test_kb_build_identical_dirs_exit_1(tmp_path, corpus, capsys):
 def test_kb_build_missing_manifest_exit_2(tmp_path):
     assert main(["kb-build", str(tmp_path / "nope.txt"),
                  "-o", str(tmp_path / "kb.txt")]) == 2
+
+
+def test_kb_build_unwritable_output_exit_2(tmp_path, corpus, capsys):
+    manifest = materialize_manifest(corpus, tmp_path)
+    out = tmp_path / "nonexistent" / "kb.txt"
+    assert main(["kb-build", manifest, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "built 10 entries" in err
+    assert f"error: cannot write {out}: No such file or directory" in err
+    assert not out.parent.exists()
 
 
 # ---------------------------------------------------------------------- scan
@@ -169,6 +180,20 @@ def test_scan_unreadable_kb_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_scan_malformed_kb_with_valid_checksum_exit_2(tmp_path, capsys):
+    payload = b"jarscan-kb 1\n[]\n"
+    kb = tmp_path / "kb.txt"
+    kb.write_bytes(payload + f"sha256={hashlib.sha256(payload).hexdigest()}\n".encode())
+    assert main(["scan", "--kb", str(kb)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_scan_failing_command_exit_1(kb_file, capsys):
+    rc = main(["scan", "--kb", str(kb_file), "--command", f"{sys.executable} -c 'exit(3)'"])
+    assert rc == 1
+    assert "returned non-zero exit status 3" in capsys.readouterr().err
+
+
 def test_scan_every_jar_failed_exit_1(tmp_path, kb_file, capsys):
     bad = tmp_path / "bad.jar"
     bad.write_bytes(b"not a zip at all")
@@ -227,10 +252,11 @@ def test_modify_collision_exit_1(tmp_path, capsys):
     assert "already exists" in capsys.readouterr().err
 
 
-# Modules a scan whose bodies all hit the KB never runs.
+# Modules a scan whose bodies all hit the KB never runs, and those only a
+# scan given --command imports.
 _NOT_NEEDED = ("jarscan.ir.model", "jarscan.ir.lift", "jarscan.ir.cfg",
                "jarscan.ir.dataflow", "jarscan.normalize", "jarscan.cpg",
-               "jarscan.modharness", "jarscan.classfile.emitter")
+               "jarscan.modharness", "jarscan.classfile.emitter", "subprocess", "shlex")
 
 _IMPORT_PROBE = """
 import sys, types
@@ -245,8 +271,9 @@ print(callable(lift.lift), type(lift) is types.ModuleType)
 
 def test_cli_import_leaves_the_ir_pipeline_unloaded():
     """``import jarscan.cli`` runs no IR, normalize, CPG, modification
-    harness or emitter code; the pipeline modules are still in
-    sys.modules, to be wrapped, and load on first attribute access."""
+    harness or emitter code, and imports neither subprocess nor shlex;
+    the pipeline modules are still in sys.modules, to be wrapped, and
+    load on first attribute access."""
     src = str(Path(jarscan.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -1,9 +1,18 @@
 """Knowledge-base building, persistence and queries."""
 
+import hashlib
 import itertools
+import json
+import os
+import stat
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import jarscan.cpg
 import jarscan.kb
@@ -426,6 +435,270 @@ def test_not_a_kb_file(tmp_path):
         load(p)
 
 
+def _one_dumps_file(kb):
+    """The KB file as one ``json.dumps`` of the whole body gives it."""
+    body = json.dumps(
+        {cve: [jarscan.kb._record_to_json(r) for r in sorted(
+            records, key=lambda r: (r.construct.fqn, r.change))]
+         for cve, records in kb.records.items()},
+        sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _with_checksum(f"jarscan-kb {kb.format_version}\n{body}\n".encode())
+
+
+def _with_checksum(payload: bytes) -> bytes:
+    return payload + b"sha256=" + hashlib.sha256(payload).hexdigest().encode() + b"\n"
+
+
+@pytest.mark.parametrize("which", ["corpus", "empty", "escaped"])
+def test_save_writes_one_dumps_of_the_body(tmp_path, corpus_kb, which):
+    records = build_entry("CVE-X", [PRE], [POST])
+    kb = {"corpus": lambda: corpus_kb,
+          "empty": KnowledgeBase,
+          "escaped": lambda: KnowledgeBase(records={
+              'CVE "quoted" \\ back\nslash': records, "CVE-\xe9\u2028\U0001f600": records,
+              "CVE-\x00\x1f": list(reversed(records)), "": [], "CVE-/": records})}[which]()
+    p, again = tmp_path / "kb.txt", tmp_path / "again.txt"
+    save(kb, p)
+    assert p.read_bytes() == _one_dumps_file(kb)
+    save(load(p), again)
+    assert again.read_bytes() == p.read_bytes()
+
+
+def _whole_file_load(path):
+    """The reader the format was first read with: the file read as text,
+    split by ``str.splitlines``, and its body parsed whole by json.loads."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    if len(lines) < 3 or not lines[0].startswith("jarscan-kb "):
+        raise KbFormatError("not a knowledge-base file")
+    if int(lines[0].split()[1]) != 1:
+        raise VersionMismatch("version")
+    payload = "".join(lines[:-1]).encode("utf-8")
+    if lines[-1].strip() != f"sha256={hashlib.sha256(payload).hexdigest()}":
+        raise CorruptFile("checksum")
+    data = json.loads("".join(lines[1:-1]))
+    return KnowledgeBase(records={cve: [jarscan.kb._record_from_json(o) for o in objs]
+                                  for cve, objs in data.items()})
+
+
+def _loads_alike(path):
+    """``load`` accepts ``path`` exactly when the whole-file reader does,
+    with the same records in the same order, and raises KbFormatError
+    for what it refuses."""
+    try:
+        want = _whole_file_load(path)
+    except Exception:
+        with pytest.raises(KbFormatError):
+            load(path)
+        return None
+    got = load(path)
+    assert got == want and list(got.records) == list(want.records)
+    return got
+
+
+def _file_cases():
+    kb = KnowledgeBase(records={"CVE-X": build_entry("CVE-X", [PRE], [POST])})
+    saved = _one_dumps_file(kb)
+    recs = json.dumps(json.loads(saved.splitlines()[1])["CVE-X"])
+    some = json.dumps(json.loads(recs)[:1])
+    pretty = f"jarscan-kb 1\n{json.dumps({'CVE-X': json.loads(recs)}, indent=2)}\n"
+    one_digest = [{**r, "code": r["code"][:1]} if "code" in r else r for r in json.loads(recs)]
+    flipped_sum = bytearray(saved)
+    flipped_sum[-2] ^= 0x01
+    flipped_body = bytearray(saved)
+    flipped_body[len(saved) // 2] ^= 0x01
+
+    def checked(body, header="jarscan-kb 1\n", end="\n"):
+        return _with_checksum(f"{header}{body}{end}".encode())
+
+    return {
+        "saved": saved,
+        "pretty": _with_checksum(pretty.encode()),
+        "pretty-crlf": _with_checksum(pretty.encode()).replace(b"\n", b"\r\n"),
+        "pretty-cr": _with_checksum(pretty.encode()).replace(b"\n", b"\r"),
+        "crlf-summed-as-crlf": _with_checksum(pretty.replace("\n", "\r\n").encode()),
+        "duplicate": checked(f'{{"CVE-B":{recs},"CVE-A":[],"CVE-B":{some}}}'),
+        "duplicate-bad-first": checked(f'{{"CVE-B":[{{"kind":"class"}}],"CVE-B":{recs}}}'),
+        "duplicate-bad-last": checked(f'{{"CVE-B":{recs},"CVE-B":[{{"kind":"class"}}]}}'),
+        "list": checked("[]"),
+        "string": checked('"CVE-X"'),
+        "missing-fqn": checked('{"CVE-X":[{"kind":"class","change":"added"}]}'),
+        "record-not-object": checked('{"CVE-X":[5]}'),
+        "code-one-digest": checked(json.dumps({"CVE-X": one_digest})),
+        "value-empty-string": checked('{"CVE-X":""}'),
+        "value-nan": checked('{"CVE-X":NaN}'),
+        "trailing-comma": checked('{"CVE-X":[],}'),
+        "extra-data": checked("{} {}"),
+        "unclosed": checked('{"CVE-X":[]'),
+        "key-not-string": checked("{1:[]}"),
+        "json-whitespace": checked(' \t{ "CVE-X" :\t[ ] ,"CVE-Y": [] } \t'),
+        "bom-body": checked("\ufeff{}"),
+        "bom-file": b"\xef\xbb\xbf" + checked("{}"),
+        "form-feed-ends-header": checked("{}", header="jarscan-kb 1\x0c"),
+        "line-separator-in-id": checked('{"CVE-\u2028X":[]}'),
+        "line-separator-ends-header": checked("{}", header="jarscan-kb 1\u2028"),
+        "next-line-ends-header": checked("{}", header="jarscan-kb 1\x85"),
+        "line-separator-ends-body": checked("{}", end="\u2028"),
+        "header-extras": checked("{}", header="jarscan-kb 1 extra\n"),
+        "header-no-version": checked("{}", header="jarscan-kb \n"),
+        "header-bad-version": checked("{}", header="jarscan-kb one\n"),
+        "header-version-2": checked("{}", header="jarscan-kb 2\n"),
+        "no-final-newline": saved[:-1],
+        "blank-line-after-checksum": saved + b"\n",
+        "two-lines": _with_checksum(b"jarscan-kb 1\n"),
+        "empty": b"",
+        "not-utf-8": _with_checksum(b'jarscan-kb 1\n{"CVE-\xff":[]}\n'),
+        "flipped-checksum-byte": bytes(flipped_sum),
+        "flipped-body-byte": bytes(flipped_body),
+        "version-mismatch": b"jarscan-kb 999\n{}\nsha256=x\n",
+        "not-a-kb-file": b"something else entirely\nmore\nlines\n",
+    }
+
+
+@pytest.mark.parametrize("name", list(_file_cases()))
+def test_load_agrees_with_the_whole_file_reader(tmp_path, name):
+    p = tmp_path / "kb.txt"
+    p.write_bytes(_file_cases()[name])
+    got = _loads_alike(p)
+    accepted = {"saved", "pretty", "pretty-crlf", "pretty-cr", "duplicate",
+                "duplicate-bad-first", "value-empty-string", "json-whitespace",
+                "form-feed-ends-header", "line-separator-in-id",
+                "line-separator-ends-header", "next-line-ends-header", "header-extras",
+                "no-final-newline"}
+    assert (got is not None) == (name in accepted)
+    if name == "duplicate":
+        # The last value of a repeated CVE id, in the id's first place.
+        assert list(got.records) == ["CVE-B", "CVE-A"]
+        assert len(got.records["CVE-B"]) == 1
+
+
+_EDIT_CHARS = list('{}[]":,\\ \t\n\r\x0b\x0c\x1c\x85\u2028\ufeffaZ0-')
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3),
+                          st.text(alphabet=_EDIT_CHARS, max_size=3)), max_size=4))
+def test_load_agrees_with_the_whole_file_reader_on_edited_bodies(tmp_path_factory, edits):
+    """Edits anywhere in a checksummed body, line breaks of every kind
+    included, are accepted or refused alike."""
+    kb = KnowledgeBase(records={"CVE-X": build_entry("CVE-X", [PRE], [POST])})
+    body = _one_dumps_file(kb).decode().splitlines()[1]
+    for at, cut, text in edits:
+        at %= len(body) + 1
+        body = body[:at] + text + body[at + cut:]
+    p = tmp_path_factory.mktemp("edit") / "kb.txt"
+    p.write_bytes(_with_checksum(f"jarscan-kb 1\n{body}\n".encode()))
+    _loads_alike(p)
+
+
+@pytest.mark.parametrize("body", [
+    "[]",
+    '{"CVE-X":[{"kind":"class","change":"added","context":[],"signature":null}]}',
+])
+def test_malformed_body_with_valid_checksum_is_a_kb_format_error(tmp_path, body):
+    """A body that is JSON but not an object of record lists is refused
+    as a KB, not left to fail in the reader (here: a list body, and a
+    record without its ``fqn``)."""
+    p = tmp_path / "kb.txt"
+    p.write_bytes(_with_checksum(f"jarscan-kb 1\n{body}\n".encode()))
+    with pytest.raises(KbFormatError):
+        load(p)
+
+
+def test_failed_save_keeps_the_previous_kb(tmp_path, corpus_kb):
+    """The last CVE cannot be encoded, so the write fails after the
+    others are written; the old file is as it was and nothing is left
+    beside it."""
+    p = tmp_path / "kb.txt"
+    save(corpus_kb, p)
+    before = p.read_bytes()
+    bad = ConstructRecord(ConstructId("class", "z.Z", "Z"), "added", None,
+                          frozenset({b"not text"}))
+    with pytest.raises(TypeError):
+        save(KnowledgeBase(records={**corpus_kb.records, "CVE-ZZZZ": [bad]}), p)
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["kb.txt"]
+
+
+def test_save_keeps_the_mode_and_the_symlink_of_the_target(tmp_path, corpus_kb):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old")
+    real.chmod(0o640)
+    link.symlink_to(real)
+    save(corpus_kb, link)
+    assert link.is_symlink() and stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert real.read_bytes() == _one_dumps_file(corpus_kb)
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root writes a file without write permission")
+def test_save_refuses_a_kb_it_may_not_write(tmp_path, corpus_kb):
+    p = tmp_path / "kb.txt"
+    p.write_text("old")
+    p.chmod(0o444)
+    with pytest.raises(PermissionError):
+        save(corpus_kb, p)
+    assert p.read_text() == "old" and os.listdir(tmp_path) == ["kb.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_save_writes_a_fifo_in_place(tmp_path, corpus_kb):
+    fifo = tmp_path / "kb.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        save(corpus_kb, fifo)
+    finally:
+        reader.join(timeout=10)
+    assert got == [_one_dumps_file(corpus_kb)]
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["kb.fifo"]
+
+
+_SAVE_PEAK = """\
+import json, sys
+from pathlib import Path
+from jarscan.classfile.constructs import ConstructId
+from jarscan.kb import ConstructRecord, KnowledgeBase, _record_to_json, save
+context = frozenset(f"C: void member{i}(java.lang.String, int)" for i in range(2000))
+kb = KnowledgeBase(records={
+    f"CVE-{n:04}": [ConstructRecord(ConstructId("class", f"p.C{n}", f"C{n}"), "changed",
+                                    None, context)]
+    for n in range(100)})
+if sys.argv[1] == "save":
+    save(kb, sys.argv[2])
+elif sys.argv[1] == "dumps":
+    body = json.dumps({cve: [_record_to_json(r) for r in records]
+                       for cve, records in kb.records.items()})
+status = Path("/proc/self/status").read_text()
+print([int(line.split()[1]) for line in status.splitlines() if line.startswith("VmHWM:")][0])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self")
+def test_save_memory_does_not_grow_with_the_kb(tmp_path):
+    """Saving a KB of 100 CVEs that share one large class context (a
+    9 MB file) raises the process's peak RSS by far less than the file's
+    size. Each figure is a fresh child's VmHWM: one that only builds the
+    KB, one that saves it, and one that encodes its body whole, which
+    shows the measurement sees a KB-sized string when one is held."""
+    kb_path = tmp_path / "kb.txt"
+
+    def peak_kb(mode):
+        out = subprocess.run(
+            [sys.executable, "-c", _SAVE_PEAK, mode, str(kb_path)],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        return int(out.stdout)
+
+    baseline = peak_kb("build")
+    saved = peak_kb("save")
+    size_kb = kb_path.stat().st_size // 1024
+    assert size_kb >= 8 * 1024
+    assert saved - baseline <= size_kb // 8
+    assert peak_kb("dumps") - baseline >= size_kb * 3 // 4
+
+
 # -------------------------------------------------------------------- queries
 
 def _two_cve_kb():
@@ -532,11 +805,11 @@ def test_simple_class_names_hold_every_class_the_kb_asks_about():
     """Over every name of up to five characters from an alphabet with a
     non-ASCII letter and a character outside Java identifiers, a class
     asks_about_class accepts has a simple name in simple_class_names,
-    where strip_packages leaves a package in ("é.F") or cuts one out of
+    where strip_packages leaves a package in ("\xe9.F") or cuts one out of
     the middle of a name ("-a.F" strips to "-F")."""
     by_stripped = {}
     for name in ("".join(chars) for n in range(1, 6)
-                 for chars in itertools.product("aFé.-$", repeat=n)):
+                 for chars in itertools.product("aF\xe9.-$", repeat=n)):
         by_stripped.setdefault(strip_packages(name), []).append(name)
     checked = 0
     for group in by_stripped.values():
