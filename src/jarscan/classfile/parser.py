@@ -50,31 +50,17 @@ for those classes, and asks for the bodies of the methods its
   name, a bad pool, truncation, an unsupported version) is a failure
   either way.
 
-``parse_jar`` opens the archive with ``zipfile`` but reads each class
-entry straight from the archive's bytes (``_read_entry``): it slices the
-entry's data out of a memoryview, inflates it and checks its CRC-32. It
-takes those bytes only where ``zipfile.ZipFile.read`` would return the
-same: the entry is stored or deflated and neither encrypted nor patched;
-its local header lies inside the archive, at a non-negative offset, with
-the right signature and the central directory's name (UTF-8 when flag
-0x800 is set, else cp437); its data lies inside the archive, and before
-the next entry where zipfile records that; it inflates to exactly the
-stated size; and the CRC matches. Any other entry goes to
-``ZipFile.read``, which returns it or raises what it raises today, so an
-entry is read, or fails, as zipfile decides.
-
-Given the open archive file, ``parse_jar`` takes a read-only map of it in
-place of its bytes, and zipfile reads the file itself, so only the
-central directory and the entries opened are read. Every memoryview of
-the bytes is released before ``parse_jar`` returns or raises, so the
-caller can close the map then; what it returns holds copies.
+``parse_jar`` reads the archive, its bytes or an open seekable file,
+through ``zipfile`` alone: each class entry it opens is read by
+``ZipFile.read``, so an entry reads, or fails, as zipfile decides. Given
+an open file, zipfile reads only the central directory and the entries
+opened.
 """
 
 from __future__ import annotations
 
 import io
 import logging
-import mmap
 import struct
 import zipfile
 import zlib
@@ -439,8 +425,8 @@ def parse_class_header(data: bytes) -> tuple[str, tuple]:
 
 # What ZipFile.read raises for one bad entry: a failed CRC or bad header
 # (BadZipFile), deflate, bzip2 or LZMA data that does not decompress
-# (zlib.error, OSError, LZMAError), sizes that run past the archive
-# (EOFError), an encrypted entry or an unsupported compression method
+# (zlib.error, OSError, LZMAError), sizes that run past the archive or a
+# file cut short after it was opened (EOFError), an encrypted entry or an unsupported compression method
 # (RuntimeError, NotImplementedError), and a local header offset before
 # the start of the archive or a local name that is not UTF-8 (ValueError).
 _UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, OSError, LZMAError, EOFError,
@@ -451,78 +437,20 @@ _UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, OSError, LZMAError, EOFErro
 # reading the archive's file, an I/O error (OSError).
 _UNREADABLE_ARCHIVE = (zipfile.BadZipFile, NotImplementedError, ValueError, OSError)
 
-# A local file header: signature, flags, name length and extra length.
-_LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
-# Flags zipfile refuses to read plainly: encrypted (0x1), compressed
-# patch data (0x20), strong encryption (0x40).
-_ENCRYPTED_OR_PATCHED = 0x61
-_UTF8_NAME = 0x800
 
-
-def _read_entry(zf: zipfile.ZipFile, view: memoryview, info: zipfile.ZipInfo) -> bytes:
-    """The bytes of ``info``'s entry, read straight from ``view``, the
-    archive's bytes, where that gives the bytes ``zf.read(info)`` would;
-    otherwise ``zf.read(info)``, which raises what it raises for a bad
-    entry."""
-    offset = info.header_offset
-    method = info.compress_type
-    if ((method != zipfile.ZIP_DEFLATED and method != zipfile.ZIP_STORED)
-            or info.flag_bits & _ENCRYPTED_OR_PATCHED
-            or offset < 0 or offset + _LOCAL_HEADER.size > len(view)):
-        return zf.read(info)
-    signature, flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(view, offset)
-    start = offset + _LOCAL_HEADER.size + name_len
-    end = start + extra_len + info.compress_size
-    # Where zipfile records one, the start of the next entry: data past it
-    # overlaps that entry, which zipfile refuses.
-    limit = getattr(info, "_end_offset", None)
-    if (signature != b"PK\x03\x04" or end > len(view)
-            or (limit is not None and end > limit)):
-        return zf.read(info)
-    try:
-        name = str(view[offset + _LOCAL_HEADER.size:start],
-                   "utf-8" if flags & _UTF8_NAME else "cp437")
-    except UnicodeDecodeError:
-        return zf.read(info)
-    if name != info.orig_filename:
-        return zf.read(info)
-    size = info.file_size
-    # Released on the way out, also by an exception: ``view`` may be a map
-    # its caller closes.
-    with view[start + extra_len:end] as packed:
-        if method == zipfile.ZIP_STORED:
-            raw = bytes(packed) if len(packed) == size else None
-        else:
-            # Inflating at most one byte past the stated size bounds the
-            # output of an entry that inflates to more. Like zipfile, this
-            # takes the output of a stream cut short of its end. A ZIP64
-            # size can exceed what the bound takes (OverflowError);
-            # zipfile decides such an entry.
-            try:
-                raw = zlib.decompressobj(-15).decompress(packed, size + 1)
-            except (zlib.error, OverflowError):
-                raw = None
-            if raw is not None and len(raw) != size:
-                raw = None
-    if raw is None or zlib.crc32(raw) != info.CRC:
-        return zf.read(info)
-    return raw
-
-
-def parse_jar(data: bytes | mmap.mmap, wanted: Callable[[str], bool] | None = None,
+def parse_jar(data: bytes | BinaryIO, wanted: Callable[[str], bool] | None = None,
               wanted_body: Callable[[str, str, str], bool] | None = None,
-              stems: Container[str] | None = None,
-              file: BinaryIO | None = None) -> JarArchive:
+              stems: Container[str] | None = None) -> JarArchive:
     """Decode a JAR; per-entry class failures are collected, never fatal.
 
-    ``data`` is the archive's bytes or, given ``file``, the open archive,
-    a read-only map of that file; zipfile then reads ``file`` instead of
-    the map.
+    ``data`` is the archive's bytes or an open seekable binary file, which
+    zipfile reads in place.
 
     An archive zipfile cannot open raises MalformedArchive. A class entry
     zipfile cannot read (a failed CRC, data that does not inflate, sizes
     or offsets outside the archive, encryption, an unsupported compression
-    method) is a per-entry failure too ("unreadable entry: ...").
+    method, a file cut short) is a per-entry failure too ("unreadable
+    entry: ...").
 
     With ``stems``, a class entry is opened only if its stem (the text
     after the last "/" or "." of its path without ".class": the simple
@@ -536,17 +464,9 @@ def parse_jar(data: bytes | mmap.mmap, wanted: Callable[[str], bool] | None = No
     stem is logged and listed in ``misnamed`` as well.
     """
     try:
-        zf = zipfile.ZipFile(io.BytesIO(data) if file is None else file)
+        zf = zipfile.ZipFile(data if hasattr(data, "read") else io.BytesIO(data))
     except _UNREADABLE_ARCHIVE as exc:
         raise MalformedArchive(str(exc)) from exc
-    with memoryview(data) as view:
-        return _read_jar(zf, view, wanted, wanted_body, stems)
-
-
-def _read_jar(zf: zipfile.ZipFile, view: memoryview,
-              wanted: Callable[[str], bool] | None,
-              wanted_body: Callable[[str, str, str], bool] | None,
-              stems: Container[str] | None) -> JarArchive:
     classes: list[tuple[str, ClassFile]] = []
     unparsed: list[tuple[str, str]] = []
     unopened: list[str] = []
@@ -577,10 +497,11 @@ def _read_jar(zf: zipfile.ZipFile, view: memoryview,
             unopened.append(path)
             continue
         try:
-            raw = _read_entry(zf, view, info)
+            raw = zf.read(info)
         except _UNREADABLE_ENTRY as exc:
-            log.warning("cannot read %s: %s", path, exc)
-            failures.append(ParseFailure(path, f"unreadable entry: {exc}"))
+            reason = str(exc) or type(exc).__name__     # EOFError has no text
+            log.warning("cannot read %s: %s", path, reason)
+            failures.append(ParseFailure(path, f"unreadable entry: {reason}"))
             continue
         try:
             if wanted is None:

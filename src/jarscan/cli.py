@@ -7,8 +7,10 @@ modification harness). Exit codes are a stable contract:
             or unwritable output (the file already there is kept)
   scan:     0 completed with zero findings, 3 completed with findings,
             1 operational failure (including every given JAR erroring),
-            2 usage/unreadable input
-  modify:   0 written, 1 relocation collision or bad input, 2 usage
+            2 usage/unreadable input (including a --command that does not
+            split into words and a --list file that is not UTF-8)
+  modify:   0 written, 1 relocation collision or bad input, 2 usage,
+            unreadable input or unwritable output
 
 Threshold flags override the shipped defaults; every flag mirrors an
 environment variable with the JARSCAN_ prefix (e.g. JARSCAN_THETA_PT).
@@ -144,6 +146,9 @@ def cmd_scan(args) -> int:
     try:
         jars = retrieve_dependencies(directory=args.dir, list_file=args.list_file,
                                      command=args.command, paths=args.jars)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except failures as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -178,7 +183,11 @@ def cmd_modify(args) -> int:
     except (RelocationCollision, JarscanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    Path(args.out).write_bytes(out)
+    try:
+        Path(args.out).write_bytes(out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

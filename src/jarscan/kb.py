@@ -607,7 +607,11 @@ def parse_manifest(path) -> list[ManifestEntry]:
     """Line format: cve_id pre_dir post_dir provenance-free-text."""
     entries = []
     base = Path(path).parent
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise KbFormatError(f"{path} is not UTF-8: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

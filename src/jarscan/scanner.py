@@ -39,7 +39,6 @@ are greater than or equal to fixed ones (skipped verdicts do not vote).
 from __future__ import annotations
 
 import logging
-import mmap
 import os
 import stat
 from dataclasses import dataclass, field
@@ -127,20 +126,29 @@ class ScanReport:
 def retrieve_dependencies(directory=None, list_file=None, command=None,
                           paths=()) -> list[str]:
     """Resolve the JARs to scan from a directory, a list file, an external
-    command printing paths, or explicit paths; deduplicated, absolute."""
+    command printing paths, or explicit paths; deduplicated, absolute.
+    Raises ValueError for a list file that is not UTF-8 or a command that
+    does not split into words."""
     found: list[str] = []
     if directory is not None:
         found.extend(str(p) for p in sorted(Path(directory).rglob("*.jar")))
     if list_file is not None:
-        for line in Path(list_file).read_text(encoding="utf-8").splitlines():
+        try:
+            text = Path(list_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{list_file} is not UTF-8: {exc}") from None
+        for line in text.splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 found.append(line)
     if command is not None:
         import shlex
         import subprocess
-        proc = subprocess.run(shlex.split(command), capture_output=True,
-                              text=True, check=True)
+        try:
+            argv = shlex.split(command)
+        except ValueError as exc:
+            raise ValueError(f"cannot split command {command!r}: {exc}") from None
+        proc = subprocess.run(argv, capture_output=True, text=True, check=True)
         found.extend(l.strip() for l in proc.stdout.splitlines() if l.strip())
     found.extend(str(p) for p in paths)
     out: list[str] = []
@@ -424,13 +432,13 @@ def _candidate_cves(kb: KnowledgeBase, view: JarView, mode: str) -> list[str]:
     return sorted(out)
 
 
-def scan_jar_bytes(path: str, data: bytes | mmap.mmap, kb: KnowledgeBase,
-                   config: ScanConfig, file: BinaryIO | None = None) -> JarResult:
-    """Scan the JAR whose bytes are ``data``, or, given ``file``, the
-    open JAR that ``data`` maps (see ``parse_jar``)."""
+def scan_jar_bytes(path: str, data: bytes | BinaryIO, kb: KnowledgeBase,
+                   config: ScanConfig) -> JarResult:
+    """Scan the JAR ``data``: its bytes or an open seekable binary file
+    (see ``parse_jar``)."""
     try:
         archive = parse_jar(data, kb.asks_about_class, kb.asks_about_method,
-                            kb.simple_class_names, file)
+                            kb.simple_class_names)
     except MalformedArchive as exc:
         return JarResult(path=path, error=str(exc))
     view = JarView(archive, kb)
@@ -466,37 +474,22 @@ def scan_jar(path: str, kb: KnowledgeBase, config: ScanConfig) -> JarResult:
     """Scan the JAR at ``path``; a path that cannot be opened or read is
     an error entry.
 
-    A JAR is mapped read-only, so only the pages that zipfile and the
-    entry reader touch become resident: the central directory and the
-    entries opened. The map is closed before this returns or raises. A
-    file that cannot be mapped, an empty one or one that is not a regular
-    file (a FIFO, a device), is read whole.
+    A regular file is handed to zipfile as an open file, so only its
+    central directory and the entries opened are read, not the whole
+    archive. Anything else (a FIFO, a device) is read whole.
     """
     try:
         file = open(path, "rb")
     except OSError as exc:
         return JarResult(path=path, error=str(exc))
     with file:
-        jar = _map(file)
-        if jar is not None:
-            with jar:
-                return scan_jar_bytes(path, jar, kb, config, file)
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            return scan_jar_bytes(path, file, kb, config)
         try:
             data = file.read()
         except OSError as exc:
             return JarResult(path=path, error=str(exc))
     return scan_jar_bytes(path, data, kb, config)
-
-
-def _map(file: BinaryIO) -> mmap.mmap | None:
-    """A read-only map of ``file``, or None if it is not a regular file
-    or cannot be mapped (mmap refuses an empty file)."""
-    if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-        return None
-    try:
-        return mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
-    except (ValueError, OSError):
-        return None
 
 
 def scan(jar_paths: list, kb: KnowledgeBase,

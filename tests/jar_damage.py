@@ -1,5 +1,4 @@
-"""Re-packed and damaged copies of a JAR, and the check that parse_jar
-reads each entry of an archive as ``zipfile.ZipFile.read`` does.
+"""Re-packed and damaged copies of a JAR.
 
 ``repacked`` writes a JAR's entries again with another compression;
 ``damaged_entry`` re-packs a JAR and damages one entry so that
@@ -9,12 +8,9 @@ every entry's local header offset points before the start of the archive.
 """
 
 import io
-import mmap
 import struct
 import zipfile
 import zlib
-
-from jarscan.classfile.parser import _read_entry
 
 # What ZipFile.read raises for each damage of ``damaged_entry``.
 ENTRY_DAMAGES = {"crc": zipfile.BadZipFile, "inflate": zlib.error, "sizes": EOFError,
@@ -128,47 +124,3 @@ def damaged_central_directory(jar: bytes, damage: str) -> bytes:
         struct.pack_into("<I", data, end + 16, offset + 1000)
     return bytes(data)
 
-
-def _outcome(read, *args):
-    """What ``read(*args)`` returns, or the type of what it raises."""
-    try:
-        return read(*args)
-    except Exception as exc:        # noqa: BLE001 - compared, not handled
-        return type(exc)
-
-
-class _CountingZip:
-    """The ZipFile ``_read_entry`` falls back to, counting its reads."""
-
-    def __init__(self, zf: zipfile.ZipFile):
-        self.zf, self.reads = zf, 0
-
-    def read(self, info):
-        self.reads += 1
-        return self.zf.read(info)
-
-
-def reads_like_zipfile(data: bytes, path=None) -> int:
-    """Assert that every entry of the archive ``data`` reads through
-    parse_jar's entry reader as through ZipFile.read: the same bytes, or
-    the same exception. Returns how many entries the reader left to
-    ZipFile.read.
-
-    Given ``path``, a file holding ``data``, the archive is read as
-    scan_jar reads a JAR: the reader slices a read-only map of the file,
-    and zipfile reads the open file."""
-    if path is None:
-        return _reads_like_zipfile(zipfile.ZipFile(io.BytesIO(data)), data)
-    with open(path, "rb") as file, \
-            mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-        assert mapped[:] == data
-        return _reads_like_zipfile(zipfile.ZipFile(file), mapped)
-
-
-def _reads_like_zipfile(zf: zipfile.ZipFile, data) -> int:
-    fallback = _CountingZip(zf)
-    with memoryview(data) as view:
-        for info in zf.infolist():
-            assert _outcome(_read_entry, fallback, view, info) == _outcome(zf.read, info), \
-                info.filename
-    return fallback.reads

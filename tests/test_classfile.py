@@ -46,7 +46,7 @@ from jarscan.errors import (
 from jarscan.kb import ConstructRecord, KnowledgeBase
 from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_bytes
 import eager_parser
-from jar_damage import reads_like_zipfile, repacked
+from jar_damage import repacked
 from randgen import random_int_method, random_ref_method
 
 DATA = Path(__file__).parent / "data"
@@ -415,7 +415,7 @@ def test_decoder_matches_reference_on_damaged_jdk_code(monkeypatch):
             assert _outcome(decode, data) == _outcome(eager_parser.decode_instructions, data)
 
 
-# ------------------------------------------- the entry reader, against zipfile
+# --------------------------------------------- reading JAR entries with zipfile
 
 def _classes(jar: bytes) -> list:
     archive = parse_jar(jar)
@@ -423,16 +423,10 @@ def _classes(jar: bytes) -> list:
     return archive.classes
 
 
-def test_entry_reader_reads_plain_jars_itself(corpus):
-    for jar in [*corpus.pre_jars.values(), *corpus.post_jars.values()]:
-        assert reads_like_zipfile(jar) == 0
-
-
 @pytest.mark.parametrize("compression", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
 def test_entry_reader_leaves_bzip2_and_lzma_to_zipfile(corpus, compression):
     jar = corpus.pre_jars["CVE-9000-0001"]
     packed = repacked(jar, compression)
-    assert reads_like_zipfile(packed) == len(zipfile.ZipFile(io.BytesIO(packed)).infolist())
     assert _classes(packed) == _classes(jar)
 
 
@@ -451,7 +445,6 @@ def test_entry_reader_reads_data_descriptor_entries(corpus):
     jar = corpus.pre_jars["CVE-9000-0001"]
     packed = repacked(jar, seekable=False)
     assert all(info.flag_bits & 0x08 for info in zipfile.ZipFile(io.BytesIO(packed)).infolist())
-    assert reads_like_zipfile(packed) == 0
     assert _classes(packed) == _classes(jar)
 
 
@@ -464,7 +457,6 @@ def test_entry_reader_reads_non_ascii_names():
     for jar, path, flagged in ((utf8, "p/Ünïcödé.class", True), (cp437, "p/ü.class", False)):
         [info] = [i for i in zipfile.ZipFile(io.BytesIO(jar)).infolist() if i.filename == path]
         assert bool(info.flag_bits & 0x800) == flagged
-        assert reads_like_zipfile(jar) == 0
         assert [(p, cf.this_class) for p, cf in _classes(jar)] == [(path, "p.U")]
 
 
@@ -475,49 +467,24 @@ def test_entry_reader_leaves_a_renamed_local_header_to_zipfile(corpus):
     jar[local + 30] = ord("A")          # the first byte of the local name
     with pytest.raises(zipfile.BadZipFile, match="differ"):
         zipfile.ZipFile(io.BytesIO(bytes(jar))).read(entry)
-    assert reads_like_zipfile(bytes(jar)) == 1
     [failure] = parse_jar(bytes(jar)).failures
     assert failure.path == entry and failure.error.startswith("unreadable entry: ")
 
 
 def test_entry_reader_reads_an_archive_behind_a_prefix(corpus):
     """Bytes before the archive, as in a jmod or a self-extracting JAR,
-    shift every offset; zipfile corrects them and so does the reader."""
+    shift every offset; zipfile corrects them."""
     jar = corpus.pre_jars["CVE-9000-0001"]
     prefixed = b"#!/bin/sh\nexec java -jar \"$0\" \"$@\"\n" + jar
-    assert reads_like_zipfile(prefixed) == 0
     assert _classes(prefixed) == _classes(jar)
-
-
-def _first_central_record_twice(jar: bytes) -> bytes:
-    """The JAR with its first central-directory record written again at
-    the end of the central directory, so two entries share one local
-    header and its data."""
-    data = bytearray(jar)
-    end = data.rfind(b"PK\x05\x06")
-    count, size, offset = struct.unpack_from("<HII", data, end + 10)
-    lengths = struct.unpack_from("<3H", data, offset + 28)  # name, extra, comment
-    record = data[offset:offset + 46 + sum(lengths)]
-    tail = bytearray(data[end:])
-    struct.pack_into("<HHI", tail, 8, count + 1, count + 1, size + len(record))
-    return bytes(data[:end] + record + tail)
-
-
-def test_entry_reader_on_entries_that_share_data(corpus):
-    """Entries whose data overlap, as in a zip bomb, read as zipfile reads
-    them: newer zipfile versions refuse the second, older ones read both."""
-    shared = _first_central_record_twice(corpus.pre_jars["CVE-9000-0001"])
-    infos = zipfile.ZipFile(io.BytesIO(shared)).infolist()
-    assert infos[0].header_offset == infos[-1].header_offset
-    reads_like_zipfile(shared)
 
 
 @given(st.sampled_from([zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]),
        st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
                 min_size=1, max_size=4))
 def test_entry_reader_on_edited_jars(corpus, compression, edits):
-    """On byte edits of a corpus JAR the reader gives what ZipFile.read
-    gives, and parse_jar raises nothing but MalformedArchive."""
+    """On byte edits of a corpus JAR parse_jar raises nothing but
+    MalformedArchive."""
     data = bytearray(repacked(corpus.pre_jars["CVE-9000-0003"], compression))
     for pos, byte in edits:
         data[pos % len(data)] = byte
@@ -525,16 +492,7 @@ def test_entry_reader_on_edited_jars(corpus, compression, edits):
     try:
         parse_jar(data)
     except MalformedArchive:
-        return
-    reads_like_zipfile(data)
-
-
-def test_entry_reader_on_every_jdk_entry():
-    jmod = _jdk_jmod("java.base")
-    if jmod is None:
-        pytest.skip("no JDK with jmods/java.base.jmod")
-    data = jmod.read_bytes()         # a zip behind a 4-byte header
-    assert reads_like_zipfile(data) == 0
+        pass
 
 
 def test_jdk_classes_are_stored_under_their_own_names(corpus, corpus_kb):

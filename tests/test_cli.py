@@ -68,6 +68,14 @@ def test_kb_build_missing_manifest_exit_2(tmp_path):
                  "-o", str(tmp_path / "kb.txt")]) == 2
 
 
+def test_kb_build_manifest_not_utf8_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"CVE-9000-0001 pr\xe9 post\n")
+    assert main(["kb-build", str(manifest), "-o", str(tmp_path / "kb.txt")]) == 2
+    assert f"error: {manifest} is not UTF-8: " in capsys.readouterr().err
+    assert not (tmp_path / "kb.txt").exists()
+
+
 def test_kb_build_unwritable_output_exit_2(tmp_path, corpus, capsys):
     manifest = materialize_manifest(corpus, tmp_path)
     out = tmp_path / "nonexistent" / "kb.txt"
@@ -194,6 +202,19 @@ def test_scan_failing_command_exit_1(kb_file, capsys):
     assert "returned non-zero exit status 3" in capsys.readouterr().err
 
 
+def test_scan_command_that_does_not_split_exit_2(kb_file, capsys):
+    assert main(["scan", "--kb", str(kb_file), "--command", "echo 'x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot split command \"echo 'x\": No closing quotation\n")
+
+
+def test_scan_list_not_utf8_exit_2(tmp_path, kb_file, capsys):
+    listing = tmp_path / "jars.txt"
+    listing.write_bytes(b"libs/caf\xe9.jar\n")
+    assert main(["scan", "--kb", str(kb_file), "--list", str(listing)]) == 2
+    assert f"error: {listing} is not UTF-8: " in capsys.readouterr().err
+
+
 def test_scan_every_jar_failed_exit_1(tmp_path, kb_file, capsys):
     bad = tmp_path / "bad.jar"
     bad.write_bytes(b"not a zip at all")
@@ -250,6 +271,15 @@ def test_modify_collision_exit_1(tmp_path, capsys):
                "-o", str(tmp_path / "out.jar"), str(jar)])
     assert rc == 1
     assert "already exists" in capsys.readouterr().err
+
+
+def test_modify_unwritable_output_exit_2(tmp_path, corpus, capsys):
+    ins = _write_jars(corpus, tmp_path, "pre_jars")[:1]
+    out = tmp_path / "nonexistent" / "out.jar"
+    assert main(["modify", "--kind", "1", "-o", str(out), *ins]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: No such file or directory\n")
+    assert not out.parent.exists()
 
 
 # Modules a scan whose bodies all hit the KB never runs, and those only a

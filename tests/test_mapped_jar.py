@@ -1,8 +1,8 @@
-"""Scanning a JAR by path: a regular file is mapped read-only, anything
-else is read whole, and either way the result is what scanning the file's
-bytes gives."""
+"""Scanning a JAR by path: a regular file is handed to zipfile as an open
+file, anything else is read whole, and either way the result is what
+scanning the file's bytes gives."""
 
-import mmap
+import io
 import os
 import subprocess
 import sys
@@ -12,11 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from jar_damage import (ENTRY_DAMAGES, damaged_central_directory, damaged_entry,
-                        reads_like_zipfile, repacked)
+from jar_damage import ENTRY_DAMAGES, damaged_central_directory, damaged_entry
 from jarscan import scanner as scanner_mod
 from jarscan.classfile import class_entry_path, write_jar
-from jarscan.classfile import parser as parser_mod
 from jarscan.kb import save
 from jarscan.scanner import JarResult, ScanConfig, scan_jar, scan_jar_bytes
 
@@ -26,16 +24,12 @@ LINUX_PROC = pytest.mark.skipif(not Path("/proc/self/maps").exists(),
 
 
 def _read_whole(path, kb, config) -> JarResult:
-    """What scan_jar gave before it mapped JARs: the file read whole."""
+    """The JAR's file read whole, and its bytes scanned."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         return JarResult(path=path, error=str(exc))
     return scan_jar_bytes(path, data, kb, config)
-
-
-def _mapped_now(path) -> bool:
-    return str(path) in Path("/proc/self/maps").read_text()
 
 
 @pytest.fixture()
@@ -74,77 +68,27 @@ def test_mapped_scan_equals_scanning_the_bytes(corpus, corpus_kb, tmp_path, pars
         path = tmp_path / f"{name}.jar"
         path.write_bytes(data)
         res = scan_jar(str(path), corpus_kb, config)
-        assert parse_inputs == [mmap.mmap], name
+        assert parse_inputs == [io.BufferedReader], name
         assert res == scan_jar_bytes(str(path), data, corpus_kb, config), name
         parse_inputs.clear()
-        if name != "central-version":
-            assert reads_like_zipfile(data, path) == reads_like_zipfile(data), name
-
-
-@LINUX_PROC
-@pytest.mark.parametrize("name, error, failures", [
-    ("CVE-9000-0001-pre", None, 0),
-    ("central-version", "zip file version 7.2", 0),
-    ("truncated-class", None, 1),
-    ("central-offset", None, 1),
-])
-def test_map_is_released_when_scan_jar_returns(corpus, corpus_kb, tmp_path, monkeypatch,
-                                               name, error, failures):
-    """The JAR is mapped while it is parsed and unmapped once scan_jar
-    returns: after a good JAR, an archive zipfile cannot open, a class
-    that does not parse and entries only zipfile reads (and refuses)."""
-    path = tmp_path / f"{name}.jar"
-    path.write_bytes(_jars(corpus)[name])
-    during = []
-    parse_jar = scanner_mod.parse_jar
-
-    def watched(*args):
-        during.append(_mapped_now(path))
-        return parse_jar(*args)
-
-    monkeypatch.setattr(scanner_mod, "parse_jar", watched)
-    res = scan_jar(str(path), corpus_kb, ScanConfig())
-    assert (res.error, res.parse_failures) == (error, failures)
-    assert during == [True]
-    assert not _mapped_now(path)
-
-
-@LINUX_PROC
-@pytest.mark.parametrize("module, name", [(parser_mod.zlib, "decompressobj"),
-                                          (parser_mod, "parse_class_header")])
-def test_map_is_released_when_parsing_raises(corpus, corpus_kb, tmp_path, monkeypatch,
-                                             module, name):
-    """An exception parse_jar does not expect, raised while an entry is
-    inflated or once it is read, reaches the caller as it is, and the map
-    is closed."""
-    path = tmp_path / "deflated.jar"
-    path.write_bytes(repacked(corpus.pre_jars["CVE-9000-0001"]))
-
-    class Broken(Exception):
-        pass
-
-    def broken(*args):
-        raise Broken
-
-    monkeypatch.setattr(module, name, broken)
-    with pytest.raises(Broken):
-        scan_jar(str(path), corpus_kb, ScanConfig())
-    assert not _mapped_now(path)
 
 
 def test_unmappable_inputs_read_as_before(corpus_kb, tmp_path, parse_inputs):
     """An empty file, a directory and a missing path give the result and
-    error text reading the file whole gives; nothing is mapped."""
+    error text reading the file whole gives; only the empty file, a
+    regular one, reaches zipfile, as an open file."""
     config = ScanConfig()
     empty = tmp_path / "empty.jar"
     empty.write_bytes(b"")
-    for path in (empty, tmp_path, tmp_path / "missing.jar"):
+    for path, inputs in ((empty, [io.BufferedReader]), (tmp_path, []),
+                         (tmp_path / "missing.jar", [])):
         res = scan_jar(str(path), corpus_kb, config)
+        assert parse_inputs == inputs
         assert res == _read_whole(str(path), corpus_kb, config)
         assert res.error and not res.classes
+        parse_inputs.clear()
     assert scan_jar(str(empty), corpus_kb, config).error == "File is not a zip file"
     assert "[Errno" in scan_jar(str(tmp_path), corpus_kb, config).error
-    assert set(parse_inputs) == {bytes}
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
@@ -160,6 +104,50 @@ def test_jar_through_a_fifo_is_read_whole(corpus, corpus_kb, tmp_path, parse_inp
         writer.join(timeout=10)
     assert parse_inputs == [bytes]
     assert res.findings and res == scan_jar_bytes(str(fifo), jar, corpus_kb, ScanConfig())
+
+
+class _CutAtFirstLookup:
+    """A KB's stems that truncate a file at the first lookup, when zipfile
+    has read the archive's central directory and no entry yet."""
+
+    def __init__(self, stems, path, size):
+        self.stems, self.path, self.size = stems, path, size
+
+    def __contains__(self, stem):
+        if self.path is not None:
+            os.truncate(self.path, self.size)
+            self.path = None
+        return stem in self.stems
+
+
+def test_jar_cut_short_during_its_scan(corpus, corpus_kb, tmp_path, monkeypatch):
+    """A JAR truncated while it is scanned ends no scan: each class entry
+    the cut reaches is an unreadable-entry parse failure, and the entries
+    before it read as usual."""
+    jar = write_jar([(class_entry_path(name), data) for cve in corpus.cve_ids
+                     for name, data in corpus.pre_classes[cve]])
+    classes = [i for i in zipfile.ZipFile(io.BytesIO(jar)).infolist()
+               if i.filename.endswith(".class")]
+    middle = len(classes) // 2
+    # Inside the middle entry, past its local header.
+    cut = (classes[middle].header_offset + classes[middle + 1].header_offset) // 2
+    path = tmp_path / "cut.jar"
+    path.write_bytes(jar)
+    monkeypatch.setattr(corpus_kb, "simple_class_names",
+                        _CutAtFirstLookup(corpus_kb.simple_class_names, path, cut))
+    archives = []
+    parse_jar = scanner_mod.parse_jar
+    monkeypatch.setattr(scanner_mod, "parse_jar",
+                        lambda *args: archives.append(parse_jar(*args)) or archives[-1])
+    res = scan_jar(str(path), corpus_kb, ScanConfig())
+    assert path.stat().st_size == cut
+    [archive] = archives
+    assert res.error is None and res.parse_failures == len(classes) - middle
+    assert [f.path for f in archive.failures] == [i.filename for i in classes[middle:]]
+    assert all(f.error.startswith("unreadable entry: ") for f in archive.failures)
+    assert archive.failures[0].error == "unreadable entry: EOFError"   # cut inside its data
+    read = [p for p, _ in archive.classes] + [p for p, _ in archive.unparsed]
+    assert sorted(read) == sorted(i.filename for i in classes[:middle])
 
 
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
@@ -182,7 +170,7 @@ from pathlib import Path
 from jarscan.kb import load
 from jarscan.scanner import ScanConfig, scan_jar, scan_jar_bytes
 kb, jar = load(sys.argv[1]), sys.argv[3]
-if sys.argv[2] == "map":
+if sys.argv[2] == "open":
     res = scan_jar(jar, kb, ScanConfig())
 elif sys.argv[2] == "read":
     res = scan_jar_bytes(jar, Path(jar).read_bytes(), kb, ScanConfig())
@@ -219,5 +207,5 @@ def test_scan_memory_does_not_grow_with_the_archive(corpus_kb, tmp_path):
         return int(out.stdout)
 
     baseline = peak_kb("kb")
-    assert peak_kb("map") - baseline <= 8 * 1024
+    assert peak_kb("open") - baseline <= 8 * 1024
     assert peak_kb("read") - baseline >= 20 * 1024

@@ -28,8 +28,7 @@ from jarscan.errors import CodeNotDecoded
 from jarscan.kb import ConstructRecord, KnowledgeBase, build_entry, class_member_context
 from jarscan.classfile.constructs import ConstructId
 from jarscan.modharness import modify
-from jar_damage import (ENTRY_DAMAGES, damaged_central_directory, damaged_entry,
-                        reads_like_zipfile)
+from jar_damage import ENTRY_DAMAGES, damaged_central_directory, damaged_entry
 from jarscan.scanner import (
     FIXED,
     NOT_FLAGGED,
@@ -936,7 +935,6 @@ def test_unreadable_entry_is_a_parse_failure(corpus, corpus_kb, tmp_path,
     jar = damaged_entry(corpus.pre_jars["CVE-9000-0001"], entry, damage)
     with pytest.raises(error):
         zipfile.ZipFile(io.BytesIO(jar)).read(entry)
-    assert reads_like_zipfile(jar) == 1
     [failure] = parse_jar(jar).failures
     assert failure.path == entry and failure.error.startswith("unreadable entry: ")
     res = _scan_next_to_a_good_jar(tmp_path, corpus, corpus_kb, jar)
@@ -945,14 +943,13 @@ def test_unreadable_entry_is_a_parse_failure(corpus, corpus_kb, tmp_path,
 
 def test_zip64_size_past_ssize_t_reads_as_zipfile(corpus, corpus_kb, tmp_path):
     """A deflated entry whose ZIP64 extra field states a size of 2**64 - 1
-    is left to zipfile, which reads it to the end of its stream; the class
-    parses as before, and the next JAR is still flagged."""
+    is read by zipfile to the end of its stream; the class parses as
+    before, and the next JAR is still flagged."""
     entry, jar = "alpha/core/Parser.class", corpus.pre_jars["CVE-9000-0001"]
     damaged = damaged_entry(jar, entry, "zip64-size")
     zf = zipfile.ZipFile(io.BytesIO(damaged))
     assert zf.getinfo(entry).file_size == 2**64 - 1
     assert zf.read(entry) == zipfile.ZipFile(io.BytesIO(jar)).read(entry)
-    assert reads_like_zipfile(damaged) == 1
     archive = parse_jar(damaged)
     assert not archive.failures
     assert [p for p, _ in archive.classes] == [p for p, _ in parse_jar(jar).classes]
@@ -987,7 +984,6 @@ def test_local_header_before_the_archive_is_a_parse_failure(corpus, corpus_kb, t
     assert any(i.header_offset < 0 for i in classes)
     with pytest.raises(ValueError, match="negative seek"):
         zf.read(min(classes, key=lambda i: i.header_offset))
-    assert reads_like_zipfile(jar) == len(zf.infolist())
     archive = parse_jar(jar)
     assert not archive.classes and len(archive.failures) == len(classes)
     assert all(f.error.startswith("unreadable entry: ") for f in archive.failures)
