@@ -469,136 +469,41 @@ def save(kb: KnowledgeBase, path) -> None:
         raise
 
 
-# The line breaks of str.splitlines in UTF-8, less "\r" (see _universal_newlines).
-_LINE_BREAKS = (b"\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
-                b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
-_FIRST_LINE_BREAK = re.compile(b"|".join(re.escape(b) for b in _LINE_BREAKS))
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-
-
-def _universal_newlines(data: bytes) -> bytes:
-    """``data`` with "\\r\\n" and "\\r" read as "\\n", as a text-mode read does."""
-    if b"\r" not in data:
-        return data
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-
-
-def _first_line_end(data: bytes) -> int:
-    """Where ``data.decode().splitlines(keepends=True)[0]`` ends in ``data``."""
-    first = _FIRST_LINE_BREAK.search(data)
-    return first.end() if first else len(data)
-
-
-def _last_line_start(data: bytes) -> int:
-    """Where ``data.decode().splitlines(keepends=True)[-1]`` starts in
-    ``data`` (0 when it has one line)."""
-    stop = len(data)
-    for brk in _LINE_BREAKS:
-        if data.endswith(brk):
-            stop -= len(brk)
-            break
-    # Breaks cannot overlap, so each one need only be sought after the
-    # last break found so far; "\n" comes first and ends the KB's body.
-    start = 0
-    for brk in _LINE_BREAKS:
-        at = data.rfind(brk, start, stop)
-        if at >= 0:
-            start = at + len(brk)
-    return start
-
-
-def _body_items(body: str):
-    """The members of the JSON object ``body``, in order, one at a time:
-    ``json.loads(body).items()`` as one of its values at a time. Raises
-    ValueError where json.loads would, and for a body that is not an
-    object."""
-    decode = json.JSONDecoder().raw_decode
-    at = _JSON_SPACE.match(body).end()
-    if body[at:at + 1] != "{":
-        raise ValueError("not a JSON object")
-    at = _JSON_SPACE.match(body, at + 1).end()
-    if body[at:at + 1] == "}":
-        at += 1
-    else:
-        while True:
-            if body[at:at + 1] != '"':
-                raise ValueError(f"expecting a CVE id at {at}")
-            cve, at = decode(body, at)
-            at = _JSON_SPACE.match(body, at).end()
-            if body[at:at + 1] != ":":
-                raise ValueError(f"expecting ':' at {at}")
-            value, at = decode(body, _JSON_SPACE.match(body, at + 1).end())
-            yield cve, value
-            at = _JSON_SPACE.match(body, at).end()
-            if body[at:at + 1] == "}":
-                at += 1
-                break
-            if body[at:at + 1] != ",":
-                raise ValueError(f"expecting ',' or '}}' at {at}")
-            at = _JSON_SPACE.match(body, at + 1).end()
-    if _JSON_SPACE.match(body, at).end() != len(body):
-        raise ValueError(f"extra data at {at}")
-
-
 def load(path) -> KnowledgeBase:
     """Read a KB file; raises VersionMismatch, CorruptFile or, for any
     other file it cannot use, KbFormatError.
 
-    The file is read once, its checksum taken over those bytes and its
-    body decoded once, then parsed one CVE at a time, each CVE's records
-    built before the next is parsed. It accepts what reading the file as
-    text and parsing the body whole with ``json.loads`` would: lines as
-    ``str.splitlines`` splits them, "\\r\\n" and "\\r" read as "\\n",
-    and of a CVE id given twice the last value."""
-    data = _universal_newlines(Path(path).read_bytes())
-    body_start, body_end = _first_line_end(data), _last_line_start(data)
+    The file is read as text, lines as ``str.splitlines`` splits them;
+    once the checksum over every line but the last holds, the body is
+    parsed with one ``json.loads``. Of a CVE id given twice, the last
+    value counts."""
     try:
-        header = data[:body_start].decode("utf-8")
-        checksum_line = data[body_end:].decode("utf-8").strip()
+        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
     except UnicodeDecodeError as exc:
         raise KbFormatError(f"{path}: not UTF-8 text") from exc
-    if body_end <= body_start or not header.startswith(_HEADER + " "):
+    if len(lines) < 3 or not lines[0].startswith(_HEADER + " "):
         raise KbFormatError(f"{path}: not a knowledge-base file")
     try:
-        version = int(header.split()[1])
+        version = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise KbFormatError(f"{path}: unreadable version header") from exc
     if version != FORMAT_VERSION:
         raise VersionMismatch(
             f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    checksum_line = lines[-1].strip()
     if not checksum_line.startswith("sha256="):
         raise CorruptFile(f"{path}: missing checksum")
-    with memoryview(data) as view:
-        digest = hashlib.sha256(view[:body_end]).hexdigest()
-        if checksum_line != f"sha256={digest}":
-            raise CorruptFile(f"{path}: checksum mismatch")
-        try:
-            body = str(view[body_start:body_end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise KbFormatError(f"{path}: not UTF-8 text") from exc
-    del data
-    records: dict[str, list | None] = {}
-    failed: dict[str, Exception] = {}
+    digest = hashlib.sha256("".join(lines[:-1]).encode("utf-8")).hexdigest()
+    if checksum_line != f"sha256={digest}":
+        raise CorruptFile(f"{path}: checksum mismatch")
     try:
-        for cve, objs in _body_items(body):
-            # As in json.loads, a CVE id given twice keeps its first place
-            # and its last value, so only the last value's records count.
-            try:
-                records[cve] = [_record_from_json(o) for o in objs]
-                failed.pop(cve, None)
-            except (KeyError, AttributeError, TypeError, ValueError) as exc:
-                records[cve], failed[cve] = None, exc
-    except ValueError as exc:
-        raise KbFormatError(f"{path}: unreadable body: {exc}") from exc
-    if failed:
-        cve, exc = next(iter(failed.items()))
-        raise KbFormatError(f"{path}: malformed record for {cve}: {exc!r}") from exc
-    del body
-    try:
+        body = json.loads("".join(lines[1:-1]))
+        records = {cve: [_record_from_json(o) for o in objs]
+                   for cve, objs in body.items()}
         return KnowledgeBase(format_version=version, records=records)
-    except (TypeError, ValueError) as exc:
-        # Indexing takes each record apart: one it cannot is malformed.
-        raise KbFormatError(f"{path}: malformed record: {exc!r}") from exc
+    except (KeyError, AttributeError, TypeError, ValueError, RecursionError) as exc:
+        # RecursionError: a body nested deeper than json.loads can decode.
+        raise KbFormatError(f"{path}: malformed body: {exc!r}") from exc
 
 
 # ------------------------------------------------------------------ manifest
@@ -620,8 +525,11 @@ def parse_manifest(path) -> list[ManifestEntry]:
             raise KbFormatError(f"{path}:{lineno}: expected 'cve pre_dir post_dir [provenance]'")
         cve, pre_dir, post_dir = parts[:3]
         provenance = parts[3] if len(parts) > 3 else ""
-        entries.append(ManifestEntry(
-            cve, (base / pre_dir).resolve(), (base / post_dir).resolve(), provenance))
+        try:
+            pre, post = (base / pre_dir).resolve(), (base / post_dir).resolve()
+        except ValueError as exc:   # a NUL byte in a directory
+            raise KbFormatError(f"{path}:{lineno}: {exc}") from None
+        entries.append(ManifestEntry(cve, pre, post, provenance))
     seen = set()
     for e in entries:
         if e.cve_id in seen:

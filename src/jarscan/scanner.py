@@ -127,8 +127,8 @@ def retrieve_dependencies(directory=None, list_file=None, command=None,
                           paths=()) -> list[str]:
     """Resolve the JARs to scan from a directory, a list file, an external
     command printing paths, or explicit paths; deduplicated, absolute.
-    Raises ValueError for a list file that is not UTF-8 or a command that
-    does not split into words."""
+    Raises ValueError for a list file that is not UTF-8, a command that
+    does not split into words, or one whose output is not text."""
     found: list[str] = []
     if directory is not None:
         found.extend(str(p) for p in sorted(Path(directory).rglob("*.jar")))
@@ -148,7 +148,10 @@ def retrieve_dependencies(directory=None, list_file=None, command=None,
             argv = shlex.split(command)
         except ValueError as exc:
             raise ValueError(f"cannot split command {command!r}: {exc}") from None
-        proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"output of command {command!r} is not text: {exc}") from None
         found.extend(l.strip() for l in proc.stdout.splitlines() if l.strip())
     found.extend(str(p) for p in paths)
     out: list[str] = []

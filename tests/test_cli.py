@@ -76,6 +76,14 @@ def test_kb_build_manifest_not_utf8_exit_2(tmp_path, capsys):
     assert not (tmp_path / "kb.txt").exists()
 
 
+def test_kb_build_manifest_nul_byte_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"CVE-1 pre\x01\x00x post\n")
+    assert main(["kb-build", str(manifest), "-o", str(tmp_path / "kb.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}:1: embedded null byte\n"
+    assert not (tmp_path / "kb.txt").exists()
+
+
 def test_kb_build_unwritable_output_exit_2(tmp_path, corpus, capsys):
     manifest = materialize_manifest(corpus, tmp_path)
     out = tmp_path / "nonexistent" / "kb.txt"
@@ -196,6 +204,14 @@ def test_scan_malformed_kb_with_valid_checksum_exit_2(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_scan_deeply_nested_kb_exit_2(tmp_path, capsys):
+    payload = b'jarscan-kb 1\n{"CVE-X":' + b"[" * 200_000 + b"]" * 200_000 + b"}\n"
+    kb = tmp_path / "kb.txt"
+    kb.write_bytes(payload + f"sha256={hashlib.sha256(payload).hexdigest()}\n".encode())
+    assert main(["scan", "--kb", str(kb)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {kb}: malformed body: RecursionError(")
+
+
 def test_scan_failing_command_exit_1(kb_file, capsys):
     rc = main(["scan", "--kb", str(kb_file), "--command", f"{sys.executable} -c 'exit(3)'"])
     assert rc == 1
@@ -206,6 +222,13 @@ def test_scan_command_that_does_not_split_exit_2(kb_file, capsys):
     assert main(["scan", "--kb", str(kb_file), "--command", "echo 'x"]) == 2
     assert capsys.readouterr().err == (
         "error: cannot split command \"echo 'x\": No closing quotation\n")
+
+
+def test_scan_command_output_not_text_exit_2(kb_file, capsys):
+    command = "printf '\\377.jar\\n'"
+    assert main(["scan", "--kb", str(kb_file), "--command", command]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: output of command {command!r} is not text: ")
 
 
 def test_scan_list_not_utf8_exit_2(tmp_path, kb_file, capsys):
