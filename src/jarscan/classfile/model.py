@@ -314,18 +314,15 @@ class ParseFailure:
 class JarArchive:
     """Decoded JAR: class entries parsed, everything else kept opaque.
 
-    Classes only header-checked (see ``parse_jar``'s ``wanted``) are in
-    ``unparsed``, never in ``classes``: listed there with no methods, every
-    method of theirs would read as absent. Class entries never opened (see
-    ``parse_jar``'s ``stems``) are in ``unopened``. An opened class whose
-    simple name is not its entry's stem is also in ``misnamed``.
+    Class entries never opened (see ``parse_jar``'s ``stems``) are in
+    ``unopened``. An opened class whose simple name is not its entry's
+    stem is also in ``misnamed``.
     """
 
     classes: list[tuple[str, ClassFile]]          # (entry path, parsed class)
     other_entries: list[str]                      # paths of non-class entries
     failures: list[ParseFailure]
     metadata_present: bool
-    unparsed: list[tuple[str, str]] = field(default_factory=list)  # (entry path, dotted name)
     unopened: list[str] = field(default_factory=list)              # entry paths
     misnamed: list[tuple[str, str]] = field(default_factory=list)  # (entry path, dotted name)
 

@@ -4,23 +4,13 @@ Each class file's constant pool is walked once (``_walk_pool``). The walk
 checks the magic number, the 45..69 major-version range and every
 constant-pool tag and length, and records where each entry starts; the
 ``ConstantPool`` it returns decodes an entry from there the first time the
-entry is read, and checks a reference's tag and range then. On that walk
-a class is checked at one of two depths:
-
-* ``parse_class_header`` decodes only the class's own name: this_class
-  must name a Class entry whose name is a Utf8 entry. It walks fields,
-  methods and attributes by length, so truncation anywhere is caught. It
-  checks no other pool reference, no descriptor and nothing inside a Code
-  attribute. Its checks are a subset of ``parse_class``'s: bytes
-  ``parse_class`` accepts, it accepts with the same name; bytes it
-  rejects, ``parse_class`` rejects too.
-* ``parse_class`` reads the rest in file order, each table at its offset,
-  and checks each read as it goes: the class, super-class and interface
-  names; each field's and method's name and descriptor (Utf8 entries that
-  must parse as descriptors); each field and method attribute's name (a
-  Utf8 entry); and every Code attribute (instructions, exception tables,
-  branch targets). Class-level attributes are skipped by length. Given
-  the header's walk it does not walk the pool again.
+entry is read, and checks a reference's tag and range then. ``parse_class``
+reads the rest in file order, each table at its offset, and checks each
+read as it goes: the class, super-class and interface names; each
+field's and method's name and descriptor (Utf8 entries that must parse as
+descriptors); each field and method attribute's name (a Utf8 entry); and
+every Code attribute (instructions, exception tables, branch targets).
+Class-level attributes are skipped by length.
 
 ``parse_class`` given a predicate on methods decodes the Code attribute
 only of the methods it accepts; every other body reads as ``UNDECODED``,
@@ -29,26 +19,20 @@ else, every method's descriptor included, is checked as without it.
 
 ``parse_jar`` given a set of stems opens a class entry only if its stem,
 the simple name of the class a class loader finds at the entry's path,
-is in the set; the others are listed as unopened and never read. Of the
-entries it opens, given a predicate on class names, it fully parses only
-the classes the predicate accepts and header-checks the rest; a second
-predicate, on methods, is passed on to ``parse_class``. An opened class
-whose simple name is not its stem is listed as misnamed. A scan gives
-the simple names the classes its knowledge base names can have, asks
-for those classes, and asks for the bodies of the methods its
-``changed`` method records name. So:
+is in the set; the others are listed as unopened and never read. Every
+entry it opens is parsed by ``parse_class``, with the predicate on
+methods passed on. An opened class whose simple name is not its stem is
+listed as misnamed. A scan gives the simple names the classes its
+knowledge base names can have, and asks for the bodies of the methods
+its ``changed`` method records name. So:
 
 * an entry under a stem no KB record's class can have counts as a
   class whatever its bytes; a class the KB names stored under such a
   stem is missed, as a class loader looking it up by name misses it;
-* an opened class no KB record names whose only defect is one the
-  header does not check (a bad descriptor, Code attribute or other pool
-  reference) counts as a class, not as a parse failure, and so does a
-  class the KB names whose only defect is inside the Code attribute of a
-  method no ``changed`` record names;
-* a defect that could hide which class an opened entry is (an unreadable
-  name, a bad pool, truncation, an unsupported version) is a failure
-  either way.
+* an opened class whose only defect is inside the Code attribute of a
+  method no ``changed`` record names counts as a class;
+* any other defect of an opened class is a parse failure, whether or
+  not a KB record names the class.
 
 ``parse_jar`` reads the archive, its bytes or an open seekable file,
 through ``zipfile`` alone: each class entry it opens is read by
@@ -113,8 +97,6 @@ _U4 = struct.Struct(">I").unpack_from
 _LENGTH = struct.Struct(">I")             # an attribute's length
 _CODE_HEADER = struct.Struct(">HHI")      # max_stack, max_locals, code_length
 _HANDLER = struct.Struct(">4H")           # start, end, handler, catch_type
-# this_class and interfaces_count, skipping access_flags and super_class.
-_THIS_AND_INTERFACES = struct.Struct(">2xH2xH").unpack_from
 
 # Size in bytes, tag included, of each fixed-size entry, indexed by tag;
 # 0 for Utf8 (sized by its length field) and unknown tags.
@@ -314,17 +296,14 @@ def _member_attributes(data: bytes, pos: int,
 
 
 def parse_class(data: bytes,
-                wanted_body: Callable[[str, str, str], bool] | None = None,
-                walk: tuple | None = None) -> ClassFile:
+                wanted_body: Callable[[str, str, str], bool] | None = None) -> ClassFile:
     """Decode one class file; raises ClassParseError subclasses on bad input.
 
     With ``wanted_body``, a method's Code attribute is decoded only if
     ``wanted_body(class name, method name, descriptor)`` accepts it; the
     others read as ``UNDECODED``. Without it every body is decoded.
-    ``walk`` is the pool walk ``parse_class_header`` returned for these
-    bytes; without it the pool is walked here.
     """
-    major, pool, pos = walk or _walk_pool(data)
+    major, pool, pos = _walk_pool(data)
     access = _u2(data, pos)
     this_class = pool.class_name(_u2(data, pos + 2)).replace("/", ".")
     super_idx = _u2(data, pos + 4)
@@ -383,46 +362,6 @@ def _skip_attributes(data: bytes, pos: int) -> int:
     return pos
 
 
-def parse_class_header(data: bytes) -> tuple[str, tuple]:
-    """Check a class file's layout without decoding it; return its dotted
-    this_class name and the pool walk, for ``parse_class``.
-
-    The checks are listed in the module docstring; each is one
-    ``parse_class`` makes on the same bytes. Raises ClassParseError
-    subclasses on bad input.
-    """
-    _major, pool, pos = walk = _walk_pool(data)
-    n = len(data)
-    if pos + 8 > n:
-        raise TruncatedInput("class file ends inside its class header")
-    this_idx, interface_count = _THIS_AND_INTERFACES(data, pos)
-    name = pool.class_name(this_idx)
-    pos += 8 + 2 * interface_count
-    # Fields, methods, then the class's attributes, in one loop. A read
-    # past the end raises IndexError or struct.error; a length that runs
-    # past the end is followed by a read, except for the last one, which
-    # the check below catches.
-    u4 = _U4
-    try:
-        for _table in (0, 1):
-            members = (data[pos] << 8) | data[pos + 1]
-            pos += 2
-            for _ in range(members):
-                attributes = (data[pos + 6] << 8) | data[pos + 7]
-                pos += 8            # access, name, descriptor, attribute count
-                for _ in range(attributes):
-                    pos += 6 + u4(data, pos + 2)[0]
-        attributes = (data[pos] << 8) | data[pos + 1]
-        pos += 2
-        for _ in range(attributes):
-            pos += 6 + u4(data, pos + 2)[0]
-    except (IndexError, struct.error):
-        raise TruncatedInput(f"class file ends inside its member tables at {pos}") from None
-    if pos > n:
-        raise TruncatedInput("attribute runs past the end of the class file")
-    return name.replace("/", "."), walk
-
-
 # What ZipFile.read raises for one bad entry: a failed CRC or bad header
 # (BadZipFile), deflate, bzip2 or LZMA data that does not decompress
 # (zlib.error, OSError, LZMAError), sizes that run past the archive or a
@@ -438,7 +377,7 @@ _UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, OSError, LZMAError, EOFErro
 _UNREADABLE_ARCHIVE = (zipfile.BadZipFile, NotImplementedError, ValueError, OSError)
 
 
-def parse_jar(data: bytes | BinaryIO, wanted: Callable[[str], bool] | None = None,
+def parse_jar(data: bytes | BinaryIO,
               wanted_body: Callable[[str, str, str], bool] | None = None,
               stems: Container[str] | None = None) -> JarArchive:
     """Decode a JAR; per-entry class failures are collected, never fatal.
@@ -455,20 +394,16 @@ def parse_jar(data: bytes | BinaryIO, wanted: Callable[[str], bool] | None = Non
     With ``stems``, a class entry is opened only if its stem (the text
     after the last "/" or "." of its path without ".class": the simple
     name of the class a class loader finds there) is in ``stems``; the
-    others go to ``unopened``, unread. Without ``wanted`` every opened
-    class is fully parsed. With it, a class is header-checked first and
-    fully parsed only if ``wanted`` accepts its dotted name, with the
-    header's pool walk; the others go to ``unparsed`` and their bytes are
-    dropped. ``wanted_body`` is passed on to ``parse_class`` for the
-    classes fully parsed. A class whose simple name is not its entry's
-    stem is logged and listed in ``misnamed`` as well.
+    others go to ``unopened``, unread. Every opened class is parsed by
+    ``parse_class``, which is passed ``wanted_body``. A class whose simple
+    name is not its entry's stem is logged and listed in ``misnamed`` as
+    well.
     """
     try:
         zf = zipfile.ZipFile(data if hasattr(data, "read") else io.BytesIO(data))
     except _UNREADABLE_ARCHIVE as exc:
         raise MalformedArchive(str(exc)) from exc
     classes: list[tuple[str, ClassFile]] = []
-    unparsed: list[tuple[str, str]] = []
     unopened: list[str] = []
     misnamed: list[tuple[str, str]] = []
     others: list[str] = []
@@ -504,23 +439,16 @@ def parse_jar(data: bytes | BinaryIO, wanted: Callable[[str], bool] | None = Non
             failures.append(ParseFailure(path, f"unreadable entry: {reason}"))
             continue
         try:
-            if wanted is None:
-                cf = parse_class(raw, wanted_body)
-                fqn = cf.this_class
-            else:
-                fqn, walk = parse_class_header(raw)
-                cf = parse_class(raw, wanted_body, walk) if wanted(fqn) else None
+            cf = parse_class(raw, wanted_body)
         except ClassParseError as exc:
             log.warning("failed to parse %s: %s", path, exc)
             failures.append(ParseFailure(path, str(exc)))
             continue
+        fqn = cf.this_class
         if fqn[fqn.rfind(".") + 1:] != stem:
             log.warning("%s holds class %s", path, fqn)
             misnamed.append((path, fqn))
-        if cf is None:
-            unparsed.append((path, fqn))
-        else:
-            classes.append((path, cf))
+        classes.append((path, cf))
     return JarArchive(classes=classes, other_entries=others,
                       failures=failures, metadata_present=metadata,
-                      unparsed=unparsed, unopened=unopened, misnamed=misnamed)
+                      unopened=unopened, misnamed=misnamed)

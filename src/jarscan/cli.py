@@ -7,8 +7,10 @@ modification harness). Exit codes are a stable contract:
             or unwritable output (the file already there is kept)
   scan:     0 completed with zero findings, 3 completed with findings,
             1 operational failure (including every given JAR erroring),
-            2 usage/unreadable input (including a --command that does not
-            split into words and a --list file that is not UTF-8)
+            2 usage/unreadable input or unwritable --out (including a
+            threshold outside [0, 1], a --dir that is not a directory, a
+            --list file that cannot be read or is not UTF-8 and a --command
+            that does not split into words)
   modify:   0 written, 1 relocation collision or bad input, 2 usage,
             unreadable input or unwritable output
 
@@ -19,7 +21,6 @@ environment variable with the JARSCAN_ prefix (e.g. JARSCAN_THETA_PT).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import logging
@@ -128,16 +129,30 @@ def _write_json(out, obj) -> None:
         out.write(batch)
 
 
+def _write_report(out, report, fmt: str) -> None:
+    if fmt == "json":
+        _write_json(out, report_to_json(report))
+    else:
+        out.write(render_table(report))
+    out.write("\n")
+
+
 def cmd_scan(args) -> int:
-    try:
-        kb = load_kb(args.kb)
-    except (OSError, KbFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     modes = tuple(m.strip() for m in args.mode.split(",") if m.strip())
     bad = [m for m in modes if m not in ("default", "repack")]
     if bad or not modes:
         print(f"error: unknown mode(s) {bad}", file=sys.stderr)
+        return 2
+    for name in ("theta_pt", "theta_cc", "theta_ct"):
+        value = getattr(args, name)
+        if not 0 <= value <= 1:             # false for NaN too
+            print(f"error: --{name.replace('_', '-')} (JARSCAN_{name.upper()}) "
+                  f"must be a number in [0, 1], not {value}", file=sys.stderr)
+            return 2
+    try:
+        kb = load_kb(args.kb)
+    except (OSError, KbFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = (OSError,)
     if args.command is not None:
@@ -156,13 +171,15 @@ def cmd_scan(args) -> int:
                         theta_ct=args.theta_ct, modes=modes)
     report = scan(jars, kb, config)
 
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext(sys.stdout)) as out:
-        if args.format == "json":
-            _write_json(out, report_to_json(report))
-        else:
-            out.write(render_table(report))
-        out.write("\n")
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as out:
+                _write_report(out, report, args.format)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    else:
+        _write_report(sys.stdout, report, args.format)
     findings = sum(1 for j in report.jars for f in j.findings
                    if f.verdict == VULNERABLE)
     # A scan of zero JARs completed; one where every JAR errored did not.

@@ -16,15 +16,6 @@ _EXPORTS = {
         "render_stmt", "stmt_def", "stmt_uses"), "model"),
 }
 
-__all__ = [
-    "ENTRY", "EXIT", "Cfg", "DepGraph", "Edge", "MethodIr",
-    "ArrayGet", "ArrayPut", "Assign", "Bin", "Block", "Branch", "Cast",
-    "Caught", "CmpExpr", "Concat", "Const", "Copy", "DynInvoke", "FieldGet",
-    "FieldPut", "Goto", "HandlerInfo", "InstOf", "Invoke", "Lit", "Monitor",
-    "NewArr", "NewObj", "Nop", "Return", "Switch", "Throw", "Un",
-    "build_cfg", "control_dependent_blocks", "dependencies", "dump", "lift",
-    "postdominators", "reaching_data_edges", "render_stmt",
-    "stmt_def", "stmt_uses",
-]
+__all__ = sorted(_EXPORTS)
 
 __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -129,12 +129,6 @@ class KnowledgeBase:
     def candidate_cves_for_unqualified_class(self, unq_name: str) -> set:
         return set(self._unq_class_candidates.get(unq_name, ()))
 
-    def asks_about_class(self, class_fqn: str) -> bool:
-        """Whether a scan in any mode can look up this class: some record
-        lives in it by FQN or by unqualified name."""
-        return (class_fqn in self._class_candidates
-                or strip_packages(class_fqn) in self._unq_class_candidates)
-
     def asks_about_method(self, class_fqn: str, name: str, descriptor: str) -> bool:
         """Whether a scan in any mode can lift this method's body: a
         ``changed`` method record names it by FQN or by unqualified

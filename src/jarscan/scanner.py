@@ -127,16 +127,21 @@ def retrieve_dependencies(directory=None, list_file=None, command=None,
                           paths=()) -> list[str]:
     """Resolve the JARs to scan from a directory, a list file, an external
     command printing paths, or explicit paths; deduplicated, absolute.
-    Raises ValueError for a list file that is not UTF-8, a command that
-    does not split into words, or one whose output is not text."""
+    Raises ValueError for a directory that is not one, a list file that
+    cannot be read or is not UTF-8, a command that does not split into
+    words, or one whose output is not text."""
     found: list[str] = []
     if directory is not None:
+        if not Path(directory).is_dir():
+            raise ValueError(f"{directory} is not a directory")
         found.extend(str(p) for p in sorted(Path(directory).rglob("*.jar")))
     if list_file is not None:
         try:
             text = Path(list_file).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{list_file} is not UTF-8: {exc}") from None
+        except OSError as exc:
+            raise ValueError(f"cannot read {list_file}: {exc.strerror or exc}") from None
         for line in text.splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
@@ -440,8 +445,7 @@ def scan_jar_bytes(path: str, data: bytes | BinaryIO, kb: KnowledgeBase,
     """Scan the JAR ``data``: its bytes or an open seekable binary file
     (see ``parse_jar``)."""
     try:
-        archive = parse_jar(data, kb.asks_about_class, kb.asks_about_method,
-                            kb.simple_class_names)
+        archive = parse_jar(data, kb.asks_about_method, kb.simple_class_names)
     except MalformedArchive as exc:
         return JarResult(path=path, error=str(exc))
     view = JarView(archive, kb)
@@ -467,7 +471,7 @@ def scan_jar_bytes(path: str, data: bytes | BinaryIO, kb: KnowledgeBase,
 
     return JarResult(
         path=path,
-        classes=len(archive.classes) + len(archive.unparsed) + len(archive.unopened),
+        classes=len(archive.classes) + len(archive.unopened),
         parse_failures=len(archive.failures),
         findings=[findings[c] for c in sorted(findings)],
     )

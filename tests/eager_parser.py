@@ -20,11 +20,6 @@ package's decoder reads, so a layout error that is symmetric in the two
 would round-trip unseen; against this copy it shows. On any code array
 the two must raise the same ClassParseError subclass or return equal
 instruction tuples.
-
-``parse_class_header`` is the oracle for the package's header pass: the
-member and attribute walk as it was before that walk was inlined into one
-loop (a ``_skip_attributes`` call per attribute table), on this module's
-eager pool. The two must accept the same bytes with the same name.
 """
 
 from __future__ import annotations
@@ -406,47 +401,3 @@ def parse_class(data: bytes) -> ClassFile:
         constant_pool=pool,
     )
 
-
-def _skip_attributes(data: bytes, pos: int) -> int:
-    """Offset just past the attribute table (u2 count, then u2 name, u4
-    length and payload per attribute) that starts at ``pos``."""
-    n = len(data)
-    if pos + 2 > n:
-        raise TruncatedInput(f"class file ends before the attribute table at {pos}")
-    count = _U2(data, pos)[0]
-    pos += 2
-    for _ in range(count):
-        if pos + 6 > n:
-            raise TruncatedInput(f"class file ends inside an attribute at {pos}")
-        pos += 6 + _U4(data, pos + 2)[0]
-    if pos > n:
-        raise TruncatedInput("attribute runs past the end of the class file")
-    return pos
-
-
-def parse_class_header(data: bytes) -> str:
-    """Check a class file's layout without decoding it; return its dotted
-    this_class name. Walks fields, methods and attributes by length."""
-    r = _Reader(data)
-    if len(data) < 4 or r.u4() != MAGIC:
-        raise BadMagic("class file does not start with 0xCAFEBABE")
-    r.u2()  # minor
-    major = r.u2()
-    if not MIN_MAJOR <= major <= MAX_MAJOR:
-        raise UnsupportedVersion(f"class file major version {major}")
-    pool = _parse_constant_pool(r)
-    pos, n = r.pos, len(data)
-    if pos + 8 > n:
-        raise TruncatedInput("class file ends inside its class header")
-    this_idx, interface_count = struct.unpack_from(">2xH2xH", data, pos)
-    name = pool.class_name(this_idx)
-    pos += 8 + 2 * interface_count
-    for _table_name in ("fields", "methods"):
-        if pos + 2 > n:
-            raise TruncatedInput("class file ends before a member table")
-        member_count = _U2(data, pos)[0]
-        pos += 2
-        for _ in range(member_count):
-            pos = _skip_attributes(data, pos + 6)   # after access, name, descriptor
-    _skip_attributes(data, pos)
-    return name.replace("/", ".")

@@ -33,7 +33,7 @@ from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.emitter import encode_instruction
 from jarscan.classfile.model import Instruction
 from jarscan.classfile.opcodes import FORMAT_OF, LOCALS, OPCODES, WIDE
-from jarscan.classfile.parser import decode_instructions, parse_class_header
+from jarscan.classfile.parser import decode_instructions
 from jarscan.errors import (
     BadConstantPoolRef,
     BadMagic,
@@ -115,10 +115,10 @@ def test_parse_jar_duplicate_entry_reads_the_first_copy():
         for name in ("p.First", "p.Second"):
             zf.writestr("p/C.class", emit_class(ClassModel(name)))
     jar = buf.getvalue()
-    for archive in (parse_jar(jar), parse_jar(jar, wanted=lambda fqn: True)):
+    for archive in (parse_jar(jar), parse_jar(jar, stems={"C"})):
         assert [(path, cf.this_class) for path, cf in archive.classes] == \
             [("p/C.class", "p.First")]
-        assert archive.failures == [] and archive.unparsed == []
+        assert archive.failures == []
 
 
 # A Spring Boot prefix, a multi-release prefix, an inner class and the
@@ -132,10 +132,10 @@ _STEM_ENTRIES = [("BOOT-INF/classes/p/A.class", "p.A"),
 def test_parse_jar_opens_class_entries_by_stem():
     jar = write_jar([(path, emit_class(ClassModel(name)))
                      for path, name in [*_STEM_ENTRIES, ("p/Other.class", "p.Other")]])
-    archive = parse_jar(jar, lambda fqn: True, stems={"A", "B", "Outer$1", "Top"})
+    archive = parse_jar(jar, stems={"A", "B", "Outer$1", "Top"})
     assert [(path, cf.this_class) for path, cf in archive.classes] == _STEM_ENTRIES
     assert archive.unopened == ["p/Other.class"]
-    assert archive.misnamed == [] and archive.failures == [] and archive.unparsed == []
+    assert archive.misnamed == [] and archive.failures == []
 
 
 def test_parse_jar_records_a_misnamed_class(caplog):
@@ -143,14 +143,11 @@ def test_parse_jar_records_a_misnamed_class(caplog):
     and listed in ``misnamed``, and otherwise read as any other; its own
     simple name does not open it."""
     jar = write_jar([("p/Foo.class", emit_class(ClassModel("p.Bar")))])
-    full = parse_jar(jar)
-    header_only = parse_jar(jar, lambda fqn: False, stems={"Foo"})
-    assert [cf.this_class for cf in full.class_files()] == ["p.Bar"]
-    assert header_only.unparsed == [("p/Foo.class", "p.Bar")]
-    for archive in (full, header_only):
+    for archive in (parse_jar(jar), parse_jar(jar, stems={"Foo"})):
+        assert [cf.this_class for cf in archive.class_files()] == ["p.Bar"]
         assert archive.misnamed == [("p/Foo.class", "p.Bar")]
     assert "p/Foo.class holds class p.Bar" in caplog.text
-    assert parse_jar(jar, lambda fqn: True, stems={"Bar"}).unopened == ["p/Foo.class"]
+    assert parse_jar(jar, stems={"Bar"}).unopened == ["p/Foo.class"]
 
 
 def test_parse_class_bad_magic():
@@ -170,8 +167,6 @@ def test_parse_class_unsupported_version(major):
     data[6:8] = struct.pack(">H", major)
     with pytest.raises(UnsupportedVersion):
         parse_class(bytes(data))
-    with pytest.raises(UnsupportedVersion):
-        parse_class_header(bytes(data))
 
 
 def test_parse_class_version_bounds_accepted():
@@ -179,116 +174,6 @@ def test_parse_class_version_bounds_accepted():
         data = bytearray(emit_class(ClassModel("t.T")))
         data[6:8] = struct.pack(">H", major)
         assert parse_class(bytes(data)).major_version == major
-        assert parse_class_header(bytes(data))[0] == "t.T"
-
-
-# ------------------------------------------------------------- header pass
-
-def _header_agrees(data: bytes) -> bool:
-    """The header pass accepts what the header pass it replaced
-    (tests/eager_parser.py) accepts, with the same name, and rejects the
-    rest with the same ClassParseError subclass. Its checks are a subset
-    of parse_class's: whatever parse_class accepts, the header accepts
-    with the same name, and whatever the header rejects, parse_class
-    rejects. Only ClassParseError subclasses may escape any of them.
-    Returns whether the header accepted."""
-    name = _outcome(lambda d: parse_class_header(d)[0], data)
-    assert name == _outcome(eager_parser.parse_class_header, data)
-    full = _outcome(lambda d: parse_class(d).this_class, data)
-    if isinstance(full, str):
-        assert name == full
-    return isinstance(name, str)
-
-
-def _random_class(seed: int) -> bytes:
-    rng = random.Random(seed)
-    methods = [default_constructor()]
-    for k in range(rng.randint(1, 3)):
-        params = rng.randint(1, 3)
-        methods.append(MethodModel(f"m{k}", "(" + "I" * params + ")I", 0x09,
-                                   code=random_int_method(rng, params=params)))
-    fields = [FieldModel(f"f{k}", rng.choice(["I", "J", "Ljava/lang/String;"]))
-              for k in range(rng.randint(0, 3))]
-    return emit_class(ClassModel(f"rnd.p{seed % 7}.H{seed}", fields=fields,
-                                 methods=methods))
-
-
-def _with_class_attribute(data: bytes) -> bytes:
-    """Replace the emitter's empty class-attribute table with one opaque
-    attribute, as javac's SourceFile would be."""
-    assert data.endswith(b"\x00\x00")
-    return data[:-2] + struct.pack(">HHI", 1, 1, 4) + b"\x00\x01\x02\x03"
-
-
-def test_header_sound_on_every_truncation_prefix(corpus):
-    blobs = [b for cve in corpus.cve_ids
-             for side in (corpus.pre_classes, corpus.post_classes)
-             for _n, b in side[cve]]
-    blobs.append(_handcrafted_switch_class())
-    blobs.append(_with_class_attribute(_handcrafted_switch_class()))
-    for data in blobs:
-        assert _header_agrees(data)
-        for cut in range(len(data)):
-            assert not _header_agrees(data[:cut])
-
-
-def _pool_layout(data: bytes) -> tuple[list[int], int]:
-    """Offsets of the constant-pool tag bytes of a well-formed class, and
-    the offset just past the pool."""
-    count = struct.unpack_from(">H", data, 8)[0]
-    tags, pos, index = [], 10, 1
-    while index < count:
-        tags.append(pos)
-        tag = data[pos]
-        if tag == 1:
-            pos += 3 + struct.unpack_from(">H", data, pos + 1)[0]
-        else:
-            pos += {5: 9, 6: 9, 7: 3, 8: 3, 15: 4, 16: 3, 19: 3, 20: 3}.get(tag, 5)
-        index += 2 if tag in (5, 6) else 1
-    return tags, pos
-
-
-@pytest.mark.parametrize("bad_tag", [0, 2, 13, 14, 21, 255])
-def test_header_rejects_bad_pool_tags(bad_tag):
-    data = emit_class(_listing1_class())
-    for offset in _pool_layout(data)[0]:
-        mutated = bytearray(data)
-        mutated[offset] = bad_tag
-        assert not _header_agrees(bytes(mutated))
-
-
-def test_header_rejects_this_class_not_a_class_entry():
-    data = bytearray(emit_class(ClassModel("t.T")))
-    tags, pool_end = _pool_layout(bytes(data))
-    this_at = pool_end + 2                          # after access_flags
-    utf8_index = next(i for i, off in enumerate(tags, 1) if data[off] == 1)
-    for bad_index in (0, utf8_index, 0xFFFF):
-        data[this_at:this_at + 2] = struct.pack(">H", bad_index)
-        with pytest.raises(BadConstantPoolRef):
-            parse_class_header(bytes(data))
-        assert not _header_agrees(bytes(data))
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-def test_header_sound_on_generated_classes(seed):
-    assert _header_agrees(_random_class(seed))
-    assert _header_agrees(_random_ref_class(seed))
-
-
-@given(st.integers(min_value=0, max_value=10_000),
-       st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
-                min_size=1, max_size=4))
-def test_header_sound_on_mutated_classes(seed, edits):
-    """Edits anywhere, and edits past the constant pool only, where the
-    member and attribute tables are."""
-    data = _with_class_attribute(_random_class(seed))
-    pool_end = _pool_layout(data)[1]
-    anywhere, tables = bytearray(data), bytearray(data)
-    for pos, byte in edits:
-        anywhere[pos % len(data)] = byte
-        tables[pool_end + pos % (len(data) - pool_end)] = byte
-    _header_agrees(bytes(anywhere))
-    _header_agrees(bytes(tables))
 
 
 # ------------------------------------------------- the eager parser, as oracle
@@ -324,6 +209,19 @@ def _same_as_eager(data: bytes) -> bool:
     return True
 
 
+def _random_class(seed: int) -> bytes:
+    rng = random.Random(seed)
+    methods = [default_constructor()]
+    for k in range(rng.randint(1, 3)):
+        params = rng.randint(1, 3)
+        methods.append(MethodModel(f"m{k}", "(" + "I" * params + ")I", 0x09,
+                                   code=random_int_method(rng, params=params)))
+    fields = [FieldModel(f"f{k}", rng.choice(["I", "J", "Ljava/lang/String;"]))
+              for k in range(rng.randint(0, 3))]
+    return emit_class(ClassModel(f"rnd.p{seed % 7}.H{seed}", fields=fields,
+                                 methods=methods))
+
+
 def _random_ref_class(seed: int) -> bytes:
     """A class of randgen methods that name classes, members, strings and
     catch types, so its pool holds every kind the emitter writes."""
@@ -332,10 +230,56 @@ def _random_ref_class(seed: int) -> bytes:
         random_ref_method(rng, f"f{i}") for i in range(rng.randint(1, 3))]))
 
 
+def _with_class_attribute(data: bytes) -> bytes:
+    """Replace the emitter's empty class-attribute table with one opaque
+    attribute, as javac's SourceFile would be."""
+    assert data.endswith(b"\x00\x00")
+    return data[:-2] + struct.pack(">HHI", 1, 1, 4) + b"\x00\x01\x02\x03"
+
+
+def _pool_layout(data: bytes) -> tuple[list[int], int]:
+    """Offsets of the constant-pool tag bytes of a well-formed class, and
+    the offset just past the pool."""
+    count = struct.unpack_from(">H", data, 8)[0]
+    tags, pos, index = [], 10, 1
+    while index < count:
+        tags.append(pos)
+        tag = data[pos]
+        if tag == 1:
+            pos += 3 + struct.unpack_from(">H", data, pos + 1)[0]
+        else:
+            pos += {5: 9, 6: 9, 7: 3, 8: 3, 15: 4, 16: 3, 19: 3, 20: 3}.get(tag, 5)
+        index += 2 if tag in (5, 6) else 1
+    return tags, pos
+
+
 def _corpus_blobs(corpus) -> list[bytes]:
     return [b for cve in corpus.cve_ids
             for side in (corpus.pre_classes, corpus.post_classes)
             for _n, b in side[cve]]
+
+
+@pytest.mark.parametrize("bad_tag", [0, 2, 13, 14, 21, 255])
+def test_header_rejects_bad_pool_tags(bad_tag):
+    """An unknown tag at any constant-pool entry is rejected, as the eager
+    parser rejects it."""
+    data = emit_class(_listing1_class())
+    for offset in _pool_layout(data)[0]:
+        mutated = bytearray(data)
+        mutated[offset] = bad_tag
+        assert not _same_as_eager(bytes(mutated))
+
+
+def test_header_rejects_this_class_not_a_class_entry():
+    data = bytearray(emit_class(ClassModel("t.T")))
+    tags, pool_end = _pool_layout(bytes(data))
+    this_at = pool_end + 2                          # after access_flags
+    utf8_index = next(i for i, off in enumerate(tags, 1) if data[off] == 1)
+    for bad_index in (0, utf8_index, 0xFFFF):
+        data[this_at:this_at + 2] = struct.pack(">H", bad_index)
+        with pytest.raises(BadConstantPoolRef):
+            parse_class(bytes(data))
+        assert not _same_as_eager(bytes(data))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -345,7 +289,8 @@ def test_parser_matches_eager_on_generated_classes(seed):
 
 
 def test_parser_matches_eager_on_every_truncation_prefix(corpus):
-    blobs = _corpus_blobs(corpus) + [_with_class_attribute(_handcrafted_switch_class())]
+    blobs = _corpus_blobs(corpus) + [_handcrafted_switch_class(),
+                                     _with_class_attribute(_handcrafted_switch_class())]
     for data in blobs:
         assert _same_as_eager(data)
         for cut in range(len(data)):
@@ -356,12 +301,21 @@ def test_parser_matches_eager_on_every_truncation_prefix(corpus):
        st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
                 min_size=1, max_size=4))
 def test_parser_matches_eager_on_mutated_classes(corpus, seed, edits):
+    """Edits anywhere in a generated or corpus class, and edits past the
+    constant pool only, where the member and attribute tables are, of a
+    generated class with a class-level attribute."""
     blobs = _corpus_blobs(corpus)
     for data in (_random_ref_class(seed), blobs[seed % len(blobs)]):
         data = bytearray(data)
         for pos, byte in edits:
             data[pos % len(data)] = byte
         _same_as_eager(bytes(data))
+    data = _with_class_attribute(_random_class(seed))
+    pool_end = _pool_layout(data)[1]
+    tables = bytearray(data)
+    for pos, byte in edits:
+        tables[pool_end + pos % (len(data) - pool_end)] = byte
+    _same_as_eager(bytes(tables))
 
 
 def _jdk_jmod(module: str) -> Path | None:
@@ -387,7 +341,6 @@ def test_parser_matches_eager_on_jdk_classes():
         for name in names:
             data = zf.read(name)
             assert _same_as_eager(data), name
-            assert parse_class_header(data)[0] == eager_parser.parse_class_header(data), name
 
 
 def test_decoder_matches_reference_on_damaged_jdk_code(monkeypatch):
@@ -503,8 +456,8 @@ def test_jdk_classes_are_stored_under_their_own_names(corpus, corpus_kb):
     if jmod is None:
         pytest.skip("no JDK with jmods/java.base.jmod")
     data = jmod.read_bytes()         # a zip behind a 4-byte header
-    archive = parse_jar(data, lambda fqn: False)
-    assert len(archive.unparsed) > 6000 and not archive.failures
+    archive = parse_jar(data, wanted_body=lambda *_: False)
+    assert len(archive.classes) > 6000 and not archive.failures
     assert archive.misnamed == []
 
     kb = KnowledgeBase(records={**corpus_kb.records, "CVE-JDK": [
@@ -519,7 +472,7 @@ def test_jdk_classes_are_stored_under_their_own_names(corpus, corpus_kb):
         result = scan_jar_bytes("java.base.jmod", data, kb, config)
         return report_to_json(ScanReport(config, [result]))
 
-    assert parse_jar(data, kb.asks_about_class, stems=kb.simple_class_names).unopened
+    assert parse_jar(data, stems=kb.simple_class_names).unopened
     prefiltered = report()
     kb.simple_class_names = None         # open every entry
     assert prefiltered == report()

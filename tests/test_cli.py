@@ -180,6 +180,48 @@ def test_scan_env_overrides(tmp_path, corpus, kb_file, capsys, monkeypatch):
     assert report["config"]["theta_pt"] == 0.9
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+def test_scan_threshold_outside_unit_interval_exit_2(kb_file, capsys, monkeypatch,
+                                                     value, via):
+    """A threshold that is not a finite number in [0, 1] would write a
+    report that is not JSON (NaN) or fails the schema; it is refused."""
+    argv = ["scan", "--kb", str(kb_file), "--format", "json"]
+    if via == "flag":
+        argv += ["--theta-ct", value]
+    else:
+        monkeypatch.setenv("JARSCAN_THETA_CT", value)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --theta-ct (JARSCAN_THETA_CT) must be a number in [0, 1]")
+
+
+def test_scan_threshold_bounds_accepted(tmp_path, corpus, kb_file, capsys):
+    paths = _write_jars(corpus, tmp_path, "post_jars")[:1]
+    for bound in ("0", "1"):
+        rc = main(["scan", "--kb", str(kb_file), "--format", "json", "--theta-pt", bound,
+                   "--theta-cc", bound, "--theta-ct", bound, *paths])
+        assert rc in (0, 3)
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["config"]["theta_cc"] == float(bound)
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "full-device"])
+def test_scan_unwritable_out_exit_2(tmp_path, corpus, kb_file, capsys, where):
+    paths = _write_jars(corpus, tmp_path, "post_jars")[:1]
+    if where == "missing-dir":
+        out, reason = tmp_path / "nonexistent" / "r.json", "No such file or directory"
+    else:
+        out, reason = Path("/dev/full"), "No space left on device"
+        if not out.exists():
+            pytest.skip("no /dev/full")
+    assert main(["scan", "--kb", str(kb_file), "--format", "json", "--out", str(out),
+                 *paths]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
 def test_scan_unknown_flag_exit_2(kb_file):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--kb", str(kb_file), "--definitely-not-a-flag"])
@@ -238,6 +280,23 @@ def test_scan_list_not_utf8_exit_2(tmp_path, kb_file, capsys):
     assert f"error: {listing} is not UTF-8: " in capsys.readouterr().err
 
 
+def test_scan_missing_list_exit_2(tmp_path, kb_file, capsys):
+    listing = tmp_path / "missing.txt"
+    assert main(["scan", "--kb", str(kb_file), "--list", str(listing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {listing}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_scan_dir_that_is_not_a_directory_exit_2(tmp_path, kb_file, capsys, kind):
+    """A mistyped --dir is an input error, not a clean scan of no JARs."""
+    target = tmp_path / "jars"
+    if kind == "file":
+        target.write_bytes(b"")
+    assert main(["scan", "--kb", str(kb_file), "--dir", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {target} is not a directory\n"
+
+
 def test_scan_every_jar_failed_exit_1(tmp_path, kb_file, capsys):
     bad = tmp_path / "bad.jar"
     bad.write_bytes(b"not a zip at all")
@@ -254,10 +313,12 @@ def test_scan_some_jars_failed_keeps_verdict_exit_code(tmp_path, corpus, kb_file
     assert rc == 3
 
 
-def test_scan_no_jars_exit_0(kb_file, capsys):
-    rc = main(["scan", "--kb", str(kb_file), "--format", "json"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["jars"] == []
+def test_scan_no_jars_exit_0(tmp_path, kb_file, capsys):
+    (tmp_path / "empty").mkdir()
+    for given in ([], ["--dir", str(tmp_path / "empty")]):
+        rc = main(["scan", "--kb", str(kb_file), "--format", "json", *given])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["jars"] == []
 
 
 # -------------------------------------------------------------------- modify

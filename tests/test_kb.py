@@ -804,9 +804,10 @@ def test_asks_about_method_only_for_changed_method_records():
 def test_simple_class_names_hold_every_class_the_kb_asks_about():
     """Over every name of up to five characters from an alphabet with a
     non-ASCII letter and a character outside Java identifiers, a class
-    asks_about_class accepts has a simple name in simple_class_names,
-    where strip_packages leaves a package in ("\xe9.F") or cuts one out of
-    the middle of a name ("-a.F" strips to "-F")."""
+    a scan can look up (some record lives in it by FQN or by unqualified
+    name) has a simple name in simple_class_names, where strip_packages
+    leaves a package in ("\xe9.F") or cuts one out of the middle of a
+    name ("-a.F" strips to "-F")."""
     by_stripped = {}
     for name in ("".join(chars) for n in range(1, 6)
                  for chars in itertools.product("aF\xe9.-$", repeat=n)):
@@ -817,7 +818,8 @@ def test_simple_class_names_hold_every_class_the_kb_asks_about():
             kb = KnowledgeBase(records={"CVE-X": [ConstructRecord(
                 ConstructId("class", cls, strip_packages(cls)), "removed", None)]})
             for fqn in group:
-                assert kb.asks_about_class(fqn)
+                assert (kb.candidate_cves_for_class(fqn)
+                        or kb.candidate_cves_for_unqualified_class(strip_packages(fqn)))
                 assert fqn.rpartition(".")[2] in kb.simple_class_names, (cls, fqn)
                 checked += fqn.rpartition(".")[2] != cls.rpartition(".")[2]
     assert checked > 100            # pairs whose simple names differ

@@ -637,9 +637,8 @@ def _report_bytes(paths, kb) -> str:
 
 def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch):
     """Class entries whose stem no KB record's class can have are not
-    opened, other classes no KB record names are only header-checked, and
-    only the bodies of methods a changed record names are decoded; with
-    every entry opened and every class and method body fully parsed
+    opened, and only the bodies of methods a changed record names are
+    decoded; with every entry opened and every method body decoded
     instead, the report is byte-identical."""
     jars = {}
     for cve in corpus.cve_ids:
@@ -656,16 +655,12 @@ def test_lazy_scan_report_matches_eager(corpus, corpus_kb, tmp_path, monkeypatch
         paths.append(str(p))
     partial_kb = KnowledgeBase(records={c: corpus_kb.records[c]
                                         for c in corpus.cve_ids[:5]})
-    assert parse_jar(jars["pre_jars-kind2"], partial_kb.asks_about_class).unparsed
-    assert parse_jar(jars["pre_jars-kind2"], partial_kb.asks_about_class,
-                     stems=partial_kb.simple_class_names).unopened
-    lazy_archive = parse_jar(jars["pre_jars-kind2"], corpus_kb.asks_about_class,
-                             corpus_kb.asks_about_method)
+    assert parse_jar(jars["pre_jars-kind2"], stems=partial_kb.simple_class_names).unopened
+    lazy_archive = parse_jar(jars["pre_jars-kind2"], corpus_kb.asks_about_method)
     assert any(m.code is UNDECODED for cf in lazy_archive.class_files()
                for m in cf.methods)
 
     lazy = [_report_bytes(paths, kb) for kb in (corpus_kb, partial_kb)]
-    monkeypatch.setattr(KnowledgeBase, "asks_about_class", lambda self, fqn: True)
     monkeypatch.setattr(KnowledgeBase, "asks_about_method",
                         lambda self, cls, name, desc: True)
     for kb in (corpus_kb, partial_kb):
@@ -721,8 +716,8 @@ def test_recorded_bodies_are_not_lifted(corpus, variant_jars, corpus_kb,
 
 
 def _with_broken_descriptor(model: ClassModel) -> bytes:
-    """Emit the class, then corrupt its marker method's descriptor: the
-    header pass still accepts the bytes, parse_class does not."""
+    """Emit the class, then corrupt its marker method's descriptor, which
+    parse_class rejects."""
     data = emit_class(model)
     assert data.count(b"(Lzz/Mark;)V") == 1
     return data.replace(b"(Lzz/Mark;)V", b"(Lzz/Mark;)Q")
@@ -749,7 +744,7 @@ def test_malformed_class_counts_by_candidacy():
         (class_entry_path("mal.B"), emit_class(klass("mal.B", "iconst_1"))),
         (class_entry_path("other.Util"), _with_broken_descriptor(klass("other.Util", "iconst_1"))),
     ])
-    assert kb.asks_about_class("mal.A") and not kb.asks_about_class("other.Util")
+    assert kb.candidate_cves_for_class("mal.A") and not kb.candidate_cves_for_class("other.Util")
     assert "Util" not in kb.simple_class_names
     assert len(parse_jar(jar).failures) == 2           # eager: both fail
 
@@ -759,6 +754,31 @@ def test_malformed_class_counts_by_candidacy():
     reasons = {v.fqn: v.reason for v in finding.constructs}
     assert reasons["mal.A: int run(int)"] == "declaring class not in archive"
     assert reasons["mal.B: int run(int)"] is None      # matched on triplets
+
+
+@pytest.mark.parametrize("path, name", [
+    ("other/A.class", "other.Util"),    # misnamed: stored under a KB class's stem
+    ("q/Foo.class", "q.Foo"),           # "Foo" is a tail of the KB class "x-Foo"
+])
+def test_opened_class_no_record_names_is_fully_parsed(path, name):
+    """An opened class no KB record names is parsed like a class the KB
+    names, so a bad descriptor in it is a parse failure, not a class."""
+    def klass(cls_name):
+        return ClassModel(cls_name, methods=[
+            default_constructor(), MethodModel("mark", "(Lzz/Mark;)V", 0x09, code=["return"])])
+
+    kb = KnowledgeBase(records={"CVE-TEST": [
+        ConstructRecord(ConstructId("class", cls, strip_packages(cls)), "removed", None)
+        for cls in ("mal.A", "x-Foo")]})
+    assert path.rpartition("/")[2][:-6] in kb.simple_class_names
+    assert not (kb.candidate_cves_for_class(name)
+                or kb.candidate_cves_for_unqualified_class(strip_packages(name)))
+    jar = write_jar([(path, _with_broken_descriptor(klass(name)))])
+    res = scan_jar_bytes("odd.jar", jar, kb, ScanConfig())
+    assert (res.classes, res.parse_failures) == (0, 1)
+    good = scan_jar_bytes("odd.jar", write_jar([(path, emit_class(klass(name)))]),
+                          kb, ScanConfig())
+    assert (good.classes, good.parse_failures) == (1, 0)
 
 
 @pytest.mark.parametrize("kb_name, jar_name, mode", [
@@ -778,7 +798,8 @@ def test_class_under_an_odd_name_is_opened_and_flagged(kb_name, jar_name, mode):
     records = build_entry("CVE-ODD", [parse_class(emit_class(klass(kb_name, 4661)))],
                           [parse_class(emit_class(klass(kb_name, 4662)))])
     kb = KnowledgeBase(records={"CVE-ODD": records})
-    assert kb.asks_about_class(jar_name)
+    assert (kb.candidate_cves_for_class(jar_name)
+            or kb.candidate_cves_for_unqualified_class(strip_packages(jar_name)))
     jar = write_jar([(class_entry_path(jar_name), emit_class(klass(jar_name, 4661)))])
     assert not parse_jar(jar, stems=kb.simple_class_names).unopened
     res = scan_jar_bytes("odd.jar", jar, kb, ScanConfig())
@@ -880,7 +901,7 @@ def test_broken_body_counts_by_whether_a_record_names_it():
 
 def test_undecoded_body_raises_when_read(corpus):
     jar = corpus.pre_jars["CVE-9000-0002"]
-    archive = parse_jar(jar, lambda fqn: True, lambda cls, name, desc: False)
+    archive = parse_jar(jar, lambda cls, name, desc: False)
     [cf] = archive.class_files()
     token = next(m for m in cf.methods if m.name == "token")
     assert token.code is UNDECODED and token.code is not None
