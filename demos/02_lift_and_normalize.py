@@ -7,6 +7,7 @@ After normalization both variants print byte-identical IR.
 """
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
+from jarscan.classfile.model import resolved_code
 from jarscan.ir import dump, lift
 from jarscan.normalize import normalize
 
@@ -30,7 +31,7 @@ VARIANT_B = [
 def lift_variant(code):
     model = ClassModel("demo.V", methods=[MethodModel("f", "(I)I", 0x09, code=code)])
     cf = parse_class(emit_class(model))
-    return lift(cf.methods[0].code, "(I)I", True, cf.constant_pool)
+    return lift(resolved_code(cf.methods[0], cf.constant_pool))
 
 
 for name, code in (("variant A", VARIANT_A), ("variant B", VARIANT_B)):

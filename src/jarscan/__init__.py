@@ -9,7 +9,8 @@ package-relocated JARs alike.
 High-level entry points:
 
     parse_jar / parse_class      decode archives and class files
-    lift / normalize             bytecode -> canonical register IR
+    lift / normalize             pool-resolved code (``resolved_code``)
+                                 -> canonical register IR
     method_triplets / diff       fix signatures from pre/post methods
     build_entry / save / load    knowledge-base lifecycle
     scan / ScanConfig            stage-2 scanning

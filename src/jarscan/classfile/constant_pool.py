@@ -50,7 +50,7 @@ TAG_NAMES = {
 WIDE_TAGS = frozenset({TAG_LONG, TAG_DOUBLE})
 
 _UTF8_REF = frozenset({TAG_UTF8})
-_MEMBER_TAGS = frozenset({TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF})
+MEMBER_TAGS = frozenset({TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF})
 _MEMBER_REF = (frozenset({TAG_CLASS}), frozenset({TAG_NAME_AND_TYPE}))
 _BOOTSTRAP_REF = (None, frozenset({TAG_NAME_AND_TYPE}))
 
@@ -67,7 +67,7 @@ _REFERENCES = {
     TAG_FIELDREF: _MEMBER_REF,
     TAG_METHODREF: _MEMBER_REF,
     TAG_INTERFACE_METHODREF: _MEMBER_REF,
-    TAG_METHOD_HANDLE: (None, _MEMBER_TAGS),
+    TAG_METHOD_HANDLE: (None, MEMBER_TAGS),
     TAG_DYNAMIC: _BOOTSTRAP_REF,
     TAG_INVOKE_DYNAMIC: _BOOTSTRAP_REF,
 }
@@ -197,45 +197,49 @@ class ConstantPool:
         """Internal binary name of a Class entry ("a/b/C" or array descriptor)."""
         return self.utf8(self._read(index, TAG_CLASS)[1])
 
-    def name_and_type(self, index: int) -> tuple[str, str]:
-        name_idx, desc_idx = self._read(index, TAG_NAME_AND_TYPE)[1]
-        return self.utf8(name_idx), self.utf8(desc_idx)
 
-    def member_ref(self, index: int) -> tuple[str, str, str]:
-        """(owner internal name, member name, descriptor) for any *ref entry."""
-        tag, value = self._read(index)
-        if tag not in (TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF):
-            raise BadConstantPoolRef(
-                f"constant pool index {index}: expected a member ref, "
-                f"found {TAG_NAMES.get(tag, tag)}"
-            )
-        class_idx, nat_idx = value
-        name, desc = self.name_and_type(nat_idx)
-        return self.class_name(class_idx), name, desc
+# Readers of the entries ``ConstantPool.resolve`` returns: the one place
+# that knows their nested shape. Each raises BadConstantPoolRef for an
+# entry of a kind it does not read.
 
-    def invoke_dynamic(self, index: int) -> tuple[int, str, str]:
-        """(bootstrap index, name, descriptor) of an InvokeDynamic entry."""
-        bsm_idx, nat_idx = self._read(index, TAG_INVOKE_DYNAMIC)[1]
-        name, desc = self.name_and_type(nat_idx)
-        return bsm_idx, name, desc
+# ldc operand kinds by tag; any other tag is "other".
+_LOADABLE = {TAG_INTEGER: "int", TAG_LONG: "long", TAG_FLOAT: "float",
+             TAG_DOUBLE: "double", TAG_STRING: "string", TAG_CLASS: "class"}
 
-    def loadable(self, index: int) -> tuple[str, object]:
-        """Decode an ldc/ldc_w/ldc2_w operand to (kind, value).
 
-        kind is one of int/long/float/double/string/class; MethodType,
-        MethodHandle and Dynamic entries come back as ("other", tag).
-        """
-        tag, value = self._read(index)
-        if tag == TAG_INTEGER:
-            return "int", value
-        if tag == TAG_LONG:
-            return "long", value
-        if tag == TAG_FLOAT:
-            return "float", value
-        if tag == TAG_DOUBLE:
-            return "double", value
-        if tag == TAG_STRING:
-            return "string", self.utf8(value)
-        if tag == TAG_CLASS:
-            return "class", self.utf8(value)
-        return "other", tag
+def _payload(entry: tuple, tags, expected: str):
+    if entry[0] not in tags:
+        raise BadConstantPoolRef(
+            f"expected {expected}, found {TAG_NAMES.get(entry[0], entry[0])}")
+    return entry[1]
+
+
+def resolved_class(entry: tuple) -> str:
+    """Internal binary name ("a/b/C" or an array descriptor) of a resolved
+    Class entry."""
+    return _payload(entry, (TAG_CLASS,), "Class")[0][1]
+
+
+def resolved_member(entry: tuple, indy: bool = False) -> tuple[object, str, str]:
+    """(owner, name, descriptor) of a resolved Fieldref, Methodref or
+    InterfaceMethodref, the owner being its class's internal name; with
+    ``indy``, (bootstrap method index, name, descriptor) of a resolved
+    InvokeDynamic."""
+    owner, (_, ((_, name), (_, desc))) = (
+        _payload(entry, (TAG_INVOKE_DYNAMIC,), "InvokeDynamic") if indy
+        else _payload(entry, MEMBER_TAGS, "a member ref"))
+    return (owner if indy else resolved_class(owner)), name, desc
+
+
+def resolved_loadable(entry: tuple) -> tuple[str, object]:
+    """A resolved ldc/ldc_w/ldc2_w operand as (kind, value): kind is one of
+    int/long/float/double/string/class, a class's value being its internal
+    name; MethodType, MethodHandle and Dynamic entries come back as
+    ("other", tag)."""
+    tag, value = entry
+    kind = _LOADABLE.get(tag, "other")
+    if kind in ("float", "double"):
+        value = struct.unpack(">d", value)[0]
+    elif kind in ("string", "class"):
+        value = value[0][1]
+    return kind, tag if kind == "other" else value

@@ -17,9 +17,12 @@ from .descriptors import method_signature
 if TYPE_CHECKING:    # model imports strip_packages from here
     from .model import ClassFile
 
+# One package or class name segment, as strip_packages reads names.
+SEGMENT = r"[A-Za-z_$][\w$]*"
+
 # A package prefix: one or more dot-terminated identifier segments that are
 # not preceded by another identifier char or a dot (i.e. token starts only).
-_PACKAGE_PREFIX = re.compile(r"(?<![\w$.])(?:[A-Za-z_$][\w$]*\.)+(?=[A-Za-z_$])")
+_PACKAGE_PREFIX = re.compile(rf"(?<![\w$.])(?:{SEGMENT}\.)+(?=[A-Za-z_$])")
 
 
 def strip_packages(text: str) -> str:

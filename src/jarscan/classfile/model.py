@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..errors import ClassParseError, CodeNotDecoded
-from .constant_pool import (TAG_CLASS, TAG_FIELDREF, TAG_INTERFACE_METHODREF,
-                            TAG_INVOKE_DYNAMIC, TAG_METHODREF, ConstantPool)
+from .constant_pool import (MEMBER_TAGS, TAG_CLASS, TAG_FIELDREF, TAG_INVOKE_DYNAMIC,
+                            ConstantPool, resolved_class, resolved_member)
 from .constructs import strip_packages
 from .descriptors import method_signature, parse_method_descriptor, render_type
 from .opcodes import FORMAT_OF
@@ -113,11 +113,12 @@ def resolved_code(method: MethodInfo, pool: ConstantPool) -> tuple | None:
     The key holds the descriptor, ``is_static``, the exception table as
     (start, end, handler, catch type) tuples and, per instruction,
     (offset, mnemonic, operands) with each pool operand resolved by
-    ``ConstantPool.resolve``: every input lifting reads, and nothing else
-    (not ``max_stack`` or ``max_locals``). Two methods with equal keys
-    lift to the same IR even when their pools are laid out differently.
-    None for a method without code. Raises BadConstantPoolRef when a pool
-    operand does not resolve.
+    ``ConstantPool.resolve``. It is lifting's only input (``lift`` takes
+    it and nothing else; not ``max_stack``, ``max_locals`` or the pool),
+    so two methods with equal keys lift to the same IR even when their
+    pools are laid out differently. None for a method without code.
+    Raises BadConstantPoolRef when a pool operand does not resolve, even
+    in unreachable code: such a body has no key and does not lift.
     """
     code = method.code
     if code is None:
@@ -143,8 +144,8 @@ def key_digest(key: tuple) -> str:
 
 
 def code_digest(method: MethodInfo, pool: ConstantPool) -> str | None:
-    """The ``key_digest`` of ``resolved_code``: equal digests lift to
-    equal IR, independent of the declaring class's name. None for a
+    """The ``key_digest`` of ``resolved_code``: equal digests are equal
+    lifting inputs, so equal IR, independent of the declaring class's name. None for a
     method without code; raises BadConstantPoolRef as ``resolved_code``
     does."""
     key = resolved_code(method, pool)
@@ -158,8 +159,6 @@ STRING_BUILDERS = ("java.lang.StringBuilder", "java.lang.StringBuffer")
 # Internal class names a stripped key can stand for: slash-separated
 # identifier segments, so no name can run into a label's separators.
 _PLAIN_NAME = re.compile(r"[\w$]+(?:/[\w$]+)*")
-
-_MEMBER_TAGS = frozenset({TAG_FIELDREF, TAG_METHODREF, TAG_INTERFACE_METHODREF})
 
 # Class operands lifting shows as a type ("a.b.C[]"), where an array class
 # is otherwise shown as its descriptor with dots ("[La.b.C;").
@@ -229,21 +228,22 @@ class _Stripper:
         """One ``ConstantPool.resolve`` operand. Lifting reads a class, a
         member's owner, name and descriptor, or an invokedynamic's name and
         descriptor; other constants stay as they are."""
-        tag, value = entry
+        tag = entry[0]
         if tag == TAG_CLASS:
-            return tag, self.class_ref(value[0][1], rendered)
-        if tag in _MEMBER_TAGS:
-            (_, ((_, owner),)), (_, ((_, name), (_, desc))) = value
+            return tag, self.class_ref(resolved_class(entry), rendered)
+        if tag in MEMBER_TAGS:
+            owner, name, desc = resolved_member(entry)
             typ = self.field_type(desc) if tag == TAG_FIELDREF else self.descriptor(desc)
             return tag, self.class_ref(owner, False), name, typ
         if tag == TAG_INVOKE_DYNAMIC:
-            bootstrap, (_, ((_, name), (_, desc))) = value
+            bootstrap, name, desc = resolved_member(entry, indy=True)
             return tag, bootstrap, name, self.descriptor(desc)
         return entry
 
 
 def stripped_code(key: tuple) -> tuple | None:
-    """A ``resolved_code`` key made invariant under package relocation.
+    """A ``resolved_code`` key, which is lifting's input, made invariant
+    under package relocation.
 
     Every class name, whether a Class constant, a member's owner, a catch
     type or inside a descriptor, becomes the text its CPG label carries
@@ -253,9 +253,9 @@ def stripped_code(key: tuple) -> tuple | None:
     member names stay verbatim. So the key strips no more than
     ``unqualify`` strips from labels: two bodies with equal stripped keys
     differ by a one-to-one renaming of classes that ``strip_packages``
-    cannot see, and lift to triplet sets with equal ``unqualify``. None
-    when a class name is not plain identifier segments or a method
-    descriptor does not parse.
+    cannot see. Lifting reads nothing but the key, so the two lift to
+    triplet sets with equal ``unqualify``. None when a class name is not
+    plain identifier segments or a method descriptor does not parse.
     """
     desc, is_static, handlers, instructions = key
     stripper = _Stripper()

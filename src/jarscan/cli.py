@@ -11,8 +11,10 @@ modification harness). Exit codes are a stable contract:
             threshold outside [0, 1], a --dir that is not a directory, a
             --list file that cannot be read or is not UTF-8 and a --command
             that does not split into words)
-  modify:   0 written, 1 relocation collision or bad input, 2 usage,
-            unreadable input or unwritable output
+  modify:   0 written, 1 relocation collision or bad input (including an
+            input that is not a ZIP archive), 2 usage (including a type 4
+            --prefix that is not dot-separated identifiers), unreadable
+            input or unwritable output
 
 Threshold flags override the shipped defaults; every flag mirrors an
 environment variable with the JARSCAN_ prefix (e.g. JARSCAN_THETA_PT).
@@ -21,14 +23,18 @@ environment variable with the JARSCAN_ prefix (e.g. JARSCAN_THETA_PT).
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import logging
 import os
+import re
 import sys
+import zipfile
 from pathlib import Path
 
 from . import __version__
+from .classfile.constructs import SEGMENT
 from .errors import JarscanError, KbFormatError, RelocationCollision
 from .kb import build_from_manifest, load as load_kb, save as save_kb
 from .scanner import (
@@ -43,18 +49,9 @@ from .scanner import (
     scan,
 )
 
-log = logging.getLogger("jarscan")
-
-
-def _env_default(name: str, fallback, cast=float):
-    raw = os.environ.get(f"JARSCAN_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        log.warning("ignoring bad JARSCAN_%s=%r", name, raw)
-        return fallback
+# A type 4 --prefix: dot-separated segments, each one that strip_packages
+# strips, so relocated classes stay matchable; the final dot is optional.
+_PREFIX = re.compile(rf"{SEGMENT}(?:\.{SEGMENT})*\.?")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,14 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--dir", help="directory searched recursively for *.jar")
     sc.add_argument("--list", dest="list_file", help="text file of JAR paths")
     sc.add_argument("--command", help="external command whose stdout lists JAR paths")
-    sc.add_argument("--mode", default=_env_default("MODE", "default,repack", str),
+    sc.add_argument("--mode", default=os.environ.get("JARSCAN_MODE", "default,repack"),
                     help="comma-separated subset of: default,repack")
-    sc.add_argument("--theta-pt", type=float,
-                    default=_env_default("THETA_PT", DEFAULT_THETA_PT))
-    sc.add_argument("--theta-cc", type=float,
-                    default=_env_default("THETA_CC", DEFAULT_THETA_CC))
-    sc.add_argument("--theta-ct", type=float,
-                    default=_env_default("THETA_CT", DEFAULT_THETA_CT))
+    # Thresholds stay text here; cmd_scan reads and checks them.
+    for name, default in (("PT", DEFAULT_THETA_PT), ("CC", DEFAULT_THETA_CC),
+                          ("CT", DEFAULT_THETA_CT)):
+        sc.add_argument(f"--theta-{name.lower()}",
+                        default=os.environ.get(f"JARSCAN_THETA_{name}", default))
     sc.add_argument("--format", choices=("json", "table"), default="table")
     sc.add_argument("--out", help="write the report here instead of stdout")
 
@@ -143,12 +139,18 @@ def cmd_scan(args) -> int:
     if bad or not modes:
         print(f"error: unknown mode(s) {bad}", file=sys.stderr)
         return 2
+    thresholds = {}
     for name in ("theta_pt", "theta_cc", "theta_ct"):
-        value = getattr(args, name)
+        raw = getattr(args, name)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = float("nan")
         if not 0 <= value <= 1:             # false for NaN too
             print(f"error: --{name.replace('_', '-')} (JARSCAN_{name.upper()}) "
-                  f"must be a number in [0, 1], not {value}", file=sys.stderr)
+                  f"must be a number in [0, 1], not {raw}", file=sys.stderr)
             return 2
+        thresholds[name] = value
     try:
         kb = load_kb(args.kb)
     except (OSError, KbFormatError) as exc:
@@ -167,8 +169,7 @@ def cmd_scan(args) -> int:
     except failures as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config = ScanConfig(theta_pt=args.theta_pt, theta_cc=args.theta_cc,
-                        theta_ct=args.theta_ct, modes=modes)
+    config = ScanConfig(**thresholds, modes=modes)
     report = scan(jars, kb, config)
 
     if args.out:
@@ -189,11 +190,21 @@ def cmd_scan(args) -> int:
 
 
 def cmd_modify(args) -> int:
+    if args.kind == 4 and not _PREFIX.fullmatch(args.prefix):
+        print(f"error: --prefix {args.prefix!r} is not dot-separated identifiers "
+              "that each start with an ASCII letter, _ or $", file=sys.stderr)
+        return 2
     try:
         inputs = [Path(p).read_bytes() for p in args.inputs]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for path, data in zip(args.inputs, inputs):
+        try:
+            zipfile.ZipFile(io.BytesIO(data)).close()
+        except (zipfile.BadZipFile, NotImplementedError, ValueError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 1
     from .modharness import modify
     try:
         out = modify(inputs, args.kind, prefix=args.prefix, seed=args.seed)

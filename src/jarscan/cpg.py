@@ -232,16 +232,19 @@ def extract_triplets(cpg: Cpg) -> frozenset:
 
 
 def method_triplets(cf, method) -> frozenset:
-    """Full pipeline for one method: lift, normalize, CPG, triplets.
+    """Full pipeline for one method: lift its ``resolved_code``, normalize,
+    CPG, triplets.
 
-    Raises LiftError subclasses for stack-corrupt or jsr-bearing bytecode.
+    Raises LiftError subclasses for stack-corrupt or jsr-bearing bytecode,
+    BadConstantPoolRef for a pool operand that does not resolve or is of
+    the wrong kind.
     """
+    from .classfile.model import resolved_code
     from .ir.cfg import build_cfg
     from .ir.dataflow import dependencies
     from .ir.lift import lift
     from .normalize import normalize
 
-    ir = normalize(lift(method.code, method.descriptor, method.is_static,
-                        cf.constant_pool))
+    ir = normalize(lift(resolved_code(method, cf.constant_pool)))
     cfg = build_cfg(ir)
     return extract_triplets(build_cpg(ir, cfg, dependencies(ir, cfg)))

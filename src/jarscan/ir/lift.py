@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import logging
 
-from ..classfile.constant_pool import ConstantPool
+from ..classfile.constant_pool import resolved_class, resolved_loadable, resolved_member
 from ..classfile.descriptors import (
     category,
     jtype_of,
     parse_method_descriptor,
     render_type,
 )
-from ..classfile.model import CodeAttribute, Instruction
 from ..classfile.opcodes import (
     JUMPS,
     LOCALS,
@@ -89,38 +88,35 @@ _CONVERSIONS = {
 }
 
 
-def _leaders(code: CodeAttribute) -> list[int]:
-    offsets = [ins.offset for ins in code.instructions]
-    offset_set = set(offsets)
-    leaders = {offsets[0]} if offsets else set()
+def _leaders(instructions: tuple, handlers: tuple) -> list[int]:
+    offsets = {offset for offset, _m, _ops in instructions}
+    leaders = {instructions[0][0]} if instructions else set()
     prev_ends_block = False
-    for ins in code.instructions:
+    for offset, m, ops in instructions:
         if prev_ends_block:
-            leaders.add(ins.offset)
-        leaders.update(branch_targets(ins.mnemonic, ins.operands))
-        prev_ends_block = ins.mnemonic in _ENDS_BLOCK
-    for h in code.exception_table:
-        leaders.add(h.handler)
-        if h.start in offset_set:
-            leaders.add(h.start)
+            leaders.add(offset)
+        leaders.update(branch_targets(m, ops))
+        prev_ends_block = m in _ENDS_BLOCK
+    for start, _end, handler, _catch in handlers:
+        leaders.add(handler)
+        if start in offsets:
+            leaders.add(start)
     return sorted(leaders)
 
 
 class _RawBlock:
-    def __init__(self, index: int, instructions: list[Instruction]):
+    def __init__(self, index: int, instructions: list[tuple]):
         self.index = index                # index in offset order, pre-renumber
-        self.instructions = instructions
-        self.start_offset = instructions[0].offset
-        self.end_offset = instructions[-1].offset + 1  # nominal; ranges use next start
+        self.instructions = instructions  # (offset, mnemonic, operands)
+        self.start_offset = instructions[0][0]
 
 
-def _partition(code: CodeAttribute) -> list[_RawBlock]:
-    leaders = _leaders(code)
+def _partition(instructions: tuple, handlers: tuple) -> list[_RawBlock]:
+    leader_set = set(_leaders(instructions, handlers))
     blocks: list[_RawBlock] = []
-    current: list[Instruction] = []
-    leader_set = set(leaders)
-    for ins in code.instructions:
-        if ins.offset in leader_set and current:
+    current: list[tuple] = []
+    for ins in instructions:
+        if ins[0] in leader_set and current:
             blocks.append(_RawBlock(len(blocks), current))
             current = []
         current.append(ins)
@@ -131,42 +127,43 @@ def _partition(code: CodeAttribute) -> list[_RawBlock]:
 
 def _static_successors(raw: _RawBlock, offset_to_block: dict[int, int],
                        nblocks: int) -> list[int]:
-    last = raw.instructions[-1]
-    succs = [offset_to_block[t] for t in branch_targets(last.mnemonic, last.operands)]
-    if last.mnemonic not in TERMINAL and raw.index + 1 < nblocks:
+    _offset, m, ops = raw.instructions[-1]
+    succs = [offset_to_block[t] for t in branch_targets(m, ops)]
+    if m not in TERMINAL and raw.index + 1 < nblocks:
         succs.append(raw.index + 1)
     return succs
 
 
-def lift(code: CodeAttribute, descriptor: str, is_static: bool,
-         pool: ConstantPool) -> MethodIr:
-    """Lift one Code attribute into a MethodIr.
+def lift(key: tuple) -> MethodIr:
+    """Lift one method body into a MethodIr.
 
-    Raises StackUnderflow / InconsistentStackDepthAtJoin on malformed or
-    obfuscated stack discipline, UnsupportedInstruction on jsr/ret.
+    ``key`` is the body's ``resolved_code``: descriptor, ``is_static``,
+    exception table and instructions with every pool operand resolved.
+    Nothing else is read. Raises StackUnderflow /
+    InconsistentStackDepthAtJoin on malformed or obfuscated stack
+    discipline, UnsupportedInstruction on jsr/ret, and BadConstantPoolRef
+    for a pool operand of the wrong kind.
     """
-    for ins in code.instructions:
-        if ins.mnemonic in ("jsr", "jsr_w", "ret"):
-            raise UnsupportedInstruction(f"{ins.mnemonic} at offset {ins.offset}")
-    if not code.instructions:
+    descriptor, is_static, handlers, instructions = key
+    for offset, m, _ops in instructions:
+        if m in ("jsr", "jsr_w", "ret"):
+            raise UnsupportedInstruction(f"{m} at offset {offset}")
+    if not instructions:
         raise LiftError("empty code array")
 
-    raw_blocks = _partition(code)
+    raw_blocks = _partition(instructions, handlers)
     offset_to_block = {rb.start_offset: rb.index for rb in raw_blocks}
 
     # Block coverage of each handler, in raw indices.
-    def covered_raw(h) -> list[int]:
-        out = []
-        for rb in raw_blocks:
-            if rb.start_offset < h.end and rb.instructions[-1].offset >= h.start:
-                out.append(rb.index)
-        return out
+    def covered_raw(start: int, end: int) -> list[int]:
+        return [rb.index for rb in raw_blocks
+                if rb.start_offset < end and rb.instructions[-1][0] >= start]
 
     # Reachability fixpoint over static successors + handler activation.
     reachable: set[int] = set()
     work = [0]
-    handler_cov = [(covered_raw(h), offset_to_block[h.handler], h.catch_type)
-                   for h in code.exception_table]
+    handler_cov = [(covered_raw(start, end), offset_to_block[handler], catch)
+                   for start, end, handler, catch in handlers]
     while work:
         b = work.pop()
         if b in reachable:
@@ -200,7 +197,7 @@ def lift(code: CodeAttribute, descriptor: str, is_static: bool,
         param_regs.append((reg, jtype_of(pdesc)))
         slot += category(pdesc)
 
-    state = _Lifter(pool, slot_map, renumber, raw_blocks, offset_to_block)
+    state = _Lifter(slot_map, renumber, raw_blocks, offset_to_block)
 
     # Entry shapes: entry block empty; handler heads one caught reference.
     handler_infos = []
@@ -231,8 +228,7 @@ def lift(code: CodeAttribute, descriptor: str, is_static: bool,
 
 
 class _Lifter:
-    def __init__(self, pool, slot_map, renumber, raw_blocks, offset_to_block):
-        self.pool = pool
+    def __init__(self, slot_map, renumber, raw_blocks, offset_to_block):
         self.slot_map = dict(slot_map)     # local slot -> register
         self.renumber = renumber
         self.raw_blocks = raw_blocks
@@ -359,28 +355,24 @@ class _Lifter:
             return taken
 
         fallthrough_done = False
-        last_index = len(raw.instructions) - 1
-        for idx, ins in enumerate(raw.instructions):
-            m = ins.mnemonic
-            is_last = idx == last_index
-
+        for offset, m, ops in raw.instructions:
             if m in _CONSTS:
                 v, jt = _CONSTS[m]
                 assign_fresh(Const(v, jt), 2 if jt in ("long", "double") else 1)
             elif m in ("bipush", "sipush"):
-                assign_fresh(Const(ins.operands[0], "int"))
+                assign_fresh(Const(ops[0], "int"))
             elif m in ("ldc", "ldc_w", "ldc2_w"):
-                kind, value = self.pool.loadable(ins.operands[0])
+                kind, value = resolved_loadable(ops[0])
                 if kind == "other":
                     raise UnsupportedInstruction(
-                        f"ldc of constant tag {value} at offset {ins.offset}")
+                        f"ldc of constant tag {value} at offset {offset}")
                 if kind == "class":
                     value = value.replace("/", ".")
                 cat = 2 if kind in ("long", "double") else 1
                 assign_fresh(Const(value, kind), cat)
             elif m in LOCALS:
                 access = LOCALS[m]
-                reg = self.local(access.slot_of(ins.operands))
+                reg = self.local(access.slot_of(ops))
                 if access.store:
                     v = pop(access.category)
                     spill(reg)
@@ -441,7 +433,7 @@ class _Lifter:
                 a = pop(cat)
                 assign_fresh(Un(f"neg_{jt}", a), cat)
             elif m == "iinc":
-                slot, delta = ins.operands
+                slot, delta = ops
                 reg = self.local(slot)
                 spill(reg)
                 out.append(Assign(reg, Bin("add", "int", reg, Lit(delta, "int"))))
@@ -458,34 +450,34 @@ class _Lifter:
             elif m in _IF_ZERO:
                 v = pop(1)
                 self._finish_branch(out, stack, raw, _IF_ZERO[m], "int",
-                                    (v, Lit(0, "int")), ins)
+                                    (v, Lit(0, "int")), ops[0])
                 fallthrough_done = True
             elif m in _IF_ICMP:
                 b = pop(1)
                 a = pop(1)
                 self._finish_branch(out, stack, raw, _IF_ICMP[m], "int",
-                                    (a, b), ins)
+                                    (a, b), ops[0])
                 fallthrough_done = True
             elif m in ("if_acmpeq", "if_acmpne"):
                 b = pop(1)
                 a = pop(1)
                 self._finish_branch(out, stack, raw,
                                     "eq" if m.endswith("eq") else "ne",
-                                    "ref", (a, b), ins)
+                                    "ref", (a, b), ops[0])
                 fallthrough_done = True
             elif m in ("ifnull", "ifnonnull"):
                 v = pop(1)
                 self._finish_branch(out, stack, raw,
                                     "eq" if m == "ifnull" else "ne",
-                                    "ref", (v, Lit(None, "ref")), ins)
+                                    "ref", (v, Lit(None, "ref")), ops[0])
                 fallthrough_done = True
             elif m in ("goto", "goto_w"):
-                target = self._succ_new(self.offset_to_block[ins.operands[0]])
+                target = self._succ_new(self.offset_to_block[ops[0]])
                 self._emit_join_copies(out, stack, target)
                 out.append(Goto(target))
                 fallthrough_done = True
             elif m == "tableswitch":
-                default, low, _high, targets = ins.operands
+                default, low, _high, targets = ops
                 key = pop(1)
                 cases = tuple((low + i, self._succ_new(self.offset_to_block[t]))
                               for i, t in enumerate(targets))
@@ -495,7 +487,7 @@ class _Lifter:
                 out.append(Switch(key, cases, dflt))
                 fallthrough_done = True
             elif m == "lookupswitch":
-                default, pairs = ins.operands
+                default, pairs = ops
                 key = pop(1)
                 cases = tuple(sorted((v, self._succ_new(self.offset_to_block[t]))
                                      for v, t in pairs))
@@ -519,20 +511,20 @@ class _Lifter:
                 out.append(Throw(pop(1)))
                 fallthrough_done = True
             elif m in ("getstatic", "getfield"):
-                owner, name, fdesc = self.pool.member_ref(ins.operands[0])
+                owner, name, fdesc = resolved_member(ops[0])
                 obj = pop(1) if m == "getfield" else None
                 ftype = render_type(fdesc)
                 cat = category(fdesc)
                 assign_fresh(FieldGet(owner.replace("/", "."), name, ftype, obj), cat)
             elif m in ("putstatic", "putfield"):
-                owner, name, fdesc = self.pool.member_ref(ins.operands[0])
+                owner, name, fdesc = resolved_member(ops[0])
                 v = pop(category(fdesc))
                 obj = pop(1) if m == "putfield" else None
                 out.append(FieldPut(owner.replace("/", "."), name,
                                     render_type(fdesc), obj, v))
             elif m in ("invokevirtual", "invokespecial", "invokestatic",
                        "invokeinterface"):
-                owner, name, mdesc = self.pool.member_ref(ins.operands[0])
+                owner, name, mdesc = resolved_member(ops[0])
                 kind = m.removeprefix("invoke")
                 pdescs, ret = parse_method_descriptor(mdesc)
                 args = [pop(category(p)) for p in reversed(pdescs)]
@@ -547,7 +539,7 @@ class _Lifter:
                 if result is not None:
                     push(result, category(ret))
             elif m == "invokedynamic":
-                _bsm, name, mdesc = self.pool.invoke_dynamic(ins.operands[0])
+                _bsm, name, mdesc = resolved_member(ops[0], indy=True)
                 pdescs, ret = parse_method_descriptor(mdesc)
                 args = [pop(category(p)) for p in reversed(pdescs)]
                 args.reverse()
@@ -558,21 +550,21 @@ class _Lifter:
                 if result is not None:
                     push(result, category(ret))
             elif m == "new":
-                cls = self.pool.class_name(ins.operands[0]).replace("/", ".")
+                cls = resolved_class(ops[0]).replace("/", ".")
                 assign_fresh(NewObj(cls))
             elif m == "newarray":
-                elem = NEWARRAY_TYPES[ins.operands[0]]
+                elem = NEWARRAY_TYPES[ops[0]]
                 count = pop(1)
                 assign_fresh(NewArr(elem, (count,)))
             elif m == "anewarray":
-                cls = self.pool.class_name(ins.operands[0]).replace("/", ".")
+                cls = resolved_class(ops[0]).replace("/", ".")
                 if cls.startswith("["):
                     cls = render_type(cls.replace(".", "/"))
                 count = pop(1)
                 assign_fresh(NewArr(cls, (count,)))
             elif m == "multianewarray":
-                idx_cp, dims = ins.operands
-                desc = self.pool.class_name(idx_cp)
+                entry, dims = ops
+                desc = resolved_class(entry)
                 counts = [pop(1) for _ in range(dims)]
                 counts.reverse()
                 assign_fresh(NewArr(render_type(desc), tuple(counts)))
@@ -580,11 +572,11 @@ class _Lifter:
                 arr = pop(1)
                 assign_fresh(Un("arraylength", arr))
             elif m == "checkcast":
-                cls = self.pool.class_name(ins.operands[0]).replace("/", ".")
+                cls = resolved_class(ops[0]).replace("/", ".")
                 a = pop(1)
                 assign_fresh(Cast(cls, a))
             elif m == "instanceof":
-                cls = self.pool.class_name(ins.operands[0]).replace("/", ".")
+                cls = resolved_class(ops[0]).replace("/", ".")
                 a = pop(1)
                 assign_fresh(InstOf(cls, a))
             elif m in ("monitorenter", "monitorexit"):
@@ -592,7 +584,7 @@ class _Lifter:
             elif m == "nop":
                 out.append(Nop())
             else:
-                raise UnsupportedInstruction(f"{m} at offset {ins.offset}")
+                raise UnsupportedInstruction(f"{m} at offset {offset}")
 
         if not fallthrough_done:
             # Implicit fall-through into the next block.
@@ -602,8 +594,8 @@ class _Lifter:
             self._emit_join_copies(out, stack, self._succ_new(nxt))
         self.block_statements[new_id] = out
 
-    def _finish_branch(self, out, stack, raw, op, jtype, args, ins):
-        taken = self._succ_new(self.offset_to_block[ins.operands[0]])
+    def _finish_branch(self, out, stack, raw, op, jtype, args, target):
+        taken = self._succ_new(self.offset_to_block[target])
         fallthrough = self._succ_new(raw.index + 1)
         self._emit_join_copies(out, stack, taken)
         if fallthrough != taken:

@@ -22,8 +22,8 @@ from .classfile.descriptors import method_signature, render_type
 from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
 from .classfile.parser import parse_class
 from .triplets import FixSignature, deserialize_triplets, serialize_triplets, unqualify
-from .errors import (BadConstantPoolRef, ClassParseError, CorruptFile, EmptyDiff,
-                     KbFormatError, LiftError, VersionMismatch)
+from .errors import (ClassParseError, CorruptFile, EmptyDiff, KbFormatError, LiftError,
+                     VersionMismatch)
 
 log = logging.getLogger(__name__)
 
@@ -235,29 +235,16 @@ def _method_triplets_or_none(cf: ClassFile, method: MethodInfo):
         return None
 
 
-def _resolved_pair(pre_cf: ClassFile, pre_m: MethodInfo,
-                   post_cf: ClassFile, post_m: MethodInfo) -> tuple | None:
-    """The ``resolved_code`` of a method pair; None when a pool reference
-    on either side does not resolve."""
-    try:
-        return (resolved_code(pre_m, pre_cf.constant_pool),
-                resolved_code(post_m, post_cf.constant_pool))
-    except BadConstantPoolRef:
-        return None
+def _same_code(keys: tuple) -> bool:
+    """Whether the two sides of a (pre, post) ``resolved_code`` pair are
+    equal, so that both would lift to the same IR."""
+    return keys[0] == keys[1]
 
 
-def _same_code(keys: tuple | None) -> bool | None:
-    """Whether a resolved pair's two sides are equal; None when the pair
-    did not resolve."""
-    return None if keys is None else keys[0] == keys[1]
-
-
-def _code_digests(keys: tuple | None) -> tuple:
+def _code_digests(keys: tuple) -> tuple:
     """The (pre, post) code digests of a resolved pair and the (pre, post)
-    digests of its ``stripped_code``: (None, None) when the pair did not
-    resolve, and no stripped digests when either side has no stripped key."""
-    if keys is None:
-        return None, None
+    digests of its ``stripped_code``; no stripped digests when either side
+    has no stripped key."""
     stripped = tuple(map(stripped_code, keys))
     return (tuple(map(key_digest, keys)),
             None if None in stripped else tuple(map(key_digest, stripped)))
@@ -270,18 +257,18 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
     A method present on both sides is first compared by its pool-resolved
     code (``resolved_code``: descriptor, ``is_static``, exception table,
     and every instruction's offset, mnemonic and operands with pool
-    indices replaced by the constants they name). Equal methods are
-    neither lifted nor recorded, so only the methods a fix changed pay
-    for the pipeline. The others are lifted and recorded as ``changed``
-    when their triplets differ; when either side cannot be lifted, the
-    same comparison decides alone. A pool reference that does not
-    resolve falls back to lifting and, failing that, to comparing the
-    decoded code as is. A signed ``changed`` record also carries both
-    sides' ``code_digest`` and stripped digest, from the keys the
-    comparison built, unless a pool reference does not resolve, so a scan
-    can recognise either body, or a relocated copy of it, without lifting.
+    indices replaced by the constants they name), which is what lifting
+    reads. Equal methods are neither lifted nor recorded, so only the
+    methods a fix changed pay for the pipeline. The others are lifted and
+    recorded as ``changed`` when their triplets differ; when either side
+    cannot be lifted, the same comparison decides alone. A signed
+    ``changed`` record also carries both sides' ``code_digest`` and
+    stripped digest, from the keys the comparison built, so a scan can
+    recognise either body, or a relocated copy of it, without lifting.
 
-    Raises EmptyDiff when nothing differs after normalization.
+    Raises EmptyDiff when nothing differs after normalization, and
+    BadConstantPoolRef when a pool operand of a method on both sides does
+    not resolve.
     """
     pre = {cf.this_class: cf for cf in pre_classes}
     post = {cf.this_class: cf for cf in post_classes}
@@ -316,9 +303,9 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
                     construct=cid, change="added", signature=None,
                     class_context=class_member_context(post_cf, exclude_method=key)))
                 continue
-            keys = _resolved_pair(pre_cf, pre_m, post_cf, post_m)
-            same = _same_code(keys)
-            if same:
+            keys = (resolved_code(pre_m, pre_cf.constant_pool),
+                    resolved_code(post_m, post_cf.constant_pool))
+            if _same_code(keys):
                 continue
             t_pre = _method_triplets_or_none(pre_cf, pre_m)
             t_post = _method_triplets_or_none(post_cf, post_m)
@@ -334,10 +321,7 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
             else:
                 # Unliftable on at least one side: the code differs, so the
                 # method is recorded without a signature and presence/absence
-                # rules apply at scan. Only an unresolvable pool reference
-                # leaves the decoded code itself to compare.
-                if same is None and pre_m.code == post_m.code:
-                    continue
+                # rules apply at scan.
                 records.append(ConstructRecord(
                     construct=cid, change="changed", signature=None,
                     class_context=class_member_context(post_cf, exclude_method=key)))

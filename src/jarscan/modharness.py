@@ -20,7 +20,7 @@ import random
 import re
 import zipfile
 
-from .classfile.constant_pool import ConstantPool
+from .classfile.constant_pool import resolved_class, resolved_loadable, resolved_member
 from .classfile.descriptors import parse_method_descriptor, param_slots
 from .classfile.emitter import (
     CLASS_OPS,
@@ -33,7 +33,7 @@ from .classfile.emitter import (
     emit_class,
     write_jar,
 )
-from .classfile.model import ClassFile, MethodInfo
+from .classfile.model import ClassFile, resolved_code
 from .classfile.opcodes import LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
 from .classfile.parser import parse_class
 from .errors import RelocationCollision, UnsupportedFeature
@@ -77,51 +77,49 @@ def _label(offset: int) -> str:
     return f"L{offset}"
 
 
-def _code_to_asm(method: MethodInfo, pool: ConstantPool, rn: _Rename) -> tuple[list, list]:
-    """Decode a Code attribute back into assembler items with labels."""
-    code = method.code
+def _code_to_asm(key: tuple, rn: _Rename) -> tuple[list, list]:
+    """Decode a method's ``resolved_code`` back into assembler items with
+    labels, and its exception table into assembler handlers."""
+    _desc, _static, table, instructions = key
     label_offsets = set()
-    for ins in code.instructions:
-        label_offsets.update(branch_targets(ins.mnemonic, ins.operands))
-    for h in code.exception_table:
-        label_offsets.update((h.start, h.end, h.handler))
+    for _offset, m, ops in instructions:
+        label_offsets.update(branch_targets(m, ops))
+    for start, end, handler, _catch in table:
+        label_offsets.update((start, end, handler))
 
     items: list = []
-    end = code.instructions[-1].offset + 1 if code.instructions else 0
-    for ins in code.instructions:
-        if ins.offset in label_offsets:
-            items.append(_label(ins.offset) + ":")
-        m = ins.mnemonic
+    code_end = instructions[-1][0] + 1 if instructions else 0
+    for offset, m, ops in instructions:
+        if offset in label_offsets:
+            items.append(_label(offset) + ":")
         if m in ("ldc", "ldc_w", "ldc2_w"):
-            kind, value = pool.loadable(ins.operands[0])
+            kind, value = resolved_loadable(ops[0])
             if kind == "other":
                 raise UnsupportedFeature(f"cannot re-emit ldc of tag {value}")
             if kind == "class":
                 value = rn(value.replace("/", "."))
             items.append((_LDC_KIND_TO_PSEUDO[kind], value))
         elif m in FIELD_OPS or m in INVOKE_OPS:
-            owner, name, desc = pool.member_ref(ins.operands[0])
+            owner, name, desc = resolved_member(ops[0])
             items.append((m, rn(owner.replace("/", ".")), name, rn.desc(desc)))
         elif m in CLASS_OPS:
-            name = pool.class_name(ins.operands[0])
+            name = resolved_class(ops[0])
             if name.startswith("["):
                 raise UnsupportedFeature("array class operands not supported")
             items.append((m, rn(name.replace("/", "."))))
         elif m == "newarray":
-            items.append((m, NEWARRAY_TYPES[ins.operands[0]]))
+            items.append((m, NEWARRAY_TYPES[ops[0]]))
         elif m in UNSUPPORTED_OPS:
             raise UnsupportedFeature(f"cannot re-emit {m}")
-        elif ins.operands:
-            items.append((m, *map_targets(m, ins.operands, _label)))
+        elif ops:
+            items.append((m, *map_targets(m, ops, _label)))
         else:
             items.append(m)
 
-    handlers = []
-    trailing_labels = {h.end for h in code.exception_table if h.end >= end}
-    for off in sorted(trailing_labels):
+    for off in sorted({end for _start, end, _handler, _catch in table if end >= code_end}):
         items.append(_label(off) + ":")
-    for h in code.exception_table:
-        handlers.append((_label(h.start), _label(h.end), _label(h.handler), rn(h.catch_type)))
+    handlers = [(_label(start), _label(end), _label(handler), rn(catch))
+                for start, end, handler, catch in table]
     return items, handlers
 
 
@@ -136,7 +134,7 @@ def model_from_classfile(cf: ClassFile, rename: dict[str, str] | None = None) ->
         if m.code is None:
             methods.append(MethodModel(m.name, rn.desc(m.descriptor), m.access_flags))
             continue
-        items, handlers = _code_to_asm(m, cf.constant_pool, rn)
+        items, handlers = _code_to_asm(resolved_code(m, cf.constant_pool), rn)
         methods.append(MethodModel(m.name, rn.desc(m.descriptor), m.access_flags,
                                    code=items, handlers=handlers))
     return ClassModel(

@@ -202,7 +202,7 @@ class JarView:
     def method_triplet_set(self, fqn: str):
         """Triplets of the method with this FQN, or None when it has no
         code or its code cannot be lifted (a LiftError, or a pool
-        reference of the wrong kind)."""
+        reference that does not resolve or is of the wrong kind)."""
         cached = self._triplets.get(fqn)
         if cached is None:
             cached = self._recorded(fqn, unqualified=False)

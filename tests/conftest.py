@@ -7,11 +7,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from corpus import build_corpus  # noqa: E402
+from corpus import build_corpus, lib_beta  # noqa: E402
 
 from jarscan.kb import KnowledgeBase, build_entry, load, save  # noqa: E402
 from jarscan.modharness import modify  # noqa: E402
-from jarscan.classfile import parse_class  # noqa: E402
+from jarscan.classfile import emit_class, parse_class  # noqa: E402
 from jarscan.classfile.constant_pool import TAG_UTF8  # noqa: E402
 
 
@@ -108,3 +108,20 @@ def out_of_range_beta_pre(corpus):
     [(_name, data)] = corpus.pre_classes["CVE-9000-0002"]
     assert 0xFFFF not in parse_class(data).constant_pool
     return _beta_pre_putstatic_at(corpus, 0xFFFF)
+
+
+@pytest.fixture(scope="session")
+def unreachable_out_of_range_beta_pre():
+    """beta.net.Http (CVE-9000-0002, pre-fix) with unreachable code after
+    the return of ``int token(int)``, whose getstatic names a pool entry
+    past the end of the pool: lifting would drop that code, but the
+    method's code does not resolve."""
+    [pre], _post = lib_beta()
+    [token] = [m for m in pre.methods if m.name == "token"]
+    token.code += [("getstatic", pre.name, "flags", "I"), "ireturn"]
+    data = emit_class(pre)
+    [token] = [m for m in parse_class(data).methods if m.name == "token"]
+    [get] = [i for i in token.code.instructions if i.mnemonic == "getstatic"]
+    old = bytes([0xB2]) + get.operands[0].to_bytes(2, "big") + bytes([0xAC])
+    assert data.count(old) == 1
+    return pre.name, data.replace(old, bytes([0xB2, 0xFF, 0xFF, 0xAC]))

@@ -21,6 +21,7 @@ from jarscan.classfile import (
     emit_class_resolved,
     parse_class,
 )
+from jarscan.classfile.model import resolved_code
 from jarscan.cpg import FixSignature, Triplet, diff
 from jarscan.ir import (
     build_cfg,
@@ -214,8 +215,7 @@ def test_normalization_criterion(corpus):
                     for m in cf.methods:
                         if m.code is None:
                             continue
-                        ir = lift(m.code, m.descriptor, m.is_static,
-                                  cf.constant_pool)
+                        ir = lift(resolved_code(m, cf.constant_pool))
                         n1 = normalize(ir)
                         assert dump(normalize(n1)) == dump(n1), m.name
 

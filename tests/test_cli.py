@@ -197,6 +197,23 @@ def test_scan_threshold_outside_unit_interval_exit_2(kb_file, capsys, monkeypatc
     assert err.startswith("error: --theta-ct (JARSCAN_THETA_CT) must be a number in [0, 1]")
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("name", ["pt", "cc", "ct"])
+def test_scan_threshold_not_a_number_exit_2(kb_file, capsys, monkeypatch, name, via):
+    """A threshold that does not read as a number is refused, from the
+    environment as from the flag, rather than replaced by the default."""
+    argv = ["scan", "--kb", str(kb_file), "--format", "json"]
+    if via == "flag":
+        argv += [f"--theta-{name}", "abc"]
+    else:
+        monkeypatch.setenv(f"JARSCAN_THETA_{name.upper()}", "abc")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: --theta-{name} (JARSCAN_THETA_{name.upper()}) "
+                   "must be a number in [0, 1], not abc\n")
+
+
 def test_scan_threshold_bounds_accepted(tmp_path, corpus, kb_file, capsys):
     paths = _write_jars(corpus, tmp_path, "post_jars")[:1]
     for bound in ("0", "1"):
@@ -339,6 +356,42 @@ def test_modify_type4_prefix(tmp_path, corpus):
     from jarscan.classfile import parse_jar
     archive = parse_jar(out.read_bytes())
     assert all(cf.this_class.startswith("r.") for _p, cf in archive.classes)
+
+
+@pytest.mark.parametrize("prefix", ["", ".", "a..b", "1bad", "r.2x", "r..", "a b"])
+def test_modify_type4_bad_prefix_exit_2(tmp_path, corpus, capsys, prefix):
+    """A prefix whose dot-separated segments are not each an identifier
+    strip_packages strips is refused before anything is written."""
+    ins = _write_jars(corpus, tmp_path, "pre_jars")[:1]
+    out = tmp_path / "reloc.jar"
+    rc = main(["modify", "--kind", "4", "--prefix", prefix, "-o", str(out), *ins])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: --prefix {prefix!r} ")
+    assert not out.exists()
+
+
+def test_modify_type4_prefix_without_final_dot(tmp_path, corpus):
+    ins = _write_jars(corpus, tmp_path, "pre_jars")[:1]
+    out = tmp_path / "reloc.jar"
+    assert main(["modify", "--kind", "4", "--prefix", "x$1._y", "-o", str(out), *ins]) == 0
+    from jarscan.classfile import parse_jar, strip_packages
+    classes = [cf.this_class for _p, cf in parse_jar(out.read_bytes()).classes]
+    assert classes and all(c.startswith("x$1._y.") for c in classes)
+    assert all(strip_packages(c) == c.rpartition(".")[2] for c in classes)
+
+
+@pytest.mark.parametrize("kind", ["1", "2", "4"])
+def test_modify_input_not_a_zip_exit_1(tmp_path, corpus, capsys, kind):
+    """An input that is not a ZIP archive is named in the error, and
+    nothing is written."""
+    good = _write_jars(corpus, tmp_path, "pre_jars")[:1]
+    bad = tmp_path / "notajar.jar"
+    bad.write_bytes(b"x")
+    ins = [str(bad)] if kind == "1" else [*good, str(bad)]
+    out = tmp_path / "o.jar"
+    assert main(["modify", "--kind", kind, "-o", str(out), *ins]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: File is not a zip file\n"
+    assert not out.exists()
 
 
 def test_modify_collision_exit_1(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, strategies as st
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class, strip_packages
+from jarscan.classfile.model import resolved_code
 from jarscan.cpg import (
     Cpg,
     Triplet,
@@ -30,7 +31,7 @@ def triplets_for(code, desc="(I)I", cls="t.T"):
 def graph_for(code, desc="(I)I"):
     model = ClassModel("t.T", methods=[MethodModel("f", desc, 0x09, code=code)])
     cf = parse_class(emit_class(model))
-    ir = normalize(lift(cf.methods[0].code, desc, True, cf.constant_pool))
+    ir = normalize(lift(resolved_code(cf.methods[0], cf.constant_pool)))
     cfg = build_cfg(ir)
     return build_cpg(ir, cfg, dependencies(ir, cfg)), ir
 

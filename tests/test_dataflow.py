@@ -3,6 +3,7 @@
 import random
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
+from jarscan.classfile.model import resolved_code
 from jarscan.ir import (
     build_cfg,
     control_dependent_blocks,
@@ -18,7 +19,7 @@ from randgen import random_method_ir
 def lift_method(code, desc="(I)I"):
     model = ClassModel("t.T", methods=[MethodModel("f", desc, 0x09, code=code)])
     cf = parse_class(emit_class(model))
-    ir = lift(cf.methods[0].code, desc, True, cf.constant_pool)
+    ir = lift(resolved_code(cf.methods[0], cf.constant_pool))
     return ir, build_cfg(ir)
 
 
@@ -90,7 +91,7 @@ def test_lifted_methods_match_brute_force():
     for _ in range(25):
         code = random_int_method(rng, params=2, segments=rng.randint(2, 7))
         cf, method = assemble_method(code)
-        ir = lift(method.code, "(II)I", True, cf.constant_pool)
+        ir = lift(resolved_code(method, cf.constant_pool))
         cfg = build_cfg(ir)
         assert reaching_data_edges(ir, cfg) == brute_reaching_edges(ir, cfg)
         assert postdominators(cfg) == brute_postdominators(cfg)

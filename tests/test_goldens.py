@@ -14,6 +14,7 @@ from corpus import materialize_manifest
 
 from jarscan.classfile import parse_class
 from jarscan.errors import LiftError
+from jarscan.classfile.model import resolved_code
 from jarscan.ir import dump, lift
 from jarscan.kb import build_from_manifest, load, save
 from jarscan.normalize import normalize
@@ -41,7 +42,7 @@ def _normalized_dumps(corpus) -> str:
                     if m.code is None:
                         continue
                     try:
-                        ir = lift(m.code, m.descriptor, m.is_static, cf.constant_pool)
+                        ir = lift(resolved_code(m, cf.constant_pool))
                     except LiftError:
                         continue
                     out.append(f"{cf.this_class}.{m.name}{m.descriptor}\n"

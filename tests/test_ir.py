@@ -6,6 +6,7 @@ import random
 import pytest
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class, parse_jar
+from jarscan.classfile.model import resolved_code
 from jarscan.errors import (InconsistentStackDepthAtJoin, LiftError, StackUnderflow,
                             UnsupportedInstruction)
 from jarscan.ir import ENTRY, EXIT, build_cfg, dump, lift, model
@@ -27,7 +28,7 @@ def lift_method(code, desc="(I)I", handlers=None, static=True,
                     handlers=handlers or [], max_stack=max_stack,
                     max_locals=max_locals)])
     cf = parse_class(emit_class(model))
-    return lift(cf.methods[0].code, desc, static, cf.constant_pool), cf
+    return lift(resolved_code(cf.methods[0], cf.constant_pool)), cf
 
 
 # ----------------------------------------------------------------- examples
@@ -118,8 +119,8 @@ def test_lift_deterministic():
     for _ in range(10):
         code = random_int_method(rng, params=2, segments=6)
         cf, method = assemble_method(code)
-        a = lift(method.code, "(II)I", True, cf.constant_pool)
-        b = lift(method.code, "(II)I", True, cf.constant_pool)
+        a = lift(resolved_code(method, cf.constant_pool))
+        b = lift(resolved_code(method, cf.constant_pool))
         assert dump(a) == dump(b)
 
 
@@ -209,7 +210,7 @@ def test_interpreters_agree_on_random_methods():
         params = rng.randint(1, 3)
         code = random_int_method(rng, params=params, segments=rng.randint(2, 8))
         cf, method = assemble_method(code, params=params)
-        ir = lift(method.code, method.descriptor, True, cf.constant_pool)
+        ir = lift(resolved_code(method, cf.constant_pool))
         for _ in range(5):
             args = [rng.randint(-1000, 1000) for _ in range(params)]
             expected = run_bytecode(method.code, args)
@@ -281,7 +282,7 @@ def _lifted_and_normalized(corpus) -> list:
             if m.code is None:
                 continue
             try:
-                ir = lift(m.code, m.descriptor, m.is_static, cf.constant_pool)
+                ir = lift(resolved_code(m, cf.constant_pool))
             except LiftError:
                 continue
             out += ir.statements + normalize(ir).statements

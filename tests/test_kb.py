@@ -162,7 +162,7 @@ def _method(cf, name):
 
 
 def _shortcut_off(monkeypatch):
-    """Every pair takes the lift path, as if no pool reference resolved."""
+    """Every pair takes the lift path, as if its two resolved codes differed."""
     monkeypatch.setattr(jarscan.kb, "_same_code", lambda *args: None)
 
 
@@ -233,7 +233,7 @@ def test_unliftable_unchanged_method_is_not_recorded(monkeypatch):
                                                 code=[("ldc_string", text), "areturn"])])
     (record,) = build_entry("CVE-T", [make("old")], [make("new")])
     assert (record.construct.fqn, record.change) == ("a.T: java.lang.String t()", "changed")
-    # Comparing pool indices instead recorded the re-laid methods as changed.
+    # Without the comparison, the re-laid methods are recorded as changed.
     _shortcut_off(monkeypatch)
     spurious = {r.construct.fqn for r in build_entry("CVE-U", [pre], [post])}
     assert "a.R: int keep()" in spurious
@@ -321,13 +321,16 @@ def test_each_method_pair_is_resolved_once(monkeypatch):
 
 
 def test_unresolvable_pool_reference_means_no_digest(corpus, out_of_range_beta_pre):
+    """A body whose code names a pool entry past the end of the pool has no
+    resolved key: no digest, nothing to lift, and no entry to build."""
     [post] = [parse_class(b) for _n, b in corpus.post_classes["CVE-9000-0002"]]
     pre = parse_class(out_of_range_beta_pre[1])
     with pytest.raises(BadConstantPoolRef):
         code_digest(_method(pre, "token"), pre.constant_pool)
-    keys = jarscan.kb._resolved_pair(pre, _method(pre, "token"),
-                                     post, _method(post, "token"))
-    assert keys is None and jarscan.kb._code_digests(keys) == (None, None)
+    with pytest.raises(BadConstantPoolRef):
+        method_triplets(pre, _method(pre, "token"))
+    with pytest.raises(BadConstantPoolRef):
+        build_entry("CVE-9000-0002", [pre], [post])
 
 
 def test_code_digest_covers_catch_types():
@@ -849,6 +852,22 @@ def test_manifest_build_reports_mistyped_pool_reference(tmp_path, corpus,
     assert cve == "CVE-9000-0002" and "found Utf8" in message
     assert sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
     assert sorted(kb.records) == sorted(stats.built) and not stats.empty_diff
+
+
+def test_manifest_build_reports_unreachable_unresolvable_reference(
+        tmp_path, corpus, unreachable_out_of_range_beta_pre):
+    """A fix class whose method names a pool entry past the end of the pool,
+    even in code no path reaches, is a malformed class: the method has no
+    resolved code, and so nothing to lift."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    name, data = unreachable_out_of_range_beta_pre
+    (tmp_path / "CVE-9000-0002" / "pre" / (name.replace(".", "/") + ".class")
+     ).write_bytes(data)
+    kb, stats = build_from_manifest(manifest)
+    [(cve, message)] = stats.errors
+    assert cve == "CVE-9000-0002"
+    assert message == "malformed class: constant pool index 65535 out of range"
+    assert sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
 
 
 def test_manifest_build_reports_an_unparsable_fix_class(tmp_path, corpus):

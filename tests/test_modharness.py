@@ -16,6 +16,7 @@ from jarscan.classfile import (
     write_jar,
 )
 from jarscan.errors import RelocationCollision
+from jarscan.classfile.model import resolved_code
 from jarscan.ir import dump, lift
 from jarscan.modharness import compiler_variant, modify
 from jarscan.normalize import normalize
@@ -119,10 +120,8 @@ def test_type1_changes_bytes_but_normalized_ir_converges():
             continue
         if pre_m.code != post_m.code:
             changed = True
-        n_pre = normalize(lift(pre_m.code, pre_m.descriptor, pre_m.is_static,
-                               before.constant_pool))
-        n_post = normalize(lift(post_m.code, post_m.descriptor, post_m.is_static,
-                                after.constant_pool))
+        n_pre = normalize(lift(resolved_code(pre_m, before.constant_pool)))
+        n_post = normalize(lift(resolved_code(post_m, after.constant_pool)))
         assert dump(n_pre) == dump(n_post), pre_m.name
     assert changed
 
@@ -136,8 +135,8 @@ def test_type1_semantic_equivalence_on_random_inputs():
     for pre_m, post_m in zip(before.methods, after.methods):
         if pre_m.code is None or pre_m.name == "<init>":
             continue
-        ir_pre = lift(pre_m.code, pre_m.descriptor, True, before.constant_pool)
-        ir_post = lift(post_m.code, post_m.descriptor, True, after.constant_pool)
+        ir_pre = lift(resolved_code(pre_m, before.constant_pool))
+        ir_post = lift(resolved_code(post_m, after.constant_pool))
         for _ in range(20):
             args = [rng.randint(-100, 100), rng.randint(-100, 100)]
             assert run_ir(ir_pre, args) == run_ir(ir_post, args)
@@ -154,7 +153,7 @@ def test_type1_permutes_every_access_to_a_slot():
         cf = parse_class(compiler_variant(emit_class(model), random.Random(seed)))
         code = cf.methods[0].code
         stored.add(next(i.operands for i in code.instructions if i.mnemonic == "istore"))
-        ir = lift(code, "(I)I", True, cf.constant_pool)
+        ir = lift(resolved_code(cf.methods[0], cf.constant_pool))
         assert run_ir(ir, [0]) == (3 + 5) - 10
     assert stored == {(1,), (2,)}
 

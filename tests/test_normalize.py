@@ -3,6 +3,7 @@
 import random
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
+from jarscan.classfile.model import resolved_code
 from jarscan.ir import dump, lift
 from jarscan.ir.model import Assign, Block, Concat, DynInvoke, MethodIr, Return
 from jarscan.normalize import normalize
@@ -14,7 +15,7 @@ from randgen import assemble_method, random_int_method
 def lift_code(code, desc="(I)I"):
     model = ClassModel("t.T", methods=[MethodModel("f", desc, 0x09, code=code)])
     cf = parse_class(emit_class(model))
-    return lift(cf.methods[0].code, desc, True, cf.constant_pool)
+    return lift(resolved_code(cf.methods[0], cf.constant_pool))
 
 
 # Pairs that different compilation environments produce for the same source.
@@ -95,7 +96,7 @@ def test_idempotence_on_random_methods():
     for _ in range(30):
         code = random_int_method(rng, params=2, segments=rng.randint(1, 8))
         cf, method = assemble_method(code)
-        ir = lift(method.code, "(II)I", True, cf.constant_pool)
+        ir = lift(resolved_code(method, cf.constant_pool))
         n1 = normalize(ir)
         assert dump(normalize(n1)) == dump(n1)
 
@@ -107,7 +108,7 @@ def test_normalization_preserves_semantics_random():
         params = rng.randint(1, 3)
         code = random_int_method(rng, params=params, segments=rng.randint(2, 8))
         cf, method = assemble_method(code, params=params)
-        ir = lift(method.code, method.descriptor, True, cf.constant_pool)
+        ir = lift(resolved_code(method, cf.constant_pool))
         n = normalize(ir)
         for _ in range(8):
             args = [rng.randint(-999, 999) for _ in range(params)]

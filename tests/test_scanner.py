@@ -1027,6 +1027,22 @@ def test_unresolvable_pool_reference_skips_the_method(corpus, corpus_kb,
         ("repack", SKIPPED, "method body could not be lifted")}
 
 
+def test_unresolvable_reference_in_unreachable_code_skips_the_method(
+        corpus_kb, unreachable_out_of_range_beta_pre):
+    """Lifting reads a method's resolved code, all of it: a pool entry past
+    the end of the pool makes the method unliftable even in code that no
+    path reaches."""
+    name, data = unreachable_out_of_range_beta_pre
+    jar = write_jar([(class_entry_path(name), data)])
+    res = scan_jar_bytes("beta.jar", jar, corpus_kb, ScanConfig())
+    assert res.error is None and res.parse_failures == 0
+    [finding] = res.findings
+    token = [v for v in finding.constructs if v.fqn == "beta.net.Http: int token(int)"]
+    assert {(v.mode, v.verdict, v.reason) for v in token} == {
+        ("default", SKIPPED, "method body could not be lifted"),
+        ("repack", SKIPPED, "method body could not be lifted")}
+
+
 @pytest.mark.parametrize("bad_desc", ["Lr/sh/Cfg", "Lr/sh/Cfg;junk", "[Lr/sh/Cfg"])
 def test_malformed_fieldref_descriptor_skips_a_relocated_body(tmp_path, bad_desc):
     """The parser checks the descriptors of a class's own members, not those
