@@ -4,13 +4,14 @@ assembler, and a small builder model sufficient for synthetic test classes.
 The emitter covers the constant kinds Utf8, Class, NameAndType, Fieldref,
 Methodref, String, Integer, Long, Float and Double; anything else raises
 UnsupportedFeature. The assembler first rewrites each item into a real
-instruction in decoded form: a pseudo-op (``push_int``, ``ldc_int`` and
-the other ``ldc_*``) becomes the shortest real mnemonic, and a symbolic
-operand becomes a pool index. ``encode_instruction`` then writes each
-instruction from the operand layouts of ``opcodes.py``, the tables the
-decoder reads, so parse_class(emit_class(m)) decodes back to exactly the
-instruction list the assembler resolved (``emit_class_resolved`` returns
-it).
+instruction in the decoder's form, an (offset, mnemonic, operands) tuple:
+a pseudo-op (``push_int``, ``ldc_int`` and the other ``ldc_*``) becomes
+the shortest real mnemonic, a symbolic operand a pool index and a label
+an absolute offset. ``encode_instruction`` then writes each tuple from
+the operand layouts of ``opcodes.py``, the tables the decoder reads, so
+parse_class(emit_class(m)) decodes back to exactly the tuples the
+assembler resolved, and the (start, end, handler, catch type) handler
+tuples it placed (``emit_class_resolved`` returns both).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .constant_pool import (
     WIDE_TAGS,
 )
 from .descriptors import category, param_slots, parse_method_descriptor
-from .model import ACC_STATIC, CodeAttribute, ExceptionHandler, Instruction
+from .model import ACC_STATIC, CodeAttribute
 from .opcodes import (
     FORMAT_OF,
     LAYOUT,
@@ -212,11 +213,11 @@ def _real(item, pool: PoolBuilder) -> tuple[str, tuple]:
     return m, tuple(ops)
 
 
-def encode_instruction(ins: Instruction) -> bytes:
-    """The bytes of one decoded-form instruction at its offset, which
-    ``decode_instructions`` reads back as ``ins``. A local slot or
-    increment too large for the short form takes the wide prefix."""
-    m, ops, at = ins.mnemonic, ins.operands, ins.offset
+def encode_instruction(ins: tuple[int, str, tuple]) -> bytes:
+    """The bytes of one (offset, mnemonic, operands) instruction at its
+    offset, which ``decode_instructions`` reads back as ``ins``. A local
+    slot or increment too large for the short form takes the wide prefix."""
+    at, m, ops = ins
     op, fmt = MNEMONIC_TO_OPCODE[m], FORMAT_OF[m]
     if fmt in ("table", "lookup"):
         head = bytes((op,)) + bytes(-(at + 1) % 4)
@@ -254,7 +255,7 @@ def _assemble_code(code: list, pool: PoolBuilder) -> tuple[bytes, tuple, dict[st
     offsets = [0]
     for m, ops in real:
         at = offsets[-1]
-        here = Instruction(at, m, map_targets(m, ops, lambda _label: at))
+        here = (at, m, map_targets(m, ops, lambda _label: at))
         offsets.append(at + len(encode_instruction(here)))
     labels = {name: offsets[i] for name, i in label_index.items()}
 
@@ -264,9 +265,9 @@ def _assemble_code(code: list, pool: PoolBuilder) -> tuple[bytes, tuple, dict[st
         return labels[name]
 
     out: list[bytes] = []
-    resolved: list[Instruction] = []
+    resolved: list[tuple[int, str, tuple]] = []
     for at, (m, ops) in zip(offsets, real):
-        resolved.append(Instruction(at, m, map_targets(m, ops, target)))
+        resolved.append((at, m, map_targets(m, ops, target)))
         out.append(encode_instruction(resolved[-1]))
     return b"".join(out), tuple(resolved), labels
 
@@ -402,19 +403,17 @@ def _assemble(method: MethodModel, pool: PoolBuilder) -> tuple[bytes, CodeAttrib
             max_stack = method.max_stack
         if method.max_locals is not None:
             max_locals = method.max_locals
-    handlers = []
-    for start, end, handler, catch in method.handlers:
-        handlers.append(ExceptionHandler(labels[start], labels[end],
-                                         labels[handler], catch))
-    attr = CodeAttribute(max_stack, max_locals, resolved, tuple(handlers))
+    handlers = tuple((labels[start], labels[end], labels[handler], catch)
+                     for start, end, handler, catch in method.handlers)
+    attr = CodeAttribute(max_stack, max_locals, resolved, handlers)
 
     body = io.BytesIO()
     body.write(struct.pack(">HHI", max_stack, max_locals, len(code_bytes)))
     body.write(code_bytes)
     body.write(struct.pack(">H", len(handlers)))
-    for h in handlers:
-        catch_idx = pool.class_ref(h.catch_type) if h.catch_type else 0
-        body.write(struct.pack(">HHHH", h.start, h.end, h.handler, catch_idx))
+    for start, end, handler, catch in handlers:
+        catch_idx = pool.class_ref(catch) if catch else 0
+        body.write(struct.pack(">HHHH", start, end, handler, catch_idx))
     body.write(struct.pack(">H", 0))  # no code sub-attributes
     return body.getvalue(), attr
 

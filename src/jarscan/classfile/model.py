@@ -23,39 +23,19 @@ ACC_NATIVE = 0x0100
 
 
 @dataclass(frozen=True)
-class Instruction:
-    """One decoded instruction: absolute offset, mnemonic, decoded operands.
-
-    Branch operands are absolute bytecode offsets, never relative ones.
-    """
-
-    offset: int
-    mnemonic: str
-    operands: tuple = ()
-
-
-@dataclass(frozen=True)
-class ExceptionHandler:
-    """Protected range [start, end) with handler target and catch type.
-
-    catch_type is a dotted class name, or None for catch-all.
-    """
-
-    start: int
-    end: int
-    handler: int
-    catch_type: str | None
-
-
-@dataclass(frozen=True)
 class CodeAttribute:
+    """A decoded Code attribute.
+
+    Each instruction is an (offset, mnemonic, operands) tuple, its branch
+    operands absolute offsets; each handler is a (start, end, handler,
+    catch type) tuple, the protected range [start, end) and the catch type
+    a dotted class name, or None for catch-all.
+    """
+
     max_stack: int
     max_locals: int
-    instructions: tuple[Instruction, ...]
-    exception_table: tuple[ExceptionHandler, ...] = ()
-
-    def offsets(self) -> set[int]:
-        return {ins.offset for ins in self.instructions}
+    instructions: tuple[tuple[int, str, tuple], ...]
+    exception_table: tuple[tuple[int, int, int, str | None], ...] = ()
 
 
 class _Undecoded:
@@ -110,10 +90,10 @@ _POOL_MNEMONICS = frozenset(m for m, fmt in FORMAT_OF.items()
 def resolved_code(method: MethodInfo, pool: ConstantPool) -> tuple | None:
     """A method's code with pool indices replaced by what they name.
 
-    The key holds the descriptor, ``is_static``, the exception table as
-    (start, end, handler, catch type) tuples and, per instruction,
-    (offset, mnemonic, operands) with each pool operand resolved by
-    ``ConstantPool.resolve``. It is lifting's only input (``lift`` takes
+    The key holds the descriptor, ``is_static``, the parser's exception
+    table and its instruction tuples, each pool operand resolved by
+    ``ConstantPool.resolve``: the decoder's output types are part of
+    ``key_digest``'s contract. It is lifting's only input (``lift`` takes
     it and nothing else; not ``max_stack``, ``max_locals`` or the pool),
     so two methods with equal keys lift to the same IR even when their
     pools are laid out differently. None for a method without code.
@@ -123,13 +103,10 @@ def resolved_code(method: MethodInfo, pool: ConstantPool) -> tuple | None:
     code = method.code
     if code is None:
         return None
-    return (method.descriptor, method.is_static,
-            tuple((h.start, h.end, h.handler, h.catch_type)
-                  for h in code.exception_table),
-            tuple((ins.offset, ins.mnemonic,
-                   (pool.resolve(ins.operands[0]),) + ins.operands[1:]
-                   if ins.mnemonic in _POOL_MNEMONICS else ins.operands)
-                  for ins in code.instructions))
+    return (method.descriptor, method.is_static, code.exception_table,
+            tuple((offset, m, (pool.resolve(ops[0]),) + ops[1:]
+                   if m in _POOL_MNEMONICS else ops)
+                  for offset, m, ops in code.instructions))
 
 
 def key_digest(key: tuple) -> str:

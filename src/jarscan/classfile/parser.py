@@ -68,9 +68,7 @@ from .model import (
     UNDECODED,
     ClassFile,
     CodeAttribute,
-    ExceptionHandler,
     FieldInfo,
-    Instruction,
     JarArchive,
     MethodInfo,
     ParseFailure,
@@ -174,9 +172,10 @@ def _cut(start: int) -> TruncatedInput:
     return TruncatedInput(f"code array ends inside instruction at {start}")
 
 
-def decode_instructions(code: bytes) -> tuple[Instruction, ...]:
-    """Decode a Code array into instructions with absolute branch targets."""
-    out: list[Instruction] = []
+def decode_instructions(code: bytes) -> tuple[tuple[int, str, tuple], ...]:
+    """Decode a Code array into (offset, mnemonic, operands) tuples, each
+    branch operand an absolute offset."""
+    out: list[tuple[int, str, tuple]] = []
     pos = 0
     n = len(code)
     while pos < n:
@@ -206,7 +205,7 @@ def decode_instructions(code: bytes) -> tuple[Instruction, ...]:
             if relative:
                 operands = (start + operands[0],)
             pos = end
-        out.append(Instruction(start, mnemonic, operands))
+        out.append((start, mnemonic, operands))
     return tuple(out)
 
 
@@ -240,21 +239,24 @@ def _decode_switch(code: bytes, start: int, pos: int, mnemonic: str) -> tuple[tu
     return (start + default, pairs), end
 
 
-def _validate_targets(instructions: tuple[Instruction, ...],
-                      table: tuple[ExceptionHandler, ...]) -> None:
-    offsets = {ins.offset for ins in instructions}
-    for ins in instructions:
-        for t in branch_targets(ins.mnemonic, ins.operands):
+def _validate_targets(instructions: tuple[tuple[int, str, tuple], ...],
+                      table: tuple[tuple[int, int, int, str | None], ...],
+                      code_length: int) -> None:
+    """Each branch target and handler is an instruction's offset, and each
+    protected range [start, end) is not empty and runs from an
+    instruction's offset to one or to the code's end (JVMS 4.7.3)."""
+    offsets = {offset for offset, _m, _ops in instructions}
+    for offset, m, ops in instructions:
+        for t in branch_targets(m, ops):
             if t not in offsets:
                 raise ClassParseError(
-                    f"branch target {t} of {ins.mnemonic}@{ins.offset} "
-                    f"is not an instruction boundary"
-                )
-    for h in table:
-        if h.handler not in offsets:
-            raise ClassParseError(f"exception handler pc {h.handler} is not a boundary")
-        if h.start > h.end or h.start not in offsets:
-            raise ClassParseError(f"bad exception range [{h.start}, {h.end})")
+                    f"branch target {t} of {m}@{offset} is not an instruction boundary")
+    for start, end, handler, _catch in table:
+        if handler not in offsets:
+            raise ClassParseError(f"exception handler pc {handler} is not a boundary")
+        if (not start < end or start not in offsets
+                or end not in offsets and end != code_length):
+            raise ClassParseError(f"bad exception range [{start}, {end})")
 
 
 def _parse_code_attribute(data: bytes, pool: ConstantPool) -> CodeAttribute:
@@ -270,12 +272,12 @@ def _parse_code_attribute(data: bytes, pool: ConstantPool) -> CodeAttribute:
         start, end, handler, catch_idx = _read(_HANDLER, data, pos)
         pos += 8
         catch = pool.class_name(catch_idx).replace("/", ".") if catch_idx else None
-        table.append(ExceptionHandler(start, end, handler, catch))
+        table.append((start, end, handler, catch))
     # Code sub-attributes (LineNumberTable, StackMapTable, ...) are skipped.
     _skip_attributes(data, pos)
-    attr = CodeAttribute(max_stack, max_locals, instructions, tuple(table))
-    _validate_targets(instructions, attr.exception_table)
-    return attr
+    table = tuple(table)
+    _validate_targets(instructions, table, code_len)
+    return CodeAttribute(max_stack, max_locals, instructions, table)
 
 
 def _member_attributes(data: bytes, pos: int,

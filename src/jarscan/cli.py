@@ -12,8 +12,9 @@ modification harness). Exit codes are a stable contract:
             --list file that cannot be read or is not UTF-8 and a --command
             that does not split into words)
   modify:   0 written, 1 relocation collision or bad input (including an
-            input that is not a ZIP archive), 2 usage (including a type 4
-            --prefix that is not dot-separated identifiers), unreadable
+            input that is not a ZIP archive or holds an unreadable entry),
+            2 usage (including a type 4 --prefix that is not dot-separated
+            identifiers, or type 1 given other than one input), unreadable
             input or unwritable output
 
 Threshold flags override the shipped defaults; every flag mirrors an
@@ -23,19 +24,17 @@ environment variable with the JARSCAN_ prefix (e.g. JARSCAN_THETA_PT).
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import logging
 import os
 import re
 import sys
-import zipfile
 from pathlib import Path
 
 from . import __version__
 from .classfile.constructs import SEGMENT
-from .errors import JarscanError, KbFormatError, RelocationCollision
+from .errors import JarscanError, KbFormatError, MalformedArchive, RelocationCollision
 from .kb import build_from_manifest, load as load_kb, save as save_kb
 from .scanner import (
     DEFAULT_THETA_CC,
@@ -194,18 +193,21 @@ def cmd_modify(args) -> int:
         print(f"error: --prefix {args.prefix!r} is not dot-separated identifiers "
               "that each start with an ASCII letter, _ or $", file=sys.stderr)
         return 2
+    if args.kind == 1 and len(args.inputs) != 1:
+        print("error: type 1 operates on exactly one JAR", file=sys.stderr)
+        return 2
     try:
         inputs = [Path(p).read_bytes() for p in args.inputs]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    from .modharness import modify, read_entries
     for path, data in zip(args.inputs, inputs):
         try:
-            zipfile.ZipFile(io.BytesIO(data)).close()
-        except (zipfile.BadZipFile, NotImplementedError, ValueError) as exc:
+            read_entries(data)
+        except MalformedArchive as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 1
-    from .modharness import modify
     try:
         out = modify(inputs, args.kind, prefix=args.prefix, seed=args.seed)
     except (RelocationCollision, JarscanError, ValueError) as exc:

@@ -35,8 +35,8 @@ from .classfile.emitter import (
 )
 from .classfile.model import ClassFile, resolved_code
 from .classfile.opcodes import LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
-from .classfile.parser import parse_class
-from .errors import RelocationCollision, UnsupportedFeature
+from .classfile.parser import _UNREADABLE_ARCHIVE, _UNREADABLE_ENTRY, parse_class
+from .errors import MalformedArchive, RelocationCollision, UnsupportedFeature
 
 log = logging.getLogger(__name__)
 
@@ -234,10 +234,25 @@ def compiler_variant(data: bytes, rng: random.Random) -> bytes:
 
 # ------------------------------------------------------------------- modify
 
-def _read_entries(jar_bytes: bytes) -> list[tuple[str, bytes]]:
-    with zipfile.ZipFile(io.BytesIO(jar_bytes)) as zf:
-        return [(i.filename, zf.read(i.filename))
-                for i in zf.infolist() if not i.filename.endswith("/")]
+def read_entries(jar_bytes: bytes) -> list[tuple[str, bytes]]:
+    """Each non-directory entry's path and bytes. Raises MalformedArchive
+    for an archive zipfile cannot open, or naming the first entry it
+    cannot read ("<entry>: <reason>")."""
+    try:
+        zf = zipfile.ZipFile(io.BytesIO(jar_bytes))
+    except _UNREADABLE_ARCHIVE as exc:
+        raise MalformedArchive(str(exc)) from exc
+    entries = []
+    with zf:
+        for info in zf.infolist():
+            if info.filename.endswith("/"):
+                continue
+            try:
+                entries.append((info.filename, zf.read(info.filename)))
+            except _UNREADABLE_ENTRY as exc:     # EOFError has no text
+                raise MalformedArchive(
+                    f"{info.filename}: {str(exc) or type(exc).__name__}") from exc
+    return entries
 
 
 def _is_metadata(path: str) -> bool:
@@ -249,7 +264,7 @@ def _merge(jars: list[bytes], keep_metadata: bool) -> list[tuple[str, bytes]]:
     merged: list[tuple[str, bytes]] = []
     seen: set[str] = set()
     for idx, jar in enumerate(jars):
-        for path, data in _read_entries(jar):
+        for path, data in read_entries(jar):
             if _is_metadata(path):
                 if keep_metadata:
                     new_path = f"META-INF/bundled/{idx}/{path.removeprefix('META-INF/')}"
@@ -276,7 +291,7 @@ def modify(jars: list[bytes], kind: int, *, prefix: str = "r.",
             raise ValueError("type 1 operates on exactly one JAR")
         rng = random.Random(seed)
         out = []
-        for path, data in _read_entries(jars[0]):
+        for path, data in read_entries(jars[0]):
             if path.endswith(".class"):
                 out.append((path, compiler_variant(data, rng)))
             else:

@@ -84,8 +84,8 @@ def _beta_pre_putstatic_at(corpus, index: int):
     [(name, data)] = corpus.pre_classes["CVE-9000-0002"]
     cf = parse_class(data)
     [token] = [m for m in cf.methods if m.name == "token"]
-    [put] = [i for i in token.code.instructions if i.mnemonic == "putstatic"]
-    old = bytes([0x1B, 0xB3]) + put.operands[0].to_bytes(2, "big")
+    [(index_was,)] = [ops for _at, m, ops in token.code.instructions if m == "putstatic"]
+    old = bytes([0x1B, 0xB3]) + index_was.to_bytes(2, "big")
     assert data.count(old) == 1
     return name, data.replace(old, bytes([0x1B, 0xB3]) + index.to_bytes(2, "big"))
 
@@ -121,7 +121,7 @@ def unreachable_out_of_range_beta_pre():
     token.code += [("getstatic", pre.name, "flags", "I"), "ireturn"]
     data = emit_class(pre)
     [token] = [m for m in parse_class(data).methods if m.name == "token"]
-    [get] = [i for i in token.code.instructions if i.mnemonic == "getstatic"]
-    old = bytes([0xB2]) + get.operands[0].to_bytes(2, "big") + bytes([0xAC])
+    [(index,)] = [ops for _at, m, ops in token.code.instructions if m == "getstatic"]
+    old = bytes([0xB2]) + index.to_bytes(2, "big") + bytes([0xAC])
     assert data.count(old) == 1
     return pre.name, data.replace(old, bytes([0xB2, 0xFF, 0xFF, 0xAC]))

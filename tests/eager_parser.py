@@ -20,6 +20,10 @@ package's decoder reads, so a layout error that is symmetric in the two
 would round-trip unseen; against this copy it shows. On any code array
 the two must raise the same ClassParseError subclass or return equal
 instruction tuples.
+
+Both give a method body in the package's one form: (offset, mnemonic,
+operands) instruction tuples and (start, end, handler, catch type)
+handler tuples. Only how each reaches it differs.
 """
 
 from __future__ import annotations
@@ -50,14 +54,7 @@ from jarscan.classfile.constant_pool import (
     CpEntry,
 )
 from jarscan.classfile.descriptors import parse_method_descriptor, validate_field_descriptor
-from jarscan.classfile.model import (
-    ClassFile,
-    CodeAttribute,
-    ExceptionHandler,
-    FieldInfo,
-    Instruction,
-    MethodInfo,
-)
+from jarscan.classfile.model import ClassFile, CodeAttribute, FieldInfo, MethodInfo
 from jarscan.classfile.opcodes import OPCODES, WIDE
 from jarscan.classfile.parser import (
     MAGIC,
@@ -203,9 +200,10 @@ def _parse_constant_pool(r: _Reader) -> EagerConstantPool:
     return EagerConstantPool(entries)
 
 
-def decode_instructions(code: bytes) -> tuple[Instruction, ...]:
-    """Decode a Code array into instructions with absolute branch targets."""
-    out: list[Instruction] = []
+def decode_instructions(code: bytes) -> tuple[tuple[int, str, tuple], ...]:
+    """Decode a Code array into (offset, mnemonic, operands) tuples, each
+    branch operand an absolute offset."""
+    out: list[tuple[int, str, tuple]] = []
     pos = 0
     n = len(code)
 
@@ -328,7 +326,7 @@ def decode_instructions(code: bytes) -> tuple[Instruction, ...]:
         else:  # pragma: no cover - table is exhaustive
             raise ClassParseError(f"unhandled operand format {fmt}")
 
-        out.append(Instruction(start, mnemonic, operands))
+        out.append((start, mnemonic, operands))
     return tuple(out)
 
 
@@ -342,13 +340,13 @@ def _parse_code_attribute(data: bytes, pool: EagerConstantPool) -> CodeAttribute
     for _ in range(r.u2()):
         start, end, handler, catch_idx = r.u2(), r.u2(), r.u2(), r.u2()
         catch = pool.class_name(catch_idx).replace("/", ".") if catch_idx else None
-        table.append(ExceptionHandler(start, end, handler, catch))
+        table.append((start, end, handler, catch))
     for _ in range(r.u2()):
         r.u2()
         r.raw(r.u4())
-    attr = CodeAttribute(max_stack, max_locals, instructions, tuple(table))
-    _validate_targets(instructions, attr.exception_table)
-    return attr
+    table = tuple(table)
+    _validate_targets(instructions, table, len(code))
+    return CodeAttribute(max_stack, max_locals, instructions, table)
 
 
 def _member_attributes(r: _Reader, pool: EagerConstantPool) -> list[tuple[str, bytes]]:

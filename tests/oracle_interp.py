@@ -25,7 +25,7 @@ _CMP = {
 def run_bytecode(code, args, max_steps=200_000):
     """Execute an int-only static method's CodeAttribute; returns the int
     result (or None for void)."""
-    by_offset = {ins.offset: i for i, ins in enumerate(code.instructions)}
+    by_offset = {offset: i for i, (offset, _m, _ops) in enumerate(code.instructions)}
     instructions = code.instructions
     locals_ = list(args) + [0] * (code.max_locals - len(args) + 4)
     stack: list[int] = []
@@ -35,8 +35,7 @@ def run_bytecode(code, args, max_steps=200_000):
         steps += 1
         if steps > max_steps:
             raise RuntimeError("oracle step budget exceeded")
-        ins = instructions[i]
-        m = ins.mnemonic
+        _offset, m, ops = instructions[i]
         if m == "nop":
             pass
         elif m == "iconst_m1":
@@ -44,17 +43,17 @@ def run_bytecode(code, args, max_steps=200_000):
         elif m.startswith("iconst_"):
             stack.append(int(m.rsplit("_", 1)[1]))
         elif m in ("bipush", "sipush"):
-            stack.append(ins.operands[0])
+            stack.append(ops[0])
         elif m == "iload":
-            stack.append(locals_[ins.operands[0]])
+            stack.append(locals_[ops[0]])
         elif m.startswith("iload_"):
             stack.append(locals_[int(m.rsplit("_", 1)[1])])
         elif m == "istore":
-            locals_[ins.operands[0]] = stack.pop()
+            locals_[ops[0]] = stack.pop()
         elif m.startswith("istore_"):
             locals_[int(m.rsplit("_", 1)[1])] = stack.pop()
         elif m == "iinc":
-            slot, delta = ins.operands
+            slot, delta = ops
             locals_[slot] = w32(locals_[slot] + delta)
         elif m in ("iadd", "isub", "imul", "iand", "ior", "ixor",
                    "ishl", "ishr", "iushr", "idiv", "irem"):
@@ -104,23 +103,23 @@ def run_bytecode(code, args, max_steps=200_000):
             b = stack.pop()
             a = stack.pop()
             if _CMP[m.removeprefix("if_icmp")](a, b):
-                i = by_offset[ins.operands[0]]
+                i = by_offset[ops[0]]
                 continue
         elif m.startswith("if"):
             a = stack.pop()
             if _CMP[m.removeprefix("if")](a, 0):
-                i = by_offset[ins.operands[0]]
+                i = by_offset[ops[0]]
                 continue
         elif m in ("goto", "goto_w"):
-            i = by_offset[ins.operands[0]]
+            i = by_offset[ops[0]]
             continue
         elif m == "tableswitch":
-            default, low, high, targets = ins.operands
+            default, low, high, targets = ops
             key = stack.pop()
             i = by_offset[targets[key - low] if low <= key <= high else default]
             continue
         elif m == "lookupswitch":
-            default, pairs = ins.operands
+            default, pairs = ops
             key = stack.pop()
             target = default
             for v, t in pairs:

@@ -31,8 +31,8 @@ from jarscan.classfile import parser as parser_mod
 from jarscan.classfile.constructs import ConstructId
 from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.emitter import encode_instruction
-from jarscan.classfile.model import Instruction
-from jarscan.classfile.opcodes import FORMAT_OF, LOCALS, OPCODES, WIDE
+from jarscan.classfile.model import ClassFile, resolved_code, stripped_code
+from jarscan.classfile.opcodes import FORMAT_OF, LOCALS, OPCODES, WIDE, branch_targets
 from jarscan.classfile.parser import decode_instructions
 from jarscan.errors import (
     BadConstantPoolRef,
@@ -187,16 +187,17 @@ def _outcome(read, *args):
         return type(exc)
 
 
-def _same_as_eager(data: bytes) -> bool:
+def _same_as_eager(data: bytes) -> ClassFile | None:
     """parse_class and the eager parser it replaced (tests/eager_parser.py)
     raise the same ClassParseError subclass, or return equal classes whose
     pools give the same ``entry``, ``resolve`` and ``in`` for every index
     from 0 to count + 1: index 0, the index just past the pool and the
-    second slot of a Long or Double included. Returns whether it parsed."""
+    second slot of a Long or Double included. Returns the parsed class, or
+    None."""
     want, got = _outcome(eager_parser.parse_class, data), _outcome(parse_class, data)
     if isinstance(want, type) or isinstance(got, type):
         assert got is want
-        return False
+        return None
     assert got == want
     new, old = got.constant_pool, want.constant_pool
     assert len(new) == len(old)
@@ -206,7 +207,7 @@ def _same_as_eager(data: bytes) -> bool:
         # by repr where unequal, since a NaN constant is not equal to itself
         assert entries[0] == entries[1] or repr(entries[0]) == repr(entries[1])
         assert _outcome(new.resolve, index) == _outcome(old.resolve, index)
-    return True
+    return got
 
 
 def _random_class(seed: int) -> bytes:
@@ -331,16 +332,70 @@ def _jdk_jmod(module: str) -> Path | None:
     return None
 
 
+def _assert_key_atoms(key) -> None:
+    """The code key is tuples of str, int, bytes, bool and None alone, of
+    exactly those types: what makes ``key_digest``'s ``ascii()`` canonical."""
+    parts = [key]
+    while parts:
+        part = parts.pop()
+        if type(part) is tuple:
+            parts.extend(part)
+        else:
+            assert type(part) in (str, int, bytes, bool, type(None)), repr(part)
+
+
 def test_parser_matches_eager_on_jdk_classes():
+    """Every java.xml class parses as the eager parser parses it, and each
+    method's ``resolved_code`` and ``stripped_code`` keys hold only the
+    types ``key_digest`` is canonical for."""
     jmod = _jdk_jmod("java.xml")
     if jmod is None:
         pytest.skip("no JDK with jmods/java.xml.jmod")
+    keys = 0
     with zipfile.ZipFile(jmod) as zf:     # a jmod is a zip behind a 4-byte header
         names = [n for n in zf.namelist() if n.endswith(".class")]
         assert len(names) > 2000
         for name in names:
-            data = zf.read(name)
-            assert _same_as_eager(data), name
+            cf = _same_as_eager(zf.read(name))
+            assert cf, name
+            for m in cf.methods:
+                if m.code is not None:
+                    key = resolved_code(m, cf.constant_pool)
+                    _assert_key_atoms(key)
+                    _assert_key_atoms(stripped_code(key))
+                    keys += 1
+    assert keys > 10_000
+
+
+def handler_class() -> tuple[bytes, bytes]:
+    """The class p.A, whose static ``int f()`` protects [0, 6) of its 10
+    bytes of code: sipush@0, bipush@3, iadd@5, ireturn@6, handler pop@7,
+    iconst_0@8, ireturn@9. Returns its bytes and its handler table entry."""
+    data = emit_class(ClassModel("p.A", methods=[MethodModel("f", "()I", 0x09, code=[
+        "s:", ("push_int", 300), ("push_int", 7), "iadd", "e:", "ireturn",
+        "h:", "pop", "iconst_0", "ireturn"], handlers=[("s", "e", "h", None)])]))
+    entry = struct.pack(">HHHH", 0, 6, 7, 0)
+    assert data.count(entry) == 1
+    return data, entry
+
+
+@pytest.mark.parametrize("start, end, ok", [
+    (0, 6, True), (0, 10, True), (3, 5, True),
+    (0, 1, False), (0, 2, False), (0, 11, False), (0, 200, False),
+    (0, 0, False), (3, 3, False), (5, 3, False), (1, 6, False)])
+def test_handler_range_follows_jvms(start, end, ok):
+    """A protected range [start, end) is not empty, starts at an
+    instruction and ends at one or at the end of the code (JVMS 4.7.3);
+    the eager parser, which shares the check, agrees."""
+    data, entry = handler_class()
+    data = data.replace(entry, struct.pack(">HHHH", start, end, 7, 0))
+    if ok:
+        [f] = _same_as_eager(data).methods
+        assert f.code.exception_table == ((start, end, 7, None),)
+    else:
+        with pytest.raises(ClassParseError, match=rf"bad exception range \[{start}, {end}\)"):
+            parse_class(data)
+        assert _same_as_eager(data) is None
 
 
 def test_decoder_matches_reference_on_damaged_jdk_code(monkeypatch):
@@ -508,7 +563,7 @@ def test_int_method_roundtrip():
     data, resolved = emit_class_resolved(model)
     cf = parse_class(data)
     code = cf.methods[0].code
-    assert [i.mnemonic for i in code.instructions] == ["iconst_1", "ireturn"]
+    assert [m for _at, m, _ops in code.instructions] == ["iconst_1", "ireturn"]
     assert code == resolved[0]
 
 
@@ -543,7 +598,7 @@ def test_every_opcode_roundtrips_through_both_decoders():
     for op, (mnemonic, fmt) in OPCODES.items():
         for at in range(4):
             for operands in _sample_operands(fmt, at):
-                ins = Instruction(at, mnemonic, operands)
+                ins = (at, mnemonic, operands)
                 code = bytes(at) + encode_instruction(ins)
                 assert code[at + (code[at] == WIDE)] == op
                 wide += code[at] == WIDE
@@ -551,9 +606,9 @@ def test_every_opcode_roundtrips_through_both_decoders():
                 assert eager_parser.decode_instructions(code)[at] == ins
     assert wide == 4 * (11 * 2 + 4)        # 11 local-slot mnemonics, and iinc
     with pytest.raises(UnsupportedFeature, match="beyond 16 bits"):
-        encode_instruction(Instruction(0, "goto", (32768,)))
+        encode_instruction((0, "goto", (32768,)))
     with pytest.raises(struct.error):
-        encode_instruction(Instruction(0, "iload", (65536,)))
+        encode_instruction((0, "iload", (65536,)))
 
 
 def test_local_access_table():
@@ -605,12 +660,14 @@ def test_offset_integrity_on_random_models():
         code = random_int_method(rng, params=2, segments=rng.randint(2, 8))
         model = ClassModel("rnd.O", methods=[MethodModel("f", "(II)I", 0x09, code=code)])
         cf = parse_class(emit_class(model))
-        attr = cf.methods[0].code
-        offsets = attr.offsets()
-        from jarscan.classfile.opcodes import branch_targets
-        for ins in attr.instructions:
-            for t in branch_targets(ins.mnemonic, ins.operands):
-                assert t in offsets
+        _assert_targets_are_offsets(cf.methods[0].code)
+
+
+def _assert_targets_are_offsets(code) -> None:
+    offsets = {at for at, _m, _ops in code.instructions}
+    for _at, m, ops in code.instructions:
+        for t in branch_targets(m, ops):
+            assert t in offsets
 
 
 # ----------------------------------------------------------- golden switches
@@ -660,32 +717,27 @@ def _handcrafted_switch_class() -> bytes:
 
 def _dump_instructions(code) -> str:
     lines = []
-    for ins in code.instructions:
-        if ins.mnemonic == "tableswitch":
-            default, low, high, targets = ins.operands
-            lines.append(f"{ins.offset} tableswitch default={default} "
+    for at, m, ops in code.instructions:
+        if m == "tableswitch":
+            default, low, high, targets = ops
+            lines.append(f"{at} tableswitch default={default} "
                          f"low={low} high={high} "
                          f"targets={','.join(str(t) for t in targets)}")
-        elif ins.mnemonic == "lookupswitch":
-            default, pairs = ins.operands
+        elif m == "lookupswitch":
+            default, pairs = ops
             pair_s = ",".join(f"{v}:{t}" for v, t in pairs)
-            lines.append(f"{ins.offset} lookupswitch default={default} pairs={pair_s}")
-        elif ins.operands:
-            ops = " ".join(str(o) for o in ins.operands)
-            lines.append(f"{ins.offset} {ins.mnemonic} {ops}")
+            lines.append(f"{at} lookupswitch default={default} pairs={pair_s}")
+        elif ops:
+            lines.append(f"{at} {m} {' '.join(str(o) for o in ops)}")
         else:
-            lines.append(f"{ins.offset} {ins.mnemonic}")
+            lines.append(f"{at} {m}")
     return "\n".join(lines) + "\n"
 
 
 def test_switch_decoding_matches_checked_in_dump():
     cf = parse_class(_handcrafted_switch_class())
     code = cf.methods[0].code
-    offsets = code.offsets()
-    from jarscan.classfile.opcodes import branch_targets
-    for ins in code.instructions:
-        for t in branch_targets(ins.mnemonic, ins.operands):
-            assert t in offsets
+    _assert_targets_are_offsets(code)
     golden = (DATA / "golden_switch.dump").read_text()
     assert _dump_instructions(code) == golden
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from jarscan.cli import _write_json, main
 from jarscan.kb import load
 from jarscan.scanner import ScanConfig, render_table, report_to_json, scan
 from corpus import materialize_manifest
+from jar_damage import ENTRY_DAMAGES, damaged_entry
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "report-schema.json").read_text())
@@ -391,6 +393,46 @@ def test_modify_input_not_a_zip_exit_1(tmp_path, corpus, capsys, kind):
     out = tmp_path / "o.jar"
     assert main(["modify", "--kind", kind, "-o", str(out), *ins]) == 1
     assert capsys.readouterr().err == f"error: {bad}: File is not a zip file\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["1", "2", "4"])
+@pytest.mark.parametrize("damage", sorted(ENTRY_DAMAGES))
+def test_modify_unreadable_entry_exit_1(tmp_path, corpus, capsys, kind, damage):
+    """An entry zipfile cannot read is named, with its input, in the
+    error, and nothing is written."""
+    good = _write_jars(corpus, tmp_path, "pre_jars")[:1]
+    entry = "alpha/core/Parser.class"
+    bad = tmp_path / "damaged.jar"
+    bad.write_bytes(damaged_entry(corpus.pre_jars["CVE-9000-0001"], entry, damage))
+    ins = [str(bad)] if kind == "1" else [*good, str(bad)]
+    out = tmp_path / "o.jar"
+    assert main(["modify", "--kind", kind, "-o", str(out), *ins]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {entry}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_modify_type1_given_two_inputs_exit_2(tmp_path, corpus, capsys):
+    ins = _write_jars(corpus, tmp_path, "pre_jars")[:2]
+    out = tmp_path / "o.jar"
+    assert main(["modify", "--kind", "1", "-o", str(out), *ins]) == 2
+    assert capsys.readouterr().err == "error: type 1 operates on exactly one JAR\n"
+    assert not out.exists()
+
+
+def test_modify_type1_bad_handler_range_exit_1(tmp_path, capsys):
+    """A class whose handler range ends inside an instruction is refused
+    by the parser, so type 1 ends in an error, not a traceback."""
+    from jarscan.classfile import class_entry_path, write_jar
+    from test_classfile import handler_class
+    data, table_entry = handler_class()
+    bad = data.replace(table_entry, struct.pack(">HHHH", 0, 1, 7, 0))
+    jar = tmp_path / "in.jar"
+    jar.write_bytes(write_jar([(class_entry_path("p.A"), bad)]))
+    out = tmp_path / "o.jar"
+    assert main(["modify", "--kind", "1", "-o", str(out), str(jar)]) == 1
+    assert capsys.readouterr().err == "error: bad exception range [0, 1)\n"
     assert not out.exists()
 
 

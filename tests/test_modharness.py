@@ -18,7 +18,7 @@ from jarscan.classfile import (
 from jarscan.errors import RelocationCollision
 from jarscan.classfile.model import resolved_code
 from jarscan.ir import dump, lift
-from jarscan.modharness import compiler_variant, modify
+from jarscan.modharness import compiler_variant, modify, read_entries
 from jarscan.normalize import normalize
 from ir_interp import run_ir
 from randgen import random_int_method
@@ -56,12 +56,8 @@ def test_type3_strips_metadata_keeps_class_bytes():
     out = modify([jar], 3)
     archive = parse_jar(out)
     assert not archive.metadata_present
-    original_classes = {p: d for p, d in
-                        __import__("jarscan.modharness", fromlist=["_read_entries"])
-                        ._read_entries(jar) if p.endswith(".class")}
-    modified_classes = {p: d for p, d in
-                        __import__("jarscan.modharness", fromlist=["_read_entries"])
-                        ._read_entries(out) if p.endswith(".class")}
+    original_classes = {p: d for p, d in read_entries(jar) if p.endswith(".class")}
+    modified_classes = {p: d for p, d in read_entries(out) if p.endswith(".class")}
     assert original_classes == modified_classes
 
 
@@ -152,7 +148,7 @@ def test_type1_permutes_every_access_to_a_slot():
     for seed in range(8):
         cf = parse_class(compiler_variant(emit_class(model), random.Random(seed)))
         code = cf.methods[0].code
-        stored.add(next(i.operands for i in code.instructions if i.mnemonic == "istore"))
+        stored.add(next(ops for _at, m, ops in code.instructions if m == "istore"))
         ir = lift(resolved_code(cf.methods[0], cf.constant_pool))
         assert run_ir(ir, [0]) == (3 + 5) - 10
     assert stored == {(1,), (2,)}
