@@ -115,18 +115,10 @@ def key_digest(key: tuple) -> str:
     The keys (``resolved_code``, ``stripped_code``) are built only of str,
     int, bytes, bool, None and tuples, so ``ascii()`` is a canonical
     serialization: the same in every process, under every hash seed and
-    every Unicode database. Equal digests stand for equal keys.
+    every Unicode database. Equal digests stand for equal keys, so equal
+    digests of ``resolved_code`` are equal lifting inputs, hence equal IR.
     """
     return hashlib.blake2b(ascii(key).encode("ascii"), digest_size=16).hexdigest()
-
-
-def code_digest(method: MethodInfo, pool: ConstantPool) -> str | None:
-    """The ``key_digest`` of ``resolved_code``: equal digests are equal
-    lifting inputs, so equal IR, independent of the declaring class's name. None for a
-    method without code; raises BadConstantPoolRef as ``resolved_code``
-    does."""
-    key = resolved_code(method, pool)
-    return None if key is None else key_digest(key)
 
 
 # Classes the IR pipeline recognises by name: normalize rewrites their

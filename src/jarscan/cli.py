@@ -211,7 +211,9 @@ def cmd_modify(args) -> int:
     try:
         out = modify(inputs, args.kind, prefix=args.prefix, seed=args.seed)
     except (RelocationCollision, JarscanError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A merged JAR's entries come from several inputs; type 1's from one.
+        where = f"{args.inputs[0]}: " if args.kind == 1 else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     try:
         Path(args.out).write_bytes(out)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .model import Branch, Goto, MethodIr, Return, Switch, Throw
+from .model import MethodIr, Return, Throw, block_targets
 
 log = logging.getLogger(__name__)
 
@@ -17,7 +17,7 @@ EXIT = -2
 class Edge:
     src: int
     dst: int
-    kind: str  # fallthrough | branch-taken | switch-case | exception
+    kind: str  # flow | exception
 
 
 @dataclass
@@ -56,24 +56,16 @@ def build_cfg(ir: MethodIr) -> Cfg:
 
     for block in ir.blocks:
         term = ir.terminator(block)
-        if isinstance(term, Branch):
-            edges.add(Edge(block.bid, term.taken, "branch-taken"))
-            edges.add(Edge(block.bid, term.fallthrough, "fallthrough"))
-        elif isinstance(term, Goto):
-            edges.add(Edge(block.bid, term.target, "branch-taken"))
-        elif isinstance(term, Switch):
-            for _v, target in term.cases:
-                edges.add(Edge(block.bid, target, "switch-case"))
-            edges.add(Edge(block.bid, term.default, "switch-case"))
-        elif isinstance(term, (Return, Throw)):
-            edges.add(Edge(block.bid, EXIT, "fallthrough"))
+        if isinstance(term, (Return, Throw)):
+            targets = (EXIT,)
+        elif term is not None:
+            targets = block_targets(term)
+        elif block.bid + 1 in id_set:
+            targets = (block.bid + 1,)
         else:
-            nxt = block.bid + 1
-            if nxt in id_set:
-                edges.add(Edge(block.bid, nxt, "fallthrough"))
-            else:
-                log.warning("block %d falls through past the last block", block.bid)
-                edges.add(Edge(block.bid, EXIT, "fallthrough"))
+            log.warning("block %d falls through past the last block", block.bid)
+            targets = (EXIT,)
+        edges.update(Edge(block.bid, t, "flow") for t in targets)
 
     for h in ir.handlers:
         for covered in h.covered:
@@ -81,6 +73,6 @@ def build_cfg(ir: MethodIr) -> Cfg:
                 edges.add(Edge(covered, h.handler, "exception"))
 
     if ids:
-        edges.add(Edge(ENTRY, ids[0], "fallthrough"))
+        edges.add(Edge(ENTRY, ids[0], "flow"))
     nodes = tuple([ENTRY, EXIT] + ids)
     return Cfg(nodes=nodes, edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.kind))))

@@ -30,7 +30,6 @@ from .model import (
     ArrayPut,
     Assign,
     Bin,
-    Block,
     Branch,
     Cast,
     Caught,
@@ -41,7 +40,6 @@ from .model import (
     FieldGet,
     FieldPut,
     Goto,
-    HandlerInfo,
     InstOf,
     Invoke,
     Lit,
@@ -207,24 +205,15 @@ def lift(key: tuple) -> MethodIr:
             continue
         hb = renumber[handler_raw]
         state.mark_handler(hb, catch)
-        handler_infos.append((tuple(cov_new), hb, catch))
+        handler_infos.append((cov_new, hb, catch))
 
     state.set_entry_shape(0, ())
     state.run(kept, renumber)
 
-    statements: list = []
-    blocks: list[Block] = []
-    for new_id in range(len(kept)):
-        body = state.block_statements[new_id]
-        start = len(statements)
-        statements.extend(body)
-        blocks.append(Block(new_id, start, len(statements)))
-
-    merged_handlers = tuple(HandlerInfo(cov, hb, catch)
-                            for cov, hb, catch in handler_infos)
-    return MethodIr(params=tuple(param_regs), is_static=is_static,
-                    statements=statements, blocks=blocks,
-                    handlers=merged_handlers)
+    return MethodIr.from_blocks(
+        tuple(param_regs), is_static,
+        [state.block_statements[new_id] for new_id in range(len(kept))],
+        handler_infos)
 
 
 class _Lifter:

@@ -273,6 +273,32 @@ TERMINATORS = (Branch, Goto, Switch, Return, Throw)
 NEGATED_OP = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "gt": "le", "le": "gt"}
 
 
+def block_targets(stmt) -> tuple:
+    """The blocks a statement may jump to, in canonical order: a Branch's
+    fallthrough then taken, a Goto's target, a Switch's cases by value
+    then its default. Empty for every other statement."""
+    if isinstance(stmt, Branch):
+        return (stmt.fallthrough, stmt.taken)
+    if isinstance(stmt, Goto):
+        return (stmt.target,)
+    if isinstance(stmt, Switch):
+        return (*(b for _v, b in stmt.cases), stmt.default)
+    return ()
+
+
+def map_block_targets(stmt, f):
+    """``stmt`` with each block it may jump to, b, replaced by f(b)."""
+    if isinstance(stmt, Branch):
+        return Branch(stmt.op, stmt.jtype, stmt.args,
+                      f(stmt.taken), f(stmt.fallthrough))
+    if isinstance(stmt, Goto):
+        return Goto(f(stmt.target))
+    if isinstance(stmt, Switch):
+        return Switch(stmt.key, tuple((v, f(b)) for v, b in stmt.cases),
+                      f(stmt.default))
+    return stmt
+
+
 @dataclass(frozen=True)
 class Block:
     bid: int
@@ -294,6 +320,21 @@ class MethodIr:
     statements: list
     blocks: list             # [Block]
     handlers: tuple = ()     # (HandlerInfo, ...)
+
+    @classmethod
+    def from_blocks(cls, params, is_static, blocks, handlers) -> MethodIr:
+        """Lay out ``blocks``, one statement list per block id, and
+        ``handlers``, (covered block ids, head, catch type) each."""
+        statements: list = []
+        laid_out: list[Block] = []
+        for bid, stmts in enumerate(blocks):
+            start = len(statements)
+            statements.extend(stmts)
+            laid_out.append(Block(bid, start, len(statements)))
+        return cls(params=params, is_static=is_static, statements=statements,
+                   blocks=laid_out,
+                   handlers=tuple(HandlerInfo(tuple(sorted(covered)), head, catch)
+                                  for covered, head, catch in handlers))
 
     def terminator(self, block: Block):
         """Last statement if it transfers control, else None (fallthrough)."""

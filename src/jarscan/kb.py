@@ -27,7 +27,7 @@ from .errors import (ClassParseError, CorruptFile, EmptyDiff, KbFormatError, Lif
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = "jarscan-kb"
 
 # Each run that method_signature could have rendered as a method name: a
@@ -53,8 +53,8 @@ class ConstructRecord:
     """One construct touched by a fix: its identity, how it changed,
     the triplet signature (changed methods only), the declaring class's
     post-fix member context and, for a signed changed method, the
-    ``code_digest`` of its pre- and post-fix bodies and the digests of
-    their ``stripped_code``."""
+    ``key_digest`` of its pre- and post-fix bodies' ``resolved_code``
+    and of their ``stripped_code``."""
 
     construct: ConstructId
     change: str                       # added | removed | changed
@@ -148,9 +148,9 @@ class KnowledgeBase:
         return bool(self._stripped_sides)
 
     def triplets_for_code(self, digest: str, unqualified: bool = False) -> frozenset | None:
-        """The triplet set of a method body whose ``code_digest`` is a
-        signed record's pre- or post-fix digest, or None. ``diff`` split
-        that record's T_pre into CT and NT and its T_post into CT and PT,
+        """The triplet set of a method body whose ``resolved_code`` digest
+        is a signed record's pre- or post-fix digest, or None. ``diff``
+        split that record's T_pre into CT and NT and its T_post into CT and PT,
         so a pre-fix body has CT | NT and a post-fix body CT | PT. With
         ``unqualified``, the set as ``unqualify`` gives it."""
         return self._side(self._code_sides.get(digest), unqualified)
@@ -262,8 +262,8 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
     methods a fix changed pay for the pipeline. The others are lifted and
     recorded as ``changed`` when their triplets differ; when either side
     cannot be lifted, the same comparison decides alone. A signed
-    ``changed`` record also carries both sides' ``code_digest`` and
-    stripped digest, from the keys the comparison built, so a scan can
+    ``changed`` record also carries the digests of both sides' resolved
+    and stripped keys, from the keys the comparison built, so a scan can
     recognise either body, or a relocated copy of it, without lifting.
 
     Raises EmptyDiff when nothing differs after normalization, and

@@ -19,6 +19,7 @@ import logging
 import random
 import re
 import zipfile
+from contextlib import contextmanager
 
 from .classfile.constant_pool import resolved_class, resolved_loadable, resolved_member
 from .classfile.descriptors import parse_method_descriptor, param_slots
@@ -36,7 +37,7 @@ from .classfile.emitter import (
 from .classfile.model import ClassFile, resolved_code
 from .classfile.opcodes import LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
 from .classfile.parser import _UNREADABLE_ARCHIVE, _UNREADABLE_ENTRY, parse_class
-from .errors import MalformedArchive, RelocationCollision, UnsupportedFeature
+from .errors import JarscanError, MalformedArchive, RelocationCollision, UnsupportedFeature
 
 log = logging.getLogger(__name__)
 
@@ -255,6 +256,16 @@ def read_entries(jar_bytes: bytes) -> list[tuple[str, bytes]]:
     return entries
 
 
+@contextmanager
+def _naming(path: str):
+    """Re-raise a package error with the class entry's path in front
+    ("<entry>: <reason>")."""
+    try:
+        yield
+    except JarscanError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _is_metadata(path: str) -> bool:
     return (path.startswith("META-INF/") or path == "pom.xml"
             or path.endswith("/pom.xml") or path.endswith("pom.properties"))
@@ -293,7 +304,8 @@ def modify(jars: list[bytes], kind: int, *, prefix: str = "r.",
         out = []
         for path, data in read_entries(jars[0]):
             if path.endswith(".class"):
-                out.append((path, compiler_variant(data, rng)))
+                with _naming(path):
+                    out.append((path, compiler_variant(data, rng)))
             else:
                 out.append((path, data))
         return write_jar(out, manifest=False)
@@ -322,12 +334,13 @@ def modify(jars: list[bytes], kind: int, *, prefix: str = "r.",
             if not path.endswith(".class"):
                 out.append((path, data))
                 continue
-            cf = parse_class(data)
-            new_model = model_from_classfile(cf, rename)
+            with _naming(path):
+                new_model = model_from_classfile(parse_class(data), rename)
+                emitted = emit_class(new_model)
             new_path = new_model.name.replace(".", "/") + ".class"
             if new_path in existing:
                 raise RelocationCollision(f"{new_path} already exists in the bundle")
-            out.append((new_path, emit_class(new_model)))
+            out.append((new_path, emitted))
         return write_jar(out, manifest=False)
 
     raise ValueError(f"unknown modification kind {kind}")

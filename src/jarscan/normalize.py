@@ -18,22 +18,24 @@ Fixed pass pipeline, applied in order:
 The pipeline ends with a canonical compaction (entry block first, dense
 block ids, registers renumbered again) which makes normalize idempotent.
 Pass order is part of the knowledge-base format version.
+
+Passes move blocks in exactly two ways. ``redirect`` sends jumps, the
+entry and handler heads from one block to another, and never changes
+which blocks a handler covers. ``renumber`` keeps the listed blocks, in
+that order, maps every block reference once, and drops a handler whose
+head was dropped or that no longer covers any block.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from .classfile.model import STRING_BUILDERS
 from .ir.model import (
     Assign,
-    Block,
     Branch,
     Concat,
     Const,
     DynInvoke,
     Goto,
-    HandlerInfo,
     Invoke,
     MethodIr,
     NEGATED_OP,
@@ -41,15 +43,13 @@ from .ir.model import (
     Node,
     Nop,
     Return,
-    Switch,
     TERMINATORS,
-    Throw,
+    block_targets,
+    map_block_targets,
     render_stmt,
     stmt_def,
     stmt_uses,
 )
-
-_TERMINATOR_TYPES = TERMINATORS
 
 
 # ------------------------------------------------------------- working form
@@ -61,51 +61,47 @@ class _Work:
         self.blocks: list[list] = [
             list(ir.statements[b.start:b.end]) for b in ir.blocks
         ]
-        self.handlers: list[list] = [
-            [set(h.covered), h.handler, h.catch_type] for h in ir.handlers
+        # (covered block ids, head block id, catch type)
+        self.handlers: list[tuple] = [
+            (set(h.covered), h.handler, h.catch_type) for h in ir.handlers
         ]
         self.entry = 0
 
-    def retarget(self, mapping: dict[int, int]):
+    def redirect(self, mapping: dict[int, int]):
+        """Send every jump to, the entry at and handler head at a block in
+        ``mapping`` to its image. Coverage is left alone: a block that is
+        no longer entered is dropped by the next ``compact``."""
         def rt(bid: int) -> int:
             return mapping.get(bid, bid)
 
         for stmts in self.blocks:
-            for i, s in enumerate(stmts):
-                if isinstance(s, Branch):
-                    stmts[i] = dataclasses.replace(
-                        s, taken=rt(s.taken), fallthrough=rt(s.fallthrough))
-                elif isinstance(s, Goto):
-                    stmts[i] = dataclasses.replace(s, target=rt(s.target))
-                elif isinstance(s, Switch):
-                    stmts[i] = dataclasses.replace(
-                        s, cases=tuple((v, rt(b)) for v, b in s.cases),
-                        default=rt(s.default))
-        for h in self.handlers:
-            h[0] = {rt(b) for b in h[0]}
-            h[1] = rt(h[1])
+            if stmts:
+                stmts[-1] = map_block_targets(stmts[-1], rt)
+        self.handlers = [(covered, rt(head), catch)
+                         for covered, head, catch in self.handlers]
         self.entry = rt(self.entry)
 
-    def successors(self, bid: int) -> list[int]:
-        stmts = self.blocks[bid]
-        if stmts:
-            last = stmts[-1]
-            if isinstance(last, Branch):
-                return sorted({last.taken, last.fallthrough})
-            if isinstance(last, Goto):
-                return [last.target]
-            if isinstance(last, Switch):
-                return sorted({last.default, *(b for _, b in last.cases)})
-            if isinstance(last, (Return, Throw)):
-                return []
-        nxt = bid + 1
-        return [nxt] if nxt < len(self.blocks) else []
+    def renumber(self, order: list[int]):
+        """Keep the blocks in ``order``, in that order, mapping every block
+        reference once. A handler whose head is dropped, or which covers
+        no kept block, goes too."""
+        new_id = {old: new for new, old in enumerate(order)}
+        self.blocks = [self.blocks[old] for old in order]
+        for stmts in self.blocks:
+            stmts[-1] = map_block_targets(stmts[-1], new_id.__getitem__)
+        handlers = []
+        for covered, head, catch in self.handlers:
+            kept = {new_id[b] for b in covered if b in new_id}
+            if kept and head in new_id:
+                handlers.append((kept, new_id[head], catch))
+        self.handlers = handlers
+        self.entry = new_id[self.entry]
 
     def materialize_gotos(self):
         """Give every non-terminated block an explicit goto so blocks can
         be reordered or deleted without breaking implicit fall-through."""
         for bid, stmts in enumerate(self.blocks):
-            if stmts and not isinstance(stmts[-1], _TERMINATOR_TYPES):
+            if stmts and not isinstance(stmts[-1], TERMINATORS):
                 stmts.append(Goto(bid + 1))
 
     def compact(self):
@@ -118,24 +114,12 @@ class _Work:
             if b in reachable:
                 continue
             reachable.add(b)
-            work.extend(self.successors(b))
-            for covered, handler, _ in self.handlers:
-                if handler not in reachable and reachable & covered:
-                    work.append(handler)
-
-        order = [self.entry] + [b for b in range(len(self.blocks))
-                                if b in reachable and b != self.entry]
-        mapping = {old: new for new, old in enumerate(order)}
-        new_blocks = [self.blocks[old] for old in order]
-        new_handlers = []
-        for covered, handler, catch in self.handlers:
-            kept = {mapping[b] for b in covered if b in mapping}
-            if kept and handler in mapping:
-                new_handlers.append([kept, mapping[handler], catch])
-        self.blocks = new_blocks
-        self.handlers = new_handlers
-        self.retarget(mapping)
-        self.entry = 0
+            work.extend(block_targets(self.blocks[b][-1]))
+            for covered, head, _ in self.handlers:
+                if head not in reachable and b in covered:
+                    work.append(head)
+        self.renumber([self.entry] + [b for b in range(len(self.blocks))
+                                      if b in reachable and b != self.entry])
 
     def drop_layout_gotos(self):
         """Remove trailing gotos that only encode adjacency."""
@@ -193,23 +177,17 @@ def _renumber_registers(work: _Work):
 def _eliminate_nops(work: _Work):
     for stmts in work.blocks:
         stmts[:] = [s for s in stmts if not isinstance(s, Nop)]
-    n = len(work.blocks)
+    work.materialize_gotos()
     # References to an emptied block resolve to the next non-empty one;
     # a trailing empty block cannot occur in liftable code.
-    resolution: dict[int, int] = {}
-    for bid in range(n - 1, -1, -1):
-        resolution[bid] = bid if work.blocks[bid] else resolution.get(bid + 1, bid)
-    ref_map = {b: r for b, r in resolution.items() if r != b}
-    if ref_map:
-        work.retarget(ref_map)
-    for h in work.handlers:
-        h[0] = {b for b in h[0] if work.blocks[b]}
-    survivors = [b for b in range(n) if work.blocks[b]]
-    if len(survivors) != n:
-        del_map = {old: new for new, old in enumerate(survivors)}
-        work.blocks = [work.blocks[b] for b in survivors]
-        work.handlers = [h for h in work.handlers if h[0]]
-        work.retarget(del_map)
+    mapping: dict[int, int] = {}
+    nonempty = None
+    for bid in range(len(work.blocks) - 1, -1, -1):
+        if work.blocks[bid]:
+            nonempty = bid
+        elif nonempty is not None:
+            mapping[bid] = nonempty
+    work.redirect(mapping)
     work.compact()
 
 
@@ -231,7 +209,7 @@ def _thread_jumps(work: _Work):
         if len(stmts) == 1 and isinstance(stmts[0], Goto):
             mapping[bid] = final_target(bid)
     if mapping:
-        work.retarget(mapping)
+        work.redirect(mapping)
         work.compact()
 
 
@@ -246,20 +224,6 @@ def _canonicalize_operators(work: _Work):
             if isinstance(s, Branch) and s.op in _CANONICAL_FLIP:
                 stmts[i] = Branch(_CANONICAL_FLIP[s.op], s.jtype, s.args,
                                   taken=s.fallthrough, fallthrough=s.taken)
-
-
-def _successor_roles(stmts: list) -> list[int]:
-    """Successors in canonical visit order (fallthrough before taken)."""
-    if not stmts:
-        return []
-    last = stmts[-1]
-    if isinstance(last, Branch):
-        return [last.fallthrough, last.taken]
-    if isinstance(last, Goto):
-        return [last.target]
-    if isinstance(last, Switch):
-        return [b for _v, b in sorted(last.cases)] + [last.default]
-    return []
 
 
 def _canonical_reorder(work: _Work):
@@ -278,20 +242,13 @@ def _canonical_reorder(work: _Work):
                 continue
             seen.add(b)
             order.append(b)
-            succs = [s for s in _successor_roles(work.blocks[b]) if s not in seen]
+            succs = [s for s in block_targets(work.blocks[b][-1]) if s not in seen]
             stack.extend(reversed(succs))
 
     visit(work.entry)
-    for _covered, handler, _catch in work.handlers:
-        visit(handler)
-    for b in range(len(work.blocks)):  # safety: keep anything missed
-        if b not in seen:
-            order.append(b)
-
-    mapping = {old: new for new, old in enumerate(order)}
-    work.blocks = [work.blocks[old] for old in order]
-    work.retarget(mapping)
-    work.entry = 0
+    for _covered, head, _catch in work.handlers:
+        visit(head)
+    work.renumber(order)
 
 
 def _canonicalize_branches(work: _Work):
@@ -303,7 +260,8 @@ def _canonicalize_branches(work: _Work):
 
 
 def _handler_signature(work: _Work, bid: int) -> tuple:
-    return tuple(sorted((h[1], h[2] or "") for h in work.handlers if bid in h[0]))
+    return tuple(sorted((head, catch or "") for covered, head, catch in work.handlers
+                        if bid in covered))
 
 
 def _alpha_key(stmts: list) -> tuple:
@@ -321,33 +279,18 @@ def _alpha_key(stmts: list) -> tuple:
     return tuple(rendered)
 
 
-def _fallthrough_targets(work: _Work) -> set[int]:
-    """Blocks entered by falling off the previous block (no terminator).
-
-    After the first compaction every block carries an explicit terminator,
-    so this is normally empty; kept as a safety net."""
-    out = set()
-    for bid in range(1, len(work.blocks)):
-        prev = work.blocks[bid - 1]
-        if not prev or not isinstance(prev[-1], _TERMINATOR_TYPES):
-            out.add(bid)
-    return out
-
-
 def _merge_duplicate_returns(work: _Work):
-    fallen_into = _fallthrough_targets(work)
     groups: dict[tuple, int] = {}
     mapping: dict[int, int] = {}
     for bid, stmts in enumerate(work.blocks):
-        if not stmts or not isinstance(stmts[-1], Return):
+        if not isinstance(stmts[-1], Return):
             continue
         key = (_alpha_key(stmts), _handler_signature(work, bid))
         keeper = groups.setdefault(key, bid)
-        # A block entered by fall-through must stay in place.
-        if keeper != bid and bid not in fallen_into:
+        if keeper != bid:
             mapping[bid] = keeper
     if mapping:
-        work.retarget(mapping)
+        work.redirect(mapping)
         work.compact()
 
 
@@ -474,13 +417,5 @@ def normalize(ir: MethodIr) -> MethodIr:
     work.drop_layout_gotos()
     _renumber_registers(work)          # canonical names after removals
 
-    statements: list = []
-    blocks: list[Block] = []
-    for bid, stmts in enumerate(work.blocks):
-        start = len(statements)
-        statements.extend(stmts)
-        blocks.append(Block(bid, start, len(statements)))
-    handlers = tuple(HandlerInfo(tuple(sorted(c)), h, catch)
-                     for c, h, catch in work.handlers)
-    return MethodIr(params=work.params, is_static=work.is_static,
-                    statements=statements, blocks=blocks, handlers=handlers)
+    return MethodIr.from_blocks(work.params, work.is_static, work.blocks,
+                                work.handlers)

@@ -34,10 +34,13 @@ from jarscan.classfile.emitter import encode_instruction
 from jarscan.classfile.model import ClassFile, resolved_code, stripped_code
 from jarscan.classfile.opcodes import FORMAT_OF, LOCALS, OPCODES, WIDE, branch_targets
 from jarscan.classfile.parser import decode_instructions
+from jarscan.ir import lift
+from jarscan.normalize import normalize
 from jarscan.errors import (
     BadConstantPoolRef,
     BadMagic,
     ClassParseError,
+    LiftError,
     MalformedArchive,
     TruncatedInput,
     UnsupportedFeature,
@@ -48,6 +51,7 @@ from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_byt
 import eager_parser
 from jar_damage import repacked
 from randgen import random_int_method, random_ref_method
+from test_normalize import starts_with_caught
 
 DATA = Path(__file__).parent / "data"
 
@@ -347,11 +351,13 @@ def _assert_key_atoms(key) -> None:
 def test_parser_matches_eager_on_jdk_classes():
     """Every java.xml class parses as the eager parser parses it, and each
     method's ``resolved_code`` and ``stripped_code`` keys hold only the
-    types ``key_digest`` is canonical for."""
+    types ``key_digest`` is canonical for. Each method with an exception
+    table that lifts keeps, once normalized, a catch block at the head
+    of every handler."""
     jmod = _jdk_jmod("java.xml")
     if jmod is None:
         pytest.skip("no JDK with jmods/java.xml.jmod")
-    keys = 0
+    keys = handled = 0
     with zipfile.ZipFile(jmod) as zf:     # a jmod is a zip behind a 4-byte header
         names = [n for n in zf.namelist() if n.endswith(".class")]
         assert len(names) > 2000
@@ -364,7 +370,16 @@ def test_parser_matches_eager_on_jdk_classes():
                     _assert_key_atoms(key)
                     _assert_key_atoms(stripped_code(key))
                     keys += 1
+                    if key[2]:
+                        try:
+                            ir = normalize(lift(key))
+                        except LiftError:
+                            continue
+                        for h in ir.handlers:
+                            assert starts_with_caught(ir, h.handler), (name, m.name, m.descriptor)
+                        handled += 1
     assert keys > 10_000
+    assert handled > 900
 
 
 def handler_class() -> tuple[bytes, bytes]:

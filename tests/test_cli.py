@@ -14,7 +14,7 @@ import pytest
 
 import jarscan
 from jarscan.cli import _write_json, main
-from jarscan.kb import load
+from jarscan.kb import FORMAT_VERSION, load
 from jarscan.scanner import ScanConfig, render_table, report_to_json, scan
 from corpus import materialize_manifest
 from jar_damage import ENTRY_DAMAGES, damaged_entry
@@ -258,7 +258,7 @@ def test_scan_unreadable_kb_exit_2(tmp_path):
 
 
 def test_scan_malformed_kb_with_valid_checksum_exit_2(tmp_path, capsys):
-    payload = b"jarscan-kb 1\n[]\n"
+    payload = f"jarscan-kb {FORMAT_VERSION}\n[]\n".encode()
     kb = tmp_path / "kb.txt"
     kb.write_bytes(payload + f"sha256={hashlib.sha256(payload).hexdigest()}\n".encode())
     assert main(["scan", "--kb", str(kb)]) == 2
@@ -266,7 +266,8 @@ def test_scan_malformed_kb_with_valid_checksum_exit_2(tmp_path, capsys):
 
 
 def test_scan_deeply_nested_kb_exit_2(tmp_path, capsys):
-    payload = b'jarscan-kb 1\n{"CVE-X":' + b"[" * 200_000 + b"]" * 200_000 + b"}\n"
+    payload = (f'jarscan-kb {FORMAT_VERSION}\n{{"CVE-X":'.encode()
+               + b"[" * 200_000 + b"]" * 200_000 + b"}\n")
     kb = tmp_path / "kb.txt"
     kb.write_bytes(payload + f"sha256={hashlib.sha256(payload).hexdigest()}\n".encode())
     assert main(["scan", "--kb", str(kb)]) == 2
@@ -421,18 +422,36 @@ def test_modify_type1_given_two_inputs_exit_2(tmp_path, corpus, capsys):
     assert not out.exists()
 
 
-def test_modify_type1_bad_handler_range_exit_1(tmp_path, capsys):
-    """A class whose handler range ends inside an instruction is refused
-    by the parser, so type 1 ends in an error, not a traceback."""
+def _bad_handler_range_jar(tmp_path) -> Path:
+    """A JAR whose one class, p.A, has a handler range that ends inside
+    an instruction."""
     from jarscan.classfile import class_entry_path, write_jar
     from test_classfile import handler_class
     data, table_entry = handler_class()
     bad = data.replace(table_entry, struct.pack(">HHHH", 0, 1, 7, 0))
     jar = tmp_path / "in.jar"
     jar.write_bytes(write_jar([(class_entry_path("p.A"), bad)]))
+    return jar
+
+
+def test_modify_type1_bad_handler_range_exit_1(tmp_path, capsys):
+    """A class whose handler range ends inside an instruction is refused
+    by the parser, so type 1 ends in an error, not a traceback, naming
+    the input and the class entry."""
+    jar = _bad_handler_range_jar(tmp_path)
     out = tmp_path / "o.jar"
     assert main(["modify", "--kind", "1", "-o", str(out), str(jar)]) == 1
-    assert capsys.readouterr().err == "error: bad exception range [0, 1)\n"
+    assert capsys.readouterr().err == f"error: {jar}: p/A.class: bad exception range [0, 1)\n"
+    assert not out.exists()
+
+
+def test_modify_type4_bad_handler_range_exit_1(tmp_path, capsys):
+    """A merged JAR's entries come from several inputs, so type 4 names
+    the class entry alone."""
+    jar = _bad_handler_range_jar(tmp_path)
+    out = tmp_path / "o.jar"
+    assert main(["modify", "--kind", "4", "-o", str(out), str(jar)]) == 1
+    assert capsys.readouterr().err == "error: p/A.class: bad exception range [0, 1)\n"
     assert not out.exists()
 
 

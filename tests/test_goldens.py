@@ -20,7 +20,9 @@ from jarscan.kb import build_from_manifest, load, save
 from jarscan.normalize import normalize
 from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_bytes
 
-KB_SHA256 = "ea3cbe3d79add56e09c1a104e4e2dbd4687439f136dea454ae1d89325f542706"
+# KB format version 2: the body bytes are those of version 1; the header
+# and checksum lines differ.
+KB_SHA256 = "cdd2038b3ad68f5ef9bdb3f1bff54477b4c81f6203622eced3b1dd779d55de59"
 DUMP_SHA256 = "9d27f472ee0b867168c5dfd3e766ca2d47805b5fef5b592cf0cb84a10bc0a76a"
 REPORT_SHA256 = "c13f09a3bda29f47524c74c5ea1581aaa1159eb9b8bebe91c19590c7f22fbe0e"
 VARIANT_JARS_SHA256 = "3a30c62829a07dd501578c7677aabd33019dfe212d6a5b746e1bde378283e01d"

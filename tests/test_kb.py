@@ -27,11 +27,12 @@ from jarscan.classfile import (
 )
 from jarscan.cpg import Triplet, method_triplets, unqualify
 from jarscan.classfile.descriptors import method_signature
-from jarscan.classfile.model import code_digest, key_digest, resolved_code, stripped_code
+from jarscan.classfile.model import key_digest, resolved_code, stripped_code
 from jarscan.errors import (BadConstantPoolRef, CorruptFile, EmptyDiff, KbFormatError,
                             LiftError, VersionMismatch)
 from jarscan.classfile.constructs import ConstructId
 from jarscan.kb import (
+    FORMAT_VERSION,
     ConstructRecord,
     KnowledgeBase,
     _classes_in_dir,
@@ -241,13 +242,14 @@ def test_unliftable_unchanged_method_is_not_recorded(monkeypatch):
 
 def test_code_digest_follows_resolved_code():
     pre, post = _relaid_fix()
-    assert (code_digest(_method(pre, "keep"), pre.constant_pool)
-            == code_digest(_method(post, "keep"), post.constant_pool))
+    assert (key_digest(resolved_code(_method(pre, "keep"), pre.constant_pool))
+            == key_digest(resolved_code(_method(post, "keep"), post.constant_pool)))
     make = lambda value: _cls("a.F", [MethodModel("z", "()F", 0x09, code=[
         ("ldc_float", value), "freturn"])])
     zero, minus_zero = make(0.0), make(-0.0)
-    assert (code_digest(_method(zero, "z"), zero.constant_pool)
-            != code_digest(_method(minus_zero, "z"), minus_zero.constant_pool))
+    assert (key_digest(resolved_code(_method(zero, "z"), zero.constant_pool))
+            != key_digest(resolved_code(_method(minus_zero, "z"),
+                                        minus_zero.constant_pool)))
 
 
 def test_code_digest_is_pinned():
@@ -259,7 +261,7 @@ def test_code_digest_is_pinned():
             "aload_0", ("invokevirtual", "java.lang.String", "length", "()I"),
             ("ldc_float", 2.5), "pop", ("ldc_string", "na\u00efve \u2603"), "pop",
             "ireturn"])])
-        assert code_digest(_method(cf, "z"), cf.constant_pool) == \
+        assert key_digest(resolved_code(_method(cf, "z"), cf.constant_pool)) == \
             "528f0c537b2b978da98c24a253612097"
 
 
@@ -285,7 +287,7 @@ def test_signed_records_carry_each_side_digest(corpus, corpus_kb):
                 [m] = [m for m in cf.methods if method_signature(
                     cf.this_class, m.name, m.descriptor) == rec.construct.fqn]
                 key = resolved_code(m, cf.constant_pool)
-                assert key_digest(key) == code_digest(m, cf.constant_pool) == rec.code[i]
+                assert key_digest(key) == rec.code[i]
                 assert key_digest(stripped_code(key)) == rec.stripped[i]
                 assert method_triplets(cf, m) == expected
                 assert corpus_kb.triplets_for_code(rec.code[i]) == expected
@@ -326,7 +328,7 @@ def test_unresolvable_pool_reference_means_no_digest(corpus, out_of_range_beta_p
     [post] = [parse_class(b) for _n, b in corpus.post_classes["CVE-9000-0002"]]
     pre = parse_class(out_of_range_beta_pre[1])
     with pytest.raises(BadConstantPoolRef):
-        code_digest(_method(pre, "token"), pre.constant_pool)
+        resolved_code(_method(pre, "token"), pre.constant_pool)
     with pytest.raises(BadConstantPoolRef):
         method_triplets(pre, _method(pre, "token"))
     with pytest.raises(BadConstantPoolRef):
@@ -339,7 +341,7 @@ def test_code_digest_covers_catch_types():
         code=["TRY:", "iload_0", "iconst_1", "idiv", "END:", "ireturn",
               "H:", "pop", "iconst_m1", "ireturn"],
         handlers=[("TRY", "END", "H", catch)])])
-    digests = {code_digest(_method(cf, "h"), cf.constant_pool)
+    digests = {key_digest(resolved_code(_method(cf, "h"), cf.constant_pool))
                for cf in (make("java.lang.ArithmeticException"),
                           make("java.lang.Exception"), make(None))}
     assert len(digests) == 3
@@ -472,14 +474,14 @@ def _file_cases():
     saved = _one_dumps_file(kb)
     recs = json.dumps(json.loads(saved.splitlines()[1])["CVE-X"])
     some = json.dumps(json.loads(recs)[:1])
-    pretty = f"jarscan-kb 1\n{json.dumps({'CVE-X': json.loads(recs)}, indent=2)}\n"
+    pretty = f"jarscan-kb {FORMAT_VERSION}\n{json.dumps({'CVE-X': json.loads(recs)}, indent=2)}\n"
     one_digest = [{**r, "code": r["code"][:1]} if "code" in r else r for r in json.loads(recs)]
     flipped_sum = bytearray(saved)
     flipped_sum[-2] ^= 0x01
     flipped_body = bytearray(saved)
     flipped_body[len(saved) // 2] ^= 0x01
 
-    def checked(body, header="jarscan-kb 1\n", end="\n"):
+    def checked(body, header=f"jarscan-kb {FORMAT_VERSION}\n", end="\n"):
         return _with_checksum(f"{header}{body}{end}".encode())
 
     return {
@@ -506,20 +508,21 @@ def _file_cases():
         "json-whitespace": checked(' \t{ "CVE-X" :\t[ ] ,"CVE-Y": [] } \t'),
         "bom-body": checked("\ufeff{}"),
         "bom-file": b"\xef\xbb\xbf" + checked("{}"),
-        "form-feed-ends-header": checked("{}", header="jarscan-kb 1\x0c"),
+        "form-feed-ends-header": checked("{}", header=f"jarscan-kb {FORMAT_VERSION}\x0c"),
         "line-separator-in-id": checked('{"CVE-\u2028X":[]}'),
-        "line-separator-ends-header": checked("{}", header="jarscan-kb 1\u2028"),
-        "next-line-ends-header": checked("{}", header="jarscan-kb 1\x85"),
+        "line-separator-ends-header": checked("{}", header=f"jarscan-kb {FORMAT_VERSION}\u2028"),
+        "next-line-ends-header": checked("{}", header=f"jarscan-kb {FORMAT_VERSION}\x85"),
         "line-separator-ends-body": checked("{}", end="\u2028"),
-        "header-extras": checked("{}", header="jarscan-kb 1 extra\n"),
+        "header-extras": checked("{}", header=f"jarscan-kb {FORMAT_VERSION} extra\n"),
         "header-no-version": checked("{}", header="jarscan-kb \n"),
         "header-bad-version": checked("{}", header="jarscan-kb one\n"),
-        "header-version-2": checked("{}", header="jarscan-kb 2\n"),
+        "header-version-1": checked("{}", header="jarscan-kb 1\n"),
         "no-final-newline": saved[:-1],
         "blank-line-after-checksum": saved + b"\n",
-        "two-lines": _with_checksum(b"jarscan-kb 1\n"),
+        "two-lines": _with_checksum(f"jarscan-kb {FORMAT_VERSION}\n".encode()),
         "empty": b"",
-        "not-utf-8": _with_checksum(b'jarscan-kb 1\n{"CVE-\xff":[]}\n'),
+        "not-utf-8": _with_checksum(f"jarscan-kb {FORMAT_VERSION}\n".encode()
+                                + b'{"CVE-\xff":[]}\n'),
         "flipped-checksum-byte": bytes(flipped_sum),
         "flipped-body-byte": bytes(flipped_body),
         "version-mismatch": b"jarscan-kb 999\n{}\nsha256=x\n",
@@ -555,7 +558,7 @@ def test_load_agrees_with_the_whole_file_reader(tmp_path, name):
                    "blank-line-after-checksum": CorruptFile,
                    "flipped-checksum-byte": CorruptFile,
                    "flipped-body-byte": CorruptFile,
-                   "header-version-2": VersionMismatch,
+                   "header-version-1": VersionMismatch,
                    "version-mismatch": VersionMismatch}.get(name, KbFormatError)
         with pytest.raises(KbFormatError) as caught:
             load(p)
@@ -585,7 +588,7 @@ def test_load_agrees_with_the_whole_file_reader_on_edited_bodies(tmp_path_factor
         at %= len(body) + 1
         body = body[:at] + text + body[at + cut:]
     p = tmp_path_factory.mktemp("edit") / "kb.txt"
-    p.write_bytes(_with_checksum(f"jarscan-kb 1\n{body}\n".encode()))
+    p.write_bytes(_with_checksum(f"jarscan-kb {FORMAT_VERSION}\n{body}\n".encode()))
     try:
         load(p)
     except KbFormatError:
@@ -601,7 +604,7 @@ def test_malformed_body_with_valid_checksum_is_a_kb_format_error(tmp_path, body)
     as a KB, not left to fail in the reader (here: a list body, and a
     record without its ``fqn``)."""
     p = tmp_path / "kb.txt"
-    p.write_bytes(_with_checksum(f"jarscan-kb 1\n{body}\n".encode()))
+    p.write_bytes(_with_checksum(f"jarscan-kb {FORMAT_VERSION}\n{body}\n".encode()))
     with pytest.raises(KbFormatError):
         load(p)
 

@@ -2,18 +2,21 @@
 
 import random
 
+import pytest
+
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
 from jarscan.classfile.model import resolved_code
 from jarscan.ir import dump, lift
-from jarscan.ir.model import Assign, Block, Concat, DynInvoke, MethodIr, Return
+from jarscan.ir.model import Assign, Bin, Block, Caught, Concat, DynInvoke, MethodIr, Return
 from jarscan.normalize import normalize
 from ir_interp import run_ir
 from oracle_interp import run_bytecode
 from randgen import assemble_method, random_int_method
 
 
-def lift_code(code, desc="(I)I"):
-    model = ClassModel("t.T", methods=[MethodModel("f", desc, 0x09, code=code)])
+def lift_code(code, desc="(I)I", handlers=()):
+    model = ClassModel("t.T", methods=[MethodModel("f", desc, 0x09, code=code,
+                                                   handlers=list(handlers))])
     cf = parse_class(emit_class(model))
     return lift(resolved_code(cf.methods[0], cf.constant_pool))
 
@@ -116,6 +119,38 @@ def test_normalization_preserves_semantics_random():
             assert run_ir(n, args) == expected
             checked += 1
     assert checked == 200
+
+
+def starts_with_caught(ir, bid: int) -> bool:
+    """Whether block ``bid`` of ``ir`` opens with a ``caught`` statement."""
+    block = ir.blocks[bid]
+    first = ir.statements[block.start] if block.end > block.start else None
+    return isinstance(first, Assign) and isinstance(first.expr, Caught)
+
+
+@pytest.mark.parametrize("hop", [True, False])
+def test_handler_table_follows_dropped_blocks(hop):
+    # The try range ends with a nop-only block, which nop elimination
+    # empties: the block after it must not become covered. With ``hop``
+    # the try body is entered through a goto-only block, which jump
+    # threading drops although it is numbered below the handler head.
+    entry = ["iload_0", ("ifeq", "HOP"), "iconst_0", "ireturn", "HOP:", ("goto", "TRY")]
+    if not hop:
+        entry = ["iload_0", ("ifeq", "TRY"), "iconst_0", "ireturn"]
+    code = [*entry,
+            "TRY:", ("push_int", 100), "iload_0", "idiv", "istore_1", ("goto", "PAD"),
+            "PAD:", "nop",
+            "END:", "iload_1", "ireturn",
+            "H:", "pop", "iconst_m1", "istore_1", ("goto", "END")]
+    ir = lift_code(code, handlers=[("TRY", "END", "H", "java.lang.ArithmeticException")])
+    n = normalize(ir)
+    [handler] = n.handlers
+    assert starts_with_caught(n, handler.handler)
+    divides = {b.bid for b in n.blocks
+               if any(isinstance(s, Assign) and isinstance(s.expr, Bin)
+                      and s.expr.op == "div" for s in n.statements[b.start:b.end])}
+    assert set(handler.covered) == divides and len(divides) == 1
+    assert dump(normalize(n)) == dump(n)
 
 
 def test_builder_chain_rewrites_to_concat():
