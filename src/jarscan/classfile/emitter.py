@@ -39,6 +39,7 @@ from .constant_pool import (
 from .descriptors import category, param_slots, parse_method_descriptor
 from .model import ACC_STATIC, CodeAttribute
 from .opcodes import (
+    EFFECTS,
     FORMAT_OF,
     LAYOUT,
     LOCALS,
@@ -46,6 +47,7 @@ from .opcodes import (
     MNEMONIC_TO_OPCODE,
     NEWARRAY_CODES,
     RELATIVE_FORMATS,
+    SHUFFLES,
     TABLESWITCH,
     TERMINAL,
     WIDE,
@@ -272,46 +274,11 @@ def _assemble_code(code: list, pool: PoolBuilder) -> tuple[bytes, tuple, dict[st
     return b"".join(out), tuple(resolved), labels
 
 
-# Operand-stack effect in slots of each mnemonic with a fixed one; field
-# access and invocations are computed from their descriptors.
+# Operand-stack effect in slots of the pseudo-ops. A real mnemonic's is
+# derived from the opcode tables, or, for field access and invocations,
+# from the descriptor.
 _STACK_DELTA = {
-    "nop": 0, "aconst_null": 1,
-    **dict.fromkeys(("iconst_m1", "iconst_0", "iconst_1", "iconst_2", "iconst_3",
-                     "iconst_4", "iconst_5", "fconst_0", "fconst_1", "fconst_2"), 1),
-    **dict.fromkeys(("lconst_0", "lconst_1", "dconst_0", "dconst_1"), 2),
-    **{m: -access.category if access.store else access.category
-       for m, access in LOCALS.items()},
-    "iaload": -1, "faload": -1, "aaload": -1, "baload": -1, "caload": -1,
-    "saload": -1, "laload": 0, "daload": 0,
-    "iastore": -3, "fastore": -3, "aastore": -3, "bastore": -3, "castore": -3,
-    "sastore": -3, "lastore": -4, "dastore": -4,
-    "pop": -1, "pop2": -2, "dup": 1, "dup_x1": 1, "dup_x2": 1,
-    "dup2": 2, "dup2_x1": 2, "dup2_x2": 2, "swap": 0,
-    "iadd": -1, "isub": -1, "imul": -1, "idiv": -1, "irem": -1,
-    "fadd": -1, "fsub": -1, "fmul": -1, "fdiv": -1, "frem": -1,
-    "ladd": -2, "lsub": -2, "lmul": -2, "ldiv": -2, "lrem": -2,
-    "dadd": -2, "dsub": -2, "dmul": -2, "ddiv": -2, "drem": -2,
-    "ineg": 0, "lneg": 0, "fneg": 0, "dneg": 0,
-    "ishl": -1, "ishr": -1, "iushr": -1, "lshl": -1, "lshr": -1, "lushr": -1,
-    "iand": -1, "ior": -1, "ixor": -1, "land": -2, "lor": -2, "lxor": -2,
-    "iinc": 0,
-    "i2l": 1, "i2f": 0, "i2d": 1, "l2i": -1, "l2f": -1, "l2d": 0,
-    "f2i": 0, "f2l": 1, "f2d": 1, "d2i": -1, "d2l": 0, "d2f": -1,
-    "i2b": 0, "i2c": 0, "i2s": 0,
-    "lcmp": -3, "fcmpl": -1, "fcmpg": -1, "dcmpl": -3, "dcmpg": -3,
-    **dict.fromkeys(("ifeq", "ifne", "iflt", "ifge", "ifgt", "ifle",
-                     "ifnull", "ifnonnull"), -1),
-    **dict.fromkeys(("if_icmpeq", "if_icmpne", "if_icmplt", "if_icmpge",
-                     "if_icmpgt", "if_icmple", "if_acmpeq", "if_acmpne"), -2),
-    "goto": 0, "goto_w": 0, "jsr": 1, "jsr_w": 1, "ret": 0,
-    "tableswitch": -1, "lookupswitch": -1,
-    "ireturn": -1, "freturn": -1, "areturn": -1, "lreturn": -2, "dreturn": -2,
-    "return": 0, "athrow": 0,
-    "new": 1, "newarray": 0, "anewarray": 0, "arraylength": 0,
-    "checkcast": 0, "instanceof": 0,
-    "monitorenter": -1, "monitorexit": -1,
-    "bipush": 1, "sipush": 1, "push_int": 1,
-    "ldc_int": 1, "ldc_float": 1, "ldc_string": 1, "ldc_class": 1,
+    "push_int": 1, "ldc_int": 1, "ldc_float": 1, "ldc_string": 1, "ldc_class": 1,
     "ldc_long": 2, "ldc_double": 2,
 }
 
@@ -328,6 +295,15 @@ def _invoke_delta(mnemonic: str, desc: str) -> int:
 
 def _stack_delta(item: tuple) -> int:
     m = item[0]
+    if m in EFFECTS:
+        effect = EFFECTS[m]
+        return effect.push - sum(effect.pops)
+    if m in SHUFFLES:
+        shuffle = SHUFFLES[m]
+        return sum(shuffle.takes[i] for i in shuffle.puts) - sum(shuffle.takes)
+    if m in LOCALS:
+        access = LOCALS[m]
+        return -access.category if access.store else access.category
     if m in _STACK_DELTA:
         return _STACK_DELTA[m]
     if m == "getstatic":

@@ -34,8 +34,14 @@ and ``branch_targets`` and ``map_targets`` read and rewrite the target
 operands of one instruction, in decoded form (offsets) or assembler form
 (labels) alike.
 ``LOCALS`` gives each local-variable load or store its base mnemonic,
-implicit slot, value category and direction, so no consumer parses a
-mnemonic's spelling.
+implicit slot, value category and direction. ``EFFECTS`` gives every
+other instruction with a fixed stack effect its IR kind, operator,
+computation type and the categories it pops and pushes; ``SHUFFLES``
+gives pop2, swap and the dup family the slot groups they take and put
+back. Only the pool-dependent ops (ldc*, field access, invoke*,
+multianewarray) are in none of the three, and no consumer parses a
+mnemonic's spelling: the decoder and assembler read the layouts, and
+the lifter, the emitter's frame sizing and ``modify`` read these.
 """
 
 import struct
@@ -337,4 +343,91 @@ LOCALS: dict[str, LocalAccess] = {
     for kind, category in (("i", 1), ("l", 2), ("f", 1), ("d", 2), ("a", 1))
     for verb in ("load", "store")
     for suffix, slot in (("", None), ("_0", 0), ("_1", 1), ("_2", 2), ("_3", 3))
+}
+
+
+class Effect(NamedTuple):
+    """What an instruction with a fixed stack effect computes."""
+
+    kind: str                # the IR it lifts to: const, bin, un, cmp, aload, if, ...
+    op: object               # operator, condition or constant; None if none or the operand
+    jtype: str | None        # int, long, float, double or ref (a conversion's result type)
+    pops: tuple[int, ...]    # categories popped, deepest first
+    push: int                # category pushed, 0 for none
+
+
+_PRIMS = {"i": ("int", 1), "l": ("long", 2), "f": ("float", 1), "d": ("double", 2)}
+_INTEGRAL = {t: _PRIMS[t] for t in "il"}
+_TYPES = {**_PRIMS, "a": ("ref", 1)}
+_ELEMENTS = {**_TYPES, "b": ("int", 1), "c": ("int", 1), "s": ("int", 1)}
+_CONDS = ("eq", "ne", "lt", "ge", "gt", "le")
+
+EFFECTS: dict[str, Effect] = {
+    "nop": Effect("nop", None, None, (), 0),
+    "aconst_null": Effect("const", None, "ref", (), 1),
+    **{f"iconst_{'m1' if v < 0 else v}": Effect("const", v, "int", (), 1) for v in range(-1, 6)},
+    **{f"{t}const_{v}": Effect("const", cast(v), _PRIMS[t][0], (), _PRIMS[t][1])
+       for t, cast, count in (("l", int, 2), ("f", float, 3), ("d", float, 2))
+       for v in range(count)},
+    # The constant is the operand.
+    **dict.fromkeys(("bipush", "sipush"), Effect("const", None, "int", (), 1)),
+    **{t + "aload": Effect("aload", None, jt, (1, 1), cat) for t, (jt, cat) in _ELEMENTS.items()},
+    **{t + "astore": Effect("astore", None, jt, (1, 1, cat), 0)
+       for t, (jt, cat) in _ELEMENTS.items()},
+    "pop": Effect("pop", None, None, (1,), 0),
+    **{t + op: Effect("bin", op, jt, (cat, cat), cat) for t, (jt, cat) in _PRIMS.items()
+       for op in ("add", "sub", "mul", "div", "rem")},
+    **{t + op: Effect("bin", op, jt, (cat, cat), cat) for t, (jt, cat) in _INTEGRAL.items()
+       for op in ("and", "or", "xor")},
+    **{t + op: Effect("bin", op, jt, (cat, 1), cat) for t, (jt, cat) in _INTEGRAL.items()
+       for op in ("shl", "shr", "ushr")},
+    **{t + "neg": Effect("un", "neg_" + jt, jt, (cat,), cat) for t, (jt, cat) in _PRIMS.items()},
+    "iinc": Effect("iinc", None, "int", (), 0),
+    **{f"{a}2{b}": Effect("un", f"{a}2{b}", bt, (acat,), bcat)
+       for a, (_at, acat) in _PRIMS.items() for b, (bt, bcat) in _PRIMS.items() if a != b},
+    **{f"i2{b}": Effect("un", f"i2{b}", "int", (1,), 1) for b in "bcs"},
+    "lcmp": Effect("cmp", "lcmp", "long", (2, 2), 1),
+    **{f"{t}cmp{bias}": Effect("cmp", f"{t}cmp{bias}", jt, (cat, cat), 1)
+       for t, (jt, cat) in _PRIMS.items() if t in "fd" for bias in "lg"},
+    **{"if" + c: Effect("if", c, "int", (1,), 0) for c in _CONDS},
+    **{"if_icmp" + c: Effect("if", c, "int", (1, 1), 0) for c in _CONDS},
+    **{"if_acmp" + c: Effect("if", c, "ref", (1, 1), 0) for c in ("eq", "ne")},
+    "ifnull": Effect("if", "eq", "ref", (1,), 0),
+    "ifnonnull": Effect("if", "ne", "ref", (1,), 0),
+    **dict.fromkeys(("goto", "goto_w"), Effect("goto", None, None, (), 0)),
+    **dict.fromkeys(("jsr", "jsr_w"), Effect("subroutine", None, None, (), 1)),
+    "ret": Effect("subroutine", None, None, (), 0),
+    **dict.fromkeys(SWITCHES, Effect("switch", None, "int", (1,), 0)),
+    **{t + "return": Effect("return", None, jt, (cat,), 0) for t, (jt, cat) in _TYPES.items()},
+    "return": Effect("return", None, None, (), 0),
+    "athrow": Effect("throw", None, "ref", (1,), 0),
+    # The pool operand of new, anewarray, checkcast and instanceof names a class.
+    "new": Effect("new", None, "ref", (), 1),
+    "newarray": Effect("newarray", None, "ref", (1,), 1),
+    "anewarray": Effect("newarray", None, "ref", (1,), 1),
+    "checkcast": Effect("checkcast", None, "ref", (1,), 1),
+    "instanceof": Effect("instanceof", None, "int", (1,), 1),
+    "arraylength": Effect("un", "arraylength", "int", (1,), 1),
+    "monitorenter": Effect("monitor", "enter", "ref", (1,), 0),
+    "monitorexit": Effect("monitor", "exit", "ref", (1,), 0),
+}
+
+
+class Shuffle(NamedTuple):
+    """A stack shuffle: the groups of slots it takes, topmost first, and
+    the taken groups it pushes back, bottom first, by their index."""
+
+    takes: tuple[int, ...]
+    puts: tuple[int, ...]
+
+
+SHUFFLES: dict[str, Shuffle] = {
+    "pop2": Shuffle((2,), ()),
+    "dup": Shuffle((1,), (0, 0)),
+    "dup_x1": Shuffle((1, 1), (0, 1, 0)),
+    "dup_x2": Shuffle((1, 2), (0, 1, 0)),
+    "dup2": Shuffle((2,), (0, 0)),
+    "dup2_x1": Shuffle((2, 1), (0, 1, 0)),
+    "dup2_x2": Shuffle((2, 2), (0, 1, 0)),
+    "swap": Shuffle((1, 1), (0, 1)),
 }

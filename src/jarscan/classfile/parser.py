@@ -76,6 +76,7 @@ from .model import (
 from .opcodes import (
     LAYOUT,
     LOOKUPSWITCH,
+    NEWARRAY_TYPES,
     OPCODES,
     RELATIVE_FORMATS,
     TABLESWITCH,
@@ -242,15 +243,18 @@ def _decode_switch(code: bytes, start: int, pos: int, mnemonic: str) -> tuple[tu
 def _validate_targets(instructions: tuple[tuple[int, str, tuple], ...],
                       table: tuple[tuple[int, int, int, str | None], ...],
                       code_length: int) -> None:
-    """Each branch target and handler is an instruction's offset, and each
+    """Each branch target and handler is an instruction's offset, each
     protected range [start, end) is not empty and runs from an
-    instruction's offset to one or to the code's end (JVMS 4.7.3)."""
+    instruction's offset to one or to the code's end (JVMS 4.7.3), and
+    each newarray names an element type (JVMS 4.9.1)."""
     offsets = {offset for offset, _m, _ops in instructions}
     for offset, m, ops in instructions:
         for t in branch_targets(m, ops):
             if t not in offsets:
                 raise ClassParseError(
                     f"branch target {t} of {m}@{offset} is not an instruction boundary")
+        if m == "newarray" and ops[0] not in NEWARRAY_TYPES:
+            raise ClassParseError(f"newarray@{offset} of invalid element type {ops[0]}")
     for start, end, handler, _catch in table:
         if handler not in offsets:
             raise ClassParseError(f"exception handler pc {handler} is not a boundary")

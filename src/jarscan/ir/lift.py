@@ -4,6 +4,12 @@ Operand-stack effects are executed symbolically per basic block; stack
 values that survive a block boundary are copied into join registers named
 by (target block id, stack position). Unreachable code is dropped before
 ids are assigned, so block numbering is dense and deterministic.
+
+What each instruction pops, pushes and becomes is read from the opcode
+tables: ``LOCALS`` for local loads and stores, ``SHUFFLES`` for pop2,
+swap and the dup family, and ``EFFECTS`` for the rest, except the
+pool-dependent ops (ldc*, field access, invoke*, multianewarray), whose
+effect follows from their resolved constant.
 """
 
 from __future__ import annotations
@@ -18,9 +24,12 @@ from ..classfile.descriptors import (
     render_type,
 )
 from ..classfile.opcodes import (
+    EFFECTS,
+    FORMAT_OF,
     JUMPS,
     LOCALS,
     NEWARRAY_TYPES,
+    SHUFFLES,
     TERMINAL,
     branch_targets,
 )
@@ -58,33 +67,6 @@ log = logging.getLogger(__name__)
 
 # Mnemonics whose next instruction starts a block.
 _ENDS_BLOCK = TERMINAL | JUMPS
-
-_CONSTS = {
-    "aconst_null": (None, "ref"), "iconst_m1": (-1, "int"),
-    "iconst_0": (0, "int"), "iconst_1": (1, "int"), "iconst_2": (2, "int"),
-    "iconst_3": (3, "int"), "iconst_4": (4, "int"), "iconst_5": (5, "int"),
-    "lconst_0": (0, "long"), "lconst_1": (1, "long"),
-    "fconst_0": (0.0, "float"), "fconst_1": (1.0, "float"), "fconst_2": (2.0, "float"),
-    "dconst_0": (0.0, "double"), "dconst_1": (1.0, "double"),
-}
-
-_BIN_OPS = {"add", "sub", "mul", "div", "rem", "shl", "shr", "ushr",
-            "and", "or", "xor"}
-_TYPE_PREFIX = {"i": "int", "l": "long", "f": "float", "d": "double"}
-_ALOAD_TYPES = {"ia": "int", "la": "long", "fa": "float", "da": "double",
-                "aa": "ref", "ba": "int", "ca": "int", "sa": "int"}
-_IF_ZERO = {"ifeq": "eq", "ifne": "ne", "iflt": "lt", "ifge": "ge",
-            "ifgt": "gt", "ifle": "le"}
-_IF_ICMP = {"if_icmpeq": "eq", "if_icmpne": "ne", "if_icmplt": "lt",
-            "if_icmpge": "ge", "if_icmpgt": "gt", "if_icmple": "le"}
-_CONVERSIONS = {
-    "i2l": ("long", 2), "i2f": ("float", 1), "i2d": ("double", 2),
-    "l2i": ("int", 1), "l2f": ("float", 1), "l2d": ("double", 2),
-    "f2i": ("int", 1), "f2l": ("long", 2), "f2d": ("double", 2),
-    "d2i": ("int", 1), "d2l": ("long", 2), "d2f": ("float", 1),
-    "i2b": ("int", 1), "i2c": ("int", 1), "i2s": ("int", 1),
-}
-
 
 def _leaders(instructions: tuple, handlers: tuple) -> list[int]:
     offsets = {offset for offset, _m, _ops in instructions}
@@ -343,13 +325,21 @@ class _Lifter:
             taken.reverse()
             return taken
 
-        fallthrough_done = False
         for offset, m, ops in raw.instructions:
-            if m in _CONSTS:
-                v, jt = _CONSTS[m]
-                assign_fresh(Const(v, jt), 2 if jt in ("long", "double") else 1)
-            elif m in ("bipush", "sipush"):
-                assign_fresh(Const(ops[0], "int"))
+            if m in LOCALS:
+                access = LOCALS[m]
+                reg = self.local(access.slot_of(ops))
+                if access.store:
+                    v = pop(access.category)
+                    spill(reg)
+                    out.append(Assign(reg, Copy(v)))
+                else:
+                    push(reg, access.category)
+            elif m in SHUFFLES:
+                shuffle = SHUFFLES[m]
+                groups = [group(slots) for slots in shuffle.takes]
+                for i in shuffle.puts:
+                    stack.extend(groups[i])
             elif m in ("ldc", "ldc_w", "ldc2_w"):
                 kind, value = resolved_loadable(ops[0])
                 if kind == "other":
@@ -359,146 +349,6 @@ class _Lifter:
                     value = value.replace("/", ".")
                 cat = 2 if kind in ("long", "double") else 1
                 assign_fresh(Const(value, kind), cat)
-            elif m in LOCALS:
-                access = LOCALS[m]
-                reg = self.local(access.slot_of(ops))
-                if access.store:
-                    v = pop(access.category)
-                    spill(reg)
-                    out.append(Assign(reg, Copy(v)))
-                else:
-                    push(reg, access.category)
-            elif m.endswith("aload") and m[:2] in _ALOAD_TYPES:
-                jt = _ALOAD_TYPES[m[:2]]
-                idx_r = pop(1)
-                arr = pop(1)
-                assign_fresh(ArrayGet(jt, arr, idx_r), 2 if jt in ("long", "double") else 1)
-            elif m.endswith("astore") and m[:2] in _ALOAD_TYPES:
-                jt = _ALOAD_TYPES[m[:2]]
-                v = pop(2 if jt in ("long", "double") else 1)
-                idx_r = pop(1)
-                arr = pop(1)
-                out.append(ArrayPut(jt, arr, idx_r, v))
-            elif m == "pop":
-                pop(1)
-            elif m == "pop2":
-                group(2)
-            elif m == "dup":
-                a = group(1)
-                stack.extend(a + a)
-            elif m == "dup_x1":
-                a = group(1)
-                b = group(1)
-                stack.extend(a + b + a)
-            elif m == "dup_x2":
-                a = group(1)
-                b = group(2)
-                stack.extend(a + b + a)
-            elif m == "dup2":
-                a = group(2)
-                stack.extend(a + a)
-            elif m == "dup2_x1":
-                a = group(2)
-                b = group(1)
-                stack.extend(a + b + a)
-            elif m == "dup2_x2":
-                a = group(2)
-                b = group(2)
-                stack.extend(a + b + a)
-            elif m == "swap":
-                a = group(1)
-                b = group(1)
-                stack.extend(a + b)
-            elif len(m) > 1 and m[0] in _TYPE_PREFIX and m[1:] in _BIN_OPS:
-                jt = _TYPE_PREFIX[m[0]]
-                cat = 2 if jt in ("long", "double") else 1
-                b_cat = 1 if m[1:] in ("shl", "shr", "ushr") else cat
-                b = pop(b_cat)
-                a = pop(cat)
-                assign_fresh(Bin(m[1:], jt, a, b), cat)
-            elif m in ("ineg", "lneg", "fneg", "dneg"):
-                jt = _TYPE_PREFIX[m[0]]
-                cat = 2 if jt in ("long", "double") else 1
-                a = pop(cat)
-                assign_fresh(Un(f"neg_{jt}", a), cat)
-            elif m == "iinc":
-                slot, delta = ops
-                reg = self.local(slot)
-                spill(reg)
-                out.append(Assign(reg, Bin("add", "int", reg, Lit(delta, "int"))))
-            elif m in _CONVERSIONS:
-                to_jt, to_cat = _CONVERSIONS[m]
-                from_cat = 2 if m[0] in ("l", "d") else 1
-                a = pop(from_cat)
-                assign_fresh(Un(m, a), to_cat)
-            elif m in ("lcmp", "fcmpl", "fcmpg", "dcmpl", "dcmpg"):
-                cat = 2 if m[0] in ("l", "d") else 1
-                b = pop(cat)
-                a = pop(cat)
-                assign_fresh(CmpExpr(m, a, b))
-            elif m in _IF_ZERO:
-                v = pop(1)
-                self._finish_branch(out, stack, raw, _IF_ZERO[m], "int",
-                                    (v, Lit(0, "int")), ops[0])
-                fallthrough_done = True
-            elif m in _IF_ICMP:
-                b = pop(1)
-                a = pop(1)
-                self._finish_branch(out, stack, raw, _IF_ICMP[m], "int",
-                                    (a, b), ops[0])
-                fallthrough_done = True
-            elif m in ("if_acmpeq", "if_acmpne"):
-                b = pop(1)
-                a = pop(1)
-                self._finish_branch(out, stack, raw,
-                                    "eq" if m.endswith("eq") else "ne",
-                                    "ref", (a, b), ops[0])
-                fallthrough_done = True
-            elif m in ("ifnull", "ifnonnull"):
-                v = pop(1)
-                self._finish_branch(out, stack, raw,
-                                    "eq" if m == "ifnull" else "ne",
-                                    "ref", (v, Lit(None, "ref")), ops[0])
-                fallthrough_done = True
-            elif m in ("goto", "goto_w"):
-                target = self._succ_new(self.offset_to_block[ops[0]])
-                self._emit_join_copies(out, stack, target)
-                out.append(Goto(target))
-                fallthrough_done = True
-            elif m == "tableswitch":
-                default, low, _high, targets = ops
-                key = pop(1)
-                cases = tuple((low + i, self._succ_new(self.offset_to_block[t]))
-                              for i, t in enumerate(targets))
-                dflt = self._succ_new(self.offset_to_block[default])
-                for succ in sorted({dflt, *(b for _, b in cases)}):
-                    self._emit_join_copies(out, stack, succ)
-                out.append(Switch(key, cases, dflt))
-                fallthrough_done = True
-            elif m == "lookupswitch":
-                default, pairs = ops
-                key = pop(1)
-                cases = tuple(sorted((v, self._succ_new(self.offset_to_block[t]))
-                                     for v, t in pairs))
-                dflt = self._succ_new(self.offset_to_block[default])
-                for succ in sorted({dflt, *(b for _, b in cases)}):
-                    self._emit_join_copies(out, stack, succ)
-                out.append(Switch(key, cases, dflt))
-                fallthrough_done = True
-            elif m in ("ireturn", "freturn", "areturn"):
-                jt = {"i": "int", "f": "float", "a": "ref"}[m[0]]
-                out.append(Return(pop(1), jt))
-                fallthrough_done = True
-            elif m in ("lreturn", "dreturn"):
-                jt = "long" if m[0] == "l" else "double"
-                out.append(Return(pop(2), jt))
-                fallthrough_done = True
-            elif m == "return":
-                out.append(Return())
-                fallthrough_done = True
-            elif m == "athrow":
-                out.append(Throw(pop(1)))
-                fallthrough_done = True
             elif m in ("getstatic", "getfield"):
                 owner, name, fdesc = resolved_member(ops[0])
                 obj = pop(1) if m == "getfield" else None
@@ -538,44 +388,81 @@ class _Lifter:
                 out.append(DynInvoke(result, name, mdesc, tuple(args)))
                 if result is not None:
                     push(result, category(ret))
-            elif m == "new":
-                cls = resolved_class(ops[0]).replace("/", ".")
-                assign_fresh(NewObj(cls))
-            elif m == "newarray":
-                elem = NEWARRAY_TYPES[ops[0]]
-                count = pop(1)
-                assign_fresh(NewArr(elem, (count,)))
-            elif m == "anewarray":
-                cls = resolved_class(ops[0]).replace("/", ".")
-                if cls.startswith("["):
-                    cls = render_type(cls.replace(".", "/"))
-                count = pop(1)
-                assign_fresh(NewArr(cls, (count,)))
             elif m == "multianewarray":
                 entry, dims = ops
                 desc = resolved_class(entry)
                 counts = [pop(1) for _ in range(dims)]
                 counts.reverse()
                 assign_fresh(NewArr(render_type(desc), tuple(counts)))
-            elif m == "arraylength":
-                arr = pop(1)
-                assign_fresh(Un("arraylength", arr))
-            elif m == "checkcast":
-                cls = resolved_class(ops[0]).replace("/", ".")
-                a = pop(1)
-                assign_fresh(Cast(cls, a))
-            elif m == "instanceof":
-                cls = resolved_class(ops[0]).replace("/", ".")
-                a = pop(1)
-                assign_fresh(InstOf(cls, a))
-            elif m in ("monitorenter", "monitorexit"):
-                out.append(Monitor("enter" if m.endswith("enter") else "exit", pop(1)))
-            elif m == "nop":
-                out.append(Nop())
             else:
-                raise UnsupportedInstruction(f"{m} at offset {offset}")
+                effect = EFFECTS[m]
+                kind, jtype = effect.kind, effect.jtype
+                # A class operand is resolved before the pops. pop builds
+                # nothing, and jsr and ret were refused up front.
+                cls = None
+                if FORMAT_OF[m] == "cp16":
+                    cls = resolved_class(ops[0]).replace("/", ".")
+                args = [pop(cat) for cat in reversed(effect.pops)]
+                args.reverse()
+                if kind == "const":
+                    assign_fresh(Const(ops[0] if ops else effect.op, jtype), effect.push)
+                elif kind == "bin":
+                    assign_fresh(Bin(effect.op, jtype, *args), effect.push)
+                elif kind == "un":
+                    assign_fresh(Un(effect.op, *args), effect.push)
+                elif kind == "cmp":
+                    assign_fresh(CmpExpr(effect.op, *args))
+                elif kind == "aload":
+                    assign_fresh(ArrayGet(jtype, *args), effect.push)
+                elif kind == "astore":
+                    out.append(ArrayPut(jtype, *args))
+                elif kind == "if":
+                    if len(args) == 1:
+                        args.append(Lit(0 if jtype == "int" else None, jtype))
+                    self._finish_branch(out, stack, raw, effect.op, jtype, tuple(args), ops[0])
+                elif kind == "goto":
+                    target = self._succ_new(self.offset_to_block[ops[0]])
+                    self._emit_join_copies(out, stack, target)
+                    out.append(Goto(target))
+                elif kind == "switch":
+                    if m == "tableswitch":
+                        default, low, _high, targets = ops
+                        pairs = ((low + i, t) for i, t in enumerate(targets))
+                    else:
+                        default, pairs = ops
+                    cases = tuple(sorted((v, self._succ_new(self.offset_to_block[t]))
+                                         for v, t in pairs))
+                    dflt = self._succ_new(self.offset_to_block[default])
+                    for succ in sorted({dflt, *(b for _, b in cases)}):
+                        self._emit_join_copies(out, stack, succ)
+                    out.append(Switch(args[0], cases, dflt))
+                elif kind == "return":
+                    out.append(Return(args[0] if args else None, jtype))
+                elif kind == "throw":
+                    out.append(Throw(*args))
+                elif kind == "iinc":
+                    slot, delta = ops
+                    reg = self.local(slot)
+                    spill(reg)
+                    out.append(Assign(reg, Bin("add", "int", reg, Lit(delta, "int"))))
+                elif kind == "new":
+                    assign_fresh(NewObj(cls))
+                elif kind == "newarray":
+                    if cls is None:
+                        cls = NEWARRAY_TYPES[ops[0]]
+                    elif cls.startswith("["):
+                        cls = render_type(cls.replace(".", "/"))
+                    assign_fresh(NewArr(cls, tuple(args)))
+                elif kind == "checkcast":
+                    assign_fresh(Cast(cls, *args))
+                elif kind == "instanceof":
+                    assign_fresh(InstOf(cls, *args))
+                elif kind == "monitor":
+                    out.append(Monitor(effect.op, *args))
+                elif kind == "nop":
+                    out.append(Nop())
 
-        if not fallthrough_done:
+        if raw.instructions[-1][1] not in _ENDS_BLOCK:
             # Implicit fall-through into the next block.
             nxt = raw.index + 1
             if nxt >= len(self.raw_blocks):

@@ -71,7 +71,6 @@ class ConstructRecord:
 
 @dataclass
 class KnowledgeBase:
-    format_version: int = FORMAT_VERSION
     records: dict = field(default_factory=dict)   # cve_id -> [ConstructRecord]
 
     def __post_init__(self):
@@ -179,11 +178,6 @@ class KnowledgeBase:
         if unqualified:
             sig = self.unqualified_signature(sig)
         return sig.ct | (sig.nt if side == "pre" else sig.pt)
-
-    def __eq__(self, other):
-        return (isinstance(other, KnowledgeBase)
-                and self.format_version == other.format_version
-                and self.records == other.records)
 
 
 def query_fqn(kb: KnowledgeBase, fqn: str) -> set:
@@ -380,7 +374,7 @@ def _file_chunks(kb: KnowledgeBase):
     """The KB file before its checksum line, one CVE at a time: together
     the header line and ``json.dumps(body, sort_keys=True,
     separators=(",", ":"), ensure_ascii=True)`` with a newline."""
-    yield f"{_HEADER} {kb.format_version}\n{{"
+    yield f"{_HEADER} {FORMAT_VERSION}\n{{"
     for i, cve in enumerate(sorted(kb.records)):
         records = sorted(kb.records[cve], key=lambda r: (r.construct.fqn, r.change))
         yield ("," if i else "") + json.dumps(cve) + ":" + json.dumps(
@@ -478,7 +472,7 @@ def load(path) -> KnowledgeBase:
         body = json.loads("".join(lines[1:-1]))
         records = {cve: [_record_from_json(o) for o in objs]
                    for cve, objs in body.items()}
-        return KnowledgeBase(format_version=version, records=records)
+        return KnowledgeBase(records=records)
     except (KeyError, AttributeError, TypeError, ValueError, RecursionError) as exc:
         # RecursionError: a body nested deeper than json.loads can decode.
         raise KbFormatError(f"{path}: malformed body: {exc!r}") from exc

@@ -35,9 +35,10 @@ from .classfile.emitter import (
     write_jar,
 )
 from .classfile.model import ClassFile, resolved_code
-from .classfile.opcodes import LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
+from .classfile.opcodes import EFFECTS, LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
 from .classfile.parser import _UNREADABLE_ARCHIVE, _UNREADABLE_ENTRY, parse_class
 from .errors import JarscanError, MalformedArchive, RelocationCollision, UnsupportedFeature
+from .ir.model import NEGATED_OP
 
 log = logging.getLogger(__name__)
 
@@ -45,15 +46,10 @@ _LDC_KIND_TO_PSEUDO = {
     "int": "ldc_int", "float": "ldc_float", "string": "ldc_string",
     "class": "ldc_class", "long": "ldc_long", "double": "ldc_double",
 }
-_NEGATE = {
-    "ifeq": "ifne", "ifne": "ifeq", "iflt": "ifge", "ifge": "iflt",
-    "ifgt": "ifle", "ifle": "ifgt",
-    "if_icmpeq": "if_icmpne", "if_icmpne": "if_icmpeq",
-    "if_icmplt": "if_icmpge", "if_icmpge": "if_icmplt",
-    "if_icmpgt": "if_icmple", "if_icmple": "if_icmpgt",
-    "if_acmpeq": "if_acmpne", "if_acmpne": "if_acmpeq",
-    "ifnull": "ifnonnull", "ifnonnull": "ifnull",
-}
+# Each conditional branch and the one that branches on the negated test.
+_BRANCHES = {(e.op, e.jtype, e.pops): m for m, e in EFFECTS.items() if e.kind == "if"}
+_NEGATE = {m: _BRANCHES[NEGATED_OP[op], jtype, pops]
+           for (op, jtype, pops), m in _BRANCHES.items()}
 _DESC_CLASS = re.compile(r"L([^;]+);")
 
 

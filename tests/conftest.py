@@ -11,7 +11,7 @@ from corpus import build_corpus, lib_beta  # noqa: E402
 
 from jarscan.kb import KnowledgeBase, build_entry, load, save  # noqa: E402
 from jarscan.modharness import modify  # noqa: E402
-from jarscan.classfile import emit_class, parse_class  # noqa: E402
+from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class  # noqa: E402
 from jarscan.classfile.constant_pool import TAG_UTF8  # noqa: E402
 
 
@@ -108,6 +108,17 @@ def out_of_range_beta_pre(corpus):
     [(_name, data)] = corpus.pre_classes["CVE-9000-0002"]
     assert 0xFFFF not in parse_class(data).constant_pool
     return _beta_pre_putstatic_at(corpus, 0xFFFF)
+
+
+@pytest.fixture(scope="session")
+def newarray_class():
+    """The bytes of a class p.A whose static ``void f()`` creates an array
+    of ``count`` elements of newarray type code ``atype``; the valid codes
+    are 4-11 (JVMS 4.9.1)."""
+    def build(atype: int, count: int = 1) -> bytes:
+        return emit_class(ClassModel("p.A", methods=[MethodModel(
+            "f", "()V", 0x09, code=[("push_int", count), ("newarray", atype), "pop", "return"])]))
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,15 @@ from jarscan.classfile.constructs import ConstructId
 from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.emitter import encode_instruction
 from jarscan.classfile.model import ClassFile, resolved_code, stripped_code
-from jarscan.classfile.opcodes import FORMAT_OF, LOCALS, OPCODES, WIDE, branch_targets
+from jarscan.classfile.opcodes import (
+    EFFECTS,
+    FORMAT_OF,
+    LOCALS,
+    OPCODES,
+    SHUFFLES,
+    WIDE,
+    branch_targets,
+)
 from jarscan.classfile.parser import decode_instructions
 from jarscan.ir import lift
 from jarscan.normalize import normalize
@@ -636,6 +644,40 @@ def test_local_access_table():
     assert LOCALS["dload_3"].slot_of(()) == 3 and LOCALS["astore"].slot_of((300,)) == 300
     for access in LOCALS.values():
         assert FORMAT_OF[access.base] == "local"
+
+
+def test_every_mnemonic_has_one_semantics_row():
+    """Each mnemonic is in one of LOCALS, SHUFFLES and EFFECTS, except the
+    pool-dependent ops, whose stack effect follows from their constant."""
+    pool_dependent = {"ldc", "ldc_w", "ldc2_w", "getstatic", "putstatic", "getfield",
+                      "putfield", "invokevirtual", "invokespecial", "invokestatic",
+                      "invokeinterface", "invokedynamic", "multianewarray"}
+    for m in FORMAT_OF:
+        assert sum(m in table for table in (LOCALS, SHUFFLES, EFFECTS)) == (
+            m not in pool_dependent), m
+
+
+@pytest.mark.parametrize("atype, ok", [(3, False), (4, True), (11, True), (12, False)])
+def test_newarray_element_type_is_checked_at_parse(newarray_class, atype, ok):
+    """A newarray type code outside 4-11 is a ClassParseError naming the
+    offset, in the package's parser and the reference one alike."""
+    data = newarray_class(atype)
+    for parse in (parse_class, eager_parser.parse_class):
+        if ok:
+            assert parse(data).methods[0].code.instructions[1] == (1, "newarray", (atype,))
+        else:
+            with pytest.raises(ClassParseError,
+                               match=f"^newarray@1 of invalid element type {atype}$"):
+                parse(data)
+
+
+@pytest.mark.parametrize("code", [["athrow"], ["pop", "return"]])
+def test_frame_sizing_refuses_a_pop_from_an_empty_stack(code):
+    """Frame sizing reads each instruction's pops from the opcode tables,
+    so an athrow, like a pop, needs a value on the stack."""
+    model = ClassModel("a.E", methods=[MethodModel("f", "()V", 0x09, code=code)])
+    with pytest.raises(UnsupportedFeature, match="^stack underflow while sizing at item 0$"):
+        emit_class(model)
 
 
 def test_unsupported_constant_kind_raises():

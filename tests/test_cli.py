@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import jarscan
+from jarscan.classfile import write_jar
 from jarscan.cli import _write_json, main
 from jarscan.kb import FORMAT_VERSION, load
 from jarscan.scanner import ScanConfig, render_table, report_to_json, scan
@@ -411,6 +412,18 @@ def test_modify_unreadable_entry_exit_1(tmp_path, corpus, capsys, kind, damage):
     assert main(["modify", "--kind", kind, "-o", str(out), *ins]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {entry}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_modify_class_with_invalid_newarray_type_exit_1(tmp_path, capsys, newarray_class):
+    """A class whose newarray names no element type is named, with its
+    input, in the error, and nothing is written."""
+    bad = tmp_path / "bad.jar"
+    bad.write_bytes(write_jar([("p/A.class", newarray_class(3))]))
+    out = tmp_path / "o.jar"
+    assert main(["modify", "--kind", "1", "-o", str(out), str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: p/A.class: newarray@1 of invalid element type 3\n")
     assert not out.exists()
 
 

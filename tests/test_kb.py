@@ -447,7 +447,7 @@ def _one_dumps_file(kb):
             records, key=lambda r: (r.construct.fqn, r.change))]
          for cve, records in kb.records.items()},
         sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-    return _with_checksum(f"jarscan-kb {kb.format_version}\n{body}\n".encode())
+    return _with_checksum(f"jarscan-kb {jarscan.kb.FORMAT_VERSION}\n{body}\n".encode())
 
 
 def _with_checksum(payload: bytes) -> bytes:
@@ -893,6 +893,21 @@ def test_manifest_build_reports_an_unparsable_fix_class(tmp_path, corpus):
     assert "major version 70" in message
     assert cve not in kb.records and cve not in stats.built
     assert sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
+
+
+def test_manifest_build_reports_an_invalid_newarray_type(tmp_path, corpus, newarray_class):
+    """A fix class whose newarray names no element type is a malformed
+    class; the other entries are still built."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    cve = corpus.cve_ids[0]
+    bad, fixed = (tmp_path / cve / side / "p" / "A.class" for side in ("pre", "post"))
+    for path, data in ((bad, newarray_class(3)), (fixed, newarray_class(10, 2))):
+        path.parent.mkdir(parents=True)
+        path.write_bytes(data)
+    kb, stats = build_from_manifest(manifest)
+    assert stats.errors == [(cve, f"malformed class: {bad.resolve()}: "
+                                  "newarray@1 of invalid element type 3")]
+    assert sorted(kb.records) == sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
 
 
 def test_manifest_build_reports_an_unreadable_fix_class(tmp_path, corpus):

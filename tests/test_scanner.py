@@ -756,6 +756,18 @@ def test_malformed_class_counts_by_candidacy():
     assert reasons["mal.B: int run(int)"] is None      # matched on triplets
 
 
+def test_newarray_of_invalid_element_type_is_a_parse_failure(newarray_class):
+    """A class the KB asks about whose newarray names no element type is
+    counted under parse_failures, and the scan completes."""
+    records = build_entry("CVE-TEST", [parse_class(newarray_class(10, 1))],
+                          [parse_class(newarray_class(10, 2))])
+    kb = KnowledgeBase(records={"CVE-TEST": records})
+    jar = write_jar([(class_entry_path("p.A"), newarray_class(3))])
+    res = scan_jar_bytes("bad.jar", jar, kb, ScanConfig())
+    assert res.error is None
+    assert (res.classes, res.parse_failures) == (0, 1)
+
+
 @pytest.mark.parametrize("path, name", [
     ("other/A.class", "other.Util"),    # misnamed: stored under a KB class's stem
     ("q/Foo.class", "q.Foo"),           # "Foo" is a tail of the KB class "x-Foo"
