@@ -1,8 +1,16 @@
 """Reaching-definition data dependencies and post-dominance control
-dependencies over a MethodIr and its Cfg."""
+dependencies over a MethodIr and its Cfg.
+
+Sets are ints used as bitsets: bit *i* is the definition at statement
+*i*, and bit *n* + 2 the CFG node *n* (ENTRY and EXIT are -1 and -2).
+Control dependence follows Ferrante, Ottenstein and Warren (TOPLAS
+1987), vacuous reading included: a node that cannot reach EXIT is
+post-dominated by every node.
+"""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .cfg import ENTRY, EXIT, Cfg
@@ -15,89 +23,97 @@ class DepGraph:
     ctrl_edges: frozenset  # (controller stmt index, controlled stmt index)
 
 
+def _node_bit(n: int) -> int:
+    return 1 << (n + 2)
+
+
+def _bits(x: int):
+    """Indices of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def reaching_data_edges(ir: MethodIr, cfg: Cfg) -> frozenset:
     """Def-use edges where the definition reaches the use on some path."""
-    defs_of_reg: dict[str, set[int]] = {}
-    for i, stmt in enumerate(ir.statements):
+    stmts = ir.statements
+    defs_of: dict[str, int] = {}
+    for i, stmt in enumerate(stmts):
         d = stmt_def(stmt)
         if d is not None:
-            defs_of_reg.setdefault(d, set()).add(i)
+            defs_of[d] = defs_of.get(d, 0) | 1 << i
 
-    gen: dict[int, dict[str, int]] = {}
-    kill_regs: dict[int, set[str]] = {}
+    # gen: the last def of each register the block defines; kill: every
+    # def of those registers (disjoint per register, so sums are unions).
+    gen: dict[int, int] = {}
+    kill: dict[int, int] = {}
     for block in ir.blocks:
-        g: dict[str, int] = {}
-        for i in range(block.start, block.end):
-            d = stmt_def(ir.statements[i])
-            if d is not None:
-                g[d] = i
-        gen[block.bid] = g
-        kill_regs[block.bid] = set(g)
+        last = {stmt_def(stmts[i]): i for i in range(block.start, block.end)}
+        last.pop(None, None)
+        gen[block.bid] = sum(1 << i for i in last.values())
+        kill[block.bid] = sum(defs_of[r] for r in last)
 
-    blocks = [b.bid for b in ir.blocks]
-    in_sets: dict[int, set] = {b: set() for b in blocks}
-    out_sets: dict[int, set] = {b: set() for b in blocks}
-    changed = True
-    while changed:
-        changed = False
-        for b in blocks:
-            new_in = set()
-            for p in cfg.predecessors(b):
-                if p not in (ENTRY, EXIT):
-                    new_in |= out_sets[p]
-            new_out = {(i, r) for i, r in new_in if r not in kill_regs[b]}
-            new_out |= {(i, r) for r, i in gen[b].items()}
-            if new_in != in_sets[b] or new_out != out_sets[b]:
-                in_sets[b] = new_in
-                out_sets[b] = new_out
-                changed = True
+    reach_in = dict.fromkeys(gen, 0)
+    reach_out = dict.fromkeys(gen, 0)
+    work, queued = deque(gen), set(gen)
+    while work:
+        b = work.popleft()
+        queued.discard(b)
+        new_in = 0
+        for p in cfg.predecessors(b):
+            new_in |= reach_out.get(p, 0)    # ENTRY contributes nothing
+        reach_in[b] = new_in
+        new_out = new_in & ~kill[b] | gen[b]
+        if new_out != reach_out[b]:
+            reach_out[b] = new_out
+            for s in cfg.successors(b):
+                if s in reach_out and s not in queued:
+                    queued.add(s)
+                    work.append(s)
 
     edges = set()
     for block in ir.blocks:
-        current: dict[str, set[int]] = {}
-        for i, r in in_sets[block.bid]:
-            current.setdefault(r, set()).add(i)
+        live = reach_in[block.bid]
+        local: dict[str, int] = {}            # register -> its def so far in the block
         for i in range(block.start, block.end):
-            stmt = ir.statements[i]
+            stmt = stmts[i]
             for r in stmt_uses(stmt):
-                for d in current.get(r, ()):
-                    edges.add((d, i, r))
+                if r in local:
+                    edges.add((local[r], i, r))
+                else:
+                    edges.update((d, i, r) for d in _bits(live & defs_of.get(r, 0)))
             d = stmt_def(stmt)
             if d is not None:
-                current[d] = {i}
+                local[d] = i
     return frozenset(edges)
 
 
-def postdominators(cfg: Cfg) -> dict[int, frozenset]:
-    """Iterative post-dominator sets on the EXIT-augmented graph.
+def postdominators(cfg: Cfg) -> dict[int, int]:
+    """Iterative post-dominator bitsets on the EXIT-augmented graph.
 
     Nodes that cannot reach EXIT keep the full node set, which matches the
     vacuous reading of "d lies on every path to EXIT".
     """
-    all_nodes = frozenset(cfg.nodes)
-    pdom: dict[int, frozenset] = {n: all_nodes for n in cfg.nodes}
-    pdom[EXIT] = frozenset({EXIT})
+    all_nodes = sum(_node_bit(n) for n in cfg.nodes)
+    pdom = dict.fromkeys(cfg.nodes, all_nodes)
+    pdom[EXIT] = _node_bit(EXIT)
+    order = [n for n in reversed(cfg.nodes) if n != EXIT]
     changed = True
     while changed:
         changed = False
-        for n in cfg.nodes:
-            if n == EXIT:
-                continue
-            succs = cfg.successors(n)
-            if succs:
-                acc = None
-                for s in succs:
-                    acc = pdom[s] if acc is None else acc & pdom[s]
-                new = acc | {n}
-            else:
-                new = frozenset({n}) if n == EXIT else all_nodes
+        for n in order:
+            new = all_nodes        # and stays so without successors
+            for s in cfg.successors(n):
+                new &= pdom[s]
+            new |= _node_bit(n)
             if new != pdom[n]:
                 pdom[n] = new
                 changed = True
     return pdom
 
 
-def control_dependent_blocks(cfg: Cfg, pdom: dict[int, frozenset] | None = None) -> frozenset:
+def control_dependent_blocks(cfg: Cfg, pdom: dict[int, int] | None = None) -> frozenset:
     """(controller block, dependent block) pairs.
 
     B is control-dependent on A when A has a successor S with B
@@ -108,11 +124,8 @@ def control_dependent_blocks(cfg: Cfg, pdom: dict[int, frozenset] | None = None)
     pairs = set()
     for a in cfg.block_nodes():
         for s in cfg.successors(a):
-            for b in pdom[s]:
-                if b in (ENTRY, EXIT):
-                    continue
-                if b not in pdom[a]:
-                    pairs.add((a, b))
+            dependent = pdom[s] & ~pdom[a] & ~(_node_bit(ENTRY) | _node_bit(EXIT))
+            pairs.update((a, bit - 2) for bit in _bits(dependent))
     return frozenset(pairs)
 
 
@@ -121,11 +134,8 @@ def dependencies(ir: MethodIr, cfg: Cfg) -> DepGraph:
     data = reaching_data_edges(ir, cfg)
     pdom = postdominators(cfg)
     block_by_id = {b.bid: b for b in ir.blocks}
-    ctrl = set()
-    for a, b in control_dependent_blocks(cfg, pdom):
-        a_block = block_by_id[a]
-        controller = a_block.end - 1  # terminator, or last stmt for exception splits
-        dep_block = block_by_id[b]
-        for s in range(dep_block.start, dep_block.end):
-            ctrl.add((controller, s))
-    return DepGraph(data_edges=data, ctrl_edges=frozenset(ctrl))
+    # The controller is A's terminator, or its last stmt for exception splits.
+    ctrl = frozenset((block_by_id[a].end - 1, s)
+                     for a, b in control_dependent_blocks(cfg, pdom)
+                     for s in range(block_by_id[b].start, block_by_id[b].end))
+    return DepGraph(data_edges=data, ctrl_edges=ctrl)

@@ -14,7 +14,9 @@ effect follows from their resolved constant.
 
 from __future__ import annotations
 
+import heapq
 import logging
+from bisect import bisect_left
 
 from ..classfile.constant_pool import resolved_class, resolved_loadable, resolved_member
 from ..classfile.descriptors import (
@@ -134,16 +136,23 @@ def lift(key: tuple) -> MethodIr:
     raw_blocks = _partition(instructions, handlers)
     offset_to_block = {rb.start_offset: rb.index for rb in raw_blocks}
 
-    # Block coverage of each handler, in raw indices.
-    def covered_raw(start: int, end: int) -> list[int]:
-        return [rb.index for rb in raw_blocks
-                if rb.start_offset < end and rb.instructions[-1][0] >= start]
+    # Block coverage of each handler, in raw indices: the blocks are
+    # contiguous and sorted, so the blocks whose last instruction is at or
+    # after ``start`` and that start before ``end`` form one index range.
+    starts = [rb.start_offset for rb in raw_blocks]
+    lasts = [rb.instructions[-1][0] for rb in raw_blocks]
+    handler_cov = [(range(bisect_left(lasts, start), bisect_left(starts, end)),
+                    offset_to_block[handler], catch)
+                   for start, end, handler, catch in handlers]
+    heads_of: dict[int, list[int]] = {}
+    for cov, handler, _catch in handler_cov:
+        for c in cov:
+            heads_of.setdefault(c, []).append(handler)
 
-    # Reachability fixpoint over static successors + handler activation.
+    # Reachability over static successors + the heads of the handlers
+    # covering each reached block.
     reachable: set[int] = set()
     work = [0]
-    handler_cov = [(covered_raw(start, end), offset_to_block[handler], catch)
-                   for start, end, handler, catch in handlers]
     while work:
         b = work.pop()
         if b in reachable:
@@ -151,9 +160,7 @@ def lift(key: tuple) -> MethodIr:
         reachable.add(b)
         work.extend(s for s in _static_successors(raw_blocks[b], offset_to_block, len(raw_blocks))
                     if s not in reachable)
-        for cov, handler, _catch in handler_cov:
-            if handler not in reachable and any(c in reachable for c in cov):
-                work.append(handler)
+        work.extend(h for h in heads_of.get(b, ()) if h not in reachable)
 
     dropped = [rb for rb in raw_blocks if rb.index not in reachable]
     for rb in dropped:
@@ -190,7 +197,7 @@ def lift(key: tuple) -> MethodIr:
         handler_infos.append((cov_new, hb, catch))
 
     state.set_entry_shape(0, ())
-    state.run(kept, renumber)
+    state.run(kept)
 
     return MethodIr.from_blocks(
         tuple(param_regs), is_static,
@@ -206,6 +213,7 @@ class _Lifter:
         self.offset_to_block = offset_to_block
         self.block_statements: dict[int, list] = {}
         self.entry_shape: dict[int, tuple] = {}   # new id -> category vector
+        self.ready: list[int] = []                # heap of ids given a shape, not yet lifted
         self.handler_catch: dict[int, str | None] = {}
         self.temp_count = 0
 
@@ -216,12 +224,13 @@ class _Lifter:
 
     def mark_handler(self, new_id: int, catch_type):
         self.handler_catch[new_id] = catch_type
-        self.entry_shape.setdefault(new_id, (1,))
+        self.set_entry_shape(new_id, (1,))
 
     def set_entry_shape(self, new_id: int, cats: tuple):
         prev = self.entry_shape.get(new_id)
         if prev is None:
             self.entry_shape[new_id] = cats
+            heapq.heappush(self.ready, new_id)
         elif prev != cats:
             raise InconsistentStackDepthAtJoin(
                 f"block {new_id} entered with stack shapes {prev} and {cats}"
@@ -238,20 +247,16 @@ class _Lifter:
             self.slot_map[slot] = reg
         return reg
 
-    def run(self, kept, renumber):
-        pending = set(range(len(kept)))
-        while pending:
-            progressed = False
-            for new_id in sorted(pending):
-                if new_id in self.entry_shape:
-                    self._process(kept[new_id], new_id)
-                    pending.discard(new_id)
-                    progressed = True
-                    break
-            if not progressed:
-                raise InconsistentStackDepthAtJoin(
-                    "blocks reachable only through unprocessed joins"
-                )
+    def run(self, kept):
+        """Lift the lowest-numbered block whose entry shape is known until
+        none is left. Each id enters the heap once, when its shape is set."""
+        while self.ready:
+            new_id = heapq.heappop(self.ready)
+            self._process(kept[new_id], new_id)
+        if len(self.block_statements) < len(kept):
+            raise InconsistentStackDepthAtJoin(
+                "blocks reachable only through unprocessed joins"
+            )
 
     # -- join plumbing ------------------------------------------------------
 

@@ -5,15 +5,13 @@ Fixed pass pipeline, applied in order:
   1. strip-debug: no debug names survive lifting, so this renumbers the
      non-parameter registers by first-definition order
   2. nop elimination (plus removal of blocks emptied by it)
-  2b. string-concatenation unification: builder chains and indirect concat
-      factories both rewrite to one abstract concat expression
+  2b. string-concatenation unification: builder chains, found in one scan
+      per block, and indirect concat factories both rewrite to one
+      abstract concat expression
   3. jump threading: goto-to-goto chains collapsed
   4. branch canonicalization: conditionals rewritten so the fallthrough
      successor is the earlier block, flipping the comparison accordingly
   5. duplicate-return merging: identical return-terminated blocks coalesced
-  6. constant-materialization unification: every constant-loading form of
-     the same value is already a single literal form after lifting; values
-     are re-canonicalized here
 
 The pipeline ends with a canonical compaction (entry block first, dense
 block ids, registers renumbered again). A second pass changes nothing on
@@ -31,12 +29,13 @@ head was dropped or that no longer covers any block.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .classfile.model import STRING_BUILDERS
 from .ir.model import (
     Assign,
     Branch,
     Concat,
-    Const,
     DynInvoke,
     Goto,
     Invoke,
@@ -100,6 +99,14 @@ class _Work:
         self.handlers = handlers
         self.entry = new_id[self.entry]
 
+    def handlers_by_block(self) -> dict[int, list[tuple]]:
+        """Block id -> (head, catch type) of every handler covering it."""
+        by_block: dict[int, list[tuple]] = {}
+        for covered, head, catch in self.handlers:
+            for b in covered:
+                by_block.setdefault(b, []).append((head, catch))
+        return by_block
+
     def materialize_gotos(self):
         """Give every non-terminated block an explicit goto so blocks can
         be reordered or deleted without breaking implicit fall-through."""
@@ -110,6 +117,7 @@ class _Work:
     def compact(self):
         """Drop unreachable blocks, put the entry first, renumber densely."""
         self.materialize_gotos()
+        heads = self.handlers_by_block()
         reachable: set[int] = set()
         work = [self.entry]
         while work:
@@ -118,9 +126,7 @@ class _Work:
                 continue
             reachable.add(b)
             work.extend(block_targets(self.blocks[b][-1]))
-            for covered, head, _ in self.handlers:
-                if head not in reachable and b in covered:
-                    work.append(head)
+            work.extend(head for head, _catch in heads.get(b, ()))
         self.renumber([self.entry] + [b for b in range(len(self.blocks))
                                       if b in reachable and b != self.entry])
 
@@ -195,22 +201,24 @@ def _eliminate_nops(work: _Work):
 
 
 def _thread_jumps(work: _Work):
-    def final_target(bid: int) -> int:
-        seen = set()
-        while bid not in seen:
-            seen.add(bid)
-            stmts = work.blocks[bid]
-            if len(stmts) == 1 and isinstance(stmts[0], Goto):
-                bid = stmts[0].target
-            else:
-                break
-        return bid
-
-    mapping = {}
-    for bid in range(len(work.blocks)):
-        stmts = work.blocks[bid]
-        if len(stmts) == 1 and isinstance(stmts[0], Goto):
-            mapping[bid] = final_target(bid)
+    """Send each jump to a goto-only block on to the end of its goto chain:
+    the first block that is not goto-only, or the block where the chain
+    runs into a cycle. A cycle's own blocks keep their jumps. Each block
+    is walked once."""
+    hop = {bid: stmts[0].target for bid, stmts in enumerate(work.blocks)
+           if len(stmts) == 1 and isinstance(stmts[0], Goto)}
+    mapping: dict[int, int] = {}
+    for bid in hop:
+        path: dict[int, int] = {}          # block -> its place on this walk
+        while bid in hop and bid not in mapping and bid not in path:
+            path[bid] = len(path)
+            bid = hop[bid]
+        walk = list(path)
+        if bid in path:
+            mapping.update((b, b) for b in walk[path[bid]:])
+            walk = walk[:path[bid]]
+        end = mapping.get(bid, bid)
+        mapping.update((b, end) for b in walk)
     if mapping:
         work.redirect(mapping)
         work.compact()
@@ -262,11 +270,6 @@ def _canonicalize_branches(work: _Work):
                                   taken=s.fallthrough, fallthrough=s.taken)
 
 
-def _handler_signature(work: _Work, bid: int) -> tuple:
-    return tuple(sorted((head, catch or "") for covered, head, catch in work.handlers
-                        if bid in covered))
-
-
 def _alpha_key(stmts: list) -> tuple:
     local: dict[str, str] = {}
 
@@ -283,12 +286,14 @@ def _alpha_key(stmts: list) -> tuple:
 
 
 def _merge_duplicate_returns(work: _Work):
+    handlers = work.handlers_by_block()
     groups: dict[tuple, int] = {}
     mapping: dict[int, int] = {}
     for bid, stmts in enumerate(work.blocks):
         if not isinstance(stmts[-1], Return):
             continue
-        key = (_alpha_key(stmts), _handler_signature(work, bid))
+        signature = tuple(sorted((head, catch or "") for head, catch in handlers.get(bid, ())))
+        key = (_alpha_key(stmts), signature)
         keeper = groups.setdefault(key, bid)
         if keeper != bid:
             mapping[bid] = keeper
@@ -297,109 +302,69 @@ def _merge_duplicate_returns(work: _Work):
         work.compact()
 
 
-def _unify_constants(work: _Work):
-    for stmts in work.blocks:
-        for i, s in enumerate(stmts):
-            if isinstance(s, Assign) and isinstance(s.expr, Const):
-                e = s.expr
-                if e.jtype in ("int", "long"):
-                    stmts[i] = Assign(s.target, Const(int(e.value), e.jtype))
-                elif e.jtype in ("float", "double"):
-                    stmts[i] = Assign(s.target, Const(float(e.value), e.jtype))
-
-
 # ----------------------------------------------------- string concatenation
-
-def _use_count(work: _Work) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for stmts in work.blocks:
-        for s in stmts:
-            for u in stmt_uses(s):
-                counts[u] = counts.get(u, 0) + 1
-    return counts
-
 
 def _rewrite_concat(work: _Work):
     """Recognize the two canonical string-concatenation shapes and rewrite
     both to an abstract concat expression: builder append chains and
     invokedynamic concat factories.
 
-    Use counts are taken once and again only after a builder chain is
-    rewritten: a factory rewrite uses exactly the registers it replaces.
+    Chains are found in one scan per block, against use counts taken once
+    per method. Chains share no statement, and rewriting one removes only
+    the uses of its own receivers (its arguments move into the concat), so
+    no count another chain is checked against changes.
     """
-    uses = _use_count(work)
+    uses = Counter(u for stmts in work.blocks for s in stmts for u in stmt_uses(s))
     for stmts in work.blocks:
-        # Indirect concat factory.
-        for i, s in enumerate(stmts):
+        def_at: dict[str, int] = {}
+        first_init: dict[str, int] = {}
+        to_strings: list[int] = []
+        for idx, s in enumerate(stmts):
+            # Indirect concat factory.
             if isinstance(s, DynInvoke) and s.name == "makeConcatWithConstants" \
                     and s.result is not None:
-                stmts[i] = Assign(s.result, Concat(s.args))
+                stmts[idx] = s = Assign(s.result, Concat(s.args))
+            d = stmt_def(s)
+            if d is not None:
+                def_at[d] = idx
+            if isinstance(s, Invoke) and s.owner in STRING_BUILDERS and s.args:
+                if s.kind == "special" and s.name == "<init>":
+                    first_init.setdefault(s.args[0], idx)
+                elif s.kind == "virtual" and s.name == "toString" and s.result is not None:
+                    to_strings.append(idx)
 
         # Builder chain: new / <init> / append* / toString within one block,
         # with every intermediate value used exactly once. Argument loads
         # may interleave, so the chain is followed through receiver defs.
-        progress = True
-        while progress:
-            progress = False
-            def_at = {}
-            for idx, stmt in enumerate(stmts):
-                d = stmt_def(stmt)
-                if d is not None:
-                    def_at[d] = idx
-            for i, s in enumerate(stmts):
-                if not (isinstance(s, Invoke) and s.kind == "virtual"
-                        and s.owner in STRING_BUILDERS and s.name == "toString"
-                        and s.result is not None and s.args):
+        concat_at: dict[int, tuple] = {}     # toString index -> concat args
+        removed: set[int] = set()
+        for i in to_strings:
+            chain = {i}
+            args: list = []
+            receiver = stmts[i].args[0]
+            while True:
+                j = def_at.get(receiver)
+                if j is None or j >= i or j in chain:
+                    break
+                prev = stmts[j]
+                if (isinstance(prev, Invoke) and prev.kind == "virtual"
+                        and prev.owner in STRING_BUILDERS and prev.name == "append"
+                        and len(prev.args) == 2 and uses[receiver] == 1):
+                    chain.add(j)
+                    args.append(prev.args[1])
+                    receiver = prev.args[0]
                     continue
-                chain = {i}
-                args: list = []
-                receiver = s.args[0]
-                ok = False
-                while True:
-                    j = def_at.get(receiver)
-                    if j is None or j >= i or j in chain:
-                        break
-                    prev = stmts[j]
-                    if (isinstance(prev, Invoke) and prev.kind == "virtual"
-                            and prev.owner in STRING_BUILDERS
-                            and prev.name == "append"
-                            and prev.result == receiver
-                            and uses.get(receiver, 0) == 1
-                            and len(prev.args) == 2):
-                        chain.add(j)
-                        args.append(prev.args[1])
-                        receiver = prev.args[0]
-                        continue
-                    if (isinstance(prev, Assign) and isinstance(prev.expr, NewObj)
-                            and prev.expr.cls in STRING_BUILDERS
-                            and uses.get(receiver, 0) == 2):
-                        init_idx = next(
-                            (k for k, st in enumerate(stmts)
-                             if isinstance(st, Invoke) and st.kind == "special"
-                             and st.name == "<init>"
-                             and st.owner in STRING_BUILDERS
-                             and st.args and st.args[0] == receiver),
-                            None)
-                        if init_idx is None or init_idx in chain:
-                            break
-                        init = stmts[init_idx]
-                        if len(init.args) > 1:
-                            args.append(init.args[1])
-                        chain.add(j)
-                        chain.add(init_idx)
-                        ok = True
-                    break
-                if ok:
-                    result = s.result
-                    args.reverse()
-                    removed_before = sum(1 for idx in chain if idx < i)
-                    for idx in sorted(chain, reverse=True):
-                        del stmts[idx]
-                    stmts.insert(i - removed_before,
-                                 Assign(result, Concat(tuple(args))))
-                    uses = _use_count(work)
-                    progress = True
-                    break
+                if (isinstance(prev, Assign) and isinstance(prev.expr, NewObj)
+                        and prev.expr.cls in STRING_BUILDERS
+                        and uses[receiver] == 2 and receiver in first_init):
+                    init_at = first_init[receiver]
+                    args.extend(stmts[init_at].args[1:2])
+                    removed |= (chain - {i}) | {j, init_at}
+                    concat_at[i] = tuple(reversed(args))
+                break
+        if concat_at:
+            stmts[:] = [Assign(s.result, Concat(concat_at[i])) if i in concat_at else s
+                        for i, s in enumerate(stmts) if i not in removed]
 
 
 # ----------------------------------------------------------------- pipeline
@@ -416,7 +381,6 @@ def normalize(ir: MethodIr) -> MethodIr:
     _canonical_reorder(work)           # 4b canonical block layout
     _canonicalize_branches(work)       # 4c fallthrough gets the earlier block
     _merge_duplicate_returns(work)     # 5
-    _unify_constants(work)             # 6
     work.compact()
     work.drop_layout_gotos()
     _renumber_registers(work)          # canonical names after removals

@@ -101,3 +101,10 @@ def brute_signature(t_vul, t_fix):
         else:
             nt.add(t)
     return frozenset(ct), frozenset(pt), frozenset(nt)
+
+
+def node_sets(pdom: dict) -> dict:
+    """``postdominators``' bitsets (bit n + 2 for node n) as frozensets of
+    nodes, the form the brute-force oracle gives."""
+    return {n: frozenset(i - 2 for i in range(bits.bit_length()) if bits >> i & 1)
+            for n, bits in pdom.items()}

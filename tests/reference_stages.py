@@ -1,0 +1,250 @@
+"""Reference oracles for the IR stages whose cost was made to follow
+their output: the set-based dependence analysis, jump threading and the
+restarting string-concatenation rewrite they replaced, kept for
+differential tests.
+
+``reaching_data_edges`` sweeps the blocks round-robin over sets of
+(statement, register) pairs; ``postdominators`` keeps a frozenset per
+node; ``control_dependent_blocks`` reads those sets; ``_thread_jumps``
+walks the whole goto chain from every goto-only block; ``_rewrite_concat``
+rebuilds its definition map and use counts after every chain it
+rewrites. The package's versions must give the same edges, the same
+post-dominator sets (through ``oracles.node_sets``), the same pairs and,
+swapped into ``normalize``, the same normalized IR.
+"""
+
+from __future__ import annotations
+
+from jarscan.classfile.model import STRING_BUILDERS
+from jarscan.ir.cfg import ENTRY, EXIT, Cfg
+from jarscan.ir.model import (
+    Assign,
+    Concat,
+    DynInvoke,
+    Goto,
+    Invoke,
+    MethodIr,
+    NewObj,
+    stmt_def,
+    stmt_uses,
+)
+from jarscan.normalize import _Work
+
+
+def reaching_data_edges(ir: MethodIr, cfg: Cfg) -> frozenset:
+    """Def-use edges where the definition reaches the use on some path."""
+    defs_of_reg: dict[str, set[int]] = {}
+    for i, stmt in enumerate(ir.statements):
+        d = stmt_def(stmt)
+        if d is not None:
+            defs_of_reg.setdefault(d, set()).add(i)
+
+    gen: dict[int, dict[str, int]] = {}
+    kill_regs: dict[int, set[str]] = {}
+    for block in ir.blocks:
+        g: dict[str, int] = {}
+        for i in range(block.start, block.end):
+            d = stmt_def(ir.statements[i])
+            if d is not None:
+                g[d] = i
+        gen[block.bid] = g
+        kill_regs[block.bid] = set(g)
+
+    blocks = [b.bid for b in ir.blocks]
+    in_sets: dict[int, set] = {b: set() for b in blocks}
+    out_sets: dict[int, set] = {b: set() for b in blocks}
+    changed = True
+    while changed:
+        changed = False
+        for b in blocks:
+            new_in = set()
+            for p in cfg.predecessors(b):
+                if p not in (ENTRY, EXIT):
+                    new_in |= out_sets[p]
+            new_out = {(i, r) for i, r in new_in if r not in kill_regs[b]}
+            new_out |= {(i, r) for r, i in gen[b].items()}
+            if new_in != in_sets[b] or new_out != out_sets[b]:
+                in_sets[b] = new_in
+                out_sets[b] = new_out
+                changed = True
+
+    edges = set()
+    for block in ir.blocks:
+        current: dict[str, set[int]] = {}
+        for i, r in in_sets[block.bid]:
+            current.setdefault(r, set()).add(i)
+        for i in range(block.start, block.end):
+            stmt = ir.statements[i]
+            for r in stmt_uses(stmt):
+                for d in current.get(r, ()):
+                    edges.add((d, i, r))
+            d = stmt_def(stmt)
+            if d is not None:
+                current[d] = {i}
+    return frozenset(edges)
+
+
+def postdominators(cfg: Cfg) -> dict[int, frozenset]:
+    """Iterative post-dominator sets on the EXIT-augmented graph.
+
+    Nodes that cannot reach EXIT keep the full node set, which matches the
+    vacuous reading of "d lies on every path to EXIT".
+    """
+    all_nodes = frozenset(cfg.nodes)
+    pdom: dict[int, frozenset] = {n: all_nodes for n in cfg.nodes}
+    pdom[EXIT] = frozenset({EXIT})
+    changed = True
+    while changed:
+        changed = False
+        for n in cfg.nodes:
+            if n == EXIT:
+                continue
+            succs = cfg.successors(n)
+            if succs:
+                acc = None
+                for s in succs:
+                    acc = pdom[s] if acc is None else acc & pdom[s]
+                new = acc | {n}
+            else:
+                new = frozenset({n}) if n == EXIT else all_nodes
+            if new != pdom[n]:
+                pdom[n] = new
+                changed = True
+    return pdom
+
+
+def control_dependent_blocks(cfg: Cfg, pdom: dict[int, frozenset] | None = None) -> frozenset:
+    """(controller block, dependent block) pairs.
+
+    B is control-dependent on A when A has a successor S with B
+    post-dominating S but B not post-dominating A itself.
+    """
+    if pdom is None:
+        pdom = postdominators(cfg)
+    pairs = set()
+    for a in cfg.block_nodes():
+        for s in cfg.successors(a):
+            for b in pdom[s]:
+                if b in (ENTRY, EXIT):
+                    continue
+                if b not in pdom[a]:
+                    pairs.add((a, b))
+    return frozenset(pairs)
+
+
+# ------------------------------------------------------------ jump threading
+
+def _thread_jumps(work: _Work):
+    def final_target(bid: int) -> int:
+        seen = set()
+        while bid not in seen:
+            seen.add(bid)
+            stmts = work.blocks[bid]
+            if len(stmts) == 1 and isinstance(stmts[0], Goto):
+                bid = stmts[0].target
+            else:
+                break
+        return bid
+
+    mapping = {}
+    for bid in range(len(work.blocks)):
+        stmts = work.blocks[bid]
+        if len(stmts) == 1 and isinstance(stmts[0], Goto):
+            mapping[bid] = final_target(bid)
+    if mapping:
+        work.redirect(mapping)
+        work.compact()
+
+
+# ----------------------------------------------------- string concatenation
+
+def _use_count(work: _Work) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for stmts in work.blocks:
+        for s in stmts:
+            for u in stmt_uses(s):
+                counts[u] = counts.get(u, 0) + 1
+    return counts
+
+
+def _rewrite_concat(work: _Work):
+    """Recognize the two canonical string-concatenation shapes and rewrite
+    both to an abstract concat expression: builder append chains and
+    invokedynamic concat factories.
+
+    Use counts are taken once and again only after a builder chain is
+    rewritten: a factory rewrite uses exactly the registers it replaces.
+    """
+    uses = _use_count(work)
+    for stmts in work.blocks:
+        # Indirect concat factory.
+        for i, s in enumerate(stmts):
+            if isinstance(s, DynInvoke) and s.name == "makeConcatWithConstants" \
+                    and s.result is not None:
+                stmts[i] = Assign(s.result, Concat(s.args))
+
+        # Builder chain: new / <init> / append* / toString within one block,
+        # with every intermediate value used exactly once. Argument loads
+        # may interleave, so the chain is followed through receiver defs.
+        progress = True
+        while progress:
+            progress = False
+            def_at = {}
+            for idx, stmt in enumerate(stmts):
+                d = stmt_def(stmt)
+                if d is not None:
+                    def_at[d] = idx
+            for i, s in enumerate(stmts):
+                if not (isinstance(s, Invoke) and s.kind == "virtual"
+                        and s.owner in STRING_BUILDERS and s.name == "toString"
+                        and s.result is not None and s.args):
+                    continue
+                chain = {i}
+                args: list = []
+                receiver = s.args[0]
+                ok = False
+                while True:
+                    j = def_at.get(receiver)
+                    if j is None or j >= i or j in chain:
+                        break
+                    prev = stmts[j]
+                    if (isinstance(prev, Invoke) and prev.kind == "virtual"
+                            and prev.owner in STRING_BUILDERS
+                            and prev.name == "append"
+                            and prev.result == receiver
+                            and uses.get(receiver, 0) == 1
+                            and len(prev.args) == 2):
+                        chain.add(j)
+                        args.append(prev.args[1])
+                        receiver = prev.args[0]
+                        continue
+                    if (isinstance(prev, Assign) and isinstance(prev.expr, NewObj)
+                            and prev.expr.cls in STRING_BUILDERS
+                            and uses.get(receiver, 0) == 2):
+                        init_idx = next(
+                            (k for k, st in enumerate(stmts)
+                             if isinstance(st, Invoke) and st.kind == "special"
+                             and st.name == "<init>"
+                             and st.owner in STRING_BUILDERS
+                             and st.args and st.args[0] == receiver),
+                            None)
+                        if init_idx is None or init_idx in chain:
+                            break
+                        init = stmts[init_idx]
+                        if len(init.args) > 1:
+                            args.append(init.args[1])
+                        chain.add(j)
+                        chain.add(init_idx)
+                        ok = True
+                    break
+                if ok:
+                    result = s.result
+                    args.reverse()
+                    removed_before = sum(1 for idx in chain if idx < i)
+                    for idx in sorted(chain, reverse=True):
+                        del stmts[idx]
+                    stmts.insert(i - removed_before,
+                                 Assign(result, Concat(tuple(args))))
+                    uses = _use_count(work)
+                    progress = True
+                    break

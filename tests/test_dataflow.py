@@ -12,7 +12,12 @@ from jarscan.ir import (
     postdominators,
     reaching_data_edges,
 )
-from oracles import brute_control_deps, brute_postdominators, brute_reaching_edges
+from oracles import (
+    brute_control_deps,
+    brute_postdominators,
+    brute_reaching_edges,
+    node_sets,
+)
 from randgen import random_method_ir
 
 
@@ -81,7 +86,7 @@ def test_random_cfgs_match_brute_force_small():
         ir = random_method_ir(rng, max_blocks=8)
         cfg = build_cfg(ir)
         assert reaching_data_edges(ir, cfg) == brute_reaching_edges(ir, cfg)
-        assert postdominators(cfg) == brute_postdominators(cfg)
+        assert node_sets(postdominators(cfg)) == brute_postdominators(cfg)
         assert control_dependent_blocks(cfg) == brute_control_deps(cfg)
 
 
@@ -94,4 +99,4 @@ def test_lifted_methods_match_brute_force():
         ir = lift(resolved_code(method, cf.constant_pool))
         cfg = build_cfg(ir)
         assert reaching_data_edges(ir, cfg) == brute_reaching_edges(ir, cfg)
-        assert postdominators(cfg) == brute_postdominators(cfg)
+        assert node_sets(postdominators(cfg)) == brute_postdominators(cfg)

@@ -1,0 +1,131 @@
+"""Legal methods at the size limits: each IR stage's time follows what it
+outputs, and the shapes whose output is quadratic keep their meaning.
+
+The methods are emitted with ``emit_class``, as tests/corpus.py builds
+its classes, and stay under the JVM's 65,535-byte code limit. The time
+bounds are loose enough for a slow CI machine; the set-based dependence
+analysis, the restarting concat rewrite and per-block goto-chain walks
+took several times the bound on each shape.
+"""
+
+import time
+
+from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
+from jarscan.classfile.emitter import encode_instruction
+from jarscan.classfile.model import resolved_code
+from jarscan.cpg import method_triplets
+from jarscan.ir import build_cfg, control_dependent_blocks, lift
+from oracles import brute_control_deps
+
+BUILDER = "java.lang.StringBuilder"
+
+
+def branch_blocks(n: int) -> list:
+    """``n`` times ``iload_0; ifeq L; push_int i; istore 1+i%50; L:``."""
+    code = []
+    for i in range(n):
+        code += ["iload_0", ("ifeq", f"L{i}"), ("push_int", i), ("istore", 1 + i % 50), f"L{i}:"]
+    return code + ["return"]
+
+
+def concat_chains(n: int) -> list:
+    """``n`` builder chains ``new; dup; <init>; aload_0; append; toString;
+    astore_1`` in one block."""
+    code = []
+    for _ in range(n):
+        code += [("new", BUILDER), "dup", ("invokespecial", BUILDER, "<init>", "()V"),
+                 "aload_0",
+                 ("invokevirtual", BUILDER, "append",
+                  "(Ljava/lang/String;)Ljava/lang/StringBuilder;"),
+                 ("invokevirtual", BUILDER, "toString", "()Ljava/lang/String;"),
+                 "astore_1"]
+    return code + ["return"]
+
+
+def try_ranges(n: int) -> tuple[list, list]:
+    """``n`` divisions, each in its own try range with its own handler,
+    which returns."""
+    code, handlers = [], []
+    for i in range(n):
+        code += [f"S{i}:", "iload_0", ("push_int", i + 1), "idiv", "istore_1",
+                 f"E{i}:", ("goto", f"N{i}"), f"H{i}:", "pop", "return", f"N{i}:"]
+        handlers.append((f"S{i}", f"E{i}", f"H{i}", "java.lang.ArithmeticException"))
+    return code + ["return"], handlers
+
+
+def vacuous_branches(n: int) -> list:
+    """``n`` times ``iload_0; ifne S_i``, then ``return``, then each
+    ``S_i: goto S_i``: n blocks that cannot reach EXIT."""
+    code = []
+    for i in range(n):
+        code += ["iload_0", ("ifne", f"S{i}")]
+    code.append("return")
+    for i in range(n):
+        code += [f"S{i}:", ("goto", f"S{i}")]
+    return code
+
+
+def goto_chain(n: int) -> list:
+    """``n`` gotos, each to the next instruction, then ``return x + 1``."""
+    code = []
+    for i in range(n):
+        code += [("goto", f"L{i}"), f"L{i}:"]
+    return code + ["iload_0", "iconst_1", "iadd", "ireturn"]
+
+
+def emitted(code: list, desc: str, handlers=()):
+    """The class t.Big holding ``static f`` with ``code``, parsed back, and
+    its one method, whose code must fit the JVM's limit."""
+    model = ClassModel("t.Big", methods=[MethodModel("f", desc, 0x09, code=code,
+                                                      handlers=list(handlers))])
+    cf = parse_class(emit_class(model))
+    [method] = cf.methods
+    last = method.code.instructions[-1]
+    assert last[0] + len(encode_instruction(last)) < 65_536
+    return cf, method
+
+
+def _assert_triplets_within(cf, method, seconds: float):
+    start = time.perf_counter()
+    triplets = method_triplets(cf, method)
+    elapsed = time.perf_counter() - start
+    assert triplets
+    assert elapsed < seconds, f"method_triplets took {elapsed:.1f} s"
+
+
+def test_thousand_branch_blocks_in_bounded_time():
+    cf, method = emitted(branch_blocks(1000), "(I)V")
+    _assert_triplets_within(cf, method, 5.0)
+
+
+def test_3700_concat_chains_in_bounded_time():
+    cf, method = emitted(concat_chains(3700), "(Ljava/lang/String;)V")
+    _assert_triplets_within(cf, method, 10.0)
+
+
+def test_2000_try_ranges_in_bounded_time():
+    code, handlers = try_ranges(2000)
+    cf, method = emitted(code, "(I)V", handlers)
+    _assert_triplets_within(cf, method, 5.0)
+
+
+def test_20000_goto_chain_in_bounded_time():
+    cf, method = emitted(goto_chain(20_000), "(I)I")
+    _assert_triplets_within(cf, method, 5.0)
+
+
+def test_vacuous_postdominance_is_kept():
+    """Blocks that cannot reach EXIT are post-dominated by every node. So
+    each looping block is control dependent on every branch that has a
+    looping successor, and so is the first branch block, on the second
+    branch: Ferrante, Ottenstein and Warren's definition read literally,
+    as the brute-force oracle reads it. This pins the vacuous case before
+    any redesign of it."""
+    cf, method = emitted(vacuous_branches(2), "(I)V")
+    ir = lift(resolved_code(method, cf.constant_pool))
+    cfg = build_cfg(ir)
+    # Blocks 0 and 1 branch, 2 returns, 3 and 4 loop on themselves.
+    assert [cfg.successors(b) for b in range(5)] == [[1, 3], [2, 4], [-2], [3], [4]]
+    pairs = control_dependent_blocks(cfg)
+    assert pairs == brute_control_deps(cfg)
+    assert pairs == {(0, 3), (0, 4), (1, 0), (1, 3), (1, 4)}
