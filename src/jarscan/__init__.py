@@ -29,7 +29,7 @@ _EXPORTS = {
     **dict.fromkeys(("extract_triplets", "method_triplets"), "cpg"),
     **dict.fromkeys(("build_cfg", "dependencies", "lift"), "ir"),
     **dict.fromkeys(("KnowledgeBase", "build_entry", "build_from_manifest", "load",
-                     "query_fqn", "query_unqualified", "save"), "kb"),
+                     "save"), "kb"),
     "modify": "modharness",
     "normalize": "normalize",
     **dict.fromkeys(("ScanConfig", "ScanReport", "match_triplets", "report_to_json",

@@ -34,19 +34,21 @@ def strip_packages(text: str) -> str:
 class ConstructId:
     kind: str        # "class" | "interface" | "method"
     fqn: str
-    unqualified: str
+    unqualified: str = field(init=False)     # strip_packages(fqn)
     synthetic: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "unqualified", strip_packages(self.fqn))
 
 
 def class_construct(cf: ClassFile) -> ConstructId:
-    kind = "interface" if cf.is_interface else "class"
-    return ConstructId(kind, cf.this_class, strip_packages(cf.this_class))
+    return ConstructId("interface" if cf.is_interface else "class", cf.this_class)
 
 
 def method_construct(class_dotted: str, name: str, descriptor: str,
                      synthetic: bool = False) -> ConstructId:
-    fqn = method_signature(class_dotted, name, descriptor)
-    return ConstructId("method", fqn, strip_packages(fqn), synthetic)
+    return ConstructId("method", method_signature(class_dotted, name, descriptor),
+                       synthetic)
 
 
 def list_constructs(cf: ClassFile) -> list[ConstructId]:

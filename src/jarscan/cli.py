@@ -17,8 +17,10 @@ modification harness). Exit codes are a stable contract:
             identifiers, or type 1 given other than one input), unreadable
             input or unwritable output
 
-Threshold flags override the shipped defaults; every flag mirrors an
-environment variable with the JARSCAN_ prefix (e.g. JARSCAN_THETA_PT).
+Threshold flags override the shipped defaults. Four scan flags have an
+environment variable that sets their default: --mode (JARSCAN_MODE) and
+--theta-pt, --theta-cc, --theta-ct (JARSCAN_THETA_PT, _CC, _CT). --mode
+names a set: each mode runs once, default mode first.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .scanner import (
     DEFAULT_THETA_CC,
     DEFAULT_THETA_CT,
     DEFAULT_THETA_PT,
+    MODES,
     ScanConfig,
     VULNERABLE,
     render_table,
@@ -133,11 +136,12 @@ def _write_report(out, report, fmt: str) -> None:
 
 
 def cmd_scan(args) -> int:
-    modes = tuple(m.strip() for m in args.mode.split(",") if m.strip())
-    bad = [m for m in modes if m not in ("default", "repack")]
-    if bad or not modes:
+    named = [m.strip() for m in args.mode.split(",") if m.strip()]
+    bad = [m for m in named if m not in MODES]
+    if bad or not named:
         print(f"error: unknown mode(s) {bad}", file=sys.stderr)
         return 2
+    modes = tuple(m for m in MODES if m in named)
     thresholds = {}
     for name in ("theta_pt", "theta_cc", "theta_ct"):
         raw = getattr(args, name)
@@ -202,14 +206,17 @@ def cmd_modify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     from .modharness import modify, read_entries
-    for path, data in zip(args.inputs, inputs):
-        try:
-            read_entries(data)
-        except MalformedArchive as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 1
     try:
         out = modify(inputs, args.kind, prefix=args.prefix, seed=args.seed)
+    except MalformedArchive:
+        # modify stops at the first input it cannot read; name that one.
+        for path, data in zip(args.inputs, inputs):
+            try:
+                read_entries(data)
+            except MalformedArchive as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                return 1
+        raise
     except (RelocationCollision, JarscanError, ValueError) as exc:
         # A merged JAR's entries come from several inputs; type 1's from one.
         where = f"{args.inputs[0]}: " if args.kind == 1 else ""

@@ -1,8 +1,14 @@
 """Knowledge base: CVE ids mapped to construct-level fix signatures.
 
-Built once from pre/post-fix compiled classes, persisted as a single
-versioned text file (sorted JSON body, trailing checksum), and queried by
-fully qualified or unqualified construct names during scans.
+Built once from pre/post-fix compiled classes and persisted as a single
+versioned text file (sorted JSON body, trailing checksum). A scan asks it:
+
+  * which CVEs have records in a class, by FQN or by unqualified name;
+  * which simple class names and which methods a scan may have to open
+    or lift (``simple_class_names``, ``asks_about_method``);
+  * which triplets a body has whose code, or, unqualified, whose stripped
+    code, is a recorded pre- or post-fix body's;
+  * what a recorded signature is once unqualified.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classfile.constructs import ConstructId, strip_packages
+from .classfile.constructs import (ConstructId, class_construct, method_construct,
+                                   strip_packages)
 from .classfile.descriptors import method_signature, render_type
 from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
 from .classfile.parser import parse_class
@@ -32,7 +39,7 @@ _HEADER = "jarscan-kb"
 
 # Each run that method_signature could have rendered as a method name: a
 # space before, "(" after. A name with no space, "(" or "." is found this
-# way in the record's FQN and in its unqualified form.
+# way in a record's unqualified form, which strip_packages leaves it in.
 _SIGNATURE_NAMES = re.compile(r"(?<= )[^ (]+(?=\()")
 _ODD_NAME_CHARS = frozenset(" (.")
 # Where strip_packages can have cut a package out of a simple name: after
@@ -80,7 +87,6 @@ class KnowledgeBase:
         self._class_candidates: dict[str, set] = {}
         self._unq_class_candidates: dict[str, set] = {}
         self.simple_class_names: set[str] = set()
-        self._changed_fqns: set[str] = set()
         self._changed_unqualified: set[str] = set()
         self._changed_names: set[str] = set()
         self._code_sides: dict[str, tuple[FixSignature, str]] = {}
@@ -101,10 +107,8 @@ class KnowledgeBase:
                 self.simple_class_names.update(
                     simple[m.start():] for m in _PACKAGE_CUTS.finditer(simple))
                 if rec.construct.kind == "method" and rec.change == "changed":
-                    fqn, unq = rec.construct.fqn, rec.construct.unqualified
-                    self._changed_fqns.add(fqn)
+                    unq = rec.construct.unqualified
                     self._changed_unqualified.add(unq)
-                    self._changed_names.update(_SIGNATURE_NAMES.findall(fqn))
                     self._changed_names.update(_SIGNATURE_NAMES.findall(unq))
                 if rec.signature is None:
                     continue
@@ -130,21 +134,13 @@ class KnowledgeBase:
 
     def asks_about_method(self, class_fqn: str, name: str, descriptor: str) -> bool:
         """Whether a scan in any mode can lift this method's body: a
-        ``changed`` method record names it by FQN or by unqualified
-        signature. Most methods are answered by their name alone."""
+        ``changed`` method record names it by unqualified signature (so
+        also one that names it by FQN). Most methods are answered by their
+        name alone."""
         if name not in self._changed_names and _ODD_NAME_CHARS.isdisjoint(name):
             return False
-        fqn = method_signature(class_fqn, name, descriptor)
-        return (fqn in self._changed_fqns
-                or strip_packages(fqn) in self._changed_unqualified)
-
-    @property
-    def has_code_digests(self) -> bool:
-        return bool(self._code_sides)
-
-    @property
-    def has_stripped_digests(self) -> bool:
-        return bool(self._stripped_sides)
+        return (strip_packages(method_signature(class_fqn, name, descriptor))
+                in self._changed_unqualified)
 
     def triplets_for_code(self, digest: str, unqualified: bool = False) -> frozenset | None:
         """The triplet set of a method body whose ``resolved_code`` digest
@@ -178,24 +174,6 @@ class KnowledgeBase:
         if unqualified:
             sig = self.unqualified_signature(sig)
         return sig.ct | (sig.nt if side == "pre" else sig.pt)
-
-
-def query_fqn(kb: KnowledgeBase, fqn: str) -> set:
-    """CVE ids whose fix touched the construct with this exact FQN."""
-    cls = fqn.split(":", 1)[0]
-    return {cve for cve in kb.candidate_cves_for_class(cls)
-            if any(rec.construct.fqn == fqn for rec in kb.records[cve])}
-
-
-def query_unqualified(kb: KnowledgeBase, unqualified_sig: str) -> set:
-    """(cve_id, fqn) pairs of method records matching the unqualified
-    signature; ambiguity is expected and resolved later by class context."""
-    unq_cls = unqualified_sig.split(":", 1)[0]
-    return {(cve, rec.construct.fqn)
-            for cve in kb.candidate_cves_for_unqualified_class(unq_cls)
-            for rec in kb.records[cve]
-            if rec.construct.kind == "method"
-            and rec.construct.unqualified == unqualified_sig}
 
 
 # ------------------------------------------------------------------ building
@@ -272,20 +250,16 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
         pre_cf, post_cf = pre.get(name), post.get(name)
         if pre_cf is None or post_cf is None:
             present = post_cf or pre_cf
-            kind = "interface" if present.is_interface else "class"
             change = "added" if pre_cf is None else "removed"
-            cid = ConstructId(kind, name, strip_packages(name))
             records.append(ConstructRecord(
-                construct=cid, change=change, signature=None,
+                construct=class_construct(present), change=change, signature=None,
                 class_context=class_member_context(present)))
             continue
 
         pre_methods = {(m.name, m.descriptor): m for m in pre_cf.methods}
         post_methods = {(m.name, m.descriptor): m for m in post_cf.methods}
         for key in sorted(pre_methods.keys() | post_methods.keys()):
-            mname, mdesc = key
-            fqn = method_signature(name, mname, mdesc)
-            cid = ConstructId("method", fqn, strip_packages(fqn))
+            cid = method_construct(name, *key)
             pre_m, post_m = pre_methods.get(key), post_methods.get(key)
             if post_m is None:
                 records.append(ConstructRecord(
@@ -361,10 +335,9 @@ def _record_from_json(obj: dict) -> ConstructRecord:
         sig = FixSignature(ct=deserialize_triplets(s["ct"]),
                            pt=deserialize_triplets(s["pt"]),
                            nt=deserialize_triplets(s["nt"]))
-    fqn = obj["fqn"]
-    cid = ConstructId(obj["kind"], fqn, strip_packages(fqn))
     code, stripped = obj.get("code"), obj.get("stripped")
-    return ConstructRecord(construct=cid, change=obj["change"], signature=sig,
+    return ConstructRecord(construct=ConstructId(obj["kind"], obj["fqn"]),
+                           change=obj["change"], signature=sig,
                            class_context=frozenset(obj.get("context", ())),
                            code=None if code is None else tuple(code),
                            stripped=None if stripped is None else tuple(stripped))

@@ -66,13 +66,15 @@ FIXED = "fixed"
 SKIPPED = "skipped"
 NOT_FLAGGED = "not-flagged"
 
+MODES = ("default", "repack")    # the order a scan runs them in
+
 
 @dataclass(frozen=True)
 class ScanConfig:
     theta_pt: float = DEFAULT_THETA_PT
     theta_cc: float = DEFAULT_THETA_CC
     theta_ct: float = DEFAULT_THETA_CT
-    modes: tuple = ("default", "repack")
+    modes: tuple = MODES
 
 
 @dataclass(frozen=True)
@@ -177,14 +179,15 @@ _LIFT_FAILED = object()
 
 
 class JarView:
-    """Indexed view of one parsed archive, with triplet caches.
+    """Indexed view of one parsed archive, with a triplet cache.
 
-    With a KB that records code digests, a method body that is a recorded
-    pre- or post-fix body takes its triplets from the KB, unlifted; in
-    repack mode, so does a body that is one up to package relocation.
+    A method body that is a recorded pre- or post-fix body takes its
+    triplets from the KB, unlifted; unqualified, so does a body that is
+    one up to package relocation. A KB without code digests just misses,
+    and the body is lifted.
     """
 
-    def __init__(self, archive, kb: KnowledgeBase | None = None):
+    def __init__(self, archive, kb: KnowledgeBase):
         self.archive = archive
         self.kb = kb
         self.class_by_fqn: dict[str, ClassFile] = {}
@@ -195,32 +198,25 @@ class JarView:
             self.by_unq_class.setdefault(strip_packages(cf.this_class), []).append(cf)
             for m, fqn in zip(cf.methods, cf.method_fqns):
                 self.methods.setdefault(fqn, (cf, m))
-        self._triplets: dict[str, object] = {}
-        self._unqualified: dict[str, object] = {}
+        self._triplets: dict[tuple[str, bool], object] = {}
         self._code: dict[str, tuple | None] = {}
 
-    def method_triplet_set(self, fqn: str):
-        """Triplets of the method with this FQN, or None when it has no
-        code or its code cannot be lifted (a LiftError, or a pool
-        reference that does not resolve or is of the wrong kind)."""
-        cached = self._triplets.get(fqn)
+    def method_triplet_set(self, fqn: str, unqualified: bool = False):
+        """Triplets of the method with this FQN, ``unqualify``-ed with
+        ``unqualified``; None when it has no code or its code cannot be
+        lifted (a LiftError, or a pool reference that does not resolve or
+        is of the wrong kind). Both forms share one lift."""
+        cached = self._triplets.get((fqn, unqualified))
         if cached is None:
-            cached = self._recorded(fqn, unqualified=False)
+            cached = self._recorded(fqn, unqualified)
             if cached is None:
-                cached = self._lift(fqn)
-            self._triplets[fqn] = cached
-        return None if cached is _LIFT_FAILED else cached
-
-    def unqualified_triplet_set(self, fqn: str):
-        """``unqualify`` of ``method_triplet_set``, taken from the KB for a
-        recorded body or a relocated copy of one; None as there."""
-        cached = self._unqualified.get(fqn)
-        if cached is None:
-            cached = self._recorded(fqn, unqualified=True)
-            if cached is None:
-                lifted = self.method_triplet_set(fqn)
-                cached = _LIFT_FAILED if lifted is None else unqualify(lifted)
-            self._unqualified[fqn] = cached
+                # A miss here is a miss qualified too: lift once for both.
+                cached = self._triplets.get((fqn, False))
+                if cached is None:
+                    cached = self._triplets[fqn, False] = self._lift(fqn)
+                if unqualified and cached is not _LIFT_FAILED:
+                    cached = unqualify(cached)
+            self._triplets[fqn, unqualified] = cached
         return None if cached is _LIFT_FAILED else cached
 
     def _lift(self, fqn: str):
@@ -245,7 +241,7 @@ class JarView:
             return None
         key, digest = code
         hit = self.kb.triplets_for_code(digest, unqualified)
-        if hit is None and unqualified and self.kb.has_stripped_digests:
+        if hit is None and unqualified:
             stripped = stripped_code(key)
             if stripped is not None:
                 hit = self.kb.triplets_for_stripped_code(key_digest(stripped))
@@ -253,20 +249,15 @@ class JarView:
 
     def _resolved(self, fqn: str):
         """(``resolved_code``, its digest) of a method body, kept for the
-        other mode; None without a KB that records code digests, for a
-        method without code, or when a pool reference does not resolve
-        (lifting then reports it)."""
+        other mode; None for a method without code, or when a pool
+        reference does not resolve (lifting then reports it)."""
         if fqn not in self._code:
-            code = None
-            if self.kb is not None and self.kb.has_code_digests:
-                cf, m = self.methods[fqn]
-                try:
-                    key = resolved_code(m, cf.constant_pool)
-                except BadConstantPoolRef:
-                    key = None
-                if key is not None:
-                    code = key, key_digest(key)
-            self._code[fqn] = code
+            cf, m = self.methods[fqn]
+            try:
+                key = resolved_code(m, cf.constant_pool)
+            except BadConstantPoolRef:
+                key = None
+            self._code[fqn] = None if key is None else (key, key_digest(key))
         return self._code[fqn]
 
 
@@ -406,10 +397,7 @@ def _rules(record, mode: str, view: JarView, config: ScanConfig,
         return VULNERABLE, None, "changed method missing from declaring class"
     if record.signature is None:
         return SKIPPED, None, "no signature recorded for changed method"
-    if repack:
-        t_m = view.unqualified_triplet_set(method)
-    else:
-        t_m = view.method_triplet_set(method)
+    t_m = view.method_triplet_set(method, unqualified=repack)
     if t_m is None:
         return SKIPPED, None, "method body could not be lifted"
     sig = view.kb.unqualified_signature(record.signature) if repack else record.signature

@@ -539,7 +539,7 @@ def test_jdk_classes_are_stored_under_their_own_names(corpus, corpus_kb):
     assert archive.misnamed == []
 
     kb = KnowledgeBase(records={**corpus_kb.records, "CVE-JDK": [
-        ConstructRecord(ConstructId("class", name, strip_packages(name)), "removed", None)
+        ConstructRecord(ConstructId("class", name), "removed", None)
         # sun.misc.Unsafe is not in java.base; repack mode finds
         # jdk.internal.misc.Unsafe by its unqualified name.
         for name in ("java.lang.String", "java.util.HashMap",

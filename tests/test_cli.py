@@ -253,6 +253,39 @@ def test_scan_bad_mode_exit_2(tmp_path, kb_file):
     assert rc == 2
 
 
+def _scan_json(kb_file, paths, capsys, *args):
+    assert main(["scan", "--kb", str(kb_file), "--format", "json", *args, *paths]) == 3
+    return capsys.readouterr().out
+
+
+def test_scan_mode_named_twice_runs_once(tmp_path, corpus, kb_file, capsys):
+    """Each construct verdict is reported once, however often its mode is
+    named."""
+    paths = _write_jars(corpus, tmp_path, "pre_jars")
+    once = _scan_json(kb_file, paths, capsys, "--mode", "default")
+    assert _scan_json(kb_file, paths, capsys, "--mode", "default,default") == once
+    assert _scan_json(kb_file, paths, capsys, "--mode", " default ,,default") == once
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_scan_mode_order_does_not_change_the_report(tmp_path, corpus, kb_file, capsys,
+                                                    monkeypatch, via):
+    """Modes run default first whatever order they are named in, from
+    --mode or JARSCAN_MODE, so the report bytes are the same."""
+    paths = _write_jars(corpus, tmp_path, "pre_jars")
+
+    def report(mode):
+        if via == "flag":
+            return _scan_json(kb_file, paths, capsys, "--mode", mode)
+        monkeypatch.setenv("JARSCAN_MODE", mode)
+        return _scan_json(kb_file, paths, capsys)
+
+    canonical = report("default,repack")
+    assert json.loads(canonical)["config"]["modes"] == ["default", "repack"]
+    assert report("repack,default") == canonical
+    assert report("repack,default,repack") == canonical
+
+
 def test_scan_unreadable_kb_exit_2(tmp_path):
     rc = main(["scan", "--kb", str(tmp_path / "missing.txt")])
     assert rc == 2

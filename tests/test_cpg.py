@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class, strip_packages
@@ -231,3 +232,16 @@ def test_serialization_roundtrip_and_canonical_order():
     text = serialize_triplets(ts)
     assert text.splitlines() == sorted(text.splitlines())
     assert deserialize_triplets(text) == ts
+
+
+def test_serialization_escapes_only_what_splits_lines_and_labels():
+    plain = frozenset({Triplet("a\r", "DATA", "b\u2028\x1e")})
+    assert serialize_triplets(plain) == "a\r\x1fDATA\x1fb\u2028\x1e"
+    assert deserialize_triplets(serialize_triplets(plain)) == plain
+    odd = frozenset({Triplet("x\ny", "CFG", "p\x1fq"), Triplet("\x10J", "DATA", "\n")})
+    text = serialize_triplets(odd)
+    assert text.count("\n") == 1 and text.count("\x1f") == 4
+    assert deserialize_triplets(text) == odd
+    for bad in ("a\x10Q\x1fb\x1fc", "a\x1fb\x1fc\x10", "a\x1fb"):
+        with pytest.raises(ValueError):
+            deserialize_triplets(bad)

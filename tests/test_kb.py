@@ -40,8 +40,6 @@ from jarscan.kb import (
     build_from_manifest,
     load,
     parse_manifest,
-    query_fqn,
-    query_unqualified,
     save,
 )
 from corpus import build_corpus, materialize_manifest
@@ -357,11 +355,10 @@ def test_code_digests_survive_save_and_load(tmp_path, corpus_kb,
     loaded = load(p)
     codes = lambda kb: {(cve, r.construct.fqn, r.change): r.code
                         for cve, records in kb.records.items() for r in records}
-    assert any(codes(corpus_kb).values()) and loaded.has_code_digests
+    assert any(codes(corpus_kb).values())
     assert codes(loaded) == codes(corpus_kb)
     # Without the optional field the KB loads, with the same records
     # otherwise and no digest to look up.
-    assert not corpus_kb_without_code.has_code_digests
     assert set(codes(corpus_kb_without_code).values()) == {None}
     assert codes(corpus_kb_without_code).keys() == codes(corpus_kb).keys()
 
@@ -374,13 +371,32 @@ def test_stripped_digests_survive_save_and_load(tmp_path, corpus_kb,
     loaded = load(p)
     stripped = lambda kb: {(cve, r.construct.fqn, r.change): r.stripped
                            for cve, records in kb.records.items() for r in records}
-    assert loaded == corpus_kb and loaded.has_stripped_digests
+    codes = lambda kb: [r.code for records in kb.records.values() for r in records]
+    assert loaded == corpus_kb
     assert any(stripped(corpus_kb).values())
     assert stripped(loaded) == stripped(corpus_kb)
     # Without the optional field the KB loads, with the code digests kept.
-    assert not corpus_kb_without_stripped.has_stripped_digests
-    assert corpus_kb_without_stripped.has_code_digests
     assert set(stripped(corpus_kb_without_stripped).values()) == {None}
+    assert codes(corpus_kb_without_stripped) == codes(corpus_kb)
+
+
+@pytest.mark.parametrize("name", ["we\nird", "we\x1fird", "we\x10ird", "we\x10Jird",
+                                  "we\rird\u2028"],
+                         ids=["newline", "separator", "escape", "escape-then-J",
+                              "other-line-breaks"])
+def test_labels_with_line_breaks_and_separators_survive_save_and_load(tmp_path, name):
+    """A member name may hold line breaks and the triplet separator (JVMS
+    §4.2.2), and so may the labels of a signature; they load back."""
+    def cls(extra):
+        return _cls("a.C", [MethodModel("check", "(I)I", 0x09, code=[
+            "iload_0", ("invokestatic", "a.C", name, "(I)I"), *extra, "ireturn"])])
+    kb = KnowledgeBase(records={"CVE-X": build_entry("CVE-X", [cls([])], [cls(["ineg"])])})
+    [rec] = [r for r in kb.records["CVE-X"] if r.signature is not None]
+    sig = rec.signature
+    assert any(name in label for t in sig.ct | sig.pt | sig.nt for label in t)
+    p = tmp_path / "kb.txt"
+    save(kb, p)
+    assert load(p) == kb
 
 
 def test_empty_kb_roundtrip(tmp_path):
@@ -616,7 +632,7 @@ def test_failed_save_keeps_the_previous_kb(tmp_path, corpus_kb):
     p = tmp_path / "kb.txt"
     save(corpus_kb, p)
     before = p.read_bytes()
-    bad = ConstructRecord(ConstructId("class", "z.Z", "Z"), "added", None,
+    bad = ConstructRecord(ConstructId("class", "z.Z"), "added", None,
                           frozenset({b"not text"}))
     with pytest.raises(TypeError):
         save(KnowledgeBase(records={**corpus_kb.records, "CVE-ZZZZ": [bad]}), p)
@@ -668,7 +684,7 @@ from jarscan.classfile.constructs import ConstructId
 from jarscan.kb import ConstructRecord, KnowledgeBase, _record_to_json, save
 context = frozenset(f"C: void member{i}(java.lang.String, int)" for i in range(2000))
 kb = KnowledgeBase(records={
-    f"CVE-{n:04}": [ConstructRecord(ConstructId("class", f"p.C{n}", f"C{n}"), "changed",
+    f"CVE-{n:04}": [ConstructRecord(ConstructId("class", f"p.C{n}"), "changed",
                                     None, context)]
     for n in range(100)})
 if sys.argv[1] == "save":
@@ -724,38 +740,16 @@ def _two_cve_kb():
     })
 
 
-def test_query_fqn_unknown_empty():
-    assert query_fqn(_two_cve_kb(), "no.Such: void thing()") == set()
-
-
-def test_query_fqn_two_cves():
+def test_candidate_cves_by_class_fqn_and_unqualified_name():
+    """A CVE is a candidate for each class it has a record in, by FQN and
+    by unqualified name; one unqualified name can stand for classes of
+    several packages, and so for several CVEs."""
     kb = _two_cve_kb()
-    assert query_fqn(kb, "a.C: int check(int)") == {"CVE-A", "CVE-B"}
+    assert kb.candidate_cves_for_class("a.C") == {"CVE-A", "CVE-B"}
+    assert kb.candidate_cves_for_unqualified_class("C") == {"CVE-A", "CVE-B"}
+    assert kb.candidate_cves_for_class("no.Such") == set()
+    assert kb.candidate_cves_for_unqualified_class("Nope") == set()
 
-
-def test_class_and_method_fqns_resolve_independently():
-    extra = _cls("a.New", [MethodModel("x", "()V", 0x09, code=["return"])])
-    kb = KnowledgeBase(records={
-        "CVE-CLS": build_entry("CVE-CLS", [PRE], [POST, extra]),
-    })
-    assert "CVE-CLS" in query_fqn(kb, "a.New")
-    assert query_fqn(kb, "a.New: void x()") == set()
-
-
-def test_query_unqualified_paper_example():
-    kb = KnowledgeBase(records={"CVE-L": build_entry(
-        "CVE-L",
-        [_cls("a.C", [MethodModel("foo", "(La/b/X;)V", 0x01, code=["return"])])],
-        [_cls("a.C", [MethodModel("foo", "(La/b/X;)V", 0x01, code=[
-            ("aload", 1),
-            ("invokevirtual", "a.b.X", "bar", "()I"),
-            ("istore", 2), "return"]),
-              MethodModel("extra", "()V", 0x01, code=["return"])])])})
-    hits = query_unqualified(kb, "C: void foo(X)")
-    assert hits == {("CVE-L", "a.C: void foo(a.b.X)")}
-
-
-def test_query_unqualified_ambiguity_two_packages():
     p1 = _cls("p1.C", [MethodModel("m", "()I", 0x09, code=["iconst_1", "ireturn"])])
     q1 = _cls("p1.C", [MethodModel("m", "()I", 0x09, code=["iconst_2", "ireturn"])])
     p2 = _cls("p2.C", [MethodModel("m", "()I", 0x09, code=["iconst_3", "ireturn"])])
@@ -764,29 +758,45 @@ def test_query_unqualified_ambiguity_two_packages():
         "CVE-1": build_entry("CVE-1", [p1], [q1]),
         "CVE-2": build_entry("CVE-2", [p2], [q2]),
     })
-    hits = query_unqualified(kb, "C: int m()")
-    assert hits == {("CVE-1", "p1.C: int m()"), ("CVE-2", "p2.C: int m()")}
+    assert kb.candidate_cves_for_unqualified_class("C") == {"CVE-1", "CVE-2"}
+    assert kb.candidate_cves_for_class("p1.C") == {"CVE-1"}
+    assert kb.asks_about_method("r.C", "m", "()I")
 
 
-def test_query_unqualified_ignores_class_records():
+def test_class_and_method_fqns_resolve_independently():
+    """An added class is a candidate by its name; its methods are not
+    changed methods, so no scan lifts them."""
     extra = _cls("a.New", [MethodModel("x", "()V", 0x09, code=["return"])])
     kb = KnowledgeBase(records={
         "CVE-CLS": build_entry("CVE-CLS", [PRE], [POST, extra]),
     })
-    assert query_unqualified(kb, "New") == set()
+    assert "CVE-CLS" in kb.candidate_cves_for_class("a.New")
+    assert not kb.asks_about_method("a.New", "x", "()V")
+    assert not kb.asks_about_method("r.New", "x", "()V")
 
 
-def test_query_unqualified_no_hit():
-    assert query_unqualified(_two_cve_kb(), "Nope: void nothing()") == set()
+def test_relocated_changed_method_is_asked_about():
+    """The paper's example: a.C's foo(a.b.X) changed, so a relocated
+    r.C: void foo(r.b.X) is a body a repack scan may lift."""
+    kb = KnowledgeBase(records={"CVE-L": build_entry(
+        "CVE-L",
+        [_cls("a.C", [MethodModel("foo", "(La/b/X;)V", 0x01, code=["return"])])],
+        [_cls("a.C", [MethodModel("foo", "(La/b/X;)V", 0x01, code=[
+            ("aload", 1),
+            ("invokevirtual", "a.b.X", "bar", "()I"),
+            ("istore", 2), "return"]),
+              MethodModel("extra", "()V", 0x01, code=["return"])])])})
+    [changed] = [r for r in kb.records["CVE-L"] if r.change == "changed"]
+    assert changed.construct.unqualified == "C: void foo(X)"
+    assert kb.candidate_cves_for_unqualified_class("C") == {"CVE-L"}
+    assert kb.asks_about_method("r.C", "foo", "(Lr/b/X;)V")
+    assert not kb.asks_about_method("r.C", "extra", "()V")      # added
 
 
 def test_index_coherence(corpus_kb):
     for cve, records in corpus_kb.records.items():
         for rec in records:
-            assert cve in query_fqn(corpus_kb, rec.construct.fqn)
-            if rec.construct.kind == "method":
-                hits = query_unqualified(corpus_kb, rec.construct.unqualified)
-                assert (cve, rec.construct.fqn) in hits
+            assert rec.construct.unqualified == strip_packages(rec.construct.fqn)
             assert cve in corpus_kb.candidate_cves_for_class(rec.declaring_class)
             assert cve in corpus_kb.candidate_cves_for_unqualified_class(
                 strip_packages(rec.declaring_class))
@@ -822,7 +832,7 @@ def test_simple_class_names_hold_every_class_the_kb_asks_about():
     for group in by_stripped.values():
         for cls in group:
             kb = KnowledgeBase(records={"CVE-X": [ConstructRecord(
-                ConstructId("class", cls, strip_packages(cls)), "removed", None)]})
+                ConstructId("class", cls), "removed", None)]})
             for fqn in group:
                 assert (kb.candidate_cves_for_class(fqn)
                         or kb.candidate_cves_for_unqualified_class(strip_packages(fqn)))

@@ -237,7 +237,7 @@ def _jar_with(*models):
 
 def _record(kind, fqn, change, context=(), signature=None):
     return ConstructRecord(
-        construct=ConstructId(kind, fqn, strip_packages(fqn)),
+        construct=ConstructId(kind, fqn),
         change=change, signature=signature, class_context=frozenset(context))
 
 
@@ -676,9 +676,11 @@ def test_code_digests_leave_reports_unchanged(variant_jars, corpus_kb, corpus_kb
     """Taking triplets from the KB for recorded bodies, exact or up to
     relocation, gives the report that lifting every method gives, in
     default and repack mode."""
-    assert corpus_kb.has_code_digests and corpus_kb.has_stripped_digests
-    assert not corpus_kb_without_code.has_code_digests
-    assert not corpus_kb_without_stripped.has_stripped_digests
+    def digests(kb, name):
+        return {getattr(r, name) for records in kb.records.values() for r in records}
+    assert digests(corpus_kb, "code") - {None} and digests(corpus_kb, "stripped") - {None}
+    assert digests(corpus_kb_without_code, "code") == {None}
+    assert digests(corpus_kb_without_stripped, "stripped") == {None}
     paths = []
     for name, data in variant_jars.items():
         p = tmp_path / f"{name}.jar"
@@ -713,6 +715,8 @@ def test_recorded_bodies_are_not_lifted(corpus, variant_jars, corpus_kb,
         assert lifts(jars[f"{side}-kind4"]) == 0, side
         assert lifts(jars[f"{side}-kind4"], corpus_kb_without_stripped) > 0, side
     assert lifts(jars["CVE-9000-0002-pre-kind1"]) > 0
+    # Repack mode reuses what default mode lifted.
+    assert len({id(m) for m in lifted}) == len(lifted)
 
 
 def _with_broken_descriptor(model: ClassModel) -> bytes:
@@ -780,7 +784,7 @@ def test_opened_class_no_record_names_is_fully_parsed(path, name):
             default_constructor(), MethodModel("mark", "(Lzz/Mark;)V", 0x09, code=["return"])])
 
     kb = KnowledgeBase(records={"CVE-TEST": [
-        ConstructRecord(ConstructId("class", cls, strip_packages(cls)), "removed", None)
+        ConstructRecord(ConstructId("class", cls), "removed", None)
         for cls in ("mal.A", "x-Foo")]})
     assert path.rpartition("/")[2][:-6] in kb.simple_class_names
     assert not (kb.candidate_cves_for_class(name)
@@ -825,7 +829,7 @@ def test_damaged_class_counts_by_whether_a_record_names_its_stem():
     opened, so it counts under classes; one whose stem some record's
     class has is opened, and is a parse failure."""
     kb = KnowledgeBase(records={"CVE-TEST": [
-        ConstructRecord(ConstructId("class", "dmg.Named", "Named"), "removed", None)]})
+        ConstructRecord(ConstructId("class", "dmg.Named"), "removed", None)]})
     junk = b"\xca\xfe\xba\xbe junk"
     jar = write_jar([("dmg/Named.class", junk), ("dmg/Unnamed.class", junk)])
     assert len(parse_jar(jar).failures) == 2           # every entry opened: both fail
@@ -920,7 +924,7 @@ def test_undecoded_body_raises_when_read(corpus):
     with pytest.raises(CodeNotDecoded):
         token.code.instructions
     with pytest.raises(CodeNotDecoded):
-        JarView(archive).method_triplet_set("beta.net.Http: int token(int)")
+        JarView(archive, KnowledgeBase()).method_triplet_set("beta.net.Http: int token(int)")
 
 
 def test_mistyped_pool_reference_skips_the_method(corpus, corpus_kb, tmp_path,
@@ -1071,7 +1075,7 @@ def test_malformed_fieldref_descriptor_skips_a_relocated_body(tmp_path, bad_desc
     records = build_entry("CVE-TEST", [parse_class(emit_class(klass("sh.Cfg", "Lsh/Cfg;", "iconst_1")))],
                           [parse_class(emit_class(klass("sh.Cfg", "Lsh/Cfg;", "iconst_2")))])
     kb = KnowledgeBase(records={"CVE-TEST": records})
-    assert kb.has_stripped_digests
+    assert any(r.stripped for r in records)
     bad = tmp_path / "bad.jar"
     bad.write_bytes(write_jar([(class_entry_path("r.sh.Cfg"),
                                 emit_class(klass("r.sh.Cfg", bad_desc, "iconst_1")))]))
