@@ -740,16 +740,24 @@ def _two_cve_kb():
     })
 
 
-def test_candidate_cves_by_class_fqn_and_unqualified_name():
-    """A CVE is a candidate for each class it has a record in, by FQN and
-    by unqualified name; one unqualified name can stand for classes of
-    several packages, and so for several CVEs."""
+def test_query_fqn_unknown_empty():
+    kb = _two_cve_kb()
+    assert kb.candidate_cves_for_class("no.Such") == set()
+    assert not kb.asks_about_method("no.Such", "thing", "()V")
+
+
+def test_query_fqn_two_cves():
+    """A CVE is a candidate for each class it has a record in, by FQN;
+    two CVEs with records in one class are both candidates for it."""
     kb = _two_cve_kb()
     assert kb.candidate_cves_for_class("a.C") == {"CVE-A", "CVE-B"}
     assert kb.candidate_cves_for_unqualified_class("C") == {"CVE-A", "CVE-B"}
-    assert kb.candidate_cves_for_class("no.Such") == set()
-    assert kb.candidate_cves_for_unqualified_class("Nope") == set()
+    assert kb.asks_about_method("a.C", "check", "(I)I")
 
+
+def test_query_unqualified_ambiguity_two_packages():
+    """One unqualified name can stand for classes of several packages,
+    and so for several CVEs."""
     p1 = _cls("p1.C", [MethodModel("m", "()I", 0x09, code=["iconst_1", "ireturn"])])
     q1 = _cls("p1.C", [MethodModel("m", "()I", 0x09, code=["iconst_2", "ireturn"])])
     p2 = _cls("p2.C", [MethodModel("m", "()I", 0x09, code=["iconst_3", "ireturn"])])
@@ -760,7 +768,25 @@ def test_candidate_cves_by_class_fqn_and_unqualified_name():
     })
     assert kb.candidate_cves_for_unqualified_class("C") == {"CVE-1", "CVE-2"}
     assert kb.candidate_cves_for_class("p1.C") == {"CVE-1"}
+    assert kb.candidate_cves_for_class("p2.C") == {"CVE-2"}
     assert kb.asks_about_method("r.C", "m", "()I")
+
+
+def test_query_unqualified_ignores_class_records():
+    """An added class's methods are not changed methods: no scan lifts
+    them under its unqualified name."""
+    extra = _cls("a.New", [MethodModel("x", "()V", 0x09, code=["return"])])
+    kb = KnowledgeBase(records={
+        "CVE-CLS": build_entry("CVE-CLS", [PRE], [POST, extra]),
+    })
+    assert kb.candidate_cves_for_unqualified_class("New") == {"CVE-CLS"}
+    assert not kb.asks_about_method("shaded.New", "x", "()V")
+
+
+def test_query_unqualified_no_hit():
+    kb = _two_cve_kb()
+    assert kb.candidate_cves_for_unqualified_class("Nope") == set()
+    assert not kb.asks_about_method("r.Nope", "nothing", "()V")
 
 
 def test_class_and_method_fqns_resolve_independently():
