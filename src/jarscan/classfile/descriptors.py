@@ -97,9 +97,14 @@ def param_slots(params: list[str]) -> int:
     return sum(category(p) for p in params)
 
 
+def render_method_types(desc: str) -> tuple[list[str], str]:
+    """A method descriptor's parameter types and return type, each as
+    ``render_type`` writes it ("V" as "void")."""
+    params, ret = parse_method_descriptor(desc)
+    return [render_type(p) for p in params], render_type(ret)
+
+
 def method_signature(class_dotted: str, name: str, desc: str) -> str:
     """Render "pkg.Cls: ret name(arg, arg)" for a method descriptor."""
-    params, ret = parse_method_descriptor(desc)
-    args = ", ".join(render_type(p) for p in params)
-    ret_s = "void" if ret == "V" else render_type(ret)
-    return f"{class_dotted}: {ret_s} {name}({args})"
+    args, ret = render_method_types(desc)
+    return f"{class_dotted}: {ret} {name}({', '.join(args)})"

@@ -383,6 +383,13 @@ _UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, OSError, LZMAError, EOFErro
 _UNREADABLE_ARCHIVE = (zipfile.BadZipFile, NotImplementedError, ValueError, OSError)
 
 
+def is_metadata(path: str) -> bool:
+    """Whether a JAR entry is packaging metadata: anything under
+    META-INF/, and a Maven pom.xml or pom.properties in any directory."""
+    return (path.startswith("META-INF/") or path in ("pom.xml", "pom.properties")
+            or path.endswith(("/pom.xml", "/pom.properties")))
+
+
 def parse_jar(data: bytes | BinaryIO,
               wanted_body: Callable[[str, str, str], bool] | None = None,
               stems: Container[str] | None = None) -> JarArchive:
@@ -422,7 +429,7 @@ def parse_jar(data: bytes | BinaryIO,
             log.warning("duplicate JAR entry %s ignored", path)
             continue
         seen.add(path)
-        if path.startswith("META-INF/") or path == "pom.xml" or path.endswith("/pom.xml"):
+        if is_metadata(path):
             metadata = True
         if path.endswith("/"):
             continue

@@ -137,9 +137,9 @@ def _write_report(out, report, fmt: str) -> None:
 
 def cmd_scan(args) -> int:
     named = [m.strip() for m in args.mode.split(",") if m.strip()]
-    bad = [m for m in named if m not in MODES]
-    if bad or not named:
-        print(f"error: unknown mode(s) {bad}", file=sys.stderr)
+    if not named or not set(named) <= set(MODES):
+        print(f"error: --mode (JARSCAN_MODE) must name one or more of "
+              f"{', '.join(MODES)}, comma-separated, not {args.mode!r}", file=sys.stderr)
         return 2
     modes = tuple(m for m in MODES if m in named)
     thresholds = {}

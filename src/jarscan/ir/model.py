@@ -5,11 +5,22 @@ local slots, "t7.." for operand-stack temporaries and "j2_0.." for stack
 values that cross block boundaries (named by target block id and stack
 position, so lifting order cannot leak into names). Normalization renames
 the non-parameter registers to "v0.." by first-definition order.
+
+Statement text is defined once, here. ``stmt_label`` writes the label of
+a statement's CPG node, the words KB triplets are made of, rendering
+each operand with the function it is given: the CPG writes registers
+position-free, ``dump`` by name. A ``dump`` line is that label plus
+what a label leaves out on purpose, the register the statement defines
+and the blocks it jumps to; normalize's duplicate-return key is the
+same text.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+
+from ..classfile.descriptors import render_method_types
 
 
 @dataclass(frozen=True)
@@ -35,16 +46,6 @@ class Node:
 
     OPERANDS = ()
     DEFINES = None
-
-
-def render_operand(op) -> str:
-    if isinstance(op, Lit):
-        if op.jtype == "ref" and op.value is None:
-            return "null"
-        if op.jtype == "string":
-            return '"' + str(op.value).replace("\\", "\\\\").replace('"', '\\"') + '"'
-        return f"{op.jtype}:{op.value!r}" if isinstance(op.value, float) else f"{op.jtype}:{op.value}"
-    return op
 
 
 # ---------------------------------------------------------------- expressions
@@ -375,82 +376,119 @@ def stmt_uses(stmt) -> list:
     return [op for op in operands(stmt) if isinstance(op, str)]
 
 
-# ------------------------------------------------------------------- dumping
+# -------------------------------------------------------------------- labels
 
-def render_stmt(stmt) -> str:
-    """One-line rendering with explicit registers and block targets."""
+def lit_label(value, jtype: str) -> str:
+    """Text of a literal of ``jtype``: "null", a JSON string, or
+    "<jtype>:<value>", floats by repr so -0.0 and 0.0 differ."""
+    if jtype == "ref" and value is None:
+        return "null"
+    if jtype == "string":
+        return f"string:{json.dumps(str(value))}"
+    if jtype in ("float", "double"):
+        return f"{jtype}:{float(value)!r}"
+    return f"{jtype}:{value}"
+
+
+def plain_operand(op) -> str:
+    """A register as its name, a literal as its ``lit_label``."""
+    return lit_label(op.value, op.jtype) if isinstance(op, Lit) else op
+
+
+def _desc_label(desc: str) -> str:
+    args, ret = render_method_types(desc)
+    return f"({','.join(args)}):{ret}"
+
+
+def _expr_label(e, op) -> str:
+    if isinstance(e, Const):
+        return f"const {lit_label(e.value, e.jtype)}"
+    if isinstance(e, Copy):
+        return f"copy {op(e.src)}"
+    if isinstance(e, Bin):
+        return f"{e.op}_{e.jtype}({op(e.a)}, {op(e.b)})"
+    if isinstance(e, Un):
+        return f"{e.op}({op(e.a)})"
+    if isinstance(e, CmpExpr):
+        return f"{e.op}({op(e.a)}, {op(e.b)})"
+    if isinstance(e, FieldGet):
+        kind = "getfield" if e.obj is not None else "getstatic"
+        recv = f"({op(e.obj)})" if e.obj is not None else ""
+        return f"{kind} {e.owner}#{e.name}:{e.ftype}{recv}"
+    if isinstance(e, ArrayGet):
+        return f"aget_{e.jtype}({op(e.arr)}[{op(e.idx)}])"
+    if isinstance(e, NewObj):
+        return f"new {e.cls}"
+    if isinstance(e, NewArr):
+        dims = ",".join(op(d) for d in e.dims)
+        return f"newarray {e.elem}({dims})"
+    if isinstance(e, Cast):
+        return f"cast {e.cls}({op(e.a)})"
+    if isinstance(e, InstOf):
+        return f"instanceof {e.cls}({op(e.a)})"
+    if isinstance(e, Caught):
+        return f"caught {e.catch_type or 'any'}"
+    if isinstance(e, Concat):
+        return "concat(" + ", ".join(op(a) for a in e.args) + ")"
+    raise TypeError(f"unknown expression {e!r}")
+
+
+def stmt_label(stmt, op) -> str:
+    """The label of a statement's CPG node, with each operand written as
+    ``op`` renders it. It leaves out the register the statement defines
+    and the blocks it jumps to."""
     if isinstance(stmt, Assign):
-        return f"{stmt.target} := {render_expr(stmt.expr)}"
+        return f"asgn {_expr_label(stmt.expr, op)}"
     if isinstance(stmt, Invoke):
-        head = f"{stmt.result} := " if stmt.result else ""
-        args = ", ".join(render_operand(a) for a in stmt.args)
-        return f"{head}invoke_{stmt.kind} {stmt.owner}#{stmt.name}{stmt.desc}({args})"
+        args = ", ".join(op(a) for a in stmt.args)
+        return (f"invoke_{stmt.kind} {stmt.owner}#{stmt.name}"
+                f"{_desc_label(stmt.desc)}({args})")
     if isinstance(stmt, DynInvoke):
-        head = f"{stmt.result} := " if stmt.result else ""
-        args = ", ".join(render_operand(a) for a in stmt.args)
-        return f"{head}invoke_dynamic {stmt.name}{stmt.desc}({args})"
+        args = ", ".join(op(a) for a in stmt.args)
+        return f"invoke_dynamic {stmt.name}{_desc_label(stmt.desc)}({args})"
     if isinstance(stmt, FieldPut):
-        tgt = f"{render_operand(stmt.obj)}." if stmt.obj else ""
-        return f"putfield {tgt}{stmt.owner}#{stmt.name}:{stmt.ftype} := {render_operand(stmt.value)}"
+        kind = "putfield" if stmt.obj is not None else "putstatic"
+        recv = f"{op(stmt.obj)}, " if stmt.obj is not None else ""
+        return f"{kind} {stmt.owner}#{stmt.name}:{stmt.ftype}({recv}{op(stmt.value)})"
     if isinstance(stmt, ArrayPut):
-        return (f"aput_{stmt.jtype} {stmt.arr}[{render_operand(stmt.idx)}] "
-                f":= {render_operand(stmt.value)}")
+        return f"aput_{stmt.jtype}({op(stmt.arr)}[{op(stmt.idx)}] := {op(stmt.value)})"
     if isinstance(stmt, Branch):
-        args = ", ".join(render_operand(a) for a in stmt.args)
-        return (f"if_{stmt.op}_{stmt.jtype}({args}) -> B{stmt.taken} "
-                f"else B{stmt.fallthrough}")
+        args = ", ".join(op(a) for a in stmt.args)
+        return f"if_{stmt.op}_{stmt.jtype}({args})"
     if isinstance(stmt, Goto):
-        return f"goto -> B{stmt.target}"
+        return "goto"
     if isinstance(stmt, Switch):
-        cases = ", ".join(f"{v}->B{b}" for v, b in stmt.cases)
-        return f"switch({stmt.key})[{cases} | default->B{stmt.default}]"
+        values = ",".join(str(v) for v, _ in sorted(stmt.cases))
+        return f"switch({op(stmt.key)})[{values}]"
     if isinstance(stmt, Return):
         if stmt.value is None:
             return "return_void"
-        return f"return_{stmt.jtype} {stmt.value}"
+        return f"return_{stmt.jtype}({op(stmt.value)})"
     if isinstance(stmt, Throw):
-        return f"throw {stmt.value}"
+        return f"throw({op(stmt.value)})"
     if isinstance(stmt, Monitor):
-        return f"monitor_{stmt.kind} {stmt.value}"
+        return f"monitor_{stmt.kind}({op(stmt.value)})"
     if isinstance(stmt, Nop):
         return "nop"
     raise TypeError(f"unknown statement {stmt!r}")
 
 
-def render_expr(e) -> str:
-    if isinstance(e, Const):
-        return f"const {render_operand(Lit(e.value, e.jtype))}"
-    if isinstance(e, Copy):
-        return f"copy {e.src}"
-    if isinstance(e, Bin):
-        return f"{e.op}_{e.jtype}({render_operand(e.a)}, {render_operand(e.b)})"
-    if isinstance(e, Un):
-        return f"{e.op}({render_operand(e.a)})"
-    if isinstance(e, CmpExpr):
-        return f"{e.op}({render_operand(e.a)}, {render_operand(e.b)})"
-    if isinstance(e, FieldGet):
-        src = f"{render_operand(e.obj)}." if e.obj else ""
-        return f"getfield {src}{e.owner}#{e.name}:{e.ftype}"
-    if isinstance(e, ArrayGet):
-        return f"aget_{e.jtype} {e.arr}[{render_operand(e.idx)}]"
-    if isinstance(e, NewObj):
-        return f"new {e.cls}"
-    if isinstance(e, NewArr):
-        dims = ", ".join(render_operand(d) for d in e.dims)
-        return f"newarray {e.elem}[{dims}]"
-    if isinstance(e, Cast):
-        return f"cast<{e.cls}>({e.a})"
-    if isinstance(e, InstOf):
-        return f"instanceof<{e.cls}>({e.a})"
-    if isinstance(e, Caught):
-        return f"caught {e.catch_type or 'any'}"
-    if isinstance(e, Concat):
-        return "concat(" + ", ".join(render_operand(a) for a in e.args) + ")"
-    raise TypeError(f"unknown expression {e!r}")
+def render_stmt(stmt, op=plain_operand) -> str:
+    """``stmt_label`` between what it leaves out: "<defined register> := "
+    in front, " -> B<n>, ..." behind, the targets in ``block_targets``
+    order."""
+    text = stmt_label(stmt, op)
+    defined = stmt_def(stmt)
+    if defined is not None:
+        text = f"{op(defined)} := {text}"
+    targets = block_targets(stmt)
+    if targets:
+        text += " -> " + ", ".join(f"B{b}" for b in targets)
+    return text
 
 
 def dump(ir: MethodIr) -> str:
-    """Stable textual form of a MethodIr, one statement per line."""
+    """Stable textual form of a MethodIr, one ``render_stmt`` per line."""
     lines = []
     params = ", ".join(f"{r}:{t}" for r, t in ir.params)
     lines.append(f"params({params}){' static' if ir.is_static else ''}")

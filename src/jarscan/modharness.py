@@ -36,7 +36,7 @@ from .classfile.emitter import (
 )
 from .classfile.model import ClassFile, resolved_code
 from .classfile.opcodes import EFFECTS, LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
-from .classfile.parser import _UNREADABLE_ARCHIVE, _UNREADABLE_ENTRY, parse_class
+from .classfile.parser import _UNREADABLE_ARCHIVE, _UNREADABLE_ENTRY, is_metadata, parse_class
 from .errors import JarscanError, MalformedArchive, RelocationCollision, UnsupportedFeature
 from .ir.model import NEGATED_OP
 
@@ -262,17 +262,12 @@ def _naming(path: str):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _is_metadata(path: str) -> bool:
-    return (path.startswith("META-INF/") or path == "pom.xml"
-            or path.endswith("/pom.xml") or path.endswith("pom.properties"))
-
-
 def _merge(jars: list[bytes], keep_metadata: bool) -> list[tuple[str, bytes]]:
     merged: list[tuple[str, bytes]] = []
     seen: set[str] = set()
     for idx, jar in enumerate(jars):
         for path, data in read_entries(jar):
-            if _is_metadata(path):
+            if is_metadata(path):
                 if keep_metadata:
                     new_path = f"META-INF/bundled/{idx}/{path.removeprefix('META-INF/')}"
                     merged.append((new_path, data))

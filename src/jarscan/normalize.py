@@ -48,6 +48,7 @@ from .ir.model import (
     TERMINATORS,
     block_targets,
     map_block_targets,
+    plain_operand,
     render_stmt,
     stmt_def,
     stmt_uses,
@@ -271,17 +272,20 @@ def _canonicalize_branches(work: _Work):
 
 
 def _alpha_key(stmts: list) -> tuple:
+    """The block's ``dump`` lines, with each register it defines renamed
+    "_a0.." by first definition, so blocks that differ only in those
+    names share a key."""
     local: dict[str, str] = {}
 
-    def rename(r: str) -> str:
-        return local.get(r, r)
+    def operand(op) -> str:
+        return local.get(op, op) if isinstance(op, str) else plain_operand(op)
 
     rendered = []
     for s in stmts:
         d = stmt_def(s)
         if d is not None and d not in local:
             local[d] = f"_a{len(local)}"
-        rendered.append(render_stmt(_map_registers(s, rename)))
+        rendered.append(render_stmt(s, operand))
     return tuple(rendered)
 
 

@@ -89,6 +89,16 @@ def test_parse_jar_manifest_only():
     assert archive.metadata_present
 
 
+@pytest.mark.parametrize("path, metadata", [
+    ("pom.properties", True), ("pom.xml", True), ("a/b/pom.properties", True),
+    ("res/app-pom.properties", False), ("res/mypom.xml", False), ("pom.properties/x", False)])
+def test_parse_jar_metadata_is_a_whole_pom_file_name(path, metadata):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr(path, "x=1\n")
+    assert parse_jar(buf.getvalue()).metadata_present is metadata
+
+
 def test_parse_jar_three_classes_roundtrip():
     models = [ClassModel(f"fix.p{i}.C{i}", methods=[default_constructor()])
               for i in range(3)]

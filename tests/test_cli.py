@@ -253,6 +253,20 @@ def test_scan_bad_mode_exit_2(tmp_path, kb_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("via, value", [("flag", ","), ("env", ""), ("flag", "defualt")])
+def test_scan_bad_mode_names_the_value(kb_file, capsys, monkeypatch, via, value):
+    """The error shows the value given, where it may come from, and the
+    modes there are."""
+    if via == "env":
+        monkeypatch.setenv("JARSCAN_MODE", value)
+        assert main(["scan", "--kb", str(kb_file)]) == 2
+    else:
+        assert main(["scan", "--kb", str(kb_file), "--mode", value]) == 2
+    assert capsys.readouterr().err == (
+        "error: --mode (JARSCAN_MODE) must name one or more of default, repack, "
+        f"comma-separated, not {value!r}\n")
+
+
 def _scan_json(kb_file, paths, capsys, *args):
     assert main(["scan", "--kb", str(kb_file), "--format", "json", *args, *paths]) == 3
     return capsys.readouterr().out

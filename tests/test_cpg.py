@@ -1,6 +1,7 @@
 """CPG construction, triplet extraction, and the set algebra."""
 
 import random
+import zipfile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +19,11 @@ from jarscan.cpg import (
     deserialize_triplets,
     unqualify,
 )
-from jarscan.ir import build_cfg, dependencies, lift
+from jarscan.errors import LiftError
+from jarscan.ir import build_cfg, dependencies, dump, lift
 from jarscan.normalize import normalize
 from oracles import brute_signature
+from test_classfile import _jdk_jmod
 
 
 def triplets_for(code, desc="(I)I", cls="t.T"):
@@ -128,6 +131,41 @@ def test_cpg_determinism():
 
 def _random_triplet_set(rng, universe, max_size=12):
     return frozenset(rng.sample(universe, rng.randint(0, max_size)))
+
+
+def test_dump_determines_triplets(corpus):
+    """Methods whose normalized IR dumps alike have one triplet set: the
+    dump carries every word of every label, so comparing IR by dump
+    cannot miss a change that moves triplets. Over methods that differ
+    in one literal, the corpus and a seeded sample of java.base."""
+    # Methods that differ in one literal alone.
+    twins = [(["iconst_1", "ireturn"], "()I"), (["iconst_2", "ireturn"], "()I"),
+             ([("ldc_float", 0.0), "freturn"], "()F"), ([("ldc_float", -0.0), "freturn"], "()F"),
+             ([("ldc_string", "a"), "areturn"], "()Ljava/lang/String;"),
+             ([("ldc_string", "b"), "areturn"], "()Ljava/lang/String;")]
+    classes = [emit_class(ClassModel("t.Twins", methods=[
+        MethodModel(f"f{i}", desc, 0x09, code=code) for i, (code, desc) in enumerate(twins)]))]
+    classes += [data for cve in corpus.cve_ids
+                for side in (corpus.pre_classes, corpus.post_classes)
+                for _name, data in side[cve]]
+    jmod = _jdk_jmod("java.base")
+    if jmod is None:
+        pytest.skip("no JDK with jmods/java.base.jmod")
+    with zipfile.ZipFile(jmod) as zf:
+        names = sorted(n for n in zf.namelist() if n.endswith(".class"))
+        classes += [zf.read(n) for n in random.Random(23).sample(names, 100)]
+    by_dump: dict[str, set] = {}
+    for cf in map(parse_class, classes):
+        for m in cf.methods:
+            if m.code is None:
+                continue
+            try:
+                text = dump(normalize(lift(resolved_code(m, cf.constant_pool))))
+            except LiftError:
+                continue
+            by_dump.setdefault(text, set()).add(method_triplets(cf, m))
+    assert len(by_dump) > 500
+    assert [text for text, sets in by_dump.items() if len(sets) != 1] == []
 
 
 def test_diff_identity_fix():

@@ -26,9 +26,9 @@ from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_byt
 # KB format version 2: the body bytes are those of version 1; the header
 # and checksum lines differ.
 KB_SHA256 = "cdd2038b3ad68f5ef9bdb3f1bff54477b4c81f6203622eced3b1dd779d55de59"
-DUMP_SHA256 = "9d27f472ee0b867168c5dfd3e766ca2d47805b5fef5b592cf0cb84a10bc0a76a"
+DUMP_SHA256 = "cf411f6d1a237de93c174a077bf86a419bedf67d2f85c3c3cc2588e33a6b43b6"
 REPORT_SHA256 = "c13f09a3bda29f47524c74c5ea1581aaa1159eb9b8bebe91c19590c7f22fbe0e"
-MNEMONICS_SHA256 = "9c36591f5aeb6bae311254520b3bcc7fd09cce873a9c3c0c16baec15f3bb62b0"
+MNEMONICS_SHA256 = "bc70c84d6dd601d43749796f9385f9e85bc71724b5ed04678277965d6b4f5def"
 VARIANT_JARS_SHA256 = "3a30c62829a07dd501578c7677aabd33019dfe212d6a5b746e1bde378283e01d"
 
 

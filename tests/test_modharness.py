@@ -72,6 +72,17 @@ def test_type2_keeps_metadata_of_each_input():
     assert len(archive.classes) == 3
 
 
+@pytest.mark.parametrize("kind", [2, 3])
+def test_merge_moves_only_whole_pom_files(kind):
+    """A resource whose name merely ends in "pom.properties" stays where
+    it is; a pom.properties outside META-INF is metadata."""
+    jar = write_jar([("res/app-pom.properties", b"a=1\n"), ("lib/pom.properties", b"b=2\n")])
+    paths = [p for p, _d in read_entries(modify([jar], kind))]
+    assert "res/app-pom.properties" in paths
+    assert "lib/pom.properties" not in paths
+    assert ("META-INF/bundled/0/lib/pom.properties" in paths) is (kind == 2)
+
+
 def test_type4_listing1_renames_match_paper_example():
     out = modify([_listing1_jar()], 4, prefix="r.")
     archive = parse_jar(out)

@@ -231,15 +231,15 @@ def test_builder_chains_in_two_blocks_feeding_each_other():
     assert dump(normalize(ir)) == "\n".join([
         "params(p0:ref, p1:int) static",
         "B0:",
-        '  0: v0 := const "a="',
-        "  1: v1 := concat(v0, p0)",
-        "  2: v2 := copy v1",
-        "  3: if_eq_int(p1, int:0) -> B2 else B1",
+        '  0: v0 := asgn const string:"a="',
+        "  1: v1 := asgn concat(v0, p0)",
+        "  2: v2 := asgn copy v1",
+        "  3: if_eq_int(p1, int:0) -> B1, B2",
         "B1:",
-        '  4: v3 := const "!"',
-        "  5: v4 := concat(v2, v3)",
-        "  6: return_ref v4",
+        '  4: v3 := asgn const string:"!"',
+        "  5: v4 := asgn concat(v2, v3)",
+        "  6: return_ref(v4)",
         "B2:",
-        "  7: return_ref v2",
+        "  7: return_ref(v2)",
         "",
     ])
