@@ -34,11 +34,12 @@ its ``changed`` method records name. So:
 * any other defect of an opened class is a parse failure, whether or
   not a KB record names the class.
 
-``parse_jar`` reads the archive, its bytes or an open seekable file,
-through ``zipfile`` alone: each class entry it opens is read by
-``ZipFile.read``, so an entry reads, or fails, as zipfile decides. Given
-an open file, zipfile reads only the central directory and the entries
-opened.
+``parse_jar`` reads the archive, its bytes or an open seekable file, with
+``ZipReader``: the central directory in one read and one walk, with no
+object per entry beyond a tuple, then each class entry it opens with one
+read of its local header and one of its data. Only STORED and DEFLATED
+entries are read, as by ``java.util.zip``, and no entry's data may pass
+``MAX_ENTRY_BYTES``, stored or inflated.
 """
 
 from __future__ import annotations
@@ -46,14 +47,8 @@ from __future__ import annotations
 import io
 import logging
 import struct
-import zipfile
 import zlib
 from typing import BinaryIO, Callable, Container
-
-try:
-    from lzma import LZMAError
-except ImportError:     # a Python built without _lzma: zipfile raises RuntimeError
-    LZMAError = RuntimeError
 
 from ..errors import (
     BadMagic,
@@ -368,19 +363,179 @@ def _skip_attributes(data: bytes, pos: int) -> int:
     return pos
 
 
-# What ZipFile.read raises for one bad entry: a failed CRC or bad header
-# (BadZipFile), deflate, bzip2 or LZMA data that does not decompress
-# (zlib.error, OSError, LZMAError), sizes that run past the archive or a
-# file cut short after it was opened (EOFError), an encrypted entry or an unsupported compression method
-# (RuntimeError, NotImplementedError), and a local header offset before
-# the start of the archive or a local name that is not UTF-8 (ValueError).
-_UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, OSError, LZMAError, EOFError,
-                     RuntimeError, ValueError)
-# What ZipFile() raises for an archive it cannot open: no or a bad central
-# directory (BadZipFile), an entry that needs a newer zip version
-# (NotImplementedError), a central name that is not UTF-8 (ValueError) or,
-# reading the archive's file, an I/O error (OSError).
-_UNREADABLE_ARCHIVE = (zipfile.BadZipFile, NotImplementedError, ValueError, OSError)
+# The most bytes one entry's data may take, stored or inflated: past it
+# the entry is unreadable, so inflating a zip bomb stops there. The
+# largest JDK 17 class, sun/nio/cs/GB18030.class, is 298,455 bytes.
+MAX_ENTRY_BYTES = 64 << 20
+
+# An end of central directory record: central directory size and offset.
+# It is the archive's last record, before a comment of at most 65,535
+# bytes.
+_END = struct.Struct("<12xII2x")
+_END_SEARCH = _END.size + 0xFFFF
+# A ZIP64 end record (central directory size and offset) and the 20-byte
+# locator after it, both just before the end record when present.
+_ZIP64_END = struct.Struct("<40xQQ")
+_ZIP64_LOCATOR_SIZE = 20
+# A central directory record: signature, version needed to extract (its
+# low byte), flags, compression method, CRC-32, compressed size, size,
+# name, extra field and comment lengths, and local header offset.
+_CENTRAL = struct.Struct("<4s2xBxHH4xIIIHHH8xI")
+# A local file header: signature, name and extra field lengths.
+_LOCAL = struct.Struct("<4s22xHH")
+_EXTRA_HEADER = struct.Struct("<HH")
+_U8 = struct.Struct("<Q").unpack_from
+_ZIP64_MARK = 0xFFFFFFFF
+_MAX_VERSION = 63
+_STORED, _DEFLATED = 0, 8
+# Flags that make the data unreadable without more than the archive:
+# encrypted (0x1), compressed patch data (0x20), strong encryption (0x40).
+_ENCRYPTED_OR_PATCHED = 0x61
+_UTF8_NAME = 0x800
+
+# What ``ZipReader.read`` raises for one bad entry: a record that does not
+# check out (MalformedArchive), data that does not inflate (zlib.error),
+# data cut short by the end of the file (EOFError) or an I/O error.
+_UNREADABLE_ENTRY = (MalformedArchive, zlib.error, EOFError, OSError)
+
+
+def _zip64_fields(extra: bytes, fields: list[int]) -> list[int]:
+    """``fields`` (size, compressed size, local header offset), each one
+    that reads 0xFFFFFFFF taken in turn from the ZIP64 extra field."""
+    pos = 0
+    while pos + 4 <= len(extra):
+        tag, length = _EXTRA_HEADER.unpack_from(extra, pos)
+        pos += 4
+        if tag == 1:
+            end = pos + length
+            for i, value in enumerate(fields):
+                if value == _ZIP64_MARK:
+                    if pos + 8 > min(end, len(extra)):
+                        raise MalformedArchive("ZIP64 extra field cut short")
+                    fields[i] = _U8(extra, pos)[0]
+                    pos += 8
+            break
+        pos += length
+    return fields
+
+
+class ZipReader:
+    """A ZIP archive read in place: its central directory in one read and
+    one walk, then each entry's data only when it is read.
+
+    ``entries`` holds, per central directory record and in its order, the
+    entry's (name, flags, compression method, CRC-32, compressed size,
+    size, local header offset), the offset corrected for any bytes before
+    the archive (a jmod's ``JM\x01\x00``, a launcher script). A name is
+    UTF-8 if the record's flag 0x800 says so, cp437 otherwise. An archive
+    with no end record, a central directory that is cut short or holds a
+    bad record, or an entry that needs zip version 6.4 or later raises
+    MalformedArchive, as does an I/O error reading it.
+    """
+
+    __slots__ = ("_file", "entries", "_directory_start")
+
+    def __init__(self, data: bytes | BinaryIO):
+        self._file = file = data if hasattr(data, "read") else io.BytesIO(data)
+        try:
+            self._read_directory(file)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedArchive(str(exc)) from exc
+
+    def _read_directory(self, file: BinaryIO) -> None:
+        size = file.seek(0, 2)
+        base = max(0, size - _END_SEARCH - _ZIP64_END.size - _ZIP64_LOCATOR_SIZE)
+        file.seek(base)
+        tail = file.read()
+        at = tail.rfind(b"PK\x05\x06", max(0, len(tail) - _END_SEARCH),
+                        len(tail) - _END.size + 4)
+        if at < 0:
+            raise MalformedArchive("File is not a zip file")
+        cd_size, cd_offset = _END.unpack_from(tail, at)
+        zip64 = at - _ZIP64_LOCATOR_SIZE - _ZIP64_END.size
+        if (zip64 >= 0 and tail.startswith(b"PK\x06\x07", at - _ZIP64_LOCATOR_SIZE)
+                and tail.startswith(b"PK\x06\x06", zip64)):
+            cd_size, cd_offset = _ZIP64_END.unpack_from(tail, zip64)
+            at = zip64
+        # The central directory ends where the end records start; every
+        # offset the archive states is short of its place in the file by
+        # what comes before the archive.
+        self._directory_start = start = base + at - cd_size
+        if start < 0:
+            raise MalformedArchive("Bad offset for central directory")
+        prefix = start - cd_offset
+        file.seek(start)
+        cd = file.read(cd_size)
+        if len(cd) != cd_size:
+            raise MalformedArchive("Truncated central directory")
+        entries = []
+        pos = 0
+        while pos < cd_size:
+            if pos + _CENTRAL.size > cd_size:
+                raise MalformedArchive("Truncated central directory")
+            (sig, version, flags, method, crc, csize, usize,
+             name_len, extra_len, comment_len, offset) = _CENTRAL.unpack_from(cd, pos)
+            if sig != b"PK\x01\x02":
+                raise MalformedArchive("Bad magic number for central directory")
+            if version > _MAX_VERSION:
+                raise MalformedArchive(f"zip file version {version / 10:.1f}")
+            name_at = pos + _CENTRAL.size
+            extra_at = name_at + name_len
+            pos = extra_at + extra_len + comment_len
+            if pos > cd_size:
+                raise MalformedArchive("Truncated central directory")
+            name = cd[name_at:extra_at]
+            # An ASCII name reads the same in cp437, and decodes faster as UTF-8.
+            name = name.decode("utf-8" if flags & _UTF8_NAME or name.isascii() else "cp437")
+            if usize == _ZIP64_MARK or csize == _ZIP64_MARK or offset == _ZIP64_MARK:
+                usize, csize, offset = _zip64_fields(cd[extra_at:extra_at + extra_len],
+                                                     [usize, csize, offset])
+            entries.append((name, flags, method, crc, csize, usize, offset + prefix))
+        self.entries = entries
+
+    def read(self, entry: tuple) -> bytes:
+        """The bytes of one of ``entries``; raises what ``_UNREADABLE_ENTRY``
+        names for an entry that cannot be read.
+
+        Only STORED and DEFLATED entries are read, as by ``java.util.zip``.
+        The local header must start with its signature and hold the
+        central name. Deflated data is inflated to at most the stated size
+        plus one byte, the output cut to the stated size, and the CRC-32
+        checked; data past ``MAX_ENTRY_BYTES`` is refused.
+        """
+        name, flags, method, crc, csize, size, offset = entry
+        if method != _DEFLATED and method != _STORED:
+            raise MalformedArchive(f"compression method {method}")
+        if flags & _ENCRYPTED_OR_PATCHED:
+            raise MalformedArchive(f"encrypted or patched entry (flags 0x{flags:04x})")
+        if csize > MAX_ENTRY_BYTES:
+            raise MalformedArchive(f"entry data past the {MAX_ENTRY_BYTES}-byte limit")
+        if not 0 <= offset <= self._directory_start:
+            raise MalformedArchive(f"local header offset {offset} outside the archive")
+        encoded = name.encode("utf-8" if flags & _UTF8_NAME else "cp437")
+        file = self._file
+        file.seek(offset)
+        header = file.read(_LOCAL.size + len(encoded))
+        if len(header) < _LOCAL.size:
+            raise MalformedArchive("Truncated file header")
+        sig, name_len, extra_len = _LOCAL.unpack_from(header)
+        if sig != b"PK\x03\x04":
+            raise MalformedArchive("Bad magic number for file header")
+        if name_len != len(encoded) or header[_LOCAL.size:] != encoded:
+            raise MalformedArchive(f"local header names another entry than {name!r}")
+        file.seek(extra_len, 1)
+        data = file.read(csize)
+        if len(data) < csize:
+            raise EOFError
+        if method == _DEFLATED:
+            data = zlib.decompressobj(-15).decompress(data, min(size, MAX_ENTRY_BYTES) + 1)
+        if len(data) > size:
+            data = data[:size]
+        if len(data) > MAX_ENTRY_BYTES:
+            raise MalformedArchive(f"entry inflates past the {MAX_ENTRY_BYTES}-byte limit")
+        if zlib.crc32(data) != crc:
+            raise MalformedArchive(f"Bad CRC-32 for file {name!r}")
+        return data
 
 
 def is_metadata(path: str) -> bool:
@@ -396,13 +551,15 @@ def parse_jar(data: bytes | BinaryIO,
     """Decode a JAR; per-entry class failures are collected, never fatal.
 
     ``data`` is the archive's bytes or an open seekable binary file, which
-    zipfile reads in place.
+    ``ZipReader`` reads in place: the central directory, then only the
+    entries opened.
 
-    An archive zipfile cannot open raises MalformedArchive. A class entry
-    zipfile cannot read (a failed CRC, data that does not inflate, sizes
-    or offsets outside the archive, encryption, an unsupported compression
-    method, a file cut short) is a per-entry failure too ("unreadable
-    entry: ...").
+    An archive whose central directory cannot be read raises
+    MalformedArchive. A class entry that cannot be read (a failed CRC,
+    data that does not inflate, sizes or offsets outside the archive, a
+    local header that does not match, encryption, a compression method
+    other than STORED and DEFLATED, data past ``MAX_ENTRY_BYTES``, a file
+    cut short) is a per-entry failure ("unreadable entry: ...").
 
     With ``stems``, a class entry is opened only if its stem (the text
     after the last "/" or "." of its path without ".class": the simple
@@ -412,10 +569,7 @@ def parse_jar(data: bytes | BinaryIO,
     name is not its entry's stem is logged and listed in ``misnamed`` as
     well.
     """
-    try:
-        zf = zipfile.ZipFile(data if hasattr(data, "read") else io.BytesIO(data))
-    except _UNREADABLE_ARCHIVE as exc:
-        raise MalformedArchive(str(exc)) from exc
+    archive = ZipReader(data)
     classes: list[tuple[str, ClassFile]] = []
     unopened: list[str] = []
     misnamed: list[tuple[str, str]] = []
@@ -423,29 +577,26 @@ def parse_jar(data: bytes | BinaryIO,
     failures: list[ParseFailure] = []
     metadata = False
     seen: set[str] = set()
-    for info in zf.infolist():
-        path = info.filename
+    for entry in archive.entries:
+        path = entry[0]
         if path in seen:
             log.warning("duplicate JAR entry %s ignored", path)
             continue
         seen.add(path)
-        if is_metadata(path):
-            metadata = True
-        if path.endswith("/"):
-            continue
-        if path.endswith(".jar"):
-            log.warning("nested archive %s not recursed into", path)
-            others.append(path)
-            continue
+        metadata = metadata or is_metadata(path)
         if not path.endswith(".class"):
-            others.append(path)
+            if path.endswith(".jar"):
+                log.warning("nested archive %s not recursed into", path)
+                others.append(path)
+            elif not path.endswith("/"):
+                others.append(path)
             continue
         stem = path[max(path.rfind("/"), path.rfind(".", 0, -6)) + 1:-6]
         if stems is not None and stem not in stems:
             unopened.append(path)
             continue
         try:
-            raw = zf.read(info)
+            raw = archive.read(entry)
         except _UNREADABLE_ENTRY as exc:
             reason = str(exc) or type(exc).__name__     # EOFError has no text
             log.warning("cannot read %s: %s", path, reason)

@@ -14,11 +14,9 @@ everything the synthetic corpus produces.
 
 from __future__ import annotations
 
-import io
 import logging
 import random
 import re
-import zipfile
 from contextlib import contextmanager
 
 from .classfile.constant_pool import resolved_class, resolved_loadable, resolved_member
@@ -36,7 +34,7 @@ from .classfile.emitter import (
 )
 from .classfile.model import ClassFile, resolved_code
 from .classfile.opcodes import EFFECTS, LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
-from .classfile.parser import _UNREADABLE_ARCHIVE, _UNREADABLE_ENTRY, is_metadata, parse_class
+from .classfile.parser import _UNREADABLE_ENTRY, ZipReader, is_metadata, parse_class
 from .errors import JarscanError, MalformedArchive, RelocationCollision, UnsupportedFeature
 from .ir.model import NEGATED_OP
 
@@ -232,23 +230,20 @@ def compiler_variant(data: bytes, rng: random.Random) -> bytes:
 # ------------------------------------------------------------------- modify
 
 def read_entries(jar_bytes: bytes) -> list[tuple[str, bytes]]:
-    """Each non-directory entry's path and bytes. Raises MalformedArchive
-    for an archive zipfile cannot open, or naming the first entry it
-    cannot read ("<entry>: <reason>")."""
-    try:
-        zf = zipfile.ZipFile(io.BytesIO(jar_bytes))
-    except _UNREADABLE_ARCHIVE as exc:
-        raise MalformedArchive(str(exc)) from exc
+    """Each non-directory entry's path and bytes, in central directory
+    order, read by ``ZipReader``. Raises MalformedArchive for an archive
+    whose central directory cannot be read, or naming the first entry
+    that cannot be read ("<entry>: <reason>")."""
+    archive = ZipReader(jar_bytes)
     entries = []
-    with zf:
-        for info in zf.infolist():
-            if info.filename.endswith("/"):
-                continue
-            try:
-                entries.append((info.filename, zf.read(info.filename)))
-            except _UNREADABLE_ENTRY as exc:     # EOFError has no text
-                raise MalformedArchive(
-                    f"{info.filename}: {str(exc) or type(exc).__name__}") from exc
+    for entry in archive.entries:
+        path = entry[0]
+        if path.endswith("/"):
+            continue
+        try:
+            entries.append((path, archive.read(entry)))
+        except _UNREADABLE_ENTRY as exc:     # EOFError has no text
+            raise MalformedArchive(f"{path}: {str(exc) or type(exc).__name__}") from exc
     return entries
 
 

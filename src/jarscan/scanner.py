@@ -469,9 +469,9 @@ def scan_jar(path: str, kb: KnowledgeBase, config: ScanConfig) -> JarResult:
     """Scan the JAR at ``path``; a path that cannot be opened or read is
     an error entry.
 
-    A regular file is handed to zipfile as an open file, so only its
-    central directory and the entries opened are read, not the whole
-    archive. Anything else (a FIFO, a device) is read whole.
+    A regular file is read in place as an open file (see ``parse_jar``),
+    so only its central directory and the entries opened are read, not
+    the whole archive. Anything else (a FIFO, a device) is read whole.
     """
     try:
         file = open(path, "rb")

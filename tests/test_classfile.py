@@ -7,8 +7,12 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
+import tracemalloc
 import zipfile
+import zlib
 from pathlib import Path
+from typing import BinaryIO
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +35,7 @@ from jarscan.classfile import parser as parser_mod
 from jarscan.classfile.constructs import ConstructId
 from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.emitter import encode_instruction
-from jarscan.classfile.model import ClassFile, resolved_code, stripped_code
+from jarscan.classfile.model import ClassFile, ParseFailure, resolved_code, stripped_code
 from jarscan.classfile.opcodes import (
     EFFECTS,
     FORMAT_OF,
@@ -41,7 +45,7 @@ from jarscan.classfile.opcodes import (
     WIDE,
     branch_targets,
 )
-from jarscan.classfile.parser import decode_instructions
+from jarscan.classfile.parser import MAX_ENTRY_BYTES, ZipReader, decode_instructions
 from jarscan.ir import lift
 from jarscan.normalize import normalize
 from jarscan.errors import (
@@ -55,6 +59,7 @@ from jarscan.errors import (
     UnsupportedVersion,
 )
 from jarscan.kb import ConstructRecord, KnowledgeBase
+from jarscan.modharness import read_entries
 from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_bytes
 import eager_parser
 from jar_damage import repacked
@@ -456,7 +461,7 @@ def test_decoder_matches_reference_on_damaged_jdk_code(monkeypatch):
             assert _outcome(decode, data) == _outcome(eager_parser.decode_instructions, data)
 
 
-# --------------------------------------------- reading JAR entries with zipfile
+# ------------------------------------ reading JAR entries, zipfile the oracle
 
 def _classes(jar: bytes) -> list:
     archive = parse_jar(jar)
@@ -465,19 +470,25 @@ def _classes(jar: bytes) -> list:
 
 
 @pytest.mark.parametrize("compression", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
-def test_entry_reader_leaves_bzip2_and_lzma_to_zipfile(corpus, compression):
+def test_entry_reader_leaves_bzip2_and_lzma_to_zipfile(corpus, corpus_kb, compression):
+    """Only zipfile reads a bzip2 or LZMA entry: the reader, like
+    java.util.zip and so every class loader, reads STORED and DEFLATED
+    alone, and each such class entry is an unreadable-entry parse failure
+    that a scan counts."""
     jar = corpus.pre_jars["CVE-9000-0001"]
     packed = repacked(jar, compression)
-    assert _classes(packed) == _classes(jar)
+    archive = parse_jar(packed)
+    assert not archive.classes
+    assert [f.path for f in archive.failures] == [p for p, _ in _classes(jar)]
+    assert {f.error for f in archive.failures} == {
+        f"unreadable entry: compression method {compression}"}
+    res = scan_jar_bytes("packed.jar", packed, corpus_kb, ScanConfig())
+    assert res.error is None and res.parse_failures == len(archive.failures)
 
 
 def test_scanner_imports_without_lzma():
-    """A Python built without the lzma module still runs the scanner:
-    zipfile then raises RuntimeError for an LZMA entry, which is already
-    an unreadable entry."""
-    code = ("import sys; sys.modules['lzma'] = None; import jarscan.cli; "
-            "from jarscan.classfile.parser import _UNREADABLE_ENTRY; "
-            "assert RuntimeError in _UNREADABLE_ENTRY")
+    """A Python built without the lzma module still runs the scanner."""
+    code = "import sys; sys.modules['lzma'] = None; import jarscan.cli"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
@@ -518,6 +529,122 @@ def test_entry_reader_reads_an_archive_behind_a_prefix(corpus):
     jar = corpus.pre_jars["CVE-9000-0001"]
     prefixed = b"#!/bin/sh\nexec java -jar \"$0\" \"$@\"\n" + jar
     assert _classes(prefixed) == _classes(jar)
+
+
+def _assert_reads_like_zipfile(archive: BinaryIO) -> int:
+    """ZipReader gives the (path, bytes) of every entry that zipfile's
+    ``infolist`` and ``read`` give, in order; returns the entry count."""
+    with zipfile.ZipFile(archive) as zf:
+        reader = ZipReader(archive)
+        infos = zf.infolist()
+        assert [e[0] for e in reader.entries] == [i.filename for i in infos]
+        for entry, info in zip(reader.entries, infos):
+            assert reader.read(entry) == zf.read(info), info.filename
+    return len(infos)
+
+
+@pytest.mark.parametrize("module", ["java.base", "java.sql", "java.xml"])
+def test_zip_reader_reads_jdk_jmods_as_zipfile_does(module):
+    """Every entry of a jmod, a zip behind a 4-byte header, read from the
+    open file."""
+    jmod = _jdk_jmod(module)
+    if jmod is None:
+        pytest.skip(f"no JDK with jmods/{module}.jmod")
+    with open(jmod, "rb") as f:
+        assert _assert_reads_like_zipfile(f) > 10
+
+
+def test_zip_reader_reads_corpus_jars_as_zipfile_does(corpus):
+    for cve in corpus.cve_ids:
+        for jar in (corpus.pre_jars[cve], corpus.post_jars[cve]):
+            assert _assert_reads_like_zipfile(io.BytesIO(jar)) > 1
+            zf = zipfile.ZipFile(io.BytesIO(jar))
+            assert read_entries(jar) == [(i.filename, zf.read(i))
+                                         for i in zf.infolist() if not i.is_dir()]
+
+
+def _zip64_jar(corpus, monkeypatch, case: str) -> bytes:
+    """The corpus CVE-9000-0001 pre JAR written again by zipfile in a
+    ZIP64 form: force-zip64, each entry with a local ZIP64 extra field;
+    zip64-fields, every size and offset past a lowered ZIP64 limit, so
+    each central record states them in a ZIP64 extra field and the
+    archive ends with a ZIP64 end record; zip64-end, a ZIP64 end record
+    for an entry count past a lowered limit; comment, no ZIP64 record but
+    a comment of the longest length, 65,535 bytes."""
+    src = zipfile.ZipFile(io.BytesIO(corpus.pre_jars["CVE-9000-0001"]))
+    if case == "zip64-fields":
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 10)
+    if case == "zip64-end":
+        monkeypatch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", 1)
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as dst:
+        for info in src.infolist():
+            if case == "force-zip64":
+                with dst.open(info.filename, "w", force_zip64=True) as out:
+                    out.write(src.read(info))
+            else:
+                dst.writestr(info.filename, src.read(info))
+        if case == "comment":
+            dst.comment = b"c" * 0xFFFF
+    monkeypatch.undo()
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("prefix", [b"", b"JM\x01\x00"])
+@pytest.mark.parametrize("case", ["force-zip64", "zip64-fields", "zip64-end", "comment"])
+def test_zip_reader_reads_zip64_and_commented_archives(corpus, monkeypatch, case, prefix):
+    jar = _zip64_jar(corpus, monkeypatch, case)
+    assert (b"PK\x06\x06" in jar) == (case in ("zip64-fields", "zip64-end"))
+    infos = zipfile.ZipFile(io.BytesIO(jar)).infolist()
+    assert all(i.extra.startswith(b"\x01\x00") for i in infos) == (case == "zip64-fields")
+    assert _assert_reads_like_zipfile(io.BytesIO(prefix + jar)) == len(infos)
+    assert _classes(prefix + jar) == _classes(corpus.pre_jars["CVE-9000-0001"])
+
+
+def _deflate_bomb(size: int) -> bytes:
+    """A JAR of one deflated class entry of ``size`` zero bytes, its CRC
+    and sizes true. Each MiB of zeros is deflated to the same bytes after
+    a full flush, so the stream is one such segment repeated."""
+    chunk = bytes(1 << 20)
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
+    segment = deflate.compress(chunk) + deflate.flush(zlib.Z_FULL_FLUSH)
+    data = segment * (size >> 20) + deflate.flush()
+    crc = 0
+    for _ in range(size >> 20):
+        crc = zlib.crc32(chunk, crc)
+    name = b"p/Bomb.class"
+    fields = (8, 0, 0, crc, len(data), size, len(name), 0)   # deflated
+    local = struct.pack("<IHH" + "HHHIIIHH", 0x04034B50, 20, 0, *fields) + name
+    central = struct.pack("<IHHH" + "HHHIIIHH" + "HHHII", 0x02014B50, 20, 20, 0, *fields,
+                          0, 0, 0, 0, 0) + name
+    end = struct.pack("<IHHHHIIH", 0x06054B50, 0, 0, 1, 1, len(central),
+                      len(local) + len(data), 0)
+    return local + data + central + end
+
+
+def test_deflate_bomb_hits_the_entry_limit():
+    """An entry that inflates to four times MAX_ENTRY_BYTES is an
+    unreadable entry naming the limit, found without inflating past it:
+    its time and memory (at most about twice the limit, while zlib joins
+    its output) follow the limit, not the entry's size."""
+    bomb = _deflate_bomb(4 * MAX_ENTRY_BYTES)
+    with zipfile.ZipFile(io.BytesIO(bomb)) as zf:
+        [info] = zf.infolist()
+        assert info.file_size == 4 * MAX_ENTRY_BYTES and len(bomb) < 1 << 20
+        assert zf.open(info).read(1 << 20) == bytes(1 << 20)
+    limit = f"entry inflates past the {MAX_ENTRY_BYTES}-byte limit"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        archive = parse_jar(bomb)
+        elapsed = time.perf_counter() - start
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert archive.failures == [ParseFailure("p/Bomb.class", f"unreadable entry: {limit}")]
+    assert elapsed < 5 and peak < 2.5 * MAX_ENTRY_BYTES
+    with pytest.raises(MalformedArchive, match=f"^p/Bomb.class: {limit}$"):
+        read_entries(bomb)
 
 
 @given(st.sampled_from([zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]),

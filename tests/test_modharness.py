@@ -1,6 +1,8 @@
 """Type 1-4 modification harness."""
 
+import io
 import random
+import zipfile
 
 import pytest
 
@@ -81,6 +83,20 @@ def test_merge_moves_only_whole_pom_files(kind):
     assert "res/app-pom.properties" in paths
     assert "lib/pom.properties" not in paths
     assert ("META-INF/bundled/0/lib/pom.properties" in paths) is (kind == 2)
+
+
+@pytest.mark.parametrize("kind", [2, 3])
+def test_merge_keeps_the_first_copy_of_a_duplicated_entry(kind):
+    """Each copy of a duplicated path reads as its own bytes, and a merge
+    keeps the first copy, the one a scan reads."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf, pytest.warns(UserWarning, match="Duplicate"):
+        zf.writestr("res/a.txt", b"first")
+        zf.writestr("res/a.txt", b"second")
+    jar = buf.getvalue()
+    assert read_entries(jar) == [("res/a.txt", b"first"), ("res/a.txt", b"second")]
+    assert [(p, d) for p, d in read_entries(modify([jar], kind)) if p == "res/a.txt"] == [
+        ("res/a.txt", b"first")]
 
 
 def test_type4_listing1_renames_match_paper_example():
