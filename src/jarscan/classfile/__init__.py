@@ -6,7 +6,7 @@ instruction, (start, end, handler, catch type) per exception handler.
 """
 
 from .._lazy import lazy_exports
-from .constructs import ConstructId, class_construct, list_constructs, method_construct, strip_packages
+from .constructs import ConstructId, class_construct, list_constructs, strip_packages
 from .model import (
     ClassFile,
     CodeAttribute,
@@ -27,8 +27,8 @@ __all__ = [
     "ClassFile", "ClassModel", "CodeAttribute", "ConstructId", "FieldInfo",
     "FieldModel", "JarArchive", "MethodInfo", "MethodModel", "ParseFailure",
     "class_construct", "class_entry_path", "default_constructor", "emit_class",
-    "emit_class_resolved", "list_constructs", "method_construct", "parse_class",
-    "parse_jar", "strip_packages", "write_jar",
+    "emit_class_resolved", "list_constructs", "parse_class", "parse_jar",
+    "strip_packages", "write_jar",
 ]
 
 __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -12,8 +12,6 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .descriptors import method_signature
-
 if TYPE_CHECKING:    # model imports strip_packages from here
     from .model import ClassFile
 
@@ -45,20 +43,11 @@ def class_construct(cf: ClassFile) -> ConstructId:
     return ConstructId("interface" if cf.is_interface else "class", cf.this_class)
 
 
-def method_construct(class_dotted: str, name: str, descriptor: str,
-                     synthetic: bool = False) -> ConstructId:
-    return ConstructId("method", method_signature(class_dotted, name, descriptor),
-                       synthetic)
-
-
 def list_constructs(cf: ClassFile) -> list[ConstructId]:
     """The class-or-interface construct plus one construct per method.
 
     Constructors and static initializers are included under their JVM
     names; synthetic and bridge methods are included but flagged.
     """
-    out = [class_construct(cf)]
-    for m in cf.methods:
-        out.append(method_construct(cf.this_class, m.name, m.descriptor,
-                                    synthetic=m.is_synthetic))
-    return out
+    return [class_construct(cf)] + [ConstructId("method", fqn, m.is_synthetic)
+                                    for m, fqn in zip(cf.methods, cf.method_fqns)]

@@ -457,12 +457,11 @@ def default_constructor() -> MethodModel:
 
 
 def write_jar(entries: list[tuple[str, bytes]], *, manifest: bool = True,
-              extra: list[tuple[str, bytes]] | None = None,
               date_time=(2020, 1, 1, 0, 0, 0)) -> bytes:
     """Build a deterministic JAR from (path, bytes) entries."""
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
-        all_entries = list(entries) + list(extra or [])
+        all_entries = list(entries)
         if manifest:
             mf = b"Manifest-Version: 1.0\r\nCreated-By: jarscan-fixture\r\n\r\n"
             all_entries.insert(0, ("META-INF/MANIFEST.MF", mf))

@@ -5,13 +5,12 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ..errors import ClassParseError, CodeNotDecoded
 from .constant_pool import (MEMBER_TAGS, TAG_CLASS, TAG_FIELDREF, TAG_INVOKE_DYNAMIC,
                             ConstantPool, resolved_class, resolved_member)
 from .constructs import strip_packages
-from .descriptors import method_signature, parse_method_descriptor, render_type
+from .descriptors import parse_method_descriptor, render_type
 from .opcodes import FORMAT_OF
 
 ACC_STATIC = 0x0008
@@ -251,24 +250,16 @@ class ClassFile:
     interfaces: tuple[str, ...]          # dotted FQNs
     fields: tuple[FieldInfo, ...]
     methods: tuple[MethodInfo, ...]
+    # Each method's ``method_signature``, in method order, and each with
+    # packages stripped: rendered from the fields above, so they take no
+    # part in equality or hashing.
+    method_fqns: tuple[str, ...] = field(compare=False, repr=False)
+    unqualified_method_fqns: tuple[str, ...] = field(compare=False, repr=False)
     constant_pool: ConstantPool = field(compare=False, repr=False, default=None)
 
     @property
     def is_interface(self) -> bool:
         return bool(self.access_flags & ACC_INTERFACE)
-
-    # Rendered on first use and kept; not fields, so they take no part in
-    # equality or hashing.
-    @cached_property
-    def method_fqns(self) -> tuple[str, ...]:
-        """Each method's ``method_signature``, in method order."""
-        return tuple(method_signature(self.this_class, m.name, m.descriptor)
-                     for m in self.methods)
-
-    @cached_property
-    def unqualified_method_fqns(self) -> tuple[str, ...]:
-        """Each method's ``method_fqns`` entry with packages stripped."""
-        return tuple(map(strip_packages, self.method_fqns))
 
 
 @dataclass

@@ -12,17 +12,21 @@ descriptors); each field and method attribute's name (a Utf8 entry); and
 every Code attribute (instructions, exception tables, branch targets).
 Class-level attributes are skipped by length.
 
-``parse_class`` given a predicate on methods decodes the Code attribute
-only of the methods it accepts; every other body reads as ``UNDECODED``,
-which raises CodeNotDecoded when read, never as "no code". Everything
-else, every method's descriptor included, is checked as without it.
+Each method's signature is rendered once, by ``method_signature``, and
+that rendering is the check of its descriptor; ``parse_class`` keeps it
+and its package-stripped form on the ``ClassFile``. Given a set of
+unqualified signatures, ``parse_class`` decodes the Code attribute only
+of the methods whose stripped signature is in the set; every other body
+reads as ``UNDECODED``, which raises CodeNotDecoded when read, never as
+"no code". Everything else, every method's descriptor included, is
+checked as without it.
 
 ``parse_jar`` given a set of stems opens a class entry only if its stem,
 the simple name of the class a class loader finds at the entry's path,
 is in the set; the others are listed as unopened and never read. Every
-entry it opens is parsed by ``parse_class``, with the predicate on
-methods passed on. An opened class whose simple name is not its stem is
-listed as misnamed. A scan gives the simple names the classes its
+entry it opens is parsed by ``parse_class``, with the set of
+signatures passed on. An opened class whose simple name is not its stem
+is listed as misnamed. A scan gives the simple names the classes its
 knowledge base names can have, and asks for the bodies of the methods
 its ``changed`` method records name. So:
 
@@ -48,7 +52,7 @@ import io
 import logging
 import struct
 import zlib
-from typing import BinaryIO, Callable, Container
+from typing import BinaryIO, Container
 
 from ..errors import (
     BadMagic,
@@ -58,7 +62,8 @@ from ..errors import (
     UnsupportedVersion,
 )
 from .constant_pool import CP_PAYLOAD, TAG_UTF8, WIDE_TAGS, ConstantPool
-from .descriptors import parse_method_descriptor, validate_field_descriptor
+from .constructs import strip_packages
+from .descriptors import method_signature, validate_field_descriptor
 from .model import (
     UNDECODED,
     ClassFile,
@@ -296,13 +301,14 @@ def _member_attributes(data: bytes, pos: int,
     return pos, attributes
 
 
-def parse_class(data: bytes,
-                wanted_body: Callable[[str, str, str], bool] | None = None) -> ClassFile:
+def parse_class(data: bytes, bodies: Container[str] | None = None) -> ClassFile:
     """Decode one class file; raises ClassParseError subclasses on bad input.
 
-    With ``wanted_body``, a method's Code attribute is decoded only if
-    ``wanted_body(class name, method name, descriptor)`` accepts it; the
-    others read as ``UNDECODED``. Without it every body is decoded.
+    Each method's ``method_signature`` is rendered once, which checks its
+    descriptor, and kept with packages stripped as well. With ``bodies``,
+    a method's Code attribute is decoded only if its unqualified
+    signature is in ``bodies``; the others read as ``UNDECODED``. Without
+    it every body is decoded.
     """
     major, pool, pos = _walk_pool(data)
     access = _u2(data, pos)
@@ -320,13 +326,16 @@ def parse_class(data: bytes,
         validate_field_descriptor(desc)
         fields.append(FieldInfo(name, desc, acc))
     entries, pos = _table(data, pos)
-    methods = []
+    methods, fqns, unqualified = [], [], []
     for _ in entries:
         acc, name = _u2(data, pos), pool.utf8(_u2(data, pos + 2))
         desc = pool.utf8(_u2(data, pos + 4))
         pos, attributes = _member_attributes(data, pos + 6, pool)
-        parse_method_descriptor(desc)
-        decode = wanted_body is None or wanted_body(this_class, name, desc)
+        fqn = method_signature(this_class, name, desc)
+        unq = strip_packages(fqn)
+        fqns.append(fqn)
+        unqualified.append(unq)
+        decode = bodies is None or unq in bodies
         code = None
         for attr_name, start, end in attributes:
             if attr_name == "Code":
@@ -342,6 +351,8 @@ def parse_class(data: bytes,
         interfaces=interfaces,
         fields=tuple(fields),
         methods=tuple(methods),
+        method_fqns=tuple(fqns),
+        unqualified_method_fqns=tuple(unqualified),
         constant_pool=pool,
     )
 
@@ -545,8 +556,7 @@ def is_metadata(path: str) -> bool:
             or path.endswith(("/pom.xml", "/pom.properties")))
 
 
-def parse_jar(data: bytes | BinaryIO,
-              wanted_body: Callable[[str, str, str], bool] | None = None,
+def parse_jar(data: bytes | BinaryIO, bodies: Container[str] | None = None,
               stems: Container[str] | None = None) -> JarArchive:
     """Decode a JAR; per-entry class failures are collected, never fatal.
 
@@ -565,9 +575,10 @@ def parse_jar(data: bytes | BinaryIO,
     after the last "/" or "." of its path without ".class": the simple
     name of the class a class loader finds there) is in ``stems``; the
     others go to ``unopened``, unread. Every opened class is parsed by
-    ``parse_class``, which is passed ``wanted_body``. A class whose simple
-    name is not its entry's stem is logged and listed in ``misnamed`` as
-    well.
+    ``parse_class``, which is passed ``bodies``: with it, only the Code
+    attributes of methods whose unqualified signature is in ``bodies``
+    are decoded. A class whose simple name is not its entry's stem is
+    logged and listed in ``misnamed`` as well.
     """
     archive = ZipReader(data)
     classes: list[tuple[str, ClassFile]] = []
@@ -603,7 +614,7 @@ def parse_jar(data: bytes | BinaryIO,
             failures.append(ParseFailure(path, f"unreadable entry: {reason}"))
             continue
         try:
-            cf = parse_class(raw, wanted_body)
+            cf = parse_class(raw, bodies)
         except ClassParseError as exc:
             log.warning("failed to parse %s: %s", path, exc)
             failures.append(ParseFailure(path, str(exc)))

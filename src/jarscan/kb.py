@@ -4,8 +4,9 @@ Built once from pre/post-fix compiled classes and persisted as a single
 versioned text file (sorted JSON body, trailing checksum). A scan asks it:
 
   * which CVEs have records in a class, by FQN or by unqualified name;
-  * which simple class names and which methods a scan may have to open
-    or lift (``simple_class_names``, ``asks_about_method``);
+  * which simple class names a scan may have to open
+    (``simple_class_names``), and by which unqualified signatures the
+    methods whose bodies it may have to lift (``changed_methods``);
   * which triplets a body has whose code, or, unqualified, whose stripped
     code, is a recorded pre- or post-fix body's;
   * what a recorded signature is once unqualified.
@@ -23,9 +24,8 @@ import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classfile.constructs import (ConstructId, class_construct, method_construct,
-                                   strip_packages)
-from .classfile.descriptors import method_signature, render_type
+from .classfile.constructs import ConstructId, class_construct, strip_packages
+from .classfile.descriptors import render_type
 from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
 from .classfile.parser import parse_class
 from .triplets import FixSignature, deserialize_triplets, serialize_triplets, unqualify
@@ -37,11 +37,6 @@ log = logging.getLogger(__name__)
 FORMAT_VERSION = 2
 _HEADER = "jarscan-kb"
 
-# Each run that method_signature could have rendered as a method name: a
-# space before, "(" after. A name with no space, "(" or "." is found this
-# way in a record's unqualified form, which strip_packages leaves it in.
-_SIGNATURE_NAMES = re.compile(r"(?<= )[^ (]+(?=\()")
-_ODD_NAME_CHARS = frozenset(" (.")
 # Where strip_packages can have cut a package out of a simple name: after
 # a character outside [\w$.], before an ASCII letter, "_" or "$".
 _PACKAGE_CUTS = re.compile(r"(?<![\w$.])(?=[A-Za-z_$])")
@@ -87,8 +82,10 @@ class KnowledgeBase:
         self._class_candidates: dict[str, set] = {}
         self._unq_class_candidates: dict[str, set] = {}
         self.simple_class_names: set[str] = set()
-        self._changed_unqualified: set[str] = set()
-        self._changed_names: set[str] = set()
+        # The unqualified signature of each ``changed`` method record: the
+        # bodies a scan decodes, in either mode (a record's FQN strips to
+        # its unqualified signature).
+        self.changed_methods: set[str] = set()
         self._code_sides: dict[str, tuple[FixSignature, str]] = {}
         self._stripped_sides: dict[str, tuple[FixSignature, str]] = {}
         self._unqualified: dict[FixSignature, FixSignature] = {}
@@ -107,9 +104,7 @@ class KnowledgeBase:
                 self.simple_class_names.update(
                     simple[m.start():] for m in _PACKAGE_CUTS.finditer(simple))
                 if rec.construct.kind == "method" and rec.change == "changed":
-                    unq = rec.construct.unqualified
-                    self._changed_unqualified.add(unq)
-                    self._changed_names.update(_SIGNATURE_NAMES.findall(unq))
+                    self.changed_methods.add(rec.construct.unqualified)
                 if rec.signature is None:
                     continue
                 # Equal code lifts to equal triplets, and equal stripped
@@ -131,16 +126,6 @@ class KnowledgeBase:
 
     def candidate_cves_for_unqualified_class(self, unq_name: str) -> set:
         return set(self._unq_class_candidates.get(unq_name, ()))
-
-    def asks_about_method(self, class_fqn: str, name: str, descriptor: str) -> bool:
-        """Whether a scan in any mode can lift this method's body: a
-        ``changed`` method record names it by unqualified signature (so
-        also one that names it by FQN). Most methods are answered by their
-        name alone."""
-        if name not in self._changed_names and _ODD_NAME_CHARS.isdisjoint(name):
-            return False
-        return (strip_packages(method_signature(class_fqn, name, descriptor))
-                in self._changed_unqualified)
 
     def triplets_for_code(self, digest: str, unqualified: bool = False) -> frozenset | None:
         """The triplet set of a method body whose ``resolved_code`` digest
@@ -222,6 +207,11 @@ def _code_digests(keys: tuple) -> tuple:
             None if None in stripped else tuple(map(key_digest, stripped)))
 
 
+def _methods_by_key(cf: ClassFile) -> dict[tuple[str, str], tuple[MethodInfo, str]]:
+    """Each method of a class and its FQN, by (name, descriptor)."""
+    return {(m.name, m.descriptor): (m, fqn) for m, fqn in zip(cf.methods, cf.method_fqns)}
+
+
 def build_entry(cve_id: str, pre_classes: list[ClassFile],
                 post_classes: list[ClassFile]) -> list[ConstructRecord]:
     """Diff pre/post-fix classes into construct records.
@@ -256,25 +246,27 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
                 class_context=class_member_context(present)))
             continue
 
-        pre_methods = {(m.name, m.descriptor): m for m in pre_cf.methods}
-        post_methods = {(m.name, m.descriptor): m for m in post_cf.methods}
+        pre_methods = _methods_by_key(pre_cf)
+        post_methods = _methods_by_key(post_cf)
         for key in sorted(pre_methods.keys() | post_methods.keys()):
-            cid = method_construct(name, *key)
-            pre_m, post_m = pre_methods.get(key), post_methods.get(key)
-            if post_m is None:
+            if key not in post_methods:
                 records.append(ConstructRecord(
-                    construct=cid, change="removed", signature=None,
+                    construct=ConstructId("method", pre_methods[key][1]),
+                    change="removed", signature=None,
                     class_context=class_member_context(post_cf, exclude_method=key)))
                 continue
-            if pre_m is None:
+            post_m, fqn = post_methods[key]
+            if key not in pre_methods:
                 records.append(ConstructRecord(
-                    construct=cid, change="added", signature=None,
+                    construct=ConstructId("method", fqn), change="added", signature=None,
                     class_context=class_member_context(post_cf, exclude_method=key)))
                 continue
+            pre_m = pre_methods[key][0]
             keys = (resolved_code(pre_m, pre_cf.constant_pool),
                     resolved_code(post_m, post_cf.constant_pool))
             if _same_code(keys):
                 continue
+            cid = ConstructId("method", fqn)
             t_pre = _method_triplets_or_none(pre_cf, pre_m)
             t_post = _method_triplets_or_none(post_cf, post_m)
             if t_pre is not None and t_post is not None:

@@ -2,23 +2,24 @@
 
 Fixed pass pipeline, applied in order:
 
-  1. strip-debug: no debug names survive lifting, so this renumbers the
-     non-parameter registers by first-definition order
-  2. nop elimination (plus removal of blocks emptied by it)
-  2b. string-concatenation unification: builder chains, found in one scan
+  1. nop elimination (plus removal of blocks emptied by it)
+  1b. string-concatenation unification: builder chains, found in one scan
       per block, and indirect concat factories both rewrite to one
       abstract concat expression
-  3. jump threading: goto-to-goto chains collapsed
-  4. branch canonicalization: conditionals rewritten so the fallthrough
+  2. jump threading: goto-to-goto chains collapsed
+  3. branch canonicalization: conditionals rewritten so the fallthrough
      successor is the earlier block, flipping the comparison accordingly
-  5. duplicate-return merging: identical return-terminated blocks coalesced
+  4. duplicate-return merging: identical return-terminated blocks coalesced
 
-The pipeline ends with a canonical compaction (entry block first, dense
-block ids, registers renumbered again). A second pass changes nothing on
-the synthetic corpus and on random int methods, which the tests check,
-but normalize is not idempotent in general: on some real methods a
-second pass flips a branch that the first left with its fallthrough on
-the later block. Pass order is part of the knowledge-base format version.
+The passes read register names only by equality. The pipeline ends with
+a canonical compaction (entry block first, dense block ids) and renames
+the non-parameter registers by first occurrence in the final layout, so
+no name lifting chose survives (strip-debug). A second pass changes
+nothing on the synthetic corpus and on random int methods, which the
+tests check, but normalize is not idempotent in general: on some real
+methods a second pass flips a branch that the first left with its
+fallthrough on the later block. Pass order is part of the knowledge-base
+format version.
 
 Passes move blocks in exactly two ways. ``redirect`` sends jumps, the
 entry and handler heads from one block to another, and never changes
@@ -303,7 +304,6 @@ def _merge_duplicate_returns(work: _Work):
             mapping[bid] = keeper
     if mapping:
         work.redirect(mapping)
-        work.compact()
 
 
 # ----------------------------------------------------- string concatenation
@@ -377,15 +377,14 @@ def normalize(ir: MethodIr) -> MethodIr:
     """Apply the full pass pipeline; semantics-preserving. Idempotent on
     the synthetic corpus and random int methods, not on every method."""
     work = _Work(ir)
-    _renumber_registers(work)          # 1 strip-debug
-    _eliminate_nops(work)              # 2
-    _rewrite_concat(work)              # 2b concat unification
-    _thread_jumps(work)                # 3
-    _canonicalize_operators(work)      # 4a layout-independent orientation
-    _canonical_reorder(work)           # 4b canonical block layout
-    _canonicalize_branches(work)       # 4c fallthrough gets the earlier block
-    _merge_duplicate_returns(work)     # 5
-    work.compact()
+    _eliminate_nops(work)              # 1
+    _rewrite_concat(work)              # 1b concat unification
+    _thread_jumps(work)                # 2
+    _canonicalize_operators(work)      # 3a layout-independent orientation
+    _canonical_reorder(work)           # 3b canonical block layout
+    _canonicalize_branches(work)       # 3c fallthrough gets the earlier block
+    _merge_duplicate_returns(work)     # 4
+    work.compact()                     # drops the blocks 4 merged away
     work.drop_layout_gotos()
     _renumber_registers(work)          # canonical names after removals
 

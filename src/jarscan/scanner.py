@@ -433,7 +433,7 @@ def scan_jar_bytes(path: str, data: bytes | BinaryIO, kb: KnowledgeBase,
     """Scan the JAR ``data``: its bytes or an open seekable binary file
     (see ``parse_jar``)."""
     try:
-        archive = parse_jar(data, kb.asks_about_method, kb.simple_class_names)
+        archive = parse_jar(data, kb.changed_methods, kb.simple_class_names)
     except MalformedArchive as exc:
         return JarResult(path=path, error=str(exc))
     view = JarView(archive, kb)

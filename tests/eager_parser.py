@@ -53,7 +53,9 @@ from jarscan.classfile.constant_pool import (
     WIDE_TAGS,
     CpEntry,
 )
-from jarscan.classfile.descriptors import parse_method_descriptor, validate_field_descriptor
+from jarscan.classfile.constructs import strip_packages
+from jarscan.classfile.descriptors import (method_signature, parse_method_descriptor,
+                                         validate_field_descriptor)
 from jarscan.classfile.model import ClassFile, CodeAttribute, FieldInfo, MethodInfo
 from jarscan.classfile.opcodes import OPCODES, WIDE
 from jarscan.classfile.parser import (
@@ -388,6 +390,7 @@ def parse_class(data: bytes) -> ClassFile:
     for _ in range(r.u2()):
         r.u2()
         r.raw(r.u4())
+    fqns = tuple(method_signature(this_class, m.name, m.descriptor) for m in methods)
     return ClassFile(
         major_version=major,
         access_flags=access,
@@ -396,6 +399,8 @@ def parse_class(data: bytes) -> ClassFile:
         interfaces=interfaces,
         fields=tuple(fields),
         methods=tuple(methods),
+        method_fqns=fqns,
+        unqualified_method_fqns=tuple(map(strip_packages, fqns)),
         constant_pool=pool,
     )
 

@@ -12,7 +12,9 @@ import struct
 import zipfile
 import zlib
 
-# What ZipFile.read raises for each damage of ``damaged_entry``.
+# What ZipFile.read raises for each damage of ``damaged_entry`` up to Python
+# 3.12; 3.13's zipfile refuses the sizes damage as overlapped entries
+# (BadZipFile) before it reads the data.
 ENTRY_DAMAGES = {"crc": zipfile.BadZipFile, "inflate": zlib.error, "sizes": EOFError,
                  "encrypted": RuntimeError, "method": NotImplementedError,
                  "short": zipfile.BadZipFile, "short-inflated": zipfile.BadZipFile}

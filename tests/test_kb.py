@@ -740,10 +740,16 @@ def _two_cve_kb():
     })
 
 
+def _changed(kb, cls, name, desc) -> bool:
+    """Whether a scan decodes this method's body: its unqualified
+    signature is one of the KB's changed methods."""
+    return strip_packages(method_signature(cls, name, desc)) in kb.changed_methods
+
+
 def test_query_fqn_unknown_empty():
     kb = _two_cve_kb()
     assert kb.candidate_cves_for_class("no.Such") == set()
-    assert not kb.asks_about_method("no.Such", "thing", "()V")
+    assert not _changed(kb, "no.Such", "thing", "()V")
 
 
 def test_query_fqn_two_cves():
@@ -752,7 +758,7 @@ def test_query_fqn_two_cves():
     kb = _two_cve_kb()
     assert kb.candidate_cves_for_class("a.C") == {"CVE-A", "CVE-B"}
     assert kb.candidate_cves_for_unqualified_class("C") == {"CVE-A", "CVE-B"}
-    assert kb.asks_about_method("a.C", "check", "(I)I")
+    assert _changed(kb, "a.C", "check", "(I)I")
 
 
 def test_query_unqualified_ambiguity_two_packages():
@@ -769,7 +775,7 @@ def test_query_unqualified_ambiguity_two_packages():
     assert kb.candidate_cves_for_unqualified_class("C") == {"CVE-1", "CVE-2"}
     assert kb.candidate_cves_for_class("p1.C") == {"CVE-1"}
     assert kb.candidate_cves_for_class("p2.C") == {"CVE-2"}
-    assert kb.asks_about_method("r.C", "m", "()I")
+    assert _changed(kb, "r.C", "m", "()I")
 
 
 def test_query_unqualified_ignores_class_records():
@@ -780,13 +786,13 @@ def test_query_unqualified_ignores_class_records():
         "CVE-CLS": build_entry("CVE-CLS", [PRE], [POST, extra]),
     })
     assert kb.candidate_cves_for_unqualified_class("New") == {"CVE-CLS"}
-    assert not kb.asks_about_method("shaded.New", "x", "()V")
+    assert not _changed(kb, "shaded.New", "x", "()V")
 
 
 def test_query_unqualified_no_hit():
     kb = _two_cve_kb()
     assert kb.candidate_cves_for_unqualified_class("Nope") == set()
-    assert not kb.asks_about_method("r.Nope", "nothing", "()V")
+    assert not _changed(kb, "r.Nope", "nothing", "()V")
 
 
 def test_class_and_method_fqns_resolve_independently():
@@ -797,8 +803,8 @@ def test_class_and_method_fqns_resolve_independently():
         "CVE-CLS": build_entry("CVE-CLS", [PRE], [POST, extra]),
     })
     assert "CVE-CLS" in kb.candidate_cves_for_class("a.New")
-    assert not kb.asks_about_method("a.New", "x", "()V")
-    assert not kb.asks_about_method("r.New", "x", "()V")
+    assert not _changed(kb, "a.New", "x", "()V")
+    assert not _changed(kb, "r.New", "x", "()V")
 
 
 def test_relocated_changed_method_is_asked_about():
@@ -815,8 +821,8 @@ def test_relocated_changed_method_is_asked_about():
     [changed] = [r for r in kb.records["CVE-L"] if r.change == "changed"]
     assert changed.construct.unqualified == "C: void foo(X)"
     assert kb.candidate_cves_for_unqualified_class("C") == {"CVE-L"}
-    assert kb.asks_about_method("r.C", "foo", "(Lr/b/X;)V")
-    assert not kb.asks_about_method("r.C", "extra", "()V")      # added
+    assert _changed(kb, "r.C", "foo", "(Lr/b/X;)V")
+    assert not _changed(kb, "r.C", "extra", "()V")      # added
 
 
 def test_index_coherence(corpus_kb):
@@ -831,16 +837,16 @@ def test_index_coherence(corpus_kb):
 def test_asks_about_method_only_for_changed_method_records():
     records = build_entry("CVE-X", [PRE], [POST])
     kb = KnowledgeBase(records={"CVE-X": records})
-    assert kb.asks_about_method("a.C", "check", "(I)I")
-    assert kb.asks_about_method("shaded.a.C", "check", "(I)I")     # unqualified
-    assert not kb.asks_about_method("a.C", "check", "(J)I")
-    assert not kb.asks_about_method("a.C", "fresh", "(I)Z")        # added
-    assert not kb.asks_about_method("a.C", "legacy", "()V")        # removed
-    assert not kb.asks_about_method("a.C", "<init>", "()V")
+    assert _changed(kb, "a.C", "check", "(I)I")
+    assert _changed(kb, "shaded.a.C", "check", "(I)I")     # unqualified
+    assert not _changed(kb, "a.C", "check", "(J)I")
+    assert not _changed(kb, "a.C", "fresh", "(I)Z")        # added
+    assert not _changed(kb, "a.C", "legacy", "()V")        # removed
+    assert not _changed(kb, "a.C", "<init>", "()V")
     # Unchecked method names with ".", " " or "(" render signatures whose
     # unqualified form can match a record under another name.
-    assert kb.asks_about_method("b.C", "x.check", "(I)I")
-    assert not kb.asks_about_method("b.C", "x.other", "(I)I")
+    assert _changed(kb, "b.C", "x.check", "(I)I")
+    assert not _changed(kb, "b.C", "x.other", "(I)I")
 
 
 def test_simple_class_names_hold_every_class_the_kb_asks_about():
