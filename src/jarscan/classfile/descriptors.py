@@ -1,8 +1,12 @@
-"""Field/method descriptor grammar: parsing, rendering, slot arithmetic."""
+"""Field/method descriptor grammar: parsing, rendering, method signatures,
+slot arithmetic."""
 
 from __future__ import annotations
 
+import functools
+
 from ..errors import ClassParseError
+from .constructs import strip_packages
 
 _BASE_TYPES = {
     "B": "byte", "C": "char", "D": "double", "F": "float",
@@ -97,14 +101,47 @@ def param_slots(params: list[str]) -> int:
     return sum(category(p) for p in params)
 
 
-def render_method_types(desc: str) -> tuple[list[str], str]:
+@functools.cache
+def render_method_types(desc: str) -> tuple[tuple[str, ...], str]:
     """A method descriptor's parameter types and return type, each as
-    ``render_type`` writes it ("V" as "void")."""
+    ``render_type`` writes it ("V" as "void").
+
+    Cached for the process, as methods share descriptors: the 58,107
+    methods of JDK 17's java.base have 12,167 distinct ones. A malformed
+    descriptor raises each time, as an exception is not cached."""
     params, ret = parse_method_descriptor(desc)
-    return [render_type(p) for p in params], render_type(ret)
+    return tuple(map(render_type, params)), render_type(ret)
+
+
+@functools.cache
+def _signature_parts(desc: str) -> tuple[str, str, str, str]:
+    """A method descriptor's return type and parameter list as
+    ``method_signature`` writes them, then each with packages stripped;
+    cached like ``render_method_types``."""
+    args, ret = render_method_types(desc)
+    args = ", ".join(args)
+    return ret, args, strip_packages(ret), strip_packages(args)
 
 
 def method_signature(class_dotted: str, name: str, desc: str) -> str:
     """Render "pkg.Cls: ret name(arg, arg)" for a method descriptor."""
-    args, ret = render_method_types(desc)
-    return f"{class_dotted}: {ret} {name}({', '.join(args)})"
+    ret, args, _unq_ret, _unq_args = _signature_parts(desc)
+    return f"{class_dotted}: {ret} {name}({args})"
+
+
+def method_names(class_dotted: str, unqualified_class: str, name: str,
+                 desc: str) -> tuple[str, str]:
+    """``method_signature`` of a method, and that text with packages
+    stripped, given its class's name stripped as ``unqualified_class``.
+
+    A ``strip_packages`` match is names and dots, and its look-around
+    reads ":", " ", "(" and ")" as it reads a text's start or end; so the
+    class name, return type and parameter list, which those separate, are
+    each stripped alone. A method name holds nothing to strip unless it
+    holds a "." (the JVM forbids one there, the parser accepts it): then
+    the whole text is stripped."""
+    ret, args, unq_ret, unq_args = _signature_parts(desc)
+    fqn = f"{class_dotted}: {ret} {name}({args})"
+    if "." in name:
+        return fqn, strip_packages(fqn)
+    return fqn, f"{unqualified_class}: {unq_ret} {name}({unq_args})"

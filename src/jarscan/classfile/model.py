@@ -251,8 +251,8 @@ class ClassFile:
     fields: tuple[FieldInfo, ...]
     methods: tuple[MethodInfo, ...]
     # Each method's ``method_signature``, in method order, and each with
-    # packages stripped: rendered from the fields above, so they take no
-    # part in equality or hashing.
+    # packages stripped, as ``parse_class`` puts them together from the
+    # fields above: derived, so they take no part in equality or hashing.
     method_fqns: tuple[str, ...] = field(compare=False, repr=False)
     unqualified_method_fqns: tuple[str, ...] = field(compare=False, repr=False)
     constant_pool: ConstantPool = field(compare=False, repr=False, default=None)

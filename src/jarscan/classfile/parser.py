@@ -12,14 +12,17 @@ descriptors); each field and method attribute's name (a Utf8 entry); and
 every Code attribute (instructions, exception tables, branch targets).
 Class-level attributes are skipped by length.
 
-Each method's signature is rendered once, by ``method_signature``, and
-that rendering is the check of its descriptor; ``parse_class`` keeps it
-and its package-stripped form on the ``ClassFile``. Given a set of
-unqualified signatures, ``parse_class`` decodes the Code attribute only
-of the methods whose stripped signature is in the set; every other body
-reads as ``UNDECODED``, which raises CodeNotDecoded when read, never as
-"no code". Everything else, every method's descriptor included, is
-checked as without it.
+``parse_class`` names each method once, by ``method_names``: its
+``method_signature`` and that text with packages stripped, both kept on
+the ``ClassFile``. Each distinct descriptor is parsed and rendered once
+per process, with and without packages, and that rendering is the check
+of the descriptor; a method's names are put together from it, the
+method's name and the class's name, stripped once per class. Given a
+set of unqualified signatures, ``parse_class`` decodes the Code
+attribute only of the methods whose stripped signature is in the set;
+every other body reads as ``UNDECODED``, which raises CodeNotDecoded
+when read, never as "no code". Everything else, every method's
+descriptor included, is checked as without it.
 
 ``parse_jar`` given a set of stems opens a class entry only if its stem,
 the simple name of the class a class loader finds at the entry's path,
@@ -63,7 +66,7 @@ from ..errors import (
 )
 from .constant_pool import CP_PAYLOAD, TAG_UTF8, WIDE_TAGS, ConstantPool
 from .constructs import strip_packages
-from .descriptors import method_signature, validate_field_descriptor
+from .descriptors import method_names, validate_field_descriptor
 from .model import (
     UNDECODED,
     ClassFile,
@@ -304,9 +307,10 @@ def _member_attributes(data: bytes, pos: int,
 def parse_class(data: bytes, bodies: Container[str] | None = None) -> ClassFile:
     """Decode one class file; raises ClassParseError subclasses on bad input.
 
-    Each method's ``method_signature`` is rendered once, which checks its
-    descriptor, and kept with packages stripped as well. With ``bodies``,
-    a method's Code attribute is decoded only if its unqualified
+    Each method's ``method_signature`` and its package-stripped form are
+    put together by ``method_names`` from the class's name and the
+    descriptor's cached rendering, which checks the descriptor. With
+    ``bodies``, a method's Code attribute is decoded only if its unqualified
     signature is in ``bodies``; the others read as ``UNDECODED``. Without
     it every body is decoded.
     """
@@ -327,12 +331,12 @@ def parse_class(data: bytes, bodies: Container[str] | None = None) -> ClassFile:
         fields.append(FieldInfo(name, desc, acc))
     entries, pos = _table(data, pos)
     methods, fqns, unqualified = [], [], []
+    unq_class = strip_packages(this_class)
     for _ in entries:
         acc, name = _u2(data, pos), pool.utf8(_u2(data, pos + 2))
         desc = pool.utf8(_u2(data, pos + 4))
         pos, attributes = _member_attributes(data, pos + 6, pool)
-        fqn = method_signature(this_class, name, desc)
-        unq = strip_packages(fqn)
+        fqn, unq = method_names(this_class, unq_class, name, desc)
         fqns.append(fqn)
         unqualified.append(unq)
         decode = bodies is None or unq in bodies

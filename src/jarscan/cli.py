@@ -26,6 +26,7 @@ names a set: each mode runs once, default mode first.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import logging
@@ -232,15 +233,26 @@ def cmd_modify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
-    if args.subcommand == "kb-build":
-        return cmd_kb_build(args)
-    if args.subcommand == "scan":
-        return cmd_scan(args)
-    return cmd_modify(args)
+    # jarscan's data holds no reference cycles: each command leaves the
+    # same few cyclic objects (argparse's, the JSON encoder's) whatever its
+    # input, so the cyclic collector would only re-walk the KB and the
+    # parsed classes. It is off for the command and restored after.
+    # tests/test_cli.py's cycle census guards both.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+        if args.subcommand == "kb-build":
+            return cmd_kb_build(args)
+        if args.subcommand == "scan":
+            return cmd_scan(args)
+        return cmd_modify(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -396,6 +396,7 @@ def plain_operand(op) -> str:
 
 
 def _desc_label(desc: str) -> str:
+    """An invoked descriptor's text, from the rendering the parser caches."""
     args, ret = render_method_types(desc)
     return f"({','.join(args)}):{ret}"
 

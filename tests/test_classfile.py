@@ -33,7 +33,7 @@ from jarscan.classfile import (
 )
 from jarscan.classfile import parser as parser_mod
 from jarscan.classfile.constructs import ConstructId
-from jarscan.classfile.descriptors import method_signature
+from jarscan.classfile.descriptors import method_signature, parse_method_descriptor, render_type
 from jarscan.classfile.emitter import encode_instruction
 from jarscan.classfile.model import ClassFile, ParseFailure, resolved_code, stripped_code
 from jarscan.classfile.opcodes import (
@@ -695,6 +695,34 @@ def test_jdk_classes_are_stored_under_their_own_names(corpus, corpus_kb):
     assert finding["verdict"] == "vulnerable"
 
 
+def assert_names_as_rendered(cf: ClassFile, where: str) -> int:
+    """``parse_class`` puts each method's names together from its class
+    name and its descriptor's cached rendering; they must equal the whole
+    signature rendered from the descriptor's tokens, as ``method_signature``
+    writes it, and that text with packages stripped. Fails on the first
+    method whose names differ, naming it; returns the number checked."""
+    for m, fqn, unqualified in zip(cf.methods, cf.method_fqns, cf.unqualified_method_fqns,
+                                   strict=True):
+        params, ret = parse_method_descriptor(m.descriptor)
+        whole = (f"{cf.this_class}: {render_type(ret)} {m.name}"
+                 f"({', '.join(map(render_type, params))})")
+        assert (fqn, unqualified, method_signature(cf.this_class, m.name, m.descriptor)) == (
+            whole, strip_packages(whole), whole), f"{where} {m.name}{m.descriptor}"
+    return len(cf.methods)
+
+
+def compare_method_names(jmod: Path, sample: int | None = None, seed: int = 0) -> int:
+    """``assert_names_as_rendered`` on every class of ``jmod``, or on
+    ``sample`` of them drawn with ``random.Random(seed)``, bodies left
+    undecoded. Returns the number of methods checked."""
+    with zipfile.ZipFile(jmod) as zf:     # a jmod is a zip behind a 4-byte header
+        names = sorted(n for n in zf.namelist() if n.endswith(".class"))
+        if sample is not None:
+            names = random.Random(seed).sample(names, sample)
+        return sum(assert_names_as_rendered(parse_class(zf.read(n), bodies=()), n)
+                   for n in names)
+
+
 def test_method_signatures_rendered_once_per_class(corpus):
     data = _corpus_blobs(corpus)[0]
     cf, fresh = parse_class(data), parse_class(data)
@@ -703,6 +731,38 @@ def test_method_signatures_rendered_once_per_class(corpus):
     assert cf.method_fqns is cf.method_fqns
     assert cf.unqualified_method_fqns == tuple(map(strip_packages, cf.method_fqns))
     assert cf == fresh and hash(cf) == hash(fresh)      # the cache is no field
+    assert sum(assert_names_as_rendered(parse_class(blob), "corpus")
+               for blob in _corpus_blobs(corpus)) > 100
+
+
+def test_method_names_compose_as_rendered_on_jdk_classes():
+    """A seeded sample of java.base; CI checks every method of java.base,
+    java.xml and java.sql."""
+    jmod = _jdk_jmod("java.base")
+    if jmod is None:
+        pytest.skip("no JDK with jmods/java.base.jmod")
+    assert compare_method_names(jmod, sample=400, seed=26) > 2000
+
+
+# Method names the parser accepts though the JVM forbids some of them: each
+# holds a character of the signature's own syntax. Only for those with "."
+# does stripping each part alone differ from stripping the whole text.
+_ODD_METHOD_NAMES = ["odd name", "a:b", ": java.util.List", "call(me", "f(java.lang.String",
+                     "x,y", "x, java.io.File", "x.check", "java.lang.String", "a. b.c",
+                     ".x", "x.", "p.q r", "a.b(c.d", "int[] q.r"]
+
+
+@pytest.mark.parametrize("cls", ["odd.p.C", "odd.p.My Class", "odd p.q.C", "C"])
+def test_odd_method_and_class_names_compose_as_rendered(cls):
+    """Names with a space, ":", "(", "," or ".", in classes whose name may
+    hold a space, under a descriptor whose types have packages to strip."""
+    descs = ["()V", "(I)I", "(Ljava/lang/String;[Ljava/util/Map$Entry;J)Ljava/util/List;",
+             "([[La/b/C;)[Lx/Y;"]
+    cf = parse_class(emit_class(ClassModel(cls, methods=[
+        MethodModel(name, desc, 0x0101) for name in _ODD_METHOD_NAMES for desc in descs])))
+    assert assert_names_as_rendered(cf, cls) == len(_ODD_METHOD_NAMES) * len(descs)
+    assert cf.unqualified_method_fqns[_ODD_METHOD_NAMES.index("x.check") * len(descs)] == (
+        f"{strip_packages(cls)}: void check()")
 
 
 # --------------------------------------------------------------- round trips

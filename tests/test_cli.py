@@ -1,5 +1,6 @@
 """CLI exit codes, report formats and schema validation."""
 
+import gc
 import hashlib
 import io
 import json
@@ -7,13 +8,15 @@ import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import jarscan
-from jarscan.classfile import write_jar
+from jarscan import cli
+from jarscan.classfile import class_entry_path, write_jar
 from jarscan.cli import _write_json, main
 from jarscan.kb import FORMAT_VERSION, load
 from jarscan.scanner import ScanConfig, render_table, report_to_json, scan
@@ -569,3 +572,123 @@ def test_cli_import_leaves_the_ir_pipeline_unloaded():
                          capture_output=True, text=True, env=env, check=True).stdout
     assert out.splitlines() == ["[]", "True True"]
 
+
+# ------------------------------------------------------- cyclic collector
+
+def _cyclic_garbage(argv) -> tuple[int, Counter]:
+    """``main(argv)``'s exit code, and the objects it left in reference
+    cycles, counted by type: ``gc.DEBUG_SAVEALL`` keeps what a collection
+    finds instead of freeing it."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        status = main(argv)
+        gc.collect()
+        return status, Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def _census_inputs(tmp_path, corpus, unliftable) -> dict[str, tuple[list, list, int]]:
+    """Per command, the arguments of a run on one input and of a run on
+    many, and both runs' exit code. The many-input scans and kb-build add
+    damaged inputs and a body that does not lift."""
+    manifest = Path(materialize_manifest(corpus, tmp_path))
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    name, data = unliftable
+    for path, blob in ((f"junk/pre/{name.replace('.', '/')}.class", b"\xca\xfe\xba\xbe junk"),
+                       (f"unliftable/pre/{name.replace('.', '/')}.class", data)):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_bytes(blob)
+    lines += ["CVE-9100-0001 junk/pre CVE-9000-0002/post damaged",
+              "CVE-9100-0002 unliftable/pre CVE-9000-0002/post unliftable"]
+    many_manifest = tmp_path / "many.txt"
+    many_manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    one_manifest = tmp_path / "one.txt"
+    one_manifest.write_text(lines[0] + "\n", encoding="utf-8")
+    kb = tmp_path / "kb.txt"
+    assert main(["kb-build", str(manifest), "-o", str(kb)]) == 0
+
+    jars = _write_jars(corpus, tmp_path, "pre_jars") + _write_jars(corpus, tmp_path, "post_jars")
+    damaged = []
+    for damage in sorted(ENTRY_DAMAGES):
+        p = tmp_path / "damaged" / f"{damage}.jar"
+        p.parent.mkdir(exist_ok=True)
+        p.write_bytes(damaged_entry(corpus.pre_jars["CVE-9000-0001"],
+                                    "alpha/core/Parser.class", damage))
+        damaged.append(str(p))
+    unliftable_jar = tmp_path / "unliftable.jar"
+    unliftable_jar.write_bytes(write_jar([(class_entry_path(name), data)]))
+    merged = tmp_path / "merged.jar"
+    assert main(["modify", "--kind", "2", *jars, "-o", str(merged)]) == 0
+    out = str(tmp_path / "out")
+    scan = ["scan", "--kb", str(kb), "--out", out]
+    return {
+        "scan-json": ([*scan, "--format", "json", jars[0]],
+                      [*scan, "--format", "json", *jars, *damaged, str(unliftable_jar)], 3),
+        "scan-table": ([*scan, "--format", "table", jars[0]],
+                       [*scan, "--format", "table", *jars, *damaged, str(unliftable_jar)], 3),
+        "kb-build": (["kb-build", str(one_manifest), "-o", out],
+                     ["kb-build", str(many_manifest), "-o", out], 0),
+        "modify-1": (["modify", "--kind", "1", jars[0], "-o", out],
+                     ["modify", "--kind", "1", str(merged), "-o", out], 0),
+        "modify-2": (["modify", "--kind", "2", jars[0], "-o", out],
+                     ["modify", "--kind", "2", *jars, "-o", out], 0),
+        "modify-4": (["modify", "--kind", "4", jars[0], "-o", out],
+                     ["modify", "--kind", "4", *jars[:len(corpus.cve_ids)], "-o", out], 0),
+    }
+
+
+@pytest.mark.parametrize("command", ["scan-json", "scan-table", "kb-build",
+                                     "modify-1", "modify-2", "modify-4"])
+def test_commands_leave_cyclic_garbage_that_does_not_grow_with_input(
+        tmp_path, corpus, out_of_range_beta_pre, capsys, command):
+    """main runs with the cyclic collector off, which holds only while
+    jarscan builds no reference cycles per input: a run on many inputs,
+    damaged and unliftable ones among them, leaves the same cyclic objects
+    (argparse's, the JSON encoder's) as a run on one."""
+    one, many, status = _census_inputs(tmp_path, corpus, out_of_range_beta_pre)[command]
+    assert main(many) == status         # warm-up: imports and first-use caches
+    one_status, one_garbage = _cyclic_garbage(one)
+    many_status, many_garbage = _cyclic_garbage(many)
+    capsys.readouterr()
+    assert (one_status, many_status) == (status, status)
+    assert many_garbage == one_garbage
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_the_cyclic_collector_and_restores_it(kb_file, tmp_path,
+                                                                monkeypatch, capsys, enabled):
+    """The collector is off while a command runs, and main leaves it as its
+    caller had it after a normal return, an error exit code and a raised
+    exception."""
+    during = []
+    real_load = cli.load_kb
+
+    def load(path):
+        during.append(gc.isenabled())
+        if path == "raise":
+            raise RuntimeError(path)
+        return real_load(path)
+    monkeypatch.setattr(cli, "load_kb", load)
+    statuses, after = [], []
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        statuses.append(main(["scan", "--kb", str(kb_file)]))
+        after.append(gc.isenabled())
+        statuses.append(main(["scan", "--kb", str(tmp_path / "missing.txt")]))
+        after.append(gc.isenabled())
+        with pytest.raises(RuntimeError):
+            main(["scan", "--kb", "raise"])
+        after.append(gc.isenabled())
+        with pytest.raises(SystemExit):
+            main(["scan"])                # argparse: --kb is required
+        after.append(gc.isenabled())
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert statuses == [0, 2]
+    assert during == [False, False, False]
+    assert after == [enabled] * 4

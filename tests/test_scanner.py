@@ -3,7 +3,6 @@
 import io
 import json
 import struct
-import sys
 import zipfile
 
 import pytest
@@ -22,7 +21,8 @@ from jarscan.classfile import (
 import jarscan.cpg
 from jarscan import scanner as scanner_mod
 from jarscan.classfile import parser as parser_mod
-from jarscan.classfile.descriptors import method_signature
+from jarscan.classfile import descriptors as descriptors_mod
+from jarscan.classfile.descriptors import method_signature, render_method_types
 from jarscan.classfile.model import UNDECODED
 from jarscan.cpg import FixSignature, Triplet, unqualify
 from jarscan.errors import CodeNotDecoded
@@ -874,27 +874,35 @@ def test_scan_decodes_only_bodies_changed_records_name(corpus, corpus_kb,
 @pytest.mark.parametrize("modes", [("default",), ("repack",)])
 def test_scan_renders_each_method_of_each_opened_class_once(corpus, corpus_kb,
                                                           monkeypatch, modes):
-    """A scan renders each method's signature once, when its class is
-    parsed: deciding which bodies to decode, indexing the JAR and matching
-    read that one rendering."""
+    """A scan parses each distinct method descriptor at most once in the
+    process, and names each method of each class it opens as
+    ``method_signature`` renders it, and that text with packages stripped:
+    deciding which bodies to decode, indexing the JAR and matching read
+    those names."""
     jars = [corpus.pre_jars[c] for c in corpus.cve_ids]
     jars.append(modify([corpus.pre_jars[c] for c in corpus.cve_ids], 4, prefix="r."))
-    expected = sorted((cf.this_class, m.name, m.descriptor)
-                      for jar in jars
-                      for cf in parse_jar(jar, stems=corpus_kb.simple_class_names).class_files()
-                      for m in cf.methods)
-    rendered = []
+    expected = sorted(cf.this_class for jar in jars
+                      for cf in parse_jar(jar, stems=corpus_kb.simple_class_names).class_files())
+    render_method_types.cache_clear()
+    descriptors_mod._signature_parts.cache_clear()
+    parsed, opened = [], []
+    parse_descriptor = descriptors_mod.parse_method_descriptor
 
-    def counted(cls, name, desc):
-        rendered.append((cls, name, desc))
-        return method_signature(cls, name, desc)
-    for module in list(sys.modules.values()):
-        if (module.__name__.startswith("jarscan")
-                and getattr(module, "method_signature", None) is method_signature):
-            monkeypatch.setattr(module, "method_signature", counted)
+    def opening(data, bodies=None):
+        opened.append(parse_class(data, bodies))
+        return opened[-1]
+    monkeypatch.setattr(descriptors_mod, "parse_method_descriptor",
+                        lambda desc: parsed.append(desc) or parse_descriptor(desc))
+    monkeypatch.setattr(parser_mod, "parse_class", opening)
     for jar in jars:
         scan_jar_bytes("j.jar", jar, corpus_kb, ScanConfig(modes=modes))
-    assert sorted(rendered) == expected and expected
+    assert sorted(cf.this_class for cf in opened) == expected and expected
+    assert len(parsed) == len(set(parsed))
+    assert {m.descriptor for cf in opened for m in cf.methods} <= set(parsed)
+    for cf in opened:
+        whole = [method_signature(cf.this_class, m.name, m.descriptor) for m in cf.methods]
+        assert cf.method_fqns == tuple(whole)
+        assert cf.unqualified_method_fqns == tuple(map(strip_packages, whole))
 
 
 def _odd_class(name: str, odd: int, plain: int) -> ClassModel:
