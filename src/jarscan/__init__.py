@@ -1,10 +1,10 @@
 """jarscan: bytecode-centric detection of known-vulnerable JVM dependencies.
 
 The package lifts JVM bytecode to a register IR, normalizes away
-compiler-induced differences, builds per-method code property graphs, and
-matches their edge triplets against a knowledge base of vulnerability-fix
-signatures. Works on re-compiled, re-bundled, metadata-stripped and
-package-relocated JARs alike.
+compiler-induced differences, reads each method's code property graph
+off the IR as a set of edge triplets on labels, and matches them against
+a knowledge base of vulnerability-fix signatures. Works on re-compiled,
+re-bundled, metadata-stripped and package-relocated JARs alike.
 
 High-level entry points:
 

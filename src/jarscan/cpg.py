@@ -1,11 +1,12 @@
 """Code property graphs and the edge triplets read off them.
 
-A CPG has one node per normalized IR statement plus one child node per
-operand; edges carry the four kind labels (AST child edges also carry the
-child index). Node labels are derived only from normalized IR content:
-no statement ordinals, no block ids, no register numbers. Statement labels
-are ``ir.model.stmt_label``, defined once for the CPG and ``dump`` alike;
-here registers render as their defining position ("p0" for parameters,
+Matching reads only the distinct (source label, edge label, target
+label) triplets of a method's AST, CFG, DATA and CTRL edges, so
+``build_cpg`` builds the label graph: a node per distinct label, an edge
+per triplet, with dependences grouped by label, never expanded to
+statement pairs. Labels come only from normalized IR content (no
+statement ordinals, block ids or register numbers): ``ir.model.stmt_label``
+with registers rendered as their defining position ("p0" for parameters,
 an anonymous "%" otherwise), so two structurally identical methods yield
 label-identical graphs and package relocation only shows up inside
 type/method tokens, where unqualification can strip it.
@@ -13,10 +14,11 @@ type/method tokens, where unqualification can strip it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .ir.cfg import ENTRY, EXIT, Cfg
-from .ir.dataflow import DepGraph
+from .ir.cfg import Cfg
+from .ir.dataflow import _bits
 from .ir.model import (
     Assign,
     Cast,
@@ -87,35 +89,39 @@ class Cpg:
     edges: list
 
 
-def build_cpg(ir: MethodIr, cfg: Cfg, deps: DepGraph) -> Cpg:
-    """Assemble the per-method CPG from normalized IR, CFG and dependences."""
+def build_cpg(ir: MethodIr, cfg: Cfg, deps: tuple[list, dict]) -> Cpg:
+    """The label graph of ``ir``, each node keyed by its label; each def
+    or block bitset of ``dependencies`` is read once per distinct label."""
+    uses, ctrl = deps
     operand = _position_free(ir.param_registers())
-    nodes: dict = {}
-    edges: list = []
+    labels = [stmt_label(stmt, operand) for stmt in ir.statements]
+    edges = {(label, f"AST:{k}", child) for label, stmt in zip(labels, ir.statements)
+             for k, child in enumerate(_child_tokens(stmt, operand))}
 
-    for i, stmt in enumerate(ir.statements):
-        nodes[("s", i)] = stmt_label(stmt, operand)
-        for k, child in enumerate(_child_tokens(stmt, operand)):
-            nodes[("o", i, k)] = child
-            edges.append((("s", i), f"AST:{k}", ("o", i, k)))
+    # CFG: successors within a block, and (last, first) across block edges.
+    for b in ir.blocks:
+        edges.update((labels[i], "CFG", labels[i + 1]) for i in range(b.start, b.end - 1))
+    first_of = {b.bid: labels[b.start] for b in ir.blocks if b.end > b.start}
+    last_of = {b.bid: labels[b.end - 1] for b in ir.blocks if b.end > b.start}
+    edges.update((last_of[e.src], "CFG", first_of[e.dst])
+                 for e in cfg.edges if e.src in last_of and e.dst in first_of)
 
-    # Statement-level control-flow successor edges.
-    for block in ir.blocks:
-        for i in range(block.start, block.end - 1):
-            edges.append((("s", i), "CFG", ("s", i + 1)))
-    first_of = {b.bid: b.start for b in ir.blocks if b.end > b.start}
-    last_of = {b.bid: b.end - 1 for b in ir.blocks if b.end > b.start}
-    for e in cfg.edges:
-        if e.src in (ENTRY, EXIT) or e.dst in (ENTRY, EXIT):
-            continue
-        if e.src in last_of and e.dst in first_of:
-            edges.append((("s", last_of[e.src]), "CFG", ("s", first_of[e.dst])))
+    defs_by_use, blocks_by_controller = defaultdict(int), defaultdict(int)
+    for i, _reg, defs in uses:
+        defs_by_use[labels[i]] |= defs
+    for c, blocks in ctrl.items():
+        blocks_by_controller[labels[c]] |= blocks
+    def_labels: dict[int, set] = {}          # def bitset -> its labels
+    for use, defs in defs_by_use.items():
+        if defs not in def_labels:
+            def_labels[defs] = {labels[d] for d in _bits(defs)}
+        edges.update((d, "DATA", use) for d in def_labels[defs])
+    block_labels = {b.bid: set(labels[b.start:b.end]) for b in ir.blocks}
+    for c, blocks in blocks_by_controller.items():
+        edges.update((c, "CTRL", s) for b in _bits(blocks) for s in block_labels[b])
 
-    for d, u, _reg in sorted(deps.data_edges):
-        edges.append((("s", d), "DATA", ("s", u)))
-    for c, s in sorted(deps.ctrl_edges):
-        edges.append((("s", c), "CTRL", ("s", s)))
-    return Cpg(nodes=nodes, edges=edges)
+    nodes = {x: x for x in [*labels, *(dst for _, _, dst in edges)]}
+    return Cpg(nodes=nodes, edges=list(edges))
 
 
 def extract_triplets(cpg: Cpg) -> frozenset:

@@ -1,30 +1,20 @@
 """Reaching-definition data dependencies and post-dominance control
-dependencies over a MethodIr and its Cfg.
+dependencies over a MethodIr and its Cfg, kept per use and per
+controller rather than as statement pairs.
 
 Sets are ints used as bitsets: bit *i* is the definition at statement
-*i*, and bit *n* + 2 the CFG node *n* (ENTRY and EXIT are -1 and -2).
-Control dependence follows Ferrante, Ottenstein and Warren (TOPLAS
-1987), vacuous reading included: a node that cannot reach EXIT is
-post-dominated by every node.
+*i*, bit *n* + 2 the CFG node *n* (ENTRY and EXIT are -1 and -2), and a
+block set's bit *b* the block *b*. Control dependence follows Ferrante,
+Ottenstein and Warren (TOPLAS 1987), vacuous reading included: a node
+that cannot reach EXIT is post-dominated by every node.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .cfg import ENTRY, EXIT, Cfg
+from .cfg import EXIT, Cfg
 from .model import MethodIr, stmt_def, stmt_uses
-
-
-@dataclass(frozen=True)
-class DepGraph:
-    data_edges: frozenset  # (def stmt index, use stmt index, register)
-    ctrl_edges: frozenset  # (controller stmt index, controlled stmt index)
-
-
-def _node_bit(n: int) -> int:
-    return 1 << (n + 2)
 
 
 def _bits(x: int):
@@ -35,8 +25,8 @@ def _bits(x: int):
         x ^= low
 
 
-def reaching_data_edges(ir: MethodIr, cfg: Cfg) -> frozenset:
-    """Def-use edges where the definition reaches the use on some path."""
+def _reaching_uses(ir: MethodIr, cfg: Cfg) -> list:
+    """(use stmt, register, bitset of the defs that reach it) per use."""
     stmts = ir.statements
     defs_of: dict[str, int] = {}
     for i, stmt in enumerate(stmts):
@@ -72,21 +62,25 @@ def reaching_data_edges(ir: MethodIr, cfg: Cfg) -> frozenset:
                     queued.add(s)
                     work.append(s)
 
-    edges = set()
+    uses = []
     for block in ir.blocks:
         live = reach_in[block.bid]
         local: dict[str, int] = {}            # register -> its def so far in the block
         for i in range(block.start, block.end):
             stmt = stmts[i]
             for r in stmt_uses(stmt):
-                if r in local:
-                    edges.add((local[r], i, r))
-                else:
-                    edges.update((d, i, r) for d in _bits(live & defs_of.get(r, 0)))
+                defs = 1 << local[r] if r in local else live & defs_of.get(r, 0)
+                if defs:
+                    uses.append((i, r, defs))
             d = stmt_def(stmt)
             if d is not None:
                 local[d] = i
-    return frozenset(edges)
+    return uses
+
+
+def reaching_data_edges(ir: MethodIr, cfg: Cfg) -> frozenset:
+    """(def stmt, use stmt, register) where the def reaches the use."""
+    return frozenset((d, i, r) for i, r, defs in _reaching_uses(ir, cfg) for d in _bits(defs))
 
 
 def postdominators(cfg: Cfg) -> dict[int, int]:
@@ -95,9 +89,9 @@ def postdominators(cfg: Cfg) -> dict[int, int]:
     Nodes that cannot reach EXIT keep the full node set, which matches the
     vacuous reading of "d lies on every path to EXIT".
     """
-    all_nodes = sum(_node_bit(n) for n in cfg.nodes)
+    all_nodes = sum(1 << (n + 2) for n in cfg.nodes)
     pdom = dict.fromkeys(cfg.nodes, all_nodes)
-    pdom[EXIT] = _node_bit(EXIT)
+    pdom[EXIT] = 1 << (EXIT + 2)
     order = [n for n in reversed(cfg.nodes) if n != EXIT]
     changed = True
     while changed:
@@ -106,36 +100,35 @@ def postdominators(cfg: Cfg) -> dict[int, int]:
             new = all_nodes        # and stays so without successors
             for s in cfg.successors(n):
                 new &= pdom[s]
-            new |= _node_bit(n)
+            new |= 1 << (n + 2)
             if new != pdom[n]:
                 pdom[n] = new
                 changed = True
     return pdom
 
 
-def control_dependent_blocks(cfg: Cfg, pdom: dict[int, int] | None = None) -> frozenset:
-    """(controller block, dependent block) pairs.
-
-    B is control-dependent on A when A has a successor S with B
-    post-dominating S but B not post-dominating A itself.
-    """
-    if pdom is None:
-        pdom = postdominators(cfg)
-    pairs = set()
+def _dependent_blocks(cfg: Cfg, pdom: dict[int, int]):
+    """(A, the blocks that post-dominate S but not A) per successor S of A."""
     for a in cfg.block_nodes():
         for s in cfg.successors(a):
-            dependent = pdom[s] & ~pdom[a] & ~(_node_bit(ENTRY) | _node_bit(EXIT))
-            pairs.update((a, bit - 2) for bit in _bits(dependent))
-    return frozenset(pairs)
+            yield a, (pdom[s] & ~pdom[a]) >> 2     # drops ENTRY's and EXIT's bits
 
 
-def dependencies(ir: MethodIr, cfg: Cfg) -> DepGraph:
-    """Statement-level dependence graph feeding CPG construction."""
-    data = reaching_data_edges(ir, cfg)
-    pdom = postdominators(cfg)
-    block_by_id = {b.bid: b for b in ir.blocks}
+def control_dependent_blocks(cfg: Cfg, pdom: dict[int, int] | None = None) -> frozenset:
+    """(controller block, dependent block) pairs."""
+    if pdom is None:
+        pdom = postdominators(cfg)
+    return frozenset((a, b) for a, dependent in _dependent_blocks(cfg, pdom)
+                     for b in _bits(dependent))
+
+
+def dependencies(ir: MethodIr, cfg: Cfg) -> tuple[list, dict]:
+    """(use stmt, register, bitset of the defs reaching it) per use, and
+    controller stmt -> bitset of the blocks dependent on it."""
     # The controller is A's terminator, or its last stmt for exception splits.
-    ctrl = frozenset((block_by_id[a].end - 1, s)
-                     for a, b in control_dependent_blocks(cfg, pdom)
-                     for s in range(block_by_id[b].start, block_by_id[b].end))
-    return DepGraph(data_edges=data, ctrl_edges=ctrl)
+    last = {b.bid: b.end - 1 for b in ir.blocks}
+    ctrl: dict[int, int] = {}
+    for a, dependent in _dependent_blocks(cfg, postdominators(cfg)):
+        if dependent:
+            ctrl[last[a]] = ctrl.get(last[a], 0) | dependent
+    return _reaching_uses(ir, cfg), ctrl

@@ -1,21 +1,28 @@
 """Reference oracles for the IR stages whose cost was made to follow
-their output: the set-based dependence analysis, jump threading and the
-restarting string-concatenation rewrite they replaced, kept for
-differential tests.
+their output: the set-based dependence analysis, the statement-level
+CPG, jump threading and the restarting string-concatenation rewrite they
+replaced, kept for differential tests.
 
 ``reaching_data_edges`` sweeps the blocks round-robin over sets of
 (statement, register) pairs; ``postdominators`` keeps a frozenset per
-node; ``control_dependent_blocks`` reads those sets; ``_thread_jumps``
-walks the whole goto chain from every goto-only block; ``_rewrite_concat``
-rebuilds its definition map and use counts after every chain it
-rewrites. The package's versions must give the same edges, the same
-post-dominator sets (through ``oracles.node_sets``), the same pairs and,
-swapped into ``normalize``, the same normalized IR.
+node; ``control_dependent_blocks`` reads those sets; ``dependencies``
+expands them into (def, use) and (controller, controlled) statement
+pairs; ``build_cpg`` makes a node per statement and operand and an edge
+per pair, and ``extract_triplets`` folds the edges into labels;
+``_thread_jumps`` walks the whole goto chain from every goto-only block;
+``_rewrite_concat`` rebuilds its definition map and use counts after
+every chain it rewrites. The package's versions must give the same
+edges, the same post-dominator sets (through ``oracles.node_sets``), the
+same pairs, the same triplets and, swapped into ``normalize``, the same
+normalized IR.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from jarscan.classfile.model import STRING_BUILDERS
+from jarscan.cpg import Triplet, _child_tokens, _position_free
 from jarscan.ir.cfg import ENTRY, EXIT, Cfg
 from jarscan.ir.model import (
     Assign,
@@ -26,6 +33,7 @@ from jarscan.ir.model import (
     MethodIr,
     NewObj,
     stmt_def,
+    stmt_label,
     stmt_uses,
 )
 from jarscan.normalize import _Work
@@ -130,6 +138,73 @@ def control_dependent_blocks(cfg: Cfg, pdom: dict[int, frozenset] | None = None)
                 if b not in pdom[a]:
                     pairs.add((a, b))
     return frozenset(pairs)
+
+
+@dataclass(frozen=True)
+class DepGraph:
+    data_edges: frozenset  # (def stmt index, use stmt index, register)
+    ctrl_edges: frozenset  # (controller stmt index, controlled stmt index)
+
+
+def dependencies(ir: MethodIr, cfg: Cfg) -> DepGraph:
+    """Statement-level dependence graph feeding CPG construction."""
+    data = reaching_data_edges(ir, cfg)
+    pdom = postdominators(cfg)
+    block_by_id = {b.bid: b for b in ir.blocks}
+    # The controller is A's terminator, or its last stmt for exception splits.
+    ctrl = frozenset((block_by_id[a].end - 1, s)
+                     for a, b in control_dependent_blocks(cfg, pdom)
+                     for s in range(block_by_id[b].start, block_by_id[b].end))
+    return DepGraph(data_edges=data, ctrl_edges=ctrl)
+
+
+# ---------------------------------------------------------------------- CPG
+
+@dataclass
+class Cpg:
+    """Labeled graph: node id -> label, edges as (src id, edge label, dst id)."""
+
+    nodes: dict
+    edges: list
+
+
+def build_cpg(ir: MethodIr, cfg: Cfg, deps: DepGraph) -> Cpg:
+    """Assemble the per-method CPG from normalized IR, CFG and dependences."""
+    operand = _position_free(ir.param_registers())
+    nodes: dict = {}
+    edges: list = []
+
+    for i, stmt in enumerate(ir.statements):
+        nodes[("s", i)] = stmt_label(stmt, operand)
+        for k, child in enumerate(_child_tokens(stmt, operand)):
+            nodes[("o", i, k)] = child
+            edges.append((("s", i), f"AST:{k}", ("o", i, k)))
+
+    # Statement-level control-flow successor edges.
+    for block in ir.blocks:
+        for i in range(block.start, block.end - 1):
+            edges.append((("s", i), "CFG", ("s", i + 1)))
+    first_of = {b.bid: b.start for b in ir.blocks if b.end > b.start}
+    last_of = {b.bid: b.end - 1 for b in ir.blocks if b.end > b.start}
+    for e in cfg.edges:
+        if e.src in (ENTRY, EXIT) or e.dst in (ENTRY, EXIT):
+            continue
+        if e.src in last_of and e.dst in first_of:
+            edges.append((("s", last_of[e.src]), "CFG", ("s", first_of[e.dst])))
+
+    for d, u, _reg in sorted(deps.data_edges):
+        edges.append((("s", d), "DATA", ("s", u)))
+    for c, s in sorted(deps.ctrl_edges):
+        edges.append((("s", c), "CTRL", ("s", s)))
+    return Cpg(nodes=nodes, edges=edges)
+
+
+def extract_triplets(cpg: Cpg) -> frozenset:
+    """One triplet per edge, on node labels; set semantics deduplicate."""
+    return frozenset(
+        Triplet(cpg.nodes[src], label, cpg.nodes[dst])
+        for src, label, dst in cpg.edges
+    )
 
 
 # ------------------------------------------------------------ jump threading

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -571,6 +572,14 @@ def test_cli_import_leaves_the_ir_pipeline_unloaded():
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *_NOT_NEEDED],
                          capture_output=True, text=True, env=env, check=True).stdout
     assert out.splitlines() == ["[]", "True True"]
+
+
+@pytest.mark.parametrize("package", ["jarscan", "jarscan.ir", "jarscan.classfile"])
+def test_every_export_resolves(package):
+    """Each name a package lists in ``__all__`` is importable from it:
+    the lazy export tables name only what their submodules define."""
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 # ------------------------------------------------------- cyclic collector

@@ -30,10 +30,9 @@ def lift_method(code, desc="(I)I"):
 
 def test_single_def_single_use():
     ir, cfg = lift_method(["iconst_1", "ireturn"], desc="()I")
-    deps = dependencies(ir, cfg)
-    assert len(deps.data_edges) == 1
-    ((d, u, reg),) = deps.data_edges
-    assert d == 0 and u == 1
+    uses, _ = dependencies(ir, cfg)
+    ((u, reg, defs),) = uses
+    assert u == 1 and defs == 1 << 0
 
 
 def test_diamond_redefinition_yields_two_edges():
@@ -42,11 +41,10 @@ def test_diamond_redefinition_yields_two_edges():
         ("push_int", 5), ("goto", "M"),
         "Z:", ("push_int", 9),
         "M:", "ireturn"])
-    deps = dependencies(ir, cfg)
+    uses, _ = dependencies(ir, cfg)
     ret = len(ir.statements) - 1
-    join_edges = sorted((d, u) for d, u, r in deps.data_edges
-                        if u == ret and r.startswith("j"))
-    assert len(join_edges) == 2
+    [join_defs] = [defs for u, r, defs in uses if u == ret and r.startswith("j")]
+    assert join_defs.bit_count() == 2
 
 
 def test_if_arm_statements_control_dependent_on_branch():
@@ -54,15 +52,13 @@ def test_if_arm_statements_control_dependent_on_branch():
         "iload_0", ("ifeq", "SKIP"),
         ("push_int", 1), ("istore", 1),
         "SKIP:", "iload_0", "ireturn"])
-    deps = dependencies(ir, cfg)
+    _, ctrl = dependencies(ir, cfg)
     branch_index = next(i for i, s in enumerate(ir.statements)
                         if type(s).__name__ == "Branch")
-    arm = [b for b in ir.blocks if b.bid == 1][0]
-    for s in range(arm.start, arm.end):
-        assert (branch_index, s) in deps.ctrl_edges
-    exit_block = [b for b in ir.blocks if b.bid == 2][0]
-    for s in range(exit_block.start, exit_block.end):
-        assert (branch_index, s) not in deps.ctrl_edges
+    # Bit b is block b: the arm (block 1) depends on the branch, the exit
+    # (block 2) does not.
+    assert ctrl[branch_index] >> 1 & 1
+    assert not ctrl[branch_index] >> 2 & 1
 
 
 def test_loop_self_dependence():
@@ -71,13 +67,12 @@ def test_loop_self_dependence():
         "H:", "iload_1", "iload_0", ("if_icmpge", "OUT"),
         ("iinc", 1, 1), ("goto", "H"),
         "OUT:", "iload_1", "ireturn"])
-    deps = dependencies(ir, cfg)
+    uses, _ = dependencies(ir, cfg)
     iinc_index = next(i for i, s in enumerate(ir.statements)
                       if type(s).__name__ == "Assign"
                       and type(s.expr).__name__ == "Bin")
     # The increment's definition flows around the loop into its own use.
-    assert any(d == iinc_index and u == iinc_index
-               for d, u, _ in deps.data_edges)
+    assert any(u == iinc_index and defs >> iinc_index & 1 for u, _, defs in uses)
 
 
 def test_random_cfgs_match_brute_force_small():

@@ -5,17 +5,25 @@ The methods are emitted with ``emit_class``, as tests/corpus.py builds
 its classes, and stay under the JVM's 65,535-byte code limit. The time
 bounds are loose enough for a slow CI machine; the set-based dependence
 analysis, the restarting concat rewrite and per-block goto-chain walks
-took several times the bound on each shape.
+took several times the bound on each shape. On the shapes whose
+statement-level dependences are quadratic, the triplet stages
+(``dependencies``, ``build_cpg``, ``extract_triplets``) follow the
+distinct triplets; expanded to statement pairs, as the reference stages
+in tests/reference_stages.py do, they took several times the bound.
 """
 
 import time
 
+import pytest
+
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
 from jarscan.classfile.emitter import encode_instruction
 from jarscan.classfile.model import resolved_code
-from jarscan.cpg import method_triplets
-from jarscan.ir import build_cfg, control_dependent_blocks, lift
+from jarscan.cpg import build_cpg, extract_triplets, method_triplets
+from jarscan.ir import build_cfg, control_dependent_blocks, dependencies, lift
+from jarscan.normalize import normalize
 from oracles import brute_control_deps
+from test_reference_stages import assert_dependences_match
 
 BUILDER = "java.lang.StringBuilder"
 
@@ -65,6 +73,29 @@ def vacuous_branches(n: int) -> list:
     return code
 
 
+def wide_handlers(h: int) -> tuple[list, list]:
+    """``branch_blocks(200)``, covered by ``h`` catch-all handlers, each
+    ``pop; push_int i+7; ireturn``, then ``return x`` outside them."""
+    code = ["S:", *branch_blocks(200)[:-1], "E:", "iload_0", "ireturn"]
+    handlers = []
+    for i in range(h):
+        code += [f"H{i}:", "pop", ("push_int", i + 7), "ireturn"]
+        handlers.append(("S", "E", f"H{i}", None))
+    return code, handlers
+
+
+def guarded_stores(n: int) -> list:
+    """``n`` times ``iload_0; ifeq L_i; push_int i; istore_1; L_i:``, then
+    ``n`` times ``iload_1; iload_0; iadd; istore_0``, then ``return x``:
+    each of the n later uses of register 1 is reached by all n stores."""
+    code = []
+    for i in range(n):
+        code += ["iload_0", ("ifeq", f"L{i}"), ("push_int", i), "istore_1", f"L{i}:"]
+    for _ in range(n):
+        code += ["iload_1", "iload_0", "iadd", "istore_0"]
+    return code + ["iload_0", "ireturn"]
+
+
 def goto_chain(n: int) -> list:
     """``n`` gotos, each to the next instruction, then ``return x + 1``."""
     code = []
@@ -91,6 +122,41 @@ def _assert_triplets_within(cf, method, seconds: float):
     elapsed = time.perf_counter() - start
     assert triplets
     assert elapsed < seconds, f"method_triplets took {elapsed:.1f} s"
+
+
+# Each shape whose statement-level dependences grow quadratically, as a
+# function of its size to (code, handlers, descriptor).
+QUADRATIC_SHAPES = {
+    "vacuous": lambda n: (vacuous_branches(n), (), "(I)V"),
+    "wide": lambda h: (*wide_handlers(h), "(I)I"),
+    "guarded": lambda n: (guarded_stores(n), (), "(II)I"),
+}
+
+
+def _normalized(shape: str, n: int):
+    code, handlers, desc = QUADRATIC_SHAPES[shape](n)
+    cf, method = emitted(code, desc, handlers)
+    ir = normalize(lift(resolved_code(method, cf.constant_pool)))
+    return ir, build_cfg(ir)
+
+
+@pytest.mark.parametrize("shape, n, distinct, seconds", [
+    ("vacuous", 400, 8, 0.25),
+    ("wide", 1000, 6634, 2.5),
+    ("guarded", 1000, 5016, 0.5),
+])
+def test_quadratic_shapes_triplets_in_bounded_time(shape, n, distinct, seconds):
+    ir, cfg = _normalized(shape, n)
+    start = time.perf_counter()
+    triplets = extract_triplets(build_cpg(ir, cfg, dependencies(ir, cfg)))
+    elapsed = time.perf_counter() - start
+    assert len(triplets) == distinct
+    assert elapsed < seconds, f"the triplet stages took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("shape, n", [("vacuous", 30), ("wide", 20), ("guarded", 30)])
+def test_quadratic_shapes_match_reference_triplets(shape, n):
+    assert_dependences_match(_normalized(shape, n)[0], shape)
 
 
 def test_thousand_branch_blocks_in_bounded_time():

@@ -1,6 +1,6 @@
-"""The bitset dependence analysis, linear jump threading and the one-scan
-concat rewrite against the versions they replaced, kept in
-tests/reference_stages.py.
+"""The bitset dependence analysis, the label-grouped CPG, linear jump
+threading and the one-scan concat rewrite against the versions they
+replaced, kept in tests/reference_stages.py.
 
 The two normalize passes are compared by running ``normalize`` with the
 references swapped in, so that changes to the other passes move both
@@ -19,8 +19,16 @@ import pytest
 import reference_stages as ref
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class, parse_jar
 from jarscan.classfile.model import resolved_code
+from jarscan.cpg import build_cpg, extract_triplets
 from jarscan.errors import LiftError
-from jarscan.ir import build_cfg, control_dependent_blocks, lift, postdominators, reaching_data_edges
+from jarscan.ir import (
+    build_cfg,
+    control_dependent_blocks,
+    dependencies,
+    lift,
+    postdominators,
+    reaching_data_edges,
+)
 from jarscan.ir.model import Assign, Concat, dump
 from jarscan.normalize import normalize
 from oracles import node_sets
@@ -43,16 +51,19 @@ def normalize_with_reference_passes(ir):
 
 
 def assert_dependences_match(ir, where) -> None:
+    """Dependences and the triplet set of ``ir``, against the reference."""
     cfg = build_cfg(ir)
     assert reaching_data_edges(ir, cfg) == ref.reaching_data_edges(ir, cfg), where
     pdom = postdominators(cfg)
     assert node_sets(pdom) == ref.postdominators(cfg), where
     assert control_dependent_blocks(cfg, pdom) == ref.control_dependent_blocks(cfg), where
+    assert extract_triplets(build_cpg(ir, cfg, dependencies(ir, cfg))) \
+        == ref.extract_triplets(ref.build_cpg(ir, cfg, ref.dependencies(ir, cfg))), where
 
 
 def assert_lifted_matches(ir, where) -> int:
-    """Normalize both ways and compare dependences before and after;
-    returns the number of concat expressions in the normalized IR."""
+    """Normalize both ways and compare dependences and triplets before and
+    after; returns the number of concat expressions in the normalized IR."""
     n = normalize(ir)
     assert dump(n) == dump(normalize_with_reference_passes(ir)), where
     assert_dependences_match(ir, where)
