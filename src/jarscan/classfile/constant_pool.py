@@ -4,7 +4,6 @@ entry from the class-file bytes the first time it is read."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from ..errors import BadConstantPoolRef
 
@@ -73,25 +72,7 @@ _REFERENCES = {
 }
 
 
-@dataclass(frozen=True)
-class CpEntry:
-    """One constant-pool entry: a tag plus its decoded payload.
-
-    Payload layout by tag:
-      Utf8                -> str
-      Integer/Float/Long/Double -> int or float
-      Class/String/MethodType/Module/Package -> referenced index (int)
-      NameAndType         -> (name_index, descriptor_index)
-      Fieldref/Methodref/InterfaceMethodref -> (class_index, name_and_type_index)
-      MethodHandle        -> (reference_kind, reference_index)
-      Dynamic/InvokeDynamic -> (bootstrap_method_attr_index, name_and_type_index)
-    """
-
-    tag: int
-    value: object
-
-
-# Layout of the bytes after the tag of each fixed-size entry; the CpEntry
+# Layout of the bytes after the tag of each fixed-size entry; an entry's
 # payload is the one field, or the tuple of fields.
 CP_PAYLOAD = {
     TAG_INTEGER: struct.Struct(">i"),
@@ -113,7 +94,17 @@ def decode_utf8(raw: bytes) -> str:
 
 
 class ConstantPool:
-    """Indexed table of CpEntry, 1-based like the class-file format.
+    """Indexed table of constant-pool entries, 1-based like the class-file
+    format, each read as (tag, payload).
+
+    Payload by tag:
+      Utf8                -> str
+      Integer/Float/Long/Double -> int or float
+      Class/String/MethodType/Module/Package -> referenced index (int)
+      NameAndType         -> (name_index, descriptor_index)
+      Fieldref/Methodref/InterfaceMethodref -> (class_index, name_and_type_index)
+      MethodHandle        -> (reference_kind, reference_index)
+      Dynamic/InvokeDynamic -> (bootstrap_method_attr_index, name_and_type_index)
 
     It holds the class file's bytes and the offset of each entry's tag
     byte (-1 where no entry starts: index 0 and the slot after a Long or
@@ -159,9 +150,6 @@ class ConstantPool:
                 f"found {TAG_NAMES.get(got[0], got[0])}"
             )
         return got
-
-    def entry(self, index: int, expected_tag: int | None = None) -> CpEntry:
-        return CpEntry(*self._read(index, expected_tag))
 
     def resolve(self, index: int, allowed: frozenset | None = None) -> tuple:
         """The entry with every pool reference replaced, recursively, by

@@ -2,14 +2,14 @@
 
 Matching reads only the distinct (source label, edge label, target
 label) triplets of a method's AST, CFG, DATA and CTRL edges, so
-``build_cpg`` builds the label graph: a node per distinct label, an edge
-per triplet, with dependences grouped by label, never expanded to
-statement pairs. Labels come only from normalized IR content (no
-statement ordinals, block ids or register numbers): ``ir.model.stmt_label``
-with registers rendered as their defining position ("p0" for parameters,
-an anonymous "%" otherwise), so two structurally identical methods yield
-label-identical graphs and package relocation only shows up inside
-type/method tokens, where unqualification can strip it.
+``build_cpg`` builds the label graph: the set of those triplets, with
+dependences grouped by label, never expanded to statement pairs. Labels
+come only from normalized IR content (no statement ordinals, block ids
+or register numbers): ``ir.model.stmt_label`` with registers rendered as
+their defining position ("p0" for parameters, an anonymous "%"
+otherwise), so two structurally identical methods yield label-identical
+graphs and package relocation only shows up inside type/method tokens,
+where unqualification can strip it.
 """
 
 from __future__ import annotations
@@ -83,15 +83,14 @@ def _child_tokens(stmt, operand) -> list[str]:
 
 @dataclass
 class Cpg:
-    """Labeled graph: node id -> label, edges as (src id, edge label, dst id)."""
+    """The label graph: its distinct (label, edge label, label) edges."""
 
-    nodes: dict
-    edges: list
+    edges: set
 
 
 def build_cpg(ir: MethodIr, cfg: Cfg, deps: tuple[list, dict]) -> Cpg:
-    """The label graph of ``ir``, each node keyed by its label; each def
-    or block bitset of ``dependencies`` is read once per distinct label."""
+    """The label graph of ``ir``; each def or block bitset of
+    ``dependencies`` is read once per distinct label."""
     uses, ctrl = deps
     operand = _position_free(ir.param_registers())
     labels = [stmt_label(stmt, operand) for stmt in ir.statements]
@@ -99,12 +98,12 @@ def build_cpg(ir: MethodIr, cfg: Cfg, deps: tuple[list, dict]) -> Cpg:
              for k, child in enumerate(_child_tokens(stmt, operand))}
 
     # CFG: successors within a block, and (last, first) across block edges.
+    first_of = {b.bid: labels[b.start] for b in ir.blocks if b.end > b.start}
     for b in ir.blocks:
         edges.update((labels[i], "CFG", labels[i + 1]) for i in range(b.start, b.end - 1))
-    first_of = {b.bid: labels[b.start] for b in ir.blocks if b.end > b.start}
-    last_of = {b.bid: labels[b.end - 1] for b in ir.blocks if b.end > b.start}
-    edges.update((last_of[e.src], "CFG", first_of[e.dst])
-                 for e in cfg.edges if e.src in last_of and e.dst in first_of)
+        if b.end > b.start:
+            edges.update((labels[b.end - 1], "CFG", first_of[s])
+                         for s in cfg.successors(b.bid) if s in first_of)
 
     defs_by_use, blocks_by_controller = defaultdict(int), defaultdict(int)
     for i, _reg, defs in uses:
@@ -120,16 +119,12 @@ def build_cpg(ir: MethodIr, cfg: Cfg, deps: tuple[list, dict]) -> Cpg:
     for c, blocks in blocks_by_controller.items():
         edges.update((c, "CTRL", s) for b in _bits(blocks) for s in block_labels[b])
 
-    nodes = {x: x for x in [*labels, *(dst for _, _, dst in edges)]}
-    return Cpg(nodes=nodes, edges=list(edges))
+    return Cpg(edges=edges)
 
 
 def extract_triplets(cpg: Cpg) -> frozenset:
-    """One triplet per edge, on node labels; set semantics deduplicate."""
-    return frozenset(
-        Triplet(cpg.nodes[src], label, cpg.nodes[dst])
-        for src, label, dst in cpg.edges
-    )
+    """One triplet per edge of the label graph."""
+    return frozenset(map(Triplet._make, cpg.edges))
 
 
 def method_triplets(cf, method) -> frozenset:

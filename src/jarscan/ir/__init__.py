@@ -4,7 +4,7 @@ from .._lazy import lazy_exports
 
 # Each public name and the submodule that defines it, imported on first use.
 _EXPORTS = {
-    **dict.fromkeys(("ENTRY", "EXIT", "Cfg", "Edge", "build_cfg"), "cfg"),
+    **dict.fromkeys(("ENTRY", "EXIT", "Cfg", "build_cfg"), "cfg"),
     **dict.fromkeys(("control_dependent_blocks", "dependencies", "postdominators",
                      "reaching_data_edges"), "dataflow"),
     "lift": "lift",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import MethodIr, Return, Throw, block_targets
 
@@ -13,36 +13,19 @@ ENTRY = -1
 EXIT = -2
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    kind: str  # flow | exception
-
-
 @dataclass
 class Cfg:
-    nodes: tuple
-    edges: tuple
-    _succ: dict = field(default_factory=dict, repr=False, compare=False)
-    _pred: dict = field(default_factory=dict, repr=False, compare=False)
+    """Each node's successors and predecessors, sorted and distinct."""
 
-    def __post_init__(self):
-        for n in self.nodes:
-            self._succ[n] = []
-            self._pred[n] = []
-        for e in self.edges:
-            self._succ[e.src].append(e.dst)
-            self._pred[e.dst].append(e.src)
-        for n in self.nodes:
-            self._succ[n] = sorted(set(self._succ[n]))
-            self._pred[n] = sorted(set(self._pred[n]))
+    nodes: tuple
+    succ: dict
+    pred: dict
 
     def successors(self, node: int) -> list[int]:
-        return self._succ[node]
+        return self.succ[node]
 
     def predecessors(self, node: int) -> list[int]:
-        return self._pred[node]
+        return self.pred[node]
 
     def block_nodes(self) -> list[int]:
         return [n for n in self.nodes if n not in (ENTRY, EXIT)]
@@ -50,9 +33,11 @@ class Cfg:
 
 def build_cfg(ir: MethodIr) -> Cfg:
     """Derive the block-level CFG from terminators and exception coverage."""
-    edges: set[Edge] = set()
     ids = [b.bid for b in ir.blocks]
     id_set = set(ids)
+    nodes = (ENTRY, EXIT, *ids)
+    succ = {n: set() for n in nodes}
+    succ[ENTRY].update(ids[:1])
 
     for block in ir.blocks:
         term = ir.terminator(block)
@@ -65,14 +50,18 @@ def build_cfg(ir: MethodIr) -> Cfg:
         else:
             log.warning("block %d falls through past the last block", block.bid)
             targets = (EXIT,)
-        edges.update(Edge(block.bid, t, "flow") for t in targets)
+        succ[block.bid].update(targets)
 
     for h in ir.handlers:
-        for covered in h.covered:
-            if covered in id_set and h.handler in id_set:
-                edges.add(Edge(covered, h.handler, "exception"))
+        if h.handler in id_set:
+            for covered in h.covered:
+                if covered in id_set:
+                    succ[covered].add(h.handler)
 
-    if ids:
-        edges.add(Edge(ENTRY, ids[0], "flow"))
-    nodes = tuple([ENTRY, EXIT] + ids)
-    return Cfg(nodes=nodes, edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.kind))))
+    # Sources in ascending order, so each predecessor list comes out sorted.
+    pred = {n: [] for n in nodes}
+    for n in sorted(succ):
+        succ[n] = sorted(succ[n])
+        for s in succ[n]:
+            pred[s].append(n)
+    return Cfg(nodes=nodes, succ=succ, pred=pred)

@@ -320,7 +320,16 @@ def _record_to_json(rec: ConstructRecord) -> dict:
     return out
 
 
+# The values a record's "kind" and "change" may take (docs/kb-format.md).
+_RECORD_VALUES = (("kind", ("class", "interface", "method")),
+                  ("change", ("added", "removed", "changed")))
+
+
 def _record_from_json(obj: dict) -> ConstructRecord:
+    for name, allowed in _RECORD_VALUES:
+        if obj[name] not in allowed:
+            raise KbFormatError(f"record {name} {obj[name]!r} is not one of "
+                                + ", ".join(allowed))
     sig = None
     if obj.get("signature") is not None:
         s = obj["signature"]
@@ -438,6 +447,8 @@ def load(path) -> KnowledgeBase:
         records = {cve: [_record_from_json(o) for o in objs]
                    for cve, objs in body.items()}
         return KnowledgeBase(records=records)
+    except KbFormatError as exc:
+        raise KbFormatError(f"{path}: {exc}") from None
     except (KeyError, AttributeError, TypeError, ValueError, RecursionError) as exc:
         # RecursionError: a body nested deeper than json.loads can decode.
         raise KbFormatError(f"{path}: malformed body: {exc!r}") from exc

@@ -96,7 +96,7 @@ def mistyped_beta_pre(corpus):
     entry: the class parses, but lifting that method fails on the pool
     reference."""
     [(_name, data)] = corpus.pre_classes["CVE-9000-0002"]
-    assert parse_class(data).constant_pool.entry(1).tag == TAG_UTF8
+    assert parse_class(data).constant_pool.resolve(1)[0] == TAG_UTF8
     return _beta_pre_putstatic_at(corpus, 1)
 
 

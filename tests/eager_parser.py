@@ -6,7 +6,8 @@ dict-backed pool, and reads the rest of the class through a bounds-checked
 cursor, in file order. The package's parser walks the pool once, decodes
 entries on first read and reads tables at offsets; on any input the two
 must raise the same ClassParseError subclass or return equal classes whose
-pools answer ``entry``, ``resolve`` and ``in`` alike.
+pools give the same decoded (tag, payload) entries and answer ``resolve``
+and ``in`` alike.
 
 The version bounds and ``_validate_targets`` are the package's own: they
 are not what the two parsers differ in.
@@ -29,6 +30,7 @@ handler tuples. Only how each reaches it differs.
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 from jarscan.classfile.constant_pool import (
     _REFERENCES,
@@ -51,7 +53,6 @@ from jarscan.classfile.constant_pool import (
     TAG_STRING,
     TAG_UTF8,
     WIDE_TAGS,
-    CpEntry,
 )
 from jarscan.classfile.constructs import strip_packages
 from jarscan.classfile.descriptors import (method_signature, parse_method_descriptor,
@@ -87,6 +88,14 @@ _CP_PAYLOAD = {
                     struct.Struct(">HH")),
     TAG_METHOD_HANDLE: struct.Struct(">BH"),
 }
+
+
+class CpEntry(NamedTuple):
+    """One decoded entry: its tag and payload, the pair the package's
+    pool reads (see ``jarscan.classfile.constant_pool.ConstantPool``)."""
+
+    tag: int
+    value: object
 
 
 class EagerConstantPool:

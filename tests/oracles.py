@@ -11,18 +11,15 @@ from jarscan.ir.model import stmt_def, stmt_uses
 
 
 def stmt_successors(ir, cfg) -> dict:
-    """Statement-level successor map mirroring the CFG edge set."""
+    """Statement-level successor map mirroring the CFG's block successors."""
     succ = {i: [] for i in range(len(ir.statements))}
     first = {b.bid: b.start for b in ir.blocks if b.end > b.start}
     last = {b.bid: b.end - 1 for b in ir.blocks if b.end > b.start}
     for b in ir.blocks:
         for i in range(b.start, b.end - 1):
             succ[i].append(i + 1)
-    for e in cfg.edges:
-        if e.src in (ENTRY, EXIT) or e.dst in (ENTRY, EXIT):
-            continue
-        if e.src in last and e.dst in first:
-            succ[last[e.src]].append(first[e.dst])
+    for src, i in last.items():
+        succ[i].extend(first[dst] for dst in cfg.successors(src) if dst in first)
     return {k: sorted(set(v)) for k, v in succ.items()}
 
 

@@ -1,9 +1,11 @@
 """Reference oracles for the IR stages whose cost was made to follow
-their output: the set-based dependence analysis, the statement-level
-CPG, jump threading and the restarting string-concatenation rewrite they
-replaced, kept for differential tests.
+their output: the edge-list CFG, the set-based dependence analysis, the
+statement-level CPG, jump threading and the restarting
+string-concatenation rewrite they replaced, kept for differential tests.
 
-``reaching_data_edges`` sweeps the blocks round-robin over sets of
+``build_cfg`` builds one ``Edge`` per block and successor, sorts the
+edge set and rebuilds each node's successor and predecessor lists from
+it; ``reaching_data_edges`` sweeps the blocks round-robin over sets of
 (statement, register) pairs; ``postdominators`` keeps a frozenset per
 node; ``control_dependent_blocks`` reads those sets; ``dependencies``
 expands them into (def, use) and (controller, controlled) statement
@@ -12,18 +14,19 @@ per pair, and ``extract_triplets`` folds the edges into labels;
 ``_thread_jumps`` walks the whole goto chain from every goto-only block;
 ``_rewrite_concat`` rebuilds its definition map and use counts after
 every chain it rewrites. The package's versions must give the same
-edges, the same post-dominator sets (through ``oracles.node_sets``), the
+successor and predecessor lists, the same edges, the same post-dominator sets (through ``oracles.node_sets``), the
 same pairs, the same triplets and, swapped into ``normalize``, the same
 normalized IR.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, field
 
 from jarscan.classfile.model import STRING_BUILDERS
 from jarscan.cpg import Triplet, _child_tokens, _position_free
-from jarscan.ir.cfg import ENTRY, EXIT, Cfg
+from jarscan.ir.cfg import ENTRY, EXIT
 from jarscan.ir.model import (
     Assign,
     Concat,
@@ -32,11 +35,86 @@ from jarscan.ir.model import (
     Invoke,
     MethodIr,
     NewObj,
+    Return,
+    Throw,
+    block_targets,
     stmt_def,
     stmt_label,
     stmt_uses,
 )
 from jarscan.normalize import _Work
+
+log = logging.getLogger(__name__)
+
+
+# ---------------------------------------------------------------------- CFG
+
+@dataclass(frozen=True)
+class Edge:
+    src: int
+    dst: int
+    kind: str  # flow | exception
+
+
+@dataclass
+class Cfg:
+    nodes: tuple
+    edges: tuple
+    _succ: dict = field(default_factory=dict, repr=False, compare=False)
+    _pred: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        for n in self.nodes:
+            self._succ[n] = []
+            self._pred[n] = []
+        for e in self.edges:
+            self._succ[e.src].append(e.dst)
+            self._pred[e.dst].append(e.src)
+        for n in self.nodes:
+            self._succ[n] = sorted(set(self._succ[n]))
+            self._pred[n] = sorted(set(self._pred[n]))
+
+    def successors(self, node: int) -> list[int]:
+        return self._succ[node]
+
+    def predecessors(self, node: int) -> list[int]:
+        return self._pred[node]
+
+    def block_nodes(self) -> list[int]:
+        return [n for n in self.nodes if n not in (ENTRY, EXIT)]
+
+
+def build_cfg(ir: MethodIr) -> Cfg:
+    """Derive the block-level CFG from terminators and exception coverage."""
+    edges: set[Edge] = set()
+    ids = [b.bid for b in ir.blocks]
+    id_set = set(ids)
+
+    for block in ir.blocks:
+        term = ir.terminator(block)
+        if isinstance(term, (Return, Throw)):
+            targets = (EXIT,)
+        elif term is not None:
+            targets = block_targets(term)
+        elif block.bid + 1 in id_set:
+            targets = (block.bid + 1,)
+        else:
+            log.warning("block %d falls through past the last block", block.bid)
+            targets = (EXIT,)
+        edges.update(Edge(block.bid, t, "flow") for t in targets)
+
+    for h in ir.handlers:
+        for covered in h.covered:
+            if covered in id_set and h.handler in id_set:
+                edges.add(Edge(covered, h.handler, "exception"))
+
+    if ids:
+        edges.add(Edge(ENTRY, ids[0], "flow"))
+    nodes = tuple([ENTRY, EXIT] + ids)
+    return Cfg(nodes=nodes, edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.kind))))
+
+
+# ------------------------------------------------------------- dependences
 
 
 def reaching_data_edges(ir: MethodIr, cfg: Cfg) -> frozenset:
@@ -186,11 +264,10 @@ def build_cpg(ir: MethodIr, cfg: Cfg, deps: DepGraph) -> Cpg:
             edges.append((("s", i), "CFG", ("s", i + 1)))
     first_of = {b.bid: b.start for b in ir.blocks if b.end > b.start}
     last_of = {b.bid: b.end - 1 for b in ir.blocks if b.end > b.start}
-    for e in cfg.edges:
-        if e.src in (ENTRY, EXIT) or e.dst in (ENTRY, EXIT):
-            continue
-        if e.src in last_of and e.dst in first_of:
-            edges.append((("s", last_of[e.src]), "CFG", ("s", first_of[e.dst])))
+    for src, last in last_of.items():
+        for dst in cfg.successors(src):
+            if dst in first_of:
+                edges.append((("s", last), "CFG", ("s", first_of[dst])))
 
     for d, u, _reg in sorted(deps.data_edges):
         edges.append((("s", d), "DATA", ("s", u)))

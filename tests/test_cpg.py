@@ -43,16 +43,17 @@ def graph_for(code, desc="(I)I"):
 # ----------------------------------------------------------------- building
 
 def test_empty_void_method_single_node_no_data():
-    cpg, _ = graph_for(["return"], desc="()V")
-    assert list(cpg.nodes.values()) == ["return_void"]
-    assert not [e for e in cpg.edges if e[1] == "DATA"]
+    # One statement, labelled return_void, and no edge of any kind.
+    cpg, ir = graph_for(["return"], desc="()V")
+    assert [render_stmt(s) for s in ir.statements] == ["return_void"]
+    assert cpg.edges == set()
 
 
 def test_addition_has_data_edge_to_return():
     cpg, ir = graph_for(["iload_0", "iload_1", "iadd", "ireturn"], desc="(II)I")
     assert [render_stmt(s) for s in ir.statements] == ["v0 := asgn add_int(p0, p1)",
                                                       "return_int(v0)"]
-    data = {(cpg.nodes[s], cpg.nodes[d]) for s, label, d in cpg.edges if label == "DATA"}
+    data = {(s, d) for s, label, d in cpg.edges if label == "DATA"}
     assert data == {("asgn add_int(p0, p1)", "return_int(%)")}
 
 
@@ -62,9 +63,9 @@ def test_diamond_has_two_ctrl_edges_from_branch():
         ("push_int", 5), ("istore", 1), ("goto", "M"),
         "Z:", ("push_int", 9), ("istore", 1),
         "M:", ("iload", 1), "ireturn"])
-    [branch] = [n for n in cpg.nodes.values() if n.startswith("if_")]
-    targets = {cpg.nodes[d] for s, label, d in cpg.edges
-               if label == "CTRL" and cpg.nodes[s] == branch}
+    nodes = {n for s, _, d in cpg.edges for n in (s, d)}
+    [branch] = [n for n in nodes if n.startswith("if_")]
+    targets = {d for s, label, d in cpg.edges if label == "CTRL" and s == branch}
     # Both arms are control-dependent on the branch; the join is not.
     assert {"asgn const int:5", "asgn const int:9"} <= targets
     assert not [t for t in targets if t.startswith("return")]
@@ -79,8 +80,7 @@ def test_const_return_fixture_hand_enumerated():
         ("asgn const int:1", "DATA", "return_int(%)"),
         ("return_int(%)", "AST:0", "reg:%"),
     }
-    got = {(cpg.nodes[s], l, cpg.nodes[d]) for s, l, d in cpg.edges}
-    assert got == expected
+    assert cpg.edges == expected
 
 
 def test_five_edge_fixture_hand_enumerated():
@@ -98,14 +98,13 @@ def test_five_edge_fixture_hand_enumerated():
 
 
 def test_extract_dedupes_parallel_identical_edges():
-    nodes = {1: "a", 2: "a", 3: "b"}
-    edges = [(1, "CFG", 3), (2, "CFG", 3)]
-    ts = extract_triplets(Cpg(nodes=nodes, edges=edges))
+    edges = [("a", "CFG", "b"), ("a", "CFG", "b")]
+    ts = extract_triplets(Cpg(edges=edges))
     assert ts == frozenset({Triplet("a", "CFG", "b")})
 
 
 def test_zero_edges_empty_set():
-    assert extract_triplets(Cpg(nodes={1: "x"}, edges=[])) == frozenset()
+    assert extract_triplets(Cpg(edges=set())) == frozenset()
 
 
 def test_triplet_count_bounded_by_edges():

@@ -143,8 +143,9 @@ def test_iinc_spills_stack_copies():
 def test_cfg_straight_line():
     ir, _ = lift_method(["iconst_1", "ireturn"], desc="()I")
     cfg = build_cfg(ir)
-    kinds = {(e.src, e.dst) for e in cfg.edges}
-    assert kinds == {(ENTRY, 0), (0, EXIT)}
+    edges = {(n, s) for n in cfg.nodes for s in cfg.successors(n)}
+    assert edges == {(ENTRY, 0), (0, EXIT)}
+    assert {(p, n) for n in cfg.nodes for p in cfg.predecessors(n)} == edges
 
 
 def test_cfg_diamond():
@@ -194,11 +195,10 @@ def test_cfg_exception_edges_cover_all_protected_blocks():
          "H:", ("astore", 2), "iconst_m1", "ireturn"],
         handlers=[("TRY", "CATCH_END", "H", "java.lang.Exception")])
     cfg = build_cfg(ir)
-    exception_edges = [(e.src, e.dst) for e in cfg.edges if e.kind == "exception"]
-    handler_block = ir.handlers[0].handler
-    assert set(ir.handlers[0].covered) == {src for src, _ in exception_edges}
-    assert all(dst == handler_block for _, dst in exception_edges)
-    assert len(exception_edges) >= 2
+    [handler] = ir.handlers
+    assert all(handler.handler in cfg.successors(b) for b in handler.covered)
+    assert cfg.predecessors(handler.handler) == sorted(handler.covered)
+    assert len(handler.covered) >= 2
 
 
 # ------------------------------------------------------------ semantic oracle

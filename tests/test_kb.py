@@ -625,6 +625,30 @@ def test_malformed_body_with_valid_checksum_is_a_kb_format_error(tmp_path, body)
         load(p)
 
 
+@pytest.mark.parametrize("edit, named", [
+    ({"kind": "Method"}, "kind 'Method'"),
+    ({"change": "modified"}, "change 'modified'"),
+    ({"kind": "Method", "change": "modified"}, "kind 'Method'"),
+    ({"kind": ["method"]}, "kind ['method']"),
+])
+def test_record_of_unknown_kind_or_change_is_a_kb_format_error(tmp_path, corpus_kb, edit, named):
+    """A record whose kind is not class, interface or method, or whose
+    change is not added, removed or changed, is refused, naming the field
+    and its value: the scanner's rules know no other value, so such a
+    record would drop its CVE from every scan."""
+    saved = tmp_path / "kb.txt"
+    save(corpus_kb, saved)
+    body = json.loads(saved.read_text(encoding="utf-8").splitlines()[1])
+    body["CVE-9000-0001"] = [{**r, **edit} for r in body["CVE-9000-0001"]]
+    p = tmp_path / "edited.txt"
+    p.write_bytes(_with_checksum(f"jarscan-kb {FORMAT_VERSION}\n{json.dumps(body)}\n".encode()))
+    with pytest.raises(KbFormatError) as caught:
+        load(p)
+    assert caught.type is KbFormatError
+    assert str(caught.value).startswith(f"{p}: record {named} is not one of ")
+    assert load(saved) == corpus_kb
+
+
 def test_failed_save_keeps_the_previous_kb(tmp_path, corpus_kb):
     """The last CVE cannot be encoded, so the write fails after the
     others are written; the old file is as it was and nothing is left

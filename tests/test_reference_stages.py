@@ -1,6 +1,6 @@
-"""The bitset dependence analysis, the label-grouped CPG, linear jump
-threading and the one-scan concat rewrite against the versions they
-replaced, kept in tests/reference_stages.py.
+"""The successor-list CFG, the bitset dependence analysis, the
+label-grouped CPG, linear jump threading and the one-scan concat rewrite
+against the versions they replaced, kept in tests/reference_stages.py.
 
 The two normalize passes are compared by running ``normalize`` with the
 references swapped in, so that changes to the other passes move both
@@ -50,9 +50,22 @@ def normalize_with_reference_passes(ir):
             setattr(_normalize_module, name, f)
 
 
+def assert_cfg_matches(ir, where):
+    """The CFG of ``ir`` against the reference, node by node; returns it.
+    The brute-force oracles in tests/oracles.py read the CFG as their
+    input, so only this comparison can catch a wrong one."""
+    cfg, want = build_cfg(ir), ref.build_cfg(ir)
+    assert cfg.nodes == want.nodes, where
+    for n in want.nodes:
+        assert cfg.successors(n) == want.successors(n), (where, n)
+        assert cfg.predecessors(n) == want.predecessors(n), (where, n)
+    return cfg
+
+
 def assert_dependences_match(ir, where) -> None:
-    """Dependences and the triplet set of ``ir``, against the reference."""
-    cfg = build_cfg(ir)
+    """The CFG, dependences and the triplet set of ``ir``, against the
+    reference."""
+    cfg = assert_cfg_matches(ir, where)
     assert reaching_data_edges(ir, cfg) == ref.reaching_data_edges(ir, cfg), where
     pdom = postdominators(cfg)
     assert node_sets(pdom) == ref.postdominators(cfg), where
@@ -62,8 +75,8 @@ def assert_dependences_match(ir, where) -> None:
 
 
 def assert_lifted_matches(ir, where) -> int:
-    """Normalize both ways and compare dependences and triplets before and
-    after; returns the number of concat expressions in the normalized IR."""
+    """Normalize both ways and compare the CFG, dependences and triplets
+    before and after; returns the number of concat expressions in the normalized IR."""
     n = normalize(ir)
     assert dump(n) == dump(normalize_with_reference_passes(ir)), where
     assert_dependences_match(ir, where)
