@@ -11,7 +11,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "ArrayGet", "ArrayPut", "Assign", "Bin", "Block", "Branch", "Cast", "Caught",
         "CmpExpr", "Concat", "Const", "Copy", "DynInvoke", "FieldGet", "FieldPut",
-        "Goto", "HandlerInfo", "InstOf", "Invoke", "Lit", "MethodIr", "Monitor",
+        "Goto", "InstOf", "Invoke", "Lit", "MethodIr", "Monitor",
         "NewArr", "NewObj", "Nop", "Return", "Switch", "Throw", "Un", "dump",
         "render_stmt", "stmt_def", "stmt_uses"), "model"),
 }

@@ -35,6 +35,7 @@ def build_cfg(ir: MethodIr) -> Cfg:
     """Derive the block-level CFG from terminators and exception coverage."""
     ids = [b.bid for b in ir.blocks]
     id_set = set(ids)
+    heads = [head for head, _catch in ir.handlers]
     nodes = (ENTRY, EXIT, *ids)
     succ = {n: set() for n in nodes}
     succ[ENTRY].update(ids[:1])
@@ -51,12 +52,8 @@ def build_cfg(ir: MethodIr) -> Cfg:
             log.warning("block %d falls through past the last block", block.bid)
             targets = (EXIT,)
         succ[block.bid].update(targets)
-
-    for h in ir.handlers:
-        if h.handler in id_set:
-            for covered in h.covered:
-                if covered in id_set:
-                    succ[covered].add(h.handler)
+        if block.handlers:
+            succ[block.bid].update([heads[i] for i in block.handlers])
 
     # Sources in ascending order, so each predecessor list comes out sorted.
     pred = {n: [] for n in nodes}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from ..classfile.constant_pool import resolved_class, resolved_loadable, resolved_member
 from ..classfile.descriptors import (
@@ -63,6 +63,8 @@ from .model import (
     Switch,
     Throw,
     Un,
+    reachable_blocks,
+    renumber_handlers,
 )
 
 log = logging.getLogger(__name__)
@@ -107,15 +109,6 @@ def _partition(instructions: tuple, handlers: tuple) -> list[_RawBlock]:
     return blocks
 
 
-def _static_successors(raw: _RawBlock, offset_to_block: dict[int, int],
-                       nblocks: int) -> list[int]:
-    _offset, m, ops = raw.instructions[-1]
-    succs = [offset_to_block[t] for t in branch_targets(m, ops)]
-    if m not in TERMINAL and raw.index + 1 < nblocks:
-        succs.append(raw.index + 1)
-    return succs
-
-
 def lift(key: tuple) -> MethodIr:
     """Lift one method body into a MethodIr.
 
@@ -135,32 +128,29 @@ def lift(key: tuple) -> MethodIr:
 
     raw_blocks = _partition(instructions, handlers)
     offset_to_block = {rb.start_offset: rb.index for rb in raw_blocks}
+    table = [(offset_to_block[handler], catch) for _s, _e, handler, catch in handlers]
 
-    # Block coverage of each handler, in raw indices: the blocks are
-    # contiguous and sorted, so the blocks whose last instruction is at or
-    # after ``start`` and that start before ``end`` form one index range.
+    # Each block's tuple of covering handler indices. A range covers a span of
+    # the sorted blocks; a block takes the tuple of the last span end at or before it.
     starts = [rb.start_offset for rb in raw_blocks]
     lasts = [rb.instructions[-1][0] for rb in raw_blocks]
-    handler_cov = [(range(bisect_left(lasts, start), bisect_left(starts, end)),
-                    offset_to_block[handler], catch)
-                   for start, end, handler, catch in handlers]
-    heads_of: dict[int, list[int]] = {}
-    for cov, handler, _catch in handler_cov:
-        for c in cov:
-            heads_of.setdefault(c, []).append(handler)
+    spans = [(bisect_left(lasts, s), bisect_left(starts, e)) for s, e, _h, _c in handlers]
+    cuts = sorted({0}.union(*spans))
+    at_cut: list[list] = [[] for _ in cuts]
+    for i, (lo, hi) in enumerate(spans):
+        for k in range(bisect_left(cuts, lo), bisect_left(cuts, hi)):
+            at_cut[k].append(i)
+    tuples = [tuple(indices) for indices in at_cut]
+    coverage = [tuples[bisect_right(cuts, b) - 1] for b in range(len(raw_blocks))]
 
-    # Reachability over static successors + the heads of the handlers
-    # covering each reached block.
-    reachable: set[int] = set()
-    work = [0]
-    while work:
-        b = work.pop()
-        if b in reachable:
-            continue
-        reachable.add(b)
-        work.extend(s for s in _static_successors(raw_blocks[b], offset_to_block, len(raw_blocks))
-                    if s not in reachable)
-        work.extend(h for h in heads_of.get(b, ()) if h not in reachable)
+    def static_successors(b: int) -> list[int]:
+        _offset, m, ops = raw_blocks[b].instructions[-1]
+        succs = [offset_to_block[t] for t in branch_targets(m, ops)]
+        if m not in TERMINAL and b + 1 < len(raw_blocks):
+            succs.append(b + 1)
+        return succs
+
+    reachable = reachable_blocks(0, static_successors, coverage, table)
 
     dropped = [rb for rb in raw_blocks if rb.index not in reachable]
     for rb in dropped:
@@ -168,6 +158,7 @@ def lift(key: tuple) -> MethodIr:
 
     kept = [rb for rb in raw_blocks if rb.index in reachable]
     renumber = {rb.index: i for i, rb in enumerate(kept)}
+    table, coverage = renumber_handlers(table, [coverage[rb.index] for rb in kept], renumber)
 
     # Parameter registers by local slot.
     params, _ret = parse_method_descriptor(descriptor)
@@ -187,22 +178,16 @@ def lift(key: tuple) -> MethodIr:
     state = _Lifter(slot_map, renumber, raw_blocks, offset_to_block)
 
     # Entry shapes: entry block empty; handler heads one caught reference.
-    handler_infos = []
-    for cov, handler_raw, catch in handler_cov:
-        cov_new = sorted(renumber[c] for c in cov if c in renumber)
-        if handler_raw not in renumber or not cov_new:
-            continue
-        hb = renumber[handler_raw]
-        state.mark_handler(hb, catch)
-        handler_infos.append((cov_new, hb, catch))
-
+    for head, catch in table:
+        state.handler_catch[head] = catch
+        state.set_entry_shape(head, (1,))
     state.set_entry_shape(0, ())
     state.run(kept)
 
     return MethodIr.from_blocks(
         tuple(param_regs), is_static,
         [state.block_statements[new_id] for new_id in range(len(kept))],
-        handler_infos)
+        table, coverage)
 
 
 class _Lifter:
@@ -221,10 +206,6 @@ class _Lifter:
         name = f"t{self.temp_count}"
         self.temp_count += 1
         return name
-
-    def mark_handler(self, new_id: int, catch_type):
-        self.handler_catch[new_id] = catch_type
-        self.set_entry_shape(new_id, (1,))
 
     def set_entry_shape(self, new_id: int, cats: tuple):
         prev = self.entry_shape.get(new_id)

@@ -305,13 +305,7 @@ class Block:
     bid: int
     start: int       # statement index, inclusive
     end: int         # exclusive
-
-
-@dataclass(frozen=True)
-class HandlerInfo:
-    covered: tuple   # block ids protected by this handler
-    handler: int     # handler head block id
-    catch_type: str | None
+    handlers: tuple = ()  # ascending indices into MethodIr.handlers; equal ones shared
 
 
 @dataclass
@@ -320,22 +314,28 @@ class MethodIr:
     is_static: bool
     statements: list
     blocks: list             # [Block]
-    handlers: tuple = ()     # (HandlerInfo, ...)
+    handlers: tuple = ()     # ((head block id, catch type or None), ...)
 
     @classmethod
-    def from_blocks(cls, params, is_static, blocks, handlers) -> MethodIr:
-        """Lay out ``blocks``, one statement list per block id, and
-        ``handlers``, (covered block ids, head, catch type) each."""
+    def from_blocks(cls, params, is_static, blocks, handlers, coverage) -> MethodIr:
+        """Lay out ``blocks``, one statement list per block id, with each
+        block's tuple of the ``handlers`` covering it from ``coverage``."""
         statements: list = []
         laid_out: list[Block] = []
         for bid, stmts in enumerate(blocks):
             start = len(statements)
             statements.extend(stmts)
-            laid_out.append(Block(bid, start, len(statements)))
+            laid_out.append(Block(bid, start, len(statements), coverage[bid]))
         return cls(params=params, is_static=is_static, statements=statements,
-                   blocks=laid_out,
-                   handlers=tuple(HandlerInfo(tuple(sorted(covered)), head, catch)
-                                  for covered, head, catch in handlers))
+                   blocks=laid_out, handlers=tuple(handlers))
+
+    def covered_blocks(self) -> list[list[int]]:
+        """Each handler's covered block ids, ascending, in table order."""
+        covered: list[list[int]] = [[] for _ in self.handlers]
+        for block in self.blocks:
+            for i in block.handlers:
+                covered[i].append(block.bid)
+        return covered
 
     def terminator(self, block: Block):
         """Last statement if it transfers control, else None (fallthrough)."""
@@ -347,6 +347,39 @@ class MethodIr:
 
     def param_registers(self) -> set:
         return {r for r, _ in self.params}
+
+
+def reachable_blocks(entry: int, targets, coverage: list, handlers: list) -> set[int]:
+    """The blocks reached from ``entry`` through ``targets(block)`` and the
+    heads of the ``handlers`` covering them, each shared tuple's heads once."""
+    reached, queued, work = set(), set(), [entry]   # queued: ids of tuples
+    while work:
+        b = work.pop()
+        if b not in reached:
+            reached.add(b)
+            work.extend(targets(b))
+            if coverage[b] and id(coverage[b]) not in queued:
+                queued.add(id(coverage[b]))
+                work.extend(handlers[i][0] for i in coverage[b])
+    return reached
+
+
+def renumber_handlers(handlers: list, coverage: list, new_id: dict) -> tuple[list, list]:
+    """Keep the handlers whose head and some covered block are in ``new_id``,
+    given the kept blocks' ``coverage`` in their new order. Each distinct
+    tuple is reindexed once, and equal results share one tuple."""
+    if not handlers:
+        return [], coverage
+    distinct = {id(cov): cov for cov in coverage}
+    covering = set().union(*distinct.values())
+    kept = [i for i, (head, _catch) in enumerate(handlers) if i in covering and head in new_id]
+    index = {old: new for new, old in enumerate(kept)}
+    shared: dict[tuple, tuple] = {}
+    for key, cov in distinct.items():
+        cov = tuple([index[i] for i in cov if i in index])
+        distinct[key] = shared.setdefault(cov, cov)
+    return ([(new_id[handlers[i][0]], handlers[i][1]) for i in kept],
+            [distinct[id(cov)] for cov in coverage])
 
 
 # -------------------------------------------------------------- uses and defs
@@ -497,7 +530,7 @@ def dump(ir: MethodIr) -> str:
         lines.append(f"B{block.bid}:")
         for i in range(block.start, block.end):
             lines.append(f"  {i}: {render_stmt(ir.statements[i])}")
-    for h in ir.handlers:
-        covered = ",".join(f"B{b}" for b in h.covered)
-        lines.append(f"handler [{covered}] -> B{h.handler} catch {h.catch_type or 'any'}")
+    for (head, catch), covered in zip(ir.handlers, ir.covered_blocks()):
+        blocks = ",".join(f"B{b}" for b in covered)
+        lines.append(f"handler [{blocks}] -> B{head} catch {catch or 'any'}")
     return "\n".join(lines) + "\n"

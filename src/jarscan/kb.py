@@ -325,23 +325,34 @@ _RECORD_VALUES = (("kind", ("class", "interface", "method")),
                   ("change", ("added", "removed", "changed")))
 
 
+def _strings(obj: dict, name: str, absent, count: int | None = None):
+    """Record field ``name``, a list of strings (``count`` of them if
+    given), as a tuple, or ``absent`` if the field is not there."""
+    value = obj.get(name, absent)
+    if value is not absent and not (isinstance(value, list) and len(value) == (count or len(value))
+                                    and all(isinstance(v, str) for v in value)):
+        raise KbFormatError(f"record {name} is not a list of {count or 'any number of'} strings")
+    return value if value is absent else tuple(value)
+
+
 def _record_from_json(obj: dict) -> ConstructRecord:
     for name, allowed in _RECORD_VALUES:
         if obj[name] not in allowed:
             raise KbFormatError(f"record {name} {obj[name]!r} is not one of "
                                 + ", ".join(allowed))
+    if not isinstance(obj["fqn"], str):
+        raise KbFormatError("record fqn is not a string")
     sig = None
     if obj.get("signature") is not None:
         s = obj["signature"]
         sig = FixSignature(ct=deserialize_triplets(s["ct"]),
                            pt=deserialize_triplets(s["pt"]),
                            nt=deserialize_triplets(s["nt"]))
-    code, stripped = obj.get("code"), obj.get("stripped")
     return ConstructRecord(construct=ConstructId(obj["kind"], obj["fqn"]),
                            change=obj["change"], signature=sig,
-                           class_context=frozenset(obj.get("context", ())),
-                           code=None if code is None else tuple(code),
-                           stripped=None if stripped is None else tuple(stripped))
+                           class_context=frozenset(_strings(obj, "context", ())),
+                           code=_strings(obj, "code", None, 2),
+                           stripped=_strings(obj, "stripped", None, 2))
 
 
 def _file_chunks(kb: KnowledgeBase):

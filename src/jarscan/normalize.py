@@ -21,11 +21,15 @@ methods a second pass flips a branch that the first left with its
 fallthrough on the later block. Pass order is part of the knowledge-base
 format version.
 
-Passes move blocks in exactly two ways. ``redirect`` sends jumps, the
-entry and handler heads from one block to another, and never changes
-which blocks a handler covers. ``renumber`` keeps the listed blocks, in
-that order, maps every block reference once, and drops a handler whose
-head was dropped or that no longer covers any block.
+The exception table is a list of (head, catch type) handlers, and each
+block's tuple of the indices of the handlers that cover it; blocks with
+equal coverage share one tuple. Passes move blocks in exactly two ways.
+``redirect`` sends jumps, the entry and handler heads from one block to
+another. It maps heads only, so no block's coverage changes, and a block
+no longer entered is dropped by the next ``compact``. ``renumber`` keeps
+the listed blocks, in that order, with their tuples, and maps every block
+reference once. It drops a handler whose head was dropped or that covers
+no kept block, and reindexes each distinct tuple once.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ from .ir.model import (
     block_targets,
     map_block_targets,
     plain_operand,
+    reachable_blocks,
     render_stmt,
+    renumber_handlers,
     stmt_def,
     stmt_uses,
 )
@@ -65,49 +71,30 @@ class _Work:
         self.blocks: list[list] = [
             list(ir.statements[b.start:b.end]) for b in ir.blocks
         ]
-        # (covered block ids, head block id, catch type)
-        self.handlers: list[tuple] = [
-            (set(h.covered), h.handler, h.catch_type) for h in ir.handlers
-        ]
+        self.handlers: list[tuple] = list(ir.handlers)
+        self.coverage: list[tuple] = [b.handlers for b in ir.blocks]
         self.entry = 0
 
     def redirect(self, mapping: dict[int, int]):
-        """Send every jump to, the entry at and handler head at a block in
-        ``mapping`` to its image. Coverage is left alone: a block that is
-        no longer entered is dropped by the next ``compact``."""
+        """Send jumps, the entry and handler heads to their image in ``mapping``."""
         def rt(bid: int) -> int:
             return mapping.get(bid, bid)
 
         for stmts in self.blocks:
             if stmts:
                 stmts[-1] = map_block_targets(stmts[-1], rt)
-        self.handlers = [(covered, rt(head), catch)
-                         for covered, head, catch in self.handlers]
+        self.handlers = [(rt(head), catch) for head, catch in self.handlers]
         self.entry = rt(self.entry)
 
     def renumber(self, order: list[int]):
-        """Keep the blocks in ``order``, in that order, mapping every block
-        reference once. A handler whose head is dropped, or which covers
-        no kept block, goes too."""
+        """Keep the blocks in ``order``, in that order."""
         new_id = {old: new for new, old in enumerate(order)}
         self.blocks = [self.blocks[old] for old in order]
         for stmts in self.blocks:
             stmts[-1] = map_block_targets(stmts[-1], new_id.__getitem__)
-        handlers = []
-        for covered, head, catch in self.handlers:
-            kept = {new_id[b] for b in covered if b in new_id}
-            if kept and head in new_id:
-                handlers.append((kept, new_id[head], catch))
-        self.handlers = handlers
+        self.handlers, self.coverage = renumber_handlers(
+            self.handlers, [self.coverage[old] for old in order], new_id)
         self.entry = new_id[self.entry]
-
-    def handlers_by_block(self) -> dict[int, list[tuple]]:
-        """Block id -> (head, catch type) of every handler covering it."""
-        by_block: dict[int, list[tuple]] = {}
-        for covered, head, catch in self.handlers:
-            for b in covered:
-                by_block.setdefault(b, []).append((head, catch))
-        return by_block
 
     def materialize_gotos(self):
         """Give every non-terminated block an explicit goto so blocks can
@@ -119,18 +106,9 @@ class _Work:
     def compact(self):
         """Drop unreachable blocks, put the entry first, renumber densely."""
         self.materialize_gotos()
-        heads = self.handlers_by_block()
-        reachable: set[int] = set()
-        work = [self.entry]
-        while work:
-            b = work.pop()
-            if b in reachable:
-                continue
-            reachable.add(b)
-            work.extend(block_targets(self.blocks[b][-1]))
-            work.extend(head for head, _catch in heads.get(b, ()))
-        self.renumber([self.entry] + [b for b in range(len(self.blocks))
-                                      if b in reachable and b != self.entry])
+        reachable = reachable_blocks(self.entry, lambda b: block_targets(self.blocks[b][-1]),
+                                     self.coverage, self.handlers)
+        self.renumber([self.entry, *sorted(reachable - {self.entry})])
 
     def drop_layout_gotos(self):
         """Remove trailing gotos that only encode adjacency."""
@@ -259,7 +237,7 @@ def _canonical_reorder(work: _Work):
             stack.extend(reversed(succs))
 
     visit(work.entry)
-    for _covered, head, _catch in work.handlers:
+    for head, _catch in work.handlers:
         visit(head)
     work.renumber(order)
 
@@ -291,13 +269,13 @@ def _alpha_key(stmts: list) -> tuple:
 
 
 def _merge_duplicate_returns(work: _Work):
-    handlers = work.handlers_by_block()
     groups: dict[tuple, int] = {}
     mapping: dict[int, int] = {}
     for bid, stmts in enumerate(work.blocks):
         if not isinstance(stmts[-1], Return):
             continue
-        signature = tuple(sorted((head, catch or "") for head, catch in handlers.get(bid, ())))
+        signature = tuple(sorted((work.handlers[i][0], work.handlers[i][1] or "")
+                                 for i in work.coverage[bid]))
         key = (_alpha_key(stmts), signature)
         keeper = groups.setdefault(key, bid)
         if keeper != bid:
@@ -389,4 +367,4 @@ def normalize(ir: MethodIr) -> MethodIr:
     _renumber_registers(work)          # canonical names after removals
 
     return MethodIr.from_blocks(work.params, work.is_static, work.blocks,
-                                work.handlers)
+                                work.handlers, work.coverage)

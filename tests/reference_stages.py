@@ -103,10 +103,10 @@ def build_cfg(ir: MethodIr) -> Cfg:
             targets = (EXIT,)
         edges.update(Edge(block.bid, t, "flow") for t in targets)
 
-    for h in ir.handlers:
-        for covered in h.covered:
-            if covered in id_set and h.handler in id_set:
-                edges.add(Edge(covered, h.handler, "exception"))
+    for (head, _catch), covered_blocks in zip(ir.handlers, ir.covered_blocks()):
+        for covered in covered_blocks:
+            if covered in id_set and head in id_set:
+                edges.add(Edge(covered, head, "exception"))
 
     if ids:
         edges.add(Edge(ENTRY, ids[0], "flow"))

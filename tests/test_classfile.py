@@ -398,8 +398,8 @@ def test_parser_matches_eager_on_jdk_classes():
                             ir = normalize(lift(key))
                         except LiftError:
                             continue
-                        for h in ir.handlers:
-                            assert starts_with_caught(ir, h.handler), (name, m.name, m.descriptor)
+                        for head, _catch in ir.handlers:
+                            assert starts_with_caught(ir, head), (name, m.name, m.descriptor)
                         handled += 1
     assert keys > 10_000
     assert handled > 900

@@ -1,16 +1,20 @@
 """Pinned digests of what jarscan writes on the synthetic corpus.
 
-A refactor must leave all four unchanged: the KB file that kb-build
+A refactor must leave all of them unchanged: the KB file that kb-build
 writes, the normalized IR of every liftable method, the JSON scan report
-in both modes, and the bytes of every JAR the emitter and ``modify``
-write for the ``variant_jars`` fixture. A change that moves one on
-purpose re-pins it and says why.
+in both modes, the bytes of every JAR the emitter and ``modify`` write
+for the ``variant_jars`` fixture, the lifted IR of one method per
+mnemonic, and the lifted and normalized IR of methods with exception
+handlers. A change that moves one on purpose re-pins it and says why.
 """
 
 import hashlib
 import json
+import random
 
 from corpus import materialize_manifest
+from randgen import random_ref_method
+from test_large_methods import try_ranges, wide_handlers
 
 from jarscan.classfile import parse_class
 from jarscan.classfile.descriptors import parse_method_descriptor
@@ -30,6 +34,7 @@ DUMP_SHA256 = "cf411f6d1a237de93c174a077bf86a419bedf67d2f85c3c3cc2588e33a6b43b6"
 REPORT_SHA256 = "c13f09a3bda29f47524c74c5ea1581aaa1159eb9b8bebe91c19590c7f22fbe0e"
 MNEMONICS_SHA256 = "bc70c84d6dd601d43749796f9385f9e85bc71724b5ed04678277965d6b4f5def"
 VARIANT_JARS_SHA256 = "3a30c62829a07dd501578c7677aabd33019dfe212d6a5b746e1bde378283e01d"
+HANDLER_DUMP_SHA256 = "8d67d44469bd23d57f1d51f2106fcb8a14e8265ff03eb04a23606de7c5f4aa06"
 
 
 def _sha256(data: bytes) -> str:
@@ -68,6 +73,90 @@ def test_pinned_goldens(corpus, variant_jars, tmp_path):
     assert (_sha256(kb_path.read_bytes()),
             _sha256(_normalized_dumps(corpus).encode()),
             _sha256(text.encode())) == (KB_SHA256, DUMP_SHA256, REPORT_SHA256)
+
+
+# ------------------------------------------ methods with exception handlers
+
+ARITH = "java.lang.ArithmeticException"
+
+
+def _handler_shapes() -> list[MethodModel]:
+    """Static methods whose exception tables take every shape lift and
+    normalize carry: one range per handler, many handlers over one range,
+    random ranges, nested ranges, one head behind two catch types
+    (multi-catch) and behind two ranges (finally), a head inside its own
+    range, a range whose code is unreachable, and ranges that nop
+    elimination and jump threading shorten, one of them next to a range
+    that shares its head."""
+    def method(name, code, handlers, desc="(I)I"):
+        return MethodModel(name, desc, ACC_PUBLIC | ACC_STATIC, code=code,
+                           handlers=list(handlers))
+
+    rng = random.Random(29)
+    methods = [method("try_ranges", *try_ranges(50), desc="(I)V"),
+               method("wide", *wide_handlers(20)),
+               *(random_ref_method(rng, f"random{i}") for i in range(40))]
+    divide = lambda d: ["iload_0", ("push_int", d), "idiv", "istore_1"]
+    recover = lambda v: ["pop", ("push_int", v), "ireturn"]
+    methods.append(method("nested", [
+        "O:", "iload_0", ("ifeq", "X"), "I:", *divide(3), "IE:",
+        "X:", *divide(5), "OE:", ("goto", "R"),
+        "HI:", *recover(1), "HO:", *recover(2), "R:", "iload_1", "ireturn"],
+        [("I", "IE", "HI", ARITH), ("O", "OE", "HO", None)]))
+    methods.append(method("multi_catch", [
+        "S:", *divide(3), "E:", ("goto", "R"), "H:", *recover(1),
+        "R:", "iload_1", "ireturn"],
+        [("S", "E", "H", ARITH), ("S", "E", "H", "java.lang.IllegalStateException")]))
+    methods.append(method("finally", [
+        "S1:", *divide(3), "E1:", "iload_1", ("ifeq", "R"),
+        "S2:", *divide(7), "E2:", ("goto", "R"),
+        "H:", "astore_2", "iconst_0", "istore_1", "aload_2", "athrow",
+        "R:", "iload_1", "ireturn"],
+        [("S1", "E1", "H", None), ("S2", "E2", "H", None), ("H", "R", "H", None)]))
+    methods.append(method("unreachable_range", [
+        "iload_0", ("ifeq", "L"), "S:", *divide(3), ("goto", "R"),
+        "U:", "aconst_null", "athrow", "E:",
+        "H:", *recover(1), "HU:", *recover(2),
+        "L:", "iconst_0", "istore_1", "R:", "iload_1", "ireturn"],
+        [("S", "E", "H", ARITH), ("U", "E", "HU", None)]))
+    methods.append(method("unreachable_range_shared_head", [
+        "iload_0", ("ifeq", "R"), "S:", *divide(3), "E:", ("goto", "R"),
+        "U:", "aconst_null", "athrow", "UE:", "H:", *recover(1),
+        "R:", "iload_0", "ireturn"],
+        [("S", "E", "H", ARITH), ("U", "UE", "H", None)]))
+    methods.append(method("nop_range_shared_head", [
+        "S:", *divide(3), "E:", "N:", "nop", "NE:", ("goto", "R"),
+        "H:", *recover(1), "R:", "iload_1", "ireturn"],
+        [("S", "E", "H", ARITH), ("N", "NE", "H", None)]))
+    for hop in (True, False):
+        entry = ["iload_0", ("ifeq", "HOP"), "iconst_0", "ireturn", "HOP:", ("goto", "TRY")]
+        if not hop:
+            entry = ["iload_0", ("ifeq", "TRY"), "iconst_0", "ireturn"]
+        methods.append(method(f"dropped_blocks_{hop}", [
+            *entry, "TRY:", ("push_int", 100), "iload_0", "idiv", "istore_1", ("goto", "PAD"),
+            "PAD:", "nop", "END:", "iload_1", "ireturn",
+            "H:", "pop", "iconst_m1", "istore_1", ("goto", "END")],
+            [("TRY", "END", "H", ARITH)]))
+    return methods
+
+
+def _handler_dumps() -> str:
+    """The lifted and the normalized ``dump`` of each handler shape."""
+    cf = parse_class(emit_class(ClassModel("t.Handlers", methods=_handler_shapes())))
+    out = []
+    for m in cf.methods:
+        ir = lift(resolved_code(m, cf.constant_pool))
+        out.append(f"{m.name}{m.descriptor}\n{dump(ir)}{dump(normalize(ir))}")
+    return "".join(out)
+
+
+def test_pinned_handler_dumps():
+    """The corpus has no exception handler, so ``DUMP_SHA256`` never sees a
+    ``handler [...]`` line: these methods pin how lift and normalize carry
+    the exception table."""
+    dumps = _handler_dumps()
+    assert dumps.count("handler [") == 215
+    assert _sha256(dumps.encode()) == HANDLER_DUMP_SHA256
 
 
 def test_pinned_emitted_jars(variant_jars):

@@ -12,7 +12,7 @@ from jarscan.errors import (InconsistentStackDepthAtJoin, LiftError, StackUnderf
 from jarscan.ir import ENTRY, EXIT, build_cfg, dump, lift, model
 from jarscan.ir.model import (ArrayGet, ArrayPut, Assign, Bin, Block, Branch, Cast, Caught,
                               CmpExpr, Concat, Const, Copy, DynInvoke, FieldGet, FieldPut,
-                              Goto, HandlerInfo, InstOf, Invoke, Lit, MethodIr, Monitor,
+                              Goto, InstOf, Invoke, Lit, MethodIr, Monitor,
                               NewArr, NewObj, Nop, Return, Switch, Throw, Un, stmt_def,
                               stmt_uses)
 from jarscan.normalize import _map_registers, normalize
@@ -195,10 +195,11 @@ def test_cfg_exception_edges_cover_all_protected_blocks():
          "H:", ("astore", 2), "iconst_m1", "ireturn"],
         handlers=[("TRY", "CATCH_END", "H", "java.lang.Exception")])
     cfg = build_cfg(ir)
-    [handler] = ir.handlers
-    assert all(handler.handler in cfg.successors(b) for b in handler.covered)
-    assert cfg.predecessors(handler.handler) == sorted(handler.covered)
-    assert len(handler.covered) >= 2
+    [(head, _catch)] = ir.handlers
+    [covered] = ir.covered_blocks()
+    assert all(head in cfg.successors(b) for b in covered)
+    assert cfg.predecessors(head) == sorted(covered)
+    assert len(covered) >= 2
 
 
 # ------------------------------------------------------------ semantic oracle
@@ -227,7 +228,7 @@ def test_wrap32_matches_reference():
 
 # ------------------------------------------------------------ operand protocol
 
-_EXEMPT = (Lit, Block, HandlerInfo, MethodIr)
+_EXEMPT = (Lit, Block, MethodIr)
 _NODES = [c for c in vars(model).values()
           if isinstance(c, type) and dataclasses.is_dataclass(c) and c not in _EXEMPT]
 

@@ -649,6 +649,35 @@ def test_record_of_unknown_kind_or_change_is_a_kb_format_error(tmp_path, corpus_
     assert load(saved) == corpus_kb
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"fqn": 7}, "fqn"),
+    ({"fqn": ["a.C"]}, "fqn"),
+    ({"context": "C: int f(int)"}, "context"),
+    ({"context": [1, 2]}, "context"),
+    ({"context": None}, "context"),
+    ({"code": "ab"}, "code"),
+    ({"code": ["ab"]}, "code"),
+    ({"code": ["a", 2]}, "code"),
+    ({"stripped": "ab"}, "stripped"),
+    ({"stripped": ["a", "b", "c"]}, "stripped"),
+])
+def test_record_field_of_the_wrong_type_is_a_kb_format_error(tmp_path, corpus_kb, edit, field):
+    """fqn must be a string, context a list of strings, and code and
+    stripped, where present, a list of two strings. A string context
+    would load as the set of its characters and a string digest pair as
+    its characters, so each is refused, naming the field."""
+    saved = tmp_path / "kb.txt"
+    save(corpus_kb, saved)
+    body = json.loads(saved.read_text(encoding="utf-8").splitlines()[1])
+    body["CVE-9000-0001"] = [{**r, **edit} for r in body["CVE-9000-0001"]]
+    p = tmp_path / "edited.txt"
+    p.write_bytes(_with_checksum(f"jarscan-kb {FORMAT_VERSION}\n{json.dumps(body)}\n".encode()))
+    with pytest.raises(KbFormatError) as caught:
+        load(p)
+    assert caught.type is KbFormatError
+    assert str(caught.value).startswith(f"{p}: record {field} is not a ")
+
+
 def test_failed_save_keeps_the_previous_kb(tmp_path, corpus_kb):
     """The last CVE cannot be encoded, so the write fails after the
     others are written; the old file is as it was and nothing is left

@@ -133,16 +133,27 @@ QUADRATIC_SHAPES = {
 }
 
 
-def _normalized(shape: str, n: int):
+def _lifted(shape: str, n: int):
     code, handlers, desc = QUADRATIC_SHAPES[shape](n)
     cf, method = emitted(code, desc, handlers)
-    return normalize(lift(resolved_code(method, cf.constant_pool)))
+    return lift(resolved_code(method, cf.constant_pool))
 
 
-# build_cfg's bound on each shape. On the wide one, 200 blocks each list
-# 1,000 handler heads: a CFG that built an edge object per block and
-# successor took three times its bound.
+def _normalized(shape: str, n: int):
+    return normalize(_lifted(shape, n))
+
+
+# build_cfg's bound on each shape. On the wide one, the normalized IR's
+# 400 covered blocks each list all 1,000 handler heads (400,000 entries):
+# a CFG that built an edge object per block and successor took three times
+# its bound.
 CFG_SECONDS = {"vacuous": 0.1, "wide": 0.5, "guarded": 0.1}
+
+# normalize's bound on the wide shape at 1,000 handlers. Its blocks share
+# one coverage tuple, so each pass maps that tuple once; a normalize that
+# listed the handlers of each block afresh, three times per method, took
+# 0.59-0.92 s.
+NORMALIZE_SECONDS = 0.25
 
 
 @pytest.mark.parametrize("shape, n, distinct, seconds", [
@@ -162,6 +173,15 @@ def test_quadratic_shapes_triplets_in_bounded_time(shape, n, distinct, seconds):
     assert len(triplets) == distinct
     assert cfg_elapsed < CFG_SECONDS[shape], f"build_cfg took {cfg_elapsed:.2f} s"
     assert elapsed < seconds, f"the triplet stages took {elapsed:.2f} s"
+
+
+def test_wide_handlers_normalize_in_bounded_time():
+    ir = _lifted("wide", 1000)
+    start = time.perf_counter()
+    normalized = normalize(ir)
+    elapsed = time.perf_counter() - start
+    assert sum(map(len, normalized.covered_blocks())) == 400_000
+    assert elapsed < NORMALIZE_SECONDS, f"normalize took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("shape, n", [("vacuous", 30), ("wide", 20), ("guarded", 30)])

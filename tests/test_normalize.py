@@ -144,12 +144,13 @@ def test_handler_table_follows_dropped_blocks(hop):
             "H:", "pop", "iconst_m1", "istore_1", ("goto", "END")]
     ir = lift_code(code, handlers=[("TRY", "END", "H", "java.lang.ArithmeticException")])
     n = normalize(ir)
-    [handler] = n.handlers
-    assert starts_with_caught(n, handler.handler)
+    [(head, _catch)] = n.handlers
+    [covered] = n.covered_blocks()
+    assert starts_with_caught(n, head)
     divides = {b.bid for b in n.blocks
                if any(isinstance(s, Assign) and isinstance(s.expr, Bin)
                       and s.expr.op == "div" for s in n.statements[b.start:b.end])}
-    assert set(handler.covered) == divides and len(divides) == 1
+    assert set(covered) == divides and len(divides) == 1
     assert dump(normalize(n)) == dump(n)
 
 
