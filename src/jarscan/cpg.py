@@ -35,14 +35,11 @@ from .ir.model import (
     operands,
     stmt_label,
 )
-from .triplets import (  # noqa: F401  (re-exported: the triplet encoding's API)
-    SEP,
+from .triplets import (  # noqa: F401  (re-exported: the triplet API)
     FixSignature,
     Triplet,
     TripletSet,
-    deserialize_triplets,
     diff,
-    serialize_triplets,
     unqualify,
 )
 

@@ -15,26 +15,29 @@ versioned text file (sorted JSON body, trailing checksum). A scan asks it:
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import logging
 import os
 import re
 import stat
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .classfile.constructs import ConstructId, class_construct, strip_packages
 from .classfile.descriptors import render_type
 from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
 from .classfile.parser import parse_class
-from .triplets import FixSignature, deserialize_triplets, serialize_triplets, unqualify
+from .triplets import FixSignature, Triplet, unqualify
 from .errors import (ClassParseError, CorruptFile, EmptyDiff, KbFormatError, LiftError,
                      VersionMismatch)
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _HEADER = "jarscan-kb"
 
 # Where strip_packages can have cut a package out of a simple name: after
@@ -308,16 +311,48 @@ def _record_to_json(rec: ConstructRecord) -> dict:
         "signature": None,
     }
     if rec.signature is not None:
-        out["signature"] = {
-            "ct": serialize_triplets(rec.signature.ct),
-            "pt": serialize_triplets(rec.signature.pt),
-            "nt": serialize_triplets(rec.signature.nt),
-        }
+        out["signature"] = _signature_to_json(rec.signature)
     if rec.code is not None:
         out["code"] = list(rec.code)
     if rec.stripped is not None:
         out["stripped"] = list(rec.stripped)
     return out
+
+
+_PARTS = ("ct", "pt", "nt")
+
+
+def _signature_to_json(sig: FixSignature) -> dict:
+    """The record's distinct labels, sorted, and each part as the flat
+    list of its sorted triplets' label indices, three per triplet."""
+    parts = [sorted(getattr(sig, name)) for name in _PARTS]
+    labels = sorted({label for part in parts for t in part for label in t})
+    index = {label: i for i, label in enumerate(labels)}.__getitem__
+    out = {"labels": labels}
+    for name, part in zip(_PARTS, parts):
+        out[name] = list(map(index, chain.from_iterable(part)))
+    return out
+
+
+def _signature_from_json(s) -> FixSignature:
+    """The signature ``_signature_to_json`` wrote, each label interned
+    once; raises KbFormatError, naming the signature, for any other shape."""
+    if not isinstance(s, dict):
+        raise KbFormatError("record signature is not an object")
+    labels = s.get("labels")
+    if not (isinstance(labels, list) and set(map(type, labels)) <= {str}):
+        raise KbFormatError("record signature labels is not a list of strings")
+    labels = list(map(sys.intern, labels))
+    parts = []
+    for name in _PARTS:
+        part = s.get(name)
+        # set(map(type, ...)) refuses bools and floats, which compare as ints.
+        if not (isinstance(part, list) and len(part) % 3 == 0 and set(map(type, part)) <= {int}
+                and (not part or min(part) >= 0 and max(part) < len(labels))):
+            raise KbFormatError(f"record signature {name} is not a list of label index triples")
+        flat = iter(map(labels.__getitem__, part))
+        parts.append(frozenset(map(Triplet, flat, flat, flat)))
+    return FixSignature(*parts)
 
 
 # The values a record's "kind" and "change" may take (docs/kb-format.md).
@@ -342,14 +377,10 @@ def _record_from_json(obj: dict) -> ConstructRecord:
                                 + ", ".join(allowed))
     if not isinstance(obj["fqn"], str):
         raise KbFormatError("record fqn is not a string")
-    sig = None
-    if obj.get("signature") is not None:
-        s = obj["signature"]
-        sig = FixSignature(ct=deserialize_triplets(s["ct"]),
-                           pt=deserialize_triplets(s["pt"]),
-                           nt=deserialize_triplets(s["nt"]))
+    sig = obj.get("signature")
     return ConstructRecord(construct=ConstructId(obj["kind"], obj["fqn"]),
-                           change=obj["change"], signature=sig,
+                           change=obj["change"],
+                           signature=None if sig is None else _signature_from_json(sig),
                            class_context=frozenset(_strings(obj, "context", ())),
                            code=_strings(obj, "code", None, 2),
                            stripped=_strings(obj, "stripped", None, 2))
@@ -497,15 +528,24 @@ def parse_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
+def _raise(exc: OSError):
+    raise exc
+
+
 def _classes_in_dir(directory: Path) -> list[ClassFile]:
     """Every ``*.class`` file under ``directory``, parsed, in ``sorted(Path)``
     order (by path parts). Symlinked directories are not followed. Raises
     ClassParseError, naming the file, for one that does not parse, and
-    OSError for one that cannot be read."""
-    paths = [os.path.join(root, name) for root, _dirs, names in os.walk(directory)
+    OSError for a directory that cannot be listed and for a ``*.class``
+    that cannot be read or, through any symlinks, is not a regular file
+    (reading a FIFO would wait for a writer)."""
+    paths = [os.path.join(root, name)
+             for root, _dirs, names in os.walk(directory, onerror=_raise)
              for name in names if name.endswith(".class")]
     out = []
     for path in sorted(paths, key=lambda p: p.split(os.sep)):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise OSError(errno.EINVAL, "not a regular file", path)
         try:
             out.append(parse_class(Path(path).read_bytes()))
         except ClassParseError as exc:

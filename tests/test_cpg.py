@@ -15,8 +15,6 @@ from jarscan.cpg import (
     diff,
     extract_triplets,
     method_triplets,
-    serialize_triplets,
-    deserialize_triplets,
     unqualify,
 )
 from jarscan.errors import LiftError
@@ -116,9 +114,7 @@ def test_triplet_count_bounded_by_edges():
 def test_cpg_determinism():
     code = ["iload_0", ("ifge", "A"), "iconst_0", "ireturn",
             "A:", "iload_0", "iconst_2", "imul", "ireturn"]
-    a = serialize_triplets(triplets_for(code))
-    b = serialize_triplets(triplets_for(code))
-    assert a == b
+    assert triplets_for(code) == triplets_for(code)
 
 
 # -------------------------------------------------------------- set algebra
@@ -257,23 +253,3 @@ def test_relocation_invariance_of_unqualified_triplets():
     relocated = triplets_for(code("r.a.b.X"), desc="()I", cls="r.a.C")
     assert original != relocated
     assert unqualify(original) == unqualify(relocated)
-
-
-def test_serialization_roundtrip_and_canonical_order():
-    ts = frozenset({Triplet("b", "CFG", "c"), Triplet("a", "DATA", "z")})
-    text = serialize_triplets(ts)
-    assert text.splitlines() == sorted(text.splitlines())
-    assert deserialize_triplets(text) == ts
-
-
-def test_serialization_escapes_only_what_splits_lines_and_labels():
-    plain = frozenset({Triplet("a\r", "DATA", "b\u2028\x1e")})
-    assert serialize_triplets(plain) == "a\r\x1fDATA\x1fb\u2028\x1e"
-    assert deserialize_triplets(serialize_triplets(plain)) == plain
-    odd = frozenset({Triplet("x\ny", "CFG", "p\x1fq"), Triplet("\x10J", "DATA", "\n")})
-    text = serialize_triplets(odd)
-    assert text.count("\n") == 1 and text.count("\x1f") == 4
-    assert deserialize_triplets(text) == odd
-    for bad in ("a\x10Q\x1fb\x1fc", "a\x1fb\x1fc\x10", "a\x1fb"):
-        with pytest.raises(ValueError):
-            deserialize_triplets(bad)

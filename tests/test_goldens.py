@@ -27,9 +27,8 @@ from jarscan.kb import build_from_manifest, load, save
 from jarscan.normalize import normalize
 from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_bytes
 
-# KB format version 2: the body bytes are those of version 1; the header
-# and checksum lines differ.
-KB_SHA256 = "cdd2038b3ad68f5ef9bdb3f1bff54477b4c81f6203622eced3b1dd779d55de59"
+# KB format version 3: each signature is its labels and their indices.
+KB_SHA256 = "d0463289b140791d6b5fd45b570a211fc767a95174d69d889ca274321332a0d9"
 DUMP_SHA256 = "cf411f6d1a237de93c174a077bf86a419bedf67d2f85c3c3cc2588e33a6b43b6"
 REPORT_SHA256 = "c13f09a3bda29f47524c74c5ea1581aaa1159eb9b8bebe91c19590c7f22fbe0e"
 MNEMONICS_SHA256 = "bc70c84d6dd601d43749796f9385f9e85bc71724b5ed04678277965d6b4f5def"

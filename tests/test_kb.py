@@ -1,9 +1,11 @@
 """Knowledge-base building, persistence and queries."""
 
+import errno
 import hashlib
 import itertools
 import json
 import os
+import shutil
 import stat
 import struct
 import subprocess
@@ -25,7 +27,7 @@ from jarscan.classfile import (
     parse_class,
     strip_packages,
 )
-from jarscan.cpg import Triplet, method_triplets, unqualify
+from jarscan.cpg import FixSignature, Triplet, method_triplets, unqualify
 from jarscan.classfile.descriptors import method_signature
 from jarscan.classfile.model import key_digest, resolved_code, stripped_code
 from jarscan.errors import (BadConstantPoolRef, CorruptFile, EmptyDiff, KbFormatError,
@@ -385,7 +387,7 @@ def test_stripped_digests_survive_save_and_load(tmp_path, corpus_kb,
                          ids=["newline", "separator", "escape", "escape-then-J",
                               "other-line-breaks"])
 def test_labels_with_line_breaks_and_separators_survive_save_and_load(tmp_path, name):
-    """A member name may hold line breaks and the triplet separator (JVMS
+    """A member name may hold line breaks, U+001F and U+0010 (JVMS
     §4.2.2), and so may the labels of a signature; they load back."""
     def cls(extra):
         return _cls("a.C", [MethodModel("check", "(I)I", 0x09, code=[
@@ -397,6 +399,104 @@ def test_labels_with_line_breaks_and_separators_survive_save_and_load(tmp_path, 
     p = tmp_path / "kb.txt"
     save(kb, p)
     assert load(p) == kb
+
+
+# Labels JSON must escape, or that a line- or label-splitting encoding
+# would have had to: line breaks, U+001F, U+0010, "" and lone surrogates,
+# the low ones the class-file decoder gives for bytes that are not UTF-8
+# (JSON would read a high one before a low one as one character).
+_ODD_LABELS = st.text(alphabet=["\n", "\x1f", "\x10", "J", "\r", "\u2028", "\udc80",
+                                "\udcff", "a", "."], max_size=3)
+_ODD_TRIPLETS = st.frozensets(st.builds(Triplet, _ODD_LABELS, _ODD_LABELS, _ODD_LABELS),
+                              max_size=5)
+
+
+def _signed_kb(sig) -> KnowledgeBase:
+    return KnowledgeBase(records={"CVE-X": [ConstructRecord(
+        ConstructId("method", "a.C: int check(int)"), "changed", sig)]})
+
+
+@given(_ODD_TRIPLETS, _ODD_TRIPLETS, _ODD_TRIPLETS, _ODD_LABELS)
+def test_signatures_survive_save_and_load(tmp_path_factory, ct, pt, nt, shared):
+    """Any labels load back as they were saved, one label shared by CT, PT
+    and NT included, and each distinct label is one string object."""
+    sig = FixSignature(ct=ct | {Triplet(shared, "CFG", "c")},
+                       pt=pt | {Triplet("p", "DATA", shared)},
+                       nt=nt | {Triplet(shared, shared, shared)})
+    p = tmp_path_factory.mktemp("sig") / "kb.txt"
+    save(_signed_kb(sig), p)
+    [rec] = load(p).records["CVE-X"]
+    assert rec.signature == sig
+    labels = [label for part in (rec.signature.ct, rec.signature.pt, rec.signature.nt)
+              for t in part for label in t]
+    assert len(set(map(id, labels))) == len(set(labels))
+
+
+def test_signature_is_stored_as_label_indices(tmp_path):
+    """A signature is its record's distinct labels, sorted, and each part
+    as the flat label indices of its sorted triplets."""
+    sig = FixSignature(ct=frozenset({Triplet("b", "CFG", "a"), Triplet("a", "CFG", "b")}),
+                       pt=frozenset(), nt=frozenset({Triplet("b", "DATA", "b")}))
+    p = tmp_path / "kb.txt"
+    save(_signed_kb(sig), p)
+    [rec] = json.loads(p.read_text(encoding="utf-8").splitlines()[1])["CVE-X"]
+    assert rec["signature"] == {"labels": ["CFG", "DATA", "a", "b"],
+                                "ct": [2, 0, 3, 3, 0, 2], "pt": [], "nt": [3, 1, 3]}
+
+
+def _without(obj: dict, name: str) -> dict:
+    return {k: v for k, v in obj.items() if k != name}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda s: {**s, "ct": [True, *s["ct"][1:]]}, "ct is not a list of label index"),
+    (lambda s: {**s, "ct": [0.0, *s["ct"][1:]]}, "ct is not a list of label index"),
+    (lambda s: {**s, "ct": ["0", *s["ct"][1:]]}, "ct is not a list of label index"),
+    (lambda s: {**s, "pt": [-1, *s["pt"][1:]]}, "pt is not a list of label index"),
+    (lambda s: {**s, "nt": [*s["nt"][:2], len(s["labels"])]}, "nt is not a list of label index"),
+    (lambda s: {**s, "ct": s["ct"] + [0]}, "ct is not a list of label index"),
+    (lambda s: {**s, "pt": {"0": 0}}, "pt is not a list of label index"),
+    (lambda s: _without(s, "nt"), "nt is not a list of label index"),
+    (lambda s: {**s, "labels": [7, *s["labels"][1:]]}, "labels is not a list of strings"),
+    (lambda s: {**s, "labels": "CFG"}, "labels is not a list of strings"),
+    (lambda s: _without(s, "labels"), "labels is not a list of strings"),
+    (lambda s: list(s), "is not an object"),
+], ids=["bool-index", "float-index", "string-index", "negative-index", "index-out-of-range",
+        "length-not-a-multiple-of-3", "part-not-a-list", "missing-part",
+        "label-not-a-string", "labels-not-a-list", "missing-labels", "not-an-object"])
+def test_malformed_signature_is_a_kb_format_error(tmp_path, edit, named):
+    """Each part of a signature must be a flat list of label index triples
+    and its labels a list of strings; any other shape is refused, naming
+    the signature and the part."""
+    sig = FixSignature(ct=frozenset({Triplet("a", "CFG", "b")}),
+                       pt=frozenset({Triplet("b", "CFG", "c")}),
+                       nt=frozenset({Triplet("c", "DATA", "a")}))
+    saved = tmp_path / "kb.txt"
+    save(_signed_kb(sig), saved)
+    body = json.loads(saved.read_text(encoding="utf-8").splitlines()[1])
+    [rec] = body["CVE-X"]
+    rec["signature"] = edit(rec["signature"])
+    p = tmp_path / "edited.txt"
+    p.write_bytes(_with_checksum(f"jarscan-kb {FORMAT_VERSION}\n{json.dumps(body)}\n".encode()))
+    with pytest.raises(KbFormatError) as caught:
+        load(p)
+    assert caught.type is KbFormatError
+    assert str(caught.value).startswith(f"{p}: record signature {named}")
+
+
+def test_kb_body_is_an_object_of_record_lists(tmp_path, corpus_kb):
+    """Line 2 of a saved KB is one JSON object mapping each CVE id to its
+    records, each with a string ``fqn`` and ``change``: a reader may take
+    the records a fix built without loading the KB."""
+    p = tmp_path / "kb.txt"
+    save(corpus_kb, p)
+    body = json.loads(p.read_text(encoding="utf-8").splitlines()[1])
+    assert isinstance(body, dict) and sorted(body) == corpus_kb.cve_ids()
+    for cve, records in body.items():
+        assert isinstance(records, list)
+        assert [(r["fqn"], r["change"]) for r in records] == [
+            (r.construct.fqn, r.change) for r in sorted(
+                corpus_kb.records[cve], key=lambda r: (r.construct.fqn, r.change))]
 
 
 def test_empty_kb_roundtrip(tmp_path):
@@ -1022,10 +1122,69 @@ def test_manifest_build_reports_an_unreadable_fix_class(tmp_path, corpus):
     assert sorted(kb.records) == sorted(stats.built) and not stats.empty_diff
 
 
+_BUILD_ERRORS = """\
+import json, sys
+from jarscan.kb import build_from_manifest
+print(json.dumps(build_from_manifest(sys.argv[1])[1].errors))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_manifest_build_reports_a_fix_class_that_is_a_fifo(tmp_path, corpus):
+    """A ``*.class`` that is not a regular file (here a FIFO, whose read
+    would wait for a writer) makes its CVE a build error naming it. The
+    build runs in a child with a timeout, so a read that blocks fails the
+    test instead of hanging it."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    cve = "CVE-9000-0006"
+    fifo = tmp_path / cve / "pre" / "Fifo.class"
+    os.mkfifo(fifo)
+    out = subprocess.run([sys.executable, "-c", _BUILD_ERRORS, manifest],
+                         check=True, capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    path = fifo.parent.resolve() / fifo.name
+    assert json.loads(out.stdout) == [[cve, f"unreadable class: {path}: not a regular file"]]
+
+
+def test_manifest_build_reports_a_fix_directory_that_is_a_file(tmp_path, corpus):
+    """A pre or post directory that cannot be listed (here a regular file)
+    is a build error naming it, not a directory with no classes."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    cve = "CVE-9000-0006"
+    pre = tmp_path / cve / "pre"
+    shutil.rmtree(pre)
+    pre.write_bytes(b"not a directory")
+    kb, stats = build_from_manifest(manifest)
+    assert stats.errors == [(cve, f"unreadable class: {pre.resolve()}: Not a directory")]
+    assert sorted(kb.records) == sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
+
+
+def test_manifest_build_reports_an_unlistable_package_directory(tmp_path, corpus, monkeypatch):
+    """A package directory that cannot be listed is a build error naming
+    it; its classes are not dropped, which would record them as removed
+    (or added) classes."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    cve = "CVE-9000-0006"
+    name, _data = corpus.post_classes[cve][0]
+    locked = (tmp_path / cve / "post" / name.replace(".", "/")).parent.resolve()
+    scandir = os.scandir
+
+    def refusing_scandir(path="."):
+        if os.fspath(path) == str(locked):
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing_scandir)
+    kb, stats = build_from_manifest(manifest)
+    assert stats.errors == [(cve, f"unreadable class: {locked}: Permission denied")]
+    assert sorted(kb.records) == sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
+
+
 def test_fix_directory_walk(tmp_path):
     """Fix classes are read in ``sorted(Path)`` order, which compares path
     parts ("a/b" before "a-c/x"); a directory named ``*.class`` is walked,
-    not read, and a symlinked directory is not followed."""
+    not read, a symlinked directory is not followed, and a symlinked class
+    is read."""
     names = {"a.class": "p.A", "a/b.class": "p.B", "a-c/x.class": "p.X",
              "d.class/e.class": "p.E"}
     for rel, name in names.items():
@@ -1033,7 +1192,9 @@ def test_fix_directory_walk(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(emit_class(ClassModel(name)))
     (tmp_path / "link").symlink_to(tmp_path / "a", target_is_directory=True)
-    assert [cf.this_class for cf in _classes_in_dir(tmp_path)] == ["p.B", "p.X", "p.A", "p.E"]
+    (tmp_path / "link.class").symlink_to(tmp_path / "a.class")
+    assert [cf.this_class for cf in _classes_in_dir(tmp_path)] == [
+        "p.B", "p.X", "p.A", "p.E", "p.A"]
 
 
 def test_manifest_rejects_duplicates(tmp_path):
