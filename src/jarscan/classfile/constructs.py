@@ -9,8 +9,9 @@ under package relocation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from .._record import Frozen
 
 if TYPE_CHECKING:    # model imports strip_packages from here
     from .model import ClassFile
@@ -28,15 +29,23 @@ def strip_packages(text: str) -> str:
     return _PACKAGE_PREFIX.sub("", text)
 
 
-@dataclass(frozen=True)
-class ConstructId:
-    kind: str        # "class" | "interface" | "method"
-    fqn: str
-    unqualified: str = field(init=False)     # strip_packages(fqn)
-    synthetic: bool = field(default=False, compare=False)
+_set = object.__setattr__     # how a Frozen record's __init__ sets its fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "unqualified", strip_packages(self.fqn))
+
+class ConstructId(Frozen):
+    """A construct's kind and FQN, the FQN with packages stripped, and
+    whether it is synthetic, which takes no part in equality."""
+
+    __slots__ = ("kind", "fqn", "unqualified", "synthetic")
+
+    def __init__(self, kind: str, fqn: str, synthetic: bool = False):
+        _set(self, "kind", kind)       # "class" | "interface" | "method"
+        _set(self, "fqn", fqn)
+        _set(self, "unqualified", strip_packages(fqn))
+        _set(self, "synthetic", synthetic)
+
+    def _key(self) -> tuple:
+        return self.kind, self.fqn, self.unqualified
 
 
 def class_construct(cf: ClassFile) -> ConstructId:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import io
 import struct
 import zipfile
-from dataclasses import dataclass, field
 
+from .._record import Record
 from ..errors import UnsupportedFeature
 from .constant_pool import (
     CP_PAYLOAD,
@@ -65,33 +65,45 @@ INTERFACE_ACCESS = 0x0601  # public abstract interface
 DEFAULT_MAJOR = 49
 
 
-@dataclass
-class FieldModel:
-    name: str
-    descriptor: str
-    access: int = ACC_PUBLIC
+class FieldModel(Record):
+    __slots__ = ("name", "descriptor", "access")
+
+    def __init__(self, name: str, descriptor: str, access: int = ACC_PUBLIC):
+        self.name = name
+        self.descriptor = descriptor
+        self.access = access
 
 
-@dataclass
-class MethodModel:
-    name: str
-    descriptor: str
-    access: int = ACC_PUBLIC
-    code: list | None = None       # asm items; None for abstract/native
-    handlers: list[tuple[str, str, str, str | None]] = field(default_factory=list)
-    max_stack: int | None = None   # computed when None
-    max_locals: int | None = None
+class MethodModel(Record):
+    __slots__ = ("name", "descriptor", "access", "code", "handlers", "max_stack", "max_locals")
+
+    def __init__(self, name: str, descriptor: str, access: int = ACC_PUBLIC,
+                 code: list | None = None,
+                 handlers: list[tuple[str, str, str, str | None]] | None = None,
+                 max_stack: int | None = None, max_locals: int | None = None):
+        self.name = name
+        self.descriptor = descriptor
+        self.access = access
+        self.code = code                # asm items; None for abstract/native
+        self.handlers = [] if handlers is None else handlers
+        self.max_stack = max_stack      # computed when None
+        self.max_locals = max_locals
 
 
-@dataclass
-class ClassModel:
-    name: str                      # dotted FQN
-    super_name: str | None = "java.lang.Object"
-    interfaces: list[str] = field(default_factory=list)
-    access: int = DEFAULT_CLASS_ACCESS
-    major: int = DEFAULT_MAJOR
-    fields: list[FieldModel] = field(default_factory=list)
-    methods: list[MethodModel] = field(default_factory=list)
+class ClassModel(Record):
+    __slots__ = ("name", "super_name", "interfaces", "access", "major", "fields", "methods")
+
+    def __init__(self, name: str, super_name: str | None = "java.lang.Object",
+                 interfaces: list[str] | None = None, access: int = DEFAULT_CLASS_ACCESS,
+                 major: int = DEFAULT_MAJOR, fields: list[FieldModel] | None = None,
+                 methods: list[MethodModel] | None = None):
+        self.name = name                # dotted FQN
+        self.super_name = super_name
+        self.interfaces = [] if interfaces is None else interfaces
+        self.access = access
+        self.major = major
+        self.fields = [] if fields is None else fields
+        self.methods = [] if methods is None else methods
 
 
 class PoolBuilder:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from .._record import Record
 from ..errors import ClassParseError, CodeNotDecoded
 from .constant_pool import (MEMBER_TAGS, TAG_CLASS, TAG_FIELDREF, TAG_INVOKE_DYNAMIC,
                             ConstantPool, resolved_class, resolved_member)
@@ -21,8 +22,7 @@ ACC_BRIDGE = 0x0040
 ACC_NATIVE = 0x0100
 
 
-@dataclass(frozen=True)
-class CodeAttribute:
+class CodeAttribute(NamedTuple):
     """A decoded Code attribute.
 
     Each instruction is an (offset, mnemonic, operands) tuple, its branch
@@ -58,15 +58,13 @@ class _Undecoded:
 UNDECODED = _Undecoded()
 
 
-@dataclass(frozen=True)
-class FieldInfo:
+class FieldInfo(NamedTuple):
     name: str
     descriptor: str
     access_flags: int
 
 
-@dataclass(frozen=True)
-class MethodInfo:
+class MethodInfo(NamedTuple):
     name: str
     descriptor: str
     access_flags: int
@@ -241,8 +239,7 @@ def stripped_code(key: tuple) -> tuple | None:
         return None
 
 
-@dataclass(frozen=True)
-class ClassFile:
+class ClassFile(NamedTuple):
     major_version: int
     access_flags: int
     this_class: str                      # dotted FQN
@@ -252,26 +249,39 @@ class ClassFile:
     methods: tuple[MethodInfo, ...]
     # Each method's ``method_signature``, in method order, and each with
     # packages stripped, as ``parse_class`` puts them together from the
-    # fields above: derived, so they take no part in equality or hashing.
-    method_fqns: tuple[str, ...] = field(compare=False, repr=False)
-    unqualified_method_fqns: tuple[str, ...] = field(compare=False, repr=False)
-    constant_pool: ConstantPool = field(compare=False, repr=False, default=None)
+    # fields above: derived, so they take no part in equality or hashing,
+    # and neither does the pool the fields were read from.
+    method_fqns: tuple[str, ...]
+    unqualified_method_fqns: tuple[str, ...]
+    constant_pool: ConstantPool = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:7] == other[:7]
+        return NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:7])
 
     @property
     def is_interface(self) -> bool:
         return bool(self.access_flags & ACC_INTERFACE)
 
 
-@dataclass
-class ParseFailure:
+class ParseFailure(Record):
     """A JAR entry that looked like a class but did not decode."""
 
-    path: str
-    error: str
+    __slots__ = ("path", "error")
+
+    def __init__(self, path: str, error: str):
+        self.path = path
+        self.error = error
 
 
-@dataclass
-class JarArchive:
+class JarArchive(Record):
     """Decoded JAR: class entries parsed, everything else kept opaque.
 
     Class entries never opened (see ``parse_jar``'s ``stems``) are in
@@ -279,12 +289,19 @@ class JarArchive:
     stem is also in ``misnamed``.
     """
 
-    classes: list[tuple[str, ClassFile]]          # (entry path, parsed class)
-    other_entries: list[str]                      # paths of non-class entries
-    failures: list[ParseFailure]
-    metadata_present: bool
-    unopened: list[str] = field(default_factory=list)              # entry paths
-    misnamed: list[tuple[str, str]] = field(default_factory=list)  # (entry path, dotted name)
+    __slots__ = ("classes", "other_entries", "failures", "metadata_present", "unopened",
+                 "misnamed")
+
+    def __init__(self, classes: list[tuple[str, ClassFile]], other_entries: list[str],
+                 failures: list[ParseFailure], metadata_present: bool,
+                 unopened: list[str] | None = None,
+                 misnamed: list[tuple[str, str]] | None = None):
+        self.classes = classes                  # (entry path, parsed class)
+        self.other_entries = other_entries      # paths of non-class entries
+        self.failures = failures
+        self.metadata_present = metadata_present
+        self.unopened = [] if unopened is None else unopened    # entry paths
+        self.misnamed = [] if misnamed is None else misnamed    # (entry path, dotted name)
 
     def class_files(self) -> list[ClassFile]:
         return [cf for _, cf in self.classes]

@@ -15,8 +15,8 @@ where unqualification can strip it.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
+from ._record import Record
 from .ir.cfg import Cfg
 from .ir.dataflow import _bits
 from .ir.model import (
@@ -78,11 +78,13 @@ def _child_tokens(stmt, operand) -> list[str]:
 
 # --------------------------------------------------------------------- CPG
 
-@dataclass
-class Cpg:
+class Cpg(Record):
     """The label graph: its distinct (label, edge label, label) edges."""
 
-    edges: set
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: set):
+        self.edges = edges
 
 
 def build_cpg(ir: MethodIr, cfg: Cfg, deps: tuple[list, dict]) -> Cpg:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
+from .._record import Record
 from .model import MethodIr, Return, Throw, block_targets
 
 log = logging.getLogger(__name__)
@@ -13,13 +13,15 @@ ENTRY = -1
 EXIT = -2
 
 
-@dataclass
-class Cfg:
+class Cfg(Record):
     """Each node's successors and predecessors, sorted and distinct."""
 
-    nodes: tuple
-    succ: dict
-    pred: dict
+    __slots__ = ("nodes", "succ", "pred")
+
+    def __init__(self, nodes: tuple, succ: dict, pred: dict):
+        self.nodes = nodes
+        self.succ = succ
+        self.pred = pred
 
     def successors(self, node: int) -> list[int]:
         return self.succ[node]

@@ -18,23 +18,27 @@ same text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from .._record import Frozen, Record
 from ..classfile.descriptors import render_method_types
 
+_set = object.__setattr__     # how a Frozen record's __init__ sets its fields
 
-@dataclass(frozen=True)
-class Lit:
+
+class Lit(Frozen):
     """Literal operand; jtype is int/long/float/double/string/class/ref."""
 
-    value: object
-    jtype: str
+    __slots__ = ("value", "jtype")
+
+    def __init__(self, value, jtype: str):
+        _set(self, "value", value)
+        _set(self, "jtype", jtype)
 
 
 Operand = "str | Lit"  # registers are bare strings
 
 
-class Node:
+class Node(Frozen):
     """Base of IR expressions and statements.
 
     Each node class declares, once, which of its fields hold operands:
@@ -42,230 +46,263 @@ class Node:
     Lit, None when absent, or a tuple of registers and Lits; Assign's
     holds its expression, whose operands are the statement's. DEFINES
     names the field holding the register the statement defines, if any.
+
+    A node's fields are its ``__slots__``, in constructor order, and its
+    own ``__init__`` sets them. A node refuses assignment, is always true
+    and equals only a node of its own class with equal fields. It is no
+    tuple, since ``operands`` flattens tuple-valued fields, and no data
+    class (PEP 557): that decorator runs about 0.45 ms of generated code
+    per class as the module loads, some 13 ms for the 28 classes here, on
+    top of about 4 ms to import its module (see ``jarscan._record``).
     """
 
+    __slots__ = ()
     OPERANDS = ()
     DEFINES = None
 
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass(frozen=True)
 class Const(Node):
+    __slots__ = ("value", "jtype")
     OPERANDS = ()
 
-    value: object
-    jtype: str
+    def __init__(self, value, jtype: str):
+        _set(self, "value", value)
+        _set(self, "jtype", jtype)
 
 
-@dataclass(frozen=True)
 class Copy(Node):
+    __slots__ = ("src",)
     OPERANDS = ("src",)
 
-    src: str
+    def __init__(self, src: str):
+        _set(self, "src", src)
 
 
-@dataclass(frozen=True)
 class Bin(Node):
+    __slots__ = ("op", "jtype", "a", "b")
     OPERANDS = ("a", "b")
 
-    op: str          # add, sub, mul, div, rem, shl, shr, ushr, and, or, xor
-    jtype: str
-    a: object        # Operand
-    b: object
+    def __init__(self, op: str, jtype: str, a, b):
+        _set(self, "op", op)        # add, sub, mul, div, rem, shl, shr, ushr, and, or, xor
+        _set(self, "jtype", jtype)
+        _set(self, "a", a)          # Operand
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True)
 class Un(Node):
+    __slots__ = ("op", "a")
     OPERANDS = ("a",)
 
-    op: str          # neg_int, i2l, l2i, arraylength, ...
-    a: object
+    def __init__(self, op: str, a):
+        _set(self, "op", op)  # neg_int, i2l, l2i, arraylength, ...
+        _set(self, "a", a)
 
 
-@dataclass(frozen=True)
 class CmpExpr(Node):
+    __slots__ = ("op", "a", "b")
     OPERANDS = ("a", "b")
 
-    op: str          # lcmp, fcmpl, fcmpg, dcmpl, dcmpg
-    a: object
-    b: object
+    def __init__(self, op: str, a, b):
+        _set(self, "op", op)  # lcmp, fcmpl, fcmpg, dcmpl, dcmpg
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True)
 class FieldGet(Node):
+    __slots__ = ("owner", "name", "ftype", "obj")
     OPERANDS = ("obj",)
 
-    owner: str
-    name: str
-    ftype: str       # rendered type
-    obj: str | None  # None for static
+    def __init__(self, owner: str, name: str, ftype: str, obj: str | None):
+        _set(self, "owner", owner)
+        _set(self, "name", name)
+        _set(self, "ftype", ftype)  # rendered type
+        _set(self, "obj", obj)      # None for static
 
 
-@dataclass(frozen=True)
 class ArrayGet(Node):
+    __slots__ = ("jtype", "arr", "idx")
     OPERANDS = ("arr", "idx")
 
-    jtype: str
-    arr: str
-    idx: object
+    def __init__(self, jtype: str, arr: str, idx):
+        _set(self, "jtype", jtype)
+        _set(self, "arr", arr)
+        _set(self, "idx", idx)
 
 
-@dataclass(frozen=True)
 class NewObj(Node):
+    __slots__ = ("cls",)
     OPERANDS = ()
 
-    cls: str
+    def __init__(self, cls: str):
+        _set(self, "cls", cls)
 
 
-@dataclass(frozen=True)
 class NewArr(Node):
+    __slots__ = ("elem", "dims")
     OPERANDS = ("dims",)
 
-    elem: str
-    dims: tuple
+    def __init__(self, elem: str, dims: tuple):
+        _set(self, "elem", elem)
+        _set(self, "dims", dims)
 
 
-@dataclass(frozen=True)
 class Cast(Node):
+    __slots__ = ("cls", "a")
     OPERANDS = ("a",)
 
-    cls: str
-    a: str
+    def __init__(self, cls: str, a: str):
+        _set(self, "cls", cls)
+        _set(self, "a", a)
 
 
-@dataclass(frozen=True)
 class InstOf(Node):
+    __slots__ = ("cls", "a")
     OPERANDS = ("a",)
 
-    cls: str
-    a: str
+    def __init__(self, cls: str, a: str):
+        _set(self, "cls", cls)
+        _set(self, "a", a)
 
 
-@dataclass(frozen=True)
 class Caught(Node):
+    __slots__ = ("catch_type",)
     OPERANDS = ()
 
-    catch_type: str | None
+    def __init__(self, catch_type: str | None):
+        _set(self, "catch_type", catch_type)
 
 
-@dataclass(frozen=True)
 class Concat(Node):
     """Abstract string concatenation; produced only by normalization."""
 
+    __slots__ = ("args",)
     OPERANDS = ("args",)
 
-    args: tuple
-
+    def __init__(self, args: tuple):
+        _set(self, "args", args)
 
 # ----------------------------------------------------------------- statements
 
-@dataclass(frozen=True)
 class Assign(Node):
+    __slots__ = ("target", "expr")
     OPERANDS = ("expr",)
     DEFINES = "target"
 
-    target: str
-    expr: object
+    def __init__(self, target: str, expr):
+        _set(self, "target", target)
+        _set(self, "expr", expr)
 
 
-@dataclass(frozen=True)
 class Invoke(Node):
+    __slots__ = ("result", "kind", "owner", "name", "desc", "args")
     OPERANDS = ("args",)
     DEFINES = "result"
 
-    result: str | None
-    kind: str        # virtual, special, static, interface
-    owner: str
-    name: str
-    desc: str
-    args: tuple      # receiver first for non-static kinds
+    def __init__(self, result: str | None, kind: str, owner: str, name: str, desc: str,
+                 args: tuple):
+        _set(self, "result", result)
+        _set(self, "kind", kind)      # virtual, special, static, interface
+        _set(self, "owner", owner)
+        _set(self, "name", name)
+        _set(self, "desc", desc)
+        _set(self, "args", args)      # receiver first for non-static kinds
 
 
-@dataclass(frozen=True)
 class DynInvoke(Node):
+    __slots__ = ("result", "name", "desc", "args")
     OPERANDS = ("args",)
     DEFINES = "result"
 
-    result: str | None
-    name: str
-    desc: str
-    args: tuple
+    def __init__(self, result: str | None, name: str, desc: str, args: tuple):
+        _set(self, "result", result)
+        _set(self, "name", name)
+        _set(self, "desc", desc)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
 class FieldPut(Node):
+    __slots__ = ("owner", "name", "ftype", "obj", "value")
     OPERANDS = ("obj", "value")
 
-    owner: str
-    name: str
-    ftype: str
-    obj: str | None
-    value: object
+    def __init__(self, owner: str, name: str, ftype: str, obj: str | None, value):
+        _set(self, "owner", owner)
+        _set(self, "name", name)
+        _set(self, "ftype", ftype)
+        _set(self, "obj", obj)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class ArrayPut(Node):
+    __slots__ = ("jtype", "arr", "idx", "value")
     OPERANDS = ("arr", "idx", "value")
 
-    jtype: str
-    arr: str
-    idx: object
-    value: object
+    def __init__(self, jtype: str, arr: str, idx, value):
+        _set(self, "jtype", jtype)
+        _set(self, "arr", arr)
+        _set(self, "idx", idx)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Branch(Node):
+    __slots__ = ("op", "jtype", "args", "taken", "fallthrough")
     OPERANDS = ("args",)
 
-    op: str          # eq, ne, lt, ge, gt, le
-    jtype: str       # int or ref
-    args: tuple      # (a, b); zero/null comparisons carry a Lit
-    taken: int       # block id
-    fallthrough: int # block id
+    def __init__(self, op: str, jtype: str, args: tuple, taken: int, fallthrough: int):
+        _set(self, "op", op)                    # eq, ne, lt, ge, gt, le
+        _set(self, "jtype", jtype)              # int or ref
+        _set(self, "args", args)                # (a, b); zero/null comparisons carry a Lit
+        _set(self, "taken", taken)              # block id
+        _set(self, "fallthrough", fallthrough)  # block id
 
 
-@dataclass(frozen=True)
 class Goto(Node):
+    __slots__ = ("target",)
     OPERANDS = ()
 
-    target: int
+    def __init__(self, target: int):
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
 class Switch(Node):
+    __slots__ = ("key", "cases", "default")
     OPERANDS = ("key",)
 
-    key: str
-    cases: tuple     # ((match value, block id), ...) sorted by value
-    default: int
+    def __init__(self, key: str, cases: tuple, default: int):
+        _set(self, "key", key)
+        _set(self, "cases", cases)      # ((match value, block id), ...) sorted by value
+        _set(self, "default", default)
 
 
-@dataclass(frozen=True)
 class Return(Node):
+    __slots__ = ("value", "jtype")
     OPERANDS = ("value",)
 
-    value: str | None = None
-    jtype: str | None = None
+    def __init__(self, value: str | None = None, jtype: str | None = None):
+        _set(self, "value", value)
+        _set(self, "jtype", jtype)
 
 
-@dataclass(frozen=True)
 class Throw(Node):
+    __slots__ = ("value",)
     OPERANDS = ("value",)
 
-    value: str
+    def __init__(self, value: str):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Monitor(Node):
+    __slots__ = ("kind", "value")
     OPERANDS = ("value",)
 
-    kind: str        # enter | exit
-    value: str
+    def __init__(self, kind: str, value: str):
+        _set(self, "kind", kind)    # enter | exit
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Nop(Node):
+    __slots__ = ()
     OPERANDS = ()
 
 
@@ -300,21 +337,27 @@ def map_block_targets(stmt, f):
     return stmt
 
 
-@dataclass(frozen=True)
-class Block:
-    bid: int
-    start: int       # statement index, inclusive
-    end: int         # exclusive
-    handlers: tuple = ()  # ascending indices into MethodIr.handlers; equal ones shared
+class Block(Frozen):
+    __slots__ = ("bid", "start", "end", "handlers")
+
+    def __init__(self, bid: int, start: int, end: int, handlers: tuple = ()):
+        _set(self, "bid", bid)
+        _set(self, "start", start)          # statement index, inclusive
+        _set(self, "end", end)              # exclusive
+        # Ascending indices into MethodIr.handlers; equal tuples are shared.
+        _set(self, "handlers", handlers)
 
 
-@dataclass
-class MethodIr:
-    params: tuple            # ((register, jtype), ...)
-    is_static: bool
-    statements: list
-    blocks: list             # [Block]
-    handlers: tuple = ()     # ((head block id, catch type or None), ...)
+class MethodIr(Record):
+    __slots__ = ("params", "is_static", "statements", "blocks", "handlers")
+
+    def __init__(self, params: tuple, is_static: bool, statements: list, blocks: list,
+                 handlers: tuple = ()):
+        self.params = params            # ((register, jtype), ...)
+        self.is_static = is_static
+        self.statements = statements
+        self.blocks = blocks            # [Block]
+        self.handlers = handlers        # ((head block id, catch type or None), ...)
 
     @classmethod
     def from_blocks(cls, params, is_static, blocks, handlers, coverage) -> MethodIr:

@@ -23,10 +23,11 @@ import os
 import re
 import stat
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
+from ._record import Record
 from .classfile.constructs import ConstructId, class_construct, strip_packages
 from .classfile.descriptors import render_type
 from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
@@ -45,16 +46,14 @@ _HEADER = "jarscan-kb"
 _PACKAGE_CUTS = re.compile(r"(?<![\w$.])(?=[A-Za-z_$])")
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     cve_id: str
     pre_dir: Path
     post_dir: Path
     provenance: str = ""
 
 
-@dataclass(frozen=True)
-class ConstructRecord:
+class ConstructRecord(NamedTuple):
     """One construct touched by a fix: its identity, how it changed,
     the triplet signature (changed methods only), the declaring class's
     post-fix member context and, for a signed changed method, the
@@ -74,12 +73,20 @@ class ConstructRecord:
         return fqn.split(":", 1)[0] if self.construct.kind == "method" else fqn
 
 
-@dataclass
-class KnowledgeBase:
-    records: dict = field(default_factory=dict)   # cve_id -> [ConstructRecord]
+class KnowledgeBase(Record):
+    """Each CVE's construct records, indexed for the scanner's lookups.
+    Two knowledge bases are equal when their records are."""
 
-    def __post_init__(self):
+    __slots__ = ("records", "_class_candidates", "_unq_class_candidates",
+                 "simple_class_names", "changed_methods", "_code_sides", "_stripped_sides",
+                 "_unqualified", "_stripped_labels")
+
+    def __init__(self, records: dict | None = None):
+        self.records = {} if records is None else records   # cve_id -> [ConstructRecord]
         self._reindex()
+
+    def _key(self) -> tuple:
+        return (self.records,)
 
     def _reindex(self):
         self._class_candidates: dict[str, set] = {}
@@ -553,11 +560,14 @@ def _classes_in_dir(directory: Path) -> list[ClassFile]:
     return out
 
 
-@dataclass
-class BuildStats:
-    built: list = field(default_factory=list)
-    empty_diff: list = field(default_factory=list)
-    errors: list = field(default_factory=list)   # (cve, message)
+class BuildStats(Record):
+    __slots__ = ("built", "empty_diff", "errors")
+
+    def __init__(self, built: list | None = None, empty_diff: list | None = None,
+                 errors: list | None = None):
+        self.built = [] if built is None else built
+        self.empty_diff = [] if empty_diff is None else empty_diff
+        self.errors = [] if errors is None else errors     # (cve, message)
 
 
 def build_from_manifest(manifest_path) -> tuple[KnowledgeBase, BuildStats]:

@@ -127,7 +127,7 @@ def _map_registers(node, f):
     if registers == (None,):
         return node
     values = []
-    for name in node.__match_args__:          # the fields, in order
+    for name in node.__slots__:               # the fields, in order
         value = getattr(node, name)
         if name in registers:
             if isinstance(value, str):

@@ -41,10 +41,10 @@ from __future__ import annotations
 import logging
 import os
 import stat
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
+from ._record import Record
 from .classfile.constructs import strip_packages
 from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
 from .classfile.parser import parse_jar
@@ -69,16 +69,14 @@ NOT_FLAGGED = "not-flagged"
 MODES = ("default", "repack")    # the order a scan runs them in
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     theta_pt: float = DEFAULT_THETA_PT
     theta_cc: float = DEFAULT_THETA_CC
     theta_ct: float = DEFAULT_THETA_CT
     modes: tuple = MODES
 
 
-@dataclass(frozen=True)
-class MatchCounts:
+class MatchCounts(NamedTuple):
     nt_hit: int
     pt_hit: int
     ct_hit: int
@@ -87,8 +85,7 @@ class MatchCounts:
     ct_size: int
 
 
-@dataclass(frozen=True)
-class ConstructVerdict:
+class ConstructVerdict(NamedTuple):
     fqn: str
     kind: str
     change: str
@@ -100,27 +97,34 @@ class ConstructVerdict:
     scanned_fqn: str | None = None    # repack: the construct actually matched
 
 
-@dataclass
-class CveFinding:
-    cve_id: str
-    verdict: str                      # vulnerable | not-flagged
-    modes_fired: list
-    constructs: list
+class CveFinding(Record):
+    __slots__ = ("cve_id", "verdict", "modes_fired", "constructs")
+
+    def __init__(self, cve_id: str, verdict: str, modes_fired: list, constructs: list):
+        self.cve_id = cve_id
+        self.verdict = verdict            # vulnerable | not-flagged
+        self.modes_fired = modes_fired
+        self.constructs = constructs
 
 
-@dataclass
-class JarResult:
-    path: str
-    error: str | None = None
-    classes: int = 0
-    parse_failures: int = 0
-    findings: list = field(default_factory=list)
+class JarResult(Record):
+    __slots__ = ("path", "error", "classes", "parse_failures", "findings")
+
+    def __init__(self, path: str, error: str | None = None, classes: int = 0,
+                 parse_failures: int = 0, findings: list | None = None):
+        self.path = path
+        self.error = error
+        self.classes = classes
+        self.parse_failures = parse_failures
+        self.findings = [] if findings is None else findings
 
 
-@dataclass
-class ScanReport:
-    config: ScanConfig
-    jars: list
+class ScanReport(Record):
+    __slots__ = ("config", "jars")
+
+    def __init__(self, config: ScanConfig, jars: list):
+        self.config = config
+        self.jars = jars
 
 
 # ------------------------------------------------------------ dependency input

@@ -8,7 +8,6 @@ compare equal to the original's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .classfile.constructs import strip_packages
@@ -23,8 +22,7 @@ class Triplet(NamedTuple):
 TripletSet = frozenset  # of Triplet
 
 
-@dataclass(frozen=True)
-class FixSignature:
+class FixSignature(NamedTuple):
     """Context, positive and negative triplets of one method fix."""
 
     ct: frozenset

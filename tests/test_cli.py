@@ -574,6 +574,30 @@ def test_cli_import_leaves_the_ir_pipeline_unloaded():
     assert out.splitlines() == ["[]", "True True"]
 
 
+_DATACLASSES_PROBE = """
+import sys, types
+import jarscan.cli, jarscan.modharness
+sys.modules["jarscan.cpg"].method_triplets
+sys.modules["jarscan.normalize"].normalize
+sys.modules["jarscan.ir.lift"].lift
+print(all(type(sys.modules[n]) is types.ModuleType
+          for n in ("jarscan.cpg", "jarscan.normalize", "jarscan.ir.lift")))
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_no_module_imports_dataclasses():
+    """Neither ``import jarscan.cli`` nor running the deferred IR
+    pipeline's code imports ``dataclasses``, whose import and generated
+    code each command would pay for (see ``jarscan._record``). ``-S``
+    keeps a ``.pth`` file in site-packages from importing it first."""
+    src = str(Path(jarscan.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", _DATACLASSES_PROBE],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True).stdout
+    assert out.splitlines() == ["True", "False"]
+
+
 @pytest.mark.parametrize("package", ["jarscan", "jarscan.ir", "jarscan.classfile"])
 def test_every_export_resolves(package):
     """Each name a package lists in ``__all__`` is importable from it:

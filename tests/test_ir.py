@@ -1,6 +1,6 @@
 """Lifting, CFG construction and the semantic oracle."""
 
-import dataclasses
+import inspect
 import random
 
 import pytest
@@ -10,11 +10,10 @@ from jarscan.classfile.model import resolved_code
 from jarscan.errors import (InconsistentStackDepthAtJoin, LiftError, StackUnderflow,
                             UnsupportedInstruction)
 from jarscan.ir import ENTRY, EXIT, build_cfg, dump, lift, model
-from jarscan.ir.model import (ArrayGet, ArrayPut, Assign, Bin, Block, Branch, Cast, Caught,
-                              CmpExpr, Concat, Const, Copy, DynInvoke, FieldGet, FieldPut,
-                              Goto, InstOf, Invoke, Lit, MethodIr, Monitor,
-                              NewArr, NewObj, Nop, Return, Switch, Throw, Un, stmt_def,
-                              stmt_uses)
+from jarscan.ir.model import (ArrayGet, ArrayPut, Assign, Bin, Branch, Cast, Caught, CmpExpr,
+                              Concat, Const, Copy, DynInvoke, FieldGet, FieldPut, Goto,
+                              InstOf, Invoke, Lit, Monitor, NewArr, NewObj, Nop, Return,
+                              Switch, Throw, Un, stmt_def, stmt_uses)
 from jarscan.normalize import _map_registers, normalize
 from ir_interp import run_ir
 from oracle_interp import run_bytecode, w32
@@ -228,9 +227,8 @@ def test_wrap32_matches_reference():
 
 # ------------------------------------------------------------ operand protocol
 
-_EXEMPT = (Lit, Block, MethodIr)
 _NODES = [c for c in vars(model).values()
-          if isinstance(c, type) and dataclasses.is_dataclass(c) and c not in _EXEMPT]
+          if isinstance(c, type) and issubclass(c, model.Node) and c is not model.Node]
 
 # One of each node, with registers, Lits and absent operands.
 _EXAMPLES = [
@@ -254,14 +252,16 @@ _EXAMPLES = [
 
 
 def test_every_node_declares_its_operands():
-    """Each expression and statement class names its operand fields, in
-    field order, and the statements that define a register name it."""
+    """Each expression and statement class names its fields, in constructor
+    order, and its operand fields, in field order, and the statements that
+    define a register name it."""
     assert len(_NODES) == 25
     assert {type(n) for n in _EXAMPLES} | {type(n.expr) for n in _EXAMPLES
                                           if isinstance(n, Assign)} == set(_NODES)
     for cls in _NODES:
-        assert "OPERANDS" in vars(cls), cls
-        fields = [f.name for f in dataclasses.fields(cls)]
+        assert "OPERANDS" in vars(cls) and "__slots__" in vars(cls), cls
+        fields = list(cls.__slots__)
+        assert list(inspect.signature(cls).parameters) == fields, cls
         assert [f for f in fields if f in cls.OPERANDS] == list(cls.OPERANDS), cls
         assert cls.DEFINES in (None, *fields), cls
     assert {c for c in _NODES if c.DEFINES} == {Assign, Invoke, DynInvoke}

@@ -510,7 +510,7 @@ def test_rule_table(mode, kind, change, state):
     (finding,) = _scan_one(jar, kb, modes=(mode,)).findings
     [v] = [v for v in finding.constructs if v.fqn == fqn]
     got = (v.verdict, v.reason, v.scanned_fqn,
-           None if v.counts is None else tuple(vars(v.counts).values()))
+           None if v.counts is None else tuple(v.counts))
     assert got == _RULE_TABLE[mode, kind, change, state]
 
 
