@@ -5,8 +5,7 @@ from .._lazy import lazy_exports
 # Each public name and the submodule that defines it, imported on first use.
 _EXPORTS = {
     **dict.fromkeys(("ENTRY", "EXIT", "Cfg", "build_cfg"), "cfg"),
-    **dict.fromkeys(("control_dependent_blocks", "dependencies", "postdominators",
-                     "reaching_data_edges"), "dataflow"),
+    **dict.fromkeys(("dependencies", "postdominators"), "dataflow"),
     "lift": "lift",
     **dict.fromkeys((
         "ArrayGet", "ArrayPut", "Assign", "Bin", "Block", "Branch", "Cast", "Caught",

@@ -78,11 +78,6 @@ def _reaching_uses(ir: MethodIr, cfg: Cfg) -> list:
     return uses
 
 
-def reaching_data_edges(ir: MethodIr, cfg: Cfg) -> frozenset:
-    """(def stmt, use stmt, register) where the def reaches the use."""
-    return frozenset((d, i, r) for i, r, defs in _reaching_uses(ir, cfg) for d in _bits(defs))
-
-
 def postdominators(cfg: Cfg) -> dict[int, int]:
     """Iterative post-dominator bitsets on the EXIT-augmented graph.
 
@@ -112,14 +107,6 @@ def _dependent_blocks(cfg: Cfg, pdom: dict[int, int]):
     for a in cfg.block_nodes():
         for s in cfg.successors(a):
             yield a, (pdom[s] & ~pdom[a]) >> 2     # drops ENTRY's and EXIT's bits
-
-
-def control_dependent_blocks(cfg: Cfg, pdom: dict[int, int] | None = None) -> frozenset:
-    """(controller block, dependent block) pairs."""
-    if pdom is None:
-        pdom = postdominators(cfg)
-    return frozenset((a, b) for a, dependent in _dependent_blocks(cfg, pdom)
-                     for b in _bits(dependent))
 
 
 def dependencies(ir: MethodIr, cfg: Cfg) -> tuple[list, dict]:

@@ -308,8 +308,6 @@ class Nop(Node):
 
 TERMINATORS = (Branch, Goto, Switch, Return, Throw)
 
-NEGATED_OP = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "gt": "le", "le": "gt"}
-
 
 def block_targets(stmt) -> tuple:
     """The blocks a statement may jump to, in canonical order: a Branch's

@@ -38,7 +38,7 @@ from .errors import (ClassParseError, CorruptFile, EmptyDiff, KbFormatError, Lif
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = "jarscan-kb"
 
 # Where strip_packages can have cut a package out of a simple name: after

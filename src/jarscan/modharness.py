@@ -36,7 +36,6 @@ from .classfile.model import ClassFile, resolved_code
 from .classfile.opcodes import EFFECTS, LOCALS, NEWARRAY_TYPES, branch_targets, map_targets
 from .classfile.parser import _UNREADABLE_ENTRY, ZipReader, is_metadata, parse_class
 from .errors import JarscanError, MalformedArchive, RelocationCollision, UnsupportedFeature
-from .ir.model import NEGATED_OP
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +45,8 @@ _LDC_KIND_TO_PSEUDO = {
 }
 # Each conditional branch and the one that branches on the negated test.
 _BRANCHES = {(e.op, e.jtype, e.pops): m for m, e in EFFECTS.items() if e.kind == "if"}
-_NEGATE = {m: _BRANCHES[NEGATED_OP[op], jtype, pops]
+_NEGATED_OP = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "gt": "le", "le": "gt"}
+_NEGATE = {m: _BRANCHES[_NEGATED_OP[op], jtype, pops]
            for (op, jtype, pops), m in _BRANCHES.items()}
 _DESC_CLASS = re.compile(r"L([^;]+);")
 

@@ -23,14 +23,7 @@ from jarscan.classfile import (
 )
 from jarscan.classfile.model import resolved_code
 from jarscan.cpg import FixSignature, Triplet, diff
-from jarscan.ir import (
-    build_cfg,
-    control_dependent_blocks,
-    dump,
-    lift,
-    postdominators,
-    reaching_data_edges,
-)
+from jarscan.ir import build_cfg, dump, lift, postdominators
 from jarscan.kb import KnowledgeBase, build_entry, load, save
 from jarscan.modharness import modify
 from jarscan.normalize import normalize
@@ -55,6 +48,7 @@ from oracles import (
     node_sets,
 )
 from randgen import assemble_method, random_int_method, random_method_ir
+from test_dataflow import control_dependent_blocks, reaching_data_edges
 from test_normalize import VARIANT_PAIRS, lift_code
 
 SCHEMA = json.loads(

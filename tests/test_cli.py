@@ -317,6 +317,16 @@ def test_scan_malformed_kb_with_valid_checksum_exit_2(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_scan_kb_of_an_older_format_exit_2(tmp_path, capsys):
+    """A format-3 KB holds triplets of the normalize that flipped back
+    edges out of eq/lt/le, so it is refused, as README says, not read."""
+    payload = b"jarscan-kb 3\n{}\n"
+    kb = tmp_path / "kb.txt"
+    kb.write_bytes(payload + f"sha256={hashlib.sha256(payload).hexdigest()}\n".encode())
+    assert main(["scan", "--kb", str(kb)]) == 2
+    assert capsys.readouterr().err == f"error: {kb}: format version 3, expected 4\n"
+
+
 def test_scan_deeply_nested_kb_exit_2(tmp_path, capsys):
     payload = (f'jarscan-kb {FORMAT_VERSION}\n{{"CVE-X":'.encode()
                + b"[" * 200_000 + b"]" * 200_000 + b"}\n")

@@ -4,14 +4,8 @@ import random
 
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
 from jarscan.classfile.model import resolved_code
-from jarscan.ir import (
-    build_cfg,
-    control_dependent_blocks,
-    dependencies,
-    lift,
-    postdominators,
-    reaching_data_edges,
-)
+from jarscan.ir import build_cfg, dependencies, lift, postdominators
+from jarscan.ir.dataflow import _dependent_blocks, _reaching_uses
 from oracles import (
     brute_control_deps,
     brute_postdominators,
@@ -19,6 +13,25 @@ from oracles import (
     node_sets,
 )
 from randgen import random_method_ir
+
+
+def _members(bitset: int) -> list[int]:
+    return [i for i in range(bitset.bit_length()) if bitset >> i & 1]
+
+
+def reaching_data_edges(ir, cfg) -> frozenset:
+    """The defs that reach each use, as the analysis keeps them, expanded
+    to (def stmt, use stmt, register) triples as the oracles give them."""
+    return frozenset((d, i, r) for i, r, defs in _reaching_uses(ir, cfg) for d in _members(defs))
+
+
+def control_dependent_blocks(cfg, pdom=None) -> frozenset:
+    """The blocks dependent on each CFG edge, as the analysis keeps them,
+    expanded to (controller block, dependent block) pairs."""
+    if pdom is None:
+        pdom = postdominators(cfg)
+    return frozenset((a, b) for a, dependent in _dependent_blocks(cfg, pdom)
+                     for b in _members(dependent))
 
 
 def lift_method(code, desc="(I)I"):

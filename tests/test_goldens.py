@@ -4,8 +4,9 @@ A refactor must leave all of them unchanged: the KB file that kb-build
 writes, the normalized IR of every liftable method, the JSON scan report
 in both modes, the bytes of every JAR the emitter and ``modify`` write
 for the ``variant_jars`` fixture, the lifted IR of one method per
-mnemonic, and the lifted and normalized IR of methods with exception
-handlers. A change that moves one on purpose re-pins it and says why.
+mnemonic, the lifted and normalized IR of methods with exception
+handlers, and the lifted and normalized IR and the triplets of methods
+with loops. A change that moves one on purpose re-pins it and says why.
 """
 
 import hashlib
@@ -15,25 +16,30 @@ import random
 from corpus import materialize_manifest
 from randgen import random_ref_method
 from test_large_methods import try_ranges, wide_handlers
+from test_normalize import ORIENTED, branch_ops
 
 from jarscan.classfile import parse_class
 from jarscan.classfile.descriptors import parse_method_descriptor
 from jarscan.classfile.emitter import ACC_PUBLIC, ClassModel, MethodModel, emit_class
 from jarscan.classfile.model import ACC_STATIC, resolved_code
 from jarscan.classfile.opcodes import FORMAT_OF
+from jarscan.cpg import method_triplets
 from jarscan.errors import LiftError
 from jarscan.ir import dump, lift
 from jarscan.kb import build_from_manifest, load, save
 from jarscan.normalize import normalize
 from jarscan.scanner import ScanConfig, ScanReport, report_to_json, scan_jar_bytes
 
-# KB format version 3: each signature is its labels and their indices.
-KB_SHA256 = "d0463289b140791d6b5fd45b570a211fc767a95174d69d889ca274321332a0d9"
+# KB format version 4: normalize keeps each conditional's eq/lt/le
+# orientation. Only the header moves here: no corpus conditional is laid
+# out after its taken successor.
+KB_SHA256 = "781c9417c3420dd35f7b1d12675304859b46b349fadabfce81ac4eb56c1231af"
 DUMP_SHA256 = "cf411f6d1a237de93c174a077bf86a419bedf67d2f85c3c3cc2588e33a6b43b6"
 REPORT_SHA256 = "c13f09a3bda29f47524c74c5ea1581aaa1159eb9b8bebe91c19590c7f22fbe0e"
 MNEMONICS_SHA256 = "bc70c84d6dd601d43749796f9385f9e85bc71724b5ed04678277965d6b4f5def"
 VARIANT_JARS_SHA256 = "3a30c62829a07dd501578c7677aabd33019dfe212d6a5b746e1bde378283e01d"
 HANDLER_DUMP_SHA256 = "8d67d44469bd23d57f1d51f2106fcb8a14e8265ff03eb04a23606de7c5f4aa06"
+LOOP_SHA256 = "aa0d75fbd50eab343af9b8593abbceab4eee8c2186a86a8e37546433b4b606a7"
 
 
 def _sha256(data: bytes) -> str:
@@ -79,6 +85,10 @@ def test_pinned_goldens(corpus, variant_jars, tmp_path):
 ARITH = "java.lang.ArithmeticException"
 
 
+def _static(name, code, handlers=(), desc="(I)I") -> MethodModel:
+    return MethodModel(name, desc, ACC_PUBLIC | ACC_STATIC, code=code, handlers=list(handlers))
+
+
 def _handler_shapes() -> list[MethodModel]:
     """Static methods whose exception tables take every shape lift and
     normalize carry: one range per handler, many handlers over one range,
@@ -87,43 +97,39 @@ def _handler_shapes() -> list[MethodModel]:
     range, a range whose code is unreachable, and ranges that nop
     elimination and jump threading shorten, one of them next to a range
     that shares its head."""
-    def method(name, code, handlers, desc="(I)I"):
-        return MethodModel(name, desc, ACC_PUBLIC | ACC_STATIC, code=code,
-                           handlers=list(handlers))
-
     rng = random.Random(29)
-    methods = [method("try_ranges", *try_ranges(50), desc="(I)V"),
-               method("wide", *wide_handlers(20)),
+    methods = [_static("try_ranges", *try_ranges(50), desc="(I)V"),
+               _static("wide", *wide_handlers(20)),
                *(random_ref_method(rng, f"random{i}") for i in range(40))]
     divide = lambda d: ["iload_0", ("push_int", d), "idiv", "istore_1"]
     recover = lambda v: ["pop", ("push_int", v), "ireturn"]
-    methods.append(method("nested", [
+    methods.append(_static("nested", [
         "O:", "iload_0", ("ifeq", "X"), "I:", *divide(3), "IE:",
         "X:", *divide(5), "OE:", ("goto", "R"),
         "HI:", *recover(1), "HO:", *recover(2), "R:", "iload_1", "ireturn"],
         [("I", "IE", "HI", ARITH), ("O", "OE", "HO", None)]))
-    methods.append(method("multi_catch", [
+    methods.append(_static("multi_catch", [
         "S:", *divide(3), "E:", ("goto", "R"), "H:", *recover(1),
         "R:", "iload_1", "ireturn"],
         [("S", "E", "H", ARITH), ("S", "E", "H", "java.lang.IllegalStateException")]))
-    methods.append(method("finally", [
+    methods.append(_static("finally", [
         "S1:", *divide(3), "E1:", "iload_1", ("ifeq", "R"),
         "S2:", *divide(7), "E2:", ("goto", "R"),
         "H:", "astore_2", "iconst_0", "istore_1", "aload_2", "athrow",
         "R:", "iload_1", "ireturn"],
         [("S1", "E1", "H", None), ("S2", "E2", "H", None), ("H", "R", "H", None)]))
-    methods.append(method("unreachable_range", [
+    methods.append(_static("unreachable_range", [
         "iload_0", ("ifeq", "L"), "S:", *divide(3), ("goto", "R"),
         "U:", "aconst_null", "athrow", "E:",
         "H:", *recover(1), "HU:", *recover(2),
         "L:", "iconst_0", "istore_1", "R:", "iload_1", "ireturn"],
         [("S", "E", "H", ARITH), ("U", "E", "HU", None)]))
-    methods.append(method("unreachable_range_shared_head", [
+    methods.append(_static("unreachable_range_shared_head", [
         "iload_0", ("ifeq", "R"), "S:", *divide(3), "E:", ("goto", "R"),
         "U:", "aconst_null", "athrow", "UE:", "H:", *recover(1),
         "R:", "iload_0", "ireturn"],
         [("S", "E", "H", ARITH), ("U", "UE", "H", None)]))
-    methods.append(method("nop_range_shared_head", [
+    methods.append(_static("nop_range_shared_head", [
         "S:", *divide(3), "E:", "N:", "nop", "NE:", ("goto", "R"),
         "H:", *recover(1), "R:", "iload_1", "ireturn"],
         [("S", "E", "H", ARITH), ("N", "NE", "H", None)]))
@@ -131,7 +137,7 @@ def _handler_shapes() -> list[MethodModel]:
         entry = ["iload_0", ("ifeq", "HOP"), "iconst_0", "ireturn", "HOP:", ("goto", "TRY")]
         if not hop:
             entry = ["iload_0", ("ifeq", "TRY"), "iconst_0", "ireturn"]
-        methods.append(method(f"dropped_blocks_{hop}", [
+        methods.append(_static(f"dropped_blocks_{hop}", [
             *entry, "TRY:", ("push_int", 100), "iload_0", "idiv", "istore_1", ("goto", "PAD"),
             "PAD:", "nop", "END:", "iload_1", "ireturn",
             "H:", "pop", "iconst_m1", "istore_1", ("goto", "END")],
@@ -165,6 +171,83 @@ def test_pinned_emitted_jars(variant_jars):
     listing = "".join(f"{name} {_sha256(data)}\n" for name, data in sorted(variant_jars.items()))
     assert len(variant_jars) == 46
     assert _sha256(listing.encode()) == VARIANT_JARS_SHA256
+
+
+# ------------------------------------------- conditionals taken backwards
+
+def _loop_shapes() -> list[MethodModel]:
+    """Static methods with conditionals whose taken successor normalize
+    lays out before the conditional: a do-while, while loops tested at
+    the top and at the bottom, nested loops, loops with
+    break and continue, a loop inside a try range, a walk down a linked
+    list, and early returns that duplicate-return merging joins."""
+    add = ["iload_1", "iload_2", "iadd", "istore_1"]               # s += i
+    start = ["iconst_0", "istore_1", "iconst_0", "istore_2"]       # s = 0; i = 0
+    end = ["iload_1", "ireturn"]
+    return [
+        _static("do_while", [*start, "B:", *add, ("iinc", 2, 1),
+                             "iload_2", "iload_0", ("if_icmplt", "B"), *end]),
+        _static("while_top", [*start, "H:", "iload_2", "iload_0", ("if_icmpge", "E"),
+                              *add, ("iinc", 2, 1), ("goto", "H"), "E:", *end]),
+        _static("while_bottom", [*start, ("goto", "C"), "B:", *add, ("iinc", 2, 1),
+                                 "C:", "iload_2", "iload_0", ("if_icmplt", "B"), *end]),
+        _static("nested", [*start, "OH:", "iload_2", "iload_0", ("if_icmpge", "OE"),
+                           "iconst_0", "istore_3",
+                           "IB:", "iload_1", "iload_3", "iadd", "istore_1", ("iinc", 3, 1),
+                           "iload_3", "iload_2", ("if_icmple", "IB"),
+                           ("iinc", 2, 1), ("goto", "OH"), "OE:", *end]),
+        _static("nested_do", [*start, "OB:", "iconst_0", "istore_3",
+                              "IB:", "iload_1", "iload_3", "iadd", "istore_1", ("iinc", 3, 1),
+                              "iload_3", "iload_2", ("if_icmplt", "IB"),
+                              ("iinc", 2, 1), "iload_2", "iload_0", ("if_icmplt", "OB"), *end]),
+        _static("break_continue", [*start, "H:", "iload_2", "iload_0", ("if_icmpge", "X"),
+                                   ("iinc", 2, 1), "iload_2", "iconst_3", "irem", ("ifeq", "H"),
+                                   "iload_2", ("push_int", 50), ("if_icmpgt", "X"),
+                                   *add, ("goto", "H"), "X:", *end]),
+        _static("do_continue", [*start, "B:", ("iinc", 2, 1),
+                                "iload_2", "iconst_3", "irem", ("ifeq", "C"), *add,
+                                "C:", "iload_2", "iload_0", ("if_icmplt", "B"), *end]),
+        _static("try_loop", ["iconst_0", "istore_1", "iconst_1", "istore_2",
+                             "S:", "B:", "iload_1", ("push_int", 100), "iload_2", "idiv", "iadd",
+                             "istore_1", ("iinc", 2, 1), "iload_2", "iload_0", ("if_icmple", "B"),
+                             "E:", ("goto", "R"), "H:", "pop", "iconst_m1", "istore_1",
+                             "R:", *end], [("S", "E", "H", ARITH)]),
+        _static("list_walk", ["iconst_0", "istore_1",
+                              "B:", ("iinc", 1, 1), "aload_0",
+                              ("getfield", "t.Node", "next", "Lt/Node;"), "astore_0",
+                              "aload_0", ("ifnonnull", "B"), *end], desc="(Lt/Node;)I"),
+        _static("early_returns", [
+            "iload_0", ("ifne", "A"), "iconst_0", "ireturn",
+            "A:", "iload_0", ("push_int", 10), ("if_icmplt", "B"), "iconst_0", "ireturn",
+            "B:", "iload_0", "iconst_2", "irem", ("ifeq", "F"), "iconst_1", "ireturn",
+            "F:", "iconst_0", "ireturn"]),
+    ]
+
+
+def _loop_dumps() -> str:
+    """The lifted and the normalized ``dump`` and the sorted triplets of
+    each loop shape."""
+    cf = parse_class(emit_class(ClassModel("t.Loops", methods=_loop_shapes())))
+    out = []
+    for m in cf.methods:
+        ir = lift(resolved_code(m, cf.constant_pool))
+        triplets = "".join(f"{s} -{e}-> {t}\n" for s, e, t in sorted(method_triplets(cf, m)))
+        out.append(f"{m.name}{m.descriptor}\n{dump(ir)}{dump(normalize(ir))}{triplets}")
+    return "".join(out)
+
+
+def test_pinned_loop_dumps():
+    """No corpus or handler-golden method has a conditional whose taken
+    successor is laid out first, such as a loop's back edge: these pin
+    how normalize orients one, and the triplets that orientation gives.
+    Each compares with eq, lt or le, and a second normalize changes
+    nothing."""
+    cf = parse_class(emit_class(ClassModel("t.Loops", methods=_loop_shapes())))
+    for m in cf.methods:
+        n = normalize(lift(resolved_code(m, cf.constant_pool)))
+        assert branch_ops(n) <= ORIENTED, m.name
+        assert dump(normalize(n)) == dump(n), m.name
+    assert _sha256(_loop_dumps().encode()) == LOOP_SHA256
 
 
 # ------------------------------------------------ one method per mnemonic

@@ -20,9 +20,10 @@ from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
 from jarscan.classfile.emitter import encode_instruction
 from jarscan.classfile.model import resolved_code
 from jarscan.cpg import build_cpg, extract_triplets, method_triplets
-from jarscan.ir import build_cfg, control_dependent_blocks, dependencies, lift
+from jarscan.ir import build_cfg, dependencies, lift
 from jarscan.normalize import normalize
 from oracles import brute_control_deps
+from test_dataflow import control_dependent_blocks
 from test_reference_stages import assert_dependences_match
 
 BUILDER = "java.lang.StringBuilder"

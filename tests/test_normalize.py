@@ -7,11 +7,21 @@ import pytest
 from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class
 from jarscan.classfile.model import resolved_code
 from jarscan.ir import dump, lift
-from jarscan.ir.model import Assign, Bin, Block, Caught, Concat, DynInvoke, MethodIr, Return
+from jarscan.ir.model import (Assign, Bin, Block, Branch, Caught, Concat, DynInvoke, MethodIr,
+                               Return)
 from jarscan.normalize import normalize
 from ir_interp import run_ir
 from oracle_interp import run_bytecode
 from randgen import assemble_method, random_int_method
+
+
+# The operators normalize gives every conditional, whatever its layout.
+ORIENTED = frozenset({"eq", "lt", "le"})
+
+
+def branch_ops(ir) -> set[str]:
+    """The comparison operators of the conditionals in ``ir``."""
+    return {s.op for s in ir.statements if isinstance(s, Branch)}
 
 
 def lift_code(code, desc="(I)I", handlers=()):
@@ -68,6 +78,23 @@ VARIANT_PAIRS = {
 }
 
 
+# Conditionals whose taken successor normalize lays out before them: a
+# do-while's back edge, and a test that branches to a return block that
+# an earlier test shares once duplicate returns are merged.
+TAKEN_FIRST = {
+    "do-while": [
+        "iconst_0", "istore_1",
+        "L:", "iload_1", "iload_0", "iadd", "istore_1", ("iinc", 0, 1),
+        "iload_0", ("push_int", 5), ("if_icmplt", "L"),
+        "iload_1", "ireturn"],
+    "shared-return": [
+        "iload_0", ("ifne", "A"), "iconst_0", "ireturn",
+        "A:", "iload_0", ("push_int", 10), ("if_icmplt", "B"), "iconst_0", "ireturn",
+        "B:", "iload_0", "iconst_2", "irem", ("ifeq", "F"), "iconst_1", "ireturn",
+        "F:", "iconst_0", "ireturn"],
+}
+
+
 def test_variant_pairs_converge():
     for name, (a, b) in VARIANT_PAIRS.items():
         na = normalize(lift_code(a))
@@ -87,11 +114,26 @@ def test_variant_pairs_preserve_semantics():
 
 
 def test_idempotence_on_fixtures():
-    for a, b in VARIANT_PAIRS.values():
-        for code in (a, b):
-            n1 = normalize(lift_code(code))
-            n2 = normalize(n1)
-            assert dump(n1) == dump(n2)
+    fixtures = [code for pair in VARIANT_PAIRS.values() for code in pair]
+    for code in [*fixtures, *TAKEN_FIRST.values()]:
+        n1 = normalize(lift_code(code))
+        n2 = normalize(n1)
+        assert dump(n1) == dump(n2)
+
+
+def test_conditionals_keep_their_orientation():
+    """Every conditional compares with eq, lt or le after normalize, also
+    where its taken successor is laid out first, and keeps its meaning."""
+    rng = random.Random(3)
+    for name, code in TAKEN_FIRST.items():
+        ir = lift_code(code)
+        n = normalize(ir)
+        assert branch_ops(n) <= ORIENTED, name
+        for x in (-3, 0, 1, 4, 5, 9, 10, 11, *(rng.randint(-50, 50) for _ in range(10))):
+            assert run_ir(n, [x]) == run_ir(ir, [x]), (name, x)
+    [branch] = [s for s in normalize(lift_code(TAKEN_FIRST["do-while"])).statements
+                if isinstance(s, Branch)]
+    assert (branch.op, branch.taken, branch.fallthrough) == ("lt", 1, 2)
 
 
 def test_idempotence_on_random_methods():

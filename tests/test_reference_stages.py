@@ -4,7 +4,9 @@ against the versions they replaced, kept in tests/reference_stages.py.
 
 The two normalize passes are compared by running ``normalize`` with the
 references swapped in, so that changes to the other passes move both
-sides alike. ``compare_jdk_methods`` is also run over every java.xml and
+sides alike. Every normalized method is also checked to compare only
+with eq, lt and le, and ``compare_jdk_methods`` returns the methods whose
+dump a second normalize changes. It is also run over every java.xml and
 java.sql method by CI.
 """
 
@@ -21,19 +23,14 @@ from jarscan.classfile import ClassModel, MethodModel, emit_class, parse_class, 
 from jarscan.classfile.model import resolved_code
 from jarscan.cpg import build_cpg, extract_triplets
 from jarscan.errors import LiftError
-from jarscan.ir import (
-    build_cfg,
-    control_dependent_blocks,
-    dependencies,
-    lift,
-    postdominators,
-    reaching_data_edges,
-)
+from jarscan.ir import build_cfg, dependencies, lift, postdominators
 from jarscan.ir.model import Assign, Concat, dump
 from jarscan.normalize import normalize
 from oracles import node_sets
 from randgen import assemble_method, random_int_method, random_method_ir
 from test_classfile import _jdk_jmod
+from test_dataflow import control_dependent_blocks, reaching_data_edges
+from test_normalize import ORIENTED, branch_ops
 
 _normalize_module = sys.modules[normalize.__module__]
 
@@ -74,22 +71,32 @@ def assert_dependences_match(ir, where) -> None:
         == ref.extract_triplets(ref.build_cpg(ir, cfg, ref.dependencies(ir, cfg))), where
 
 
-def assert_lifted_matches(ir, where) -> int:
+def assert_lifted_matches(ir, where):
     """Normalize both ways and compare the CFG, dependences and triplets
-    before and after; returns the number of concat expressions in the normalized IR."""
+    before and after, and check that every conditional in the normalized
+    IR compares with eq, lt or le; returns the normalized IR."""
     n = normalize(ir)
     assert dump(n) == dump(normalize_with_reference_passes(ir)), where
+    assert branch_ops(n) <= ORIENTED, where
     assert_dependences_match(ir, where)
     assert_dependences_match(n, where)
-    return sum(isinstance(s, Assign) and isinstance(s.expr, Concat) for s in n.statements)
+    return n
 
 
-def compare_jdk_methods(jmod, sample: int | None = None, seed: int = 0) -> tuple[int, int]:
+def concat_count(ir) -> int:
+    return sum(isinstance(s, Assign) and isinstance(s.expr, Concat) for s in ir.statements)
+
+
+def compare_jdk_methods(jmod, sample: int | None = None,
+                        seed: int = 0) -> tuple[int, int, list[str]]:
     """Check every method that lifts in the classes of ``jmod``, or in
     ``sample`` of them drawn with ``random.Random(seed)``; the first
     difference fails, naming the method. Returns the number of methods
-    checked and of concat expressions they normalize to."""
+    checked, the number of concat expressions they normalize to, and the
+    methods (``Class.name`` and descriptor) whose dump a second normalize
+    changes."""
     methods = concats = 0
+    unstable: list[str] = []
     with zipfile.ZipFile(jmod) as zf:     # a jmod is a zip behind a 4-byte header
         names = sorted(n for n in zf.namelist() if n.endswith(".class"))
         if sample is not None:
@@ -103,9 +110,12 @@ def compare_jdk_methods(jmod, sample: int | None = None, seed: int = 0) -> tuple
                     ir = lift(resolved_code(m, cf.constant_pool))
                 except LiftError:
                     continue
-                concats += assert_lifted_matches(ir, f"{name} {m.name}{m.descriptor}")
+                n = assert_lifted_matches(ir, f"{name} {m.name}{m.descriptor}")
+                concats += concat_count(n)
+                if dump(normalize(n)) != dump(n):
+                    unstable.append(f"{cf.this_class}.{m.name}{m.descriptor}")
                 methods += 1
-    return methods, concats
+    return methods, concats, unstable
 
 
 BUILDER = "java.lang.StringBuilder"
@@ -179,7 +189,8 @@ def test_random_concat_methods_match_reference():
     for k in range(100):
         cf = parse_class(emit_class(ClassModel("t.C", methods=[
             random_concat_method(rng, rng.randint(1, 8))])))
-        concats += assert_lifted_matches(lift(resolved_code(cf.methods[0], cf.constant_pool)), k)
+        ir = lift(resolved_code(cf.methods[0], cf.constant_pool))
+        concats += concat_count(assert_lifted_matches(ir, k))
     assert concats > 100
 
 
@@ -197,10 +208,12 @@ def test_corpus_methods_match_reference(corpus):
 
 def test_jdk_sample_matches_reference():
     """A seeded sample of java.base, which is compiled with inline
-    StringBuilder concatenation, so the chain rewrite is exercised."""
+    StringBuilder concatenation, so the chain rewrite is exercised; a
+    second normalize changes none of its methods."""
     jmod = _jdk_jmod("java.base")
     if jmod is None:
         pytest.skip("no JDK with jmods/java.base.jmod")
-    methods, concats = compare_jdk_methods(jmod, sample=120, seed=1)
+    methods, concats, unstable = compare_jdk_methods(jmod, sample=120, seed=1)
     assert methods > 500
     assert concats > 20
+    assert unstable == []
