@@ -106,14 +106,14 @@ class ConstantPool:
       MethodHandle        -> (reference_kind, reference_index)
       Dynamic/InvokeDynamic -> (bootstrap_method_attr_index, name_and_type_index)
 
-    It holds the class file's bytes and the offset of each entry's tag
-    byte (-1 where no entry starts: index 0 and the slot after a Long or
-    Double), as the parser's walk found them; that walk checked every tag
-    and length. An entry is decoded the first time it is read.
+    It holds the class file's bytes (``data``) and the offset of each
+    entry's tag byte (-1 where no entry starts: index 0 and the slot after
+    a Long or Double), as the parser's walk found them; that walk checked
+    every tag and length. An entry is decoded the first time it is read.
     """
 
     def __init__(self, data: bytes, offsets: list[int]):
-        self._data = data
+        self.data = data
         self._offsets = offsets
         self._decoded: dict[int, tuple] = {}
         self._resolved: dict[int, tuple] = {}
@@ -134,7 +134,7 @@ class ConstantPool:
             pos = offsets[index] if 0 <= index < len(offsets) else -1
             if pos < 0:
                 raise BadConstantPoolRef(f"constant pool index {index} out of range")
-            data = self._data
+            data = self.data
             tag = data[pos]
             if tag == TAG_UTF8:
                 end = pos + 3 + ((data[pos + 1] << 8) | data[pos + 2])
@@ -160,23 +160,31 @@ class ConstantPool:
         stay apart and a NaN equals itself. Raises BadConstantPoolRef for
         an index out of range or a reference to an entry of the wrong kind.
         """
+        got = self._resolved.get(index)
+        if got is not None:
+            if allowed is not None and got[0] not in allowed:
+                self._unexpected(index, got[0])
+            return got
         tag, value = self._read(index)
         if allowed is not None and tag not in allowed:
-            raise BadConstantPoolRef(
-                f"constant pool index {index}: unexpected "
-                f"{TAG_NAMES.get(tag, tag)} reference")
-        got = self._resolved.get(index)
-        if got is None:
-            slots = _REFERENCES.get(tag)
-            if slots is None:
-                if tag in (TAG_FLOAT, TAG_DOUBLE):
-                    value = struct.pack(">d", value)
-            else:
-                refs = value if isinstance(value, tuple) else (value,)
-                value = tuple(ref if kinds is None else self.resolve(ref, kinds)
-                              for ref, kinds in zip(refs, slots))
-            got = self._resolved[index] = (tag, value)
+            self._unexpected(index, tag)
+        slots = _REFERENCES.get(tag)
+        if slots is None:
+            if tag in (TAG_FLOAT, TAG_DOUBLE):
+                value = struct.pack(">d", value)
+        elif len(slots) == 1:
+            value = (self.resolve(value, slots[0]),)
+        else:
+            (first, second), (kinds, second_kinds) = value, slots
+            value = (first if kinds is None else self.resolve(first, kinds),
+                     self.resolve(second, second_kinds))
+        got = self._resolved[index] = (tag, value)
         return got
+
+    @staticmethod
+    def _unexpected(index: int, tag: int):
+        raise BadConstantPoolRef(
+            f"constant pool index {index}: unexpected {TAG_NAMES.get(tag, tag)} reference")
 
     def utf8(self, index: int) -> str:
         return self._read(index, TAG_UTF8)[1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .._record import Record
 from ..errors import ClassParseError, CodeNotDecoded
@@ -80,7 +80,7 @@ class MethodInfo(NamedTuple):
 
 
 # Mnemonics whose first operand is a constant-pool index.
-_POOL_MNEMONICS = frozenset(m for m, fmt in FORMAT_OF.items()
+POOL_MNEMONICS = frozenset(m for m, fmt in FORMAT_OF.items()
                             if fmt in ("cp8", "cp16", "iface", "indy", "multi"))
 
 
@@ -102,7 +102,7 @@ def resolved_code(method: MethodInfo, pool: ConstantPool) -> tuple | None:
         return None
     return (method.descriptor, method.is_static, code.exception_table,
             tuple((offset, m, (pool.resolve(ops[0]),) + ops[1:]
-                   if m in _POOL_MNEMONICS else ops)
+                   if m in POOL_MNEMONICS else ops)
                   for offset, m, ops in code.instructions))
 
 
@@ -233,7 +233,7 @@ def stripped_code(key: tuple) -> tuple | None:
                       for start, end, handler, catch in handlers),
                 tuple((offset, mnemonic,
                        (stripper.operand(ops[0], mnemonic in _RENDERED_CLASS_OPS),)
-                       + ops[1:] if mnemonic in _POOL_MNEMONICS else ops)
+                       + ops[1:] if mnemonic in POOL_MNEMONICS else ops)
                       for offset, mnemonic, ops in instructions))
     except _NoStrippedKey:
         return None
@@ -250,10 +250,18 @@ class ClassFile(NamedTuple):
     # Each method's ``method_signature``, in method order, and each with
     # packages stripped, as ``parse_class`` puts them together from the
     # fields above: derived, so they take no part in equality or hashing,
-    # and neither does the pool the fields were read from.
+    # and neither do the pool the fields were read from and the fields
+    # after it.
     method_fqns: tuple[str, ...]
     unqualified_method_fqns: tuple[str, ...]
     constant_pool: ConstantPool = None
+    # Per method whose body ``parse_class`` left undecoded, where in the
+    # pool's ``data`` the payload of its Code attribute starts, or, for
+    # a method with several, minus where its attribute table starts, so
+    # the body can be compared or decoded later; 0 for the others.
+    body_at: Sequence[int] = ()
+    # The file the class was read from, when known, for error messages.
+    source: str | None = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

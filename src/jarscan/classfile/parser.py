@@ -22,7 +22,10 @@ set of unqualified signatures, ``parse_class`` decodes the Code
 attribute only of the methods whose stripped signature is in the set;
 every other body reads as ``UNDECODED``, which raises CodeNotDecoded
 when read, never as "no code". Everything else, every method's
-descriptor included, is checked as without it.
+descriptor included, is checked as without it. Where each undecoded
+body sits is kept (``ClassFile.body_at``): ``decode_code`` decodes it
+later, with the same checks and errors, and ``same_raw_code`` shows two
+such bodies to have equal ``resolved_code`` without decoding either.
 
 ``parse_jar`` given a set of stems opens a class entry only if its stem,
 the simple name of the class a class loader finds at the entry's path,
@@ -55,6 +58,7 @@ import io
 import logging
 import struct
 import zlib
+from array import array
 from typing import BinaryIO, Container
 
 from ..errors import (
@@ -64,10 +68,11 @@ from ..errors import (
     TruncatedInput,
     UnsupportedVersion,
 )
-from .constant_pool import CP_PAYLOAD, TAG_UTF8, WIDE_TAGS, ConstantPool
+from .constant_pool import CP_PAYLOAD, TAG_CLASS, TAG_UTF8, WIDE_TAGS, ConstantPool
 from .constructs import strip_packages
 from .descriptors import method_names, validate_field_descriptor
 from .model import (
+    POOL_MNEMONICS,
     UNDECODED,
     ClassFile,
     CodeAttribute,
@@ -77,6 +82,7 @@ from .model import (
     ParseFailure,
 )
 from .opcodes import (
+    FORMAT_OF,
     LAYOUT,
     LOOKUPSWITCH,
     NEWARRAY_TYPES,
@@ -287,6 +293,165 @@ def _parse_code_attribute(data: bytes, pool: ConstantPool) -> CodeAttribute:
     return CodeAttribute(max_stack, max_locals, instructions, table)
 
 
+def _code_payloads(cf: ClassFile, index: int) -> list[bytes]:
+    """The payload of each Code attribute of ``cf.methods[index]``, a body
+    ``parse_class`` left undecoded (see ``ClassFile.body_at``)."""
+    at, data = cf.body_at[index], cf.constant_pool.data
+    if at > 0:
+        return [data[at:at + _U4(data, at - 4)[0]]]
+    _end, attributes = _member_attributes(data, -at, cf.constant_pool)
+    return [data[start:end] for name, start, end in attributes if name == "Code"]
+
+
+def decode_code(cf: ClassFile, index: int) -> CodeAttribute:
+    """The Code attribute of ``cf.methods[index]``, a body ``parse_class``
+    left undecoded, decoded and checked as ``parse_class`` would have:
+    with the same errors, and each of several Code attributes in turn,
+    the last one kept."""
+    for payload in _code_payloads(cf, index):
+        code = _parse_code_attribute(payload, cf.constant_pool)
+    return code
+
+
+# Per opcode, how ``same_raw_code`` reads an instruction of fixed layout
+# (``_DECODE``): its length and the kind of its operand bytes, one of
+# those below, _PLAIN (0) for bytes it only compares; None for an opcode
+# the decoder rejects, the wide prefix and the two switches, which it
+# reads as the decoder does.
+_PLAIN, _POOL8, _POOL16, _BRANCH16, _BRANCH32, _NEWARRAY = range(6)
+
+
+def _step(shape) -> tuple[int, int] | None:
+    if shape is None or shape[1] is None:
+        return None
+    mnemonic, layout, relative = shape
+    if mnemonic in POOL_MNEMONICS:     # the pool index is the first operand
+        kind = _POOL8 if FORMAT_OF[mnemonic] == "cp8" else _POOL16
+    elif relative:
+        kind = _BRANCH16 if layout.size == 2 else _BRANCH32
+    else:
+        kind = _NEWARRAY if mnemonic == "newarray" else _PLAIN
+    return 1 + layout.size, kind
+
+
+_STEPS = tuple(map(_step, _DECODE))
+_CLASS_REF = frozenset({TAG_CLASS})
+_I4 = struct.Struct(">i").unpack_from
+
+
+def same_raw_code(a: ClassFile, i: int, b: ClassFile, j: int) -> bool:
+    """Whether method ``i`` of ``a`` and method ``j`` of ``b``, two bodies
+    ``parse_class`` left undecoded, have equal ``resolved_code`` and both
+    decode, shown in one walk over the two Code attributes without
+    decoding either. False means not shown: the bodies may differ, may
+    not decode, or take a shape the walk does not read.
+
+    The two must agree in descriptor, static flag and code length. The
+    walk reads one code array by the decoder's tables: each opcode and
+    its length, ``wide`` use, switches, branch targets and ``newarray``
+    element types. The other array must hold the same bytes except at
+    pool indices, where both pools must ``resolve`` to the same entry.
+    Both exception tables must hold the same ranges and handler pcs, each
+    on an instruction boundary (JVMS 4.7.3), and catch types that resolve
+    to the same class; each Code sub-attribute table must lie inside its
+    attribute. Never raises.
+    """
+    ma, mb = a.methods[i], b.methods[j]
+    if (ma.code is not UNDECODED or mb.code is not UNDECODED
+            or ma.descriptor != mb.descriptor or ma.is_static != mb.is_static):
+        return False
+    payloads_a, payloads_b = _code_payloads(a, i), _code_payloads(b, j)
+    if len(payloads_a) != 1 or len(payloads_b) != 1:      # several Code attributes
+        return False
+    (attr_a,), (attr_b,) = payloads_a, payloads_b
+    pool_a, pool_b = a.constant_pool, b.constant_pool
+    if len(attr_a) < 8 or len(attr_b) < 8 or attr_a[4:8] != attr_b[4:8]:
+        return False
+    n = _U4(attr_a, 4)[0]
+    if 8 + n > len(attr_a) or 8 + n > len(attr_b):
+        return False
+    code, other = attr_a[8:8 + n], attr_b[8:8 + n]
+    resolve_a, resolve_b = pool_a.resolve, pool_b.resolve
+    steps, newarray_types = _STEPS, NEWARRAY_TYPES
+    starts = bytearray(n + 1)     # 1 at each instruction's offset
+    targets = []
+    same = 0                      # code[:same] is other[:same] but for pool indices
+    pos = 0
+    try:
+        while pos < n:
+            starts[pos] = 1
+            step = steps[code[pos]]
+            if step is None:
+                op = code[pos]
+                shape = _DECODE[op]
+                if op == WIDE:
+                    shape = _WIDE_DECODE.get(code[pos + 1]) if pos + 1 < n else None
+                    if shape is None:
+                        return False
+                    pos += 2 + shape[1].size
+                elif shape is None:
+                    return False
+                else:
+                    operands, pos = _decode_switch(code, pos, pos + 1, shape[0])
+                    targets.extend(branch_targets(shape[0], operands))
+                continue
+            length, kind = step
+            if kind:
+                if pos + length > n:
+                    return False
+                at = pos + 1
+                if kind <= _POOL16:
+                    if code[same:at] != other[same:at]:
+                        return False
+                    if kind == _POOL8:
+                        same = at + 1
+                        if resolve_a(code[at]) != resolve_b(other[at]):
+                            return False
+                    else:
+                        same = at + 2
+                        if (resolve_a((code[at] << 8) | code[at + 1])
+                                != resolve_b((other[at] << 8) | other[at + 1])):
+                            return False
+                elif kind == _BRANCH16:
+                    rel = (code[at] << 8) | code[at + 1]
+                    targets.append(pos + rel - ((rel & 0x8000) << 1))
+                elif kind == _BRANCH32:
+                    targets.append(pos + _I4(code, at)[0])
+                elif code[at] not in newarray_types:
+                    return False
+            pos += length
+        if pos != n:              # the last instruction runs past the end
+            return False
+        if code[same:] != other[same:]:
+            return False
+        for t in targets:
+            if not (0 <= t < n and starts[t]):
+                return False
+        pos = 8 + n
+        if pos + 2 > len(attr_a) or attr_a[pos:pos + 2] != attr_b[pos:pos + 2]:
+            return False
+        end = pos + 2 + 8 * _U2(attr_a, pos)[0]
+        if end > len(attr_a) or end > len(attr_b):
+            return False
+        for at in range(pos + 2, end, 8):
+            start, stop, handler, catch_a = _HANDLER.unpack_from(attr_a, at)
+            catch_b = _U2(attr_b, at + 6)[0]
+            if (attr_a[at:at + 6] != attr_b[at:at + 6]
+                    or not (start < stop and start < n and starts[start]
+                            and (stop == n or stop < n and starts[stop])
+                            and handler < n and starts[handler])):
+                return False
+            if (catch_a or catch_b) and not (
+                    catch_a and catch_b
+                    and pool_a.resolve(catch_a, _CLASS_REF) == pool_b.resolve(catch_b, _CLASS_REF)):
+                return False
+        _skip_attributes(attr_a, end)
+        _skip_attributes(attr_b, end)
+    except ClassParseError:
+        return False
+    return True
+
+
 def _member_attributes(data: bytes, pos: int,
                        pool: ConstantPool) -> tuple[int, list[tuple[str, int, int]]]:
     """Walk the attribute table of one field or method at ``pos``; each
@@ -311,8 +476,10 @@ def parse_class(data: bytes, bodies: Container[str] | None = None) -> ClassFile:
     put together by ``method_names`` from the class's name and the
     descriptor's cached rendering, which checks the descriptor. With
     ``bodies``, a method's Code attribute is decoded only if its unqualified
-    signature is in ``bodies``; the others read as ``UNDECODED``. Without
-    it every body is decoded.
+    signature is in ``bodies``; the others read as ``UNDECODED``, and
+    ``body_at`` says where their Code attributes sit, for
+    ``decode_code`` and ``same_raw_code``. Without it every body is
+    decoded.
     """
     major, pool, pos = _walk_pool(data)
     access = _u2(data, pos)
@@ -330,21 +497,28 @@ def parse_class(data: bytes, bodies: Container[str] | None = None) -> ClassFile:
         validate_field_descriptor(desc)
         fields.append(FieldInfo(name, desc, acc))
     entries, pos = _table(data, pos)
-    methods, fqns, unqualified = [], [], []
+    methods, fqns, unqualified, body_at = [], [], [], array("q")
     unq_class = strip_packages(this_class)
     for _ in entries:
         acc, name = _u2(data, pos), pool.utf8(_u2(data, pos + 2))
         desc = pool.utf8(_u2(data, pos + 4))
-        pos, attributes = _member_attributes(data, pos + 6, pool)
+        at = pos + 6
+        pos, attributes = _member_attributes(data, at, pool)
         fqn, unq = method_names(this_class, unq_class, name, desc)
         fqns.append(fqn)
         unqualified.append(unq)
         decode = bodies is None or unq in bodies
         code = None
+        body = 0
         for attr_name, start, end in attributes:
             if attr_name == "Code":
-                code = _parse_code_attribute(data[start:end], pool) if decode else UNDECODED
+                if decode:
+                    code = _parse_code_attribute(data[start:end], pool)
+                else:
+                    code = UNDECODED
+                    body = -at if body else start
         methods.append(MethodInfo(name, desc, acc, code))
+        body_at.append(body)
     # Class-level attributes skipped by length.
     _skip_attributes(data, pos)
     return ClassFile(
@@ -358,6 +532,7 @@ def parse_class(data: bytes, bodies: Container[str] | None = None) -> ClassFile:
         method_fqns=tuple(fqns),
         unqualified_method_fqns=tuple(unqualified),
         constant_pool=pool,
+        body_at=body_at,
     )
 
 

@@ -53,6 +53,10 @@ class UnsupportedInstruction(LiftError):
     """Opcode deliberately rejected by the lifter (jsr/ret)."""
 
 
+class DuplicateClass(JarscanError):
+    """One side of a fix declares the same class in two class files."""
+
+
 class EmptyDiff(JarscanError):
     """Pre- and post-fix inputs are identical after normalization."""
 

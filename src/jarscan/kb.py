@@ -30,11 +30,12 @@ from typing import NamedTuple
 from ._record import Record
 from .classfile.constructs import ConstructId, class_construct, strip_packages
 from .classfile.descriptors import render_type
-from .classfile.model import ClassFile, MethodInfo, key_digest, resolved_code, stripped_code
-from .classfile.parser import parse_class
+from .classfile.model import (UNDECODED, ClassFile, MethodInfo, key_digest, resolved_code,
+                              stripped_code)
+from .classfile.parser import decode_code, parse_class, same_raw_code
 from .triplets import FixSignature, Triplet, unqualify
-from .errors import (ClassParseError, CorruptFile, EmptyDiff, KbFormatError, LiftError,
-                     VersionMismatch)
+from .errors import (ClassParseError, CorruptFile, DuplicateClass, EmptyDiff, KbFormatError,
+                     LiftError, VersionMismatch)
 
 log = logging.getLogger(__name__)
 
@@ -217,16 +218,53 @@ def _code_digests(keys: tuple) -> tuple:
             None if None in stripped else tuple(map(key_digest, stripped)))
 
 
-def _methods_by_key(cf: ClassFile) -> dict[tuple[str, str], tuple[MethodInfo, str]]:
-    """Each method of a class and its FQN, by (name, descriptor)."""
-    return {(m.name, m.descriptor): (m, fqn) for m, fqn in zip(cf.methods, cf.method_fqns)}
+def _method_indices(cf: ClassFile) -> dict[tuple[str, str], int]:
+    """The index of each method of a class, by (name, descriptor)."""
+    return {(m.name, m.descriptor): i for i, m in enumerate(cf.methods)}
+
+
+def _by_name(classes: list[ClassFile]) -> dict[str, ClassFile]:
+    """The classes of one side of a fix by name, in list order; raises
+    DuplicateClass, naming both files, for a name declared twice."""
+    out: dict[str, ClassFile] = {}
+    for cf in classes:
+        first = out.setdefault(cf.this_class, cf)
+        if first is not cf:
+            raise DuplicateClass(
+                f"class {cf.this_class} declared twice: {first.source}, {cf.source}")
+    return out
+
+
+def _decoded(cf: ClassFile, keep: set) -> ClassFile:
+    """``cf`` with every undecoded body decoded but those at the indices
+    in ``keep``; a ClassParseError names ``cf.source``, when known."""
+    methods = list(cf.methods)
+    for i, m in enumerate(methods):
+        if m.code is UNDECODED and i not in keep:
+            try:
+                methods[i] = m._replace(code=decode_code(cf, i))
+            except ClassParseError as exc:
+                if cf.source is None:
+                    raise
+                raise ClassParseError(f"{cf.source}: {exc}") from exc
+    return cf._replace(methods=tuple(methods))
 
 
 def build_entry(cve_id: str, pre_classes: list[ClassFile],
                 post_classes: list[ClassFile]) -> list[ConstructRecord]:
     """Diff pre/post-fix classes into construct records.
 
-    A method present on both sides is first compared by its pool-resolved
+    A method present on both sides is compared first on its raw Code
+    attributes, when ``parse_class`` left both bodies undecoded:
+    ``same_raw_code`` walks the two code arrays at once, comparing pool
+    operands by the constants they name and every other byte as it is,
+    and checks all the decoder would check. A pair it proves equal is
+    neither decoded, lifted nor recorded. Every other undecoded body is
+    then decoded, class by class in list order, pre side first, so a body
+    that does not decode raises ClassParseError naming its class's
+    ``source``, as parsing it whole would have.
+
+    A pair the walk did not prove equal is compared by its pool-resolved
     code (``resolved_code``: descriptor, ``is_static``, exception table,
     and every instruction's offset, mnemonic and operands with pool
     indices replaced by the constants they name), which is what lifting
@@ -238,12 +276,25 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
     and stripped keys, from the keys the comparison built, so a scan can
     recognise either body, or a relocated copy of it, without lifting.
 
-    Raises EmptyDiff when nothing differs after normalization, and
+    Raises DuplicateClass when one side declares a class twice,
+    EmptyDiff when nothing differs after normalization, and
     BadConstantPoolRef when a pool operand of a method on both sides does
     not resolve.
     """
-    pre = {cf.this_class: cf for cf in pre_classes}
-    post = {cf.this_class: cf for cf in post_classes}
+    pre, post = _by_name(pre_classes), _by_name(post_classes)
+    # The bodies of each class, by id, that the walk proved equal to their
+    # counterparts: the only ones left undecoded.
+    proven: dict[int, set] = {id(cf): set() for cf in chain(pre.values(), post.values())}
+    for name in pre.keys() & post.keys():
+        pre_cf, post_cf = pre[name], post[name]
+        post_methods = _method_indices(post_cf)
+        for key, i in _method_indices(pre_cf).items():
+            j = post_methods.get(key)
+            if j is not None and same_raw_code(pre_cf, i, post_cf, j):
+                proven[id(pre_cf)].add(i)
+                proven[id(post_cf)].add(j)
+    pre = {name: _decoded(cf, proven[id(cf)]) for name, cf in pre.items()}
+    post = {name: _decoded(cf, proven[id(cf)]) for name, cf in post.items()}
     records: list[ConstructRecord] = []
 
     for name in sorted(pre.keys() | post.keys()):
@@ -256,22 +307,25 @@ def build_entry(cve_id: str, pre_classes: list[ClassFile],
                 class_context=class_member_context(present)))
             continue
 
-        pre_methods = _methods_by_key(pre_cf)
-        post_methods = _methods_by_key(post_cf)
+        pre_methods = _method_indices(pre_cf)
+        post_methods = _method_indices(post_cf)
         for key in sorted(pre_methods.keys() | post_methods.keys()):
             if key not in post_methods:
                 records.append(ConstructRecord(
-                    construct=ConstructId("method", pre_methods[key][1]),
+                    construct=ConstructId("method", pre_cf.method_fqns[pre_methods[key]]),
                     change="removed", signature=None,
                     class_context=class_member_context(post_cf, exclude_method=key)))
                 continue
-            post_m, fqn = post_methods[key]
+            post_m = post_cf.methods[post_methods[key]]
+            fqn = post_cf.method_fqns[post_methods[key]]
             if key not in pre_methods:
                 records.append(ConstructRecord(
                     construct=ConstructId("method", fqn), change="added", signature=None,
                     class_context=class_member_context(post_cf, exclude_method=key)))
                 continue
-            pre_m = pre_methods[key][0]
+            pre_m = pre_cf.methods[pre_methods[key]]
+            if pre_m.code is UNDECODED:       # proven equal by the walk
+                continue
             keys = (resolved_code(pre_m, pre_cf.constant_pool),
                     resolved_code(post_m, post_cf.constant_pool))
             if _same_code(keys):
@@ -535,26 +589,51 @@ def parse_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
-def _raise(exc: OSError):
-    raise exc
+# Opening a FIFO for reading without O_NONBLOCK waits for a writer.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+
+
+def _class_paths(directory: Path) -> list[str]:
+    """The path of every ``*.class`` under ``directory`` that is not a
+    directory, top-down, one ``os.scandir`` per directory; symlinked
+    directories are not followed. Raises OSError for a directory that
+    cannot be listed."""
+    paths, pending = [], [os.fspath(directory)]
+    while pending:
+        subdirs = []
+        with os.scandir(pending.pop()) as entries:
+            for entry in entries:
+                try:
+                    is_dir = entry.is_dir()
+                except OSError:
+                    is_dir = False
+                if is_dir:
+                    if not entry.is_symlink():
+                        subdirs.append(entry.path)
+                elif entry.name.endswith(".class"):
+                    paths.append(entry.path)
+        pending.extend(reversed(subdirs))
+    return paths
 
 
 def _classes_in_dir(directory: Path) -> list[ClassFile]:
-    """Every ``*.class`` file under ``directory``, parsed, in ``sorted(Path)``
-    order (by path parts). Symlinked directories are not followed. Raises
-    ClassParseError, naming the file, for one that does not parse, and
-    OSError for a directory that cannot be listed and for a ``*.class``
-    that cannot be read or, through any symlinks, is not a regular file
-    (reading a FIFO would wait for a writer)."""
-    paths = [os.path.join(root, name)
-             for root, _dirs, names in os.walk(directory, onerror=_raise)
-             for name in names if name.endswith(".class")]
+    """Every ``*.class`` file under ``directory``, parsed with no body
+    decoded (``build_entry`` decodes what it needs), its path as the
+    class's ``source``, in ``sorted(Path)`` order (by path parts).
+    Symlinked directories are not followed. Each file is opened once,
+    through any symlinks and without waiting on a FIFO, then checked by
+    ``fstat`` and read. Raises ClassParseError, naming the file, for one
+    that does not parse, and OSError for a directory that cannot be
+    listed and for a ``*.class`` that cannot be read or is not a regular
+    file."""
     out = []
-    for path in sorted(paths, key=lambda p: p.split(os.sep)):
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            raise OSError(errno.EINVAL, "not a regular file", path)
+    for path in sorted(_class_paths(directory), key=lambda p: p.split(os.sep)):
+        with open(os.open(path, _READ_FLAGS), "rb", buffering=0) as file:
+            if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                raise OSError(errno.EINVAL, "not a regular file", path)
+            data = file.readall()
         try:
-            out.append(parse_class(Path(path).read_bytes()))
+            out.append(parse_class(data, ())._replace(source=path))
         except ClassParseError as exc:
             raise ClassParseError(f"{path}: {exc}") from exc
     return out
@@ -586,6 +665,9 @@ def build_from_manifest(manifest_path) -> tuple[KnowledgeBase, BuildStats]:
         except EmptyDiff as exc:
             log.warning("%s", exc)
             stats.empty_diff.append(entry.cve_id)
+        except DuplicateClass as exc:
+            log.warning("%s: %s", entry.cve_id, exc)
+            stats.errors.append((entry.cve_id, str(exc)))
         except ClassParseError as exc:
             log.warning("%s: %s", entry.cve_id, exc)
             stats.errors.append((entry.cve_id, f"malformed class: {exc}"))

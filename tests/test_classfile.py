@@ -13,6 +13,7 @@ import zipfile
 import zlib
 from pathlib import Path
 from typing import BinaryIO
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +35,10 @@ from jarscan.classfile import (
 from jarscan.classfile import parser as parser_mod
 from jarscan.classfile.constructs import ConstructId
 from jarscan.classfile.descriptors import method_signature, parse_method_descriptor, render_type
-from jarscan.classfile.emitter import encode_instruction
+from jarscan.classfile.constant_pool import (TAG_CLASS, TAG_DOUBLE, TAG_FIELDREF, TAG_FLOAT,
+                                             TAG_INTEGER, TAG_LONG, TAG_NAME_AND_TYPE, TAG_STRING,
+                                             TAG_UTF8, resolved_class, resolved_member)
+from jarscan.classfile.emitter import PoolBuilder, encode_instruction
 from jarscan.classfile.model import ClassFile, ParseFailure, resolved_code, stripped_code
 from jarscan.classfile.opcodes import (
     EFFECTS,
@@ -45,7 +49,8 @@ from jarscan.classfile.opcodes import (
     WIDE,
     branch_targets,
 )
-from jarscan.classfile.parser import MAX_ENTRY_BYTES, ZipReader, decode_instructions
+from jarscan.classfile.parser import (MAX_ENTRY_BYTES, ZipReader, decode_code,
+                                      decode_instructions, same_raw_code)
 from jarscan.ir import lift
 from jarscan.normalize import normalize
 from jarscan.errors import (
@@ -1056,3 +1061,184 @@ def test_strip_packages_examples():
     assert strip_packages("int[]") == "int[]"
     assert strip_packages("a.b.C$D") == "C$D"
     assert strip_packages("double:1.5") == "double:1.5"
+
+
+# ------------------------------------------------------ raw code comparison
+
+def _intern(pool: PoolBuilder, entry: tuple) -> int:
+    """Intern, in ``pool``, a ``ConstantPool.resolve`` entry of a kind the
+    emitter writes."""
+    tag, value = entry
+    if tag == TAG_UTF8:
+        return pool.utf8(value)
+    if tag in (TAG_FLOAT, TAG_DOUBLE):
+        value = struct.unpack(">d", value)[0]
+        return pool.float(value) if tag == TAG_FLOAT else pool.double(value)
+    if tag in (TAG_INTEGER, TAG_LONG):
+        return pool.integer(value) if tag == TAG_INTEGER else pool.long(value)
+    if tag == TAG_CLASS:
+        return pool.class_ref(resolved_class(entry).replace("/", "."))
+    if tag == TAG_STRING:
+        return pool.string(value[0][1])
+    if tag == TAG_NAME_AND_TYPE:
+        return pool.name_and_type(value[0][1], value[1][1])
+    owner, name, desc = resolved_member(entry)
+    ref = pool.field_ref if tag == TAG_FIELDREF else pool.method_ref
+    return ref(owner.replace("/", "."), name, desc)
+
+
+def _emit_pool_shuffled(model: ClassModel, rng: random.Random) -> bytes:
+    """``emit_class(model)`` with every entry of its constant pool put in
+    first, in an order drawn from ``rng``."""
+    data = emit_class(model)
+    pool = parse_class(data, ()).constant_pool
+    entries = [pool.resolve(i) for i in range(1, struct.unpack_from(">H", data, 8)[0])
+               if i in pool]
+    rng.shuffle(entries)
+    init = PoolBuilder.__init__
+
+    def shuffled_init(self):
+        init(self)
+        for entry in entries:
+            _intern(self, entry)
+
+    with mock.patch.object(PoolBuilder, "__init__", shuffled_init):
+        return emit_class(model)
+
+
+def _walk_answers(a: bytes, b: bytes) -> list[tuple[bool, bool]]:
+    """Per method of two classes with the same methods in the same order:
+    whether ``same_raw_code`` calls the two bodies equal, and whether
+    their ``resolved_code`` keys are."""
+    lazy_a, lazy_b, cf_a, cf_b = parse_class(a, ()), parse_class(b, ()), parse_class(a), parse_class(b)
+    return [(same_raw_code(lazy_a, i, lazy_b, i),
+             resolved_code(ma, cf_a.constant_pool) == resolved_code(mb, cf_b.constant_pool))
+            for i, (ma, mb) in enumerate(zip(cf_a.methods, cf_b.methods, strict=True))]
+
+
+def _walk_model(seed: int, change: str | None = None) -> tuple[ClassModel, int]:
+    """A class of ``random_ref_method`` bodies and one with a constant, a
+    catch type and a plain operand of each kind the changes below edit;
+    with ``change``, one such item of one method, drawn from the seed,
+    changed. Returns the model and the changed method's index."""
+    rng = random.Random(seed)
+    methods = [default_constructor(), MethodModel("g", "(I)I", 0x09, code=[
+        "T:", ("ldc_string", "s"), ("invokestatic", "a.B", "h", "(Ljava/lang/String;)V"),
+        "E:", ("goto", "A"), "H:", "pop", "A:", ("push_int", 7), ("iinc", 0, 2), "iload_0",
+        "iadd", "ireturn"], handlers=[("T", "E", "H", "java.io.IOException")]),
+        *(random_ref_method(rng, f"f{i}") for i in range(2))]
+    if change is None:
+        return ClassModel("rnd.W", methods=methods), 0
+    edits = []
+    for index, m in enumerate(methods[1:], 1):
+        if change == "catch type":
+            edits += [(index, h, k) for k, h in enumerate(m.handlers)]
+        else:
+            edits += [(index, item, k) for k, item in enumerate(m.code)
+                      if isinstance(item, tuple) and item[0] in (
+                          ("ldc_string", "ldc_class", "getstatic", "putstatic", "new",
+                           "checkcast", "invokestatic") if change == "constant"
+                          else ("push_int", "iinc", "astore", "istore"))]
+    index, item, k = rng.choice(edits)
+    if change == "catch type":
+        methods[index].handlers[k] = item[:3] + (None if item[3] else "lib.x.Other",)
+    elif change == "constant":
+        methods[index].code[k] = (item[0], item[1] + "2", *item[2:])
+    else:
+        methods[index].code[k] = (*item[:-1], item[-1] + 1)
+    return ClassModel("rnd.W", methods=methods), index
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["constant", "operand", "catch type"]))
+def test_raw_code_walk_agrees_with_resolved_code(seed, change):
+    """The same class emitted with its pool in another order is equal
+    method by method, on raw code as on resolved code; changing one
+    constant, one operand or one catch type makes that method differ on
+    both. On every pair the two comparisons agree."""
+    rng = random.Random(seed)
+    model, _ = _walk_model(seed)
+    data = emit_class(model)
+    assert _walk_answers(data, _emit_pool_shuffled(model, rng)) == [(True, True)] * 4
+    changed, index = _walk_model(seed, change)
+    answers = _walk_answers(data, _emit_pool_shuffled(changed, rng))
+    assert all(walk == same for walk, same in answers)
+    assert answers[index] == (False, False)
+
+
+def _with_strings_edited(model: ClassModel) -> ClassModel:
+    """``model`` with a quote appended to each string constant its code
+    loads: emitted, the pool holds the same kinds of entry in the same
+    order, so only the constants the indices name differ."""
+    for m in model.methods:
+        m.code = m.code and [(item[0], item[1] + "'")
+                             if isinstance(item, tuple) and item[0] == "ldc_string" else item
+                             for item in m.code]
+    return model
+
+
+def compare_raw_code(jmod: Path, sample: int | None = None, seed: int = 0) -> tuple[int, int]:
+    """``same_raw_code`` on each method with code of every class of
+    ``jmod`` that ``emit_class(model_from_classfile(cf))`` re-emits, or of
+    those among ``sample`` classes drawn with ``random.Random(seed)``:
+    against its counterpart in that copy and in a ``compiler_variant``
+    copy, and that copy's against the copy with its string constants
+    edited. Fails on the first pair the walk calls equal whose
+    ``resolved_code`` keys differ, naming it. Returns the number of pairs
+    and of those the walk called equal."""
+    from jarscan.modharness import compiler_variant, model_from_classfile
+    rng = random.Random(seed)
+    pairs = proven = 0
+    with zipfile.ZipFile(jmod) as zf:     # a jmod is a zip behind a 4-byte header
+        names = sorted(n for n in zf.namelist() if n.endswith(".class"))
+        if sample is not None:
+            names = rng.sample(names, sample)
+        for name in names:
+            data = zf.read(name)
+            try:
+                copy = emit_class(model_from_classfile(parse_class(data)))
+                variant = compiler_variant(data, rng)
+            except UnsupportedFeature:
+                continue
+            edited = emit_class(_with_strings_edited(model_from_classfile(parse_class(data))))
+            for a, b in ((data, copy), (data, variant), (copy, edited)):
+                answers = _walk_answers(a, b)
+                for m, (walk, same) in zip(parse_class(data, ()).methods, answers):
+                    assert same or not walk, f"{name} {m.name}{m.descriptor}"
+                    if m.code is not None:
+                        pairs += 1
+                        proven += walk
+    return pairs, proven
+
+
+def test_raw_code_walk_never_calls_different_jdk_code_equal():
+    """A seeded sample of java.xml; CI checks every class of it."""
+    jmod = _jdk_jmod("java.xml")
+    if jmod is None:
+        pytest.skip("no JDK with jmods/java.xml.jmod")
+    pairs, proven = compare_raw_code(jmod, sample=150, seed=34)
+    assert pairs > 500 and proven > 0
+
+
+def test_a_body_with_several_code_attributes_is_decoded_whole_later():
+    """``parse_class`` decodes every Code attribute of a method and keeps
+    the last; left undecoded, the body decodes later with the same
+    result and the same error, and the raw walk never calls it equal."""
+    data = emit_class(ClassModel("p.Two", methods=[
+        MethodModel("m", "()V", 0x09, code=["iconst_1", "pop", "return"])]))
+    start = parse_class(data, ()).body_at[0]
+    end = start + struct.unpack_from(">I", data, start - 4)[0]
+    attribute = data[start - 6:end]
+    last = attribute.replace(bytes.fromhex("0457b1"), bytes.fromhex("0557b1"))
+    for first, error in ((attribute, None), (attribute.replace(bytes.fromhex("0457b1"),
+                                                               bytes.fromhex("e057b1")),
+                                             "unknown opcode 0xe0 at offset 0")):
+        two = data[:start - 8] + struct.pack(">H", 2) + first + last + data[end:]
+        lazy = parse_class(two, ())
+        assert lazy.body_at[0] < 0 and not same_raw_code(lazy, 0, lazy, 0)
+        if error is None:
+            assert decode_code(lazy, 0) == parse_class(two).methods[0].code
+            assert decode_code(lazy, 0).instructions[0][1] == "iconst_2"
+        else:
+            for parse in (lambda: parse_class(two), lambda: decode_code(lazy, 0)):
+                with pytest.raises(ClassParseError, match=error):
+                    parse()

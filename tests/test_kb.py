@@ -142,20 +142,21 @@ def test_clinit_only_change_is_captured():
 
 # ------------------------------------------------- unchanged-code shortcut
 
-def _relaid_fix():
+def _relaid_fix(bodies=None):
     """A fix that changes ``fix`` and adds ``first`` ahead of ``keep``, so
-    every constant ``keep`` uses moves to another pool index."""
+    every constant ``keep`` uses moves to another pool index; parsed with
+    ``bodies`` as ``parse_class`` takes it."""
     keep = MethodModel("keep", "()I", 0x09, code=[
         ("ldc_string", "k"), ("invokestatic", "a.R", "h", "(Ljava/lang/String;)I"),
         ("getstatic", "a.R", "n", "I"), "iadd", "ireturn"])
     first = MethodModel("first", "()V", 0x09, code=[
         ("ldc_string", "z"), ("putstatic", "a.R", "s", "Ljava/lang/String;"),
         ("ldc_float", 2.5), "pop", "return"])
-    pre = _cls("a.R", [keep, MethodModel("fix", "(I)I", 0x09, code=[
-        "iload_0", "ireturn"])], fields=[("n", "I"), ("s", "Ljava/lang/String;")])
-    post = _cls("a.R", [first, keep, MethodModel("fix", "(I)I", 0x09, code=[
-        "iload_0", "ineg", "ireturn"])], fields=[("n", "I"), ("s", "Ljava/lang/String;")])
-    return pre, post
+    fields = [FieldModel("n", "I"), FieldModel("s", "Ljava/lang/String;")]
+    return tuple(parse_class(emit_class(ClassModel("a.R", fields=fields, methods=[
+        default_constructor(), *methods, MethodModel("fix", "(I)I", 0x09, code=fix)])), bodies)
+        for methods, fix in (([keep], ["iload_0", "ireturn"]),
+                             ([first, keep], ["iload_0", "ineg", "ireturn"])))
 
 
 def _method(cf, name):
@@ -163,7 +164,9 @@ def _method(cf, name):
 
 
 def _shortcut_off(monkeypatch):
-    """Every pair takes the lift path, as if its two resolved codes differed."""
+    """Every pair takes the lift path, as if its two raw codes and its two
+    resolved codes differed."""
+    monkeypatch.setattr(jarscan.kb, "same_raw_code", lambda *args: False)
     monkeypatch.setattr(jarscan.kb, "_same_code", lambda *args: None)
 
 
@@ -184,7 +187,7 @@ def test_only_changed_methods_are_lifted(monkeypatch):
         return real(cf, method)
 
     monkeypatch.setattr(jarscan.cpg, "method_triplets", counting)
-    pre, post = _relaid_fix()
+    pre, post = _relaid_fix(bodies=())
     records = build_entry("CVE-R", [pre], [post])
     assert lifted == ["fix", "fix"]
     assert [(r.construct.fqn, r.change) for r in records] == [
@@ -199,10 +202,10 @@ def _saved(tmp_path, name, records):
 
 def test_shortcut_leaves_kb_bytes_unchanged(tmp_path, monkeypatch, corpus):
     def build_all():
-        fixes = {cve: ([parse_class(b) for _n, b in corpus.pre_classes[cve]],
-                       [parse_class(b) for _n, b in corpus.post_classes[cve]])
+        fixes = {cve: ([parse_class(b, ()) for _n, b in corpus.pre_classes[cve]],
+                       [parse_class(b, ()) for _n, b in corpus.post_classes[cve]])
                  for cve in corpus.cve_ids}
-        fixes["CVE-R"] = tuple([cf] for cf in _relaid_fix())
+        fixes["CVE-R"] = tuple([cf] for cf in _relaid_fix(bodies=()))
         return {cve: build_entry(cve, pre, post) for cve, (pre, post) in fixes.items()}
 
     with_shortcut = _saved(tmp_path, "on.kb", build_all())
@@ -225,7 +228,7 @@ def test_unliftable_unchanged_method_is_not_recorded(monkeypatch):
         raise LiftError("forced")
 
     monkeypatch.setattr(jarscan.cpg, "method_triplets", unliftable)
-    pre, post = _relaid_fix()
+    pre, post = _relaid_fix(bodies=())
     records = build_entry("CVE-U", [pre], [post])
     assert [(r.construct.fqn, r.change, r.signature) for r in records] == [
         ("a.R: int fix(int)", "changed", None), ("a.R: void first()", "added", None)]
@@ -1102,6 +1105,114 @@ def test_manifest_build_reports_an_invalid_newarray_type(tmp_path, corpus, newar
     kb, stats = build_from_manifest(manifest)
     assert stats.errors == [(cve, f"malformed class: {bad.resolve()}: "
                                   "newarray@1 of invalid element type 3")]
+    assert sorted(kb.records) == sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
+
+
+def _keep_and_fix(keep: MethodModel, fix_code: list) -> bytes:
+    """A class p.F with the method ``keep`` and ``int fix(int)`` of
+    ``fix_code``."""
+    return emit_class(ClassModel("p.F", methods=[
+        default_constructor(), keep, MethodModel("fix", "(I)I", 0x09, code=fix_code)]))
+
+
+def _replace_once(data: bytes, old: bytes, new: bytes) -> bytes:
+    assert data.count(old) == 1 and len(old) == len(new)
+    return data.replace(old, new)
+
+
+# A fault the decoder rejects, each in the body of a method a fix does not
+# change: the method's code and handlers, the bytes to find in its Code
+# attribute and what to put there, and the decoder's message.
+_HANDLED = (["T:", ("push_int", 100), "pop", "E:", "return", "H:", "pop", "return"],
+            [("T", "E", "H", None)])
+_TABLE = struct.pack(">H4H", 1, 0, 3, 4, 0)     # [0, 3) handled at 4, any type
+_UNCHANGED_BODY_FAULTS = {
+    "branch target": ((["iconst_0", ("ifeq", "L"), "iconst_1", "pop", "L:", "return"], []),
+                      bytes.fromhex("03990005"), bytes.fromhex("03990002"),
+                      "branch target 3 of ifeq@1 is not an instruction boundary"),
+    "handler pc": (_HANDLED, _TABLE, struct.pack(">H4H", 1, 0, 3, 1, 0),
+                   "exception handler pc 1 is not a boundary"),
+    "empty range": (_HANDLED, _TABLE, struct.pack(">H4H", 1, 2, 2, 4, 0),
+                    "bad exception range [2, 2)"),
+    "newarray type": (([("push_int", 1), ("newarray", 10), "pop", "return"], []),
+                      bytes.fromhex("04bc0a57"), bytes.fromhex("04bc0357"),
+                      "newarray@1 of invalid element type 3"),
+    "unknown opcode": ((["nop", "nop", "return"], []), bytes.fromhex("000000030000b1"),
+                       bytes.fromhex("0000000300e0b1"), "unknown opcode 0xe0 at offset 1"),
+    "sub-attribute": ((["aconst_null", "pop", "return"], []),
+                      bytes.fromhex("0157b100000000"), bytes.fromhex("0157b100000001"),
+                      "class file ends inside an attribute at 15"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_UNCHANGED_BODY_FAULTS))
+def test_a_fault_in_an_unchanged_method_is_still_a_malformed_class(tmp_path, corpus, fault):
+    """A body the decoder rejects makes its fix a malformed class naming
+    the pre-fix file, as parsing each class whole did, though the fix
+    leaves that body as it is; the other entries are still built."""
+    (code, handlers), old, new, message = _UNCHANGED_BODY_FAULTS[fault]
+    keep = MethodModel("keep", "()V", 0x09, code=code, handlers=handlers)
+    manifest = materialize_manifest(corpus, tmp_path)
+    cve = corpus.cve_ids[0]
+    paths = {side: tmp_path / cve / side / "p" / "F.class" for side in ("pre", "post")}
+    for side, fix_code in (("pre", ["iload_0", "ireturn"]),
+                           ("post", ["iload_0", "ineg", "ireturn"])):
+        paths[side].parent.mkdir(parents=True)
+        paths[side].write_bytes(_replace_once(_keep_and_fix(keep, fix_code), old, new))
+    kb, stats = build_from_manifest(manifest)
+    assert stats.errors == [(cve, f"malformed class: {paths['pre'].resolve()}: {message}")]
+    assert sorted(kb.records) == sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
+
+
+def test_only_bodies_not_proven_equal_are_decoded(tmp_path, corpus, monkeypatch):
+    """Building the corpus KB decodes the bodies without a counterpart
+    and both sides of each pair ``same_raw_code`` did not prove equal,
+    once each, and nothing else; the KB is the one built from classes
+    decoded whole."""
+    bodies = proven = 0
+    for cve in corpus.cve_ids:
+        pre, post = ({cf.this_class: cf for cf in (parse_class(b, ()) for _n, b in side[cve])}
+                     for side in (corpus.pre_classes, corpus.post_classes))
+        bodies += sum(m.code is not None for side in (pre, post) for cf in side.values()
+                      for m in cf.methods)
+        for name in pre.keys() & post.keys():
+            post_keys = {(m.name, m.descriptor): j for j, m in enumerate(post[name].methods)}
+            for i, m in enumerate(pre[name].methods):
+                j = post_keys.get((m.name, m.descriptor))
+                proven += 2 * (j is not None
+                               and jarscan.kb.same_raw_code(pre[name], i, post[name], j))
+    expected = bodies - proven
+    assert 0 < expected < bodies / 2
+
+    decoded = []
+    parser = sys.modules["jarscan.classfile.parser"]
+    real = parser.decode_instructions
+    monkeypatch.setattr(parser, "decode_instructions", lambda code: decoded.append(code)
+                        or real(code))
+    kb, stats = build_from_manifest(materialize_manifest(corpus, tmp_path))
+    assert len(decoded) == expected and not stats.errors
+    monkeypatch.undo()
+    assert kb == KnowledgeBase(records={
+        cve: build_entry(cve, [parse_class(b) for _n, b in corpus.pre_classes[cve]],
+                         [parse_class(b) for _n, b in corpus.post_classes[cve]])
+        for cve in corpus.cve_ids})
+
+
+def test_a_class_declared_twice_on_one_side_is_a_build_error(tmp_path, corpus):
+    """Two class files on one side of a fix that declare the same class
+    make that CVE a build error naming the class and both files, in path
+    order; the other entries are still built."""
+    manifest = materialize_manifest(corpus, tmp_path)
+    cve = corpus.cve_ids[0]
+    name, data = corpus.post_classes[cve][0]
+    rel = name.replace(".", "/") + ".class"
+    first = tmp_path / cve / "post" / rel
+    second = tmp_path / cve / "post" / "META-INF" / "versions" / "11" / rel
+    second.parent.mkdir(parents=True)
+    second.write_bytes(data)
+    kb, stats = build_from_manifest(manifest)
+    assert stats.errors == [(cve, f"class {name} declared twice: "
+                                  f"{second.resolve()}, {first.resolve()}")]
     assert sorted(kb.records) == sorted(stats.built) == [c for c in corpus.cve_ids if c != cve]
 
 
