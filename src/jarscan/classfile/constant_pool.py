@@ -187,6 +187,9 @@ class ConstantPool:
             f"constant pool index {index}: unexpected {TAG_NAMES.get(tag, tag)} reference")
 
     def utf8(self, index: int) -> str:
+        got = self._decoded.get(index)
+        if got is not None and got[0] == TAG_UTF8:
+            return got[1]
         return self._read(index, TAG_UTF8)[1]
 
     def class_name(self, index: int) -> str:

@@ -103,6 +103,8 @@ MAX_MAJOR = 69
 _U2 = struct.Struct(">H").unpack_from
 _U4 = struct.Struct(">I").unpack_from
 _LENGTH = struct.Struct(">I")             # an attribute's length
+_MEMBER = struct.Struct(">4H")            # access, name, descriptor, attribute count
+_ATTRIBUTE = struct.Struct(">HI")         # name, length
 _CODE_HEADER = struct.Struct(">HHI")      # max_stack, max_locals, code_length
 _HANDLER = struct.Struct(">4H")           # start, end, handler, catch_type
 
@@ -299,8 +301,20 @@ def _code_payloads(cf: ClassFile, index: int) -> list[bytes]:
     at, data = cf.body_at[index], cf.constant_pool.data
     if at > 0:
         return [data[at:at + _U4(data, at - 4)[0]]]
-    _end, attributes = _member_attributes(data, -at, cf.constant_pool)
-    return [data[start:end] for name, start, end in attributes if name == "Code"]
+    return _code_attributes(data, -at, cf.constant_pool)
+
+
+def _code_attributes(data: bytes, pos: int, pool: ConstantPool) -> list[bytes]:
+    """The payload of each Code attribute in the attribute table at
+    ``pos``, one ``parse_class`` has checked."""
+    payloads = []
+    pos += 2
+    for _ in range(_U2(data, pos - 2)[0]):
+        name, length = _ATTRIBUTE.unpack_from(data, pos)
+        pos += 6 + length
+        if pool.utf8(name) == "Code":
+            payloads.append(data[pos - length:pos])
+    return payloads
 
 
 def decode_code(cf: ClassFile, index: int) -> CodeAttribute:
@@ -452,23 +466,6 @@ def same_raw_code(a: ClassFile, i: int, b: ClassFile, j: int) -> bool:
     return True
 
 
-def _member_attributes(data: bytes, pos: int,
-                       pool: ConstantPool) -> tuple[int, list[tuple[str, int, int]]]:
-    """Walk the attribute table of one field or method at ``pos``; each
-    name must be a Utf8 entry. Returns the offset just past the table and
-    each attribute's (name, payload start, payload end)."""
-    entries, pos = _table(data, pos)
-    attributes = []
-    for _ in entries:
-        name = pool.utf8(_u2(data, pos))
-        start = pos + 6
-        pos = start + _read(_LENGTH, data, pos + 2)[0]
-        if pos > len(data):
-            raise TruncatedInput(f"attribute {name} runs past the end of the class file")
-        attributes.append((name, start, pos))
-    return pos, attributes
-
-
 def parse_class(data: bytes, bodies: Container[str] | None = None) -> ClassFile:
     """Decode one class file; raises ClassParseError subclasses on bad input.
 
@@ -482,43 +479,63 @@ def parse_class(data: bytes, bodies: Container[str] | None = None) -> ClassFile:
     decoded.
     """
     major, pool, pos = _walk_pool(data)
+    utf8 = pool.utf8
+    n = len(data)
     access = _u2(data, pos)
     this_class = pool.class_name(_u2(data, pos + 2)).replace("/", ".")
     super_idx = _u2(data, pos + 4)
     super_class = pool.class_name(super_idx).replace("/", ".") if super_idx else None
     interfaces = tuple(pool.class_name(_u2(data, pos + 8 + 2 * i)).replace("/", ".")
                        for i in range(_u2(data, pos + 6)))
-    entries, pos = _table(data, pos + 8 + 2 * len(interfaces))
-    fields = []
-    for _ in entries:
-        acc, name = _u2(data, pos), pool.utf8(_u2(data, pos + 2))
-        desc = pool.utf8(_u2(data, pos + 4))
-        pos, _attributes = _member_attributes(data, pos + 6, pool)
-        validate_field_descriptor(desc)
-        fields.append(FieldInfo(name, desc, acc))
-    entries, pos = _table(data, pos)
-    methods, fqns, unqualified, body_at = [], [], [], array("q")
+    # Fields and methods share one layout. Each header, and each of its
+    # attribute headers, is read in one unpack once one bounds check
+    # passes. Where the bytes run short it is read field by field, so a
+    # class cut there fails as the reads in file order would: the same
+    # check, error and message.
+    fields, methods, fqns, unqualified, body_at = [], [], [], [], array("q")
     unq_class = strip_packages(this_class)
-    for _ in entries:
-        acc, name = _u2(data, pos), pool.utf8(_u2(data, pos + 2))
-        desc = pool.utf8(_u2(data, pos + 4))
-        at = pos + 6
-        pos, attributes = _member_attributes(data, at, pool)
-        fqn, unq = method_names(this_class, unq_class, name, desc)
-        fqns.append(fqn)
-        unqualified.append(unq)
-        decode = bodies is None or unq in bodies
-        code = None
-        body = 0
-        for attr_name, start, end in attributes:
-            if attr_name == "Code":
-                if decode:
-                    code = _parse_code_attribute(data[start:end], pool)
+    pos += 8 + 2 * len(interfaces)
+    for table in (fields, methods):
+        entries, pos = _table(data, pos)
+        for _ in entries:
+            if pos + 8 <= n:
+                acc, name, desc, count = _MEMBER.unpack_from(data, pos)
+                name, desc = utf8(name), utf8(desc)
+            else:
+                acc, name = _u2(data, pos), utf8(_u2(data, pos + 2))
+                desc, count = utf8(_u2(data, pos + 4)), _u2(data, pos + 6)
+            at = pos + 6            # the attribute table
+            pos += 8
+            body = 0                # as in body_at; -at for several Code attributes
+            for _ in range(count):
+                if pos + 6 <= n:
+                    attr, length = _ATTRIBUTE.unpack_from(data, pos)
+                    attr = utf8(attr)
                 else:
-                    code = UNDECODED
-                    body = -at if body else start
-        methods.append(MethodInfo(name, desc, acc, code))
-        body_at.append(body)
+                    attr = utf8(_u2(data, pos))
+                    length = _read(_LENGTH, data, pos + 2)[0]
+                pos += 6 + length
+                if pos > n:
+                    raise TruncatedInput(f"attribute {attr} runs past the end of the class file")
+                if attr == "Code":
+                    body, end = -at if body else pos - length, pos
+            if table is fields:
+                validate_field_descriptor(desc)
+                fields.append(FieldInfo(name, desc, acc))
+                continue
+            fqn, unq = method_names(this_class, unq_class, name, desc)
+            fqns.append(fqn)
+            unqualified.append(unq)
+            if not body:
+                code = None
+            elif bodies is not None and unq not in bodies:
+                code = UNDECODED
+            else:
+                for payload in [data[body:end]] if body > 0 else _code_attributes(data, at, pool):
+                    code = _parse_code_attribute(payload, pool)
+                body = 0
+            methods.append(MethodInfo(name, desc, acc, code))
+            body_at.append(body)
     # Class-level attributes skipped by length.
     _skip_attributes(data, pos)
     return ClassFile(

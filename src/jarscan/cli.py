@@ -7,10 +7,11 @@ modification harness). Exit codes are a stable contract:
             or unwritable output (the file already there is kept)
   scan:     0 completed with zero findings, 3 completed with findings,
             1 operational failure (including every given JAR erroring),
-            2 usage/unreadable input or unwritable --out (including a
-            threshold outside [0, 1], a --dir that is not a directory, a
-            --list file that cannot be read or is not UTF-8 and a --command
-            that does not split into words)
+            2 usage/unreadable input or an unwritable --out or stdout
+            (including a threshold outside [0, 1], a --dir that is not a
+            directory, a --list file that cannot be read or is not UTF-8,
+            a --command that does not split into words and a stdout
+            closed before the report is written)
   modify:   0 written, 1 relocation collision or bad input (including an
             input that is not a ZIP archive or holds an unreadable entry),
             2 usage (including a type 4 --prefix that is not dot-separated
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
-import json
 import logging
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
@@ -55,6 +55,8 @@ from .scanner import (
 # A type 4 --prefix: dot-separated segments, each one that strip_packages
 # strips, so relocated classes stay matchable; the final dot is optional.
 _PREFIX = re.compile(rf"{SEGMENT}(?:\.{SEGMENT})*\.?")
+
+_INFINITY = float("inf")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,14 +120,89 @@ def cmd_kb_build(args) -> int:
     return 0
 
 
+# How many pieces of text _write_json gathers before it writes them out.
+_BATCH = 4096
+
+
 def _write_json(out, obj) -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
-    would, as it is encoded: the text is never held whole. The encoder's
-    chunks are joined 4,096 at a time, since one write per chunk costs
-    about a sixth more than the encoding itself."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
-        out.write(batch)
+    would, as it is encoded: the text is never held whole, but written a
+    batch of pieces at a time. Its dict keys must be strings."""
+    parts = []
+    _encode(obj, "\n", parts, out)
+    out.write("".join(parts))
+
+
+def _encode(o, newline: str, parts: list, out) -> None:
+    """Append the text of ``o`` to ``parts``, each line of a container
+    ``o`` holds starting with ``newline`` and two more spaces, and write
+    ``parts`` out whenever it holds ``_BATCH`` pieces.
+
+    Values are written as ``json.dumps`` writes them: strings through its
+    C ``encode_basestring_ascii``, ints and finite floats by their
+    ``repr``, NaN and infinities as NaN, Infinity and -Infinity, tuples as
+    lists. Scalar values of a dict are written with their key."""
+    if isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            value = o[key]
+            kind = type(value)
+            if kind is str:
+                parts.append(f"{sep}{_quote(key)}: {_quote(value)}")
+            elif value is None:
+                parts.append(f"{sep}{_quote(key)}: null")
+            elif kind is int:
+                parts.append(f"{sep}{_quote(key)}: {int.__repr__(value)}")
+            else:
+                parts.append(f"{sep}{_quote(key)}: ")
+                _encode(value, inner, parts, out)
+            if len(parts) >= _BATCH:
+                out.write("".join(parts))
+                parts.clear()
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            if type(value) is str:
+                parts.append(sep + _quote(value))
+            else:
+                parts.append(sep)
+                _encode(value, inner, parts, out)
+            if len(parts) >= _BATCH:
+                out.write("".join(parts))
+                parts.clear()
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(o, str):
+        parts.append(_quote(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if o != o:
+            parts.append("NaN")
+        elif o == _INFINITY:
+            parts.append("Infinity")
+        elif o == -_INFINITY:
+            parts.append("-Infinity")
+        else:
+            parts.append(float.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _write_report(out, report, fmt: str) -> None:
@@ -134,6 +211,16 @@ def _write_report(out, report, fmt: str) -> None:
     else:
         out.write(render_table(report))
     out.write("\n")
+
+
+def _discard_stdout() -> None:
+    """Point file descriptor 1 at os.devnull, so that the flush of stdout
+    at exit writes what a failed write left behind there, and cannot fail
+    again with a second message (the note on SIGPIPE in the signal
+    module's documentation)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def cmd_scan(args) -> int:
@@ -176,15 +263,19 @@ def cmd_scan(args) -> int:
     config = ScanConfig(**thresholds, modes=modes)
     report = scan(jars, kb, config)
 
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as out:
                 _write_report(out, report, args.format)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        _write_report(sys.stdout, report, args.format)
+        else:
+            _write_report(sys.stdout, report, args.format)
+            sys.stdout.flush()
+    except OSError as exc:          # a full disk, or a reader that went away
+        print(f"error: cannot write {args.out or '<stdout>'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        if not args.out:
+            _discard_stdout()
+        return 2
     findings = sum(1 for j in report.jars for f in j.findings
                    if f.verdict == VULNERABLE)
     # A scan of zero JARs completed; one where every JAR errored did not.
@@ -234,9 +325,11 @@ def cmd_modify(args) -> int:
 
 def main(argv=None) -> int:
     # jarscan's data holds no reference cycles: each command leaves the
-    # same few cyclic objects (argparse's, the JSON encoder's) whatever its
-    # input, so the cyclic collector would only re-walk the KB and the
-    # parsed classes. It is off for the command and restored after.
+    # same few cyclic objects (argparse's) whatever its input, so the
+    # cyclic collector would only re-walk the KB and the parsed classes.
+    # It is off for the command and restored after. The report writer is
+    # a module-level function for the same reason: a closure that calls
+    # itself is a reference cycle.
     # tests/test_cli.py's cycle census guards both.
     enabled = gc.isenabled()
     gc.disable()

@@ -412,7 +412,7 @@ def _signature_from_json(s) -> FixSignature:
                 and (not part or min(part) >= 0 and max(part) < len(labels))):
             raise KbFormatError(f"record signature {name} is not a list of label index triples")
         flat = iter(map(labels.__getitem__, part))
-        parts.append(frozenset(map(Triplet, flat, flat, flat)))
+        parts.append(frozenset(map(Triplet._make, zip(flat, flat, flat))))
     return FixSignature(*parts)
 
 

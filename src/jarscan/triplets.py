@@ -42,13 +42,16 @@ def unqualify(triplets: Iterable[Triplet], memo: dict | None = None) -> frozense
 
     ``memo`` maps labels to their stripped form; it is filled as labels
     are met, so a label shared with earlier calls is not stripped again.
+    A triplet whose labels each strip to the very same string is kept as
+    it is.
     """
     memo = {} if memo is None else memo
-    stripped = memo.__getitem__
     out = []
     for t in triplets:
         for label in t:
             if label not in memo:
                 memo[label] = strip_packages(label)
-        out.append(Triplet._make(map(stripped, t)))
+        source, edge, target = t
+        s, e, g = memo[source], memo[edge], memo[target]
+        out.append(t if s is source and e is edge and g is target else Triplet(s, e, g))
     return frozenset(out)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, strategies as st
 
 import jarscan
 from jarscan import cli
@@ -165,6 +166,75 @@ def test_json_written_in_batches_is_one_dumps():
     out = io.StringIO()
     _write_json(out, obj)
     assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True)
+
+
+_JSON_LEAVES = (st.text() | st.integers(-2**200, 2**200) | st.floats() | st.booleans()
+                | st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+@example({"a": [], "b": {}, "c": ((),), "": [-0.0, float("nan"), float("inf"), -float("inf")]})
+@example(["\ud800", "\udfff x \u00e9 \U0001f600", "\x00\x1f\"\\/", 10**80, -(10**80)])
+@example([True, False, None, 0, 1.0, 1e300, 5e-324, {"k": {"j": [[]]}}])
+def test_json_writer_matches_dumps(obj):
+    """Nested dicts, lists and tuples of every scalar JSON writes: non-ASCII
+    text and lone surrogates, big ints, -0.0, NaN and the infinities."""
+    out = io.StringIO()
+    _write_json(out, obj)
+    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True)
+
+
+class _Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_large_report_is_written_in_batches():
+    """A report of several MB reaches its output in many writes, none of
+    which holds more than a small part of the text."""
+    obj = {"jars": [{"path": f"lib/j{i}.jar", "error": None, "classes": i,
+                     "findings": [{"cve": f"CVE-2024-{i:05}", "verdict": "fixed",
+                                   "modes_fired": ["default", "repack"],
+                                   "counts": {"ct": [i, 3], "nt": [0, 2]}}] * 4}
+                    for i in range(5000)]}
+    out = _Writes()
+    _write_json(out, obj)
+    text = out.getvalue()
+    assert text == json.dumps(obj, indent=2, sort_keys=True)
+    assert len(text) > 4_000_000
+    assert len(out.sizes) > 20
+    assert max(out.sizes) < len(text) / 10
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_scan_to_a_closed_stdout_exit_2(tmp_path, corpus, kb_file, fmt):
+    """A reader that has gone away (``jarscan scan ... | head -1``) is an
+    output that cannot be written: one error line and exit 2, with no
+    traceback and no message from the flush at exit. The pipe's read end
+    is closed before the scan starts, so no write can succeed."""
+    paths = _write_jars(corpus, tmp_path, "pre_jars")
+    src = str(Path(jarscan.__file__).parent.parent)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jarscan.cli", "scan", "--kb", str(kb_file),
+             "--format", fmt, *paths],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write <stdout>: Broken pipe\n")
 
 
 def test_scan_threshold_flags_echoed_in_report(tmp_path, corpus, kb_file, capsys):
@@ -690,7 +760,7 @@ def test_commands_leave_cyclic_garbage_that_does_not_grow_with_input(
     """main runs with the cyclic collector off, which holds only while
     jarscan builds no reference cycles per input: a run on many inputs,
     damaged and unliftable ones among them, leaves the same cyclic objects
-    (argparse's, the JSON encoder's) as a run on one."""
+    (argparse's) as a run on one."""
     one, many, status = _census_inputs(tmp_path, corpus, out_of_range_beta_pre)[command]
     assert main(many) == status         # warm-up: imports and first-use caches
     one_status, one_garbage = _cyclic_garbage(one)

@@ -5,26 +5,32 @@ writes, the normalized IR of every liftable method, the JSON scan report
 in both modes, the bytes of every JAR the emitter and ``modify`` write
 for the ``variant_jars`` fixture, the lifted IR of one method per
 mnemonic, the lifted and normalized IR of methods with exception
-handlers, and the lifted and normalized IR and the triplets of methods
-with loops. A change that moves one on purpose re-pins it and says why.
+handlers, the lifted and normalized IR and the triplets of methods
+with loops, and the error each prefix and mutation of a few classes
+raises. A change that moves one on purpose re-pins it and says why.
 """
 
 import hashlib
 import json
 import random
+import zipfile
+
+import pytest
 
 from corpus import materialize_manifest
 from randgen import random_ref_method
+from test_classfile import _handcrafted_switch_class, _jdk_jmod, _with_class_attribute
 from test_large_methods import try_ranges, wide_handlers
 from test_normalize import ORIENTED, branch_ops
 
 from jarscan.classfile import parse_class
 from jarscan.classfile.descriptors import parse_method_descriptor
 from jarscan.classfile.emitter import ACC_PUBLIC, ClassModel, MethodModel, emit_class
-from jarscan.classfile.model import ACC_STATIC, resolved_code
+from jarscan.classfile.model import ACC_STATIC, UNDECODED, resolved_code
 from jarscan.classfile.opcodes import FORMAT_OF
+from jarscan.classfile.parser import _walk_pool, decode_code
 from jarscan.cpg import method_triplets
-from jarscan.errors import LiftError
+from jarscan.errors import ClassParseError, LiftError
 from jarscan.ir import dump, lift
 from jarscan.kb import build_from_manifest, load, save
 from jarscan.normalize import normalize
@@ -380,3 +386,85 @@ def test_every_mnemonic_lifts_to_pinned_ir():
                     for m in cf.methods)
     assert len(cf.methods) == len(cases) == 198
     assert _sha256(dumps.encode()) == MNEMONICS_SHA256
+
+
+# ------------------------------------------------ what malformed classes raise
+
+# ``ParseFailure.reason`` is report content: the class and the message of
+# each parse error, and which of several faults is met first, are pinned.
+PARSE_ERRORS_SHA256 = "2ec95466deda8c0d28f0d39933de355a126df17e85290a1746e06b0100091bd5"
+# The JDK classes below, and what their prefixes and mutations raise. The
+# first digest pins the input bytes (JDK 17.0.15): another JDK build
+# compiles these classes differently, and the second digest is only
+# compared on the bytes it was pinned on.
+JDK_CLASSES_SHA256 = "1ad716f48bea243fedd90dda0ae68c58406c3933a8db11c00e78f587e3bc8dab"
+JDK_PARSE_ERRORS_SHA256 = "1c6fe415c4720eac9b52047940f396801f7638a47277134c9143530b4e6dccb6"
+JDK_CLASSES = ("classes/javax/xml/stream/XMLOutputFactory.class",
+               "classes/com/sun/org/apache/xerces/internal/impl/xs/models/XSEmptyCM.class",
+               "classes/com/sun/org/apache/bcel/internal/generic/ObjectType.class")
+
+
+def _parse_outcome(data: bytes) -> str:
+    """What ``parse_class`` makes of ``data`` with every body decoded, and
+    with none decoded followed by ``decode_code`` of each body in turn:
+    "ok" or the error's class and message."""
+    out = []
+    for bodies in (None, ()):
+        try:
+            cf = parse_class(data, bodies)
+        except ClassParseError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        out.append("ok")
+        for i, m in enumerate(cf.methods):
+            if m.code is UNDECODED:
+                try:
+                    decode_code(cf, i)
+                except ClassParseError as exc:
+                    out.append(f"{i} {type(exc).__name__}: {exc}")
+    return " | ".join(out)
+
+
+def _parse_outcomes(blobs: list[bytes], seed: int, mutations: int = 150) -> str:
+    """One line per truncation prefix of each blob and per single-byte
+    mutation of it: ``mutations`` anywhere, as many past the constant pool,
+    where the member and attribute tables are."""
+    rng = random.Random(seed)
+    lines = []
+    for k, data in enumerate(blobs):
+        assert _parse_outcome(data) == "ok | ok"
+        lines.extend(f"{k} [:{cut}] {_parse_outcome(data[:cut])}\n" for cut in range(len(data)))
+        pool_end = _walk_pool(data)[2]
+        for i in range(2 * mutations):
+            pos = rng.randrange(0 if i < mutations else pool_end, len(data))
+            byte = rng.choice([b for b in range(256) if b != data[pos]])
+            mutated = bytearray(data)
+            mutated[pos] = byte
+            lines.append(f"{k} [{pos}]={byte} {_parse_outcome(bytes(mutated))}\n")
+    return "".join(lines)
+
+
+def test_pinned_parse_errors(corpus):
+    """Every prefix and a seeded set of mutations of five corpus classes
+    (every one has fields) and of a hand-assembled class with switches
+    and a class-level attribute."""
+    blobs = [b for cve in corpus.cve_ids[::2] for _n, b in corpus.pre_classes[cve][:1]]
+    blobs.append(_with_class_attribute(_handcrafted_switch_class()))
+    assert len(blobs) == 6
+    text = _parse_outcomes(blobs, seed=35)
+    assert _sha256(text.encode()) == PARSE_ERRORS_SHA256
+
+
+def test_pinned_jdk_parse_errors():
+    """As above, on three java.xml classes whose fields and methods carry
+    ConstantValue, Signature, Exceptions, Deprecated and annotation
+    attributes as well as Code."""
+    jmod = _jdk_jmod("java.xml")
+    if jmod is None:
+        pytest.skip("no JDK with jmods/java.xml.jmod")
+    with zipfile.ZipFile(jmod) as zf:
+        blobs = [zf.read(name) for name in JDK_CLASSES]
+    if _sha256(b"".join(blobs)) != JDK_CLASSES_SHA256:
+        pytest.skip("this JDK's java.xml classes are not the ones the digest was pinned on")
+    text = _parse_outcomes(blobs, seed=35)
+    assert _sha256(text.encode()) == JDK_PARSE_ERRORS_SHA256
